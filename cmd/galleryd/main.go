@@ -58,7 +58,7 @@ func main() {
 		addr      = flag.String("addr", ":8440", "listen address")
 		dataDir   = flag.String("data", "gallery-data", "data directory for metadata WAL and blob replicas")
 		mem       = flag.Bool("mem", false, "run fully in memory (no durability)")
-		fsync     = flag.Bool("fsync", false, "fsync the metadata WAL on every write")
+		fsync     = flag.Bool("fsync", false, "fsync the metadata WAL before every acknowledgement: a 2xx on a mutating request means its records are on disk")
 		workers   = flag.Int("workers", 4, "rule engine worker goroutines")
 		compact   = flag.Int64("compact-mb", 256, "compact the metadata WAL at startup when larger than this many MiB (0 disables)")
 		accessLog = flag.Bool("access-log", false, "write a JSON access-log line per request to stderr")
@@ -238,6 +238,7 @@ func main() {
 		Incidents: recorder,
 		Profiles:  fleet,
 	}
+	var bootstrap string // printed only once the token behind it is durable
 	if *authOn {
 		// The control plane shares the metadata store, so namespaces,
 		// token hashes, and quota usage replay out of the same WAL the
@@ -263,7 +264,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("galleryd: mint bootstrap token: %v", err)
 			}
-			fmt.Printf("galleryd: minted bootstrap operator token %s — save this secret, it is shown once:\n%s\n", tok.ID, secret)
+			bootstrap = fmt.Sprintf("galleryd: minted bootstrap operator token %s — save this secret, it is shown once:\n%s\n", tok.ID, secret)
 		}
 		opts.Tenants = tm
 	} else if *tokenFile != "" {
@@ -300,6 +301,14 @@ func main() {
 	}
 	opts.SLO = sloSvc
 	recorder.BindSLO(sloSvc)
+
+	// Start-up assembly wrote schemas, the token-file seed and maybe the
+	// bootstrap token without waiting for the disk; commit once before
+	// anything is shown or served.
+	if err := meta.Commit(); err != nil {
+		log.Fatalf("galleryd: commit start-up state: %v", err)
+	}
+	fmt.Print(bootstrap)
 
 	srv := server.NewWith(reg, repo, engine, opts)
 	defer srv.Close()

@@ -97,6 +97,13 @@ func New(meta *relstore.Store, blobs *blobstore.Store, opts Options) (*Registry,
 // DAL exposes the data access layer for experiments that need its stats.
 func (g *Registry) DAL() *dal.DAL { return g.dal }
 
+// Commit makes every registry mutation that returned before the call
+// durable in the metadata WAL (see relstore.Store.Commit). Mutators do not
+// wait for the disk themselves — several hold g.mu — so whoever
+// acknowledges their work commits first: the HTTP server once per
+// mutating request, a background loop once per pass.
+func (g *Registry) Commit(ctx context.Context) error { return g.dal.Meta().CommitCtx(ctx) }
+
 // Audit exposes the lifecycle audit trail; subsystems above the core
 // (rule engine, health monitor, HTTP server) record their events here.
 func (g *Registry) Audit() *audit.Log { return g.audit }
@@ -602,18 +609,45 @@ func (g *Registry) InsertMetricCtx(ctx context.Context, instanceID uuid.UUID, na
 // InsertMetrics records a whole "<metric>:<value>" blob (paper §3.3.3) as
 // individual queryable rows.
 func (g *Registry) InsertMetrics(instanceID uuid.UUID, scope Scope, values map[string]float64) error {
-	// Deterministic order so failures are reproducible.
+	return g.InsertMetricsCtx(context.Background(), instanceID, scope, values)
+}
+
+// InsertMetricsCtx is InsertMetrics with trace attribution. The set lands
+// as one atomic batch — one instance lookup, one WAL record — so a bad
+// entry or a failed write leaves none of it behind.
+func (g *Registry) InsertMetricsCtx(ctx context.Context, instanceID uuid.UUID, scope Scope, values map[string]float64) error {
+	if !ValidScope(scope) {
+		return fmt.Errorf("%w: unknown scope %q", ErrBadSpec, scope)
+	}
+	in, err := g.GetInstanceCtx(ctx, instanceID)
+	if err != nil {
+		return err
+	}
+	// Deterministic order so ids, timestamps and failures are reproducible.
 	names := make([]string, 0, len(values))
 	for n := range values {
+		if n == "" {
+			return fmt.Errorf("%w: metric name is required", ErrBadSpec)
+		}
 		names = append(names, n)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := g.InsertMetric(instanceID, n, scope, values[n]); err != nil {
-			return err
-		}
+	if len(names) == 0 {
+		return nil
 	}
-	return nil
+	sort.Strings(names)
+	muts := make([]relstore.Mutation, len(names))
+	for i, n := range names {
+		muts[i] = relstore.Mutation{Kind: relstore.MutInsert, Table: TableMetrics, Row: metricToRow(&Metric{
+			ID:         g.gen.New(),
+			InstanceID: instanceID,
+			ModelID:    in.ModelID,
+			Name:       n,
+			Scope:      scope,
+			Value:      values[n],
+			At:         g.now(),
+		})}
+	}
+	return g.dal.Meta().BatchCtx(ctx, muts)
 }
 
 // MetricSeries returns an instance's measurements of one metric in one

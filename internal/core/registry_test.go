@@ -440,3 +440,38 @@ func TestModelsByBase(t *testing.T) {
 		t.Fatalf("ModelsByBase = %v", got)
 	}
 }
+
+// TestInsertMetricsIsAtomic: a metric set is one batch, so a set with a
+// bad entry leaves none of its rows behind (it used to leave the ones that
+// sorted before the bad name), and a good set is exactly its rows.
+func TestInsertMetricsIsAtomic(t *testing.T) {
+	h := newHarness(t)
+	m := h.model(t, "demand")
+	in := h.upload(t, m, "sf", []byte("x"))
+	_, _, before := h.g.Counts()
+
+	err := h.g.InsertMetrics(in.ID, ScopeTraining, map[string]float64{"a": 1, "": 2, "z": 3})
+	if !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("set with an empty name: err = %v, want ErrBadSpec", err)
+	}
+	if err := h.g.InsertMetrics(in.ID, Scope("nonsense"), map[string]float64{"a": 1}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("bad scope: err = %v, want ErrBadSpec", err)
+	}
+	if err := h.g.InsertMetrics(uuid.NewSeeded(99).New(), ScopeTraining, map[string]float64{"a": 1}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("unknown instance: err = %v, want ErrNotFound", err)
+	}
+	if _, _, after := h.g.Counts(); after != before {
+		t.Fatalf("rejected sets left %d metric rows behind", after-before)
+	}
+
+	if err := h.g.InsertMetricsBlob(in.ID, ScopeTraining, []byte("mape:8.2\nr2:0.91\nbias:-0.1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, after := h.g.Counts(); after != before+3 {
+		t.Fatalf("3-pair blob stored %d rows", after-before)
+	}
+	got, err := h.g.LatestMetrics(in.ID, ScopeTraining)
+	if err != nil || len(got) != 3 || got["mape"] != 8.2 || got["bias"] != -0.1 {
+		t.Fatalf("stored set = %v, %v", got, err)
+	}
+}

@@ -427,6 +427,9 @@ func (m *Monitor) Evaluate(ctx context.Context) {
 			m.cfg.Transitions.HealthTransition(ctx, n.modelID, n.from, n.to, n.reasons)
 		}
 	}
+	// The pass wrote audit rows, and maybe an incident capture, with no
+	// client waiting: commit them here, after every lock is released.
+	_ = m.reg.Commit(ctx) // sticky in the WAL; the next request reports it
 }
 
 // transitionNote carries one status change out from under the lock.

@@ -131,6 +131,10 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		}
 		v.mu.RUnlock()
 	}
+	help := make(map[string]string, len(r.help))
+	for base, text := range r.help {
+		help[promSanitizeName(base)] = text
+	}
 	r.mu.RUnlock()
 
 	bases := make([]string, 0, len(fams))
@@ -151,11 +155,17 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		b.Reset()
 		b.WriteString("# HELP ")
 		b.WriteString(base)
-		b.WriteString(" Gallery ")
-		b.WriteString(f.kind)
-		b.WriteString(" ")
-		b.WriteString(base)
-		b.WriteString(".\n# TYPE ")
+		if text, ok := help[base]; ok {
+			b.WriteString(" ")
+			b.WriteString(promHelpEscaper.Replace(text))
+		} else {
+			b.WriteString(" Gallery ")
+			b.WriteString(f.kind)
+			b.WriteString(" ")
+			b.WriteString(base)
+			b.WriteString(".")
+		}
+		b.WriteString("\n# TYPE ")
 		b.WriteString(base)
 		b.WriteString(" ")
 		b.WriteString(f.kind)
@@ -351,6 +361,10 @@ func promEscape(s string) string {
 	}
 	return b.String()
 }
+
+// promHelpEscaper escapes HELP text per the exposition format: backslash
+// and newline only (quotes are legal there, unlike in label values).
+var promHelpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 // ValidateExposition parses a Prometheus text exposition payload and
 // returns the first spec violation found, or nil. It checks name and

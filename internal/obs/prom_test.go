@@ -150,3 +150,30 @@ func TestWritePromDeterministic(t *testing.T) {
 		t.Fatal("two writes of the same state differ")
 	}
 }
+
+// TestPromHelpText: a family with Help set shows that text, escaped, and
+// the rest keep the generic line; the payload stays valid either way.
+func TestPromHelpText(t *testing.T) {
+	r := populatedRegistry()
+	r.Help("plain_total", "Requests seen.\nBackslash \\ and \"quotes\" survive.")
+	r.Help("never_registered_total", "Help for a family with no series is not emitted.")
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if err := ValidateExposition(buf.Bytes()); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		`# HELP plain_total Requests seen.\nBackslash \\ and "quotes" survive.` + "\n# TYPE plain_total counter",
+		"# HELP heap_bytes Gallery gauge heap_bytes.",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "never_registered_total") {
+		t.Errorf("HELP emitted for a family with no series\n%s", out)
+	}
+}

@@ -20,6 +20,7 @@ type Registry struct {
 	hists       map[string]*Histogram
 	counterVecs map[string]*CounterVec
 	histVecs    map[string]*HistogramVec
+	help        map[string]string // family base name -> HELP text
 }
 
 // Default is the process-wide registry. Components default to it so a
@@ -36,7 +37,17 @@ func NewRegistry() *Registry {
 		hists:       make(map[string]*Histogram),
 		counterVecs: make(map[string]*CounterVec),
 		histVecs:    make(map[string]*HistogramVec),
+		help:        make(map[string]string),
 	}
+}
+
+// Help sets the HELP text the Prometheus exposition shows for the metric
+// family base (its name without labels), in place of the generic line:
+// for a metric whose name alone does not say what it measures.
+func (r *Registry) Help(base, text string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.help[base] = text
 }
 
 // Counter returns the counter registered under name, creating it if new.

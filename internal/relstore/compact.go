@@ -15,7 +15,11 @@ import (
 // (Gallery's MySQL gets this from its own checkpointing; the embedded
 // store needs it explicitly). The snapshot is written to a sibling file
 // and atomically renamed over the live log, so a crash during compaction
-// leaves either the old or the new log intact, never a mix.
+// leaves either the old or the new log intact, never a mix. The new log
+// keeps the options the store was opened with: under wal.Options.Sync the
+// snapshot is fsynced before the rename, and the reopen fsyncs the
+// directory, so no later acknowledgement can rest on a rename that a power
+// loss would undo.
 //
 // Compact is only meaningful for durable stores; on a volatile store it is
 // a no-op.
@@ -27,7 +31,7 @@ func (s *Store) Compact(path string) error {
 	}
 
 	tmp := path + ".compact"
-	newLog, err := wal.Open(tmp, wal.Options{}, nil)
+	newLog, err := wal.Open(tmp, s.walOpts, nil)
 	if err != nil {
 		return fmt.Errorf("relstore: open compaction log: %w", err)
 	}
@@ -48,7 +52,7 @@ func (s *Store) Compact(path string) error {
 		if err := gob.NewEncoder(&buf).Encode(op); err != nil {
 			return fmt.Errorf("relstore: encode snapshot record: %w", err)
 		}
-		return newLog.Append(buf.Bytes())
+		return newLog.AppendNoSync(buf.Bytes())
 	}
 	for _, name := range names {
 		t := s.tables[name]
@@ -72,7 +76,7 @@ func (s *Store) Compact(path string) error {
 		}
 	}
 
-	// Swap: close both logs, rename, reopen.
+	// Swap: close both logs (Close commits the snapshot), rename, reopen.
 	if err := newLog.Close(); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("relstore: close compaction log: %w", err)
@@ -84,7 +88,7 @@ func (s *Store) Compact(path string) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("relstore: swap compacted log: %w", err)
 	}
-	reopened, err := wal.Open(path, wal.Options{}, nil)
+	reopened, err := wal.Open(path, s.walOpts, nil)
 	if err != nil {
 		return fmt.Errorf("relstore: reopen after compaction: %w", err)
 	}
@@ -95,10 +99,18 @@ func (s *Store) Compact(path string) error {
 // LogSize returns the byte size of the store's write-ahead log, or 0 for
 // volatile stores. Operators use it to decide when to Compact.
 func (s *Store) LogSize() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return 0
+	if l := s.wal(); l != nil {
+		return l.Size()
 	}
-	return s.log.Size()
+	return 0
+}
+
+// LogDurable returns the byte size of the log prefix known to be fsynced
+// (see wal.Log.Durable), or 0 for volatile stores. After a Commit on a
+// wal.Options.Sync store it equals LogSize unless a writer has raced in.
+func (s *Store) LogDurable() int64 {
+	if l := s.wal(); l != nil {
+		return l.Durable()
+	}
+	return 0
 }

@@ -24,15 +24,29 @@ var (
 
 // Store is an embedded relational store. All methods are safe for
 // concurrent use.
+//
+// Durability is split from mutation. A mutator applies its change and
+// appends the WAL record under mu, in that order, and returns without
+// waiting for the disk; Commit makes every mutation that returned before
+// it durable. So with wal.Options.Sync a caller must Commit before it
+// acknowledges a write to anyone, concurrent callers share one fsync, and
+// no fsync is ever issued under mu. Two consequences: a concurrent reader
+// can see a row up to one Commit before it is durable, and because apply
+// and append happen under the same lock in the same order, what recovery
+// rebuilds is always a prefix of the applied history.
 type Store struct {
-	mu     sync.RWMutex
-	tables map[string]*table
-	log    *wal.Log // nil for volatile stores
+	mu      sync.RWMutex
+	tables  map[string]*table
+	log     *wal.Log    // nil for volatile stores
+	walOpts wal.Options // kept so Compact reopens the log as Open did
 
-	obs        *obs.Registry
-	walSeconds *obs.Histogram
-	opMu       sync.RWMutex
-	opCounters map[opKey]*obs.Counter // handle cache: countOp is on every hot path
+	obs           *obs.Registry
+	walSeconds    *obs.Histogram
+	commitSeconds *obs.Histogram
+	walRecords    *obs.Counter
+	walCommits    *obs.Counter
+	opMu          sync.RWMutex
+	opCounters    map[opKey]*obs.Counter // handle cache: countOp is on every hot path
 }
 
 // opKey keys the per-(op, table) counter-handle cache.
@@ -48,6 +62,13 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	defer s.mu.Unlock()
 	s.obs = reg
 	s.walSeconds = reg.Histogram("relstore_wal_append_seconds", obs.LatencyBuckets)
+	reg.Help("relstore_wal_append_seconds", "Time to write one WAL record through to the OS; the fsync is not in it, see relstore_wal_commit_seconds.")
+	s.commitSeconds = reg.Histogram("relstore_wal_commit_seconds", obs.LatencyBuckets)
+	reg.Help("relstore_wal_commit_seconds", "Time a Commit with records outstanding waited for the WAL fsync, its own or one shared with concurrent committers.")
+	s.walRecords = reg.Counter("relstore_wal_records_total")
+	reg.Help("relstore_wal_records_total", "WAL records appended; over relstore_wal_commits_total it is the records made durable per fsync.")
+	s.walCommits = reg.Counter("relstore_wal_commits_total")
+	reg.Help("relstore_wal_commits_total", "WAL fsyncs issued by Commit; committers that arrive together share one, so this grows slower than the requests that wrote.")
 	s.opMu.Lock()
 	s.opCounters = make(map[opKey]*obs.Counter)
 	s.opMu.Unlock()
@@ -128,16 +149,66 @@ func Open(path string, opts wal.Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.log = l
+	s.log, s.walOpts = l, opts
 	return s, nil
 }
 
-// Close releases the write-ahead log, if any.
+// Close commits outstanding records and releases the write-ahead log, if
+// any.
 func (s *Store) Close() error {
-	if s.log == nil {
+	if l := s.wal(); l != nil {
+		return l.Close()
+	}
+	return nil
+}
+
+// wal returns the current log; Compact swaps it under mu.
+func (s *Store) wal() *wal.Log {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.log
+}
+
+// Commit makes every mutation that returned before the call durable. It
+// is the acknowledgement boundary: call it once per unit of work, after
+// the last mutation and before telling anyone the work is done. It is a
+// no-op for volatile stores and without wal.Options.Sync.
+func (s *Store) Commit() error { return s.CommitCtx(context.Background()) }
+
+// CommitCtx is Commit with trace attribution: the fsync wait gets its own
+// span, apart from the appends, and the commit-latency histogram an
+// exemplar pointing back at the trace.
+func (s *Store) CommitCtx(ctx context.Context) error {
+	l := s.wal()
+	if l == nil || !s.walOpts.Sync {
 		return nil
 	}
-	return s.log.Close()
+	// With nothing outstanding the call only surfaces a closed or failed
+	// log: not a wait an operator should see in the span or the metrics.
+	outstanding := l.Durable() < l.Size()
+	var (
+		span  *trace.Span
+		start time.Time
+	)
+	if outstanding {
+		_, span = trace.Start(ctx, "relstore.wal_commit")
+		start = time.Now()
+	}
+	synced, err := l.CommitSynced()
+	for errors.Is(err, wal.ErrClosed) && s.wal() != l {
+		// Compact swapped the log under us. Our records are in its
+		// snapshot, which the new log made durable before taking over.
+		l = s.wal()
+		synced, err = l.CommitSynced()
+	}
+	if synced {
+		s.walCommits.Inc()
+	}
+	if outstanding {
+		s.commitSeconds.ObserveSinceExemplar(start, span.TraceIDString())
+		span.EndErr(err)
+	}
+	return err
 }
 
 // walOp is the durable form of every mutation.
@@ -163,9 +234,10 @@ const (
 // logOp persists op if the store is durable.
 func (s *Store) logOp(op walOp) error { return s.logOpCtx(context.Background(), op) }
 
-// logOpCtx is logOp with trace attribution: the WAL append — the only
-// disk wait on the mutation path — gets its own child span, and the
-// append-latency histogram an exemplar pointing back at the trace.
+// logOpCtx is logOp with trace attribution: the WAL append gets its own
+// child span, and the append-latency histogram an exemplar pointing back
+// at the trace. The record is written through to the OS, not fsynced —
+// callers hold mu, and the disk wait belongs to Commit.
 func (s *Store) logOpCtx(ctx context.Context, op walOp) error {
 	if s.log == nil {
 		return nil
@@ -177,8 +249,9 @@ func (s *Store) logOpCtx(ctx context.Context, op walOp) error {
 		return fmt.Errorf("relstore: encode wal record: %w", err)
 	}
 	start := time.Now()
-	err := s.log.Append(buf.Bytes())
+	err := s.log.AppendNoSync(buf.Bytes())
 	s.walSeconds.ObserveSinceExemplar(start, span.TraceIDString())
+	s.walRecords.Inc()
 	if span != nil {
 		span.AnnotateInt("bytes", int64(buf.Len()))
 	}

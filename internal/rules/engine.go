@@ -192,6 +192,12 @@ func (e *Engine) Start(workers int) {
 		go func() {
 			for j := range jobs {
 				e.runActionRule(j.ctx, j.rule, j.instanceID, j.extra)
+				// A fired rule wrote (audit row, promotion, capture) with
+				// no client waiting: the job is the unit of work, so it
+				// commits. Nothing fired, nothing outstanding, no fsync.
+				if e.reg != nil {
+					_ = e.reg.Commit(j.ctx) // sticky in the WAL; the next request reports it
+				}
 				e.pending.Done()
 			}
 		}()

@@ -209,7 +209,7 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 	if s.tenants != nil {
 		tenantOf = s.tenants.NamespaceOf
 	}
-	wrapped := httpmw.Wrap(s.mux, httpmw.Options{
+	wrapped := httpmw.Wrap(s.commitOnAck(s.mux), httpmw.Options{
 		Obs:        s.obs,
 		AccessLog:  s.accessLog,
 		Tracer:     s.tracer,
@@ -262,20 +262,29 @@ func (s *Server) eventLoop() {
 	for {
 		select {
 		case ev := <-s.events:
-			s.engine.MetricUpdatedCtx(ev.ctx, ev.id)
-			s.eventWG.Done()
+			s.dispatch(ev)
 		case <-s.done:
 			for {
 				select {
 				case ev := <-s.events:
-					s.engine.MetricUpdatedCtx(ev.ctx, ev.id)
-					s.eventWG.Done()
+					s.dispatch(ev)
 				default:
 					return
 				}
 			}
 		}
 	}
+}
+
+// dispatch is one pass of the event loop. Rules an unstarted engine runs
+// inline write audit rows and promotions with no client waiting, so the
+// pass commits them itself (a started engine's workers commit their own).
+// A failed commit has nobody to refuse; it is sticky in the WAL, so the
+// next mutating request reports it.
+func (s *Server) dispatch(ev metricEvent) {
+	s.engine.MetricUpdatedCtx(ev.ctx, ev.id)
+	_ = s.reg.Commit(ev.ctx)
+	s.eventWG.Done()
 }
 
 // Flush blocks until every queued metric event has been handed to the
@@ -873,7 +882,7 @@ func (s *Server) handleInsertMetrics(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if err := s.reg.InsertMetrics(id, core.Scope(req.Scope), req.Values); err != nil {
+	if err := s.reg.InsertMetricsCtx(r.Context(), id, core.Scope(req.Scope), req.Values); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -991,7 +1000,7 @@ func (s *Server) handleInsertMetricsBlob(w http.ResponseWriter, r *http.Request)
 		writeErr(w, err)
 		return
 	}
-	if err := s.reg.InsertMetricsBlob(id, scope, blob); err != nil {
+	if err := s.reg.InsertMetricsBlobCtx(r.Context(), id, scope, blob); err != nil {
 		release()
 		writeErr(w, err)
 		return

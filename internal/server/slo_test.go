@@ -26,14 +26,16 @@ import (
 func newSLOHarness(t *testing.T) *harness {
 	t.Helper()
 	clk := clock.NewMock(t0)
-	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
+	o := obs.NewRegistry()
+	meta := relstore.NewMemory()
+	meta.Instrument(o) // the store's metrics are part of the exposition under test
+	reg, err := core.New(meta, blobstore.NewMemory(blobstore.Options{}), core.Options{
 		Clock: clk,
 		UUIDs: uuid.NewSeeded(51),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.NewRegistry()
 	repo := rules.NewRepo(clk)
 	eng := rules.NewEngine(reg, repo, clk)
 	// Wire both metric scopes, like a single-process embedding: the
@@ -170,6 +172,10 @@ func TestPromExpositionValid(t *testing.T) {
 		"# TYPE tenant_http_requests_total counter",
 		`tenant_http_requests_total{namespace="default"}`,
 		"# TYPE http_requests_total counter",
+		"# TYPE relstore_wal_commit_seconds histogram",
+		"# TYPE relstore_wal_commits_total counter",
+		"# TYPE relstore_wal_records_total counter",
+		"# HELP relstore_wal_append_seconds Time to write one WAL record through to the OS; the fsync is not in it",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)

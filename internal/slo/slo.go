@@ -612,6 +612,11 @@ func (s *Service) Evaluate(ctx context.Context) {
 	for _, t := range emits {
 		s.emit(ctx, t)
 	}
+	// Transitions wrote audit rows, and maybe an incident capture, with
+	// no client waiting: commit them here, after every lock is released.
+	// They go through the audit log and the recorder, which a durable
+	// process keeps in the same metadata store as the objectives.
+	_ = s.store.CommitCtx(ctx) // sticky in the WAL; the next request reports it
 }
 
 func (s *Service) publishGauges(st *state) {

@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -34,19 +35,32 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var ErrClosed = errors.New("wal: log is closed")
 
 // Log is an append-only record log. It is safe for concurrent use.
+//
+// Appending and making durable are separate steps. AppendNoSync writes a
+// frame through to the OS; Commit makes everything appended before the
+// call durable, and concurrent committers share one fsync: size is the
+// write watermark, durable the fsynced one, and a committer whose target
+// another caller's fsync already covered returns without issuing its own.
 type Log struct {
-	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
-	size   int64
-	closed bool
-	sync   bool // fsync after every append
+	// syncMu serializes fsyncs and is taken before mu; it is never held
+	// by an appender, so appends proceed while an fsync is in flight.
+	syncMu sync.Mutex
+
+	mu      sync.Mutex
+	f       *os.File
+	w       *bufio.Writer
+	size    int64 // bytes written through to the OS
+	durable int64 // prefix known fsynced (Sync logs only)
+	err     error // first fsync failure; sticky
+	closed  bool
+	sync    bool
 }
 
 // Options configures a Log.
 type Options struct {
-	// Sync forces an fsync after every append. Slower, but survives OS
-	// crashes rather than just process crashes.
+	// Sync makes Commit (and therefore Append) fsync, so committed records
+	// survive OS crashes and power loss rather than just process crashes.
+	// Without it Commit is a no-op.
 	Sync bool
 }
 
@@ -71,7 +85,37 @@ func Open(path string, opts Options, apply func(payload []byte) error) (*Log, er
 		f.Close()
 		return nil, fmt.Errorf("wal: seek %s: %w", path, err)
 	}
-	return &Log{f: f, w: bufio.NewWriter(f), size: valid, sync: opts.Sync}, nil
+	l := &Log{f: f, w: bufio.NewWriter(f), size: valid, sync: opts.Sync}
+	if opts.Sync {
+		// The replayed prefix may have been written by a process that died
+		// before committing it, and a just-created file is not on disk
+		// until its directory entry is: settle both once, so Durable starts
+		// out true.
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: fsync %s: %w", path, err)
+		}
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, err
+		}
+		l.durable = valid
+	}
+	return l, nil
+}
+
+// syncDir fsyncs a directory, making a file creation or rename in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("wal: open dir %s: %w", dir, err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync dir %s: %w", dir, err)
+	}
+	return nil
 }
 
 // replay streams records from the start of f, calling apply for each intact
@@ -115,12 +159,25 @@ func replay(f *os.File, apply func([]byte) error) (valid int64, err error) {
 	}
 }
 
-// Append durably adds one record to the log.
+// Append adds one record to the log and commits it: with Options.Sync the
+// record is on disk when Append returns.
 func (l *Log) Append(payload []byte) error {
+	if err := l.AppendNoSync(payload); err != nil {
+		return err
+	}
+	return l.Commit()
+}
+
+// AppendNoSync adds one record to the log, written through to the OS (it
+// survives a process crash) but not fsynced; Commit makes it durable.
+func (l *Log) AppendNoSync(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if l.err != nil {
+		return l.err
 	}
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -134,13 +191,66 @@ func (l *Log) Append(payload []byte) error {
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
-	if l.sync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-	}
 	l.size += headerSize + int64(len(payload))
 	return nil
+}
+
+// Commit makes every record appended before the call durable. Callers
+// that arrive while an fsync is in flight wait for it and then share the
+// next one, so K concurrent committers cost fewer than K fsyncs. Without
+// Options.Sync it only reports ErrClosed. An fsync failure is sticky: the
+// kernel may have dropped the dirty pages, so a later fsync succeeding
+// would prove nothing, and every later Commit and append fails with it.
+func (l *Log) Commit() error {
+	_, err := l.CommitSynced()
+	return err
+}
+
+// CommitSynced is Commit, also reporting whether this call issued the
+// fsync itself (true) or had nothing outstanding or was covered by another
+// caller's (false): records appended over trues counted is the coalescing.
+func (l *Log) CommitSynced() (bool, error) {
+	l.mu.Lock()
+	target := l.size
+	done, err := l.settledLocked(target)
+	l.mu.Unlock()
+	if done {
+		return false, err
+	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	done, err = l.settledLocked(target) // the fsync we waited behind may have covered us
+	upto := l.size
+	l.mu.Unlock()
+	if done {
+		return false, err
+	}
+
+	err = l.f.Sync()
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		l.err = fmt.Errorf("wal: fsync: %w", err)
+		return true, l.err
+	}
+	l.durable = upto
+	return true, nil
+}
+
+// settledLocked reports whether a commit up to target has nothing left to
+// wait for, and the error it should return if so. Caller holds mu.
+func (l *Log) settledLocked(target int64) (bool, error) {
+	switch {
+	case l.closed:
+		return true, ErrClosed
+	case l.err != nil:
+		return true, l.err
+	case !l.sync || l.durable >= target:
+		return true, nil
+	}
+	return false, nil
 }
 
 // Size returns the byte size of the log's intact prefix.
@@ -150,8 +260,20 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// Close flushes and closes the underlying file.
+// Durable returns the byte size of the prefix known to be fsynced: what a
+// power loss now is guaranteed to leave behind. It trails Size between an
+// append and the Commit that covers it, and never advances without
+// Options.Sync.
+func (l *Log) Durable() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.durable
+}
+
+// Close commits what is outstanding and closes the underlying file.
 func (l *Log) Close() error {
+	l.syncMu.Lock() // wait out an in-flight fsync
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -161,6 +283,13 @@ func (l *Log) Close() error {
 	if err := l.w.Flush(); err != nil {
 		l.f.Close()
 		return fmt.Errorf("wal: flush on close: %w", err)
+	}
+	if l.sync && l.err == nil && l.durable < l.size {
+		if err := l.f.Sync(); err != nil {
+			l.f.Close()
+			return fmt.Errorf("wal: fsync on close: %w", err)
+		}
+		l.durable = l.size
 	}
 	return l.f.Close()
 }
