@@ -168,7 +168,7 @@ func main() {
 		detector = profile.NewDetector(profile.DetectorConfig{
 			Baseline: base,
 			Factor:   *profFactor,
-			Sink:     engine,
+			Sink:     engine.Event,
 		})
 	}
 	profiler := profile.New(profile.Config{
@@ -177,7 +177,7 @@ func main() {
 		Interval: *profEvery,
 		Hz:       *profHz,
 		Detector: detector,
-		Exporter: fleet,
+		Exporter: fleet.Ingest,
 	})
 	if *profEvery > 0 {
 		profiler.Start()
@@ -214,15 +214,18 @@ func main() {
 	defer engine.Stop()
 
 	// Continuous model health: gateways flush distribution sketches in,
-	// the monitor judges them on a ticker, and degradations feed the rule
-	// engine as health.* events (and the flight recorder on degradation).
+	// the monitor judges them on a ticker, and what it publishes reaches
+	// the flight recorder first (the bundle shows the state that tripped
+	// it, not what a rule did about it), then the rule engine.
 	monitor := health.New(reg, health.Config{
 		Metric:           *healthMetric,
 		ReferenceWindows: *healthRefWins,
 		KeepWindows:      *healthKeep,
 		Interval:         *healthEvery,
-		Events:           engine,
-		Transitions:      recorder,
+		Events: func(ctx context.Context, ev obs.Event) {
+			recorder.Event(ctx, ev)
+			engine.Event(ctx, ev)
+		},
 	})
 	if err := monitor.Recover(); err != nil {
 		log.Fatalf("galleryd: recover health windows: %v", err)
@@ -290,7 +293,9 @@ func main() {
 		Tick:  *sloEvery,
 		Obs:   obs.Default,
 		Audit: reg.Audit(),
-		Burns: recorder,
+		// Namespace burns have no instance for a rule to run against, so
+		// the recorder is the only subscriber.
+		Events: recorder.Event,
 	})
 	if err != nil {
 		log.Fatalf("galleryd: open slo store: %v", err)
@@ -313,7 +318,12 @@ func main() {
 	srv := server.NewWith(reg, repo, engine, opts)
 	defer srv.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{
+		Addr: *addr, Handler: srv,
+		// No read or write timeout: a 256 MiB upload is legitimate.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 

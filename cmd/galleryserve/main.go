@@ -35,8 +35,10 @@ import (
 	"syscall"
 	"time"
 
+	"gallery/internal/api"
 	"gallery/internal/client"
 	"gallery/internal/forecast"
+	"gallery/internal/obs"
 	obslog "gallery/internal/obs/log"
 	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
@@ -52,7 +54,6 @@ func main() {
 		refresh   = flag.Duration("refresh", 5*time.Second, "production-pointer poll interval")
 		maxModels = flag.Int("max-models", 64, "LRU bound on concurrently loaded models")
 		batch     = flag.Int("batch", 0, "micro-batch size (0 disables batching)")
-		batchWait = flag.Duration("batch-wait", 0, "max linger for a partially filled batch (0 = adaptive drain-only)")
 		preload   = flag.String("preload", "", "comma-separated model IDs to load at startup")
 		name      = flag.String("name", "gateway", "gateway name stamped on flushed health observations")
 		healthInt = flag.Duration("health-flush", 15*time.Second, "health observation flush period (negative disables health reporting)")
@@ -82,28 +83,34 @@ func main() {
 	if err != nil {
 		log.Fatalf("galleryserve: %v", err)
 	}
-	// Kept traces ship to galleryd's trace buffer, so a predict request
-	// reads as ONE trace spanning both processes there.
-	exporter := trace.NewHTTPExporter(*gallery+"/v1/debug/traces", nil)
-	defer exporter.Close()
+	cl := client.NewWith(*gallery, client.Options{Retries: *retries, Actor: "gateway:" + *name, Token: *token})
+	// Everything this gateway tells galleryd that no request waits for —
+	// kept traces, profile summaries, hot-swap audit events — rides one
+	// queue through the one client, so it carries the same token and a
+	// slow galleryd costs drops (telemetry_dropped_total), never latency.
+	ship := obs.NewShipper(obs.Default)
 	tracer := trace.New(trace.Options{
 		Service:  "galleryserve",
 		Sampler:  sampler,
 		Capacity: *traceCap,
-		Exporter: exporter,
+		// Kept traces land in galleryd's trace buffer, so a predict request
+		// reads as ONE trace spanning both processes there.
+		Exporter: func(spans []trace.SpanData) {
+			ship.Export(obs.ChannelTraces, func(ctx context.Context) error { return cl.ExportSpans(ctx, spans) })
+		},
 	})
 
-	cl := client.NewWith(*gallery, client.Options{Retries: *retries, Actor: "gateway:" + *name, Token: *token})
 	gwOpts := serve.Options{
 		Name:            *name,
 		MaxModels:       *maxModels,
 		RefreshInterval: *refresh,
 		MaxBatch:        *batch,
-		BatchWait:       *batchWait,
 		Tracer:          tracer,
 		// Hot swaps land on galleryd's lifecycle audit trail next to the
 		// promotions that caused them.
-		AuditSink: cl,
+		AuditSink: func(ev api.AuditEvent) {
+			ship.Export(obs.ChannelAudit, func(ctx context.Context) error { return cl.ReportAuditEvent(ctx, ev) })
+		},
 	}
 	if *healthInt > 0 {
 		// Per-model prediction sketches stream back to galleryd's health
@@ -134,11 +141,8 @@ func main() {
 	}
 
 	// Continuous profiling: window summaries ship to galleryd's fleet store
-	// (the trace-export pattern) so GET /v1/debug/profile there covers both
-	// tiers; the local ring serves the same path here and rides incident
-	// bundle pulls.
-	profExporter := profile.NewHTTPExporter(*gallery+"/v1/debug/profile", *token, nil)
-	defer profExporter.Close()
+	// so GET /v1/debug/profile there covers both tiers; the local ring
+	// serves the same path here and rides incident bundle pulls.
 	var detector *profile.Detector
 	if *profBaseline != "" {
 		base, err := profile.LoadBaseline(*profBaseline)
@@ -153,7 +157,9 @@ func main() {
 		Interval: *profEvery,
 		Hz:       *profHz,
 		Detector: detector,
-		Exporter: profExporter,
+		Exporter: func(process string, summaries []profile.Summary) {
+			ship.Export(obs.ChannelProfiles, func(ctx context.Context) error { return cl.ExportProfiles(ctx, process, summaries) })
+		},
 	})
 	if *profEvery > 0 {
 		profiler.Start()
@@ -202,13 +208,19 @@ func main() {
 	}
 	h := serve.NewHandler(gw, opts...)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: h}
+	httpSrv := &http.Server{
+		Addr: *addr, Handler: h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Printf("galleryserve: serving on %s (gallery=%s refresh=%v batch=%d)\n",
 		*addr, *gallery, *refresh, *batch)
 
 	waitForShutdown(httpSrv, errCh)
+	// After the HTTP drain, so the traces the last requests kept still leave.
+	ship.Close()
 }
 
 // warmupContext is a throwaway query used only to force a preload; the

@@ -158,6 +158,12 @@ func (c *Client) once(ctx context.Context, method, path string, hasBody bool, pa
 	if err != nil {
 		return err
 	}
+	// A caller's deadline bounds the round trip. Bare cancellation is not
+	// passed down: a gateway load is shared by every request waiting on
+	// it, and the one that gave up must not fail the rest.
+	if _, ok := ctx.Deadline(); ok {
+		req = req.WithContext(ctx)
+	}
 	if hasBody {
 		req.Header.Set("Content-Type", "application/json")
 	}
@@ -570,6 +576,30 @@ func (c *Client) DebugProfile(merge time.Duration, topN int) (profile.View, erro
 	return out, err
 }
 
+// ExportSpans ships one kept trace's spans to the service's trace buffer
+// (POST /v1/debug/traces), where they merge with the spans it recorded
+// for the same trace id.
+func (c *Client) ExportSpans(ctx context.Context, spans []trace.SpanData) error {
+	return c.ship(ctx, "/v1/debug/traces", trace.IngestRequest{Spans: spans})
+}
+
+// ExportProfiles ships one profiler cycle's summaries to the service's
+// fleet view (POST /v1/debug/profile).
+func (c *Client) ExportProfiles(ctx context.Context, process string, summaries []profile.Summary) error {
+	return c.ship(ctx, "/v1/debug/profile", profile.IngestRequest{Process: process, Summaries: summaries})
+}
+
+// ship posts telemetry with exactly one attempt. Its caller is the
+// telemetry shipper's single worker (obs.Shipper): a backoff sleep there
+// would hold up every channel queued behind this one.
+func (c *Client) ship(ctx context.Context, path string, in any) error {
+	payload, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("client: encode request: %w", err)
+	}
+	return c.once(ctx, "POST", path, true, payload, nil, 0, 0)
+}
+
 // DebugTraces lists the newest sampled traces held in the server's ring
 // buffer as raw JSON ({"stats": ..., "traces": [...]}). limit <= 0 uses
 // the server default.
@@ -723,9 +753,9 @@ func (c *Client) EntityTimeline(id string, limit int) ([]api.AuditEvent, error) 
 }
 
 // ReportAuditEvent ships one externally-witnessed lifecycle event to the
-// service's audit trail (POST /v1/audit). *Client satisfies
-// serve.AuditSink, so a gateway pointed at galleryd records its hot swaps
-// in the same trail as the promotions that caused them.
+// service's audit trail (POST /v1/audit) — how a gateway pointed at
+// galleryd records its hot swaps in the same trail as the promotions
+// that caused them.
 func (c *Client) ReportAuditEvent(ctx context.Context, ev api.AuditEvent) error {
 	var resp api.RecordAuditResponse
 	return c.doCtx(ctx, "POST", "/v1/audit", api.RecordAuditRequest{Events: []api.AuditEvent{ev}}, &resp)

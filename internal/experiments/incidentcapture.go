@@ -283,7 +283,7 @@ func IncidentCapture(n int) (*IncidentCaptureResult, error) {
 		Clock:      clk,
 		UUIDs:      uuid.NewSeeded(74),
 		Obs:        gwObs,
-		Burns:      rec,
+		Events:     rec.Event,
 	})
 	if err != nil {
 		return nil, err

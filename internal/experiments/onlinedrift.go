@@ -118,7 +118,7 @@ func OnlineDrift(preWindows, postWindows int) (*OnlineDriftResult, error) {
 		MinSamples:       100, // a single 72-sample window is too noisy to judge
 		Interval:         -1,  // the run drives Evaluate per window
 		Obs:              obs.NewRegistry(),
-		Events:           env.Engine,
+		Events:           env.Engine.Event,
 	})
 	gw := serve.New(regSource{env.Reg}, serve.Options{
 		Name:            "gw-drift",

@@ -245,7 +245,7 @@ func ProfileRegression(n int) (*ProfileRegResult, error) {
 	fleet := profile.NewFleet(0)
 	pRegistry := profile.New(profile.Config{
 		Process: "galleryd", Window: profileregWindow, Interval: time.Hour,
-		Obs: obs.NewRegistry(), Exporter: fleet,
+		Obs: obs.NewRegistry(), Exporter: fleet.Ingest,
 	})
 	pRegistry.CaptureCycle()
 
@@ -281,7 +281,7 @@ func ProfileRegression(n int) (*ProfileRegResult, error) {
 	o := obs.NewRegistry()
 	repo := rules.NewRepo(clk)
 	engine := rules.NewEngine(reg, repo, clk)
-	detector := profile.NewDetector(profile.DetectorConfig{Baseline: base, Obs: o, Sink: engine})
+	detector := profile.NewDetector(profile.DetectorConfig{Baseline: base, Obs: o, Sink: engine.Event})
 	pLive := profile.New(profile.Config{
 		Process: "galleryserve", Window: profileregWindow, Interval: time.Hour,
 		Obs: obs.NewRegistry(), Detector: detector,
@@ -364,14 +364,18 @@ func ProfileRegression(n int) (*ProfileRegResult, error) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
-	shipper := profile.NewHTTPExporter(ts.URL+"/v1/debug/profile", "", nil)
-	shipper.Export("galleryserve", pLive.Ring().History(0))
-	shipper.Flush()
+	cl := client.NewWith(ts.URL, client.Options{})
+	shipObs := obs.NewRegistry()
+	shipper := obs.NewShipper(shipObs)
+	history := pLive.Ring().History(0)
+	shipper.Export(obs.ChannelProfiles, func(ctx context.Context) error {
+		return cl.ExportProfiles(ctx, "galleryserve", history)
+	})
 	shipper.Close()
-	if d := shipper.Dropped() + shipper.Failed(); d != 0 {
+	if d := shipObs.SumCounters("telemetry_"); d != 0 {
 		return nil, fmt.Errorf("profilereg: %d profile shipments dropped/failed", d)
 	}
-	view, err := client.NewWith(ts.URL, client.Options{}).DebugProfile(0, 0)
+	view, err := cl.DebugProfile(0, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -256,7 +256,7 @@ func Sloburn(n int) (*SloburnResult, error) {
 		Clock:      clk,
 		UUIDs:      uuid.NewSeeded(63),
 		Obs:        gwObs,
-		Events:     engine,
+		Events:     engine.Event,
 		Instances: func(modelID string) (uuid.UUID, bool) {
 			id, err := uuid.Parse(modelID)
 			if err != nil {

@@ -63,19 +63,6 @@ func raise(a, b Status) Status {
 	return a
 }
 
-// EventSink receives health events; *rules.Engine satisfies it.
-type EventSink interface {
-	HealthEvent(ctx context.Context, instanceID uuid.UUID, event string, fields map[string]float64)
-}
-
-// TransitionSink receives every status transition. Evaluate fires it
-// after releasing the monitor lock, so the sink may call back into List
-// — the incident flight recorder does exactly that while assembling a
-// bundle's health section.
-type TransitionSink interface {
-	HealthTransition(ctx context.Context, modelID uuid.UUID, from, to Status, reasons []string)
-}
-
 // Config tunes the monitor.
 type Config struct {
 	// Metric is the production error metric fed to CheckDrift/CheckSkew
@@ -108,11 +95,18 @@ type Config struct {
 	Skew  core.SkewConfig
 	// Obs receives monitor metrics; nil uses obs.Default.
 	Obs *obs.Registry
-	// Events receives health.drift/health.skew events; may be nil.
-	Events EventSink
-	// Transitions receives every status change, outside the monitor
-	// lock; may be nil.
-	Transitions TransitionSink
+	// Events, when non-nil, receives everything the monitor publishes,
+	// Kind "health", after Evaluate has released the monitor lock — so a
+	// subscriber may call back into List, as the incident flight recorder
+	// does while assembling a bundle's health section. Two shapes:
+	//
+	//   - every status change, Name = the new status, scoped to the model
+	//     with no Instance (Fields from, reasons) — for subscribers
+	//     that act on models; the rules engine ignores these;
+	//   - "drift" and "skew", once per degradation episode, carrying the
+	//     serving Instance and the numeric evidence (psi, kl, degradation,
+	//     gap) — the events rules act on.
+	Events obs.EventFunc
 }
 
 func (c *Config) defaults() {
@@ -411,20 +405,18 @@ func (m *Monitor) Recover() error {
 // ticker.
 func (m *Monitor) Evaluate(ctx context.Context) {
 	m.mx.evaluations.Inc()
-	// Transitions are collected under the lock and delivered after it is
-	// released: a sink that snapshots health state calls List, which
+	// Events are collected under the lock and published after it is
+	// released: a subscriber that snapshots health state calls List, which
 	// takes m.mu.
-	var fired []transitionNote
+	var events []obs.Event
 	m.mu.Lock()
 	for _, st := range m.models {
-		if note := m.evaluateLocked(ctx, st); note != nil {
-			fired = append(fired, *note)
-		}
+		events = m.evaluateLocked(ctx, st, events)
 	}
 	m.mu.Unlock()
-	if m.cfg.Transitions != nil {
-		for _, n := range fired {
-			m.cfg.Transitions.HealthTransition(ctx, n.modelID, n.from, n.to, n.reasons)
+	if m.cfg.Events != nil {
+		for _, ev := range events {
+			m.cfg.Events(ctx, ev)
 		}
 	}
 	// The pass wrote audit rows, and maybe an incident capture, with no
@@ -432,14 +424,9 @@ func (m *Monitor) Evaluate(ctx context.Context) {
 	_ = m.reg.Commit(ctx) // sticky in the WAL; the next request reports it
 }
 
-// transitionNote carries one status change out from under the lock.
-type transitionNote struct {
-	modelID  uuid.UUID
-	from, to Status
-	reasons  []string
-}
-
-func (m *Monitor) evaluateLocked(ctx context.Context, st *modelState) *transitionNote {
+// evaluateLocked refreshes one model's verdict and appends what it has to
+// publish — the status change first, then drift/skew — to events.
+func (m *Monitor) evaluateLocked(ctx context.Context, st *modelState, events []obs.Event) []obs.Event {
 	live := mergeAll(st.live)
 
 	psiOK := false
@@ -523,7 +510,6 @@ func (m *Monitor) evaluateLocked(ctx context.Context, st *modelState) *transitio
 	st.status = status
 	st.reasons = reasons
 
-	var note *transitionNote
 	if prev != status {
 		if m.reg != nil && m.reg.Audit() != nil {
 			_ = m.reg.Audit().Record(audit.WithActor(ctx, "health-monitor"), audit.Event{
@@ -536,12 +522,14 @@ func (m *Monitor) evaluateLocked(ctx context.Context, st *modelState) *transitio
 				Detail:     strings.Join(reasons, "; "),
 			})
 		}
-		note = &transitionNote{modelID: st.modelID, from: prev, to: status, reasons: reasons}
+		events = append(events, obs.Event{
+			Kind: "health", Name: string(status), ModelID: st.modelID.String(),
+			Fields: map[string]any{"from": string(prev), "reasons": strings.Join(reasons, "; ")},
+		})
 	}
 
 	m.publishGauges(st)
-	m.emitEvents(ctx, st)
-	return note
+	return m.appendEpisodeEvents(st, events)
 }
 
 // publishGauges mirrors a model's verdict into the obs registry. Status
@@ -552,41 +540,43 @@ func (m *Monitor) publishGauges(st *modelState) {
 	m.cfg.Obs.Gauge(obs.Name("health_model_psi", "model", id)).Set(st.psi)
 }
 
-// emitEvents raises health.drift / health.skew into the rules engine,
+// appendEpisodeEvents raises health drift / skew for the rules engine,
 // once per degradation episode; recovery re-arms the emission.
-func (m *Monitor) emitEvents(ctx context.Context, st *modelState) {
+func (m *Monitor) appendEpisodeEvents(st *modelState, events []obs.Event) []obs.Event {
 	if m.cfg.Events == nil || st.instanceID.IsNil() {
-		return
+		return events
 	}
 	if st.status != StatusDegraded {
 		if st.status == StatusHealthy {
 			st.emitted = nil
 		}
-		return
+		return events
 	}
 	if st.emitted == nil {
 		st.emitted = make(map[string]bool)
+	}
+	episode := func(name string, fields map[string]any) {
+		st.emitted[name] = true
+		m.mx.events.Inc()
+		events = append(events, obs.Event{
+			Kind: "health", Name: name, ModelID: st.modelID.String(), Instance: st.instanceID, Fields: fields,
+		})
 	}
 	distShift := st.psi >= m.cfg.PSIDegraded
 	metricDrift := st.drift != nil && st.drift.Checked && st.drift.Drifted
 	if distShift || metricDrift {
 		if !st.emitted["drift"] {
-			st.emitted["drift"] = true
-			fields := map[string]float64{"psi": st.psi, "kl": st.kl}
+			fields := map[string]any{"psi": st.psi, "kl": st.kl}
 			if metricDrift {
 				fields["degradation"] = st.drift.Degradation
 			}
-			m.mx.events.Inc()
-			m.cfg.Events.HealthEvent(ctx, st.instanceID, "drift", fields)
+			episode("drift", fields)
 		}
 	}
 	if st.skew != nil && st.skew.Checked && st.skew.Skewed && !st.emitted["skew"] {
-		st.emitted["skew"] = true
-		m.mx.events.Inc()
-		m.cfg.Events.HealthEvent(ctx, st.instanceID, "skew", map[string]float64{
-			"gap": st.skew.Gap, "psi": st.psi,
-		})
+		episode("skew", map[string]any{"gap": st.skew.Gap, "psi": st.psi})
 	}
+	return events
 }
 
 // ModelHealth reports one model's current verdict.

@@ -2,7 +2,9 @@ package health
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,10 +22,16 @@ import (
 
 var t0 = time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 
-// captureEvents records every health event the monitor emits.
+// captureEvents records everything the monitor publishes. all returns the
+// drift/skew episodes (the events that name an instance, which rules act
+// on); changes returns the status changes in order.
 type captureEvents struct {
-	mu     sync.Mutex
-	events []capturedEvent
+	mu      sync.Mutex
+	events  []capturedEvent
+	changed []string
+	// mon, when set, is called back from inside every publish: it would
+	// deadlock if the monitor published under its own lock.
+	mon *Monitor
 }
 
 type capturedEvent struct {
@@ -32,10 +40,30 @@ type capturedEvent struct {
 	fields map[string]float64
 }
 
-func (c *captureEvents) HealthEvent(_ context.Context, inst uuid.UUID, event string, fields map[string]float64) {
+func (c *captureEvents) publish(_ context.Context, ev obs.Event) {
+	if c.mon != nil {
+		c.mon.List()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.events = append(c.events, capturedEvent{inst: inst, event: event, fields: fields})
+	if ev.Kind != "health" || ev.ModelID == "" {
+		panic(fmt.Sprintf("monitor published a malformed event: %+v", ev))
+	}
+	if ev.Instance.IsNil() {
+		c.changed = append(c.changed, fmt.Sprintf("%v->%s", ev.Fields["from"], ev.Name))
+		return
+	}
+	fields := make(map[string]float64, len(ev.Fields))
+	for k, v := range ev.Fields {
+		fields[k] = v.(float64)
+	}
+	c.events = append(c.events, capturedEvent{inst: ev.Instance, event: ev.Name, fields: fields})
+}
+
+func (c *captureEvents) changes() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.changed...)
 }
 
 func (c *captureEvents) all() []capturedEvent {
@@ -79,8 +107,9 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	reg := obs.NewRegistry()
 	cfg.Interval = -1 // tests drive Evaluate directly
 	cfg.Obs = reg
-	cfg.Events = sink
-	return &harness{g: g, clk: clk, sink: sink, mon: New(g, cfg), reg: reg, model: m, inst: in}
+	cfg.Events = sink.publish
+	sink.mon = New(g, cfg)
+	return &harness{g: g, clk: clk, sink: sink, mon: sink.mon, reg: reg, model: m, inst: in}
 }
 
 // window builds one observation whose value sketch holds n draws from
@@ -222,6 +251,11 @@ func TestMonitorShiftDegradesAndEmitsOnce(t *testing.T) {
 	if got := len(h.sink.all()); got != 2 {
 		t.Fatalf("second episode events = %d, want 2 total", got)
 	}
+	// Every status change was published too, once each, at model scope.
+	want := []string{"unknown->healthy", "healthy->degraded", "degraded->healthy", "healthy->degraded"}
+	if got := h.sink.changes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("status changes = %v, want %v", got, want)
+	}
 
 	// Status gauge mirrors the verdict.
 	snap := h.reg.Snapshot()
@@ -354,7 +388,7 @@ func TestMonitorRecoverRebuildsState(t *testing.T) {
 	sink := &captureEvents{}
 	m2 := New(h.g, Config{
 		ReferenceWindows: 3, LiveWindows: 3, Interval: -1,
-		Obs: obs.NewRegistry(), Events: sink,
+		Obs: obs.NewRegistry(), Events: sink.publish,
 	})
 	if err := m2.Recover(); err != nil {
 		t.Fatal(err)

@@ -5,45 +5,37 @@ import (
 	"errors"
 	"fmt"
 
-	"gallery/internal/health"
+	"gallery/internal/obs"
 	"gallery/internal/obs/trace"
 	"gallery/internal/rules"
-	"gallery/internal/slo"
-	"gallery/internal/uuid"
 )
 
-// SLOBurn implements slo.BurnSink: every burn transition — namespace- or
-// model-scoped — asks for a capture. The per-scope debounce turns a burn
+// Event subscribes the recorder to what the monitors publish (it is an
+// obs.EventFunc): every SLO burn — namespace- or model-scoped — and every
+// model entering the degraded health state asks for a capture. Other
+// events (recoveries, warnings, drift evidence) are visible in the audit
+// trail but don't merit a bundle. The per-scope debounce turns a burn
 // storm into at most one bundle per interval, so suppression here is the
-// expected steady state, not an error.
-func (r *Recorder) SLOBurn(ctx context.Context, o slo.Objective, severity string, burnFast, burnSlow, budget float64) {
-	_, err := r.Trigger(ctx, Trigger{
-		Kind:      "slo.burn",
-		Namespace: o.Namespace,
-		ModelID:   o.ModelID,
-		Reason: fmt.Sprintf("slo %s %s burn severity %s fast %.2f slow %.2f budget %.3f",
-			o.ID, o.Kind, severity, burnFast, burnSlow, budget),
-	})
-	if err != nil && !errors.Is(err, ErrSuppressed) && r.cfg.Logs != nil {
-		// Counted in incident_errors_total; nothing else to do from a sink.
-		_ = err
+// expected steady state, not an error; it and capture failure are both
+// counted, and there is nothing else to do from a subscriber.
+func (r *Recorder) Event(ctx context.Context, ev obs.Event) {
+	f := ev.Fields
+	switch {
+	case ev.Kind == "slo" && ev.Name == "burn":
+		_, _ = r.Trigger(ctx, Trigger{
+			Kind:      "slo.burn",
+			Namespace: ev.Namespace,
+			ModelID:   ev.ModelID,
+			Reason: fmt.Sprintf("slo %v %v burn severity %v fast %.2f slow %.2f budget %.3f",
+				f["slo"], f["kind"], f["severity"], f["burn_fast"], f["burn_slow"], f["budget"]),
+		})
+	case ev.Kind == "health" && ev.Name == "degraded":
+		_, _ = r.Trigger(ctx, Trigger{
+			Kind:    "health.degraded",
+			ModelID: ev.ModelID,
+			Reason:  fmt.Sprintf("health %v -> %s: %v", f["from"], ev.Name, f["reasons"]),
+		})
 	}
-}
-
-// HealthTransition implements health.TransitionSink: a model entering
-// the degraded state captures its flight data. Other transitions
-// (warning, recovery) are visible in the audit trail but don't merit a
-// bundle.
-func (r *Recorder) HealthTransition(ctx context.Context, modelID uuid.UUID, from, to health.Status, reasons []string) {
-	if to != health.StatusDegraded {
-		return
-	}
-	_, err := r.Trigger(ctx, Trigger{
-		Kind:    "health.degraded",
-		ModelID: modelID.String(),
-		Reason:  fmt.Sprintf("health %s -> %s: %s", from, to, joinReasons(reasons)),
-	})
-	_ = err // suppression and capture failure are both counted
 }
 
 // CaptureAction adapts the recorder into a rules-engine action named
@@ -68,15 +60,4 @@ func CaptureAction(r *Recorder) func(*rules.ActionContext) error {
 		}
 		return err
 	}
-}
-
-func joinReasons(reasons []string) string {
-	out := ""
-	for i, re := range reasons {
-		if i > 0 {
-			out += "; "
-		}
-		out += re
-	}
-	return out
 }

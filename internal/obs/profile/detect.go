@@ -144,12 +144,6 @@ func CompareBaseline(b Baseline, s Summary, factor, minShare, newShare float64) 
 	return regs
 }
 
-// EventSink receives profile.regression events; *rules.Engine satisfies
-// it via ProfileEvent.
-type EventSink interface {
-	ProfileEvent(ctx context.Context, event string, fields map[string]any)
-}
-
 // DetectorConfig tunes a Detector.
 type DetectorConfig struct {
 	// Baseline is the per-process allowance being enforced.
@@ -161,9 +155,10 @@ type DetectorConfig struct {
 	// Obs hosts the profile_regression gauge and detector counters; nil
 	// uses obs.Default.
 	Obs *obs.Registry
-	// Sink, when non-nil, receives one "regression" event per offending
-	// function per checked window.
-	Sink EventSink
+	// Sink, when non-nil, receives one profile "regression" event per
+	// offending function per checked window. It is process-level — there
+	// is no model behind a hot function — so it carries no scope.
+	Sink obs.EventFunc
 }
 
 // Detector judges fresh CPU summaries against a baseline, maintaining
@@ -213,13 +208,13 @@ func (d *Detector) Check(s Summary) []Regression {
 		d.cFlagged.Add(int64(len(regs)))
 		if d.cfg.Sink != nil {
 			for _, r := range regs {
-				d.cfg.Sink.ProfileEvent(context.Background(), "regression", map[string]any{
+				d.cfg.Sink(context.Background(), obs.Event{Kind: "profile", Name: "regression", Fields: map[string]any{
 					"process":  d.cfg.Baseline.Process,
 					"function": r.Function,
 					"share":    r.Share,
 					"baseline": r.Baseline,
 					"factor":   r.Factor,
-				})
+				}})
 			}
 		}
 	}

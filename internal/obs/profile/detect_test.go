@@ -65,16 +65,9 @@ func TestCompareBaseline(t *testing.T) {
 	}
 }
 
-type sinkCall struct {
-	event  string
-	fields map[string]any
-}
+type fakeSink struct{ calls []obs.Event }
 
-type fakeSink struct{ calls []sinkCall }
-
-func (f *fakeSink) ProfileEvent(_ context.Context, event string, fields map[string]any) {
-	f.calls = append(f.calls, sinkCall{event, fields})
-}
+func (f *fakeSink) publish(_ context.Context, ev obs.Event) { f.calls = append(f.calls, ev) }
 
 func TestDetectorCheck(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -82,7 +75,7 @@ func TestDetectorCheck(t *testing.T) {
 	d := NewDetector(DetectorConfig{
 		Baseline: Baseline{Process: "p", Kind: KindCPU, Shares: map[string]float64{"ok": 0.5}},
 		Obs:      reg,
-		Sink:     sink,
+		Sink:     sink.publish,
 	})
 
 	// Clean window: gauge 0, no events.
@@ -104,10 +97,13 @@ func TestDetectorCheck(t *testing.T) {
 	if v := reg.Snapshot().Gauges["profile_regression"]; v != 1 {
 		t.Fatalf("gauge after hog = %v", v)
 	}
-	if len(sink.calls) != 1 || sink.calls[0].event != "regression" {
+	if len(sink.calls) != 1 || sink.calls[0].Kind != "profile" || sink.calls[0].Name != "regression" {
 		t.Fatalf("sink calls = %+v", sink.calls)
 	}
-	if fn := sink.calls[0].fields["function"]; fn != "hogEncode" {
+	if ev := sink.calls[0]; ev.Namespace != "" || ev.ModelID != "" || !ev.Instance.IsNil() {
+		t.Fatalf("regression event is scoped: %+v", ev)
+	}
+	if fn := sink.calls[0].Fields["function"]; fn != "hogEncode" {
 		t.Fatalf("event function = %v", fn)
 	}
 	if last := d.Last(); len(last) != 1 || last[0].Function != "hogEncode" {

@@ -1,10 +1,7 @@
 package profile
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
@@ -43,8 +40,8 @@ type ProcessView struct {
 const maxFleetProcesses = 64
 
 // Fleet aggregates summaries across processes on galleryd: the local
-// profiler exports into it directly (it satisfies Exporter) and gateway
-// shipments land in it through the ingest endpoint.
+// profiler exports into it directly (Ingest is its Config.Exporter) and
+// gateway shipments land in it through the ingest endpoint.
 type Fleet struct {
 	mu    sync.Mutex
 	keep  int
@@ -61,10 +58,6 @@ func NewFleet(keep int) *Fleet {
 	}
 	return &Fleet{keep: keep, rings: make(map[string]*Ring)}
 }
-
-// Export satisfies Exporter: the local profiler's summaries join the
-// fleet without a network hop.
-func (f *Fleet) Export(process string, summaries []Summary) { f.Ingest(process, summaries) }
 
 // Ingest adds one process's summaries. Shipments for a new process past
 // the process bound are dropped (counted).
@@ -145,121 +138,4 @@ func ParseViewQuery(q url.Values) (merge time.Duration, topN int, err error) {
 		topN = n
 	}
 	return merge, topN, nil
-}
-
-// HTTPExporter ships summaries to a peer's ingest endpoint on a
-// background goroutine — the trace-export pattern. Export never blocks
-// the capture loop: a full queue drops the batch (counted). Flush waits
-// for everything queued so far; tests and shutdown use it.
-type HTTPExporter struct {
-	url      string
-	token    string
-	hc       *http.Client
-	ch       chan IngestRequest
-	quit     chan struct{}
-	once     sync.Once
-	worker   sync.WaitGroup
-	inflight sync.WaitGroup
-	dropped  atomic.Uint64
-	failed   atomic.Uint64
-}
-
-// NewHTTPExporter builds an exporter posting to url (the peer's
-// POST /v1/debug/profile). token, when non-empty, rides as a bearer
-// credential for peers running -auth. A nil client gets a
-// 5-second-timeout default.
-func NewHTTPExporter(url, token string, hc *http.Client) *HTTPExporter {
-	if hc == nil {
-		hc = &http.Client{Timeout: 5 * time.Second}
-	}
-	e := &HTTPExporter{
-		url:   url,
-		token: token,
-		hc:    hc,
-		ch:    make(chan IngestRequest, 16),
-		quit:  make(chan struct{}),
-	}
-	e.worker.Add(1)
-	go e.run()
-	return e
-}
-
-// Export queues one shipment. Non-blocking; drops when the queue is
-// full or the exporter is closed.
-func (e *HTTPExporter) Export(process string, summaries []Summary) {
-	select {
-	case <-e.quit:
-		return
-	default:
-	}
-	e.inflight.Add(1)
-	select {
-	case e.ch <- IngestRequest{Process: process, Summaries: summaries}:
-	default:
-		e.inflight.Done()
-		e.dropped.Add(1)
-	}
-}
-
-// Flush blocks until every shipment queued before the call has been
-// posted (successfully or not).
-func (e *HTTPExporter) Flush() { e.inflight.Wait() }
-
-// Dropped reports shipments discarded because the queue was full.
-func (e *HTTPExporter) Dropped() uint64 { return e.dropped.Load() }
-
-// Failed reports shipments whose POST errored (network or non-2xx).
-func (e *HTTPExporter) Failed() uint64 { return e.failed.Load() }
-
-// Close drains the queue and stops the worker. Safe to call twice.
-func (e *HTTPExporter) Close() {
-	e.once.Do(func() { close(e.quit) })
-	e.worker.Wait()
-}
-
-func (e *HTTPExporter) run() {
-	defer e.worker.Done()
-	for {
-		select {
-		case req := <-e.ch:
-			e.post(req)
-			e.inflight.Done()
-		case <-e.quit:
-			for {
-				select {
-				case req := <-e.ch:
-					e.post(req)
-					e.inflight.Done()
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (e *HTTPExporter) post(ir IngestRequest) {
-	body, err := json.Marshal(ir)
-	if err != nil {
-		e.failed.Add(1)
-		return
-	}
-	req, err := http.NewRequest(http.MethodPost, e.url, bytes.NewReader(body))
-	if err != nil {
-		e.failed.Add(1)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if e.token != "" {
-		req.Header.Set("Authorization", "Bearer "+e.token)
-	}
-	resp, err := e.hc.Do(req)
-	if err != nil {
-		e.failed.Add(1)
-		return
-	}
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		e.failed.Add(1)
-	}
 }

@@ -1,11 +1,7 @@
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 )
@@ -15,7 +11,7 @@ func TestFleetIngestAndSnapshot(t *testing.T) {
 	t0 := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 	f.Ingest("galleryd", []Summary{mkSummary(KindCPU, t0.Add(time.Minute), 100,
 		FuncStat{Name: "d_hot", Self: 100, Cum: 100})})
-	f.Export("galleryserve", []Summary{mkSummary(KindCPU, t0.Add(2*time.Minute), 200,
+	f.Ingest("galleryserve", []Summary{mkSummary(KindCPU, t0.Add(2*time.Minute), 200,
 		FuncStat{Name: "gw_hot", Self: 200, Cum: 200})})
 	f.Ingest("", []Summary{mkSummary(KindCPU, t0, 1)}) // ignored
 
@@ -52,59 +48,6 @@ func TestFleetProcessBound(t *testing.T) {
 	}
 }
 
-func TestHTTPExporter(t *testing.T) {
-	var mu sync.Mutex
-	var got []IngestRequest
-	var auth []string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var ir IngestRequest
-		if err := json.NewDecoder(r.Body).Decode(&ir); err != nil {
-			t.Errorf("decode: %v", err)
-		}
-		mu.Lock()
-		got = append(got, ir)
-		auth = append(auth, r.Header.Get("Authorization"))
-		mu.Unlock()
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer srv.Close()
-
-	e := NewHTTPExporter(srv.URL, "sekrit", nil)
-	defer e.Close()
-	e.Export("galleryserve", []Summary{mkSummary(KindCPU, time.Now(), 42,
-		FuncStat{Name: "f", Self: 42, Cum: 42})})
-	e.Flush()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0].Process != "galleryserve" || len(got[0].Summaries) != 1 {
-		t.Fatalf("received %+v", got)
-	}
-	if got[0].Summaries[0].Total != 42 {
-		t.Fatalf("summary = %+v", got[0].Summaries[0])
-	}
-	if auth[0] != "Bearer sekrit" {
-		t.Fatalf("auth header = %q", auth[0])
-	}
-	if e.Dropped() != 0 || e.Failed() != 0 {
-		t.Fatalf("dropped=%d failed=%d", e.Dropped(), e.Failed())
-	}
-}
-
-func TestHTTPExporterFailureCounted(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusForbidden)
-	}))
-	defer srv.Close()
-	e := NewHTTPExporter(srv.URL, "", nil)
-	defer e.Close()
-	e.Export("p", []Summary{mkSummary(KindCPU, time.Now(), 1)})
-	e.Flush()
-	if e.Failed() != 1 {
-		t.Fatalf("failed = %d, want 1", e.Failed())
-	}
-}
-
 func TestProfilerCycle(t *testing.T) {
 	fleet := NewFleet(8)
 	p := New(Config{
@@ -113,7 +56,7 @@ func TestProfilerCycle(t *testing.T) {
 		Interval: time.Hour, // loop never ticks; we drive cycles by hand
 		TopN:     10,
 		Keep:     4,
-		Exporter: fleet,
+		Exporter: fleet.Ingest,
 	})
 	spinDone := make(chan struct{})
 	go func() {

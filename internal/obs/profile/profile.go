@@ -9,8 +9,9 @@
 // and retains a ring of summaries per kind.
 //
 // The summaries are fleet-aware: a gateway ships its ring to galleryd
-// (HTTPExporter, the trace-export pattern) where a Fleet store serves the
-// merged per-process view at GET /v1/debug/profile. A Detector compares
+// (through the process's one telemetry shipper, obs.Shipper, beside its
+// traces) where a Fleet store serves the merged per-process view at
+// GET /v1/debug/profile. A Detector compares
 // each fresh CPU window against a checked-in per-process baseline
 // (PROFILE_<process>.json) and raises profile.regression events into the
 // rules engine when a function's self-share blows past its baseline — so
@@ -77,14 +78,6 @@ type Summary struct {
 	Top        []FuncStat `json:"top"`
 }
 
-// Exporter ships freshly captured summaries toward the fleet view —
-// *HTTPExporter over the wire from a gateway, *Fleet in-process on
-// galleryd. Implementations must not block: exports happen on the
-// capture loop.
-type Exporter interface {
-	Export(process string, summaries []Summary)
-}
-
 // Config tunes a Profiler.
 type Config struct {
 	// Process names this process in exports and fleet views
@@ -112,8 +105,11 @@ type Config struct {
 	// Detector, when non-nil, checks each fresh CPU summary for
 	// regressions against its baseline.
 	Detector *Detector
-	// Exporter, when non-nil, receives each cycle's summaries.
-	Exporter Exporter
+	// Exporter, when non-nil, receives each cycle's summaries on their way
+	// to the fleet view — Fleet.Ingest in-process on galleryd, the
+	// telemetry shipper's queue on a gateway. It runs on the capture loop,
+	// so it must not block.
+	Exporter func(process string, summaries []Summary)
 }
 
 // Profiler runs the capture loop. All methods are safe for concurrent
@@ -231,7 +227,7 @@ func (p *Profiler) CaptureCycle() []Summary {
 		}
 	}
 	if p.cfg.Exporter != nil && len(out) > 0 {
-		p.cfg.Exporter.Export(p.cfg.Process, out)
+		p.cfg.Exporter(p.cfg.Process, out)
 	}
 	p.cWindows.Inc()
 	return out

@@ -1,122 +1,8 @@
 package trace
 
-import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
 // IngestRequest is the wire form of a cross-process span shipment:
 // galleryserve POSTs this to galleryd's /v1/debug/traces so the spans of
 // one request, opened in two processes, land in a single buffer.
 type IngestRequest struct {
 	Spans []SpanData `json:"spans"`
-}
-
-// HTTPExporter ships kept traces to a peer's ingest endpoint on a
-// background goroutine. Export never blocks the request path: a full
-// queue drops the batch (counted). Flush waits for everything queued so
-// far to be delivered — tests and shutdown use it; the serving path never
-// does.
-type HTTPExporter struct {
-	url      string
-	hc       *http.Client
-	ch       chan []SpanData
-	quit     chan struct{}
-	once     sync.Once
-	worker   sync.WaitGroup
-	inflight sync.WaitGroup
-	dropped  atomic.Uint64
-	failed   atomic.Uint64
-}
-
-// NewHTTPExporter builds an exporter posting to url (the peer's
-// POST /v1/debug/traces). A nil client gets a 5-second-timeout default.
-func NewHTTPExporter(url string, hc *http.Client) *HTTPExporter {
-	if hc == nil {
-		hc = &http.Client{Timeout: 5 * time.Second}
-	}
-	e := &HTTPExporter{
-		url:  url,
-		hc:   hc,
-		ch:   make(chan []SpanData, 64),
-		quit: make(chan struct{}),
-	}
-	e.worker.Add(1)
-	go e.run()
-	return e
-}
-
-// Export queues one trace's spans for shipment. Non-blocking; drops when
-// the queue is full or the exporter is closed.
-func (e *HTTPExporter) Export(spans []SpanData) {
-	select {
-	case <-e.quit:
-		return
-	default:
-	}
-	e.inflight.Add(1)
-	select {
-	case e.ch <- spans:
-	default:
-		e.inflight.Done()
-		e.dropped.Add(1)
-	}
-}
-
-// Flush blocks until every batch queued before the call has been posted
-// (successfully or not).
-func (e *HTTPExporter) Flush() { e.inflight.Wait() }
-
-// Dropped reports batches discarded because the queue was full.
-func (e *HTTPExporter) Dropped() uint64 { return e.dropped.Load() }
-
-// Failed reports batches whose POST errored (network or non-2xx).
-func (e *HTTPExporter) Failed() uint64 { return e.failed.Load() }
-
-// Close drains the queue and stops the worker. Safe to call twice.
-func (e *HTTPExporter) Close() {
-	e.once.Do(func() { close(e.quit) })
-	e.worker.Wait()
-}
-
-func (e *HTTPExporter) run() {
-	defer e.worker.Done()
-	for {
-		select {
-		case batch := <-e.ch:
-			e.post(batch)
-			e.inflight.Done()
-		case <-e.quit:
-			for {
-				select {
-				case batch := <-e.ch:
-					e.post(batch)
-					e.inflight.Done()
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (e *HTTPExporter) post(spans []SpanData) {
-	body, err := json.Marshal(IngestRequest{Spans: spans})
-	if err != nil {
-		e.failed.Add(1)
-		return
-	}
-	resp, err := e.hc.Post(e.url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		e.failed.Add(1)
-		return
-	}
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		e.failed.Add(1)
-	}
 }

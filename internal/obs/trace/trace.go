@@ -277,7 +277,7 @@ type Tracer struct {
 	service  string
 	sampler  Sampler
 	store    *Store
-	exporter Exporter
+	exporter func(spans []SpanData)
 }
 
 // Options configures a Tracer.
@@ -290,15 +290,11 @@ type Options struct {
 	// Capacity bounds the completed-trace ring buffer (default 256).
 	Capacity int
 	// Exporter, when non-nil, receives every kept trace's local spans —
-	// the cross-process shipping hook. Export runs on the goroutine that
-	// ended the local root span; implementations queue.
-	Exporter Exporter
-}
-
-// Exporter ships a kept trace's spans somewhere else (galleryserve posts
-// them to galleryd so both processes' spans land in one buffer).
-type Exporter interface {
-	Export(spans []SpanData)
+	// the cross-process shipping hook (galleryserve queues them on its
+	// telemetry shipper for galleryd, so both processes' spans land in
+	// one buffer). It runs on the goroutine that ended the local root
+	// span, so it must not block.
+	Exporter func(spans []SpanData)
 }
 
 // New builds a Tracer.
@@ -379,7 +375,7 @@ func (t *Tracer) finish(s *Span, data SpanData) {
 	keep := s.remoteParent || t.sampler.Keep(slow, data.Error != "" || t.store.pendingHadError(data.TraceID))
 	spans := t.store.complete(data, keep)
 	if keep && t.exporter != nil && len(spans) > 0 {
-		t.exporter.Export(spans)
+		t.exporter(spans)
 	}
 }
 

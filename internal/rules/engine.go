@@ -236,108 +236,7 @@ func (e *Engine) MetricUpdated(instanceID uuid.UUID) {
 // trace lineage, so async rule evaluations show up as child spans of the
 // metric insert that caused them.
 func (e *Engine) MetricUpdatedCtx(ctx context.Context, instanceID uuid.UUID) {
-	e.mu.Lock()
-	e.stats.EventsTriggered++
-	e.mu.Unlock()
-	e.mx.events.Inc()
-	for _, rule := range e.repo.Active() {
-		if rule.Kind != KindAction || !e.inScope(rule) {
-			continue
-		}
-		if !watches(rule, "metrics") {
-			continue
-		}
-		e.dispatch(ctx, rule, instanceID, nil)
-	}
-}
-
-// HealthEvent notifies the engine that the continuous health monitor
-// raised an event ("drift" or "skew") for an instance. Action rules in
-// scope that watch the "health" identifier re-evaluate with a health
-// variable holding the event name and its numeric evidence, so a rule
-// can say e.g.
-//
-//	when: 'health.event == "drift" && health.psi > 0.25'
-//
-// and close the paper's detect-drift → retrain loop automatically.
-func (e *Engine) HealthEvent(ctx context.Context, instanceID uuid.UUID, event string, fields map[string]float64) {
-	e.mu.Lock()
-	e.stats.EventsTriggered++
-	e.mu.Unlock()
-	e.mx.events.Inc()
-	payload := make(map[string]any, len(fields)+1)
-	payload["event"] = event
-	for k, v := range fields {
-		payload[k] = v
-	}
-	extra := map[string]any{"health": payload}
-	for _, rule := range e.repo.Active() {
-		if rule.Kind != KindAction || !e.inScope(rule) {
-			continue
-		}
-		if !watches(rule, "health") {
-			continue
-		}
-		e.dispatch(ctx, rule, instanceID, extra)
-	}
-}
-
-// SLOEvent dispatches an SLO breach transition ("burn" / "recovered")
-// from the SLO evaluator. fields carries the objective's identity and
-// burn rates; rules address them as slo.event, slo.model, slo.burn_fast,
-// and so on. Only model-scoped objectives reach here — the evaluator
-// resolves the model to its production instance first, because action
-// rules execute against an instance environment.
-func (e *Engine) SLOEvent(ctx context.Context, instanceID uuid.UUID, event string, fields map[string]any) {
-	e.mu.Lock()
-	e.stats.EventsTriggered++
-	e.mu.Unlock()
-	e.mx.events.Inc()
-	payload := make(map[string]any, len(fields)+1)
-	for k, v := range fields {
-		payload[k] = v
-	}
-	payload["event"] = event
-	extra := map[string]any{"slo": payload}
-	for _, rule := range e.repo.Active() {
-		if rule.Kind != KindAction || !e.inScope(rule) {
-			continue
-		}
-		if !watches(rule, "slo") {
-			continue
-		}
-		e.dispatch(ctx, rule, instanceID, extra)
-	}
-}
-
-// ProfileEvent dispatches a continuous-profiling detection (currently
-// only "regression") from the profile delta detector. Unlike health and
-// SLO events it is a process-level signal — there is no instance behind
-// a hot function — so rules evaluate with uuid.Nil and a minimal
-// environment: profile.event, profile.process, profile.function,
-// profile.share, profile.baseline, profile.factor, e.g.
-//
-//	when: 'profile.event == "regression" && profile.factor > 3'
-func (e *Engine) ProfileEvent(ctx context.Context, event string, fields map[string]any) {
-	e.mu.Lock()
-	e.stats.EventsTriggered++
-	e.mu.Unlock()
-	e.mx.events.Inc()
-	payload := make(map[string]any, len(fields)+1)
-	for k, v := range fields {
-		payload[k] = v
-	}
-	payload["event"] = event
-	extra := map[string]any{"profile": payload}
-	for _, rule := range e.repo.Active() {
-		if rule.Kind != KindAction || !e.inScope(rule) {
-			continue
-		}
-		if !watches(rule, "profile") {
-			continue
-		}
-		e.dispatch(ctx, rule, uuid.Nil, extra)
-	}
+	e.trigger(ctx, instanceID, nil, "metrics")
 }
 
 // MetadataUpdated notifies the engine that an instance's metadata changed;
@@ -348,6 +247,42 @@ func (e *Engine) MetadataUpdated(instanceID uuid.UUID, fields ...string) {
 
 // MetadataUpdatedCtx is MetadataUpdated with trace lineage.
 func (e *Engine) MetadataUpdatedCtx(ctx context.Context, instanceID uuid.UUID, fields ...string) {
+	e.trigger(ctx, instanceID, nil, fields...)
+}
+
+// Event is the one entry for everything a monitor publishes — health
+// drift and skew, SLO burns and recoveries, profile regressions (it is an
+// obs.EventFunc). Action rules in scope that watch the identifier ev.Kind
+// re-evaluate with a variable of that name holding ev.Fields plus the
+// event name, so a rule can say e.g.
+//
+//	when: 'health.event == "drift" && health.psi > 0.25'
+//	when: 'slo.event == "burn" && slo.burn_fast > 14'
+//	when: 'profile.event == "regression" && profile.factor > 3'
+//
+// and close the paper's detect → retrain loop automatically. Rules
+// execute against an instance environment, so an event scoped to a
+// namespace or a model that names no instance (a namespace-level burn, a
+// model nobody serves, a health status change) is ignored. A
+// process-level event — no scope at all, as for a hot function — is
+// evaluated with uuid.Nil and a minimal environment.
+func (e *Engine) Event(ctx context.Context, ev obs.Event) {
+	if ev.Instance == uuid.Nil && (ev.Namespace != "" || ev.ModelID != "") {
+		return
+	}
+	payload := make(map[string]any, len(ev.Fields)+1)
+	for k, v := range ev.Fields {
+		payload[k] = v
+	}
+	payload["event"] = ev.Name
+	e.trigger(ctx, ev.Instance, map[string]any{ev.Kind: payload}, ev.Kind)
+}
+
+// trigger is the event trigger itself: count it, then hand every active
+// action rule in scope that watches one of idents to dispatch. extra is
+// added to the rule's evaluation environment (nil for metric and metadata
+// updates).
+func (e *Engine) trigger(ctx context.Context, instanceID uuid.UUID, extra map[string]any, idents ...string) {
 	e.mu.Lock()
 	e.stats.EventsTriggered++
 	e.mu.Unlock()
@@ -356,15 +291,11 @@ func (e *Engine) MetadataUpdatedCtx(ctx context.Context, instanceID uuid.UUID, f
 		if rule.Kind != KindAction || !e.inScope(rule) {
 			continue
 		}
-		hit := false
-		for _, f := range fields {
-			if watches(rule, f) {
-				hit = true
+		for _, id := range idents {
+			if watches(rule, id) {
+				e.dispatch(ctx, rule, instanceID, extra)
 				break
 			}
-		}
-		if hit {
-			e.dispatch(ctx, rule, instanceID, nil)
 		}
 	}
 }

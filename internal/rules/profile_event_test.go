@@ -29,17 +29,17 @@ func TestProfileEventFiresWatchingRule(t *testing.T) {
 	})
 
 	// Mild deviation: under the rule's factor threshold.
-	h.eng.ProfileEvent(context.Background(), "regression", map[string]any{
+	h.eng.Event(context.Background(), profileEvent(map[string]any{
 		"process": "galleryd", "function": "hogEncode", "share": 0.1, "baseline": 0.05, "factor": 2.0,
-	})
+	}))
 	if len(fired) != 0 {
 		t.Fatalf("rule fired at factor 2: %+v", fired)
 	}
 	// Severe regression fires; the action context has no instance — the
 	// event is process-scoped.
-	h.eng.ProfileEvent(context.Background(), "regression", map[string]any{
+	h.eng.Event(context.Background(), profileEvent(map[string]any{
 		"process": "galleryd", "function": "hogEncode", "share": 0.4, "baseline": 0.05, "factor": 8.0,
-	})
+	}))
 	if len(fired) != 1 {
 		t.Fatalf("fired %d times, want 1", len(fired))
 	}
@@ -64,7 +64,7 @@ func TestProfileEventIgnoresNonWatchingRules(t *testing.T) {
 	}
 	h.commit(t, r)
 	before := h.eng.Stats().Evaluations
-	h.eng.ProfileEvent(context.Background(), "regression", map[string]any{"factor": 99.0})
+	h.eng.Event(context.Background(), profileEvent(map[string]any{"factor": 99.0}))
 	if got := h.eng.Stats().Evaluations; got != before {
 		t.Fatalf("profile event evaluated a metrics-only rule (%d -> %d)", before, got)
 	}
@@ -80,7 +80,7 @@ func TestProfileEventMetricsReferenceFailsSoft(t *testing.T) {
 	h.commit(t, r)
 	fired := 0
 	h.eng.RegisterAction("page", func(*ActionContext) error { fired++; return nil })
-	h.eng.ProfileEvent(context.Background(), "regression", map[string]any{"factor": 99.0})
+	h.eng.Event(context.Background(), profileEvent(map[string]any{"factor": 99.0}))
 	if fired != 0 {
 		t.Fatal("rule with unresolvable metrics reference fired")
 	}

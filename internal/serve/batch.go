@@ -3,18 +3,17 @@ package serve
 import (
 	"context"
 	"sync"
-	"time"
 
 	"gallery/internal/forecast"
 )
 
 // batcher groups concurrent predictions on one model into vectorized
 // passes. Each executor pulls one queued request, drains whatever else is
-// already waiting (up to MaxBatch, lingering BatchWait at most), loads the
+// already waiting (up to MaxBatch), loads the
 // served-model pointer once, and answers the whole group with a single
 // forecast.ForecastAll call — amortizing the pointer load and, for
 // learners implementing forecast.BatchForecaster, the per-call feature
-// buffers. With BatchWait = 0 batching is adaptive: under light load
+// buffers. Batching is drain-only, hence adaptive: under light load
 // batches have size 1 and add no latency, under heavy load the queue is
 // never empty and batches form by themselves (the same dynamics as WAL
 // group commit).
@@ -111,7 +110,6 @@ func (b *batcher) direct(fctx forecast.Context) (float64, *served, error) {
 // run is one executor goroutine.
 func (b *batcher) run() {
 	maxBatch := b.g.opts.MaxBatch
-	wait := b.g.opts.BatchWait
 	batch := make([]*batchReq, 0, maxBatch)
 	ctxs := make([]forecast.Context, 0, maxBatch)
 	outs := make([]float64, maxBatch)
@@ -125,33 +123,15 @@ func (b *batcher) run() {
 			return
 		}
 		batch = append(batch[:0], first)
-		if wait > 0 {
-			timer := time.NewTimer(wait)
-		linger:
-			for len(batch) < maxBatch {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-				case <-timer.C:
-					break linger
-				case <-b.quit:
-					break linger
-				case <-b.g.done:
-					break linger
-				}
-			}
-			timer.Stop()
-		} else {
-			for len(batch) < maxBatch {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-				default:
-					goto exec
-				}
+	drain:
+		for len(batch) < maxBatch {
+			select {
+			case r := <-b.reqs:
+				batch = append(batch, r)
+			default:
+				break drain
 			}
 		}
-	exec:
 		srv := b.e.cur.Load()
 		ctxs = ctxs[:0]
 		for _, r := range batch {

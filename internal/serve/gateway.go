@@ -46,15 +46,6 @@ type Source interface {
 	FetchBlob(instanceID string) ([]byte, error)
 }
 
-// AuditSink receives the gateway's lifecycle audit events — today only
-// serve.swap, emitted when a hot swap replaces the served learner. The
-// gateway has no audit store of its own, so the sink ships events to
-// galleryd's trail (POST /v1/audit); *client.Client implements it.
-// Reporting is best-effort: a sink failure never blocks or fails a swap.
-type AuditSink interface {
-	ReportAuditEvent(ctx context.Context, ev api.AuditEvent) error
-}
-
 // ctxSource is the optional trace-propagating extension of Source.
 // *client.Client implements it; when the source does, gateway loads carry
 // the caller's trace context across the wire to galleryd, so one predict
@@ -75,10 +66,6 @@ type Options struct {
 	// MaxBatch enables micro-batching when > 1: concurrent predictions on
 	// one model are grouped and answered by a single vectorized pass.
 	MaxBatch int
-	// BatchWait is how long a partially filled batch lingers for more
-	// requests. Zero means drain-only batching: a batch is whatever is
-	// already queued when an executor becomes free, adding no latency.
-	BatchWait time.Duration
 	// BatchWorkers is the number of executor goroutines per model
 	// (default 4), so batching adds parallelism rather than serializing.
 	BatchWorkers int
@@ -102,9 +89,13 @@ type Options struct {
 	// Zero uses the default; negative disables the flush loop (tests
 	// drive FlushHealth directly).
 	HealthInterval time.Duration
-	// AuditSink, when set, reports hot swaps to Gallery's lifecycle
-	// audit trail. Nil disables reporting.
-	AuditSink AuditSink
+	// AuditSink, when set, receives the gateway's lifecycle audit events —
+	// today only serve.swap, emitted when a hot swap replaces the served
+	// learner. The gateway has no audit store of its own, so galleryserve
+	// queues them on its telemetry shipper for galleryd's trail
+	// (POST /v1/audit). It is called from the refresh loop and must not
+	// block; delivery is best-effort and never fails a swap.
+	AuditSink func(api.AuditEvent)
 }
 
 // served is one immutable loaded-model snapshot. Swaps replace the whole
@@ -177,7 +168,6 @@ type gatewayMetrics struct {
 	loadedModels    *obs.Gauge
 	healthFlushes   *obs.Counter
 	healthFlushErrs *obs.Counter
-	auditErrs       *obs.Counter
 }
 
 // batchSizeBuckets covers batch sizes 1..256.
@@ -233,7 +223,6 @@ func New(src Source, opts Options) *Gateway {
 			loadedModels:    opts.Obs.Gauge("serve_loaded_models"),
 			healthFlushes:   opts.Obs.Counter("serve_health_flushes_total"),
 			healthFlushErrs: opts.Obs.Counter("serve_health_flush_errors_total"),
-			auditErrs:       opts.Obs.Counter("serve_audit_report_errors_total"),
 		},
 	}
 	if opts.RefreshInterval > 0 {
@@ -584,7 +573,7 @@ func (g *Gateway) refresh(e *entry) {
 	}
 	g.mx.swaps.Inc()
 	g.setVersionGauge(e, &v)
-	g.reportSwap(ctx, e.modelID, cur, &v, span)
+	g.reportSwap(e.modelID, cur, &v, span)
 	if span != nil {
 		span.Annotate("swap", "true")
 		span.Annotate("version", v.Version)
@@ -592,11 +581,11 @@ func (g *Gateway) refresh(e *entry) {
 	span.End()
 }
 
-// reportSwap ships one serve.swap audit event to the configured sink. The
+// reportSwap hands one serve.swap audit event to the configured sink. The
 // gateway runs without a DAL, so this is how hot swaps reach the same
 // trail as the promotions that caused them — joined by model ID and by
-// the refresh trace. Best-effort: failures count, never block.
-func (g *Gateway) reportSwap(ctx context.Context, modelID string, prev *served, v *api.VersionRecord, span *trace.Span) {
+// the refresh trace.
+func (g *Gateway) reportSwap(modelID string, prev *served, v *api.VersionRecord, span *trace.Span) {
 	if g.opts.AuditSink == nil {
 		return
 	}
@@ -604,7 +593,7 @@ func (g *Gateway) reportSwap(ctx context.Context, modelID string, prev *served, 
 	if prev != nil {
 		before = fmt.Sprintf("v%s (%s)", prev.version.Version, prev.version.InstanceID)
 	}
-	ev := api.AuditEvent{
+	g.opts.AuditSink(api.AuditEvent{
 		Actor:      "gateway:" + g.opts.Name,
 		Action:     audit.ActionServeSwap,
 		EntityType: audit.EntityInstance,
@@ -613,10 +602,7 @@ func (g *Gateway) reportSwap(ctx context.Context, modelID string, prev *served, 
 		Before:     before,
 		After:      fmt.Sprintf("v%s (%s)", v.Version, v.InstanceID),
 		TraceID:    span.TraceIDString(),
-	}
-	if err := g.opts.AuditSink.ReportAuditEvent(ctx, ev); err != nil {
-		g.mx.auditErrs.Inc()
-	}
+	})
 }
 
 // setVersionGauge publishes which version a model serves, encoded as

@@ -266,10 +266,12 @@ func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleListTraces(w http.ResponseWriter, r *http.Request) {
 	limit := 50
 	if s := r.URL.Query().Get("limit"); s != "" {
-		if _, err := fmt.Sscanf(s, "%d", &limit); err != nil || limit <= 0 {
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 0 {
 			writeServeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", s))
 			return
 		}
+		limit = n
 	}
 	st := h.tracer.Store()
 	// no-store, like the metrics endpoints: debug state is live state.

@@ -1,7 +1,10 @@
 package serve_test
 
 import (
+	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -16,6 +19,7 @@ import (
 	"gallery/internal/relstore"
 	"gallery/internal/serve"
 	"gallery/internal/server"
+	"gallery/internal/tenant"
 	"gallery/internal/uuid"
 )
 
@@ -43,10 +47,18 @@ func flattenSpans(roots []*trace.Node) map[string]trace.SpanData {
 //	galleryd:     GET routes (remote-forced by the propagated traceparent,
 //	              despite its own Never sampler) → core/dal/blobstore spans
 //
-// The gateway's spans reach the registry via the HTTP exporter posting to
-// the registry's ingest endpoint — exactly the production wiring of
-// cmd/galleryserve.
+// The gateway's spans reach the registry through the telemetry shipper
+// and the gateway's one client — exactly the production wiring of
+// cmd/galleryserve. The auth subtest runs the same request against a
+// registry that demands bearer tokens (the configuration the benchmark
+// boots): the shipment must carry the gateway's token like every other
+// call it makes, or the registry refuses it and the trace never merges.
 func TestCrossProcessTrace(t *testing.T) {
+	t.Run("open", func(t *testing.T) { crossProcessTrace(t, false) })
+	t.Run("auth", func(t *testing.T) { crossProcessTrace(t, true) })
+}
+
+func crossProcessTrace(t *testing.T, auth bool) {
 	// Registry tier: sampler Never, so every galleryd span in the final
 	// trace exists only because the gateway's traceparent forced it.
 	gdTracer := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Never()})
@@ -58,11 +70,28 @@ func TestCrossProcessTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewWith(reg, nil, nil, server.Options{Obs: obs.NewRegistry(), Tracer: gdTracer})
+	gdObs := obs.NewRegistry()
+	gdOpts := server.Options{Obs: gdObs, Tracer: gdTracer}
+	var adminToken, gwToken string
+	if auth {
+		tm, err := tenant.Open(relstore.NewMemory(), tenant.Options{UUIDs: uuid.NewSeeded(22), Obs: gdObs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adminToken, _, err = tm.MintToken(t.Context(), tenant.DefaultNamespace, "admin", tenant.RoleOperator); err != nil {
+			t.Fatal(err)
+		}
+		// Publisher: what POST /v1/debug/traces is classified as.
+		if gwToken, _, err = tm.MintToken(t.Context(), tenant.DefaultNamespace, "gateway", tenant.RolePublisher); err != nil {
+			t.Fatal(err)
+		}
+		gdOpts.Tenants = tm
+	}
+	srv := server.NewWith(reg, nil, nil, gdOpts)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
-	c := client.New(ts.URL, ts.Client())
+	c := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Token: adminToken})
 
 	m, err := c.RegisterModel(api.RegisterModelRequest{
 		BaseVersionID: "bv-demand",
@@ -82,15 +111,20 @@ func TestCrossProcessTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serving tier: always-sample, exporting kept traces to the registry.
-	exporter := trace.NewHTTPExporter(ts.URL+"/v1/debug/traces", ts.Client())
+	// Serving tier: always-sample, shipping kept traces to the registry
+	// through the same client its loads go through.
+	gwObs := obs.NewRegistry()
+	gwClient := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Token: gwToken})
+	exporter := obs.NewShipper(gwObs)
 	t.Cleanup(exporter.Close)
 	gwTracer := trace.New(trace.Options{
-		Service:  "galleryserve",
-		Sampler:  trace.Always(),
-		Exporter: exporter,
+		Service: "galleryserve",
+		Sampler: trace.Always(),
+		Exporter: func(spans []trace.SpanData) {
+			exporter.Export(obs.ChannelTraces, func(ctx context.Context) error { return gwClient.ExportSpans(ctx, spans) })
+		},
 	})
-	gw := serve.New(c, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry(), Tracer: gwTracer})
+	gw := serve.New(gwClient, serve.Options{RefreshInterval: -1, Obs: gwObs, Tracer: gwTracer})
 	t.Cleanup(gw.Close)
 	gwTS := httptest.NewServer(serve.NewHandler(gw))
 	t.Cleanup(gwTS.Close)
@@ -213,6 +247,25 @@ func TestCrossProcessTrace(t *testing.T) {
 	raw, err := c.DebugTrace(tid)
 	if err != nil || len(raw) == 0 {
 		t.Fatalf("DebugTrace(%s): err=%v len=%d", tid, err, len(raw))
+	}
+	var served trace.Detail
+	if err := json.Unmarshal(raw, &served); err != nil {
+		t.Fatal(err)
+	}
+	if got := served.Summary.Services; !reflect.DeepEqual(got, []string{"galleryd", "galleryserve"}) {
+		t.Fatalf("GET /v1/debug/traces/%s services = %v, want both processes", tid, got)
+	}
+	// The shipment itself is untraced: sent under a span-less context, it
+	// forced no trace of its own ingest request onto the registry.
+	if sums := gdTracer.Store().Summaries(0); len(sums) != 1 || sums[0].TraceID != tid {
+		t.Fatalf("registry holds %d traces, want only %s: %+v", len(sums), tid, sums)
+	}
+	// Nothing the gateway sent was refused or lost on the way.
+	if n := gdObs.Counter("tenant_unauthenticated_total").Value(); n != 0 {
+		t.Fatalf("tenant_unauthenticated_total = %d: the registry refused a gateway shipment", n)
+	}
+	if n := gwObs.SumCounters("telemetry_"); n != 0 {
+		t.Fatalf("gateway dropped or failed %d telemetry shipments", n)
 	}
 }
 

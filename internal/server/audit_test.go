@@ -45,7 +45,7 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 		LiveWindows:      2,
 		Interval:         -1,
 		Obs:              obs.NewRegistry(),
-		Events:           eng,
+		Events:           eng.Event,
 	})
 	tracer := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Always(), Capacity: 256})
 	srv := NewWith(reg, repo, eng, Options{
@@ -96,14 +96,20 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A gateway starts serving it, reporting hot swaps back into the trail.
+	// A gateway starts serving it, reporting hot swaps back into the trail
+	// the way galleryserve does: queued on its telemetry shipper.
+	gwObs := obs.NewRegistry()
+	ship := obs.NewShipper(gwObs)
+	t.Cleanup(ship.Close)
 	gw := serve.New(c, serve.Options{
 		Name:            "gw-e2e",
 		RefreshInterval: -1,
 		HealthSink:      c,
 		HealthInterval:  -1,
-		AuditSink:       c,
-		Obs:             obs.NewRegistry(),
+		AuditSink: func(ev api.AuditEvent) {
+			ship.Export(obs.ChannelAudit, func(ctx context.Context) error { return c.ReportAuditEvent(ctx, ev) })
+		},
+		Obs: gwObs,
 	})
 	t.Cleanup(gw.Close)
 	if _, err := gw.Predict(m.ID, forecast.Context{History: []float64{1, 2, 3}}); err != nil {
@@ -118,6 +124,7 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw.RefreshAll()
+	ship.Flush()
 
 	// A's offline metric then trips the deploy rule: a rule-driven
 	// rollback to A, the promotion event carrying the rule engine as its
@@ -127,6 +134,7 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 	}
 	srv.Flush() // rule-driven promotion lands
 	gw.RefreshAll()
+	ship.Flush()
 
 	// Live traffic then drifts off its reference hard enough that the
 	// monitor degrades the model and the drift event deprecates A.

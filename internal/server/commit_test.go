@@ -134,7 +134,7 @@ func TestBackgroundLoopsCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon := health.New(st.reg, health.Config{Interval: -1, Obs: st.obs, Transitions: rec})
+		mon := health.New(st.reg, health.Config{Interval: -1, Obs: st.obs, Events: rec.Event})
 		st.settle(t)
 		// Windows ingested outside a request stand in for anything the pass
 		// itself writes: the pass must end with all of it durable.
@@ -168,7 +168,7 @@ func TestBackgroundLoopsCommit(t *testing.T) {
 		}
 		red := httpmw.NewRED(st.obs)
 		svc, err := slo.Open(st.meta, slo.VecSource{Requests: red.Requests, Errors: red.Errors, Latency: red.Latency},
-			slo.Config{Obs: st.obs, Audit: st.reg.Audit(), Burns: rec})
+			slo.Config{Obs: st.obs, Audit: st.reg.Audit(), Events: rec.Event})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func TestContinuousHealthEndToEnd(t *testing.T) {
 		LiveWindows:      2,
 		Interval:         -1, // the test drives Evaluate
 		Obs:              obs.NewRegistry(),
-		Events:           eng,
+		Events:           eng.Event,
 	})
 	srv := NewWith(reg, repo, eng, Options{Obs: obs.NewRegistry(), Health: mon})
 	ts := httptest.NewServer(srv)

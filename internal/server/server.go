@@ -348,6 +348,11 @@ func (s *Server) routes() {
 	s.handle("POST /v1/search", s.handleSearch)
 	s.handle("GET /v1/lineage/{base}", s.handleLineage)
 	s.handle("GET /v1/stats", s.handleStats)
+	// Liveness for load balancers, the same answer galleryserve gives; the
+	// authorizer lets it through without a token.
+	s.handle("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
 	s.handle("GET /v1/audit", s.handleListAudit)
 	s.handle("POST /v1/audit", s.handleIngestAudit)
 	s.handle("GET /v1/audit/entity/{id}", s.handleEntityTimeline)

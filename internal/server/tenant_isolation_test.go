@@ -260,6 +260,7 @@ func TestRouteClassificationCoverage(t *testing.T) {
 		"POST /v1/search":                     reader,
 		"GET /v1/lineage/{base}":              reader,
 		"GET /v1/stats":                       reader,
+		"GET /v1/healthz":                     reader, // exempted earlier in Authorize; reader if it ever weren't
 		"GET /v1/audit":                       reader,
 		"POST /v1/audit":                      pub,
 		"GET /v1/audit/entity/{id}":           reader,

@@ -25,10 +25,11 @@
 // transitions but never drives the math, which is what keeps the
 // frozen-clock experiments deterministic.
 //
-// Breach transitions emit slo.burn / slo.recovered audit events and —
-// for model-scoped objectives whose model resolves to a production
-// instance — fire into the rules engine, where a rule like
-// `slo.event == "burn"` can deprecate or roll back automatically.
+// Breach transitions emit slo.burn / slo.recovered audit events and are
+// published through Config.Events. For model-scoped objectives whose
+// model resolves to a production instance the event names it, so the
+// rules engine acts on it and a rule like `slo.event == "burn"` can
+// deprecate or roll back automatically.
 // Current state is exported as slo_* gauges and GET /v1/slo/status.
 package slo
 
@@ -98,24 +99,11 @@ func (o Objective) scope() string {
 	return o.Namespace
 }
 
-// EventSink receives breach transitions for model-scoped objectives.
-// *rules.Engine satisfies it.
-type EventSink interface {
-	SLOEvent(ctx context.Context, instanceID uuid.UUID, event string, fields map[string]any)
-}
-
-// BurnSink receives every burn transition regardless of scope —
-// namespace- and model-level objectives alike — unlike EventSink, which
-// only fires for model-scoped objectives that resolve to an instance.
-// The incident flight recorder satisfies it.
-type BurnSink interface {
-	SLOBurn(ctx context.Context, o Objective, severity string, burnFast, burnSlow, budget float64)
-}
-
 // InstanceResolver maps a model ID (as it appears in the predict path)
-// to its current production instance. Burn events only dispatch into the
-// rules engine when the model resolves — rules run against an instance
-// environment, and a namespace or an unserved model has none.
+// to its current production instance, which a model-scoped breach event
+// then carries. The rules engine acts only on events that name one —
+// rules run against an instance environment, and a namespace or an
+// unserved model has none.
 type InstanceResolver func(modelID string) (uuid.UUID, bool)
 
 // Source supplies cumulative good/bad counts for an objective. ok=false
@@ -214,12 +202,12 @@ type Config struct {
 	UUIDs     *uuid.Generator
 	Obs       *obs.Registry
 	Audit     *audit.Log
-	Events    EventSink
 	Instances InstanceResolver
-	// Burns, when set, is called for every burn transition after the
-	// audit record, before any rules dispatch. Evaluate fires it outside
-	// the service lock, so the sink may call back into Statuses.
-	Burns BurnSink
+	// Events, when non-nil, receives every breach transition — Kind "slo",
+	// Name "burn" or "recovered", namespace- and model-scoped alike —
+	// after its audit record. Evaluate calls it outside the service lock,
+	// so a subscriber may call back into Statuses.
+	Events obs.EventFunc
 }
 
 func (c Config) defaults() Config {
@@ -631,10 +619,9 @@ func (s *Service) publishGauges(st *state) {
 	s.cfg.Obs.Gauge(obs.Name("slo_error_budget_remaining", "slo", id)).Set(st.budget)
 }
 
-// emit records the audit event and, for model-scoped objectives whose
-// model resolves to a production instance, dispatches into the rules
-// engine. Namespace-scoped breaches stay out of the engine: action rules
-// execute against an instance environment, and a namespace has none.
+// emit records the audit event, then publishes the transition, stamped
+// with the production instance when the objective is model-scoped and
+// its model resolves to one.
 func (s *Service) emit(ctx context.Context, t transition) {
 	action := audit.ActionSLOBurn
 	if t.event == "recovered" {
@@ -652,17 +639,16 @@ func (s *Service) emit(ctx context.Context, t transition) {
 				t.event, t.obj.Kind, t.obj.scope(), t.obj.Target, t.severity, t.burnFast, t.burnSlow, t.budget),
 		})
 	}
-	if s.cfg.Burns != nil && t.event == "burn" {
-		s.cfg.Burns.SLOBurn(ctx, t.obj, t.severity, t.burnFast, t.burnSlow, t.budget)
-	}
-	if s.cfg.Events == nil || t.obj.ModelID == "" || s.cfg.Instances == nil {
+	if s.cfg.Events == nil {
 		return
 	}
-	inst, ok := s.cfg.Instances(t.obj.ModelID)
-	if !ok {
-		return
+	ev := obs.Event{Kind: "slo", Name: t.event, Namespace: t.obj.Namespace, ModelID: t.obj.ModelID}
+	if t.obj.ModelID != "" && s.cfg.Instances != nil {
+		if inst, ok := s.cfg.Instances(t.obj.ModelID); ok {
+			ev.Instance = inst
+		}
 	}
-	s.cfg.Events.SLOEvent(ctx, inst, t.event, map[string]any{
+	ev.Fields = map[string]any{
 		"slo":       t.obj.ID,
 		"namespace": t.obj.Namespace,
 		"model":     t.obj.ModelID,
@@ -672,7 +658,8 @@ func (s *Service) emit(ctx context.Context, t transition) {
 		"burn_fast": t.burnFast,
 		"burn_slow": t.burnSlow,
 		"budget":    t.budget,
-	})
+	}
+	s.cfg.Events(ctx, ev)
 }
 
 // Start launches the evaluation loop at the configured tick. A non-

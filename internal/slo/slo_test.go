@@ -142,24 +142,36 @@ func TestModelScopedEventDispatch(t *testing.T) {
 	src := &countSource{}
 	cfg, _ := testConfig(src)
 	instID := uuid.NewSeeded(3).New()
-	var events []string
-	cfg.Events = sinkFunc(func(ctx context.Context, inst uuid.UUID, event string, fields map[string]any) {
-		if inst != instID {
-			t.Errorf("event instance = %s, want %s", inst, instID)
+	// events are the ones naming an instance — what the rules engine acts
+	// on; nsEvents are the namespace-scoped ones it ignores.
+	var events, nsEvents []string
+	cfg.Events = func(ctx context.Context, ev obs.Event) {
+		if ev.Kind != "slo" || ev.Namespace != "ads" {
+			t.Errorf("event = %+v", ev)
 		}
-		if fields["model"] != "ctr" || fields["namespace"] != "ads" {
-			t.Errorf("fields = %v", fields)
+		if ev.ModelID == "" {
+			if !ev.Instance.IsNil() {
+				t.Errorf("namespace-scoped event carries instance %s", ev.Instance)
+			}
+			nsEvents = append(nsEvents, ev.Name)
+			return
 		}
-		events = append(events, event)
-	})
+		if ev.Instance != instID {
+			t.Errorf("event instance = %s, want %s", ev.Instance, instID)
+		}
+		if ev.ModelID != "ctr" || ev.Fields["model"] != "ctr" || ev.Fields["namespace"] != "ads" {
+			t.Errorf("event = %+v", ev)
+		}
+		events = append(events, ev.Name)
+	}
 	cfg.Instances = func(modelID string) (uuid.UUID, bool) { return instID, modelID == "ctr" }
 	s, err := Open(relstore.NewMemory(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustCreate(t, s, Objective{Namespace: "ads", ModelID: "ctr", Kind: KindAvailability, Target: 0.99})
-	// Namespace-scoped objective must NOT dispatch into the engine even
-	// when it breaches alongside.
+	// A namespace-scoped objective breaching alongside is published with
+	// no instance, so it cannot dispatch into the engine.
 	mustCreate(t, s, Objective{Namespace: "ads", Kind: KindAvailability, Target: 0.99})
 
 	ctx := context.Background()
@@ -181,12 +193,9 @@ func TestModelScopedEventDispatch(t *testing.T) {
 	if len(events) != 2 || events[1] != "recovered" {
 		t.Fatalf("events = %v, want [burn recovered]", events)
 	}
-}
-
-type sinkFunc func(ctx context.Context, instanceID uuid.UUID, event string, fields map[string]any)
-
-func (f sinkFunc) SLOEvent(ctx context.Context, instanceID uuid.UUID, event string, fields map[string]any) {
-	f(ctx, instanceID, event, fields)
+	if len(nsEvents) != 2 || nsEvents[0] != "burn" || nsEvents[1] != "recovered" {
+		t.Fatalf("namespace events = %v, want [burn recovered]", nsEvents)
+	}
 }
 
 func TestLatencyObjectiveOverVectors(t *testing.T) {
