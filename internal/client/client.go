@@ -158,11 +158,13 @@ func (c *Client) once(ctx context.Context, method, path string, hasBody bool, pa
 	if err != nil {
 		return err
 	}
-	// A caller's deadline bounds the round trip. Bare cancellation is not
+	// A caller's deadline bounds the round trip. Its cancellation is not
 	// passed down: a gateway load is shared by every request waiting on
 	// it, and the one that gave up must not fail the rest.
-	if _, ok := ctx.Deadline(); ok {
-		req = req.WithContext(ctx)
+	if d, ok := ctx.Deadline(); ok {
+		dctx, cancel := context.WithDeadline(context.WithoutCancel(ctx), d)
+		defer cancel()
+		req = req.WithContext(dctx)
 	}
 	if hasBody {
 		req.Header.Set("Content-Type", "application/json")
@@ -589,9 +591,10 @@ func (c *Client) ExportProfiles(ctx context.Context, process string, summaries [
 	return c.ship(ctx, "/v1/debug/profile", profile.IngestRequest{Process: process, Summaries: summaries})
 }
 
-// ship posts telemetry with exactly one attempt. Its caller is the
-// telemetry shipper's single worker (obs.Shipper): a backoff sleep there
-// would hold up every channel queued behind this one.
+// ship posts telemetry (ExportSpans, ExportProfiles, ReportAuditEvent)
+// with exactly one attempt, whatever Options.Retries says. Its caller is
+// the telemetry shipper's single worker (obs.Shipper): a backoff sleep
+// there would hold up every channel queued behind this one.
 func (c *Client) ship(ctx context.Context, path string, in any) error {
 	payload, err := json.Marshal(in)
 	if err != nil {
@@ -757,8 +760,7 @@ func (c *Client) EntityTimeline(id string, limit int) ([]api.AuditEvent, error) 
 // galleryd records its hot swaps in the same trail as the promotions
 // that caused them.
 func (c *Client) ReportAuditEvent(ctx context.Context, ev api.AuditEvent) error {
-	var resp api.RecordAuditResponse
-	return c.doCtx(ctx, "POST", "/v1/audit", api.RecordAuditRequest{Events: []api.AuditEvent{ev}}, &resp)
+	return c.ship(ctx, "/v1/audit", api.RecordAuditRequest{Events: []api.AuditEvent{ev}})
 }
 
 // LogsQuery filters a DebugLogs read.

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -109,5 +111,84 @@ func TestRetry429Exhausted(t *testing.T) {
 	}
 	if ae.RetryAfter != 7*time.Second {
 		t.Fatalf("RetryAfter = %v, want 7s", ae.RetryAfter)
+	}
+}
+
+// TestTelemetryCallsNeverRetry: the three calls the gateway's telemetry
+// shipper makes take one attempt and never sleep, even on a 429 with a
+// Retry-After hint and a retry budget — their caller is one worker with
+// every other channel queued behind it.
+func TestTelemetryCallsNeverRetry(t *testing.T) {
+	calls := map[string]func(*Client) error{
+		"audit":    func(c *Client) error { return c.ReportAuditEvent(context.Background(), api.AuditEvent{}) },
+		"traces":   func(c *Client) error { return c.ExportSpans(context.Background(), nil) },
+		"profiles": func(c *Client) error { return c.ExportProfiles(context.Background(), "p", nil) },
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			h, hits := rateLimitedHandler(10, "2", `{}`)
+			ts := httptest.NewServer(h)
+			defer ts.Close()
+			var slept []time.Duration
+			c := NewWith(ts.URL, Options{Retries: 3, Sleep: noSleep(&slept)})
+			var apiErr *APIError
+			if err := call(c); !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
+				t.Fatalf("err = %v, want the 429", err)
+			}
+			if hits.Load() != 1 || len(slept) != 0 {
+				t.Fatalf("peer saw %d attempts, client slept %v; want 1 attempt, no sleep", hits.Load(), slept)
+			}
+		})
+	}
+}
+
+// TestDeadlinePassedCancellationNot: a context deadline bounds the round
+// trip; cancelling the same context does not abort it (a shared gateway
+// load must survive the one waiter that gave up).
+func TestDeadlinePassedCancellationNot(t *testing.T) {
+	// stuck serves one request that answers only once release is closed.
+	stuck := func(t *testing.T) (c *Client, entered, release chan struct{}) {
+		entered, release = make(chan struct{}), make(chan struct{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			close(entered)
+			<-release
+			w.Write([]byte(`{}`))
+		}))
+		t.Cleanup(ts.Close)
+		return NewWith(ts.URL, Options{}), entered, release
+	}
+
+	t.Run("deadline", func(t *testing.T) {
+		c, _, release := stuck(t)
+		defer close(release)
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		if err := c.ExportSpans(ctx, nil); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want deadline exceeded", err)
+		}
+	})
+	for name, mk := range map[string]func() (context.Context, context.CancelFunc){
+		"cancel": func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) },
+		"cancel-with-deadline": func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), time.Minute)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, entered, release := stuck(t)
+			ctx, cancel := mk()
+			done := make(chan error, 1)
+			go func() { done <- c.ExportSpans(ctx, nil) }()
+			<-entered
+			cancel()
+			select {
+			case err := <-done:
+				t.Fatalf("cancel aborted the round trip: %v", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatalf("after release: %v", err)
+			}
+		})
 	}
 }
