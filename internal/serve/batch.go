@@ -21,7 +21,8 @@ type batcher struct {
 	e    *entry
 	g    *Gateway
 	reqs chan *batchReq
-	quit chan struct{} // closed on evict; gateway done covers Close
+	quit chan struct{}  // closed on evict; gateway done covers Close
+	wg   sync.WaitGroup // the executors
 }
 
 type batchReq struct {
@@ -37,7 +38,7 @@ type batchReq struct {
 
 // reqPool recycles requests (and their completion channels) so the batched
 // path does zero allocations per prediction. A request abandoned on
-// shutdown is NOT returned to the pool: an executor may still write it.
+// shutdown is NOT returned to the pool: the queue still holds it.
 var reqPool = sync.Pool{
 	New: func() any { return &batchReq{done: make(chan struct{}, 1)} },
 }
@@ -59,6 +60,7 @@ func newBatcher(e *entry, g *Gateway) *batcher {
 		reqs: make(chan *batchReq, g.opts.MaxBatch*g.opts.BatchWorkers),
 		quit: make(chan struct{}),
 	}
+	b.wg.Add(g.opts.BatchWorkers)
 	for i := 0; i < g.opts.BatchWorkers; i++ {
 		go b.run()
 	}
@@ -87,8 +89,11 @@ func (b *batcher) predict(fctx forecast.Context) (float64, *served, error) {
 	case <-b.quit:
 	case <-b.g.done:
 	}
-	// Executors are gone (or going); the request may sit in the queue
-	// forever. Answer it directly.
+	// The executors are going. One may already have drained r and be
+	// reading fctx, which the caller takes back when predict returns (see
+	// PredictCtx), so wait for them to exit — each does at the top of its
+	// loop. After that r is either answered or sits in the queue forever.
+	b.wg.Wait()
 	select {
 	case <-r.done: // an executor got to it after all
 		val, srv := r.val, r.srv
@@ -109,6 +114,7 @@ func (b *batcher) direct(fctx forecast.Context) (float64, *served, error) {
 
 // run is one executor goroutine.
 func (b *batcher) run() {
+	defer b.wg.Done()
 	maxBatch := b.g.opts.MaxBatch
 	batch := make([]*batchReq, 0, maxBatch)
 	ctxs := make([]forecast.Context, 0, maxBatch)

@@ -254,6 +254,11 @@ func (g *Gateway) Predict(modelID string, fctx forecast.Context) (api.PredictRes
 // resident (cache=hit), mid-load by another request (coalesced), or
 // loaded by this one (miss), and the load's Gallery calls propagate the
 // trace to galleryd. With no span in ctx the path is allocation-free.
+//
+// fctx's slices are borrowed, not kept: nothing reads them once PredictCtx
+// has returned, so the caller may reuse them for its next request (the HTTP
+// handler decodes into pooled buffers). A Forecaster must copy what it
+// wants to keep.
 func (g *Gateway) PredictCtx(ctx context.Context, modelID string, fctx forecast.Context) (api.PredictResponse, error) {
 	start := time.Now()
 	ctx, span := trace.Start(ctx, "serve.predict")

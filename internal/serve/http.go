@@ -180,10 +180,19 @@ func (h *Handler) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // servePredict writes the response and reports the status it chose.
 func (h *Handler) servePredict(w http.ResponseWriter, r *http.Request, modelID string) int {
-	var req api.PredictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&req); err != nil {
-		writeServeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return http.StatusBadRequest
+	// req borrows s's slices, and so does the forecast.Context below:
+	// they go back to the pool once the response is written.
+	s := predictScratchPool.Get().(*predictScratch)
+	defer s.release()
+	req, err := s.decode(http.MaxBytesReader(w, r.Body, maxPredictBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeServeErr(w, status, fmt.Errorf("decode request: %w", err))
+		return status
 	}
 	if len(req.History) == 0 {
 		writeServeErr(w, http.StatusBadRequest, errors.New("history must not be empty"))

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gallery/internal/api"
 	"gallery/internal/forecast"
 )
 
@@ -84,35 +87,66 @@ func TestPredictRacesHotSwap(t *testing.T) {
 
 // TestEvictionRacesPredictions evicts models out from under live traffic;
 // the batcher teardown path must fall back to direct computation, never
-// drop a request.
+// drop a request. Through the handler each request's history lives in a
+// pooled buffer the next request overwrites, so an executor still reading
+// an abandoned request after its caller returned is a data race here and a
+// wrong answer besides: every goroutine sends its own histories and checks
+// the forecast of exactly those.
 func TestEvictionRacesPredictions(t *testing.T) {
-	src := newFakeSource()
-	const models = 4
-	for i := 0; i < models; i++ {
-		src.promote(t, fmt.Sprintf("m%d", i), 0, &forecast.Heuristic{K: 1})
-	}
-	// MaxModels=2 with 4 hot models forces constant eviction and reload.
-	g := newTestGateway(t, src, Options{MaxModels: 2, MaxBatch: 4, BatchWorkers: 2})
-
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Int64
-	)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := fmt.Sprintf("m%d", (w+i)%models)
-				resp, err := g.Predict(id, forecast.Context{History: []float64{float64(i)}})
-				if err != nil || resp.Value != float64(i) {
-					failed.Add(1)
-				}
+	const models, points = 4, 16
+	learner := &forecast.Heuristic{K: points}
+	for _, via := range []string{"gateway", "handler"} {
+		t.Run(via, func(t *testing.T) {
+			src := newFakeSource()
+			for i := 0; i < models; i++ {
+				src.promote(t, fmt.Sprintf("m%d", i), 0, learner)
 			}
-		}(w)
-	}
-	wg.Wait()
-	if failed.Load() != 0 {
-		t.Fatalf("%d predictions failed under eviction churn", failed.Load())
+			// MaxModels=2 with 4 hot models forces constant eviction and reload.
+			g := newTestGateway(t, src, Options{MaxModels: 2, MaxBatch: 4, BatchWorkers: 2})
+			h := NewHandler(g)
+			predict := func(id string, hist []float64) (float64, error) {
+				if via == "gateway" {
+					resp, err := g.Predict(id, forecast.Context{History: hist})
+					return resp.Value, err
+				}
+				body, err := json.Marshal(api.PredictRequest{History: hist})
+				if err != nil {
+					return 0, err
+				}
+				status, raw := postPredict(h, id, body)
+				if status != http.StatusOK {
+					return 0, fmt.Errorf("status %d: %s", status, raw)
+				}
+				var resp api.PredictResponse
+				err = json.Unmarshal(raw, &resp)
+				return resp.Value, err
+			}
+
+			var (
+				wg     sync.WaitGroup
+				failed atomic.Int64
+			)
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					hist := make([]float64, points)
+					for i := 0; i < 200; i++ {
+						for j := range hist {
+							hist[j] = float64(w*1_000_000 + i*1_000 + j*j)
+						}
+						want := learner.Forecast(forecast.Context{History: hist})
+						got, err := predict(fmt.Sprintf("m%d", (w+i)%models), hist)
+						if err != nil || got != want {
+							failed.Add(1)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if failed.Load() != 0 {
+				t.Fatalf("%d predictions failed under eviction churn", failed.Load())
+			}
+		})
 	}
 }
