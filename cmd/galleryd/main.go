@@ -115,11 +115,17 @@ func main() {
 			log.Fatalf("galleryd: create data dir: %v", err)
 		}
 		walPath := filepath.Join(*dataDir, "meta.wal")
+		opening := time.Now()
 		meta, err = relstore.Open(walPath, wal.Options{Sync: *fsync})
 		if err != nil {
 			log.Fatalf("galleryd: open metadata store: %v", err)
 		}
 		defer meta.Close()
+		// Why this restart took what it took, and whether -compact-mb still
+		// has old-format records to rewrite.
+		records, legacy := meta.Replayed()
+		log.Printf("galleryd: replayed metadata WAL: %d records (%d legacy-format), %d bytes in %.3fs",
+			records, legacy, meta.LogSize(), time.Since(opening).Seconds())
 		if *compact > 0 && meta.LogSize() > *compact<<20 {
 			before := meta.LogSize()
 			if err := meta.Compact(walPath); err != nil {

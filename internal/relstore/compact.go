@@ -1,8 +1,7 @@
 package relstore
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -19,7 +18,15 @@ import (
 // keeps the options the store was opened with: under wal.Options.Sync the
 // snapshot is fsynced before the rename, and the reopen fsyncs the
 // directory, so no later acknowledgement can rest on a rename that a power
-// loss would undo.
+// loss would undo. Every record of the snapshot is in the version 1 format,
+// so compacting is also what upgrades a log that still holds gob records.
+//
+// A snapshot file left behind by a compaction that died before its rename
+// is discarded, not appended to. If the swap itself fails after the live
+// log was closed for it, the log is reopened where Open found it — that
+// file is untouched — before the error is returned, so the store stays
+// writable; only if that reopen fails too is it left without a log, and
+// every later mutation then fails with wal.ErrClosed.
 //
 // Compact is only meaningful for durable stores; on a volatile store it is
 // a no-op.
@@ -31,6 +38,9 @@ func (s *Store) Compact(path string) error {
 	}
 
 	tmp := path + ".compact"
+	if err := os.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("relstore: remove stale compaction log: %w", err)
+	}
 	newLog, err := wal.Open(tmp, s.walOpts, nil)
 	if err != nil {
 		return fmt.Errorf("relstore: open compaction log: %w", err)
@@ -48,11 +58,11 @@ func (s *Store) Compact(path string) error {
 	sort.Strings(names)
 
 	appendOp := func(op walOp) error {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(op); err != nil {
-			return fmt.Errorf("relstore: encode snapshot record: %w", err)
+		rec, err := s.encodeRecord(op)
+		if err != nil {
+			return err
 		}
-		return newLog.AppendNoSync(buf.Bytes())
+		return newLog.AppendNoSync(rec)
 	}
 	for _, name := range names {
 		t := s.tables[name]
@@ -86,13 +96,20 @@ func (s *Store) Compact(path string) error {
 		return fmt.Errorf("relstore: close live log: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("relstore: swap compacted log: %w", err)
+		os.Remove(tmp)
+		err = fmt.Errorf("relstore: swap compacted log: %w", err)
+		live, openErr := wal.Open(s.path, s.walOpts, nil)
+		if openErr != nil {
+			return errors.Join(err, fmt.Errorf("relstore: reopen live log: %w", openErr))
+		}
+		s.log = live
+		return err
 	}
 	reopened, err := wal.Open(path, s.walOpts, nil)
 	if err != nil {
 		return fmt.Errorf("relstore: reopen after compaction: %w", err)
 	}
-	s.log = reopened
+	s.log, s.path = reopened, path
 	return nil
 }
 

@@ -1,9 +1,7 @@
 package relstore
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -38,12 +36,17 @@ type Store struct {
 	mu      sync.RWMutex
 	tables  map[string]*table
 	log     *wal.Log    // nil for volatile stores
+	path    string      // where Open found the log
 	walOpts wal.Options // kept so Compact reopens the log as Open did
+	recBuf  []byte      // record encoding scratch, reused under mu
+
+	replayed, replayedLegacy int // records Open applied; of those, gob-format ones
 
 	obs           *obs.Registry
 	walSeconds    *obs.Histogram
 	commitSeconds *obs.Histogram
 	walRecords    *obs.Counter
+	walBytes      *obs.Counter
 	walCommits    *obs.Counter
 	opMu          sync.RWMutex
 	opCounters    map[opKey]*obs.Counter // handle cache: countOp is on every hot path
@@ -67,6 +70,8 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	reg.Help("relstore_wal_commit_seconds", "Time a Commit with records outstanding waited for the WAL fsync, its own or one shared with concurrent committers.")
 	s.walRecords = reg.Counter("relstore_wal_records_total")
 	reg.Help("relstore_wal_records_total", "WAL records appended; over relstore_wal_commits_total it is the records made durable per fsync.")
+	s.walBytes = reg.Counter("relstore_wal_bytes_total")
+	reg.Help("relstore_wal_bytes_total", "WAL record payload bytes appended, without the log's 8-byte frame per record; over relstore_wal_records_total it is the bytes per record.")
 	s.walCommits = reg.Counter("relstore_wal_commits_total")
 	reg.Help("relstore_wal_commits_total", "WAL fsyncs issued by Commit; committers that arrive together share one, so this grows slower than the requests that wrote.")
 	s.opMu.Lock()
@@ -135,16 +140,22 @@ func NewMemory() *Store {
 }
 
 // Open returns a durable store backed by a write-ahead log at path. Existing
-// state is replayed; a torn tail from a crash is truncated.
+// state is replayed; a torn tail from a crash is truncated. Records are read
+// in the version 1 format of record.go or, where a daemon older than that
+// format wrote them, as gob; everything appended is version 1.
 func Open(path string, opts wal.Options) (*Store, error) {
-	s := &Store{tables: make(map[string]*table)}
+	s := &Store{tables: make(map[string]*table), path: path}
 	s.Instrument(nil)
 	l, err := wal.Open(path, opts, func(payload []byte) error {
-		var op walOp
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&op); err != nil {
-			return fmt.Errorf("relstore: decode wal record: %w", err)
+		op, legacy, err := decodeRecord(s.tables, payload)
+		if err != nil {
+			return err
 		}
-		return s.apply(op)
+		s.replayed++
+		if legacy {
+			s.replayedLegacy++
+		}
+		return s.apply(op) // the decoded rows are nobody else's: installed as they are
 	})
 	if err != nil {
 		return nil, err
@@ -152,6 +163,12 @@ func Open(path string, opts wal.Options) (*Store, error) {
 	s.log, s.walOpts = l, opts
 	return s, nil
 }
+
+// Replayed reports how many WAL records Open applied and how many of them
+// were in the gob format that preceded version 1 — records the next Compact
+// rewrites. Their bytes are LogSize as Open returns. Zero for a volatile
+// store.
+func (s *Store) Replayed() (records, legacy int) { return s.replayed, s.replayedLegacy }
 
 // Close commits outstanding records and releases the write-ahead log, if
 // any.
@@ -243,27 +260,51 @@ func (s *Store) logOpCtx(ctx context.Context, op walOp) error {
 		return nil
 	}
 	_, span := trace.Start(ctx, "relstore.wal_append")
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(op); err != nil {
+	rec, err := s.encodeRecord(op)
+	if err != nil {
 		span.EndErr(err)
-		return fmt.Errorf("relstore: encode wal record: %w", err)
+		return err
 	}
 	start := time.Now()
-	err := s.log.AppendNoSync(buf.Bytes())
+	err = s.log.AppendNoSync(rec)
 	s.walSeconds.ObserveSinceExemplar(start, span.TraceIDString())
 	s.walRecords.Inc()
+	s.walBytes.Add(int64(len(rec)))
 	if span != nil {
-		span.AnnotateInt("bytes", int64(buf.Len()))
+		span.AnnotateInt("bytes", int64(len(rec)))
 	}
 	span.EndErr(err)
 	return err
 }
 
-// apply performs op against in-memory state. Callers hold the write lock
-// (or, during recovery, have exclusive access).
+// maxKeptRecordBuf bounds the scratch buffer encodeRecord keeps between
+// records, so one outsized batch does not pin its size for good.
+const maxKeptRecordBuf = 64 << 10
+
+// encodeRecord encodes op into the store's scratch buffer: callers hold mu,
+// so the encode is lock-hold time and, once the buffer has grown to the
+// records in use, allocates nothing. The result is valid until the next
+// call.
+func (s *Store) encodeRecord(op walOp) ([]byte, error) {
+	rec, err := appendRecord(s.recBuf[:0], s.tables, op)
+	if err != nil {
+		return nil, fmt.Errorf("relstore: encode wal record: %w", err)
+	}
+	if cap(rec) <= maxKeptRecordBuf {
+		s.recBuf = rec
+	}
+	return rec, nil
+}
+
+// apply performs op against in-memory state and keeps op's rows: callers
+// pass rows nobody else holds. Callers hold the write lock (or, during
+// recovery, have exclusive access).
 func (s *Store) apply(op walOp) error {
 	switch op.Kind {
 	case opCreateTable:
+		if op.Schema == nil {
+			return errors.New("relstore: wal CreateTable carries no schema")
+		}
 		return s.applyCreateTable(*op.Schema)
 	case opInsert:
 		return s.applyInsert(op.Table, op.Row)
@@ -363,6 +404,7 @@ func (s *Store) InsertCtx(ctx context.Context, tableName string, row Row) error 
 
 func (s *Store) insertCtx(ctx context.Context, tableName string, row Row) error {
 	s.countOp("insert", tableName)
+	row = row.Clone() // the caller keeps theirs; copied before the lock, not under it
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.applyInsert(tableName, row); err != nil {
@@ -371,6 +413,7 @@ func (s *Store) insertCtx(ctx context.Context, tableName string, row Row) error 
 	return s.logOpCtx(ctx, walOp{Kind: opInsert, Table: tableName, Row: row})
 }
 
+// applyInsert installs row itself, not a copy.
 func (s *Store) applyInsert(tableName string, row Row) error {
 	t, ok := s.tables[tableName]
 	if !ok {
@@ -383,7 +426,7 @@ func (s *Store) applyInsert(tableName string, row Row) error {
 	if _, exists := t.rows[pk]; exists {
 		return fmt.Errorf("%w: %s[%s]", ErrDuplicate, tableName, pk)
 	}
-	t.put(pk, row.Clone())
+	t.put(pk, row)
 	return nil
 }
 
@@ -407,6 +450,7 @@ func (s *Store) UpdateCtx(ctx context.Context, tableName string, row Row) error 
 
 func (s *Store) updateCtx(ctx context.Context, tableName string, row Row) error {
 	s.countOp("update", tableName)
+	row = row.Clone()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.applyUpdate(tableName, row); err != nil {
@@ -415,6 +459,7 @@ func (s *Store) updateCtx(ctx context.Context, tableName string, row Row) error 
 	return s.logOpCtx(ctx, walOp{Kind: opUpdate, Table: tableName, Row: row})
 }
 
+// applyUpdate installs row itself, not a copy.
 func (s *Store) applyUpdate(tableName string, row Row) error {
 	t, ok := s.tables[tableName]
 	if !ok {
@@ -429,7 +474,7 @@ func (s *Store) applyUpdate(tableName string, row Row) error {
 		return fmt.Errorf("%w: %s[%s]", ErrNotFound, tableName, pk)
 	}
 	t.unindex(pk, old)
-	t.put(pk, row.Clone())
+	t.put(pk, row)
 	return nil
 }
 
@@ -534,14 +579,21 @@ func (s *Store) BatchCtx(ctx context.Context, muts []Mutation) error {
 }
 
 func (s *Store) batchCtx(ctx context.Context, muts []Mutation) error {
-	for _, m := range muts {
+	// The ops, with the store's own copy of each row, are built before the
+	// lock is taken; an unknown kind stays a zero op and validateBatch
+	// refuses the batch before anything is applied.
+	ops := make([]walOp, len(muts))
+	for i, m := range muts {
 		switch m.Kind {
 		case MutInsert:
 			s.countOp("insert", m.Table)
+			ops[i] = walOp{Kind: opInsert, Table: m.Table, Row: m.Row.Clone()}
 		case MutUpdate:
 			s.countOp("update", m.Table)
+			ops[i] = walOp{Kind: opUpdate, Table: m.Table, Row: m.Row.Clone()}
 		case MutDelete:
 			s.countOp("delete", m.Table)
+			ops[i] = walOp{Kind: opDelete, Table: m.Table, PK: m.PK}
 		}
 	}
 	s.mu.Lock()
@@ -550,17 +602,6 @@ func (s *Store) batchCtx(ctx context.Context, muts []Mutation) error {
 	// earlier effects, without mutating, by simulating key presence.
 	if err := s.validateBatch(muts); err != nil {
 		return err
-	}
-	ops := make([]walOp, len(muts))
-	for i, m := range muts {
-		switch m.Kind {
-		case MutInsert:
-			ops[i] = walOp{Kind: opInsert, Table: m.Table, Row: m.Row}
-		case MutUpdate:
-			ops[i] = walOp{Kind: opUpdate, Table: m.Table, Row: m.Row}
-		case MutDelete:
-			ops[i] = walOp{Kind: opDelete, Table: m.Table, PK: m.PK}
-		}
 	}
 	for _, op := range ops {
 		if err := s.apply(op); err != nil {

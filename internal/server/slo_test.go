@@ -175,6 +175,7 @@ func TestPromExpositionValid(t *testing.T) {
 		"# TYPE relstore_wal_commit_seconds histogram",
 		"# TYPE relstore_wal_commits_total counter",
 		"# TYPE relstore_wal_records_total counter",
+		"# HELP relstore_wal_bytes_total WAL record payload bytes appended",
 		"# HELP relstore_wal_append_seconds Time to write one WAL record through to the OS; the fsync is not in it",
 	} {
 		if !strings.Contains(body, want) {

@@ -67,6 +67,8 @@ type Options struct {
 // Open opens (creating if necessary) the log at path, replays all intact
 // records through apply, truncates any torn tail, and returns a Log
 // positioned for appending. apply may be nil when the caller only appends.
+// The payload handed to apply is a buffer replay reuses for the next record:
+// apply must copy whatever it keeps and must not retain the slice.
 func Open(path string, opts Options, apply func(payload []byte) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -121,13 +123,17 @@ func syncDir(dir string) error {
 // replay streams records from the start of f, calling apply for each intact
 // record, and returns the offset of the first byte past the last intact
 // record. A short header, short payload, oversized length, or CRC mismatch
-// ends replay without error: it marks a torn write from a crash.
+// ends replay without error: it marks a torn write from a crash. Every
+// record is read into one buffer, grown to the largest record seen.
 func replay(f *os.File, apply func([]byte) error) (valid int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("wal: seek for replay: %w", err)
 	}
 	r := bufio.NewReader(f)
-	var hdr [headerSize]byte
+	var (
+		hdr [headerSize]byte
+		buf []byte
+	)
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -140,7 +146,10 @@ func replay(f *os.File, apply func([]byte) error) (valid int64, err error) {
 		if n > maxRecordSize {
 			return valid, nil // corrupt length: treat as torn tail
 		}
-		payload := make([]byte, n)
+		if cap(buf) < int(n) {
+			buf = make([]byte, max(int(n), 2*cap(buf)))
+		}
+		payload := buf[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return valid, nil

@@ -93,3 +93,61 @@ func TestSyncOptionAppends(t *testing.T) {
 		t.Fatalf("replayed %d, want 5", count)
 	}
 }
+
+// TestReplayReusesOnePayloadBuffer pins both halves of Open's contract with
+// apply: the payload is only valid during the call (a callback that keeps
+// the slice sees it overwritten), and in exchange replay does not allocate
+// per record.
+func TestReplayReusesOnePayloadBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	l, err := Open(path, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 512
+	for i := 0; i < records; i++ {
+		rec := make([]byte, 64+i%64) // sizes go up and down: growth must not shrink or reorder anything
+		binary.LittleEndian.PutUint32(rec, uint32(i))
+		if err := l.AppendNoSync(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var kept [][]byte
+	next := uint32(0)
+	l, err = Open(path, Options{}, func(p []byte) error {
+		if got := binary.LittleEndian.Uint32(p); got != next || len(p) != 64+int(next)%64 {
+			t.Fatalf("record %d replayed as %d, %d bytes", next, got, len(p))
+		}
+		next++
+		kept = append(kept, p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	stale := 0
+	for i, p := range kept {
+		if binary.LittleEndian.Uint32(p) != uint32(i) {
+			stale++
+		}
+	}
+	if stale < records/2 {
+		t.Fatalf("only %d of %d retained payloads were overwritten: replay is not reusing its buffer", stale, records)
+	}
+
+	allocs := testing.AllocsPerRun(5, func() {
+		l, err := Open(path, Options{}, func([]byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+	})
+	if allocs > records/8 {
+		t.Fatalf("replaying %d records allocates %v times", records, allocs)
+	}
+}
