@@ -258,17 +258,21 @@ func (l *Log) Events(q Query) ([]Event, error) {
 	if !q.Until.IsZero() {
 		where = append(where, relstore.Constraint{Field: "created", Op: relstore.OpLt, Value: relstore.Time(q.Until)})
 	}
-	rows, err := l.store.Select(relstore.Query{
+	out := []Event{}
+	_, err := l.store.SelectFunc(context.Background(), relstore.Query{
 		Table:   Table,
 		Where:   where,
 		OrderBy: "seq",
 		Desc:    q.Desc,
 		Limit:   q.Limit,
+	}, func(r relstore.Row) bool {
+		out = append(out, rowToEvent(r)) // the only copy: rows are read in place
+		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rowsToEvents(rows)
+	return out, nil
 }
 
 // EntityTimeline returns the lineage timeline for one entity, oldest
@@ -313,21 +317,27 @@ func (l *Log) pruneLocked(ctx context.Context, entityID string, keep int) (int, 
 	if keep <= 0 {
 		return 0, nil
 	}
-	rows, err := l.store.Select(relstore.Query{
+	// No span for this read: it runs inside every Record, so in every
+	// mutating request's trace, and the insert's span already marks it.
+	var ids []string
+	_, err := l.store.SelectFunc(context.Background(), relstore.Query{
 		Table:   Table,
 		Where:   []relstore.Constraint{{Field: "entity_id", Op: relstore.OpEq, Value: relstore.String(entityID)}},
 		OrderBy: "seq",
+	}, func(r relstore.Row) bool {
+		ids = append(ids, r["id"].Str)
+		return true
 	})
 	if err != nil {
 		return 0, err
 	}
-	excess := len(rows) - keep
+	excess := len(ids) - keep
 	if excess <= 0 {
 		return 0, nil
 	}
 	muts := make([]relstore.Mutation, 0, excess)
-	for _, r := range rows[:excess] {
-		muts = append(muts, relstore.Mutation{Kind: relstore.MutDelete, Table: Table, PK: r["id"].Str})
+	for _, id := range ids[:excess] {
+		muts = append(muts, relstore.Mutation{Kind: relstore.MutDelete, Table: Table, PK: id})
 	}
 	if err := l.store.BatchCtx(ctx, muts); err != nil {
 		return 0, err
@@ -398,14 +408,6 @@ func rowToEvent(r relstore.Row) Event {
 		Detail:     r["detail"].Str,
 		TraceID:    r["trace_id"].Str,
 	}
-}
-
-func rowsToEvents(rows []relstore.Row) ([]Event, error) {
-	out := make([]Event, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, rowToEvent(r))
-	}
-	return out, nil
 }
 
 func sortEvents(evs []Event) {

@@ -124,23 +124,17 @@ func (g *Registry) downstreamsLocked(id uuid.UUID) ([]uuid.UUID, error) {
 }
 
 func (g *Registry) depEdges(matchField string, id uuid.UUID, wantField string) ([]uuid.UUID, error) {
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	return selectAs(context.Background(), g.dal.Meta(), relstore.Query{
 		Table:   TableDeps,
 		Where:   []relstore.Constraint{{Field: matchField, Op: relstore.OpEq, Value: relstore.String(id.String())}},
 		OrderBy: "created",
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uuid.UUID, 0, len(rows))
-	for _, r := range rows {
+	}, func(r relstore.Row) (uuid.UUID, error) {
 		u, err := uuid.Parse(r[wantField].Str)
 		if err != nil {
-			return nil, fmt.Errorf("core: corrupt dependency row: %w", err)
+			return uuid.Nil, fmt.Errorf("core: corrupt dependency row: %w", err)
 		}
-		out = append(out, u)
-	}
-	return out, nil
+		return u, nil
+	})
 }
 
 func (g *Registry) transitiveUpstreamsLocked(id uuid.UUID) (map[uuid.UUID]bool, error) {
@@ -256,15 +250,11 @@ func (g *Registry) Version(id uuid.UUID) (*VersionRecord, error) {
 
 // VersionHistory returns a model's version records, oldest first.
 func (g *Registry) VersionHistory(id uuid.UUID) ([]*VersionRecord, error) {
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	return selectAs(context.Background(), g.dal.Meta(), relstore.Query{
 		Table:   TableVersions,
 		Where:   []relstore.Constraint{{Field: "model_id", Op: relstore.OpEq, Value: relstore.String(id.String())}},
 		OrderBy: "minor",
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rowsToVersions(rows)
+	}, rowToVersion)
 }
 
 // LatestVersion returns a model's newest version record.
@@ -282,20 +272,17 @@ func (g *Registry) LatestVersion(id uuid.UUID) (*VersionRecord, error) {
 }
 
 func (g *Registry) latestVersionLocked(id uuid.UUID) (*VersionRecord, error) {
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	vs, err := selectAs(context.Background(), g.dal.Meta(), relstore.Query{
 		Table:   TableVersions,
 		Where:   []relstore.Constraint{{Field: "model_id", Op: relstore.OpEq, Value: relstore.String(id.String())}},
 		OrderBy: "minor",
 		Desc:    true,
 		Limit:   1,
-	})
-	if err != nil {
+	}, rowToVersion)
+	if err != nil || len(vs) == 0 {
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	return rowToVersion(rows[0])
+	return vs[0], nil
 }
 
 // ProductionVersion returns the version currently promoted for a model,
@@ -372,7 +359,7 @@ func (g *Registry) PromoteInstanceCtx(ctx context.Context, instanceID uuid.UUID)
 	if err != nil {
 		return err
 	}
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	vs, err := selectAs(ctx, g.dal.Meta(), relstore.Query{
 		Table: TableVersions,
 		Where: []relstore.Constraint{
 			{Field: "model_id", Op: relstore.OpEq, Value: relstore.String(in.ModelID.String())},
@@ -381,18 +368,14 @@ func (g *Registry) PromoteInstanceCtx(ctx context.Context, instanceID uuid.UUID)
 		OrderBy: "minor",
 		Desc:    true,
 		Limit:   1,
-	})
+	}, rowToVersion)
 	if err != nil {
 		return err
 	}
-	if len(rows) == 0 {
+	if len(vs) == 0 {
 		return fmt.Errorf("%w: instance %s has no version record", ErrNotFound, instanceID)
 	}
-	v, err := rowToVersion(rows[0])
-	if err != nil {
-		return err
-	}
-	return g.promoteLocked(ctx, v.ID)
+	return g.promoteLocked(ctx, vs[0].ID)
 }
 
 func (g *Registry) promoteLocked(ctx context.Context, versionID uuid.UUID) error {

@@ -33,6 +33,9 @@ func TestParseMetricsBlobErrors(t *testing.T) {
 		[]byte("mape:abc"),
 		[]byte(":1.0"),
 		[]byte("mape:1\nmape:2"), // duplicate
+		[]byte("mape:NaN"),       // non-finite values pass strconv, not the registry
+		[]byte("mape:0.1,bias:Inf"),
+		[]byte("mape:-infinity"),
 	}
 	for _, blob := range bad {
 		if _, err := ParseMetricsBlob(blob); !errors.Is(err, ErrBadSpec) {

@@ -46,26 +46,18 @@ func (g *Registry) InsertHealthWindow(ctx context.Context, w *HealthWindow) erro
 // HealthWindows returns a model's stored observation windows, oldest
 // first. Limit > 0 keeps only the most recent windows.
 func (g *Registry) HealthWindows(modelID uuid.UUID, limit int) ([]*HealthWindow, error) {
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	out, err := selectAs(context.Background(), g.dal.Meta(), relstore.Query{
 		Table: TableHealthWindows,
 		Where: []relstore.Constraint{
 			{Field: "model_id", Op: relstore.OpEq, Value: relstore.String(modelID.String())},
 		},
 		OrderBy: "window_end",
-	})
+	}, rowToHealthWindow)
 	if err != nil {
 		return nil, err
 	}
-	if limit > 0 && len(rows) > limit {
-		rows = rows[len(rows)-limit:]
-	}
-	out := make([]*HealthWindow, 0, len(rows))
-	for _, r := range rows {
-		w, err := rowToHealthWindow(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
+	if limit > 0 && len(out) > limit {
+		out = out[len(out)-limit:]
 	}
 	return out, nil
 }
@@ -73,21 +65,21 @@ func (g *Registry) HealthWindows(modelID uuid.UUID, limit int) ([]*HealthWindow,
 // HealthWindowModels lists the distinct model IDs that have stored
 // health windows — the monitor's recovery scan after a restart.
 func (g *Registry) HealthWindowModels() ([]uuid.UUID, error) {
-	rows, err := g.dal.Meta().Select(relstore.Query{Table: TableHealthWindows})
-	if err != nil {
-		return nil, err
-	}
 	seen := make(map[uuid.UUID]bool)
 	var out []uuid.UUID
-	for _, r := range rows {
+	_, err := g.dal.Meta().SelectFunc(context.Background(), relstore.Query{Table: TableHealthWindows}, func(r relstore.Row) bool {
 		id, err := uuid.Parse(r["model_id"].Str)
 		if err != nil {
-			continue // skip unparseable legacy rows rather than fail recovery
+			return true // skip unparseable legacy rows rather than fail recovery
 		}
 		if !seen[id] {
 			seen[id] = true
 			out = append(out, id)
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -98,24 +90,24 @@ func (g *Registry) PruneHealthWindows(ctx context.Context, modelID uuid.UUID, ke
 	if keep < 0 {
 		keep = 0
 	}
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	ids, err := selectAs(ctx, g.dal.Meta(), relstore.Query{
 		Table: TableHealthWindows,
 		Where: []relstore.Constraint{
 			{Field: "model_id", Op: relstore.OpEq, Value: relstore.String(modelID.String())},
 		},
 		OrderBy: "window_end",
-	})
+	}, func(r relstore.Row) (string, error) { return r["id"].Str, nil })
 	if err != nil {
 		return 0, err
 	}
-	excess := len(rows) - keep
+	excess := len(ids) - keep
 	if excess <= 0 {
 		return 0, nil
 	}
 	muts := make([]relstore.Mutation, 0, excess)
-	for _, r := range rows[:excess] {
+	for _, id := range ids[:excess] {
 		muts = append(muts, relstore.Mutation{
-			Kind: relstore.MutDelete, Table: TableHealthWindows, PK: r["id"].Str,
+			Kind: relstore.MutDelete, Table: TableHealthWindows, PK: id,
 		})
 	}
 	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {

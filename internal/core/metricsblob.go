@@ -16,7 +16,8 @@ import (
 // output verbatim; the registry flattens parsed pairs into queryable rows.
 
 // ParseMetricsBlob decodes a "<metric>:<value>" blob. Pairs are separated
-// by newlines or commas; blank entries and whitespace are tolerated.
+// by newlines or commas; blank entries and whitespace are tolerated. NaN and
+// infinite values are refused (strconv would read "NaN" and "Inf").
 func ParseMetricsBlob(blob []byte) (map[string]float64, error) {
 	out := make(map[string]float64)
 	entries := strings.FieldsFunc(string(blob), func(r rune) bool {
@@ -38,6 +39,9 @@ func ParseMetricsBlob(blob []byte) (map[string]float64, error) {
 		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil {
 			return nil, fmt.Errorf("%w: metrics blob entry %q: %v", ErrBadSpec, e, err)
+		}
+		if err := checkMetricValue(name, f); err != nil {
+			return nil, err
 		}
 		if _, dup := out[name]; dup {
 			return nil, fmt.Errorf("%w: metrics blob repeats metric %q", ErrBadSpec, name)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -206,15 +207,11 @@ func (g *Registry) getModelLocked(id uuid.UUID) (*Model, error) {
 // ModelsByBase returns every model record registered under a base version
 // id, oldest first.
 func (g *Registry) ModelsByBase(baseVersionID string) ([]*Model, error) {
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	return selectAs(context.Background(), g.dal.Meta(), relstore.Query{
 		Table:   TableModels,
 		Where:   []relstore.Constraint{{Field: "base_version_id", Op: relstore.OpEq, Value: relstore.String(baseVersionID)}},
 		OrderBy: "created",
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rowsToModels(rows)
+	}, rowToModel)
 }
 
 // EvolveModel registers the successor of an existing model — a change to
@@ -560,15 +557,17 @@ func (g *Registry) DeprecateInstanceCtx(ctx context.Context, id uuid.UUID) error
 // Lineage returns every instance trained under a base version id, sorted
 // by creation time — the traversal of paper Fig. 4.
 func (g *Registry) Lineage(baseVersionID string) ([]*Instance, error) {
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	return g.LineageCtx(context.Background(), baseVersionID)
+}
+
+// LineageCtx is Lineage with trace attribution down through the metadata
+// query.
+func (g *Registry) LineageCtx(ctx context.Context, baseVersionID string) ([]*Instance, error) {
+	return selectAs(ctx, g.dal.Meta(), relstore.Query{
 		Table:   TableInstances,
 		Where:   []relstore.Constraint{{Field: "base_version_id", Op: relstore.OpEq, Value: relstore.String(baseVersionID)}},
 		OrderBy: "created",
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rowsToInstances(rows)
+	}, rowToInstance)
 }
 
 // --- metrics ---
@@ -586,6 +585,9 @@ func (g *Registry) InsertMetricCtx(ctx context.Context, instanceID uuid.UUID, na
 	}
 	if !ValidScope(scope) {
 		return nil, fmt.Errorf("%w: unknown scope %q", ErrBadSpec, scope)
+	}
+	if err := checkMetricValue(name, value); err != nil {
+		return nil, err
 	}
 	in, err := g.GetInstanceCtx(ctx, instanceID)
 	if err != nil {
@@ -625,9 +627,12 @@ func (g *Registry) InsertMetricsCtx(ctx context.Context, instanceID uuid.UUID, s
 	}
 	// Deterministic order so ids, timestamps and failures are reproducible.
 	names := make([]string, 0, len(values))
-	for n := range values {
+	for n, v := range values {
 		if n == "" {
 			return fmt.Errorf("%w: metric name is required", ErrBadSpec)
+		}
+		if err := checkMetricValue(n, v); err != nil {
+			return err
 		}
 		names = append(names, n)
 	}
@@ -650,10 +655,20 @@ func (g *Registry) InsertMetricsCtx(ctx context.Context, instanceID uuid.UUID, s
 	return g.dal.Meta().BatchCtx(ctx, muts)
 }
 
+// checkMetricValue rejects NaN and ±Inf. No threshold means anything for
+// them, and a search like "mape smaller_or_equal x" must not have to decide
+// whether an undefined measurement passes.
+func checkMetricValue(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: metric %q has non-finite value %v", ErrBadSpec, name, v)
+	}
+	return nil
+}
+
 // MetricSeries returns an instance's measurements of one metric in one
 // scope, oldest first.
 func (g *Registry) MetricSeries(instanceID uuid.UUID, name string, scope Scope) ([]*Metric, error) {
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	return selectAs(context.Background(), g.dal.Meta(), relstore.Query{
 		Table: TableMetrics,
 		Where: []relstore.Constraint{
 			{Field: "instance_id", Op: relstore.OpEq, Value: relstore.String(instanceID.String())},
@@ -661,31 +676,27 @@ func (g *Registry) MetricSeries(instanceID uuid.UUID, name string, scope Scope) 
 			{Field: "scope", Op: relstore.OpEq, Value: relstore.String(string(scope))},
 		},
 		OrderBy: "created",
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rowsToMetrics(rows)
+	}, rowToMetric)
 }
 
 // LatestMetrics returns the most recent value of every metric name
 // reported for an instance in a scope — the environment a rule condition
 // evaluates against.
 func (g *Registry) LatestMetrics(instanceID uuid.UUID, scope Scope) (map[string]float64, error) {
-	rows, err := g.dal.Meta().Select(relstore.Query{
+	out := make(map[string]float64)
+	_, err := g.dal.Meta().SelectFunc(context.Background(), relstore.Query{
 		Table: TableMetrics,
 		Where: []relstore.Constraint{
 			{Field: "instance_id", Op: relstore.OpEq, Value: relstore.String(instanceID.String())},
 			{Field: "scope", Op: relstore.OpEq, Value: relstore.String(string(scope))},
 		},
 		OrderBy: "created",
+	}, func(r relstore.Row) bool { // ascending by time: later rows overwrite
+		out[r["name"].Str] = r["value"].Float
+		return true
 	})
 	if err != nil {
 		return nil, err
-	}
-	out := make(map[string]float64)
-	for _, r := range rows { // ascending by time: later rows overwrite
-		out[r["name"].Str] = r["value"].Float
 	}
 	return out, nil
 }
@@ -722,6 +733,18 @@ type InstanceFilter struct {
 // SearchInstances runs a metadata/metric search and returns matching
 // instances, newest first.
 func (g *Registry) SearchInstances(f InstanceFilter) ([]*Instance, error) {
+	return g.SearchInstancesCtx(context.Background(), f)
+}
+
+// SearchInstancesCtx is SearchInstances with trace attribution: the metric
+// join and the instance query each get a relstore.select span.
+//
+// Both queries read rows in place (relstore.Store.SelectFunc): the metric
+// join keeps only the instance ids of its matches, and the instance query
+// converts only the rows it returns and stops at Limit. The limit cannot
+// be pushed into the store when the metric join filters rows afterwards,
+// so there the store's sort runs over every candidate, but copies none.
+func (g *Registry) SearchInstancesCtx(ctx context.Context, f InstanceFilter) ([]*Instance, error) {
 	var where []relstore.Constraint
 	addEq := func(field, val string) {
 		if val != "" {
@@ -756,13 +779,14 @@ func (g *Registry) SearchInstances(f InstanceFilter) ([]*Instance, error) {
 		if f.MetricScope != "" {
 			mwhere = append(mwhere, relstore.Constraint{Field: "scope", Op: relstore.OpEq, Value: relstore.String(string(f.MetricScope))})
 		}
-		mrows, err := g.dal.Meta().Select(relstore.Query{Table: TableMetrics, Where: mwhere, ForceScan: f.ForceScan})
+		allowed = make(map[string]bool)
+		_, err := g.dal.Meta().SelectFunc(ctx, relstore.Query{Table: TableMetrics, Where: mwhere, ForceScan: f.ForceScan},
+			func(r relstore.Row) bool {
+				allowed[r["instance_id"].Str] = true
+				return true
+			})
 		if err != nil {
 			return nil, err
-		}
-		allowed = make(map[string]bool, len(mrows))
-		for _, r := range mrows {
-			allowed[r["instance_id"].Str] = true
 		}
 	}
 
@@ -773,28 +797,30 @@ func (g *Registry) SearchInstances(f InstanceFilter) ([]*Instance, error) {
 		Desc:      true,
 		ForceScan: f.ForceScan,
 	}
-	// The limit can only be pushed into the store when no metric join
-	// filters rows afterwards.
 	if allowed == nil {
 		q.Limit = f.Limit
 	}
-	rows, err := g.dal.Meta().Select(q)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Instance
-	for _, r := range rows {
+	var (
+		out     []*Instance
+		convErr error
+	)
+	_, err := g.dal.Meta().SelectFunc(ctx, q, func(r relstore.Row) bool {
 		if allowed != nil && !allowed[r["id"].Str] {
-			continue
+			return true
 		}
 		in, err := rowToInstance(r)
 		if err != nil {
-			return nil, err
+			convErr = err
+			return false
 		}
 		out = append(out, in)
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
-		}
+		return f.Limit <= 0 || len(out) < f.Limit
+	})
+	if err == nil {
+		err = convErr
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -809,50 +835,26 @@ func (g *Registry) Counts() (models, instances, metrics int) {
 
 // --- conversion helpers ---
 
-func rowsToModels(rows []relstore.Row) ([]*Model, error) {
-	out := make([]*Model, 0, len(rows))
-	for _, r := range rows {
-		m, err := rowToModel(r)
+// selectAs runs q and converts each result row as the store lends it
+// (relstore.Store.SelectFunc), so the converted value is the only copy a
+// result gets. A conversion error stops the scan and is returned.
+func selectAs[T any](ctx context.Context, meta *relstore.Store, q relstore.Query, conv func(relstore.Row) (T, error)) ([]T, error) {
+	out := []T{}
+	var convErr error
+	_, err := meta.SelectFunc(ctx, q, func(r relstore.Row) bool {
+		v, err := conv(r)
 		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-func rowsToInstances(rows []relstore.Row) ([]*Instance, error) {
-	out := make([]*Instance, 0, len(rows))
-	for _, r := range rows {
-		in, err := rowToInstance(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, in)
-	}
-	return out, nil
-}
-
-func rowsToMetrics(rows []relstore.Row) ([]*Metric, error) {
-	out := make([]*Metric, 0, len(rows))
-	for _, r := range rows {
-		m, err := rowToMetric(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-func rowsToVersions(rows []relstore.Row) ([]*VersionRecord, error) {
-	out := make([]*VersionRecord, 0, len(rows))
-	for _, r := range rows {
-		v, err := rowToVersion(r)
-		if err != nil {
-			return nil, err
+			convErr = err
+			return false
 		}
 		out = append(out, v)
+		return true
+	})
+	if err == nil {
+		err = convErr
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -312,6 +313,18 @@ func TestMetricValidation(t *testing.T) {
 	}
 	if _, err := h.g.InsertMetric(uuid.New(), "mape", ScopeTraining, 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown instance err = %v", err)
+	}
+	// No threshold can judge NaN or ±Inf, so neither path stores one.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := h.g.InsertMetric(in.ID, "mape", ScopeTraining, v); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("InsertMetric(%v) err = %v", v, err)
+		}
+		if err := h.g.InsertMetrics(in.ID, ScopeTraining, map[string]float64{"bias": 0.1, "mape": v}); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("InsertMetrics(mape=%v) err = %v", v, err)
+		}
+	}
+	if got, err := h.g.LatestMetrics(in.ID, ScopeTraining); err != nil || len(got) != 0 {
+		t.Fatalf("refused metrics were stored: %v, %v", got, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,7 +19,8 @@ import (
 // range scan whose column is also the ORDER BY column), a greater-than
 // scan that must seek past a huge equal-value run, and the full-scan +
 // sort reference. Every arm cross-checks its rows against a forced full
-// scan, so a planner bug fails the experiment rather than skewing it.
+// scan, and SelectFunc's rows, order and Explain against SelectExplain's,
+// so a planner or visitor bug fails the experiment rather than skewing it.
 
 // RelQueryCase is one measured query shape.
 type RelQueryCase struct {
@@ -132,6 +134,25 @@ func RelQuery(n, iters int) (*RelQueryResult, error) {
 		rows, ex, err := s.SelectExplain(qc.q)
 		if err != nil {
 			return nil, fmt.Errorf("relquery %s: %w", qc.name, err)
+		}
+		// The visitor the registry reads through must see what the copying
+		// path returns: the same rows in the same order, the same plan.
+		var visited []string
+		vex, err := s.SelectFunc(context.Background(), qc.q, func(r relstore.Row) bool {
+			visited = append(visited, r["id"].Str)
+			return true
+		})
+		if err != nil {
+			return nil, fmt.Errorf("relquery %s: %w", qc.name, err)
+		}
+		if vex != ex || len(visited) != len(rows) {
+			return nil, fmt.Errorf("relquery %s: SelectFunc saw %d rows %+v, SelectExplain returned %d %+v",
+				qc.name, len(visited), vex, len(rows), ex)
+		}
+		for i, id := range visited {
+			if id != rows[i]["id"].Str {
+				return nil, fmt.Errorf("relquery %s: SelectFunc row %d is %s, SelectExplain's %s", qc.name, i, id, rows[i]["id"].Str)
+			}
 		}
 		// Cross-check against a forced full scan: with an ORDER BY the row
 		// ids must match in order; without one the result order is

@@ -3,8 +3,9 @@ package relstore
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"gallery/internal/btree"
 	"gallery/internal/obs/trace"
@@ -183,16 +184,56 @@ func (c Constraint) indexable() (rank int, ok bool) {
 
 // Select runs a query and returns row copies.
 func (s *Store) Select(q Query) ([]Row, error) {
-	rows, _, err := s.SelectExplain(q)
+	rows, _, err := s.selectCopies(context.Background(), q)
 	return rows, err
 }
 
-// SelectCtx is Select with trace attribution: a per-table query span
-// annotated with how the query executed (index vs scan) and the rows it
-// returned.
+// SelectCtx is Select with trace attribution (see SelectFunc).
 func (s *Store) SelectCtx(ctx context.Context, q Query) ([]Row, error) {
+	rows, _, err := s.selectCopies(ctx, q)
+	return rows, err
+}
+
+// SelectExplain runs a query and also reports how it executed.
+func (s *Store) SelectExplain(q Query) ([]Row, Explain, error) {
+	return s.selectCopies(context.Background(), q)
+}
+
+// selectCopies is SelectFunc collecting a deep copy of every row: the
+// copying half of the store's copy-or-visit read contract.
+func (s *Store) selectCopies(ctx context.Context, q Query) ([]Row, Explain, error) {
+	out := []Row{}
+	ex, err := s.SelectFunc(ctx, q, func(r Row) bool {
+		out = append(out, r.Clone())
+		return true
+	})
+	if err != nil {
+		return nil, ex, err
+	}
+	return out, ex, nil
+}
+
+// SelectFunc runs a query and calls fn with each result row, in result
+// order, until the rows run out or fn returns false. Select, SelectCtx and
+// SelectExplain are SelectFunc copying each row, so the plan, the order and
+// the Explain are the same whichever a caller uses; the Explain counts what
+// the scan examined before it ended, so stopping early makes the counts
+// smaller. A negative Offset counts as zero and a Limit ≤ 0 as no limit.
+//
+// fn is lent the stored row itself, under the store's read lock. It must
+// not keep the row (the map) past the call, must not modify it, and must
+// not block. It must not call back into the store either: a second read
+// lock queued behind a waiting writer deadlocks. Values copied out of the
+// row, strings included, are the caller's to keep — strings are immutable.
+// Use it where rows become something else straight away; Select where the
+// caller keeps or edits rows.
+//
+// With a sampled ctx the query gets a relstore.select span annotated with
+// the table, the index that drove it, the order (streamed or sorted), the
+// rows scanned and the rows passed to fn.
+func (s *Store) SelectFunc(ctx context.Context, q Query, fn func(Row) bool) (Explain, error) {
 	_, span := trace.Start(ctx, "relstore.select")
-	rows, ex, err := s.SelectExplain(q)
+	ex, rows, err := s.selectFunc(q, fn)
 	if span != nil {
 		span.Annotate("table", q.Table)
 		span.Annotate("index", ex.Index)
@@ -202,20 +243,30 @@ func (s *Store) SelectCtx(ctx context.Context, q Query) ([]Row, error) {
 			span.Annotate("order", "sorted")
 		}
 		span.AnnotateInt("scanned", int64(ex.Scanned))
-		span.AnnotateInt("rows", int64(len(rows)))
+		span.AnnotateInt("rows", int64(rows))
 	}
 	span.EndErr(err)
-	return rows, err
+	return ex, err
 }
 
-// SelectExplain runs a query and also reports how it executed.
-func (s *Store) SelectExplain(q Query) ([]Row, Explain, error) {
+// maxKeptMatchBuf bounds the match buffers matchBufs keeps, so one huge
+// sorted query does not pin its size for good.
+const maxKeptMatchBuf = 16 << 10
+
+// matchBufs recycles the buffer in which a sorted query gathers its
+// matches, so what a sorted select allocates follows the rows it returns,
+// not the rows it matched.
+var matchBufs = sync.Pool{New: func() any { return new([]Row) }}
+
+// selectFunc plans and runs q, passing result rows to fn, and reports how
+// many it passed.
+func (s *Store) selectFunc(q Query, fn func(Row) bool) (Explain, int, error) {
 	s.countOp("select", q.Table)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t, ok := s.tables[q.Table]
 	if !ok {
-		return nil, Explain{}, fmt.Errorf("%w: %s", ErrNoTable, q.Table)
+		return Explain{}, 0, fmt.Errorf("%w: %s", ErrNoTable, q.Table)
 	}
 	var ex Explain
 	driver := -1 // index into q.Where of the constraint driving an index scan
@@ -277,21 +328,40 @@ func (s *Store) SelectExplain(q Query) ([]Row, Explain, error) {
 		streamed = true // full scan in primary-key order (either direction)
 	}
 
-	var matched []Row
-	visit := func(row Row) bool {
-		ex.Scanned++
-		for _, c := range q.Where {
-			if !c.matches(row) {
+	// A streamed scan hands rows to fn as it meets them, skipping the
+	// first Offset matches and stopping after Limit more; only there is
+	// stopping early safe, because scan order is result order. Any other
+	// scan gathers its matches for the sort below.
+	emitted := 0
+	var (
+		matchBuf *[]Row
+		matched  []Row
+		visit    func(Row) bool
+	)
+	if streamed {
+		visit = func(row Row) bool {
+			ex.Scanned++
+			if !matchesAll(q.Where, row) {
 				return true
 			}
+			ex.Matched++
+			if ex.Matched <= q.Offset {
+				return true
+			}
+			emitted++
+			return fn(row) && (q.Limit <= 0 || emitted < q.Limit)
 		}
-		ex.Matched++
-		matched = append(matched, row)
-		// Early termination: only safe when scan order is result order.
-		if streamed && q.Limit > 0 && len(matched) >= q.Offset+q.Limit {
-			return false
+	} else {
+		matchBuf = matchBufs.Get().(*[]Row)
+		matched = (*matchBuf)[:0]
+		visit = func(row Row) bool {
+			ex.Scanned++
+			if matchesAll(q.Where, row) {
+				ex.Matched++
+				matched = append(matched, row)
+			}
+			return true
 		}
-		return true
 	}
 
 	switch {
@@ -320,37 +390,48 @@ func (s *Store) SelectExplain(q Query) ([]Row, Explain, error) {
 		t.scanAll(q.Desc && q.OrderBy == "", visit)
 	}
 
-	// Order, then page (skipped when the scan already streamed rows in
-	// result order). Tie-break note: a streamed descending scan yields
-	// (value desc, pk desc) within equal values, while the sort path's
-	// stable sort preserves scan order; order among equal ORDER BY values
-	// is unspecified either way.
-	if q.OrderBy != "" && !streamed {
-		col := q.OrderBy
-		sort.SliceStable(matched, func(i, j int) bool {
-			c := Compare(matched[i][col], matched[j][col])
-			if q.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(matched) {
-			matched = nil
-		} else {
-			matched = matched[q.Offset:]
-		}
-	}
-	if q.Limit > 0 && len(matched) > q.Limit {
-		matched = matched[:q.Limit]
+	if streamed {
+		return ex, emitted, nil
 	}
 
-	out := make([]Row, len(matched))
-	for i, r := range matched {
-		out[i] = r.Clone()
+	// Order, then page. Only scans that did not stream get here, and every
+	// one of them has an ORDER BY. Tie-break note: a streamed descending
+	// scan yields (value desc, pk desc) within equal values, while this
+	// stable sort preserves scan order; order among equal ORDER BY values
+	// is unspecified either way.
+	col := q.OrderBy
+	slices.SortStableFunc(matched, func(a, b Row) int {
+		if q.Desc {
+			return Compare(b[col], a[col])
+		}
+		return Compare(a[col], b[col])
+	})
+	page := matched[min(max(q.Offset, 0), len(matched)):]
+	if q.Limit > 0 && len(page) > q.Limit {
+		page = page[:q.Limit]
 	}
-	return out, ex, nil
+	for _, r := range page {
+		emitted++
+		if !fn(r) {
+			break
+		}
+	}
+	if cap(matched) <= maxKeptMatchBuf {
+		clear(matched) // the pool must not keep deleted rows alive
+		*matchBuf = matched[:0]
+		matchBufs.Put(matchBuf)
+	}
+	return ex, emitted, nil
+}
+
+// matchesAll reports whether row satisfies every constraint.
+func matchesAll(where []Constraint, row Row) bool {
+	for _, c := range where {
+		if !c.matches(row) {
+			return false
+		}
+	}
+	return true
 }
 
 // scanAll visits every row in primary-key order (descending when desc).

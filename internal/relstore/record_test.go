@@ -28,10 +28,9 @@ func gobRecord(t testing.TB, op walOp) []byte {
 }
 
 // wideSchema has a nullable column of every kind, so any cell can be null,
-// missing or at an edge of its type. The float column is not indexed: its
-// edges include NaN, which Compare calls equal to every number, so an index
-// over it loses postings — a fault of the index order, not of the log, that
-// dump's posting count would otherwise trip over.
+// missing or at an edge of its type — NaN and the infinities included — and
+// an index on every column but the bool, so dump's posting count checks
+// that the index order stays total over those edges.
 func wideSchema() Schema {
 	return Schema{
 		Table: "wide",
@@ -44,7 +43,7 @@ func wideSchema() Schema {
 			{Name: "t", Kind: KindTime, Nullable: true},
 		},
 		Key:     "id",
-		Indexes: []string{"s", "i", "t"},
+		Indexes: []string{"s", "i", "f", "t"},
 	}
 }
 

@@ -6,9 +6,11 @@
 // role: typed tables with a string primary key, secondary B-tree indexes,
 // constraint-based queries with ordering and limits, atomic multi-row
 // batches, and write-ahead-log durability with crash recovery. Reads run
-// under a shared lock and return deep copies, so callers always observe a
-// consistent snapshot and can never mutate store internals — the property
-// that underpins Gallery's model immutability.
+// under a shared lock and either return deep copies (Get, Select) or lend
+// each stored row to a visitor for the length of one call (SelectFunc), so
+// callers always observe a consistent snapshot and never hold a reference
+// to store internals — the property that underpins Gallery's model
+// immutability.
 package relstore
 
 import (
@@ -93,18 +95,12 @@ func (v Value) numeric() (float64, bool) {
 // v > w. Int and float compare numerically against each other so metric
 // thresholds behave as users expect. Values of genuinely different kinds
 // order by kind, which keeps indexes totally ordered even if a column is
-// misused.
+// misused. The order is total over floats too: NaN equals NaN and sorts
+// above every other number, +Inf included, as in PostgreSQL.
 func Compare(v, w Value) int {
 	if vf, ok := v.numeric(); ok {
 		if wf, ok := w.numeric(); ok {
-			switch {
-			case vf < wf:
-				return -1
-			case vf > wf:
-				return 1
-			default:
-				return 0
-			}
+			return compareFloat(vf, wf)
 		}
 	}
 	if v.Kind != w.Kind {
@@ -135,6 +131,28 @@ func Compare(v, w Value) int {
 		}
 	default:
 		return 0
+	}
+}
+
+// compareFloat is the float order Compare uses. Without the NaN cases a
+// NaN would compare equal to every number, and a B-tree over a column
+// holding one would lose postings on update and delete.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	switch aNaN, bNaN := a != a, b != b; {
+	case aNaN && bNaN:
+		return 0
+	case aNaN:
+		return 1
+	default:
+		return -1
 	}
 }
 

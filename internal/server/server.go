@@ -1075,7 +1075,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	ins, err := s.reg.SearchInstances(filter)
+	ins, err := s.reg.SearchInstancesCtx(r.Context(), filter)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -1085,7 +1085,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) {
 	base := r.PathValue("base")
-	ins, err := s.reg.Lineage(base)
+	ins, err := s.reg.LineageCtx(r.Context(), base)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -1214,9 +1214,16 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 }
 
 // FilterFromSearch translates the wire constraint list (paper Listing 5
-// shape) into a core.InstanceFilter.
+// shape) into a core.InstanceFilter. A request it cannot honour exactly is
+// refused with core.ErrBadSpec rather than answered with something else:
+// a metricValue or metricScope without a metricName (or a metricName
+// without a metricValue), a string operator on metricValue, a negative
+// limit.
 func FilterFromSearch(req api.SearchRequest) (core.InstanceFilter, error) {
 	f := core.InstanceFilter{IncludeDeprecated: req.IncludeDeprecated, Limit: req.Limit}
+	if req.Limit < 0 {
+		return f, fmt.Errorf("%w: negative limit %d", core.ErrBadSpec, req.Limit)
+	}
 	for _, c := range req.Constraints {
 		op, err := relstore.ParseOp(c.Operator)
 		if err != nil {
@@ -1244,6 +1251,10 @@ func FilterFromSearch(req api.SearchRequest) (core.InstanceFilter, error) {
 		case "metricScope":
 			f.MetricScope = core.Scope(c.Value)
 		case "metricValue":
+			switch op {
+			case relstore.OpPrefix, relstore.OpContains, relstore.OpIn:
+				return f, fmt.Errorf("%w: metricValue does not support operator %s", core.ErrBadSpec, op)
+			}
 			f.MetricOp = op
 			f.MetricValue = c.Number
 		default:
@@ -1257,6 +1268,9 @@ func FilterFromSearch(req api.SearchRequest) (core.InstanceFilter, error) {
 	}
 	if f.MetricName != "" && f.MetricOp == 0 {
 		return f, fmt.Errorf("%w: metricName constraint needs a metricValue constraint", core.ErrBadSpec)
+	}
+	if f.MetricName == "" && (f.MetricOp != 0 || f.MetricScope != "") {
+		return f, fmt.Errorf("%w: metricValue and metricScope constraints need a metricName constraint", core.ErrBadSpec)
 	}
 	return f, nil
 }

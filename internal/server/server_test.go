@@ -459,6 +459,53 @@ func TestSearchValidation(t *testing.T) {
 	}
 }
 
+// TestSearchRefusesMisreadRequests: search requests the filter cannot
+// honour exactly are refused with 400, not answered with the unfiltered
+// result set (a dangling metricValue or metricScope), an empty one (a
+// string operator on a float) or an unlimited one (a negative limit).
+func TestSearchRefusesMisreadRequests(t *testing.T) {
+	h := newHarness(t)
+	m := h.registerModel(t, "demand", "UberX")
+	in := h.upload(t, m.ID, "sf", []byte("x"))
+	if _, err := h.c.InsertMetric(in.ID, "mape", string(core.ScopeValidation), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	city := api.SearchConstraint{Field: "city", Operator: "equal", Value: "sf"}
+	name := api.SearchConstraint{Field: "metricName", Operator: "equal", Value: "mape"}
+	for _, tc := range []struct {
+		name string
+		req  api.SearchRequest
+	}{
+		{"metricValue without metricName", api.SearchRequest{Constraints: []api.SearchConstraint{
+			city, {Field: "metricValue", Operator: "smaller_than", Number: 0.1}}}},
+		{"metricScope without metricName", api.SearchRequest{Constraints: []api.SearchConstraint{
+			city, {Field: "metricScope", Operator: "equal", Value: "validation"}}}},
+		{"metricValue prefix", api.SearchRequest{Constraints: []api.SearchConstraint{
+			city, name, {Field: "metricValue", Operator: "prefix", Number: 0.5}}}},
+		{"metricValue contains", api.SearchRequest{Constraints: []api.SearchConstraint{
+			city, name, {Field: "metricValue", Operator: "contains", Number: 0.5}}}},
+		{"metricValue in", api.SearchRequest{Constraints: []api.SearchConstraint{
+			city, name, {Field: "metricValue", Operator: "in", Number: 0.5}}}},
+		{"negative limit", api.SearchRequest{Constraints: []api.SearchConstraint{city}, Limit: -1}},
+	} {
+		got, err := h.c.Search(tc.req)
+		if ae, ok := err.(*client.APIError); !ok || ae.Status != 400 {
+			t.Errorf("%s: got %d results, err %v; want a 400", tc.name, len(got), err)
+		}
+	}
+	// The well-formed neighbours still answer.
+	for _, req := range []api.SearchRequest{
+		{Constraints: []api.SearchConstraint{city, name, {Field: "metricValue", Operator: "equal", Number: 0.5}}},
+		{Constraints: []api.SearchConstraint{city, name, {Field: "metricValue", Operator: "not_equal", Number: 0.1}}},
+		{Constraints: []api.SearchConstraint{city}, Limit: 0},
+	} {
+		got, err := h.c.Search(req)
+		if err != nil || len(got) != 1 || got[0].ID != in.ID {
+			t.Errorf("search %+v = %v, %v; want the one instance", req, got, err)
+		}
+	}
+}
+
 func TestDeprecateInstanceOverHTTP(t *testing.T) {
 	h := newHarness(t)
 	m := h.registerModel(t, "demand", "UberX")

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"gallery/internal/blobstore"
@@ -126,6 +127,47 @@ func TestTraceparentThroughHTTPStack(t *testing.T) {
 	}
 	if len(list) == 0 {
 		t.Fatal("DebugTraces returned an empty body")
+	}
+}
+
+// TestSearchTraceReachesTheStore: a sampled search is attributed down to
+// the metadata query that answered it — the relstore.select span names
+// the index that drove the scan.
+func TestSearchTraceReachesTheStore(t *testing.T) {
+	tr := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Always()})
+	h := newTracedHarness(t, tr)
+	m := h.registerModel(t, "Traced Model", "demand")
+	h.upload(t, m.ID, "san_francisco", []byte("serialized-model-bytes"))
+
+	const callerTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
+	body := `{"constraints":[{"field":"city","operator":"equal","value":"san_francisco"}]}`
+	req, err := http.NewRequest(http.MethodPost, h.ts.URL+"/v1/search", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("traceparent", "00-"+callerTrace+"-00f067aa0ba902b7-01")
+	resp, err := h.ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search: status %d", resp.StatusCode)
+	}
+	d, ok := tr.Store().Get(callerTrace)
+	if !ok {
+		t.Fatalf("no trace recorded under %s", callerTrace)
+	}
+	sel, ok := collectNodes(d.Roots)["relstore.select"]
+	if !ok {
+		t.Fatalf("relstore.select missing from the search trace; have %v", spanNames(collectNodes(d.Roots)))
+	}
+	attrs := map[string]string{}
+	for _, a := range sel.Span.Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["table"] != core.TableInstances || attrs["index"] != "city" || attrs["rows"] != "1" {
+		t.Fatalf("relstore.select attrs = %v, want table=instances index=city rows=1", attrs)
 	}
 }
 
