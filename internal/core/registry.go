@@ -668,7 +668,14 @@ func checkMetricValue(name string, v float64) error {
 // MetricSeries returns an instance's measurements of one metric in one
 // scope, oldest first.
 func (g *Registry) MetricSeries(instanceID uuid.UUID, name string, scope Scope) ([]*Metric, error) {
-	return selectAs(context.Background(), g.dal.Meta(), relstore.Query{
+	return selectAs(context.Background(), g.dal.Meta(), metricSeriesQuery(instanceID, name, scope), rowToMetric)
+}
+
+// metricSeriesQuery is MetricSeries' query. It pins the instance, and the
+// metric name on its own: name equality is also the prefix of the
+// (name, value) index, which the planner must not prefer to instance_id.
+func metricSeriesQuery(instanceID uuid.UUID, name string, scope Scope) relstore.Query {
+	return relstore.Query{
 		Table: TableMetrics,
 		Where: []relstore.Constraint{
 			{Field: "instance_id", Op: relstore.OpEq, Value: relstore.String(instanceID.String())},
@@ -676,7 +683,7 @@ func (g *Registry) MetricSeries(instanceID uuid.UUID, name string, scope Scope) 
 			{Field: "scope", Op: relstore.OpEq, Value: relstore.String(string(scope))},
 		},
 		OrderBy: "created",
-	}, rowToMetric)
+	}
 }
 
 // LatestMetrics returns the most recent value of every metric name
@@ -684,14 +691,7 @@ func (g *Registry) MetricSeries(instanceID uuid.UUID, name string, scope Scope) 
 // evaluates against.
 func (g *Registry) LatestMetrics(instanceID uuid.UUID, scope Scope) (map[string]float64, error) {
 	out := make(map[string]float64)
-	_, err := g.dal.Meta().SelectFunc(context.Background(), relstore.Query{
-		Table: TableMetrics,
-		Where: []relstore.Constraint{
-			{Field: "instance_id", Op: relstore.OpEq, Value: relstore.String(instanceID.String())},
-			{Field: "scope", Op: relstore.OpEq, Value: relstore.String(string(scope))},
-		},
-		OrderBy: "created",
-	}, func(r relstore.Row) bool { // ascending by time: later rows overwrite
+	_, err := g.dal.Meta().SelectFunc(context.Background(), latestMetricsQuery(instanceID, scope), func(r relstore.Row) bool { // ascending by time: later rows overwrite
 		out[r["name"].Str] = r["value"].Float
 		return true
 	})
@@ -699,6 +699,19 @@ func (g *Registry) LatestMetrics(instanceID uuid.UUID, scope Scope) (map[string]
 		return nil, err
 	}
 	return out, nil
+}
+
+// latestMetricsQuery is LatestMetrics' query: an instance's metrics in a
+// scope, oldest first.
+func latestMetricsQuery(instanceID uuid.UUID, scope Scope) relstore.Query {
+	return relstore.Query{
+		Table: TableMetrics,
+		Where: []relstore.Constraint{
+			{Field: "instance_id", Op: relstore.OpEq, Value: relstore.String(instanceID.String())},
+			{Field: "scope", Op: relstore.OpEq, Value: relstore.String(string(scope))},
+		},
+		OrderBy: "created",
+	}
 }
 
 // --- search ---
@@ -741,9 +754,12 @@ func (g *Registry) SearchInstances(f InstanceFilter) ([]*Instance, error) {
 //
 // Both queries read rows in place (relstore.Store.SelectFunc): the metric
 // join keeps only the instance ids of its matches, and the instance query
-// converts only the rows it returns and stops at Limit. The limit cannot
-// be pushed into the store when the metric join filters rows afterwards,
-// so there the store's sort runs over every candidate, but copies none.
+// converts only the rows it returns and stops at Limit. The metric
+// condition is one range seek on the (name, value) index. The limit
+// cannot be pushed into the store when the metric join filters rows
+// afterwards; with a city the (city, created) index still streams the
+// city's instances newest first, so the scan stops once Limit of them
+// have passed the join.
 func (g *Registry) SearchInstancesCtx(ctx context.Context, f InstanceFilter) ([]*Instance, error) {
 	var where []relstore.Constraint
 	addEq := func(field, val string) {

@@ -299,6 +299,13 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if training["mape"] != 8.2 || training["r2"] != 0.91 {
 		t.Fatalf("training metrics = %v", training)
 	}
+	// Both read through instance_id: the name equality MetricSeries adds is
+	// also the (name, value) index's prefix, which must not win the tie.
+	for _, q := range []relstore.Query{metricSeriesQuery(in.ID, "bias", ScopeValidation), latestMetricsQuery(in.ID, ScopeValidation)} {
+		if _, ex, err := h.g.dal.Meta().SelectExplain(q); err != nil || ex.Index != "instance_id" {
+			t.Fatalf("%+v planned on %q (err %v), want instance_id", q.Where, ex.Index, err)
+		}
+	}
 }
 
 func TestMetricValidation(t *testing.T) {

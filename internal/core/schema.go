@@ -19,7 +19,7 @@ const (
 
 // Schemas returns the full Gallery metadata schema set. The registry
 // declares them at startup; CreateTable is idempotent over recovered
-// stores.
+// stores, and applies a change of indexes alone to them in place.
 func Schemas() []relstore.Schema {
 	return []relstore.Schema{
 		{
@@ -64,8 +64,10 @@ func Schemas() []relstore.Schema {
 				{Name: "created", Kind: relstore.KindTime},
 				{Name: "deprecated", Kind: relstore.KindBool},
 			},
-			Key:     "id",
-			Indexes: []string{"model_id", "base_version_id", "project", "name", "city", "created"},
+			Key: "id",
+			// (city, created) answers "this city's instances, newest
+			// first" by streaming, and city equality alone as a prefix.
+			Indexes: []string{"model_id", "base_version_id", "project", "name", "city,created", "created"},
 		},
 		{
 			Table: TableMetrics,
@@ -78,8 +80,10 @@ func Schemas() []relstore.Schema {
 				{Name: "value", Kind: relstore.KindFloat},
 				{Name: "created", Kind: relstore.KindTime},
 			},
-			Key:     "id",
-			Indexes: []string{"instance_id", "model_id", "name", "created"},
+			Key: "id",
+			// (name, value) makes a search's metric condition one range
+			// seek; name equality alone is its prefix.
+			Indexes: []string{"instance_id", "model_id", "name,value", "created"},
 		},
 		{
 			Table: TableVersions,

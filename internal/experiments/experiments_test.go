@@ -416,8 +416,11 @@ func TestRelQueryPlannerPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cases) != 5 {
+	if len(res.Cases) != 6 {
 		t.Fatalf("%d cases", len(res.Cases))
+	}
+	if c := res.Case(compositeCase); c == nil || !c.Ordered || c.Rows != 5 || c.Scanned > 2*c.Candidates {
+		t.Errorf("%s = %+v, want 5 rows streamed, scanning at most twice the candidates", compositeCase, c)
 	}
 	stream := res.Case("newest_after_cutoff_desc")
 	if stream == nil || stream.Rows != 50 {

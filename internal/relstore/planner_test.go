@@ -288,6 +288,8 @@ func TestNeExcludesNullRows(t *testing.T) {
 	}
 }
 
+// TestPrefixSuccessor pins successor, the upper bound of every key range
+// the planner seeks: the smallest key above all keys with a byte prefix.
 func TestPrefixSuccessor(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -296,12 +298,13 @@ func TestPrefixSuccessor(t *testing.T) {
 	}{
 		{"sf", "sg", true},
 		{"a\xff", "b", true},
+		{"s\x00\xff", "s\x01", true}, // an escaped 0x00 ends in 0xff too
 		{"\xff\xff", "", false},
 		{"", "", false},
 	} {
-		got, ok := prefixSuccessor(tc.in)
+		got, ok := successor([]byte(tc.in))
 		if got != tc.want || ok != tc.ok {
-			t.Fatalf("prefixSuccessor(%q) = %q,%v want %q,%v", tc.in, got, ok, tc.want, tc.ok)
+			t.Fatalf("successor(%q) = %q,%v want %q,%v", tc.in, got, ok, tc.want, tc.ok)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"gallery/internal/btree"
 	"gallery/internal/obs/trace"
 )
 
@@ -105,15 +104,16 @@ type Query struct {
 
 // Explain reports how a query executed.
 type Explain struct {
-	// Index is the column whose secondary index drove the scan, or ""
-	// for a full table scan.
+	// Index is the name of the secondary index that drove the scan, as
+	// Schema.Indexes declares it ("city", "city,created"), or "" for a
+	// full table scan.
 	Index string
 	// Ordered reports that the scan streamed rows already in the
-	// requested ORDER BY order — either the ORDER BY column's own index
-	// drove the scan, or the driving constraint shares its column with
-	// ORDER BY — so no sort ran and Limit could stop the scan early.
-	// Always false when the query has no ORDER BY (result order is then
-	// scan order, and no sort would have run anyway).
+	// requested ORDER BY order — within the index's range the ORDER BY
+	// column is the first one no equality pins — so no sort ran and Limit
+	// could stop the scan early. Always false when the query has no ORDER
+	// BY (result order is then scan order, and no sort would have run
+	// anyway).
 	Ordered bool
 	// Scanned counts rows (or index postings) examined.
 	Scanned int
@@ -164,21 +164,6 @@ func (c Constraint) matches(row Row) bool {
 		return false
 	default:
 		return false
-	}
-}
-
-// indexable reports whether the constraint can seed an index scan and how
-// selective it is likely to be (lower is better).
-func (c Constraint) indexable() (rank int, ok bool) {
-	switch c.Op {
-	case OpEq:
-		return 0, true
-	case OpPrefix:
-		return 1, true
-	case OpGe, OpGt, OpLe, OpLt:
-		return 2, true
-	default:
-		return 0, false
 	}
 }
 
@@ -269,76 +254,27 @@ func (s *Store) selectFunc(q Query, fn func(Row) bool) (Explain, int, error) {
 		return Explain{}, 0, fmt.Errorf("%w: %s", ErrNoTable, q.Table)
 	}
 	var ex Explain
-	driver := -1 // index into q.Where of the constraint driving an index scan
+	// Without an index, a full scan in primary-key order (either
+	// direction) streams when the query has no ORDER BY.
+	p := plan{streamed: q.OrderBy == ""}
 	if !q.ForceScan {
-		bestRank := 99
-		for i, c := range q.Where {
-			rank, can := c.indexable()
-			if !can {
-				continue
-			}
-			if _, hasIdx := t.indexes[c.Field]; !hasIdx {
-				continue
-			}
-			// Lower rank wins; on a rank tie prefer the constraint whose
-			// column is also the ORDER BY column, since that scan streams
-			// results in order and skips the sort entirely.
-			if rank < bestRank ||
-				(rank == bestRank && driver >= 0 &&
-					c.Field == q.OrderBy && q.Where[driver].Field != q.OrderBy) {
-				bestRank, driver = rank, i
-			}
-		}
+		p = t.plan(q)
 	}
 
-	// streamed reports that the scan will emit rows already in result
-	// order, which makes the post-scan sort redundant and lets Limit stop
-	// the scan early. Three scans qualify:
-	//
-	//   - an index-driven scan whose constraint column is the ORDER BY
-	//     column (index order IS the requested order; descending requests
-	//     walk the index downward),
-	//   - an index-driven scan with no ORDER BY (result order is defined
-	//     as scan order),
-	//   - the ordered-index path below, and full scans with no ORDER BY
-	//     (primary-key order, walked in either direction).
-	//
-	// This is what keeps "newest instances first" queries fast at the
-	// paper's million-instance scale: the registry's dominant search shape
-	// (filter + ORDER BY created DESC LIMIT n) touches n postings, not
-	// every match.
-	streamed := driver >= 0 && (q.OrderBy == "" || q.OrderBy == q.Where[driver].Field)
-
-	// Ordered-index path: when no constraint drives the scan but the
-	// ORDER BY column has an index over a non-nullable column, stream the
-	// index in order. (Nullable columns are skipped: their null rows are
-	// absent from the index, so it cannot supply the full result set.
-	// The driver path above has no such concern — range and equality
-	// constraints exclude nulls anyway.)
-	ordered := false
-	if driver < 0 && !q.ForceScan && q.OrderBy != "" {
-		if _, hasIdx := t.indexes[q.OrderBy]; hasIdx {
-			if col, ok := t.schema.col(q.OrderBy); ok && !col.Nullable {
-				ordered = true
-				streamed = true
-			}
-		}
-	}
-	if driver < 0 && !ordered && q.OrderBy == "" {
-		streamed = true // full scan in primary-key order (either direction)
-	}
-
-	// A streamed scan hands rows to fn as it meets them, skipping the
-	// first Offset matches and stopping after Limit more; only there is
-	// stopping early safe, because scan order is result order. Any other
-	// scan gathers its matches for the sort below.
+	// A streamed scan emits rows already in result order, so it hands rows
+	// to fn as it meets them, skipping the first Offset matches and
+	// stopping after Limit more. This is what keeps "newest instances of a
+	// city first" fast at the paper's million-instance scale: with a
+	// (city, created) index that search touches Limit postings, not every
+	// instance of the city. Any other scan gathers its matches for the
+	// sort below.
 	emitted := 0
 	var (
 		matchBuf *[]Row
 		matched  []Row
 		visit    func(Row) bool
 	)
-	if streamed {
+	if p.streamed {
 		visit = func(row Row) bool {
 			ex.Scanned++
 			if !matchesAll(q.Where, row) {
@@ -364,33 +300,15 @@ func (s *Store) selectFunc(q Query, fn func(Row) bool) (Explain, int, error) {
 		}
 	}
 
-	switch {
-	case driver >= 0:
-		c := q.Where[driver]
-		ex.Index = c.Field
-		ex.Ordered = streamed && q.OrderBy != ""
-		if streamed && q.Desc {
-			t.scanIndexDesc(c, visit)
-		} else {
-			t.scanIndex(c, visit)
-		}
-	case ordered:
-		ex.Index = q.OrderBy
-		ex.Ordered = true
-		idx := t.indexes[q.OrderBy]
-		emit := func(it btree.Item) bool {
-			return visit(t.rows[it.(indexEntry).pk])
-		}
-		if q.Desc {
-			idx.Descend(emit)
-		} else {
-			idx.Ascend(emit)
-		}
-	default:
+	if p.idx != nil {
+		ex.Index = p.idx.name
+		t.scanIndex(p, p.streamed && q.Desc, visit)
+	} else {
 		t.scanAll(q.Desc && q.OrderBy == "", visit)
 	}
+	ex.Ordered = p.streamed && q.OrderBy != ""
 
-	if streamed {
+	if p.streamed {
 		return ex, emitted, nil
 	}
 
@@ -432,126 +350,4 @@ func matchesAll(where []Constraint, row Row) bool {
 		}
 	}
 	return true
-}
-
-// scanAll visits every row in primary-key order (descending when desc).
-func (t *table) scanAll(desc bool, visit func(Row) bool) {
-	emit := func(it btree.Item) bool {
-		return visit(t.rows[string(it.(pkItem))])
-	}
-	if desc {
-		t.pks.Descend(emit)
-	} else {
-		t.pks.Ascend(emit)
-	}
-}
-
-// Index-scan bounds use two sentinels around a value's posting run:
-// {v, pk: ""} sorts before every real {v, pk} posting (primary keys are
-// non-empty) and {v, max: true} sorts after them all. Both let the scan
-// seek directly to a run boundary instead of filtering through it — on
-// OpGt in particular, the scan lands past the equal-value run in
-// O(log n) no matter how many rows share the boundary value.
-
-// scanIndex visits rows via the secondary index on c.Field, bounded by
-// c, in ascending (value, pk) order.
-func (t *table) scanIndex(c Constraint, visit func(Row) bool) {
-	idx := t.indexes[c.Field]
-	emit := func(it btree.Item) bool {
-		return visit(t.rows[it.(indexEntry).pk])
-	}
-	switch c.Op {
-	case OpEq:
-		idx.AscendRange(indexEntry{v: c.Value}, indexEntry{v: c.Value, max: true}, emit)
-	case OpPrefix:
-		idx.AscendGreaterOrEqual(indexEntry{v: c.Value}, func(it btree.Item) bool {
-			e := it.(indexEntry)
-			if e.v.Kind != KindString || !strings.HasPrefix(e.v.Str, c.Value.Str) {
-				return false
-			}
-			return visit(t.rows[e.pk])
-		})
-	case OpGe:
-		idx.AscendGreaterOrEqual(indexEntry{v: c.Value}, emit)
-	case OpGt:
-		idx.AscendGreaterOrEqual(indexEntry{v: c.Value, max: true}, emit)
-	case OpLe:
-		idx.AscendRange(nil, indexEntry{v: c.Value, max: true}, emit)
-	case OpLt:
-		idx.AscendRange(nil, indexEntry{v: c.Value}, emit)
-	}
-}
-
-// scanIndexDesc is scanIndex walking the index downward, so descending
-// ORDER BY requests on the constraint column stream without a sort.
-func (t *table) scanIndexDesc(c Constraint, visit func(Row) bool) {
-	idx := t.indexes[c.Field]
-	emit := func(it btree.Item) bool {
-		return visit(t.rows[it.(indexEntry).pk])
-	}
-	switch c.Op {
-	case OpEq:
-		idx.DescendLessOrEqual(indexEntry{v: c.Value, max: true}, func(it btree.Item) bool {
-			e := it.(indexEntry)
-			if !Equal(e.v, c.Value) {
-				return false
-			}
-			return visit(t.rows[e.pk])
-		})
-	case OpPrefix:
-		t.descendPrefix(idx, c, visit)
-	case OpGe, OpGt:
-		idx.Descend(func(it btree.Item) bool {
-			e := it.(indexEntry)
-			cmp := Compare(e.v, c.Value)
-			if cmp < 0 || (cmp == 0 && c.Op == OpGt) {
-				return false
-			}
-			return visit(t.rows[e.pk])
-		})
-	case OpLe:
-		idx.DescendLessOrEqual(indexEntry{v: c.Value, max: true}, emit)
-	case OpLt:
-		idx.DescendLessOrEqual(indexEntry{v: c.Value}, emit)
-	}
-}
-
-// descendPrefix walks prefix matches downward, seeking to the prefix's
-// upper bound first when one exists.
-func (t *table) descendPrefix(idx *btree.Tree, c Constraint, visit func(Row) bool) {
-	stop := func(it btree.Item) bool {
-		e := it.(indexEntry)
-		if e.v.Kind != KindString || !strings.HasPrefix(e.v.Str, c.Value.Str) {
-			return false
-		}
-		return visit(t.rows[e.pk])
-	}
-	if succ, ok := prefixSuccessor(c.Value.Str); ok {
-		idx.DescendLessOrEqual(indexEntry{v: String(succ)}, stop)
-		return
-	}
-	// Prefix is all 0xff bytes: no string upper bound exists. Walk from
-	// the top, skipping non-string postings (every other kind sorts above
-	// strings), then stop at the first string without the prefix.
-	idx.Descend(func(it btree.Item) bool {
-		e := it.(indexEntry)
-		if e.v.Kind != KindString {
-			return true
-		}
-		return stop(it)
-	})
-}
-
-// prefixSuccessor returns the smallest string greater than every string
-// with the given prefix, by incrementing the last incrementable byte.
-// ok is false when the prefix is empty or all 0xff.
-func prefixSuccessor(prefix string) (string, bool) {
-	b := []byte(prefix)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] != 0xff {
-			b[i]++
-			return string(b[:i+1]), true
-		}
-	}
-	return "", false
 }

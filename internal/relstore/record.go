@@ -18,11 +18,16 @@ import (
 //
 //	CreateTable  string(table) string(key)
 //	             uvarint(ncols) { string(name) kind nullable }
-//	             uvarint(nidx)  { string(column) }
+//	             uvarint(nidx)  { string(index) }
 //	Insert       string(table) uvarint(ncells) { uvarint(column) kind value }
 //	Update       as Insert
 //	Delete       string(table) string(pk)
 //	Batch        uvarint(nops) { op }        row ops only, never nested
+//	Indexes      string(table) uvarint(nidx) { string(index) }
+//
+// An Indexes record replaces a table's Schema.Indexes: CreateTable logs
+// one when a program declares the table with other indexes than the log
+// holds. The columns stay as the CreateTable record gave them.
 //
 //	value by kind: 0 null     nothing
 //	               string     string
@@ -89,11 +94,18 @@ func appendOp(dst []byte, tables map[string]*table, op walOp) ([]byte, error) {
 			dst = appendString(dst, c.Name)
 			dst = append(dst, byte(c.Kind), boolByte(c.Nullable))
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(sc.Indexes)))
-		for _, idx := range sc.Indexes {
-			dst = appendString(dst, idx)
+		return appendStrings(dst, sc.Indexes), nil
+	case opIndexes:
+		t, ok := tables[op.Table]
+		if !ok {
+			return dst, fmt.Errorf("%w: %s", ErrNoTable, op.Table)
 		}
-		return dst, nil
+		sc := t.schema
+		sc.Indexes = op.Indexes
+		if err := sc.validate(); err != nil { // as the decoder will
+			return dst, err
+		}
+		return appendStrings(appendString(dst, op.Table), op.Indexes), nil
 	case opInsert, opUpdate, opDelete:
 		t, ok := tables[op.Table]
 		if !ok {
@@ -129,6 +141,14 @@ func appendOp(dst []byte, tables map[string]*table, op walOp) ([]byte, error) {
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+func appendStrings(dst []byte, ss []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = appendString(dst, s)
+	}
+	return dst
 }
 
 func boolByte(b bool) byte {
@@ -246,8 +266,8 @@ func (d *recordDecoder) batch() (walOp, error) {
 		if ops[i], err = d.op(); err != nil {
 			return walOp{}, err
 		}
-		if ops[i].Kind == opCreateTable {
-			return walOp{}, errors.New("relstore: wal batch holds a CreateTable")
+		if ops[i].Kind == opCreateTable || ops[i].Kind == opIndexes {
+			return walOp{}, errors.New("relstore: wal batch holds a schema op")
 		}
 	}
 	return walOp{Kind: opBatch, Batch: ops}, nil
@@ -286,6 +306,19 @@ func (d *recordDecoder) op() (walOp, error) {
 			return walOp{}, err
 		}
 		return walOp{Kind: kind, Table: t.schema.Table, PK: pk}, nil
+	case opIndexes:
+		t, err := d.table()
+		if err != nil {
+			return walOp{}, err
+		}
+		sc := t.schema
+		if sc.Indexes, err = d.strings(); err != nil {
+			return walOp{}, err
+		}
+		if err := sc.validate(); err != nil {
+			return walOp{}, err
+		}
+		return walOp{Kind: kind, Table: sc.Table, Indexes: sc.Indexes}, nil
 	default:
 		return walOp{}, fmt.Errorf("relstore: unknown or nested wal op %d", k)
 	}
@@ -321,16 +354,8 @@ func (d *recordDecoder) schema() (*Schema, error) {
 			return nil, err
 		}
 	}
-	if n, err = d.count(1); err != nil {
+	if sc.Indexes, err = d.strings(); err != nil {
 		return nil, err
-	}
-	if n > 0 {
-		sc.Indexes = make([]string, n)
-	}
-	for i := range sc.Indexes {
-		if sc.Indexes[i], err = d.string(); err != nil {
-			return nil, err
-		}
 	}
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -471,4 +496,19 @@ func (d *recordDecoder) bytes() ([]byte, error) {
 func (d *recordDecoder) string() (string, error) {
 	b, err := d.bytes()
 	return string(b), err
+}
+
+// strings reads a counted list of strings, nil when empty.
+func (d *recordDecoder) strings() ([]string, error) {
+	n, err := d.count(1)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		if ss[i], err = d.string(); err != nil {
+			return nil, err
+		}
+	}
+	return ss, nil
 }

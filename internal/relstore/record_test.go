@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -117,8 +118,20 @@ func randomRowOp(r *rand.Rand) walOp {
 	}
 }
 
+// randomIndexes draws an index list for the wide table: single-column and
+// composite indexes, none at all sometimes.
+func randomIndexes(r *rand.Rand) []string {
+	var out []string
+	for _, name := range []string{"s", "i,f", "t", "s,t,i", "f", "b,s"} {
+		if r.Intn(2) == 0 {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 func randomOp(r *rand.Rand) walOp {
-	switch r.Intn(8) {
+	switch r.Intn(9) {
 	case 0:
 		sc := wideSchema()
 		if r.Intn(2) == 0 {
@@ -126,6 +139,8 @@ func randomOp(r *rand.Rand) walOp {
 			sc.Indexes = nil
 		}
 		return walOp{Kind: opCreateTable, Schema: &sc}
+	case 8:
+		return walOp{Kind: opIndexes, Table: "wide", Indexes: randomIndexes(r)}
 	case 1, 2:
 		ops := make([]walOp, r.Intn(5))
 		for i := range ops {
@@ -158,7 +173,7 @@ func sameRow(a, b Row) bool {
 
 func sameOp(a, b walOp) bool {
 	if a.Kind != b.Kind || a.Table != b.Table || a.PK != b.PK || !sameRow(a.Row, b.Row) ||
-		(a.Schema == nil) != (b.Schema == nil) || len(a.Batch) != len(b.Batch) {
+		(a.Schema == nil) != (b.Schema == nil) || len(a.Batch) != len(b.Batch) || !slices.Equal(a.Indexes, b.Indexes) {
 		return false
 	}
 	if a.Schema != nil && !schemaEqual(*a.Schema, *b.Schema) {
@@ -241,7 +256,7 @@ func TestRecordAgreesWithGob(t *testing.T) {
 			t.Fatalf("op %d: re-encoding the decoded op gave different bytes (err %v)", i, err)
 		}
 	}
-	for k := opCreateTable; k <= opBatch; k++ {
+	for k := opCreateTable; k <= opIndexes; k++ {
 		if kinds[k] == 0 {
 			t.Fatalf("generator never produced op kind %d", k)
 		}
@@ -321,6 +336,10 @@ func TestEncodeRecordRefusals(t *testing.T) {
 		"create without body": {Kind: opCreateTable},
 		"nested batch":        {Kind: opBatch, Batch: []walOp{{Kind: opBatch}}},
 		"create in batch":     {Kind: opBatch, Batch: []walOp{{Kind: opCreateTable, Schema: &sc}}},
+		"indexes in batch":    {Kind: opBatch, Batch: []walOp{{Kind: opIndexes, Table: "wide"}}},
+		"indexes, no table":   {Kind: opIndexes, Table: "nope"},
+		"index on a ghost":    {Kind: opIndexes, Table: "wide", Indexes: []string{"s,ghost"}},
+		"index twice":         {Kind: opIndexes, Table: "wide", Indexes: []string{"s", "s"}},
 		"unencodable zone":    {Kind: opInsert, Table: "wide", Row: Row{"id": String("k"), "t": Time(t0.In(time.FixedZone("", -60)))}},
 	} {
 		if _, err := appendRecord(nil, s.tables, op); err == nil {
@@ -364,6 +383,10 @@ func TestDecodeRecordRefusals(t *testing.T) {
 		"batch count past payload":  cat(hdr, []byte{byte(opBatch)}, huge),
 		"nested batch":              cat(hdr, []byte{byte(opBatch), 1, byte(opBatch), 0, 0}),
 		"create in batch":           cat(hdr, []byte{byte(opBatch), 1}, mustRecord(t, s, walOp{Kind: opCreateTable, Schema: &Schema{Table: "t", Key: "id", Columns: []Column{{Name: "id", Kind: KindString}}}})[2:]),
+		"indexes in batch":          cat(hdr, []byte{byte(opBatch), 1, byte(opIndexes)}, wide, []byte{0}),
+		"indexes, no table":         cat(hdr, []byte{byte(opIndexes), 1, 'x', 0}),
+		"index count past payload":  cat(hdr, []byte{byte(opIndexes)}, wide, huge),
+		"index on a ghost column":   cat(hdr, []byte{byte(opIndexes)}, wide, []byte{1, 3, 's', ',', 'x'}),
 		"column count past bytes":   cat(hdr, []byte{byte(opCreateTable), 1, 't', 2, 'i', 'd'}, huge),
 		"schema without its key":    cat(hdr, []byte{byte(opCreateTable), 1, 't', 2, 'i', 'd', 1, 1, 'x', byte(KindString), 0, 0}),
 		"not gob either":            {0x03, 0x01, 0x02},
@@ -447,7 +470,7 @@ func TestSeedCorpusIsLive(t *testing.T) {
 	s := recordStore(t)
 	kinds := make(map[opKind]bool)
 	for _, name := range []string{"create_table_instances", "create_table_wide", "insert_all_kinds", "insert_nulls_and_absent",
-		"insert_instance", "update", "delete", "batch", "time_negative_odd_seconds",
+		"insert_instance", "update", "delete", "batch", "time_negative_odd_seconds", "indexes_wide",
 		"legacy_gob_create_table", "legacy_gob_insert", "legacy_gob_batch"} {
 		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeRecord", name))
 		if err != nil {
@@ -466,7 +489,7 @@ func TestSeedCorpusIsLive(t *testing.T) {
 			kinds[op.Kind] = true
 		}
 	}
-	if len(kinds) != int(opBatch) {
-		t.Errorf("corpus holds version 1 records of %d op kinds, want all %d", len(kinds), opBatch)
+	if len(kinds) != int(opIndexes) {
+		t.Errorf("corpus holds version 1 records of %d op kinds, want all %d", len(kinds), opIndexes)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,36 +101,8 @@ func (s *Store) countOp(op, tableName string) {
 type table struct {
 	schema  Schema
 	rows    map[string]Row
-	pks     *btree.Tree            // ordered primary keys for stable scans
-	indexes map[string]*btree.Tree // secondary indexes by column
-}
-
-// pkItem orders primary keys in the pks tree.
-type pkItem string
-
-func (p pkItem) Less(than btree.Item) bool { return p < than.(pkItem) }
-
-// indexEntry is one secondary-index posting: a column value plus the owning
-// row's primary key, ordered by (value, pk). Stored postings never set
-// max; it is a seek sentinel that sorts after every real posting with the
-// same value (primary keys are non-empty, so {v, pk: ""} is likewise a
-// sentinel before them). The planner uses both to jump over equal-value
-// runs in O(log n) instead of filtering through them.
-type indexEntry struct {
-	v   Value
-	pk  string
-	max bool
-}
-
-func (e indexEntry) Less(than btree.Item) bool {
-	o := than.(indexEntry)
-	if c := Compare(e.v, o.v); c != 0 {
-		return c < 0
-	}
-	if e.max != o.max {
-		return o.max
-	}
-	return e.pk < o.pk
+	pks     *btree.Tree // ordered primary keys (keyItem) for stable scans
+	indexes []*index    // secondary indexes, in Schema.Indexes order
 }
 
 // NewMemory returns a volatile in-memory store.
@@ -230,12 +203,13 @@ func (s *Store) CommitCtx(ctx context.Context) error {
 
 // walOp is the durable form of every mutation.
 type walOp struct {
-	Kind   opKind
-	Schema *Schema // CreateTable
-	Table  string
-	Row    Row    // Insert/Update
-	PK     string // Delete
-	Batch  []walOp
+	Kind    opKind
+	Schema  *Schema // CreateTable
+	Table   string
+	Row     Row    // Insert/Update
+	PK      string // Delete
+	Batch   []walOp
+	Indexes []string // Indexes: the table's new Schema.Indexes
 }
 
 type opKind uint8
@@ -246,6 +220,7 @@ const (
 	opUpdate
 	opDelete
 	opBatch
+	opIndexes
 )
 
 // logOp persists op if the store is durable.
@@ -319,6 +294,8 @@ func (s *Store) apply(op walOp) error {
 			}
 		}
 		return nil
+	case opIndexes:
+		return s.applyIndexes(op.Table, op.Indexes)
 	default:
 		return fmt.Errorf("relstore: unknown wal op %d", op.Kind)
 	}
@@ -326,7 +303,11 @@ func (s *Store) apply(op walOp) error {
 
 // CreateTable declares a new table. Creating a table that already exists
 // with an identical schema is a no-op, so callers can declare schemas
-// unconditionally at startup over a recovered store.
+// unconditionally at startup over a recovered store. A schema that differs
+// from the existing one only in its Indexes is applied in place: the
+// indexes are rebuilt from the rows and the change is logged, so a data
+// directory opens under a program that declares different indexes. Any
+// other difference is refused.
 func (s *Store) CreateTable(schema Schema) error {
 	if err := schema.validate(); err != nil {
 		return err
@@ -334,10 +315,16 @@ func (s *Store) CreateTable(schema Schema) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.tables[schema.Table]; ok {
-		if schemaEqual(existing.schema, schema) {
+		switch {
+		case schemaEqual(existing.schema, schema):
 			return nil
+		case !sameColumns(existing.schema, schema):
+			return fmt.Errorf("relstore: table %s already exists with different columns", schema.Table)
 		}
-		return fmt.Errorf("relstore: table %s already exists with a different schema", schema.Table)
+		if err := s.applyIndexes(schema.Table, schema.Indexes); err != nil {
+			return err
+		}
+		return s.logOp(walOp{Kind: opIndexes, Table: schema.Table, Indexes: schema.Indexes})
 	}
 	if err := s.applyCreateTable(schema); err != nil {
 		return err
@@ -346,21 +333,12 @@ func (s *Store) CreateTable(schema Schema) error {
 }
 
 func schemaEqual(a, b Schema) bool {
-	if a.Table != b.Table || a.Key != b.Key ||
-		len(a.Columns) != len(b.Columns) || len(a.Indexes) != len(b.Indexes) {
-		return false
-	}
-	for i := range a.Columns {
-		if a.Columns[i] != b.Columns[i] {
-			return false
-		}
-	}
-	for i := range a.Indexes {
-		if a.Indexes[i] != b.Indexes[i] {
-			return false
-		}
-	}
-	return true
+	return sameColumns(a, b) && slices.Equal(a.Indexes, b.Indexes)
+}
+
+// sameColumns reports whether a and b agree on everything but Indexes.
+func sameColumns(a, b Schema) bool {
+	return a.Table == b.Table && a.Key == b.Key && slices.Equal(a.Columns, b.Columns)
 }
 
 func (s *Store) applyCreateTable(schema Schema) error {
@@ -372,15 +350,44 @@ func (s *Store) applyCreateTable(schema Schema) error {
 		return fmt.Errorf("relstore: table %s already exists", schema.Table)
 	}
 	t := &table{
-		schema:  schema,
-		rows:    make(map[string]Row),
-		pks:     btree.New(),
-		indexes: make(map[string]*btree.Tree, len(schema.Indexes)),
+		schema: schema,
+		rows:   make(map[string]Row),
+		pks:    btree.New(),
 	}
-	for _, idx := range schema.Indexes {
-		t.indexes[idx] = btree.New()
+	for _, name := range schema.Indexes {
+		t.indexes = append(t.indexes, newIndex(&t.schema, name))
 	}
 	s.tables[schema.Table] = t
+	return nil
+}
+
+// applyIndexes replaces a table's index list: an index it already has
+// keeps its postings, a new one is built from the rows, a dropped one is
+// discarded.
+func (s *Store) applyIndexes(tableName string, names []string) error {
+	t, ok := s.tables[tableName]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	}
+	schema := t.schema
+	schema.Indexes = names
+	if err := schema.validate(); err != nil {
+		return err
+	}
+	old := t.indexes
+	t.schema, t.indexes = schema, nil
+	for _, name := range names {
+		i := slices.IndexFunc(old, func(ix *index) bool { return ix.name == name })
+		if i >= 0 {
+			t.indexes = append(t.indexes, old[i])
+			continue
+		}
+		ix := newIndex(&t.schema, name)
+		for pk, row := range t.rows {
+			ix.insert(row, pk)
+		}
+		t.indexes = append(t.indexes, ix)
+	}
 	return nil
 }
 
@@ -516,27 +523,23 @@ func (s *Store) applyDelete(tableName, pk string) error {
 	}
 	t.unindex(pk, old)
 	delete(t.rows, pk)
-	t.pks.Delete(pkItem(pk))
+	t.pks.Delete(keyItem(pk))
 	return nil
 }
 
 // put installs row under pk and maintains all indexes. Caller has validated.
 func (t *table) put(pk string, row Row) {
 	t.rows[pk] = row
-	t.pks.ReplaceOrInsert(pkItem(pk))
-	for col, idx := range t.indexes {
-		if v, ok := row[col]; ok && !v.IsNull() {
-			idx.ReplaceOrInsert(indexEntry{v: v, pk: pk})
-		}
+	t.pks.ReplaceOrInsert(keyItem(pk))
+	for _, ix := range t.indexes {
+		ix.insert(row, pk)
 	}
 }
 
 // unindex removes row's postings from all indexes.
 func (t *table) unindex(pk string, row Row) {
-	for col, idx := range t.indexes {
-		if v, ok := row[col]; ok && !v.IsNull() {
-			idx.Delete(indexEntry{v: v, pk: pk})
-		}
+	for _, ix := range t.indexes {
+		ix.remove(row, pk)
 	}
 }
 

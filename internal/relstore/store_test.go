@@ -136,15 +136,42 @@ func TestRowValidation(t *testing.T) {
 	}
 }
 
+// TestCreateTableIdempotent: an identical re-create is a no-op, one that
+// differs only in its indexes is applied in place over the rows already
+// stored, and one that differs in its columns is refused.
 func TestCreateTableIdempotent(t *testing.T) {
 	s := newStore(t)
+	fill(t, s, 50)
 	if err := s.CreateTable(modelsSchema()); err != nil {
 		t.Fatalf("identical re-create failed: %v", err)
 	}
-	changed := modelsSchema()
-	changed.Indexes = nil
-	if err := s.CreateTable(changed); err == nil {
-		t.Fatal("re-create with different schema succeeded")
+	reindexed := modelsSchema()
+	reindexed.Indexes = []string{"city,created", "mape"}
+	if err := s.CreateTable(reindexed); err != nil {
+		t.Fatalf("re-create with other indexes: %v", err)
+	}
+	dump(t, s) // the new index holds a posting for every row
+	_, ex, err := s.SelectExplain(Query{Table: "instances",
+		Where:   []Constraint{{Field: "city", Op: OpEq, Value: String("sf")}},
+		OrderBy: "created", Desc: true, Limit: 3})
+	if err != nil || ex.Index != "city,created" || !ex.Ordered || ex.Scanned != 3 {
+		t.Fatalf("after the index change: %+v, %v", ex, err)
+	}
+	for name, edit := range map[string]func(*Schema){
+		"a column dropped":   func(sc *Schema) { sc.Columns = sc.Columns[:len(sc.Columns)-1] },
+		"a column retyped":   func(sc *Schema) { sc.Columns[4].Kind = KindFloat },
+		"a column nullable":  func(sc *Schema) { sc.Columns[1].Nullable = true },
+		"another key column": func(sc *Schema) { sc.Key = "base_version_id" },
+	} {
+		changed := modelsSchema()
+		edit(&changed)
+		changed.Indexes = nil
+		if err := s.CreateTable(changed); err == nil {
+			t.Errorf("re-create with %s succeeded", name)
+		}
+	}
+	if got := s.tables["instances"].schema; !schemaEqual(got, reindexed) {
+		t.Fatalf("schema after the refusals: %+v", got)
 	}
 }
 

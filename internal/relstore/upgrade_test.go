@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -30,8 +31,9 @@ func settle(row Row) Row {
 }
 
 // lifecycleOps is a mixed log: both tables created, then inserts, updates,
-// deletes and multi-row batches over a live key set, every op valid against
-// the state the ones before it leave.
+// deletes and multi-row batches over a live key set, and changes of the
+// wide table's indexes, every op valid against the state the ones before
+// it leave.
 func lifecycleOps(n int) []walOp {
 	r := rand.New(rand.NewSource(4))
 	models, wide := modelsSchema(), wideSchema()
@@ -57,8 +59,9 @@ func lifecycleOps(n int) []walOp {
 		live = append(live[:i], live[i+1:]...)
 		return walOp{Kind: opDelete, Table: "wide", PK: key}
 	}
+	indexes := wide.Indexes
 	for len(ops) < n {
-		switch k := r.Intn(10); {
+		switch k := r.Intn(11); {
 		case len(live) < 3 || k < 3:
 			ops = append(ops, insert())
 		case k < 5:
@@ -68,8 +71,15 @@ func lifecycleOps(n int) []walOp {
 		case k < 8:
 			ops = append(ops, walOp{Kind: opInsert, Table: "instances",
 				Row: settle(row(fmt.Sprintf("i%03d", len(ops)), "b", pick(r, edgeStrings), pick(r, edgeTimes), r.Float64()))})
-		default:
+		case k < 10:
 			ops = append(ops, walOp{Kind: opBatch, Batch: []walOp{insert(), update(), remove(), insert()}})
+		default: // an index change; an unchanged list would log nothing
+			next := randomIndexes(r)
+			if slices.Equal(next, indexes) {
+				continue
+			}
+			indexes = next
+			ops = append(ops, walOp{Kind: opIndexes, Table: "wide", Indexes: indexes})
 		}
 	}
 	return ops
@@ -94,6 +104,10 @@ func play(t testing.TB, s *Store, op walOp) {
 			muts[i] = Mutation{Kind: MutationKind(sub.Kind - opInsert + 1), Table: sub.Table, Row: sub.Row, PK: sub.PK}
 		}
 		err = s.Batch(muts)
+	case opIndexes: // the table declared again with other indexes
+		sc := s.tables[op.Table].schema
+		sc.Indexes = op.Indexes
+		err = s.CreateTable(sc)
 	}
 	if err != nil {
 		t.Fatalf("play %+v: %v", op, err)
@@ -116,7 +130,7 @@ func dump(t testing.TB, s *Store) string {
 	for _, name := range names {
 		tb := s.tables[name]
 		fmt.Fprintf(&b, "table %s %+v\n", name, tb.schema)
-		postings := make(map[string]int)
+		postings := make([]int, len(tb.indexes))
 		tb.scanAll(false, func(r Row) bool {
 			for _, c := range tb.schema.Columns {
 				if v, ok := r[c.Name]; ok {
@@ -125,20 +139,29 @@ func dump(t testing.TB, s *Store) string {
 						t.Fatalf("dump %s.%s: %v", name, c.Name, err)
 					}
 					fmt.Fprintf(&b, " %s=%x", c.Name, enc)
-					if _, indexed := tb.indexes[c.Name]; indexed && !v.IsNull() {
-						postings[c.Name]++
-					}
 				}
 			}
 			b.WriteByte('\n')
+			pk := r[tb.schema.Key].Str
+			for i, ix := range tb.indexes {
+				if k, ok := ix.appendKey(nil, r, pk); ok {
+					if !ix.tree.Has(keyItem(k)) || ix.pkOf(string(k)) != pk {
+						t.Fatalf("table %s: index %s lacks row %s's posting", name, ix.name, pk)
+					}
+					postings[i]++
+				}
+			}
 			return true
 		})
 		if tb.pks.Len() != len(tb.rows) {
 			t.Fatalf("table %s: %d primary keys for %d rows", name, tb.pks.Len(), len(tb.rows))
 		}
-		for col, idx := range tb.indexes {
-			if idx.Len() != postings[col] {
-				t.Fatalf("table %s: index %s holds %d postings for %d indexed cells", name, col, idx.Len(), postings[col])
+		if len(tb.indexes) != len(tb.schema.Indexes) {
+			t.Fatalf("table %s: %d indexes for %d declared", name, len(tb.indexes), len(tb.schema.Indexes))
+		}
+		for i, ix := range tb.indexes {
+			if ix.name != tb.schema.Indexes[i] || ix.tree.Len() != postings[i] {
+				t.Fatalf("table %s: index %s holds %d postings for %d rows with its columns set", name, ix.name, ix.tree.Len(), postings[i])
 			}
 		}
 	}
@@ -236,6 +259,9 @@ func TestLegacyLogUpgrades(t *testing.T) {
 // append that is still there after another restart.
 func TestCrashSweep(t *testing.T) {
 	ops := lifecycleOps(80)
+	if !slices.ContainsFunc(ops, func(op walOp) bool { return op.Kind == opIndexes }) {
+		t.Fatal("the swept log holds no index change")
+	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "meta.wal")
 	s, err := Open(path, wal.Options{})

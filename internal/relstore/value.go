@@ -14,7 +14,9 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -93,11 +95,16 @@ func (v Value) numeric() (float64, bool) {
 
 // Compare orders two values: negative if v < w, zero if equal, positive if
 // v > w. Int and float compare numerically against each other so metric
-// thresholds behave as users expect. Values of genuinely different kinds
-// order by kind, which keeps indexes totally ordered even if a column is
-// misused. The order is total over floats too: NaN equals NaN and sorts
-// above every other number, +Inf included, as in PostgreSQL.
+// thresholds behave as users expect, through float64; two ints compare
+// exactly, as their index keys do. Values of genuinely different kinds
+// order by kind, which keeps sorts totally ordered even if a constant's
+// kind differs from its column's. The order is total over floats too: NaN
+// equals NaN and sorts above every other number, +Inf included, as in
+// PostgreSQL.
 func Compare(v, w Value) int {
+	if v.Kind == KindInt && w.Kind == KindInt {
+		return cmp.Compare(v.Int, w.Int)
+	}
 	if vf, ok := v.numeric(); ok {
 		if wf, ok := w.numeric(); ok {
 			return compareFloat(vf, wf)
@@ -121,14 +128,9 @@ func Compare(v, w Value) int {
 			return 1
 		}
 	case KindTime:
-		switch {
-		case v.Time.Before(w.Time):
-			return -1
-		case v.Time.After(w.Time):
-			return 1
-		default:
-			return 0
-		}
+		// By instant, monotonic readings stripped: the log does not keep
+		// them, and index keys order by the instant alone.
+		return v.Time.Round(0).Compare(w.Time.Round(0))
 	default:
 		return 0
 	}
@@ -201,14 +203,18 @@ type Column struct {
 }
 
 // Schema declares a table: its name, columns, string primary-key column,
-// and which columns carry secondary indexes.
+// and its secondary indexes.
 type Schema struct {
 	Table   string
 	Columns []Column
 	// Key names the primary-key column, which must be a non-nullable
 	// string column.
 	Key string
-	// Indexes lists column names to maintain secondary B-tree indexes on.
+	// Indexes names the secondary B-tree indexes to maintain: a column
+	// name, or for a composite index its column names joined by commas
+	// ("city,created" orders by city, then by created within a city).
+	// Indexes are derived from the rows, so CreateTable applies a schema
+	// that differs from the stored one only here in place.
 	Indexes []string
 }
 
@@ -247,9 +253,14 @@ func (s *Schema) validate() error {
 	if kc.Kind != KindString || kc.Nullable {
 		return fmt.Errorf("relstore: table %s key column %q must be a non-nullable string", s.Table, s.Key)
 	}
-	for _, idx := range s.Indexes {
-		if _, ok := s.col(idx); !ok {
-			return fmt.Errorf("relstore: table %s indexes undeclared column %q", s.Table, idx)
+	for i, idx := range s.Indexes {
+		if slices.Contains(s.Indexes[:i], idx) {
+			return fmt.Errorf("relstore: table %s declares index %q twice", s.Table, idx)
+		}
+		for _, col := range strings.Split(idx, ",") {
+			if _, ok := s.col(col); !ok {
+				return fmt.Errorf("relstore: table %s index %q names undeclared column %q", s.Table, idx, col)
+			}
 		}
 	}
 	return nil

@@ -101,7 +101,9 @@ func TestNaNIndexKeepsLivePostings(t *testing.T) {
 }
 
 // mbSchema is the model-based tests' table: indexed columns of every
-// comparable kind (nullable and not), unindexed ones beside them.
+// comparable kind (nullable and not), unindexed ones beside them, and
+// composite indexes whose later column is non-nullable (city,created),
+// nullable (k,x) or a string (n,city).
 func mbSchema() Schema {
 	return Schema{
 		Table: "mb",
@@ -115,7 +117,7 @@ func mbSchema() Schema {
 			{Name: "k", Kind: KindInt},
 		},
 		Key:     "id",
-		Indexes: []string{"city", "n", "x", "created"},
+		Indexes: []string{"city", "n", "x", "created", "city,created", "k,x", "n,city"},
 	}
 }
 
@@ -177,9 +179,45 @@ func randomConstraint(r *rand.Rand) Constraint {
 	}
 }
 
+var rangeOps = []Op{OpLt, OpLe, OpGt, OpGe}
+
+// randomCompositeWhere draws the shape composite indexes serve: an
+// equality on an index's first column and comparisons or a prefix on its
+// second, whose name it returns too. Constants come in the column's kind,
+// in a kind that coerces to it exactly, and in one that does not, which
+// the index must leave to the scan.
+func randomCompositeWhere(r *rand.Rand) ([]Constraint, string) {
+	var first, second Constraint
+	switch r.Intn(3) {
+	case 0: // city,created
+		first = Constraint{Field: "city", Op: OpEq, Value: String(pick(r, mbCities))}
+		second = Constraint{Field: "created", Op: pick(r, rangeOps),
+			Value: pick(r, []Value{Time(t0.Add(time.Duration(r.Intn(20)) * time.Minute)), Time(t0.Add(90 * time.Second)), String("t0")})}
+	case 1: // k,x
+		first = Constraint{Field: "k", Op: OpEq, Value: pick(r, []Value{Int(int64(r.Intn(7))), Float(float64(r.Intn(7))), Float(2.5), String("2")})}
+		second = Constraint{Field: "x", Op: pick(r, rangeOps), Value: pick(r, []Value{Float(pick(r, mbFloats)), Int(int64(r.Intn(3) - 1))})}
+	default: // n,city
+		first = Constraint{Field: "n", Op: OpEq, Value: pick(r, []Value{Int(int64(r.Intn(9) - 4)), Float(1), Float(0.5)})}
+		second = Constraint{Field: "city", Op: pick(r, append([]Op{OpPrefix}, rangeOps...)), Value: String(pick(r, []string{"s", "sf", "", "nyc"}))}
+	}
+	where := []Constraint{first, second}
+	if r.Intn(3) == 0 { // a second bound on the same column
+		third := second
+		third.Op = pick(r, rangeOps)
+		where = append(where, third)
+	}
+	r.Shuffle(len(where), func(i, j int) { where[i], where[j] = where[j], where[i] })
+	return where, second.Field
+}
+
 func randomQuery(r *rand.Rand) Query {
 	q := Query{Table: "mb", OrderBy: pick(r, mbOrders), Desc: r.Intn(2) == 0}
-	for i := r.Intn(3); i > 0; i-- {
+	if r.Intn(3) == 0 {
+		var second string
+		q.Where, second = randomCompositeWhere(r)
+		q.OrderBy = pick(r, []string{second, second, q.OrderBy}) // mostly the order the index streams
+	}
+	for i := r.Intn(3); i > 0 && len(q.Where) < 3; i-- {
 		q.Where = append(q.Where, randomConstraint(r))
 	}
 	if r.Intn(2) == 0 {
@@ -317,9 +355,9 @@ func visitAll(s *Store, q Query, stop int) ([]Row, Explain, error) {
 	return out, ex, err
 }
 
-// checkQuery runs q every way the store offers and holds each answer to
-// the oracle's.
-func checkQuery(t *testing.T, s *Store, oracle map[string]Row, q Query, r *rand.Rand) {
+// checkQuery runs q every way the store offers, holds each answer to the
+// oracle's, and returns the plan's Explain.
+func checkQuery(t *testing.T, s *Store, oracle map[string]Row, q Query, r *rand.Rand) Explain {
 	t.Helper()
 	sel, ex, err := s.SelectExplain(q)
 	if err != nil {
@@ -355,12 +393,24 @@ func checkQuery(t *testing.T, s *Store, oracle map[string]Row, q Query, r *rand.
 			t.Fatalf("stopping %+v after %d rows saw %v (scanned %d), Select %v (scanned %d)", q, k, ids(prefix), pex.Scanned, ids(sel), ex.Scanned)
 		}
 	}
+	return ex
 }
 
 // TestSelectFuncModelBased drives random insert/update/delete/batch
 // sequences, a refused batch among them, and after every step checks
-// random queries against the oracle.
+// random queries against the oracle. It also checks that the composite
+// indexes drove queries, streamed in both directions.
 func TestSelectFuncModelBased(t *testing.T) {
+	plans := map[string]int{} // streamed queries by index and direction
+	tally := func(ex Explain, q Query) {
+		switch {
+		case !ex.Ordered:
+		case q.Desc:
+			plans[ex.Index+" desc"]++
+		default:
+			plans[ex.Index+" asc"]++
+		}
+	}
 	for seed := int64(1); seed <= 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		s := NewMemory()
@@ -406,7 +456,8 @@ func TestSelectFuncModelBased(t *testing.T) {
 					t.Fatal("batch with a duplicate insert applied")
 				}
 				live = slices.Sorted(maps.Keys(oracle))
-				checkQuery(t, s, oracle, randomQuery(r), r)
+				q := randomQuery(r)
+				tally(checkQuery(t, s, oracle, q, r), q)
 				continue
 			}
 			var err error
@@ -428,10 +479,16 @@ func TestSelectFuncModelBased(t *testing.T) {
 			}
 			oracle = staged
 			for i := 0; i < 6; i++ {
-				checkQuery(t, s, oracle, randomQuery(r), r)
+				q := randomQuery(r)
+				tally(checkQuery(t, s, oracle, q, r), q)
 			}
 		}
 		dump(t, s)
+	}
+	for _, want := range []string{"city,created asc", "city,created desc", "k,x asc", "k,x desc", "n,city asc", "n,city desc"} {
+		if plans[want] == 0 {
+			t.Errorf("no query streamed through %s; streamed plans: %v", want, plans)
+		}
 	}
 }
 

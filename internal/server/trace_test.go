@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -162,12 +163,82 @@ func TestSearchTraceReachesTheStore(t *testing.T) {
 	if !ok {
 		t.Fatalf("relstore.select missing from the search trace; have %v", spanNames(collectNodes(d.Roots)))
 	}
+	attrs := spanAttrs(sel.Span)
+	if attrs["table"] != core.TableInstances || attrs["index"] != "city,created" || attrs["order"] != "streamed" || attrs["rows"] != "1" {
+		t.Fatalf("relstore.select attrs = %v, want table=instances index=city,created order=streamed rows=1", attrs)
+	}
+}
+
+func spanAttrs(s trace.SpanData) map[string]string {
 	attrs := map[string]string{}
-	for _, a := range sel.Span.Attrs {
+	for _, a := range s.Attrs {
 		attrs[a.Key] = a.Value
 	}
-	if attrs["table"] != core.TableInstances || attrs["index"] != "city" || attrs["rows"] != "1" {
-		t.Fatalf("relstore.select attrs = %v, want table=instances index=city rows=1", attrs)
+	return attrs
+}
+
+// TestMetricSearchPlansAreRangeSeeks: a search with a metric condition
+// reads the metric rows that pass it through the (name, value) index —
+// postings scanned within twice the rows it keeps, where a name index
+// walks every posting of the metric — and the city's instances through
+// (city, created), newest first, stopping at the limit without a sort.
+func TestMetricSearchPlansAreRangeSeeks(t *testing.T) {
+	tr := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Always()})
+	h := newTracedHarness(t, tr)
+	m := h.registerModel(t, "Metric Search", "demand")
+	for i := 0; i < 40; i++ {
+		in := h.upload(t, m.ID, []string{"sf", "nyc"}[i%2], []byte("blob"))
+		// mape falls as instances get newer: the newest tenth are under 0.04.
+		if _, err := h.c.InsertMetric(in.ID, "mape", string(core.ScopeValidation), float64(39-i)/100); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.c.InsertMetric(in.ID, "bias", string(core.ScopeValidation), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const callerTrace = "5bf92f3577b34da6a3ce929d0e0e4736"
+	body := `{"limit":1,"constraints":[{"field":"city","operator":"equal","value":"sf"},` +
+		`{"field":"metricName","operator":"equal","value":"mape"},` +
+		`{"field":"metricValue","operator":"smaller_than","number":0.04}]}`
+	req, err := http.NewRequest(http.MethodPost, h.ts.URL+"/v1/search", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("traceparent", "00-"+callerTrace+"-00f067aa0ba902b7-01")
+	resp, err := h.ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search: status %d", resp.StatusCode)
+	}
+	d, ok := tr.Store().Get(callerTrace)
+	if !ok {
+		t.Fatalf("no trace recorded under %s", callerTrace)
+	}
+	selects := map[string]map[string]string{} // by table
+	var walk func([]*trace.Node)
+	walk = func(ns []*trace.Node) {
+		for _, n := range ns {
+			if n.Span.Name == "relstore.select" {
+				attrs := spanAttrs(n.Span)
+				selects[attrs["table"]] = attrs
+			}
+			walk(n.Children)
+		}
+	}
+	walk(d.Roots)
+	join := selects[core.TableMetrics]
+	scanned, _ := strconv.Atoi(join["scanned"])
+	rows, _ := strconv.Atoi(join["rows"])
+	if join["index"] != "name,value" || rows != 4 || scanned > 2*rows {
+		t.Fatalf("metric join span %v: want index=name,value, rows=4, scanned ≤ 2×rows", join)
+	}
+	// sf's newest instance passes the join, so the scan stops there.
+	if inst := selects[core.TableInstances]; inst["index"] != "city,created" || inst["order"] != "streamed" || inst["scanned"] != "1" {
+		t.Fatalf("instance span %v: want index=city,created order=streamed scanned=1", inst)
 	}
 }
 
