@@ -12,16 +12,17 @@
 // serving, onlinedrift, auditchurn, relquery, multitenant, sloburn,
 // incidentcapture, profilereg, tiered.
 //
-// Perf trajectory: experiments that measure performance also emit
-// machine-readable metrics (internal/benchfmt).
+// Gates: some experiments also emit machine-independent metrics
+// (allocs/op, rows scanned, exact counts, detector verdicts) in the
+// internal/benchfmt format, each with its own direction and tolerance.
 //
 //	benchharness -exp serving -bench-dir .   # write BENCH_serving.json
 //	benchharness -exp serving -baseline .    # compare vs checked-in file
 //
 // With -baseline, each experiment's metrics are compared against the
-// committed BENCH_<exp>.json: gated (machine-independent) metrics beyond
-// their tolerance band fail the run, and a trajectory summary is printed
-// either way. See DESIGN.md "Perf trajectory" for the policy.
+// committed BENCH_<exp>.json and any metric beyond its band, or missing,
+// fails the run. Wall-clock performance is measured over real sockets by
+// the bench/ module, not here. See DESIGN.md "Perf trajectory".
 package main
 
 import (
@@ -45,7 +46,7 @@ func (f *expFlag) Set(v string) error {
 }
 
 // experiment is one runnable evaluation item. run returns the paper-style
-// text plus optional benchfmt metrics (nil for purely qualitative
+// text plus optional benchfmt gates (nil for purely qualitative
 // experiments, which then have no BENCH file).
 type experiment struct {
 	name  string
@@ -67,8 +68,7 @@ func main() {
 	full := flag.Bool("full", false, "run the expensive full-scale tiers (1M instances)")
 	metrics := flag.Bool("metrics", false, "dump the process metric registry snapshot after the experiments")
 	benchDir := flag.String("bench-dir", "", "directory to write BENCH_<exp>.json baselines into")
-	baseline := flag.String("baseline", "", "directory holding BENCH_<exp>.json baselines to compare against; gated regressions fail the run")
-	tol := flag.Float64("tol", 0.25, "default tolerance band for gated metrics without their own (fraction of baseline)")
+	baseline := flag.String("baseline", "", "directory holding BENCH_<exp>.json baselines to compare against; regressions fail the run")
 	flag.Parse()
 
 	scaleTiers := []int{10_000, 100_000}
@@ -212,7 +212,7 @@ func main() {
 			return res.Format(), res.BenchMetrics(), nil
 		}},
 		{"relquery", "E21 (extension) / §3.5 — relstore query planner hot paths", func() (string, []benchfmt.Metric, error) {
-			res, err := experiments.RelQuery(20_000, 200)
+			res, err := experiments.RelQuery(20_000)
 			if err != nil {
 				return "", nil, err
 			}
@@ -344,10 +344,10 @@ func main() {
 				fmt.Printf("no baseline %s; skipping comparison\n\n", benchfmt.FileName(e.name))
 				continue
 			}
-			deltas, bad := benchfmt.Compare(base, cur, *tol)
+			deltas, bad := benchfmt.Compare(base, cur)
 			fmt.Print(benchfmt.FormatDeltas(e.name, deltas))
 			if bad {
-				fmt.Printf("REGRESSED vs %s (tolerance %.0f%% default)\n", benchfmt.FileName(e.name), *tol*100)
+				fmt.Printf("REGRESSED vs %s\n", benchfmt.FileName(e.name))
 				regressed++
 			}
 			fmt.Println()

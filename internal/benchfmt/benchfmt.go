@@ -1,19 +1,14 @@
-// Package benchfmt defines the machine-readable benchmark result format
-// persisted as BENCH_<experiment>.json at the repository root and compared
-// in CI against reruns.
+// Package benchfmt defines the machine-readable gate format persisted as
+// BENCH_<experiment>.json at the repository root and compared in CI
+// against reruns.
 //
-// The paper's registry ran at million-instance scale on shared production
-// hardware; this repo instead defends its hot paths with a checked-in perf
-// trajectory. Each harness run can emit one Result per experiment
-// (ops/sec, p50/p99 latency, allocs/op, rows scanned, ...) and CI reruns
-// the smoke experiments, comparing against the committed baseline.
-//
-// Metrics declare their own gating policy. Machine-independent metrics
-// (allocation counts, rows/postings scanned, result sizes, planner
-// verdicts) gate the build: a rerun that moves one beyond its tolerance
-// band fails. Machine-dependent absolutes (ns/op, qps, latency quantiles)
-// are recorded with Better "info": they chart the trajectory in the job
-// log but cannot fail a run on different hardware.
+// Every metric in a file gates: it names a direction (higher or lower is
+// better) and its own tolerance band, and a rerun that moves it beyond
+// the band in the worse direction fails. Only machine-independent numbers
+// belong here (allocation counts, rows scanned, exact result counts,
+// detector verdicts), so a band holds on any hardware. Wall-clock numbers
+// are measured end to end over real sockets by the bench/ module, not
+// here.
 package benchfmt
 
 import (
@@ -31,28 +26,25 @@ const SchemaVersion = 1
 
 // Gating directions for Metric.Better.
 const (
-	// HigherIsBetter gates on drops (throughput-style metrics).
+	// HigherIsBetter gates on drops (counts that must not fall).
 	HigherIsBetter = "higher"
-	// LowerIsBetter gates on rises (latency/alloc/scan-style metrics).
+	// LowerIsBetter gates on rises (alloc/scan-style metrics).
 	LowerIsBetter = "lower"
-	// Info metrics are recorded for the trajectory but never gate:
-	// absolute times and rates measured on whatever hardware ran them.
-	Info = "info"
 )
 
 // Metric is one measured number.
 type Metric struct {
 	Name string `json:"name"`
 	Unit string `json:"unit,omitempty"`
-	// Value is the measurement. All gated metrics must be deterministic
-	// given the experiment's seeds, up to their tolerance.
+	// Value is the measurement, deterministic given the experiment's
+	// seeds up to its tolerance.
 	Value float64 `json:"value"`
-	// Better is HigherIsBetter, LowerIsBetter, or Info.
+	// Better is HigherIsBetter or LowerIsBetter.
 	Better string `json:"better"`
-	// Tol is this metric's tolerance band as a fraction of the baseline
-	// value (0.25 = a 25% move in the worse direction fails). Zero means
-	// "use the comparison's default".
-	Tol float64 `json:"tol,omitempty"`
+	// Tol is the tolerance band as a fraction of the baseline value
+	// (0.25 = a 25% move in the worse direction fails), or an absolute
+	// allowance when the baseline is 0. It must be positive.
+	Tol float64 `json:"tol"`
 }
 
 // Result is one experiment's emitted metrics.
@@ -69,19 +61,22 @@ func FileName(experiment string) string { return "BENCH_" + experiment + ".json"
 // regenerated baselines diff cleanly.
 func Write(dir string, r Result) error {
 	r.Schema = SchemaVersion
+	path := filepath.Join(dir, FileName(r.Experiment))
+	if err := checkGates(path, r); err != nil {
+		return err
+	}
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return fmt.Errorf("benchfmt: marshal %s: %w", r.Experiment, err)
 	}
 	b = append(b, '\n')
-	path := filepath.Join(dir, FileName(r.Experiment))
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return fmt.Errorf("benchfmt: write %s: %w", path, err)
 	}
 	return nil
 }
 
-// Load reads one result file.
+// Load reads one result file, refusing a metric that cannot gate.
 func Load(path string) (Result, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -95,7 +90,25 @@ func Load(path string) (Result, error) {
 		return Result{}, fmt.Errorf("benchfmt: %s has schema %d, want %d (regenerate with -bench-dir)",
 			path, r.Schema, SchemaVersion)
 	}
+	if err := checkGates(path, r); err != nil {
+		return Result{}, err
+	}
 	return r, nil
+}
+
+// checkGates refuses a metric that cannot gate: one without a direction
+// or without a positive tolerance.
+func checkGates(path string, r Result) error {
+	for _, m := range r.Metrics {
+		if m.Better != HigherIsBetter && m.Better != LowerIsBetter {
+			return fmt.Errorf("benchfmt: %s: metric %q has better %q, want %q or %q",
+				path, m.Name, m.Better, HigherIsBetter, LowerIsBetter)
+		}
+		if !(m.Tol > 0) {
+			return fmt.Errorf("benchfmt: %s: metric %q has tol %v, want > 0", path, m.Name, m.Tol)
+		}
+	}
+	return nil
 }
 
 // LoadBaseline reads dir's baseline for an experiment; ok=false when no
@@ -117,8 +130,7 @@ const (
 	StatusRegressed = "regressed" // beyond tolerance in the worse direction
 	StatusImproved  = "improved"  // beyond tolerance in the better direction
 	StatusNew       = "new"       // metric absent from the baseline
-	StatusGone      = "gone"      // baseline metric absent from the rerun
-	StatusInfo      = "info"      // trajectory-only metric, never gated
+	StatusGone      = "gone"      // baseline metric absent from the rerun; fails like a regression
 )
 
 // Delta is one metric's baseline-vs-rerun comparison.
@@ -131,11 +143,10 @@ type Delta struct {
 	Status string
 }
 
-// Compare evaluates a rerun against its baseline. defaultTol applies to
-// gated metrics that do not carry their own Tol. A gated baseline metric
-// missing from the rerun is a regression (coverage silently lost);
-// Info metrics never regress.
-func Compare(base, cur Result, defaultTol float64) (deltas []Delta, regressed bool) {
+// Compare evaluates a rerun against its baseline, each metric within its
+// own Tol. A baseline metric missing from the rerun is a regression
+// (coverage silently lost).
+func Compare(base, cur Result) (deltas []Delta, regressed bool) {
 	baseByName := make(map[string]Metric, len(base.Metrics))
 	for _, m := range base.Metrics {
 		baseByName[m.Name] = m
@@ -152,16 +163,7 @@ func Compare(base, cur Result, defaultTol float64) (deltas []Delta, regressed bo
 		}
 		d.Base = bm.Value
 		d.Change = fractionalChange(bm.Value, m.Value)
-		if m.Better == Info || m.Better == "" {
-			d.Status = StatusInfo
-			deltas = append(deltas, d)
-			continue
-		}
-		tol := m.Tol
-		if tol == 0 {
-			tol = defaultTol
-		}
-		d.Status = gate(m.Better, bm.Value, m.Value, tol)
+		d.Status = gate(m.Better, bm.Value, m.Value, m.Tol)
 		if d.Status == StatusRegressed {
 			regressed = true
 		}
@@ -171,12 +173,8 @@ func Compare(base, cur Result, defaultTol float64) (deltas []Delta, regressed bo
 		if seen[bm.Name] {
 			continue
 		}
-		d := Delta{Name: bm.Name, Unit: bm.Unit, Base: bm.Value, Status: StatusGone}
-		if bm.Better != Info && bm.Better != "" {
-			d.Status = StatusRegressed // gated coverage disappeared
-			regressed = true
-		}
-		deltas = append(deltas, d)
+		deltas = append(deltas, Delta{Name: bm.Name, Unit: bm.Unit, Base: bm.Value, Status: StatusGone})
+		regressed = true
 	}
 	sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].Name < deltas[j].Name })
 	return deltas, regressed
@@ -227,7 +225,7 @@ func fractionalChange(base, cur float64) float64 {
 }
 
 // FormatDeltas renders one experiment's comparison as aligned job-log
-// rows — the trajectory summary CI prints.
+// rows.
 func FormatDeltas(experiment string, deltas []Delta) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s:\n", experiment)

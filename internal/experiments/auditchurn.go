@@ -38,11 +38,7 @@ type AuditChurnResult struct {
 	Pruned   int // events removed by retention
 	PeakLen  int
 	FinalLen int
-	// FlipThroughput is promotion flips per second over the churn loop —
-	// each flip writes and prunes audit events, so this tracks the cost
-	// of the retention machinery on the promote path.
-	FlipThroughput float64
-	Samples        []AuditChurnSample
+	Samples  []AuditChurnSample
 }
 
 // AuditChurn runs rounds of promote/deprecate churn over two instances
@@ -83,7 +79,6 @@ func AuditChurn(rounds, keep int) (*AuditChurnResult, error) {
 	if sampleEvery == 0 {
 		sampleEvery = 1
 	}
-	start := time.Now()
 	for r := 1; r <= rounds; r++ {
 		// B is production after its upload (even rounds thereafter), so
 		// odd rounds promote A and even rounds promote B — every round is
@@ -105,7 +100,6 @@ func AuditChurn(rounds, keep int) (*AuditChurnResult, error) {
 			res.Samples = append(res.Samples, AuditChurnSample{Round: r, Len: n})
 		}
 	}
-	res.FlipThroughput = float64(rounds) / time.Since(start).Seconds()
 	res.FinalLen = reg.Audit().Len()
 	res.Pruned = res.Recorded - res.FinalLen
 	return res, nil
@@ -113,19 +107,16 @@ func AuditChurn(rounds, keep int) (*AuditChurnResult, error) {
 
 // BenchMetrics emits BENCH_auditchurn.json metrics. The trail-size
 // numbers are fully deterministic (seeded clock and IDs), so they gate
-// with a tight tolerance; flip throughput is trajectory info.
+// with a tight tolerance; recorded and pruned totals are only printed.
 func (r *AuditChurnResult) BenchMetrics() []benchfmt.Metric {
 	bounded := 0.0
 	if r.Bounded() {
 		bounded = 1
 	}
 	return []benchfmt.Metric{
-		{Name: "recorded_events", Unit: "events", Value: float64(r.Recorded), Better: benchfmt.Info},
-		{Name: "pruned_events", Unit: "events", Value: float64(r.Pruned), Better: benchfmt.Info},
 		{Name: "peak_trail_len", Unit: "events", Value: float64(r.PeakLen), Better: benchfmt.LowerIsBetter, Tol: 0.01},
 		{Name: "final_trail_len", Unit: "events", Value: float64(r.FinalLen), Better: benchfmt.LowerIsBetter, Tol: 0.01},
 		{Name: "bounded", Value: bounded, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "flip_throughput", Unit: "ops/s", Value: r.FlipThroughput, Better: benchfmt.Info},
 	}
 }
 

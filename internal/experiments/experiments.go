@@ -8,6 +8,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"time"
 
 	"gallery/internal/blobstore"
@@ -57,3 +59,32 @@ func mustEnv(seed int64) *Env {
 	}
 	return e
 }
+
+// allocsPerOp runs op n times after a 50-call warmup (so pools reach
+// steady state) and reports the exact heap allocations per call, from the
+// runtime.MemStats.Mallocs delta rather than a sample. Arms compared
+// against each other build identical ops, so harness cost cancels in
+// their difference.
+func allocsPerOp(n int, op func() error) (float64, error) {
+	for i := 0; i < 50; i++ {
+		if err := op(); err != nil {
+			return 0, err
+		}
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if err := op(); err != nil {
+			return 0, err
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), nil
+}
+
+// wholeAllocs rounds an allocs/op figure to whole allocations, clamping
+// below at 0. Sub-alloc fractions are pool and warmup jitter; a healthy
+// value then reads exactly 0, which benchfmt gates with Tol as an
+// absolute allowance, so any run measuring one more alloc/op fails.
+func wholeAllocs(v float64) float64 { return math.Max(0, math.Round(v)) }

@@ -5,11 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -34,7 +31,7 @@ import (
 //     ignores the bearer header). The claim under test: authentication
 //     adds zero heap allocations per request.
 //  2. Registry arm — GET /v1/models/{id} against galleryd, auth off vs
-//     on, for the metadata-path overhead.
+//     on, for the metadata-path allocation cost.
 //  3. Noisy neighbor — two tenants on one frozen-clock gateway: "noisy"
 //     rate-limited at burst 10, "quiet" unlimited. The noisy tenant's
 //     flood must clip at exactly its burst while the quiet tenant loses
@@ -43,11 +40,9 @@ type MultiTenantResult struct {
 	PredictOps int
 
 	OffAllocs, OnAllocs float64
-	OffP50, OnP50       time.Duration
 
 	RegOps                    int
 	RegOffAllocs, RegOnAllocs float64
-	RegOffP50, RegOnP50       time.Duration
 
 	NoisySent, NoisyAllowed, NoisyRejected int
 	QuietSent, QuietOK                     int
@@ -56,12 +51,6 @@ type MultiTenantResult struct {
 // PredictExtraAllocs is the headline number: heap allocations per predict
 // request that exist only because auth is on.
 func (r *MultiTenantResult) PredictExtraAllocs() float64 { return r.OnAllocs - r.OffAllocs }
-
-// PredictOverhead is the wall-clock cost of auth on the predict path.
-func (r *MultiTenantResult) PredictOverhead() time.Duration { return r.OnP50 - r.OffP50 }
-
-// RegistryOverhead is the wall-clock cost of auth on the metadata path.
-func (r *MultiTenantResult) RegistryOverhead() time.Duration { return r.RegOnP50 - r.RegOffP50 }
 
 // QuietOKRatio is the quiet tenant's survival rate under the noisy
 // tenant's flood — 1.0 means full isolation.
@@ -75,38 +64,32 @@ func (r *MultiTenantResult) QuietOKRatio() float64 {
 // Format renders E22 as paper-style rows.
 func (r *MultiTenantResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "predict hot path (%d ops): auth=off p50=%v allocs/op=%.1f; auth=on p50=%v allocs/op=%.1f\n",
-		r.PredictOps, r.OffP50.Round(time.Microsecond), r.OffAllocs,
-		r.OnP50.Round(time.Microsecond), r.OnAllocs)
-	fmt.Fprintf(&b, "  auth overhead: %+.1f allocs/op (target 0), p50 %+dµs (target <2µs)\n",
-		r.PredictExtraAllocs(), r.PredictOverhead().Microseconds())
-	fmt.Fprintf(&b, "registry GET /v1/models/{id} (%d ops): auth=off p50=%v allocs/op=%.1f; auth=on p50=%v allocs/op=%.1f (overhead %+dµs)\n",
-		r.RegOps, r.RegOffP50.Round(time.Microsecond), r.RegOffAllocs,
-		r.RegOnP50.Round(time.Microsecond), r.RegOnAllocs, r.RegistryOverhead().Microseconds())
+	fmt.Fprintf(&b, "predict hot path (%d ops): auth=off allocs/op=%.1f; auth=on allocs/op=%.1f (extra %+.1f, target 0)\n",
+		r.PredictOps, r.OffAllocs, r.OnAllocs, r.PredictExtraAllocs())
+	fmt.Fprintf(&b, "registry GET /v1/models/{id} (%d ops): auth=off allocs/op=%.1f; auth=on allocs/op=%.1f\n",
+		r.RegOps, r.RegOffAllocs, r.RegOnAllocs)
+	b.WriteString("  auth=off pays for withActor's r.WithContext + context.WithValue (the anonymous actor);\n" +
+		"  auth=on carries the token identity instead, so the arms differ by more than auth and only auth=on gates\n")
 	fmt.Fprintf(&b, "noisy neighbor (frozen clock, noisy burst=10): noisy %d/%d admitted, %d rejected 429; quiet %d/%d ok (isolation %.2f)\n",
 		r.NoisyAllowed, r.NoisySent, r.NoisyRejected, r.QuietOK, r.QuietSent, r.QuietOKRatio())
 	return b.String()
 }
 
-// BenchMetrics emits BENCH_multitenant.json. Allocation counts and the
-// rate-limiter's exact admit/reject split are machine-independent and
-// gate the baseline; latencies are trajectory info.
+// BenchMetrics emits BENCH_multitenant.json: allocation counts and the
+// rate-limiter's exact admit/reject split. The registry arm gates its
+// authed count alone: auth=off runs withActor, which auth=on skips, so
+// their difference is not the cost of auth (and reads negative).
 func (r *MultiTenantResult) BenchMetrics() []benchfmt.Metric {
 	return []benchfmt.Metric{
 		// The tentpole claim: zero extra allocs on the authed predict path.
-		// Rounded to whole allocations — sub-alloc fractions are warmup
-		// jitter, and snapping the healthy value to exactly 0 keeps the
-		// baseline on benchfmt's zero-baseline path, where the tolerance is
-		// an absolute allowance: any run measuring ≥1 alloc/op of auth cost
-		// fails the gate.
-		{Name: "predict_auth_extra_allocs_per_op", Unit: "allocs/op", Value: math.Round(r.PredictExtraAllocs()), Better: benchfmt.LowerIsBetter, Tol: 0.5},
-		{Name: "predict_auth_on_allocs_per_op", Unit: "allocs/op", Value: r.OnAllocs, Better: benchfmt.LowerIsBetter, Tol: 0.5},
+		{Name: "predict_auth_extra_allocs_per_op", Unit: "allocs/op", Value: wholeAllocs(r.PredictExtraAllocs()), Better: benchfmt.LowerIsBetter, Tol: 0.5},
+		// Absolute counts. Ten runs spread 0.03 allocs/op around 36 and 39;
+		// tol 0.05 (about 1.8 allocs) passes +1 alloc/op and fails +2.
+		{Name: "predict_auth_on_allocs_per_op", Unit: "allocs/op", Value: r.OnAllocs, Better: benchfmt.LowerIsBetter, Tol: 0.05},
+		{Name: "registry_auth_on_allocs_per_op", Unit: "allocs/op", Value: r.RegOnAllocs, Better: benchfmt.LowerIsBetter, Tol: 0.05},
 		{Name: "noisy_allowed", Unit: "reqs", Value: float64(r.NoisyAllowed), Better: benchfmt.LowerIsBetter, Tol: 0.01},
 		{Name: "noisy_rejected", Unit: "reqs", Value: float64(r.NoisyRejected), Better: benchfmt.HigherIsBetter, Tol: 0.01},
 		{Name: "quiet_ok_ratio", Value: r.QuietOKRatio(), Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "predict_auth_overhead_seconds", Unit: "s", Value: r.PredictOverhead().Seconds(), Better: benchfmt.Info},
-		{Name: "registry_auth_overhead_seconds", Unit: "s", Value: r.RegistryOverhead().Seconds(), Better: benchfmt.Info},
-		{Name: "registry_auth_extra_allocs_per_op", Unit: "allocs/op", Value: r.RegOnAllocs - r.RegOffAllocs, Better: benchfmt.Info},
 	}
 }
 
@@ -200,10 +183,10 @@ func MultiTenant(n int) (*MultiTenantResult, error) {
 		}
 		return nil
 	}
-	if res.OffP50, res.OffAllocs, err = measureHTTP(n, func() error { return predictOp(hOff) }); err != nil {
+	if res.OffAllocs, err = allocsPerOp(n, func() error { return predictOp(hOff) }); err != nil {
 		return nil, err
 	}
-	if res.OnP50, res.OnAllocs, err = measureHTTP(n, func() error { return predictOp(hOn) }); err != nil {
+	if res.OnAllocs, err = allocsPerOp(n, func() error { return predictOp(hOn) }); err != nil {
 		return nil, err
 	}
 
@@ -223,10 +206,10 @@ func MultiTenant(n int) (*MultiTenantResult, error) {
 		}
 		return nil
 	}
-	if res.RegOffP50, res.RegOffAllocs, err = measureHTTP(n, func() error { return registryOp(srvOff) }); err != nil {
+	if res.RegOffAllocs, err = allocsPerOp(n, func() error { return registryOp(srvOff) }); err != nil {
 		return nil, err
 	}
-	if res.RegOnP50, res.RegOnAllocs, err = measureHTTP(n, func() error { return registryOp(srvOn) }); err != nil {
+	if res.RegOnAllocs, err = allocsPerOp(n, func() error { return registryOp(srvOn) }); err != nil {
 		return nil, err
 	}
 
@@ -267,32 +250,4 @@ func MultiTenant(n int) (*MultiTenantResult, error) {
 		return nil, fmt.Errorf("experiments: quiet tenant rate-limited %d times by the noisy tenant's flood", quietLimited)
 	}
 	return res, nil
-}
-
-// measureHTTP runs op n times after a warmup, reporting p50 latency and
-// exact heap allocations per op (runtime.MemStats.Mallocs delta, as in
-// measurePredict). The op includes request/recorder construction; arms
-// are compared against an identically-constructed baseline so that
-// harness cost cancels in the delta.
-func measureHTTP(n int, op func() error) (p50 time.Duration, allocsPerOp float64, err error) {
-	for i := 0; i < 50; i++ {
-		if err = op(); err != nil {
-			return
-		}
-	}
-	lats := make([]time.Duration, n)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range lats {
-		t0 := time.Now()
-		if err = op(); err != nil {
-			return
-		}
-		lats[i] = time.Since(t0)
-	}
-	runtime.ReadMemStats(&after)
-	allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(n)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats[n/2], allocsPerOp, nil
 }

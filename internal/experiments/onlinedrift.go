@@ -186,17 +186,14 @@ func (r *OnlineDriftResult) Format() string {
 
 // BenchMetrics emits BENCH_onlinedrift.json metrics. The detection
 // outcome (which window degraded, whether the retrain rule fired) is
-// deterministic given the seeds, so it gates; PSI values ride along as
-// trajectory info.
+// deterministic given the seeds, so it gates; PSI values are printed.
 func (r *OnlineDriftResult) BenchMetrics() []benchfmt.Metric {
 	fired := 0.0
 	if r.RetrainFired > 0 {
 		fired = 1
 	}
 	return []benchfmt.Metric{
-		{Name: "windows", Unit: "windows", Value: float64(len(r.Windows)), Better: benchfmt.Info},
 		{Name: "degraded_at_window", Unit: "window", Value: float64(r.DegradedAt), Better: benchfmt.LowerIsBetter, Tol: 0.01},
 		{Name: "retrain_fired", Value: fired, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "final_psi", Value: r.FinalPSI, Better: benchfmt.Info},
 	}
 }

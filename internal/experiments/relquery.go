@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -20,17 +19,15 @@ import (
 // scan that must seek past a huge equal-value run, the paper's Listing 5
 // shape "this city's instances under a mape, newest first" streamed from
 // the (city, created) composite index, and the full-scan + sort
-// reference. Every arm cross-checks its rows against a forced full scan,
-// and SelectFunc's rows, order and Explain against SelectExplain's, so a
-// planner or visitor bug fails the experiment rather than skewing it.
+// reference. It reports rows examined, not time: that is what the planner
+// decides, and it is exact on any machine. Every arm cross-checks its rows
+// against a forced full scan, and SelectFunc's rows, order and Explain
+// against SelectExplain's, so a planner or visitor bug fails the
+// experiment rather than skewing it.
 
 // RelQueryCase is one measured query shape.
 type RelQueryCase struct {
 	Name    string
-	Iters   int
-	NsPerOp float64
-	P50     time.Duration
-	P99     time.Duration
 	Scanned int  // rows/postings the store examined (relstore Explain)
 	Matched int  // rows matching before offset/limit
 	Rows    int  // rows returned
@@ -66,9 +63,8 @@ func relQuerySchema() relstore.Schema {
 // must stay within twice its candidates.
 const compositeCase = "city_mape_newest_desc"
 
-// RelQuery builds an n-row table and measures each planner path iters
-// times.
-func RelQuery(n, iters int) (*RelQueryResult, error) {
+// RelQuery builds an n-row table and plans each query shape against it.
+func RelQuery(n int) (*RelQueryResult, error) {
 	s := relstore.NewMemory()
 	if err := s.CreateTable(relQuerySchema()); err != nil {
 		return nil, err
@@ -231,23 +227,8 @@ func RelQuery(n, iters int) (*RelQueryResult, error) {
 				qc.name, ex.Index, ex.Scanned, aex.Matched)
 		}
 
-		lats := make([]time.Duration, iters)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			t0 := time.Now()
-			if _, err := s.Select(qc.q); err != nil {
-				return nil, err
-			}
-			lats[i] = time.Since(t0)
-		}
-		total := time.Since(start)
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		res.Cases = append(res.Cases, RelQueryCase{
 			Name:       qc.name,
-			Iters:      iters,
-			NsPerOp:    float64(total.Nanoseconds()) / float64(iters),
-			P50:        lats[len(lats)/2],
-			P99:        lats[len(lats)*99/100],
 			Scanned:    ex.Scanned,
 			Matched:    ex.Matched,
 			Rows:       len(rows),
@@ -272,31 +253,27 @@ func (r *RelQueryResult) Case(name string) *RelQueryCase {
 func (r *RelQueryResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "relstore query planner over %d rows (dup run %d):\n", r.TableRows, r.DupRun)
-	fmt.Fprintf(&b, "  %-28s %12s %10s %10s %9s %9s %10s %6s %8s\n",
-		"query", "ns/op", "p50", "p99", "scanned", "matched", "candidates", "rows", "ordered")
+	fmt.Fprintf(&b, "  %-28s %9s %9s %10s %6s %8s\n",
+		"query", "scanned", "matched", "candidates", "rows", "ordered")
 	for _, c := range r.Cases {
-		fmt.Fprintf(&b, "  %-28s %12.0f %10v %10v %9d %9d %10d %6d %8v\n",
-			c.Name, c.NsPerOp, c.P50.Round(time.Microsecond), c.P99.Round(time.Microsecond),
-			c.Scanned, c.Matched, c.Candidates, c.Rows, c.Ordered)
+		fmt.Fprintf(&b, "  %-28s %9d %9d %10d %6d %8v\n",
+			c.Name, c.Scanned, c.Matched, c.Candidates, c.Rows, c.Ordered)
 	}
-	if stream, ref := r.Case("newest_after_cutoff_desc"), r.Case("forcescan_sort_reference"); stream != nil && ref != nil && stream.NsPerOp > 0 {
-		fmt.Fprintf(&b, "  streamed vs full-scan+sort: %.1fx faster\n", ref.NsPerOp/stream.NsPerOp)
+	if stream, ref := r.Case("newest_after_cutoff_desc"), r.Case("forcescan_sort_reference"); stream != nil && ref != nil {
+		fmt.Fprintf(&b, "  streamed vs full-scan+sort: %d vs %d rows scanned for the same %d rows\n",
+			stream.Scanned, ref.Scanned, stream.Rows)
 	}
 	return b.String()
 }
 
-// BenchMetrics emits the experiment's BENCH_relquery.json metrics.
-// Scanned counts and planner verdicts are deterministic and gate; ns/op
-// and quantiles are hardware-bound trajectory info.
+// BenchMetrics emits the experiment's BENCH_relquery.json metrics: the
+// deterministic scanned counts and planner verdicts. Returned rows and
+// candidates are cross-checked above and printed.
 func (r *RelQueryResult) BenchMetrics() []benchfmt.Metric {
 	var ms []benchfmt.Metric
 	for _, c := range r.Cases {
 		ms = append(ms,
-			benchfmt.Metric{Name: c.Name + "_ns_per_op", Unit: "ns/op", Value: c.NsPerOp, Better: benchfmt.Info},
-			benchfmt.Metric{Name: c.Name + "_p99_seconds", Unit: "s", Value: c.P99.Seconds(), Better: benchfmt.Info},
 			benchfmt.Metric{Name: c.Name + "_rows_scanned", Unit: "rows", Value: float64(c.Scanned), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-			benchfmt.Metric{Name: c.Name + "_rows_returned", Unit: "rows", Value: float64(c.Rows), Better: benchfmt.Info},
-			benchfmt.Metric{Name: c.Name + "_candidates", Unit: "rows", Value: float64(c.Candidates), Better: benchfmt.Info},
 		)
 		ordered := 0.0
 		if c.Ordered {
@@ -307,12 +284,6 @@ func (r *RelQueryResult) BenchMetrics() []benchfmt.Metric {
 		case "newest_after_cutoff_desc", "after_cutoff_asc_paged", "eq_city_sorted", compositeCase:
 			ms = append(ms, benchfmt.Metric{Name: c.Name + "_ordered", Value: ordered, Better: benchfmt.HigherIsBetter, Tol: 0.01})
 		}
-	}
-	if stream, ref := r.Case("newest_after_cutoff_desc"), r.Case("forcescan_sort_reference"); stream != nil && ref != nil && stream.NsPerOp > 0 {
-		ms = append(ms, benchfmt.Metric{
-			Name: "streamed_vs_fullsort_speedup", Unit: "x",
-			Value: ref.NsPerOp / stream.NsPerOp, Better: benchfmt.Info,
-		})
 	}
 	return ms
 }

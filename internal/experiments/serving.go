@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,22 +49,16 @@ func (s regSource) FetchBlob(instanceID string) ([]byte, error) {
 
 // ServingArm is one row of the batching ablation.
 type ServingArm struct {
-	Name        string
-	MaxBatch    int
-	Predictions int
-	Elapsed     time.Duration
-	QPS         float64
-	Failed      int64
-	// Single-client measurement round: request latency quantiles and the
-	// exact allocation count per prediction.
-	P50         time.Duration
-	P99         time.Duration
+	Name     string
+	MaxBatch int
+	// AllocsPerOp is the exact heap allocation count per prediction,
+	// measured single-client after the storm.
 	AllocsPerOp float64
 }
 
 // ServingResult is the serving-gateway experiment outcome: the same
 // prediction storm answered by the same promoted LinearAR instance with
-// micro-batching off and on, plus a hot swap under fire in each arm.
+// micro-batching off and on, with a hot swap under fire in each arm.
 type ServingResult struct {
 	Clients   int
 	PerClient int
@@ -76,26 +68,15 @@ type ServingResult struct {
 	SwapServed bool
 }
 
-// Speedup is batched QPS over unbatched QPS.
-func (r *ServingResult) Speedup() float64 {
-	if len(r.Arms) < 2 || r.Arms[0].QPS == 0 {
-		return 0
-	}
-	return r.Arms[1].QPS / r.Arms[0].QPS
-}
-
 // Format renders the ablation as paper-style rows.
 func (r *ServingResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "prediction storm: %d clients x %d predictions, LinearAR production instance, hot swap mid-storm\n",
+	fmt.Fprintf(&b, "prediction storm: %d clients x %d predictions, LinearAR production instance, hot swap mid-storm, 0 failed\n",
 		r.Clients, r.PerClient)
 	for _, a := range r.Arms {
-		fmt.Fprintf(&b, "  %-14s %8d predictions in %8.1fms  %10.0f qps  p50=%v p99=%v allocs/op=%.1f failed=%d\n",
-			a.Name, a.Predictions, float64(a.Elapsed.Microseconds())/1000, a.QPS,
-			a.P50.Round(time.Microsecond), a.P99.Round(time.Microsecond), a.AllocsPerOp, a.Failed)
+		fmt.Fprintf(&b, "  %-14s allocs/op=%.1f\n", a.Name, a.AllocsPerOp)
 	}
-	fmt.Fprintf(&b, "  batched/unbatched throughput: %.2fx; swap served new instance in both arms: %v\n",
-		r.Speedup(), r.SwapServed)
+	fmt.Fprintf(&b, "  swap served new instance in both arms: %v\n", r.SwapServed)
 	return b.String()
 }
 
@@ -158,9 +139,10 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 	}
 
 	res := &ServingResult{Clients: clients, PerClient: perClient, SwapServed: true}
-	arms := []*ServingArm{
-		{Name: "batch=off", MaxBatch: 0, Elapsed: time.Duration(1<<62 - 1)},
-		{Name: "batch=32", MaxBatch: 32, Elapsed: time.Duration(1<<62 - 1)},
+	modelID := m.ID.String()
+	arms := []ServingArm{
+		{Name: "batch=off", MaxBatch: 0},
+		{Name: "batch=32", MaxBatch: 32},
 	}
 	gws := make([]*serve.Gateway, len(arms))
 	for i, arm := range arms {
@@ -171,153 +153,90 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 			Obs:             obs.NewRegistry(),
 		})
 		defer gw.Close()
-		// Warm load outside the timed region; both gateways cache the
-		// champion before the first promotion lands.
-		if _, err := gw.Predict(m.ID.String(), fctx); err != nil {
+		// Both gateways cache the champion before the first promotion.
+		if _, err := gw.Predict(modelID, fctx); err != nil {
 			return nil, err
 		}
 		gws[i] = gw
 	}
-
-	// storm runs one timed round of the prediction load against one
-	// gateway. When swap is non-nil it is invoked from the sidelines once
-	// the storm is half done, modeling a promotion landing under fire.
-	storm := func(gw *serve.Gateway, name string, swap func() error) (time.Duration, error) {
-		var (
-			wg      sync.WaitGroup
-			failed  atomic.Int64
-			swapErr error
-			halfAt  = int32(perClient / 2)
-			swapCh  = make(chan struct{})
-			once    sync.Once
-		)
-		start := time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := 0; i < perClient; i++ {
-					if c == 0 && int32(i) == halfAt {
-						once.Do(func() { close(swapCh) })
-					}
-					if _, err := gw.Predict(m.ID.String(), fctx); err != nil {
-						failed.Add(1)
-					}
-				}
-			}(c)
-		}
-		if swap != nil {
-			<-swapCh
-			swapErr = swap()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		if swapErr != nil {
-			return 0, swapErr
-		}
-		if n := failed.Load(); n != 0 {
-			return 0, fmt.Errorf("experiments: serving arm %s dropped %d predictions", name, n)
-		}
-		return elapsed, nil
-	}
-
-	// Rounds are interleaved across the arms so neither benefits from
-	// running after the other warmed the heap and the pools. Round 1 takes
-	// the promotion mid-storm (PromoteInstance is idempotent, so each arm
-	// can issue it); later rounds are clean, and the fastest round is the
-	// arm's throughput — single rounds are ~60ms, well inside GC/scheduler
-	// noise.
-	for round := 0; round < 3; round++ {
-		for i, arm := range arms {
-			gw := gws[i]
-			var swap func() error
-			if round == 0 {
-				swap = func() error {
-					if err := env.Reg.PromoteInstance(chall.ID); err != nil {
-						return err
-					}
-					gw.RefreshAll()
-					return nil
-				}
-			}
-			runtime.GC()
-			elapsed, err := storm(gw, arm.Name, swap)
-			if err != nil {
-				return nil, err
-			}
-			if elapsed < arm.Elapsed {
-				arm.Elapsed = elapsed
-			}
-		}
-	}
 	for i, arm := range arms {
-		arm.Predictions = clients * perClient
-		arm.QPS = float64(arm.Predictions) / arm.Elapsed.Seconds()
-		resp, err := gws[i].Predict(m.ID.String(), fctx)
+		gw := gws[i]
+		// PromoteInstance is idempotent, so each arm can issue it; the
+		// refresh is what moves this gateway mid-storm.
+		if err := servingStorm(gw, modelID, fctx, clients, perClient, func() error {
+			if err := env.Reg.PromoteInstance(chall.ID); err != nil {
+				return err
+			}
+			gw.RefreshAll()
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("experiments: serving arm %s: %w", arm.Name, err)
+		}
+		resp, err := gw.Predict(modelID, fctx)
 		if err != nil {
 			return nil, err
 		}
 		if resp.InstanceID != chall.ID.String() {
 			res.SwapServed = false
 		}
-		// Single-client measurement round: per-request latency quantiles
-		// and allocations per prediction (the machine-independent number
-		// the perf baseline gates on).
-		if arm.P50, arm.P99, arm.AllocsPerOp, err = measurePredict(gws[i], m.ID.String(), fctx, 1000); err != nil {
+		if arm.AllocsPerOp, err = allocsPerOp(1000, func() error {
+			_, err := gw.Predict(modelID, fctx)
+			return err
+		}); err != nil {
 			return nil, err
 		}
-		res.Arms = append(res.Arms, *arm)
+		res.Arms = append(res.Arms, arm)
 	}
 	return res, nil
 }
 
-// measurePredict issues n sequential predictions against a warmed
-// gateway, reporting latency quantiles and the heap allocation count per
-// call (via runtime.MemStats.Mallocs, so it counts mallocs exactly
-// rather than sampling).
-func measurePredict(gw *serve.Gateway, modelID string, fctx forecast.Context, n int) (p50, p99 time.Duration, allocsPerOp float64, err error) {
-	for i := 0; i < 50; i++ { // warm pools so steady-state is measured
-		if _, err = gw.Predict(modelID, fctx); err != nil {
-			return
-		}
+// servingStorm runs clients goroutines of perClient predictions each
+// against gw, invoking swap from the sidelines once client 0 is half done:
+// a promotion landing under fire. Any failed prediction is an error.
+func servingStorm(gw *serve.Gateway, modelID string, fctx forecast.Context, clients, perClient int, swap func() error) error {
+	var (
+		wg     sync.WaitGroup
+		failed atomic.Int64
+		half   = make(chan struct{})
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if c == 0 && i == perClient/2 {
+					close(half)
+				}
+				if _, err := gw.Predict(modelID, fctx); err != nil {
+					failed.Add(1)
+				}
+			}
+		}(c)
 	}
-	lats := make([]time.Duration, n)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range lats {
-		t0 := time.Now()
-		if _, err = gw.Predict(modelID, fctx); err != nil {
-			return
-		}
-		lats[i] = time.Since(t0)
+	<-half
+	swapErr := swap()
+	wg.Wait()
+	if swapErr != nil {
+		return swapErr
 	}
-	runtime.ReadMemStats(&after)
-	allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(n)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats[n/2], lats[n*99/100], allocsPerOp, nil
+	if n := failed.Load(); n != 0 {
+		return fmt.Errorf("dropped %d predictions", n)
+	}
+	return nil
 }
 
-// BenchMetrics emits the experiment's BENCH_serving.json metrics.
-// Allocation counts per prediction are machine-independent and gate the
-// baseline; throughput and latency are hardware-bound trajectory info.
+// BenchMetrics emits the experiment's BENCH_serving.json gates: whole
+// heap allocations per prediction in each arm (the batched arm's pooled
+// path reads 0), and whether the swap reached traffic.
 func (r *ServingResult) BenchMetrics() []benchfmt.Metric {
 	var ms []benchfmt.Metric
 	for _, a := range r.Arms {
 		prefix := strings.ReplaceAll(a.Name, "=", "_")
-		ms = append(ms,
-			benchfmt.Metric{Name: prefix + "_qps", Unit: "ops/s", Value: a.QPS, Better: benchfmt.Info},
-			benchfmt.Metric{Name: prefix + "_p50_seconds", Unit: "s", Value: a.P50.Seconds(), Better: benchfmt.Info},
-			benchfmt.Metric{Name: prefix + "_p99_seconds", Unit: "s", Value: a.P99.Seconds(), Better: benchfmt.Info},
-			benchfmt.Metric{Name: prefix + "_allocs_per_op", Unit: "allocs/op", Value: a.AllocsPerOp, Better: benchfmt.LowerIsBetter, Tol: 0.5},
-		)
+		ms = append(ms, benchfmt.Metric{Name: prefix + "_allocs_per_op", Unit: "allocs/op", Value: wholeAllocs(a.AllocsPerOp), Better: benchfmt.LowerIsBetter, Tol: 0.5})
 	}
 	swap := 0.0
 	if r.SwapServed {
 		swap = 1
 	}
-	return append(ms,
-		benchfmt.Metric{Name: "batched_speedup", Unit: "x", Value: r.Speedup(), Better: benchfmt.Info},
-		benchfmt.Metric{Name: "swap_served", Value: swap, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-	)
+	return append(ms, benchfmt.Metric{Name: "swap_served", Value: swap, Better: benchfmt.HigherIsBetter, Tol: 0.01})
 }
