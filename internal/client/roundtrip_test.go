@@ -30,7 +30,7 @@ func TestClientCoversEveryCall(t *testing.T) {
 	}
 	repo := rules.NewRepo(clk)
 	engine := rules.NewEngine(reg, repo, clk)
-	ts := httptest.NewServer(server.New(reg, repo, engine))
+	ts := httptest.NewServer(server.NewWith(reg, repo, engine, server.Options{}))
 	defer ts.Close()
 	c := client.New(ts.URL, ts.Client())
 

@@ -1,0 +1,340 @@
+package daemon
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"gallery/internal/api"
+	"gallery/internal/client"
+	"gallery/internal/obs"
+	"gallery/internal/obs/profile"
+)
+
+// quiet keeps test daemons off the process's one CPU profile; later
+// arguments override it.
+var quiet = []string{"-profile-interval", "-1s"}
+
+// parseConfig fills a config from its defaults and args, the way main
+// does with the command line.
+func parseConfig(t testing.TB, flags func(*flag.FlagSet), args []string) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	flags(fs)
+	must(t, fs.Parse(args))
+}
+
+func gallerydConfig(t testing.TB, args ...string) GallerydConfig {
+	var c GallerydConfig
+	parseConfig(t, c.Flags, append(append(slices.Clone(quiet), "-dump-metrics=false"), args...))
+	return c
+}
+
+func galleryserveConfig(t testing.TB, args ...string) GalleryserveConfig {
+	var c GalleryserveConfig
+	parseConfig(t, c.Flags, append(slices.Clone(quiet), args...))
+	return c
+}
+
+// writeTokenFile writes a -token-file seeding one operator token.
+func writeTokenFile(t testing.TB, secret string) string {
+	t.Helper()
+	raw := fmt.Sprintf(`{"tokens":[{"secret":%q,"name":"test","namespace":"default","role":"operator"}]}`, secret)
+	path := filepath.Join(t.TempDir(), "tokens.json")
+	must(t, os.WriteFile(path, []byte(raw), 0o644))
+	return path
+}
+
+// pair is both daemons booted in-process on loopback listeners, each
+// pointed at the other the way an operator points the binaries.
+type pair struct {
+	gd       *Galleryd
+	gw       *Galleryserve
+	gdC, gwC *client.Client
+}
+
+func bootPair(t *testing.T, token string, gdArgs, gwArgs []string) *pair {
+	t.Helper()
+	gdTS, gwTS := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	gdURL, gwURL := "http://"+gdTS.Listener.Addr().String(), "http://"+gwTS.Listener.Addr().String()
+	tokens := writeTokenFile(t, token)
+
+	gd, err := NewGalleryd(gallerydConfig(t, append([]string{"-token-file", tokens,
+		"-incident-gateway", gwURL, "-incident-gateway-token", token}, gdArgs...)...))
+	must(t, err)
+	t.Cleanup(func() { gd.Close() })
+	gdTS.Config.Handler = gd.Handler()
+	gdTS.Start()
+	t.Cleanup(gdTS.Close)
+
+	gw, err := NewGalleryserve(galleryserveConfig(t, append([]string{"-token-file", tokens,
+		"-gallery", gdURL, "-token", token}, gwArgs...)...))
+	must(t, err)
+	// Cleanups run last-registered first: the gateway's HTTP side, then
+	// the gateway (its shipper still reaching galleryd), then galleryd.
+	t.Cleanup(func() { gw.Close() })
+	gwTS.Config.Handler = gw.Handler()
+	gwTS.Start()
+	t.Cleanup(gwTS.Close)
+
+	return &pair{
+		gd: gd, gw: gw,
+		gdC: client.NewWith(gdURL, client.Options{Token: token}),
+		gwC: client.NewWith(gwURL, client.Options{Token: token}),
+	}
+}
+
+const testToken = "gal_test0123456789abcdef0123456789abcdef"
+
+// TestFlagsMatchGolden pins both command lines to the flag names, types
+// and defaults captured from the binaries' -h output before the assembly
+// moved here (testdata/*.flags); help text may differ. Each config has
+// exactly one field per flag.
+func TestFlagsMatchGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    any
+		flags  func(*flag.FlagSet)
+		fields int
+	}{
+		{"galleryd", &GallerydConfig{}, (&GallerydConfig{}).Flags, 32},
+		{"galleryserve", &GalleryserveConfig{}, (&GalleryserveConfig{}).Flags, 25},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet(tc.name, flag.ContinueOnError)
+			tc.flags(fs)
+			var help bytes.Buffer
+			fs.SetOutput(&help)
+			fs.PrintDefaults()
+			golden, err := os.ReadFile("testdata/" + tc.name + ".flags")
+			must(t, err)
+			if got, want := flagSignatures(help.String()), flagSignatures(string(golden)); !slices.Equal(got, want) {
+				t.Errorf("flags differ from the golden:\n got  %q\n want %q", got, want)
+			}
+			n := 0
+			fs.VisitAll(func(*flag.Flag) { n++ })
+			if f := leafFields(reflect.TypeOf(tc.cfg).Elem()); n != tc.fields || f != tc.fields {
+				t.Errorf("%d flags and %d config fields, want %d of each", n, f, tc.fields)
+			}
+		})
+	}
+}
+
+var defaultRE = regexp.MustCompile(`\(default (.*)\)$`)
+
+// flagSignatures reduces flag.PrintDefaults output to "name type default"
+// lines, dropping the help text.
+func flagSignatures(help string) []string {
+	var out []string
+	for _, line := range strings.Split(help, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			out = append(out, strings.TrimSpace(line))
+		} else if m := defaultRE.FindStringSubmatch(line); m != nil && len(out) > 0 {
+			out[len(out)-1] += " = " + m[1]
+		}
+	}
+	return out
+}
+
+// leafFields counts a struct's fields, counting an embedded struct's
+// fields in place of the struct.
+func leafFields(t reflect.Type) int {
+	n := 0
+	for i := range t.NumField() {
+		if f := t.Field(i); f.Anonymous {
+			n += leafFields(f.Type)
+		} else {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMetricFamiliesCoverGolden drives requestScript against both daemons
+// and checks that each one's exposition lists every metric family the
+// same script produced before the daemons had registries of their own
+// (testdata/*.families, captured from the binaries). A component left on
+// the process-wide registry drops out of its daemon's exposition and
+// fails here.
+func TestMetricFamiliesCoverGolden(t *testing.T) {
+	p := bootPair(t, testToken, scriptGallerydArgs, scriptGalleryserveArgs)
+	must(t, requestScript(p.gdC, p.gwC))
+	for _, tc := range []struct {
+		name    string
+		c       *client.Client
+		foreign string // a family only the other daemon may have
+	}{
+		{"galleryd", p.gdC, "serve_predictions_total counter"},
+		{"galleryserve", p.gwC, "dal_cache_hits_total counter"},
+	} {
+		raw, err := tc.c.DebugMetricsProm()
+		must(t, err)
+		got := promFamilies(raw)
+		golden, err := os.ReadFile("testdata/" + tc.name + ".families")
+		must(t, err)
+		for _, want := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+			if !slices.Contains(got, want) {
+				t.Errorf("%s: family %q missing from /v1/debug/metrics/prom", tc.name, want)
+			}
+		}
+		if slices.Contains(got, tc.foreign) {
+			t.Errorf("%s exposes %q: the daemons share a registry", tc.name, tc.foreign)
+		}
+	}
+}
+
+// TestGallerydAssembly boots the production galleryd over a data
+// directory with -fsync and -auth, restarts it, and checks what only the
+// whole assembly can get right.
+func TestGallerydAssembly(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-data", dir, "-fsync", "-auth", "-slo-interval", "-1s"}
+	gd, err := NewGalleryd(gallerydConfig(t, args...))
+	must(t, err)
+	// The start-up commit: schemas and the bootstrap token are on disk
+	// before the secret is shown.
+	if size, durable := gd.meta.LogSize(), gd.meta.LogDurable(); size != durable {
+		t.Fatalf("after New: log %d bytes, %d durable", size, durable)
+	}
+	id, secret := gd.Bootstrap()
+	if id == "" || !strings.HasPrefix(secret, "gal_") {
+		t.Fatalf("bootstrap = %q, %q; want a minted operator token", id, secret)
+	}
+	ts := httptest.NewServer(gd.Handler())
+	c := client.NewWith(ts.URL, client.Options{Token: secret})
+	if _, err := c.CreateNamespace(api.CreateNamespaceRequest{Name: "maps"}); err != nil {
+		t.Fatalf("operator-only request with the bootstrap secret: %v", err)
+	}
+	m, err := c.RegisterModel(api.RegisterModelRequest{BaseVersionID: "bv", Name: "demand", Domain: "UberX"})
+	must(t, err)
+
+	// One request per subsystem lands in this daemon's registry: the SLO
+	// evaluator reads the RED series the server records...
+	must(t, second(c.CreateSLO(api.CreateSLORequest{Namespace: "default", Kind: "availability", Target: 0.99})))
+	gd.slo.Evaluate(t.Context()) // the first tick only anchors the window
+	for range 3 {
+		must(t, second(c.GetModel(m.ID)))
+	}
+	if _, err := c.SelectModel("no-such-rule", api.SearchRequest{}); err == nil {
+		t.Fatal("selecting with an unknown rule succeeded")
+	}
+	gd.slo.Evaluate(t.Context())
+	st, err := c.SLOStatus()
+	if err != nil || len(st) != 1 || st[0].BudgetRemaining >= 1 {
+		t.Fatalf("SLO status = %+v, %v; want one objective whose budget the failed request spent", st, err)
+	}
+	// ...and an incident bundle snapshots the registry the server counts in.
+	inc, err := c.TriggerIncident(api.TriggerIncidentRequest{Reason: "assembly"})
+	must(t, err)
+	detail, err := c.GetIncident(inc.ID)
+	must(t, err)
+	var snap obs.Snapshot
+	must(t, json.Unmarshal(detail.Bundle.Registry.Metrics, &snap))
+	for _, prefix := range []string{"http_requests_total", "relstore_ops_total", "audit_events_total", "tenant_http_requests_total", "slo_evaluations_total"} {
+		if !hasCounter(snap, prefix) {
+			t.Errorf("incident bundle metrics hold no %s counter", prefix)
+		}
+	}
+	ts.Close()
+	must(t, gd.Close())
+
+	// A restart recovers the tokens, so nothing new is minted, and the
+	// first run's write.
+	gd, err = NewGalleryd(gallerydConfig(t, args...))
+	must(t, err)
+	defer gd.Close()
+	if id, secret := gd.Bootstrap(); id != "" || secret != "" {
+		t.Fatalf("restart minted bootstrap token %q", id)
+	}
+	ts = httptest.NewServer(gd.Handler())
+	defer ts.Close()
+	c = client.NewWith(ts.URL, client.Options{Token: secret})
+	if got, err := c.GetModel(m.ID); err != nil || got.Name != "demand" {
+		t.Fatalf("model after restart = %+v, %v", got, err)
+	}
+}
+
+// must fails the test on err.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func hasCounter(snap obs.Snapshot, prefix string) bool {
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, prefix) && v > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestConfigErrors: bad combinations come back as errors from the
+// constructor, not as an exit.
+func TestConfigErrors(t *testing.T) {
+	tokens := writeTokenFile(t, testToken)
+	if _, err := NewGalleryd(gallerydConfig(t, "-mem", "-token-file", tokens)); err == nil || !strings.Contains(err.Error(), "-token-file requires -auth") {
+		t.Errorf("galleryd -token-file without -auth: err = %v", err)
+	}
+	if _, err := NewGalleryd(gallerydConfig(t, "-mem", "-trace-sample", "sometimes")); err == nil {
+		t.Error("galleryd accepted a bad -trace-sample")
+	}
+	if _, err := NewGalleryserve(galleryserveConfig(t, "-token-file", tokens)); err == nil || !strings.Contains(err.Error(), "-token-file requires -auth") {
+		t.Errorf("galleryserve -token-file without -auth: err = %v", err)
+	}
+	if _, err := NewGalleryserve(galleryserveConfig(t, "-auth")); err == nil || !strings.Contains(err.Error(), "-auth requires -token-file") {
+		t.Errorf("galleryserve -auth without -token-file: err = %v", err)
+	}
+	// A failure late in the assembly stops what already started: the
+	// data directory opens again at once.
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	dir := t.TempDir()
+	if _, err := NewGalleryd(gallerydConfig(t, "-data", dir, "-auth", "-token-file", missing)); err == nil {
+		t.Error("galleryd started with a missing token file")
+	}
+	if _, err := NewGalleryserve(galleryserveConfig(t, "-auth", "-token-file", missing)); err == nil {
+		t.Error("galleryserve started with a missing token file")
+	}
+	gd, err := NewGalleryd(gallerydConfig(t, "-data", dir))
+	must(t, err)
+	gd.Close()
+}
+
+// TestGatewayCloseShipsLastWindow closes a gateway while its profiler is
+// in the middle of a CPU window. Stop cuts the window short and exports
+// it; Close must still be able to ship it, so galleryd's fleet view then
+// holds the gateway's CPU window.
+func TestGatewayCloseShipsLastWindow(t *testing.T) {
+	gd, err := NewGalleryd(gallerydConfig(t, "-mem"))
+	must(t, err)
+	defer gd.Close()
+	ts := httptest.NewServer(gd.Handler())
+	defer ts.Close()
+
+	gw, err := NewGalleryserve(galleryserveConfig(t, "-gallery", ts.URL, "-refresh", "-1s", "-health-flush", "-1s",
+		"-profile-interval", "1h", "-profile-window", "1h"))
+	must(t, err)
+	time.Sleep(50 * time.Millisecond) // let the first window open
+	must(t, gw.Close())
+
+	view, err := client.New(ts.URL, nil).DebugProfile(0, 5)
+	must(t, err)
+	for _, pv := range view.Processes {
+		if pv.Process == "galleryserve" && pv.Windows[profile.KindCPU] == 1 {
+			return
+		}
+	}
+	t.Fatalf("galleryd's profile view lacks the gateway's interrupted CPU window: %+v", view.Processes)
+}

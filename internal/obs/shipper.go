@@ -26,9 +26,10 @@ const (
 // Shipper is the one outbound path for telemetry nobody waits for: a
 // gateway's kept traces, profile summaries and hot-swap audit reports all
 // ride its single bounded queue to one worker. Export never blocks — a
-// full queue drops the shipment — and the worker calls each send once.
-// What is lost is counted per channel in the registry the Shipper was
-// built over, so the observability stack reports on itself.
+// full queue, or a closed Shipper, drops the shipment — and the worker
+// calls each send once. What is lost is counted per channel in the
+// registry the Shipper was built over, so the observability stack reports
+// on itself.
 type Shipper struct {
 	dropped *CounterVec // telemetry_dropped_total{channel}
 	failed  *CounterVec // telemetry_failed_total{channel}
@@ -52,7 +53,7 @@ type shipment struct {
 // channels are registered up front, so a scrape shows them at zero rather
 // than absent.
 func NewShipper(reg *Registry) *Shipper {
-	reg.Help("telemetry_dropped_total", "Telemetry shipments discarded unsent because the shipper's queue was full.")
+	reg.Help("telemetry_dropped_total", "Telemetry shipments discarded unsent because the shipper's queue was full or it had closed.")
 	reg.Help("telemetry_failed_total", "Telemetry shipments whose one send attempt failed (network error or non-2xx).")
 	s := &Shipper{
 		dropped: reg.CounterVec("telemetry_dropped_total", []string{"channel"}, 0),
@@ -71,20 +72,20 @@ func NewShipper(reg *Registry) *Shipper {
 
 // Export queues one shipment on channel. send runs later on the worker,
 // under a context that carries a deadline and no span: a traced send
-// would itself be kept and exported, forever. After Close, Export is a
-// no-op.
+// would itself be kept and exported, forever. A shipment that finds the
+// queue full, or the Shipper closed, is dropped and counted.
 func (s *Shipper) Export(channel string, send func(context.Context) error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return
+	if !s.closed {
+		select {
+		case s.ch <- shipment{channel, send}:
+			s.queued++
+			return
+		default:
+		}
 	}
-	select {
-	case s.ch <- shipment{channel, send}:
-		s.queued++
-	default:
-		s.dropped.With(channel).Inc()
-	}
+	s.dropped.With(channel).Inc()
 }
 
 // Flush blocks until everything queued has been sent (successfully or

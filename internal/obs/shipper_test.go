@@ -43,6 +43,19 @@ func TestShipper(t *testing.T) {
 		}
 	})
 
+	// A producer that outlives the shipper (a profiler window cut short by
+	// shutdown) loses its shipment; the loss must show in the counter.
+	t.Run("export after close is counted as dropped", func(t *testing.T) {
+		reg := NewRegistry()
+		s := NewShipper(reg)
+		s.Close()
+		s.Export(ChannelProfiles, func(context.Context) error { t.Error("sent after Close"); return nil })
+		dropped := reg.CounterVec("telemetry_dropped_total", []string{"channel"}, 0)
+		if got := dropped.Get(ChannelProfiles); got != 1 {
+			t.Fatalf("telemetry_dropped_total{channel=profiles} = %d, want 1", got)
+		}
+	})
+
 	// Close from two goroutines while exporters are still running: every
 	// shipment accepted before the close is sent, none after, nothing
 	// panics on the closed queue, and both Closes return.

@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"time"
 
-	"gallery/internal/api"
 	"gallery/internal/client"
 	"gallery/internal/forecast"
 	"gallery/internal/incident"
@@ -122,17 +119,9 @@ func NewHandler(gw *Gateway, opts ...HandlerOption) *Handler {
 	}
 	h.mux.HandleFunc("POST /v1/predict/{model}", h.handlePredict)
 	h.mux.HandleFunc("GET /v1/serving", h.handleServing)
-	h.mux.HandleFunc("GET /v1/debug/metrics", h.handleMetrics)
-	h.mux.HandleFunc("GET /v1/debug/metrics/prom", h.handleMetricsProm)
 	h.mux.HandleFunc("GET /v1/debug/bundle", h.handleBundle)
 	h.mux.HandleFunc("GET /v1/healthz", h.handleHealthz)
-	if h.tracer != nil {
-		h.mux.HandleFunc("GET /v1/debug/traces", h.handleListTraces)
-		h.mux.HandleFunc("GET /v1/debug/traces/{id}", h.handleGetTrace)
-	}
-	if h.logs != nil {
-		h.mux.HandleFunc("GET /v1/debug/logs", h.handleLogs)
-	}
+	httpmw.RegisterDebug(h.mux.HandleFunc, h.obs, h.tracer, h.logs)
 	if h.profiler != nil {
 		h.mux.HandleFunc("GET /v1/debug/profile", h.handleProfile)
 	}
@@ -191,15 +180,15 @@ func (h *Handler) servePredict(w http.ResponseWriter, r *http.Request, modelID s
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeServeErr(w, status, fmt.Errorf("decode request: %w", err))
+		httpmw.WriteError(w, status, fmt.Errorf("decode request: %w", err))
 		return status
 	}
 	if len(req.History) == 0 {
-		writeServeErr(w, http.StatusBadRequest, errors.New("history must not be empty"))
+		httpmw.WriteError(w, http.StatusBadRequest, errors.New("history must not be empty"))
 		return http.StatusBadRequest
 	}
 	if req.HistoryEvents != nil && len(req.HistoryEvents) != len(req.History) {
-		writeServeErr(w, http.StatusBadRequest,
+		httpmw.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("history_events length %d does not match history length %d",
 				len(req.HistoryEvents), len(req.History)))
 		return http.StatusBadRequest
@@ -213,7 +202,7 @@ func (h *Handler) servePredict(w http.ResponseWriter, r *http.Request, modelID s
 	})
 	if err != nil {
 		status := predictStatus(err)
-		writeServeErr(w, status, err)
+		httpmw.WriteError(w, status, err)
 		return status
 	}
 	writePredictResponse(w, resp)
@@ -221,19 +210,7 @@ func (h *Handler) servePredict(w http.ResponseWriter, r *http.Request, modelID s
 }
 
 func (h *Handler) handleServing(w http.ResponseWriter, r *http.Request) {
-	writeServeJSON(w, http.StatusOK, h.gw.Status())
-}
-
-func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// no-store: dashboards poll this; a cached snapshot is a wrong one.
-	w.Header().Set("Cache-Control", "no-store")
-	writeServeJSON(w, http.StatusOK, h.obs.Snapshot())
-}
-
-func (h *Handler) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", httpmw.PromContentType)
-	w.Header().Set("Cache-Control", "no-store")
-	_ = h.obs.WriteProm(w)
+	httpmw.WriteJSON(w, http.StatusOK, h.gw.Status())
 }
 
 // handleBundle serves this process's full observability snapshot —
@@ -245,7 +222,7 @@ func (h *Handler) handleBundle(w http.ResponseWriter, r *http.Request) {
 		hist = h.profiler.Ring()
 	}
 	w.Header().Set("Cache-Control", "no-store")
-	writeServeJSON(w, http.StatusOK,
+	httpmw.WriteJSON(w, http.StatusOK,
 		incident.SnapshotProcess("galleryserve", h.obs, h.tracer, h.logs, hist, 0, 0, 0, time.Now()))
 }
 
@@ -255,7 +232,7 @@ func (h *Handler) handleBundle(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleProfile(w http.ResponseWriter, r *http.Request) {
 	merge, topN, err := profile.ParseViewQuery(r.URL.Query())
 	if err != nil {
-		writeServeErr(w, http.StatusBadRequest, err)
+		httpmw.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	now := time.Now()
@@ -265,78 +242,11 @@ func (h *Handler) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	v.Processes = []profile.ProcessView{h.profiler.Ring().View(h.profiler.Process(), merge, topN, now)}
 	w.Header().Set("Cache-Control", "no-store")
-	writeServeJSON(w, http.StatusOK, v)
+	httpmw.WriteJSON(w, http.StatusOK, v)
 }
 
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeServeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (h *Handler) handleListTraces(w http.ResponseWriter, r *http.Request) {
-	limit := 50
-	if s := r.URL.Query().Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			writeServeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", s))
-			return
-		}
-		limit = n
-	}
-	st := h.tracer.Store()
-	// no-store, like the metrics endpoints: debug state is live state.
-	w.Header().Set("Cache-Control", "no-store")
-	writeServeJSON(w, http.StatusOK, map[string]any{
-		"stats":  st.Stats(),
-		"traces": st.Summaries(limit),
-	})
-}
-
-func (h *Handler) handleGetTrace(w http.ResponseWriter, r *http.Request) {
-	d, ok := h.tracer.Store().Get(r.PathValue("id"))
-	if !ok {
-		writeServeErr(w, http.StatusNotFound, fmt.Errorf("no trace %s", r.PathValue("id")))
-		return
-	}
-	w.Header().Set("Cache-Control", "no-store")
-	writeServeJSON(w, http.StatusOK, d)
-}
-
-// handleLogs serves the in-memory structured-log ring with the same query
-// parameters as galleryd's /v1/debug/logs: level, since (RFC3339 or a
-// relative duration), after (cursor from a prior next_seq), limit.
-func (h *Handler) handleLogs(w http.ResponseWriter, r *http.Request) {
-	qp := r.URL.Query()
-	f := obslog.Filter{MinLevel: obslog.ParseLevel(qp.Get("level"))}
-	if v := qp.Get("since"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil {
-			f.Since = time.Now().Add(-d)
-		} else if t, err := time.Parse(time.RFC3339, v); err == nil {
-			f.Since = t
-		} else {
-			writeServeErr(w, http.StatusBadRequest, fmt.Errorf("bad since %q", v))
-			return
-		}
-	}
-	if v := qp.Get("after"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeServeErr(w, http.StatusBadRequest, fmt.Errorf("bad after cursor %q", v))
-			return
-		}
-		f.AfterSeq = n
-		f.HasAfterSeq = true
-	}
-	if v := qp.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeServeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", v))
-			return
-		}
-		f.Limit = n
-	}
-	entries, next := h.logs.Entries(f)
-	w.Header().Set("Cache-Control", "no-store")
-	writeServeJSON(w, http.StatusOK, api.DebugLogsResponse{Entries: entries, NextSeq: next})
+	httpmw.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // predictStatus maps a load/predict error onto a status code. Gallery's
@@ -355,14 +265,4 @@ func predictStatus(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadGateway
-}
-
-func writeServeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeServeErr(w http.ResponseWriter, status int, err error) {
-	writeServeJSON(w, status, api.Error{Error: err.Error()})
 }

@@ -1,26 +1,24 @@
 package serve_test
 
 import (
-	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/blobstore"
 	"gallery/internal/client"
-	"gallery/internal/clock"
-	"gallery/internal/core"
+	"gallery/internal/daemon"
 	"gallery/internal/forecast"
 	"gallery/internal/obs"
 	"gallery/internal/obs/trace"
-	"gallery/internal/relstore"
-	"gallery/internal/serve"
-	"gallery/internal/server"
-	"gallery/internal/tenant"
-	"gallery/internal/uuid"
 )
 
 // flattenSpans walks a trace's span tree into a name-indexed map.
@@ -47,9 +45,9 @@ func flattenSpans(roots []*trace.Node) map[string]trace.SpanData {
 //	galleryd:     GET routes (remote-forced by the propagated traceparent,
 //	              despite its own Never sampler) → core/dal/blobstore spans
 //
-// The gateway's spans reach the registry through the telemetry shipper
-// and the gateway's one client — exactly the production wiring of
-// cmd/galleryserve. The auth subtest runs the same request against a
+// Both daemons are the production assembly (internal/daemon), so the
+// gateway's spans reach the registry through its telemetry shipper and
+// its one client. The auth subtest runs the same request against a
 // registry that demands bearer tokens (the configuration the benchmark
 // boots): the shipment must carry the gateway's token like every other
 // call it makes, or the registry refuses it and the trace never merges.
@@ -61,36 +59,29 @@ func TestCrossProcessTrace(t *testing.T) {
 func crossProcessTrace(t *testing.T, auth bool) {
 	// Registry tier: sampler Never, so every galleryd span in the final
 	// trace exists only because the gateway's traceparent forced it.
-	gdTracer := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Never()})
-	clk := clock.NewMock(time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC))
-	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
-		Clock: clk,
-		UUIDs: uuid.NewSeeded(21),
-	})
+	gdArgs := []string{"-mem", "-trace-sample", "never", "-profile-interval", "-1s", "-dump-metrics=false"}
+	var adminToken, gwToken string
+	if auth {
+		// The gateway presents a publisher token: what POST
+		// /v1/debug/traces is classified as.
+		adminToken, gwToken = "gal_admin0123456789abcdef0123456789abcdef", "gal_gateway0123456789abcdef0123456789abcd"
+		seed := fmt.Sprintf(`{"tokens":[{"secret":%q,"name":"admin","namespace":"default","role":"operator"},`+
+			`{"secret":%q,"name":"gateway","namespace":"default","role":"publisher"}]}`, adminToken, gwToken)
+		tokens := filepath.Join(t.TempDir(), "tokens.json")
+		if err := os.WriteFile(tokens, []byte(seed), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		gdArgs = append(gdArgs, "-auth", "-token-file", tokens)
+	}
+	var gdCfg daemon.GallerydConfig
+	parseFlags(t, gdCfg.Flags, gdArgs...)
+	gd, err := daemon.NewGalleryd(gdCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gdObs := obs.NewRegistry()
-	gdOpts := server.Options{Obs: gdObs, Tracer: gdTracer}
-	var adminToken, gwToken string
-	if auth {
-		tm, err := tenant.Open(relstore.NewMemory(), tenant.Options{UUIDs: uuid.NewSeeded(22), Obs: gdObs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if adminToken, _, err = tm.MintToken(t.Context(), tenant.DefaultNamespace, "admin", tenant.RoleOperator); err != nil {
-			t.Fatal(err)
-		}
-		// Publisher: what POST /v1/debug/traces is classified as.
-		if gwToken, _, err = tm.MintToken(t.Context(), tenant.DefaultNamespace, "gateway", tenant.RolePublisher); err != nil {
-			t.Fatal(err)
-		}
-		gdOpts.Tenants = tm
-	}
-	srv := server.NewWith(reg, nil, nil, gdOpts)
-	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { gd.Close() })
+	ts := httptest.NewServer(gd.Handler())
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	c := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Token: adminToken})
 
 	m, err := c.RegisterModel(api.RegisterModelRequest{
@@ -113,20 +104,15 @@ func crossProcessTrace(t *testing.T, auth bool) {
 
 	// Serving tier: always-sample, shipping kept traces to the registry
 	// through the same client its loads go through.
-	gwObs := obs.NewRegistry()
-	gwClient := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Token: gwToken})
-	exporter := obs.NewShipper(gwObs)
-	t.Cleanup(exporter.Close)
-	gwTracer := trace.New(trace.Options{
-		Service: "galleryserve",
-		Sampler: trace.Always(),
-		Exporter: func(spans []trace.SpanData) {
-			exporter.Export(obs.ChannelTraces, func(ctx context.Context) error { return gwClient.ExportSpans(ctx, spans) })
-		},
-	})
-	gw := serve.New(gwClient, serve.Options{RefreshInterval: -1, Obs: gwObs, Tracer: gwTracer})
-	t.Cleanup(gw.Close)
-	gwTS := httptest.NewServer(serve.NewHandler(gw))
+	var gwCfg daemon.GalleryserveConfig
+	parseFlags(t, gwCfg.Flags, "-gallery", ts.URL, "-token", gwToken, "-trace-sample", "always",
+		"-refresh", "-1s", "-health-flush", "-1s", "-profile-interval", "-1s")
+	gw, err := daemon.NewGalleryserve(gwCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	gwTS := httptest.NewServer(gw.Handler())
 	t.Cleanup(gwTS.Close)
 	gc := client.New(gwTS.URL, gwTS.Client())
 
@@ -139,21 +125,25 @@ func crossProcessTrace(t *testing.T, auth bool) {
 	}
 
 	// The gateway's root span ends (and exports) after the response is
-	// written, so poll until its trace appears locally, then flush the
-	// exporter and poll the registry's buffer for the merged view.
+	// written, so poll the registry until the gateway's trace reaches it
+	// (polling the gateway would trace the polls), then close the gateway,
+	// which flushes its shipper, and read the merged view there.
 	var tid string
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && tid == "" {
-		if sums := gwTracer.Store().Summaries(0); len(sums) > 0 {
-			tid = sums[len(sums)-1].TraceID
-		} else {
-			time.Sleep(time.Millisecond)
+		for _, sum := range traceSummaries(t, c) {
+			if slices.Contains(sum.Services, "galleryserve") {
+				tid = sum.TraceID
+			}
 		}
+		time.Sleep(time.Millisecond)
 	}
 	if tid == "" {
 		t.Fatal("gateway recorded no trace for the predict request")
 	}
-	exporter.Flush()
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	wantSpans := []string{
 		// galleryserve half.
@@ -174,11 +164,15 @@ func crossProcessTrace(t *testing.T, auth bool) {
 		ok bool
 	)
 	for time.Now().Before(deadline) {
-		d, ok = gdTracer.Store().Get(tid)
-		if ok && len(d.Summary.Services) == 2 && hasAll(flattenSpans(d.Roots), wantSpans) {
-			break
+		if raw, err := c.DebugTrace(tid); err == nil {
+			if err := json.Unmarshal(raw, &d); err != nil {
+				t.Fatal(err)
+			}
+			if len(d.Summary.Services) == 2 && hasAll(flattenSpans(d.Roots), wantSpans) {
+				ok = true
+				break
+			}
 		}
-		ok = false
 		time.Sleep(time.Millisecond)
 	}
 	if !ok {
@@ -257,16 +251,64 @@ func crossProcessTrace(t *testing.T, auth bool) {
 	}
 	// The shipment itself is untraced: sent under a span-less context, it
 	// forced no trace of its own ingest request onto the registry.
-	if sums := gdTracer.Store().Summaries(0); len(sums) != 1 || sums[0].TraceID != tid {
+	if sums := traceSummaries(t, c); len(sums) != 1 || sums[0].TraceID != tid {
 		t.Fatalf("registry holds %d traces, want only %s: %+v", len(sums), tid, sums)
 	}
-	// Nothing the gateway sent was refused or lost on the way.
-	if n := gdObs.Counter("tenant_unauthenticated_total").Value(); n != 0 {
+	// Nothing the gateway sent was refused or lost on the way. (The read
+	// below is traced too, but its trace ends, and is dropped by the closed
+	// shipper, only after the counters are served.)
+	if n := sumCounters(t, c, "tenant_unauthenticated_total"); n != 0 {
 		t.Fatalf("tenant_unauthenticated_total = %d: the registry refused a gateway shipment", n)
 	}
-	if n := gwObs.SumCounters("telemetry_"); n != 0 {
+	if n := sumCounters(t, gc, "telemetry_"); n != 0 {
 		t.Fatalf("gateway dropped or failed %d telemetry shipments", n)
 	}
+}
+
+// parseFlags fills a daemon config from its flag defaults and args.
+func parseFlags(t *testing.T, register func(*flag.FlagSet), args ...string) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// traceSummaries lists the completed traces a daemon's
+// GET /v1/debug/traces serves.
+func traceSummaries(t *testing.T, c *client.Client) []trace.Summary {
+	t.Helper()
+	raw, err := c.DebugTraces(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct{ Traces []trace.Summary }
+	if err := json.Unmarshal(raw, &list); err != nil {
+		t.Fatal(err)
+	}
+	return list.Traces
+}
+
+// sumCounters totals the counters whose names start with prefix in a
+// daemon's GET /v1/debug/metrics.
+func sumCounters(t *testing.T, c *client.Client, prefix string) int64 {
+	t.Helper()
+	raw, err := c.DebugMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, prefix) {
+			n += v
+		}
+	}
+	return n
 }
 
 func hasAll(spans map[string]trace.SpanData, names []string) bool {

@@ -17,7 +17,7 @@ import (
 	"gallery/internal/audit"
 	"gallery/internal/core"
 	"gallery/internal/obs"
-	obslog "gallery/internal/obs/log"
+	"gallery/internal/obs/httpmw"
 	"gallery/internal/relstore"
 )
 
@@ -149,65 +149,12 @@ func (s *Server) handleIngestAudit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// handleDebugLogs serves the in-memory structured-log ring. Filters:
-// ?level= (debug|info|warn|error), ?since= (RFC3339 or a relative
-// duration like 5m), ?after= (sequence cursor from a previous response's
-// next_seq, for follow mode), ?limit=.
-func (s *Server) handleDebugLogs(w http.ResponseWriter, r *http.Request) {
-	serveDebugLogs(s.logs, w, r)
-}
-
-// serveDebugLogs is shared with the serving gateway's HTTP front end —
-// both processes expose the same ring contract at /v1/debug/logs.
-func serveDebugLogs(ring *obslog.Ring, w http.ResponseWriter, r *http.Request) {
-	if ring == nil {
-		writeErr(w, fmt.Errorf("%w: log ring not enabled", core.ErrNotFound))
-		return
-	}
-	qp := r.URL.Query()
-	f := obslog.Filter{MinLevel: obslog.ParseLevel(qp.Get("level"))}
-	if v := qp.Get("since"); v != "" {
-		t, err := parseAuditTime(v)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		f.Since = t
-	}
-	if v := qp.Get("after"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeErr(w, fmt.Errorf("%w: bad after cursor %q", core.ErrBadSpec, v))
-			return
-		}
-		f.AfterSeq = n
-		f.HasAfterSeq = true
-	}
-	if v := qp.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, fmt.Errorf("%w: bad limit %q", core.ErrBadSpec, v))
-			return
-		}
-		f.Limit = n
-	}
-	entries, next := ring.Entries(f)
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, api.DebugLogsResponse{Entries: entries, NextSeq: next})
-}
-
 // parseAuditTime accepts an absolute RFC3339 instant or a relative
 // duration ("15m" means that long ago).
 func parseAuditTime(v string) (time.Time, error) {
-	if v == "" {
-		return time.Time{}, nil
-	}
-	if d, err := time.ParseDuration(v); err == nil {
-		return time.Now().Add(-d), nil
-	}
-	t, err := time.Parse(time.RFC3339, v)
+	t, err := httpmw.ParseSince(v)
 	if err != nil {
-		return time.Time{}, fmt.Errorf("%w: bad time %q (want RFC3339 or a duration like 15m)", core.ErrBadSpec, v)
+		return t, fmt.Errorf("%w: %v", core.ErrBadSpec, err)
 	}
 	return t, nil
 }

@@ -1,55 +1,40 @@
-package server
+package server_test
 
 import (
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"gallery/internal/blobstore"
-	"gallery/internal/clock"
-	"gallery/internal/core"
-	"gallery/internal/obs"
-	obslog "gallery/internal/obs/log"
-	"gallery/internal/obs/profile"
-	"gallery/internal/obs/trace"
-	"gallery/internal/relstore"
-	"gallery/internal/serve"
-	"gallery/internal/uuid"
+	"gallery/internal/daemon"
 )
 
 // TestDebugEndpointHeaders pins the header contract shared by every
-// debug endpoint on BOTH daemons: an explicit application/json
-// Content-Type and Cache-Control: no-store. Debug state is live state —
-// a proxy that caches a trace tail or a log tail hands the operator a
-// stale picture of an incident.
+// debug endpoint on BOTH daemons, as their production assembly mounts
+// them: an explicit application/json Content-Type and Cache-Control:
+// no-store. Debug state is live state — a proxy that caches a trace tail
+// or a log tail hands the operator a stale picture of an incident.
 func TestDebugEndpointHeaders(t *testing.T) {
-	clk := clock.NewMock(t0)
-	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
-		Clock: clk,
-		UUIDs: uuid.NewSeeded(21),
-	})
+	var gdCfg daemon.GallerydConfig
+	parseFlags(t, gdCfg.Flags, "-mem", "-trace-sample", "always", "-profile-interval", "-1s", "-dump-metrics=false")
+	gd, err := daemon.NewGalleryd(gdCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWith(reg, nil, nil, Options{
-		Obs:      obs.NewRegistry(),
-		Tracer:   trace.New(trace.Options{Service: "galleryd", Sampler: trace.Always()}),
-		Logs:     obslog.NewRing(64),
-		Profiles: profile.NewFleet(0),
-	})
-	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { gd.Close() })
+	ts := httptest.NewServer(gd.Handler())
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 
-	gw := serve.New(nil, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
-	t.Cleanup(gw.Close)
-	gwProf := profile.New(profile.Config{Process: "galleryserve"})
-	gwTS := httptest.NewServer(serve.NewHandler(gw,
-		serve.WithTracer(trace.New(trace.Options{Service: "galleryserve", Sampler: trace.Always()})),
-		serve.WithLogRing(obslog.NewRing(64)),
-		serve.WithProfiler(gwProf),
-	))
+	var gwCfg daemon.GalleryserveConfig
+	parseFlags(t, gwCfg.Flags, "-gallery", ts.URL, "-trace-sample", "always",
+		"-refresh", "-1s", "-health-flush", "-1s", "-profile-interval", "-1s")
+	gw, err := daemon.NewGalleryserve(gwCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	gwTS := httptest.NewServer(gw.Handler())
 	t.Cleanup(gwTS.Close)
 
 	cases := []struct {
@@ -83,5 +68,15 @@ func TestDebugEndpointHeaders(t *testing.T) {
 		if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
 			t.Errorf("%s %s: Cache-Control = %q, want no-store", tc.daemon, tc.path, cc)
 		}
+	}
+}
+
+// parseFlags fills a daemon config from its flag defaults and args.
+func parseFlags(t *testing.T, register func(*flag.FlagSet), args ...string) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -135,14 +135,9 @@ type metricEvent struct {
 	id  uuid.UUID
 }
 
-// New builds a Server with default Options. The engine may be nil for
-// storage-only deployments (feature tiers 1–3 of paper §6.3); rule
-// endpoints then return 404.
-func New(reg *core.Registry, repo *rules.Repo, engine *rules.Engine) *Server {
-	return NewWith(reg, repo, engine, Options{})
-}
-
-// NewWith builds a Server with explicit Options.
+// NewWith builds a Server. The engine may be nil for storage-only
+// deployments (feature tiers 1–3 of paper §6.3); rule endpoints then
+// return 404.
 func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Options) *Server {
 	if opts.Obs == nil {
 		opts.Obs = obs.Default
@@ -304,7 +299,7 @@ func (s *Server) Close() {
 
 // handle registers a route on the mux and records its pattern for the
 // classification-coverage test.
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
+func (s *Server) handle(pattern string, h func(http.ResponseWriter, *http.Request)) {
 	s.routePatterns = append(s.routePatterns, pattern)
 	s.mux.HandleFunc(pattern, h)
 }
@@ -356,11 +351,7 @@ func (s *Server) routes() {
 	s.handle("GET /v1/audit", s.handleListAudit)
 	s.handle("POST /v1/audit", s.handleIngestAudit)
 	s.handle("GET /v1/audit/entity/{id}", s.handleEntityTimeline)
-	s.handle("GET /v1/debug/logs", s.handleDebugLogs)
-	s.handle("GET /v1/debug/metrics", s.handleDebugMetrics)
-	s.handle("GET /v1/debug/metrics/prom", s.handleDebugMetricsProm)
-	s.handle("GET /v1/debug/traces", s.handleListTraces)
-	s.handle("GET /v1/debug/traces/{id}", s.handleGetTrace)
+	httpmw.RegisterDebug(s.handle, s.obs, s.tracer, s.logs)
 	s.handle("POST /v1/debug/traces", s.handleIngestTraces)
 
 	s.handle("POST /v1/rules", s.handleCommitRules)
@@ -1114,23 +1105,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.EngineDispatches = s.cDispatched.Value()
 	st.EngineDrops = s.cDropped.Value()
 	writeJSON(w, http.StatusOK, st)
-}
-
-// handleDebugMetrics renders the full metrics registry: per-route request
-// counters and latency histograms, DAL/relstore/blobstore counters, rule
-// engine activity, and dispatch-queue health.
-func (s *Server) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
-	// no-store: dashboards poll this; a cached snapshot is a wrong one.
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, s.obs.Snapshot())
-}
-
-// handleDebugMetricsProm renders the same registry in Prometheus text
-// exposition format 0.0.4, for standard scrapers.
-func (s *Server) handleDebugMetricsProm(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", httpmw.PromContentType)
-	w.Header().Set("Cache-Control", "no-store")
-	_ = s.obs.WriteProm(w)
 }
 
 // --- rules ---

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"gallery/internal/core"
 	"gallery/internal/obs/trace"
@@ -14,39 +13,6 @@ import (
 // maxIngestBytes bounds a cross-process span shipment. Traces are small
 // (dozens of spans, short attrs); anything near this is abuse.
 const maxIngestBytes = 4 << 20
-
-// handleListTraces serves the completed-trace summaries, newest first.
-// ?limit=N bounds the list (default 50).
-func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
-	limit := 50
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			writeErr(w, fmt.Errorf("%w: bad limit %q", core.ErrBadSpec, q))
-			return
-		}
-		limit = n
-	}
-	store := s.tracer.Store()
-	// no-store, like the metrics endpoints: debug state is live state.
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, struct {
-		Stats  trace.Stats     `json:"stats"`
-		Traces []trace.Summary `json:"traces"`
-	}{store.Stats(), store.Summaries(limit)})
-}
-
-// handleGetTrace renders one trace as a span tree with per-span self-time.
-func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	detail, ok := s.tracer.Store().Get(id)
-	if !ok {
-		writeErr(w, fmt.Errorf("%w: trace %s not in buffer", core.ErrNotFound, id))
-		return
-	}
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, detail)
-}
 
 // handleIngestTraces accepts spans shipped by a tracing peer (the serving
 // gateway's exporter), merging them into this process's buffer so one
