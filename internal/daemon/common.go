@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -58,19 +57,26 @@ func (c *Common) profiler(process string, reg *obs.Registry, sink obs.EventFunc,
 	return p, nil
 }
 
-// logRing builds the log ring served at GET /v1/debug/logs, the level
-// that gates it, and, under -access-log, stderr to tee JSON lines to.
-func (c *Common) logRing() (*obslog.Ring, slog.Level, io.Writer) {
-	var tee io.Writer
+// logging builds the log ring served at GET /v1/debug/logs and the
+// access logger that feeds it from -log-level up, teeing JSON lines to
+// stderr under -access-log.
+func (c *Common) logging() (*obslog.Ring, *slog.Logger) {
+	ring := obslog.NewRing(c.LogBuffer)
+	var tee slog.Handler
 	if c.AccessLog {
-		tee = os.Stderr
+		tee = slog.NewJSONHandler(os.Stderr, nil)
 	}
-	return obslog.NewRing(c.LogBuffer), obslog.ParseLevel(c.LogLevel), tee
+	return ring, slog.New(obslog.NewHandler(ring, obslog.ParseLevel(c.LogLevel), tee))
 }
 
-// errTokenFileNoAuth refuses a token file without -auth: its tokens would
-// be loaded into nothing.
-var errTokenFileNoAuth = errors.New("-token-file requires -auth")
+// check refuses a token file without -auth: its tokens would be loaded
+// into nothing.
+func (c *Common) check() error {
+	if c.TokenFile != "" && !c.Auth {
+		return errors.New("-token-file requires -auth")
+	}
+	return nil
+}
 
 // tenants opens the multi-tenant control plane over store and applies the
 // -token-file seed, if there is one.

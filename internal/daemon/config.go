@@ -16,14 +16,24 @@ import (
 )
 
 // Common holds the flags both daemons declare, with the same meaning in
-// each. Every config field is one flag; Flags names them.
+// each. Every config field is one flag, in the order Flags registers them.
 type Common struct {
-	Addr, TraceSample, LogLevel, ProfileBaseline, TokenFile string
-	AccessLog, Pprof, Auth                                  bool
-	TraceBuffer, LogBuffer, ProfileHz                       int
-	MutexProfileFraction, BlockProfileRate                  int
-	ProfileInterval, ProfileWindow                          time.Duration
-	ProfileFactor                                           float64
+	Addr                 string
+	AccessLog            bool
+	TraceSample          string
+	TraceBuffer          int
+	Pprof                bool
+	LogLevel             string
+	LogBuffer            int
+	ProfileInterval      time.Duration
+	ProfileWindow        time.Duration
+	ProfileHz            int
+	ProfileBaseline      string
+	ProfileFactor        float64
+	MutexProfileFraction int
+	BlockProfileRate     int
+	Auth                 bool
+	TokenFile            string
 }
 
 func (c *Common) flags(fs *flag.FlagSet, process, addr string) {
@@ -48,12 +58,22 @@ func (c *Common) flags(fs *flag.FlagSet, process, addr string) {
 // GallerydConfig is galleryd's command line.
 type GallerydConfig struct {
 	Common
-	Data, HealthMetric, IncidentGateway, IncidentGatewayToken string
-	Mem, Fsync, DumpMetrics                                   bool
-	Workers, HealthRefWindows, HealthKeepWindows              int
-	IncidentKeep, AuditKeep                                   int
-	CompactMB                                                 int64
-	HealthInterval, SLOInterval, IncidentDebounce             time.Duration
+	Data                 string
+	Mem                  bool
+	Fsync                bool
+	Workers              int
+	CompactMB            int64
+	DumpMetrics          bool
+	HealthInterval       time.Duration
+	HealthRefWindows     int
+	HealthKeepWindows    int
+	HealthMetric         string
+	SLOInterval          time.Duration
+	IncidentKeep         int
+	IncidentDebounce     time.Duration
+	IncidentGateway      string
+	IncidentGatewayToken string
+	AuditKeep            int
 }
 
 // Flags registers galleryd's flags, with their defaults, on fs.
@@ -80,9 +100,15 @@ func (c *GallerydConfig) Flags(fs *flag.FlagSet) {
 // GalleryserveConfig is galleryserve's command line.
 type GalleryserveConfig struct {
 	Common
-	Gallery, Preload, Name, Token string
-	MaxModels, Batch, Retries     int
-	Refresh, HealthFlush          time.Duration
+	Gallery     string
+	Refresh     time.Duration
+	MaxModels   int
+	Batch       int
+	Preload     string
+	Name        string
+	HealthFlush time.Duration
+	Retries     int
+	Token       string
 }
 
 // Flags registers galleryserve's flags, with their defaults, on fs.

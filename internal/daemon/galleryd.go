@@ -47,8 +47,8 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 			d.stops.close()
 		}
 	}()
-	if cfg.TokenFile != "" && !cfg.Auth {
-		return nil, errTokenFileNoAuth
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	tracer, err := cfg.tracer("galleryd", nil)
 	if err != nil {
@@ -110,7 +110,7 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 
 	// The recorder tails the log ring; the health monitor and SLO evaluator
 	// are bound to it later (they want it as a sink, it wants their state).
-	logs, level, accessLog := cfg.logRing()
+	logs, accessLog := cfg.logging()
 	recorder, err := incident.Open(d.reg.DAL(), incident.Config{
 		Obs: d.obs, Tracer: tracer, Logs: logs, Audit: d.reg.Audit(), Profiles: profiler.Ring(),
 		Gateway: cfg.IncidentGateway, GatewayToken: cfg.IncidentGatewayToken,
@@ -142,7 +142,7 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 
 	opts := server.Options{
 		Obs: d.obs, Tracer: tracer, Pprof: cfg.Pprof, Health: monitor, Logs: logs,
-		LogLevel: level, AccessLog: accessLog, Incidents: recorder, Profiles: fleet,
+		AccessLog: accessLog, Incidents: recorder, Profiles: fleet,
 	}
 	if cfg.Auth {
 		// Namespaces, token hashes and quota usage replay out of the same

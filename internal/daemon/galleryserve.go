@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"log"
-	"log/slog"
 	"net/http"
 	"strings"
 
@@ -12,7 +11,6 @@ import (
 	"gallery/internal/client"
 	"gallery/internal/forecast"
 	"gallery/internal/obs"
-	obslog "gallery/internal/obs/log"
 	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
 	"gallery/internal/relstore"
@@ -37,8 +35,8 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 			g.stops.close()
 		}
 	}()
-	if cfg.TokenFile != "" && !cfg.Auth {
-		return nil, errTokenFileNoAuth
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	if cfg.Auth && cfg.TokenFile == "" {
 		return nil, errors.New("-auth requires -token-file (a gateway has no durable store to mint from)")
@@ -95,13 +93,9 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 	}
 	g.stops.add(noErr(profiler.Stop))
 
-	ring, level, accessLog := cfg.logRing()
-	var tee slog.Handler
-	if accessLog != nil {
-		tee = slog.NewJSONHandler(accessLog, nil)
-	}
+	ring, accessLog := cfg.logging()
 	opts := []serve.HandlerOption{serve.WithTracer(tracer), serve.WithLogRing(ring),
-		serve.WithAccessLog(slog.New(obslog.NewHandler(ring, level, tee))), serve.WithProfiler(profiler)}
+		serve.WithAccessLog(accessLog), serve.WithProfiler(profiler)}
 	if cfg.Pprof {
 		opts = append(opts, serve.WithPprof())
 	}

@@ -1,10 +1,13 @@
 package httpmw
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"gallery/internal/api"
@@ -25,8 +28,8 @@ import (
 //	                               relative duration like 5m), ?after= (a previous
 //	                               response's next_seq, for follow mode), ?limit=
 //
-// The trace routes need a tracer and the log route a ring; either may be
-// nil. Every answer carries Cache-Control: no-store, because debug state
+// The trace routes are mounted only with a tracer. The log route is
+// always mounted and answers 404 without a ring. Every answer carries Cache-Control: no-store, because debug state
 // is live state and a cached snapshot is a wrong one.
 func RegisterDebug(handle func(string, func(http.ResponseWriter, *http.Request)), reg *obs.Registry, tracer *trace.Tracer, logs *obslog.Ring) {
 	get := func(path string, h func(http.ResponseWriter, *http.Request)) {
@@ -67,16 +70,16 @@ func RegisterDebug(handle func(string, func(http.ResponseWriter, *http.Request))
 			}
 		})
 	}
-	if logs != nil {
-		get("/v1/debug/logs", func(w http.ResponseWriter, r *http.Request) {
-			if f, err := logFilter(r); err != nil {
-				WriteError(w, http.StatusBadRequest, err)
-			} else {
-				entries, next := logs.Entries(f)
-				WriteJSON(w, http.StatusOK, api.DebugLogsResponse{Entries: entries, NextSeq: next})
-			}
-		})
-	}
+	get("/v1/debug/logs", func(w http.ResponseWriter, r *http.Request) {
+		if logs == nil {
+			WriteError(w, http.StatusNotFound, errors.New("log ring not enabled"))
+		} else if f, err := logFilter(r); err != nil {
+			WriteError(w, http.StatusBadRequest, err)
+		} else {
+			entries, next := logs.Entries(f)
+			WriteJSON(w, http.StatusOK, api.DebugLogsResponse{Entries: entries, NextSeq: next})
+		}
+	})
 }
 
 // logFilter parses GET /v1/debug/logs's query parameters.
@@ -120,11 +123,24 @@ func ParseSince(v string) (time.Time, error) {
 	return t, nil
 }
 
+// jsonBufPool amortizes encode buffers across responses: each is staged
+// in a pooled buffer so Content-Length can be set and the write happens in
+// one syscall, instead of json.Encoder allocating per call.
+var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // WriteJSON writes v as a JSON response with status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer jsonBufPool.Put(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // WriteError answers with status and err in the api.Error body both

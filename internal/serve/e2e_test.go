@@ -2,24 +2,14 @@ package serve_test
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/blobstore"
 	"gallery/internal/client"
-	"gallery/internal/clock"
-	"gallery/internal/core"
 	"gallery/internal/forecast"
-	"gallery/internal/obs"
-	"gallery/internal/relstore"
-	"gallery/internal/rules"
-	"gallery/internal/serve"
-	"gallery/internal/server"
-	"gallery/internal/uuid"
 )
 
 // TestEndToEndDeployLoop drives the full closed loop of the paper's §4.2
@@ -30,23 +20,11 @@ import (
 //	served by the new instance
 //
 // with predictions hammering the gateway the whole time and zero failures.
+// Both tiers are the production assembly, whose galleryd registers the
+// "deploy" action.
 func TestEndToEndDeployLoop(t *testing.T) {
-	clk := clock.NewMock(time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC))
-	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
-		Clock: clk,
-		UUIDs: uuid.NewSeeded(7),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo := rules.NewRepo(clk)
-	eng := rules.NewEngine(reg, repo, clk)
-	eng.RegisterAction("deploy", rules.DeployAction(reg))
-	srv := server.NewWith(reg, repo, eng, server.Options{Obs: obs.NewRegistry()})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-	c := client.New(ts.URL, ts.Client())
+	gdURL := bootGalleryd(t)
+	c := client.New(gdURL, nil)
 
 	// Model with two instances: a baseline Heuristic{K:1} (answers the
 	// last observed value) and a challenger Heuristic{K:2} (mean of the
@@ -86,12 +64,10 @@ func TestEndToEndDeployLoop(t *testing.T) {
 		t.Fatalf("production = %+v (err %v), want baseline %s", v, err, instA.ID)
 	}
 
-	// The gateway serves the baseline.
-	gw := serve.New(c, serve.Options{RefreshInterval: -1, MaxBatch: 4, Obs: obs.NewRegistry()})
-	t.Cleanup(gw.Close)
-	gwTS := httptest.NewServer(serve.NewHandler(gw))
-	t.Cleanup(gwTS.Close)
-	gc := client.New(gwTS.URL, gwTS.Client())
+	// The gateway serves the baseline, polling the production pointer
+	// every few milliseconds.
+	_, gwURL := bootGalleryserve(t, "-gallery", gdURL, "-refresh", "5ms", "-batch", "4", "-health-flush", "-1s")
+	gc := client.New(gwURL, nil)
 
 	hist := []float64{10, 20}
 	resp, err := gc.Predict(m.ID, api.PredictRequest{History: hist})
@@ -142,24 +118,28 @@ func TestEndToEndDeployLoop(t *testing.T) {
 	}
 
 	// The challenger's metric write is what fires the rule; nothing else
-	// touches the production pointer from here.
+	// touches the production pointer from here. The engine runs it
+	// asynchronously, so wait for the promotion.
 	if _, err := c.InsertMetric(instB.ID, "mape", "validation", 0.05); err != nil {
 		t.Fatal(err)
 	}
-	srv.Flush() // drain the engine's async dispatch
-
-	// The rule must have promoted the challenger in core...
+	deadline := time.Now().Add(5 * time.Second)
 	v, err := c.ProductionVersion(m.ID)
-	if err != nil {
-		t.Fatal(err)
+	for err == nil && v.InstanceID != instB.ID && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		v, err = c.ProductionVersion(m.ID)
 	}
-	if v.InstanceID != instB.ID {
-		t.Fatalf("production instance = %s, want challenger %s (rule did not deploy)", v.InstanceID, instB.ID)
+	// The rule must have promoted the challenger in core...
+	if err != nil || v.InstanceID != instB.ID {
+		t.Fatalf("production instance = %s (err %v), want challenger %s (rule did not deploy)", v.InstanceID, err, instB.ID)
 	}
 
-	// ...and the gateway's next refresh serves it, mid-traffic.
-	gw.RefreshAll()
+	// ...and a later refresh of the gateway serves it, mid-traffic.
 	resp, err = gc.Predict(m.ID, api.PredictRequest{History: hist})
+	for err == nil && resp.InstanceID != instB.ID && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		resp, err = gc.Predict(m.ID, api.PredictRequest{History: hist})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,27 +174,11 @@ func TestEndToEndDeployLoop(t *testing.T) {
 
 // TestGatewayHTTPErrors covers the handler's error mapping.
 func TestGatewayHTTPErrors(t *testing.T) {
-	clk := clock.NewMock(time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC))
-	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
-		Clock: clk, UUIDs: uuid.NewSeeded(8),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.NewWith(reg, nil, nil, server.Options{Obs: obs.NewRegistry()})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-	c := client.New(ts.URL, ts.Client())
-
-	gw := serve.New(c, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
-	t.Cleanup(gw.Close)
-	gwTS := httptest.NewServer(serve.NewHandler(gw))
-	t.Cleanup(gwTS.Close)
-	gc := client.New(gwTS.URL, gwTS.Client())
+	_, gwURL := bootGalleryserve(t, "-gallery", bootGalleryd(t), "-refresh", "-1s", "-health-flush", "-1s")
+	gc := client.New(gwURL, nil)
 
 	// Unknown model: Gallery's 404 passes through the gateway.
-	_, err = gc.Predict("1b4e28ba-2fa1-11d2-883f-0016d3cca427", api.PredictRequest{History: []float64{1}})
+	_, err := gc.Predict("1b4e28ba-2fa1-11d2-883f-0016d3cca427", api.PredictRequest{History: []float64{1}})
 	if ae, ok := err.(*client.APIError); !ok || ae.Status != 404 {
 		t.Fatalf("unknown model err = %v, want 404", err)
 	}

@@ -29,7 +29,7 @@ var predictBufPool = sync.Pool{
 // writePredictResponse writes resp as encoding/json would, reusing a
 // pooled buffer and setting Content-Length. Responses that the fast
 // path cannot represent (non-finite values, which encoding/json rejects)
-// fall back to the generic writer.
+// fall back to the generic writer, which answers them with a 500.
 func writePredictResponse(w http.ResponseWriter, resp api.PredictResponse) {
 	if math.IsNaN(resp.Value) || math.IsInf(resp.Value, 0) {
 		httpmw.WriteJSON(w, http.StatusOK, resp)

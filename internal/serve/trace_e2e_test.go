@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -59,7 +60,7 @@ func TestCrossProcessTrace(t *testing.T) {
 func crossProcessTrace(t *testing.T, auth bool) {
 	// Registry tier: sampler Never, so every galleryd span in the final
 	// trace exists only because the gateway's traceparent forced it.
-	gdArgs := []string{"-mem", "-trace-sample", "never", "-profile-interval", "-1s", "-dump-metrics=false"}
+	gdArgs := []string{"-trace-sample", "never"}
 	var adminToken, gwToken string
 	if auth {
 		// The gateway presents a publisher token: what POST
@@ -73,16 +74,8 @@ func crossProcessTrace(t *testing.T, auth bool) {
 		}
 		gdArgs = append(gdArgs, "-auth", "-token-file", tokens)
 	}
-	var gdCfg daemon.GallerydConfig
-	parseFlags(t, gdCfg.Flags, gdArgs...)
-	gd, err := daemon.NewGalleryd(gdCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gd.Close() })
-	ts := httptest.NewServer(gd.Handler())
-	t.Cleanup(ts.Close)
-	c := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Token: adminToken})
+	gdURL := bootGalleryd(t, gdArgs...)
+	c := client.NewWith(gdURL, client.Options{Token: adminToken})
 
 	m, err := c.RegisterModel(api.RegisterModelRequest{
 		BaseVersionID: "bv-demand",
@@ -104,17 +97,9 @@ func crossProcessTrace(t *testing.T, auth bool) {
 
 	// Serving tier: always-sample, shipping kept traces to the registry
 	// through the same client its loads go through.
-	var gwCfg daemon.GalleryserveConfig
-	parseFlags(t, gwCfg.Flags, "-gallery", ts.URL, "-token", gwToken, "-trace-sample", "always",
-		"-refresh", "-1s", "-health-flush", "-1s", "-profile-interval", "-1s")
-	gw, err := daemon.NewGalleryserve(gwCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gw.Close() })
-	gwTS := httptest.NewServer(gw.Handler())
-	t.Cleanup(gwTS.Close)
-	gc := client.New(gwTS.URL, gwTS.Client())
+	gw, gwURL := bootGalleryserve(t, "-gallery", gdURL, "-token", gwToken, "-trace-sample", "always",
+		"-refresh", "-1s", "-health-flush", "-1s")
+	gc := client.New(gwURL, nil)
 
 	resp, err := gc.Predict(m.ID, api.PredictRequest{History: []float64{10, 20}})
 	if err != nil {
@@ -265,14 +250,51 @@ func crossProcessTrace(t *testing.T, auth bool) {
 	}
 }
 
+// bootGalleryd starts the production galleryd, in memory and without the
+// profiler loop or the shutdown dump (later args override those), on a
+// loopback listener, and returns its base URL. It closes when the test ends.
+func bootGalleryd(t *testing.T, args ...string) string {
+	t.Helper()
+	var cfg daemon.GallerydConfig
+	parseFlags(t, cfg.Flags, append([]string{"-mem", "-profile-interval", "-1s", "-dump-metrics=false"}, args...))
+	gd, err := daemon.NewGalleryd(cfg)
+	return serveDaemon(t, gd, err)
+}
+
+// bootGalleryserve starts the production gateway without the profiler
+// loop (later args override that) the way bootGalleryd does.
+func bootGalleryserve(t *testing.T, args ...string) (*daemon.Galleryserve, string) {
+	t.Helper()
+	var cfg daemon.GalleryserveConfig
+	parseFlags(t, cfg.Flags, append([]string{"-profile-interval", "-1s"}, args...))
+	gw, err := daemon.NewGalleryserve(cfg)
+	return gw, serveDaemon(t, gw, err)
+}
+
 // parseFlags fills a daemon config from its flag defaults and args.
-func parseFlags(t *testing.T, register func(*flag.FlagSet), args ...string) {
+func parseFlags(t *testing.T, register func(*flag.FlagSet), args []string) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// serveDaemon serves a constructed daemon on a loopback listener until the
+// test ends, then closes it.
+func serveDaemon(t *testing.T, d interface {
+	Handler() http.Handler
+	Close() error
+}, err error) string {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	ts := httptest.NewServer(d.Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
 }
 
 // traceSummaries lists the completed traces a daemon's

@@ -86,7 +86,7 @@ func (s *Server) handleListAudit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.AuditEventsResponse{Events: auditDTOs(evs)})
+	httpmw.WriteJSON(w, http.StatusOK, api.AuditEventsResponse{Events: auditDTOs(evs)})
 }
 
 // handleEntityTimeline is GET /v1/audit/entity/{id}: the lineage timeline
@@ -108,7 +108,7 @@ func (s *Server) handleEntityTimeline(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.AuditEventsResponse{Events: auditDTOs(evs)})
+	httpmw.WriteJSON(w, http.StatusOK, api.AuditEventsResponse{Events: auditDTOs(evs)})
 }
 
 // handleIngestAudit is POST /v1/audit: external emitters without their own
@@ -146,7 +146,7 @@ func (s *Server) handleIngestAudit(w http.ResponseWriter, r *http.Request) {
 	if resp.Accepted == 0 && resp.Rejected > 0 {
 		status = http.StatusBadRequest
 	}
-	writeJSON(w, status, resp)
+	httpmw.WriteJSON(w, status, resp)
 }
 
 // parseAuditTime accepts an absolute RFC3339 instant or a relative

@@ -6,6 +6,7 @@ import (
 
 	"gallery/internal/api"
 	"gallery/internal/core"
+	"gallery/internal/obs/httpmw"
 )
 
 // Continuous model-health endpoints, mounted when Options.Health is set.
@@ -23,11 +24,11 @@ func (s *Server) handleHealthObservations(w http.ResponseWriter, r *http.Request
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpmw.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleListModelHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health.List())
+	httpmw.WriteJSON(w, http.StatusOK, s.health.List())
 }
 
 func (s *Server) handleGetModelHealth(w http.ResponseWriter, r *http.Request) {
@@ -37,5 +38,5 @@ func (s *Server) handleGetModelHealth(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: no health state for model %s", core.ErrNotFound, id))
 		return
 	}
-	writeJSON(w, http.StatusOK, mh)
+	httpmw.WriteJSON(w, http.StatusOK, mh)
 }

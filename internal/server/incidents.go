@@ -5,6 +5,7 @@ import (
 
 	"gallery/internal/api"
 	"gallery/internal/incident"
+	"gallery/internal/obs/httpmw"
 	"gallery/internal/obs/trace"
 	"gallery/internal/tenant"
 )
@@ -52,7 +53,7 @@ func (s *Server) handleTriggerIncident(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, inc)
+	httpmw.WriteJSON(w, http.StatusCreated, inc)
 }
 
 func (s *Server) handleListIncidents(w http.ResponseWriter, r *http.Request) {
@@ -67,7 +68,7 @@ func (s *Server) handleListIncidents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.IncidentList{Incidents: incs})
+	httpmw.WriteJSON(w, http.StatusOK, api.IncidentList{Incidents: incs})
 }
 
 func (s *Server) handleGetIncident(w http.ResponseWriter, r *http.Request) {
@@ -85,5 +86,5 @@ func (s *Server) handleGetIncident(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, api.IncidentDetail{Incident: inc, Bundle: bundle})
+	httpmw.WriteJSON(w, http.StatusOK, api.IncidentDetail{Incident: inc, Bundle: bundle})
 }

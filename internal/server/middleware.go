@@ -5,6 +5,7 @@ import (
 
 	"gallery/internal/api"
 	"gallery/internal/core"
+	"gallery/internal/obs/httpmw"
 )
 
 // ServeHTTP implements http.Handler. Every request flows through the
@@ -57,7 +58,7 @@ func (w *commitWriter) ack() bool {
 	w.acked = true
 	if err := w.reg.Commit(w.req.Context()); err != nil {
 		w.failed = true
-		writeJSON(w.ResponseWriter, http.StatusInternalServerError, api.Error{Error: "metadata commit: " + err.Error()})
+		httpmw.WriteJSON(w.ResponseWriter, http.StatusInternalServerError, api.Error{Error: "metadata commit: " + err.Error()})
 	}
 	return !w.failed
 }

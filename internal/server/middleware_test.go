@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -95,7 +96,7 @@ func TestAccessLogLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), AccessLog: &buf})
+	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), AccessLog: slog.New(slog.NewJSONHandler(&buf, nil))})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gallery/internal/core"
+	"gallery/internal/obs/httpmw"
 	"gallery/internal/obs/profile"
 )
 
@@ -31,7 +32,7 @@ func (s *Server) handleDebugProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, s.profiles.Snapshot(merge, topN, time.Now()))
+	httpmw.WriteJSON(w, http.StatusOK, s.profiles.Snapshot(merge, topN, time.Now()))
 }
 
 // handleIngestProfile accepts one process's summary shipment. 202 like

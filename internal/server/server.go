@@ -6,7 +6,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -42,9 +41,10 @@ const DefaultMaxBodyBytes = 256 << 20
 type Options struct {
 	// Obs receives HTTP and dispatch metrics; nil uses obs.Default.
 	Obs *obs.Registry
-	// AccessLog, when non-nil, receives one structured (JSON) log line
-	// per request.
-	AccessLog io.Writer
+	// AccessLog, when non-nil, receives one structured log line per
+	// request and the server's ad-hoc error logs. Build it over Logs
+	// (obslog.NewHandler) for those lines to be queryable there.
+	AccessLog *slog.Logger
 	// MaxBodyBytes bounds JSON request bodies (default DefaultMaxBodyBytes).
 	// Oversized bodies are rejected with 413.
 	MaxBodyBytes int64
@@ -62,12 +62,9 @@ type Options struct {
 	// (POST /v1/health/observations, GET /v1/health/models[/{id}]).
 	Health *health.Monitor
 	// Logs, when non-nil, is the bounded in-memory ring served at
-	// GET /v1/debug/logs. Access-log lines and the server's ad-hoc error
-	// logs are routed through it (trace-correlated), teeing to AccessLog
-	// when that is also set.
+	// GET /v1/debug/logs. Without an AccessLog, the server logs into it at
+	// info.
 	Logs *obslog.Ring
-	// LogLevel gates what enters Logs (default info).
-	LogLevel slog.Level
 	// Tenants, when non-nil, turns on the multi-tenant control plane:
 	// every request must carry a bearer token, roles and per-namespace
 	// rate limits are enforced before handlers run, model/blob quotas are
@@ -174,19 +171,9 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 		events: make(chan metricEvent, opts.EventQueue),
 		done:   make(chan struct{}),
 	}
-	// Log pipeline: the ring (queryable at /v1/debug/logs) in front,
-	// teeing to the AccessLog writer as plain JSON lines when set. With
-	// no ring the writer keeps its original direct handler.
-	var next slog.Handler
-	if opts.AccessLog != nil {
-		next = slog.NewJSONHandler(opts.AccessLog, nil)
-	}
-	s.logs = opts.Logs
-	switch {
-	case opts.Logs != nil:
-		s.accessLog = slog.New(obslog.NewHandler(opts.Logs, opts.LogLevel, next))
-	case next != nil:
-		s.accessLog = slog.New(next)
+	s.logs, s.accessLog = opts.Logs, opts.AccessLog
+	if s.accessLog == nil && s.logs != nil {
+		s.accessLog = slog.New(obslog.NewHandler(s.logs, slog.LevelInfo, nil))
 	}
 	s.routes()
 	if opts.Pprof {
@@ -346,7 +333,7 @@ func (s *Server) routes() {
 	// Liveness for load balancers, the same answer galleryserve gives; the
 	// authorizer lets it through without a token.
 	s.handle("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		httpmw.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.handle("GET /v1/audit", s.handleListAudit)
 	s.handle("POST /v1/audit", s.handleIngestAudit)
@@ -375,25 +362,6 @@ func (s *Server) routes() {
 
 // --- plumbing ---
 
-// jsonBufPool amortizes encode buffers across requests: responses are
-// staged in a pooled buffer so Content-Length can be set and the write
-// happens in one syscall, instead of json.Encoder allocating per call.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer jsonBufPool.Put(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-}
-
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var maxBytes *http.MaxBytesError
@@ -417,7 +385,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, tenant.ErrBlobQuota):
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, status, api.Error{Error: err.Error()})
+	httpmw.WriteError(w, status, err)
 }
 
 // decode reads a bounded JSON body. The ResponseWriter is handed to
@@ -479,7 +447,7 @@ func (s *Server) handleRegisterModel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, modelDTO(m))
+	httpmw.WriteJSON(w, http.StatusCreated, modelDTO(m))
 }
 
 func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
@@ -493,7 +461,7 @@ func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, modelDTO(m))
+	httpmw.WriteJSON(w, http.StatusOK, modelDTO(m))
 }
 
 func (s *Server) handleModelsByBase(w http.ResponseWriter, r *http.Request) {
@@ -507,7 +475,7 @@ func (s *Server) handleModelsByBase(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, modelDTOs(ms))
+	httpmw.WriteJSON(w, http.StatusOK, modelDTOs(ms))
 }
 
 func (s *Server) handleEvolveModel(w http.ResponseWriter, r *http.Request) {
@@ -530,7 +498,7 @@ func (s *Server) handleEvolveModel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, modelDTO(m))
+	httpmw.WriteJSON(w, http.StatusCreated, modelDTO(m))
 }
 
 func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
@@ -544,7 +512,7 @@ func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, modelDTOs(chain))
+	httpmw.WriteJSON(w, http.StatusOK, modelDTOs(chain))
 }
 
 func (s *Server) handleDeprecateModel(w http.ResponseWriter, r *http.Request) {
@@ -587,7 +555,7 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	for i, v := range vs {
 		out[i] = versionDTO(v)
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleProductionVersion(w http.ResponseWriter, r *http.Request) {
@@ -601,7 +569,7 @@ func (s *Server) handleProductionVersion(w http.ResponseWriter, r *http.Request)
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, versionDTO(v))
+	httpmw.WriteJSON(w, http.StatusOK, versionDTO(v))
 }
 
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
@@ -651,7 +619,7 @@ func (s *Server) handleDeps(w http.ResponseWriter, r *http.Request, up bool) {
 	for i, u := range ids {
 		out[i] = u.String()
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleAddDep(w http.ResponseWriter, r *http.Request) {
@@ -747,7 +715,7 @@ func (s *Server) handleUploadInstance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, instanceDTO(in))
+	httpmw.WriteJSON(w, http.StatusCreated, instanceDTO(in))
 }
 
 func (s *Server) handleGetInstance(w http.ResponseWriter, r *http.Request) {
@@ -761,7 +729,7 @@ func (s *Server) handleGetInstance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, instanceDTO(in))
+	httpmw.WriteJSON(w, http.StatusOK, instanceDTO(in))
 }
 
 func (s *Server) handleGetBlob(w http.ResponseWriter, r *http.Request) {
@@ -860,7 +828,7 @@ func (s *Server) handleInsertMetric(w http.ResponseWriter, r *http.Request) {
 	// Metric updates are rule-engine events (paper Fig. 8, Client 2),
 	// dispatched off the request path.
 	s.notifyMetricUpdatedCtx(r.Context(), id)
-	writeJSON(w, http.StatusCreated, metricDTO(m))
+	httpmw.WriteJSON(w, http.StatusCreated, metricDTO(m))
 }
 
 func (s *Server) handleInsertMetrics(w http.ResponseWriter, r *http.Request) {
@@ -902,7 +870,7 @@ func (s *Server) handleMetricSeries(w http.ResponseWriter, r *http.Request) {
 	for i, m := range ms {
 		out[i] = metricDTO(m)
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
@@ -923,7 +891,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.DriftReport{
+	httpmw.WriteJSON(w, http.StatusOK, api.DriftReport{
 		InstanceID:   rep.InstanceID.String(),
 		Metric:       rep.Metric,
 		BaselineMean: rep.BaselineMean,
@@ -951,7 +919,7 @@ func (s *Server) handleSkew(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.SkewReport{
+	httpmw.WriteJSON(w, http.StatusOK, api.SkewReport{
 		InstanceID:   rep.InstanceID.String(),
 		Metric:       rep.Metric,
 		OfflineScope: string(rep.OfflineScope),
@@ -1050,7 +1018,7 @@ func (s *Server) handleFleetHealth(w http.ResponseWriter, r *http.Request) {
 			},
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- search / lineage / stats ---
@@ -1071,7 +1039,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, instanceDTOs(ins))
+	httpmw.WriteJSON(w, http.StatusOK, instanceDTOs(ins))
 }
 
 func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) {
@@ -1081,7 +1049,7 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, instanceDTOs(ins))
+	httpmw.WriteJSON(w, http.StatusOK, instanceDTOs(ins))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1104,7 +1072,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st.EngineDispatches = s.cDispatched.Value()
 	st.EngineDrops = s.cDropped.Value()
-	writeJSON(w, http.StatusOK, st)
+	httpmw.WriteJSON(w, http.StatusOK, st)
 }
 
 // --- rules ---
@@ -1133,7 +1101,7 @@ func (s *Server) handleCommitRules(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"hash": commit.Hash})
+	httpmw.WriteJSON(w, http.StatusCreated, map[string]string{"hash": commit.Hash})
 }
 
 func (s *Server) handleListRules(w http.ResponseWriter, r *http.Request) {
@@ -1141,7 +1109,7 @@ func (s *Server) handleListRules(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: rule engine not enabled", core.ErrNotFound))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.repo.Active())
+	httpmw.WriteJSON(w, http.StatusOK, s.repo.Active())
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
@@ -1165,7 +1133,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, instanceDTO(in))
+	httpmw.WriteJSON(w, http.StatusOK, instanceDTO(in))
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
@@ -1184,7 +1152,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 			Message:    a.Message,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 // FilterFromSearch translates the wire constraint list (paper Listing 5

@@ -223,6 +223,11 @@ func TestErrorMapping(t *testing.T) {
 	if ae, ok := err.(*client.APIError); !ok || ae.Status != 400 {
 		t.Fatalf("bad spec err = %v", err)
 	}
+	// 404 for the log route of a server built without a log ring.
+	_, err = h.c.DebugLogs(client.LogsQuery{})
+	if ae, ok := err.(*client.APIError); !ok || ae.Status != 404 {
+		t.Fatalf("logs without a ring err = %v", err)
+	}
 	// 409 for cycles.
 	a := h.registerModel(t, "a", "d")
 	b := h.registerModel(t, "b", "d")

@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"gallery/internal/api"
+	"gallery/internal/obs/httpmw"
 	"gallery/internal/slo"
 )
 
@@ -54,7 +55,7 @@ func (s *Server) handleCreateSLO(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, sloToAPI(o))
+	httpmw.WriteJSON(w, http.StatusCreated, sloToAPI(o))
 }
 
 func (s *Server) handleListSLOs(w http.ResponseWriter, r *http.Request) {
@@ -63,7 +64,7 @@ func (s *Server) handleListSLOs(w http.ResponseWriter, r *http.Request) {
 	for _, o := range objs {
 		out.SLOs = append(out.SLOs, sloToAPI(o))
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleDeleteSLO(w http.ResponseWriter, r *http.Request) {
@@ -86,7 +87,7 @@ func (s *Server) handleDeleteSLO(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
+	httpmw.WriteJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
 func (s *Server) handleSLOStatus(w http.ResponseWriter, r *http.Request) {
@@ -104,7 +105,7 @@ func (s *Server) handleSLOStatus(w http.ResponseWriter, r *http.Request) {
 			LastChange:      st.LastChange,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 func sloToAPI(o slo.Objective) api.SLO {

@@ -11,6 +11,7 @@ import (
 	"net/http"
 
 	"gallery/internal/api"
+	"gallery/internal/obs/httpmw"
 	"gallery/internal/tenant"
 	"gallery/internal/uuid"
 )
@@ -71,7 +72,7 @@ func (s *Server) handleCreateNamespace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, namespaceDTO(got, u))
+	httpmw.WriteJSON(w, http.StatusCreated, namespaceDTO(got, u))
 }
 
 func (s *Server) handleListNamespaces(w http.ResponseWriter, r *http.Request) {
@@ -90,7 +91,7 @@ func (s *Server) handleListNamespaces(w http.ResponseWriter, r *http.Request) {
 		u, _ := s.tenants.GetUsage(ns.Name)
 		out.Namespaces = append(out.Namespaces, namespaceDTO(ns, u))
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleSetQuotas(w http.ResponseWriter, r *http.Request) {
@@ -118,7 +119,7 @@ func (s *Server) handleSetQuotas(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, namespaceDTO(ns, u))
+	httpmw.WriteJSON(w, http.StatusOK, namespaceDTO(ns, u))
 }
 
 func (s *Server) handleMintToken(w http.ResponseWriter, r *http.Request) {
@@ -142,7 +143,7 @@ func (s *Server) handleMintToken(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, api.MintTokenResponse{Secret: secret, Token: tokenDTO(tok)})
+	httpmw.WriteJSON(w, http.StatusCreated, api.MintTokenResponse{Secret: secret, Token: tokenDTO(tok)})
 }
 
 func (s *Server) handleListTokens(w http.ResponseWriter, r *http.Request) {
@@ -155,7 +156,7 @@ func (s *Server) handleListTokens(w http.ResponseWriter, r *http.Request) {
 	for _, tok := range s.tenants.Tokens(target) {
 		out.Tokens = append(out.Tokens, tokenDTO(tok))
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpmw.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleRevokeToken(w http.ResponseWriter, r *http.Request) {
