@@ -7,7 +7,6 @@
 // Usage:
 //
 //	galleryserve -addr :8441 -gallery http://localhost:8440
-//	galleryserve -addr :8441 -gallery http://localhost:8440 -batch 32
 //	galleryserve -addr :8441 -auth -token-file tokens.json -token gal_...  # multi-tenant
 //
 // Predictions:
@@ -38,8 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("galleryserve: %v", err)
 	}
-	fmt.Printf("galleryserve: serving on %s (gallery=%s refresh=%v batch=%d)\n",
-		cfg.Addr, cfg.Gallery, cfg.Refresh, cfg.Batch)
+	fmt.Printf("galleryserve: serving on %s (gallery=%s refresh=%v)\n", cfg.Addr, cfg.Gallery, cfg.Refresh)
 	err = daemon.Serve("galleryserve", cfg.Addr, g.Handler())
 	// After the HTTP drain, so the traces the last requests kept still leave.
 	if cerr := g.Close(); err == nil {

@@ -103,7 +103,6 @@ type GalleryserveConfig struct {
 	Gallery     string
 	Refresh     time.Duration
 	MaxModels   int
-	Batch       int
 	Preload     string
 	Name        string
 	HealthFlush time.Duration
@@ -117,7 +116,6 @@ func (c *GalleryserveConfig) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Gallery, "gallery", "http://localhost:8440", "galleryd base URL")
 	fs.DurationVar(&c.Refresh, "refresh", 5*time.Second, "production-pointer poll interval")
 	fs.IntVar(&c.MaxModels, "max-models", 64, "LRU bound on concurrently loaded models")
-	fs.IntVar(&c.Batch, "batch", 0, "micro-batch size (0 disables batching)")
 	fs.StringVar(&c.Preload, "preload", "", "comma-separated model IDs to load at startup")
 	fs.StringVar(&c.Name, "name", "gateway", "gateway name stamped on flushed health observations")
 	fs.DurationVar(&c.HealthFlush, "health-flush", 15*time.Second, "health observation flush period (negative disables health reporting)")

@@ -57,7 +57,7 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 	}
 
 	gwOpts := serve.Options{
-		Name: cfg.Name, MaxModels: cfg.MaxModels, RefreshInterval: cfg.Refresh, MaxBatch: cfg.Batch,
+		Name: cfg.Name, MaxModels: cfg.MaxModels, RefreshInterval: cfg.Refresh,
 		Obs: reg, Tracer: tracer,
 		// Hot swaps land on galleryd's lifecycle audit trail next to the
 		// promotions that caused them.

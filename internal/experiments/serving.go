@@ -47,43 +47,33 @@ func (s regSource) FetchBlob(instanceID string) ([]byte, error) {
 	return s.reg.FetchBlob(id)
 }
 
-// ServingArm is one row of the batching ablation.
-type ServingArm struct {
-	Name     string
-	MaxBatch int
-	// AllocsPerOp is the exact heap allocation count per prediction,
-	// measured single-client after the storm.
-	AllocsPerOp float64
-}
-
-// ServingResult is the serving-gateway experiment outcome: the same
-// prediction storm answered by the same promoted LinearAR instance with
-// micro-batching off and on, with a hot swap under fire in each arm.
+// ServingResult is the serving-gateway experiment outcome: a prediction
+// storm answered by a promoted LinearAR instance, with a hot swap landing
+// mid-storm.
 type ServingResult struct {
 	Clients   int
 	PerClient int
-	Arms      []ServingArm
+	// AllocsPerOp is the exact heap allocation count per prediction,
+	// measured single-client after the storm.
+	AllocsPerOp float64
 	// SwapServed reports that after the mid-storm promotion, predictions
-	// came from the new instance in both arms.
+	// came from the new instance.
 	SwapServed bool
 }
 
-// Format renders the ablation as paper-style rows.
+// Format renders the experiment as paper-style rows.
 func (r *ServingResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "prediction storm: %d clients x %d predictions, LinearAR production instance, hot swap mid-storm, 0 failed\n",
 		r.Clients, r.PerClient)
-	for _, a := range r.Arms {
-		fmt.Fprintf(&b, "  %-14s allocs/op=%.1f\n", a.Name, a.AllocsPerOp)
-	}
-	fmt.Fprintf(&b, "  swap served new instance in both arms: %v\n", r.SwapServed)
+	fmt.Fprintf(&b, "  allocs/op=%.1f\n", r.AllocsPerOp)
+	fmt.Fprintf(&b, "  swap served new instance: %v\n", r.SwapServed)
 	return b.String()
 }
 
-// ServingGateway runs the serving-tier ablation: batching off vs on under
-// concurrent load, with a promotion landing mid-storm in each arm. A run
-// with failed predictions or a swap that never reaches traffic is an
-// experiment failure.
+// ServingGateway runs the serving-tier experiment: concurrent predictions
+// with a promotion landing mid-storm. A run with failed predictions or a
+// swap that never reaches traffic is an experiment failure.
 func ServingGateway(clients, perClient int) (*ServingResult, error) {
 	env, err := NewEnv(31)
 	if err != nil {
@@ -97,11 +87,8 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 	}
 
 	// One trained LinearAR champion and one challenger for the mid-storm
-	// swap; the history window is sized so the per-prediction feature work
-	// is realistic.
-	// Two months of hourly data; predictions carry a month-long history
-	// window, the realistic regime where the unbatched path's per-call
-	// buffer allocations are what batching amortizes away.
+	// swap. Two months of hourly data; predictions carry a month-long
+	// history window, so the per-prediction feature work is realistic.
 	series := forecast.Generate(forecast.CityConfig{
 		Name: "sf", Base: 100, GrowthPerWeek: 3, DailyAmp: 20, WeeklyAmp: 10, NoiseStd: 2, Seed: 31,
 	}, epoch, time.Hour, 24*56)
@@ -138,54 +125,33 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 		return nil, err
 	}
 
-	res := &ServingResult{Clients: clients, PerClient: perClient, SwapServed: true}
 	modelID := m.ID.String()
-	arms := []ServingArm{
-		{Name: "batch=off", MaxBatch: 0},
-		{Name: "batch=32", MaxBatch: 32},
+	gw := serve.New(regSource{env.Reg}, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
+	defer gw.Close()
+	// The gateway caches the champion before the promotion.
+	if _, err := gw.Predict(modelID, fctx); err != nil {
+		return nil, err
 	}
-	gws := make([]*serve.Gateway, len(arms))
-	for i, arm := range arms {
-		gw := serve.New(regSource{env.Reg}, serve.Options{
-			RefreshInterval: -1,
-			MaxBatch:        arm.MaxBatch,
-			BatchWorkers:    1,
-			Obs:             obs.NewRegistry(),
-		})
-		defer gw.Close()
-		// Both gateways cache the champion before the first promotion.
-		if _, err := gw.Predict(modelID, fctx); err != nil {
-			return nil, err
-		}
-		gws[i] = gw
-	}
-	for i, arm := range arms {
-		gw := gws[i]
-		// PromoteInstance is idempotent, so each arm can issue it; the
-		// refresh is what moves this gateway mid-storm.
-		if err := servingStorm(gw, modelID, fctx, clients, perClient, func() error {
-			if err := env.Reg.PromoteInstance(chall.ID); err != nil {
-				return err
-			}
-			gw.RefreshAll()
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("experiments: serving arm %s: %w", arm.Name, err)
-		}
-		resp, err := gw.Predict(modelID, fctx)
-		if err != nil {
-			return nil, err
-		}
-		if resp.InstanceID != chall.ID.String() {
-			res.SwapServed = false
-		}
-		if arm.AllocsPerOp, err = allocsPerOp(1000, func() error {
-			_, err := gw.Predict(modelID, fctx)
+	// The refresh is what moves the gateway mid-storm.
+	if err := servingStorm(gw, modelID, fctx, clients, perClient, func() error {
+		if err := env.Reg.PromoteInstance(chall.ID); err != nil {
 			return err
-		}); err != nil {
-			return nil, err
 		}
-		res.Arms = append(res.Arms, arm)
+		gw.RefreshAll()
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("experiments: serving storm: %w", err)
+	}
+	resp, err := gw.Predict(modelID, fctx)
+	if err != nil {
+		return nil, err
+	}
+	res := &ServingResult{Clients: clients, PerClient: perClient, SwapServed: resp.InstanceID == chall.ID.String()}
+	if res.AllocsPerOp, err = allocsPerOp(1000, func() error {
+		_, err := gw.Predict(modelID, fctx)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -225,18 +191,16 @@ func servingStorm(gw *serve.Gateway, modelID string, fctx forecast.Context, clie
 	return nil
 }
 
-// BenchMetrics emits the experiment's BENCH_serving.json gates: whole
-// heap allocations per prediction in each arm (the batched arm's pooled
-// path reads 0), and whether the swap reached traffic.
+// BenchMetrics emits the experiment's BENCH_serving.json gates: heap
+// allocations per prediction (0: the predict path allocates nothing), and
+// whether the swap reached traffic.
 func (r *ServingResult) BenchMetrics() []benchfmt.Metric {
-	var ms []benchfmt.Metric
-	for _, a := range r.Arms {
-		prefix := strings.ReplaceAll(a.Name, "=", "_")
-		ms = append(ms, benchfmt.Metric{Name: prefix + "_allocs_per_op", Unit: "allocs/op", Value: wholeAllocs(a.AllocsPerOp), Better: benchfmt.LowerIsBetter, Tol: 0.5})
-	}
 	swap := 0.0
 	if r.SwapServed {
 		swap = 1
 	}
-	return append(ms, benchfmt.Metric{Name: "swap_served", Value: swap, Better: benchfmt.HigherIsBetter, Tol: 0.01})
+	return []benchfmt.Metric{
+		{Name: "predict_allocs_per_op", Unit: "allocs/op", Value: wholeAllocs(r.AllocsPerOp), Better: benchfmt.LowerIsBetter, Tol: 0.5},
+		{Name: "swap_served", Value: swap, Better: benchfmt.HigherIsBetter, Tol: 0.01},
+	}
 }

@@ -70,6 +70,7 @@ func (m *GBStumps) horizon() int {
 func (m *GBStumps) span() int { return m.horizon() + m.lags() - 1 }
 
 // featureRow builds [lags..., hour, weekday] for predicting index i.
+// Forecast reads the same layout in place.
 func (m *GBStumps) featureRow(values []float64, t time.Time, i int) []float64 {
 	h := m.horizon()
 	row := make([]float64, 0, m.lags()+2)
@@ -139,8 +140,11 @@ func (m *GBStumps) Train(data Series) error {
 	return nil
 }
 
-func (s Stump) apply(row []float64) float64 {
-	if row[s.Feature] <= s.Threshold {
+func (s Stump) apply(row []float64) float64 { return s.split(row[s.Feature]) }
+
+// split is the stump's answer for feature value x.
+func (s Stump) split(x float64) float64 {
+	if x <= s.Threshold {
 		return s.Left
 	}
 	return s.Right
@@ -189,21 +193,30 @@ func bestStump(X [][]float64, resid []float64, thresholds [][]float64) (Stump, b
 }
 
 // Forecast applies the ensemble; the target sits Horizon steps past the
-// end of History.
+// end of History, so lag feature l of its row is History[n-1-l]. Each
+// stump reads its one feature straight from the context, so no row is
+// built and the call allocates nothing.
 func (m *GBStumps) Forecast(ctx Context) float64 {
-	if len(m.Stumps) == 0 && m.Base == 0 || len(ctx.History) < m.span() {
-		if len(ctx.History) == 0 {
+	n := len(ctx.History)
+	if len(m.Stumps) == 0 && m.Base == 0 || n < m.span() {
+		if n == 0 {
 			return 0
 		}
-		return ctx.History[len(ctx.History)-1]
+		return ctx.History[n-1]
 	}
-	h := m.horizon()
-	values := append(append([]float64(nil), ctx.History...), make([]float64, h)...)
-	row := m.featureRow(values, ctx.Time, len(values)-1)
+	lags := m.lags()
+	hour, dow := float64(ctx.Time.Hour()), float64(ctx.Time.Weekday())
 	pred := m.Base
 	lr := m.rate()
 	for _, s := range m.Stumps {
-		pred += lr * s.apply(row)
+		x := dow // featureRow's layout: lags..., hour, weekday
+		switch {
+		case s.Feature < lags:
+			x = ctx.History[n-1-s.Feature]
+		case s.Feature == lags:
+			x = hour
+		}
+		pred += lr * s.split(x)
 	}
 	if pred < 0 {
 		pred = 0

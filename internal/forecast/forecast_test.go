@@ -360,3 +360,85 @@ func TestQuickMAPEScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestForecastMatchesTrainingRow checks the row-free Forecast of each
+// feature learner against the row its Train fits on: the prediction for
+// the step Horizon past the end of History must equal, bit for bit, the
+// model applied to the training row built over History padded out to that
+// step. A feature Forecast reads from the wrong place is training/serving
+// skew, and it fails here.
+func TestForecastMatchesTrainingRow(t *testing.T) {
+	cfg := sampleCity(41)
+	for w := 0; w < 6; w++ {
+		ev := start.Add(time.Duration(w)*7*24*time.Hour + 3*24*time.Hour)
+		cfg.Events = append(cfg.Events, Event{Start: ev, End: ev.Add(30 * time.Hour), Multiplier: 1.6})
+	}
+	data := Generate(cfg, start, time.Hour, 24*42)
+	values := data.Values()
+	trainN, window := 24*35, 24*7
+	for _, m := range []Model{
+		&LinearAR{Lags: 6},
+		&LinearAR{Lags: 48, UseEventFeature: true},
+		&LinearAR{Lags: 12, Horizon: 3, UseEventFeature: true},
+		&GBStumps{Lags: 24, Rounds: 40},
+		&GBStumps{Lags: 8, Horizon: 4, Rounds: 40},
+	} {
+		if err := m.Train(data[:trainN]); err != nil {
+			t.Fatalf("train %s: %v", m.Name(), err)
+		}
+		for end := trainN; end < len(data); end += 5 {
+			evs := make([]bool, window)
+			for i := range evs {
+				evs[i] = data[end-window+i].Event
+			}
+			ctx := Context{History: values[end-window : end], HistoryEvents: evs, Time: data[end].T, Event: data[end].Event}
+			if got, want := m.Forecast(ctx), forecastFromRow(m, ctx); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s at %v: Forecast %v, training row gives %v", m.Name(), ctx.Time, got, want)
+			}
+		}
+	}
+}
+
+// forecastFromRow applies a fitted LinearAR or GBStumps to the training
+// feature row over ctx.History padded with Horizon zeros.
+func forecastFromRow(m Model, ctx Context) float64 {
+	n := len(ctx.History)
+	var v float64
+	switch m := m.(type) {
+	case *LinearAR:
+		values := append(append([]float64(nil), ctx.History...), make([]float64, m.horizon())...)
+		for j, x := range m.features(values, ctx.Time, ctx.Event, ctx.eventAt(n-1), len(values)-1) {
+			v += m.Theta[j] * x
+		}
+	case *GBStumps:
+		values := append(append([]float64(nil), ctx.History...), make([]float64, m.horizon())...)
+		row := m.featureRow(values, ctx.Time, len(values)-1)
+		v = m.Base
+		for _, s := range m.Stumps {
+			v += m.rate() * s.apply(row)
+		}
+	}
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// TestForecastAllocatesNothing pins the serving cost of every learner the
+// gateway can load: one prediction over a month of hourly history makes no
+// heap allocation.
+func TestForecastAllocatesNothing(t *testing.T) {
+	data := Generate(sampleCity(42), start, time.Hour, 24*56)
+	ctx := Context{History: data.Values()[len(data)-24*28:], Time: data[len(data)-1].T.Add(time.Hour), Event: true}
+	for _, m := range []Model{
+		&Heuristic{K: 5}, &EWMA{Alpha: 0.3}, &SeasonalNaive{Period: 24},
+		&LinearAR{Lags: 48, UseEventFeature: true}, &GBStumps{Lags: 24, Rounds: 40},
+	} {
+		if err := m.Train(data); err != nil {
+			t.Fatalf("train %s: %v", m.Name(), err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { m.Forecast(ctx) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per Forecast, want 0", m.Name(), allocs)
+		}
+	}
+}

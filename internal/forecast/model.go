@@ -197,46 +197,52 @@ func (m *LinearAR) horizon() int {
 // span is the oldest lag offset the feature row reaches back to.
 func (m *LinearAR) span() int { return m.horizon() + m.Lags - 1 }
 
-// features builds the regression row for predicting index i of values,
-// appending into dst (pass nil for a fresh row; batch prediction passes a
-// reused scratch buffer). refEvent is the event flag of the reference
-// observation values[i-h].
-func (m *LinearAR) features(dst []float64, values []float64, t time.Time, event, refEvent bool, i int) []float64 {
-	row := dst[:0]
-	if cap(row) < m.Lags+8 {
-		row = make([]float64, 0, m.Lags+8)
-	}
+// features builds the regression row for predicting index i of values.
+// refEvent is the event flag of the reference observation values[i-h].
+// Forecast takes this row's dot product with Theta without building it,
+// so the two must list the same features in the same order.
+func (m *LinearAR) features(values []float64, t time.Time, event, refEvent bool, i int) []float64 {
+	row := make([]float64, 0, m.Lags+8)
 	row = append(row, 1)
 	h := m.horizon()
 	for l := 0; l < m.Lags; l++ {
 		row = append(row, values[i-h-l])
 	}
-	hour := float64(t.Hour())
-	dow := float64(t.Weekday())
-	row = append(row,
-		math.Sin(2*math.Pi*hour/24), math.Cos(2*math.Pi*hour/24),
-		math.Sin(2*math.Pi*dow/7), math.Cos(2*math.Pi*dow/7),
-	)
+	cal := calendar(t)
+	row = append(row, cal[:]...)
 	if m.UseEventFeature {
-		// Three regimes, keyed on whether the *reference* observation
-		// (the freshest lag the horizon allows) was itself in an event:
-		// predicting into an event from calm data needs a scale-up,
-		// event-to-event needs none, and calm-from-event needs a
-		// scale-down. The signal is proportional to the recent level,
-		// so interact with the reference observation.
-		ref := values[i-h]
-		up, steady, down := 0.0, 0.0, 0.0
-		switch {
-		case event && !refEvent:
-			up = ref
-		case event && refEvent:
-			steady = ref
-		case !event && refEvent:
-			down = ref
-		}
-		row = append(row, up, steady, down)
+		ev := eventRegimes(values[i-h], event, refEvent)
+		row = append(row, ev[:]...)
 	}
 	return row
+}
+
+// calendar is the time-of-day and day-of-week harmonics of a row.
+func calendar(t time.Time) [4]float64 {
+	hour := float64(t.Hour())
+	dow := float64(t.Weekday())
+	return [4]float64{
+		math.Sin(2 * math.Pi * hour / 24), math.Cos(2 * math.Pi * hour / 24),
+		math.Sin(2 * math.Pi * dow / 7), math.Cos(2 * math.Pi * dow / 7),
+	}
+}
+
+// eventRegimes is the (up, steady, down) event features of a row. There
+// are three regimes, keyed on whether the *reference* observation ref (the
+// freshest lag the horizon allows) was itself in an event: predicting into
+// an event from calm data needs a scale-up, event-to-event needs none, and
+// calm-from-event needs a scale-down. The signal is proportional to the
+// recent level, so each regime interacts with ref.
+func eventRegimes(ref float64, event, refEvent bool) (r [3]float64) {
+	switch {
+	case event && !refEvent:
+		r[0] = ref
+	case event && refEvent:
+		r[1] = ref
+	case !event && refEvent:
+		r[2] = ref
+	}
+	return r
 }
 
 // Train solves the regularized normal equations by Gaussian elimination.
@@ -252,7 +258,7 @@ func (m *LinearAR) Train(data Series) error {
 	var rows [][]float64
 	var ys []float64
 	for i := m.span(); i < n; i++ {
-		rows = append(rows, m.features(nil, values, data[i].T, data[i].Event, data[i-m.horizon()].Event, i))
+		rows = append(rows, m.features(values, data[i].T, data[i].Event, data[i-m.horizon()].Event, i))
 		ys = append(ys, values[i])
 	}
 	theta, err := solveLeastSquares(rows, ys, 1e-6)
@@ -264,47 +270,37 @@ func (m *LinearAR) Train(data Series) error {
 }
 
 // Forecast applies the learned coefficients to the current context. The
-// prediction target sits Horizon steps past the end of History.
+// prediction target sits Horizon steps past the end of History, so lag l
+// of its row is History[n-1-l] and History's tail is the reference
+// observation. The row itself is never built: each feature is multiplied
+// into the sum in the order features lists it, which keeps the value
+// bit-identical to Theta·row and the call free of allocations.
 func (m *LinearAR) Forecast(ctx Context) float64 {
-	return m.forecastScratch(ctx, nil)
-}
-
-// forecastScratch is Forecast with caller-owned scratch buffers; batch
-// prediction reuses them across items (see batch.go).
-func (m *LinearAR) forecastScratch(ctx Context, sc *arScratch) float64 {
-	if len(m.Theta) == 0 || len(ctx.History) < m.span() {
+	n := len(ctx.History)
+	if len(m.Theta) == 0 || n < m.span() {
 		// Degenerate fallback: last value (random-walk forecast).
-		if len(ctx.History) == 0 {
+		if n == 0 {
 			return 0
 		}
-		return ctx.History[len(ctx.History)-1]
+		return ctx.History[n-1]
 	}
-	// Build the feature row as if history were the value array, padded so
-	// the predicted element sits Horizon steps past the last observation;
-	// the reference observation is then exactly History's tail.
-	h := m.horizon()
-	var values, rowBuf []float64
-	if sc != nil {
-		values, rowBuf = sc.values[:0], sc.row
-	}
-	if cap(values) < len(ctx.History)+h {
-		// Size for history plus padding in one shot; appending history
-		// first and padding after would grow (and copy) twice.
-		values = make([]float64, 0, len(ctx.History)+h)
-	}
-	values = append(values, ctx.History...)
-	for k := 0; k < h; k++ {
-		values = append(values, 0)
-	}
-	i := len(values) - 1
-	refEvent := ctx.eventAt(len(ctx.History) - 1)
-	row := m.features(rowBuf, values, ctx.Time, ctx.Event, refEvent, i)
-	if sc != nil {
-		sc.values, sc.row = values, row
-	}
+	th := m.Theta
 	var v float64
-	for j, x := range row {
-		v += m.Theta[j] * x
+	v += th[0] // the constant feature
+	j := 1
+	for l := 0; l < m.Lags; l++ {
+		v += th[j] * ctx.History[n-1-l]
+		j++
+	}
+	for _, x := range calendar(ctx.Time) {
+		v += th[j] * x
+		j++
+	}
+	if m.UseEventFeature {
+		for _, x := range eventRegimes(ctx.History[n-1], ctx.Event, ctx.eventAt(n-1)) {
+			v += th[j] * x
+			j++
+		}
 	}
 	if v < 0 {
 		v = 0

@@ -66,7 +66,7 @@ func TestEndToEndDeployLoop(t *testing.T) {
 
 	// The gateway serves the baseline, polling the production pointer
 	// every few milliseconds.
-	_, gwURL := bootGalleryserve(t, "-gallery", gdURL, "-refresh", "5ms", "-batch", "4", "-health-flush", "-1s")
+	_, gwURL := bootGalleryserve(t, "-gallery", gdURL, "-refresh", "5ms", "-health-flush", "-1s")
 	gc := client.New(gwURL, nil)
 
 	hist := []float64{10, 20}

@@ -11,8 +11,7 @@
 //   - hot swap on promotion — a refresh loop polls the production pointer
 //     and atomically swaps the served learner, so the §4.2 dynamic-
 //     switching win (a rule promotes a better instance) reaches traffic
-//     within one refresh interval with zero dropped requests;
-//   - optional micro-batching of concurrent predictions per model; and
+//     within one refresh interval with zero dropped requests; and
 //   - graceful degradation — when galleryd is unreachable the gateway
 //     keeps answering from the last-known-good instance and flags the
 //     responses stale.
@@ -63,18 +62,12 @@ type Options struct {
 	// Zero uses the default; negative disables the loop (tests drive
 	// RefreshAll directly).
 	RefreshInterval time.Duration
-	// MaxBatch enables micro-batching when > 1: concurrent predictions on
-	// one model are grouped and answered by a single vectorized pass.
-	MaxBatch int
-	// BatchWorkers is the number of executor goroutines per model
-	// (default 4), so batching adds parallelism rather than serializing.
-	BatchWorkers int
 	// Loader resolves learner kinds (default forecast.DefaultLoader).
 	Loader *forecast.Loader
 	// Obs receives gateway metrics; nil uses obs.Default.
 	Obs *obs.Registry
-	// Tracer, when set, lets background gateway work (hot-swap refreshes,
-	// batch drains) start traces of its own, subject to its sampler.
+	// Tracer, when set, lets background gateway work (hot-swap refreshes)
+	// start traces of its own, subject to its sampler.
 	// Request traces do not need it — they ride the caller's context.
 	Tracer *trace.Tracer
 	// Name identifies this gateway in flushed health observations
@@ -122,7 +115,6 @@ type entry struct {
 	cur   atomic.Pointer[served]
 	stale atomic.Bool
 	swaps atomic.Int64
-	batch *batcher // nil when batching is off; set before ready closes
 
 	// lastOK is the unix-nano time of the last successful load or
 	// refresh, feeding the per-model refresh-age gauge.
@@ -164,14 +156,10 @@ type gatewayMetrics struct {
 	predictErrs     *obs.Counter
 	stale           *obs.Counter
 	latency         *obs.Histogram
-	batchSize       *obs.Histogram
 	loadedModels    *obs.Gauge
 	healthFlushes   *obs.Counter
 	healthFlushErrs *obs.Counter
 }
-
-// batchSizeBuckets covers batch sizes 1..256.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // New builds a Gateway and starts its refresh loop (unless disabled).
 func New(src Source, opts Options) *Gateway {
@@ -180,9 +168,6 @@ func New(src Source, opts Options) *Gateway {
 	}
 	if opts.RefreshInterval == 0 {
 		opts.RefreshInterval = 5 * time.Second
-	}
-	if opts.BatchWorkers <= 0 {
-		opts.BatchWorkers = 4
 	}
 	if opts.Loader == nil {
 		opts.Loader = forecast.DefaultLoader
@@ -219,7 +204,6 @@ func New(src Source, opts Options) *Gateway {
 			predictErrs:     opts.Obs.Counter("serve_prediction_errors_total"),
 			stale:           opts.Obs.Counter("serve_stale_predictions_total"),
 			latency:         opts.Obs.Histogram("serve_predict_seconds", obs.LatencyBuckets),
-			batchSize:       opts.Obs.Histogram("serve_batch_size", batchSizeBuckets),
 			loadedModels:    opts.Obs.Gauge("serve_loaded_models"),
 			healthFlushes:   opts.Obs.Counter("serve_health_flushes_total"),
 			healthFlushErrs: opts.Obs.Counter("serve_health_flush_errors_total"),
@@ -236,8 +220,8 @@ func New(src Source, opts Options) *Gateway {
 	return g
 }
 
-// Close stops the refresh loop and the batch executors. In-flight
-// predictions finish; later ones fail with ErrClosed.
+// Close stops the refresh and health loops. In-flight predictions finish;
+// later loads fail with ErrClosed.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() { close(g.done) })
 	g.wg.Wait()
@@ -253,12 +237,13 @@ func (g *Gateway) Predict(modelID string, fctx forecast.Context) (api.PredictRes
 // carries a span, a "serve.predict" child records whether the model was
 // resident (cache=hit), mid-load by another request (coalesced), or
 // loaded by this one (miss), and the load's Gallery calls propagate the
-// trace to galleryd. With no span in ctx the path is allocation-free.
+// trace to galleryd. With no span in ctx the path is allocation-free,
+// learner included: every forecast.Model predicts without allocating.
 //
 // fctx's slices are borrowed, not kept: nothing reads them once PredictCtx
 // has returned, so the caller may reuse them for its next request (the HTTP
-// handler decodes into pooled buffers). A Forecaster must copy what it
-// wants to keep.
+// handler decodes into pooled buffers). A learner must copy what it wants
+// to keep.
 func (g *Gateway) PredictCtx(ctx context.Context, modelID string, fctx forecast.Context) (api.PredictResponse, error) {
 	start := time.Now()
 	ctx, span := trace.Start(ctx, "serve.predict")
@@ -274,21 +259,8 @@ func (g *Gateway) PredictCtx(ctx context.Context, modelID string, fctx forecast.
 		span.EndErr(err)
 		return api.PredictResponse{}, err
 	}
-	var (
-		value float64
-		srv   *served
-	)
-	if e.batch != nil {
-		value, srv, err = e.batch.predict(fctx)
-		if err != nil {
-			g.mx.predictErrs.Inc()
-			span.EndErr(err)
-			return api.PredictResponse{}, err
-		}
-	} else {
-		srv = e.cur.Load()
-		value = srv.learner.Forecast(fctx)
-	}
+	srv := e.cur.Load()
+	value := srv.learner.Forecast(fctx)
 	stale := e.stale.Load()
 	g.mx.predicts.Inc()
 	if stale {
@@ -361,13 +333,11 @@ func (g *Gateway) entry(ctx context.Context, modelID string) (*entry, string, er
 	for _, old := range evicted {
 		g.mx.evictions.Inc()
 		// An entry can be evicted while its initial load is still in
-		// flight; batch is only settled once ready closes, so tear it down
-		// from a goroutine that waits for that instead of racing the loader.
+		// flight, and the load registers the refresh-age gauge before ready
+		// closes, so drop the gauge from a goroutine that waits for that
+		// instead of racing the loader.
 		go func(old *entry) {
 			<-old.ready
-			if old.batch != nil {
-				old.batch.stop()
-			}
 			// Drop the evicted model's refresh-age gauge unless the model
 			// was re-admitted in the meantime (the new slot re-registers
 			// its own closure; a lost race here only leaves a gauge
@@ -399,14 +369,11 @@ func (g *Gateway) entry(ctx context.Context, modelID string) (*entry, string, er
 		return nil, "miss", err
 	}
 	e.cur.Store(srv)
-	if g.opts.MaxBatch > 1 {
-		e.batch = newBatcher(e, g)
-	}
 	e.lastOK.Store(time.Now().UnixNano())
-	close(e.ready)
 	g.mx.loads.Inc()
 	g.setVersionGauge(e, &srv.version)
 	g.registerAgeGauge(e)
+	close(e.ready)
 	return e, "miss", nil
 }
 

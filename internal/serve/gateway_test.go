@@ -295,10 +295,13 @@ func TestStaleDegradation(t *testing.T) {
 	}
 }
 
-func TestBatchingCorrectness(t *testing.T) {
+// TestConcurrentPredictionsCorrect sends one model many concurrent
+// predictions, each over its own history, and checks every caller gets the
+// answer for exactly its own.
+func TestConcurrentPredictionsCorrect(t *testing.T) {
 	src := newFakeSource()
 	src.promote(t, "m1", 0, &forecast.Heuristic{K: 1})
-	g := newTestGateway(t, src, Options{MaxBatch: 8, BatchWorkers: 2})
+	g := newTestGateway(t, src, Options{})
 
 	const n = 64
 	var wg sync.WaitGroup
@@ -316,7 +319,7 @@ func TestBatchingCorrectness(t *testing.T) {
 	}
 	wg.Wait()
 	if bad.Load() != 0 {
-		t.Fatalf("%d of %d batched predictions wrong", bad.Load(), n)
+		t.Fatalf("%d of %d concurrent predictions wrong", bad.Load(), n)
 	}
 }
 
