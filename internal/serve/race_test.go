@@ -18,7 +18,14 @@ import (
 // every response must be self-consistent: the value must match the
 // learner of the version the response claims — a torn read (new version,
 // old learner) fails the test. Run with -race.
+//
+// The subtest keeps the name it had when a batched arm ran beside it:
+// batch=0 is the direct predict path, now the only one.
 func TestPredictRacesHotSwap(t *testing.T) {
+	t.Run("batch=0", testPredictRacesHotSwap)
+}
+
+func testPredictRacesHotSwap(t *testing.T) {
 	src := newFakeSource()
 	// Minor 0 (K=1) serves the last value, minor 1 (K=2) the mean of the
 	// last two: history [10, 20] answers 20 or 15.
