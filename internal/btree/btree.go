@@ -43,6 +43,59 @@ type Tree struct {
 // New returns an empty tree.
 func New() *Tree { return &Tree{} }
 
+// FromSorted returns a tree holding items, which must ascend with no two
+// equal. It builds the tree bottom-up without comparing items: each level
+// goes into the fewest nodes that hold it, spread evenly, so every non-root
+// node holds minItems..maxItems items, every leaf is at one depth, and
+// ReplaceOrInsert and Delete work on the result as on a tree built by
+// inserts. The tree takes items over; the caller must not use the slice
+// again.
+func FromSorted(items []Item) *Tree {
+	t := &Tree{length: len(items)}
+	if len(items) == 0 {
+		return t
+	}
+	nodes, seps := pack(items, nil)
+	for len(nodes) > 1 {
+		nodes, seps = pack(seps, nodes)
+	}
+	t.root = nodes[0]
+	return t
+}
+
+// pack builds one level of FromSorted's tree: items in order and, above the
+// leaves, the len(items)+1 nodes of the level below. It returns the nodes,
+// and the items that separate consecutive ones, which go up a level. With
+// the fewest nodes that fit, count of them, each gets at least
+// ⌊(count−1)·maxItems/count⌋ items, no fewer than minItems once count ≥ 2.
+// A node's slices are capped sub-slices of its level's, so growing one
+// copies it out rather than overwrite a neighbour.
+func pack(items []Item, below []*node) (nodes []*node, seps []Item) {
+	count := (len(items) + maxItems + 1) / (maxItems + 1) // ⌈(len+1)/(maxItems+1)⌉
+	kept := len(items) - (count - 1)
+	nodes, seps = make([]*node, count), make([]Item, 0, count-1)
+	start, child := 0, 0
+	for i := range nodes {
+		size := kept / count
+		if i < kept%count {
+			size++
+		}
+		end := start + size
+		n := &node{items: items[start:end:end]}
+		if below != nil {
+			n.children = below[child : child+size+1 : child+size+1]
+			child += size + 1
+		}
+		nodes[i] = n
+		if i < count-1 {
+			seps = append(seps, items[end])
+			end++
+		}
+		start = end
+	}
+	return nodes, seps
+}
+
 // Len returns the number of items in the tree.
 func (t *Tree) Len() int { return t.length }
 

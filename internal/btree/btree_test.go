@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -407,6 +408,175 @@ func TestQuickDescendLessOrEqual(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkShape fails t unless tr is a well-formed B-tree: every non-root node
+// holds minItems..maxItems items and every inner node one child more, every
+// leaf sits at one depth, the items ascend and Len counts them. It returns
+// the depth of the leaves, 0 for an empty tree.
+func checkShape(t *testing.T, tr *Tree) int {
+	t.Helper()
+	if tr.root == nil {
+		if tr.Len() != 0 {
+			t.Fatalf("no root but Len %d", tr.Len())
+		}
+		return 0
+	}
+	leaves, count := -1, 0
+	var prev Item
+	var walk func(n *node, depth int)
+	walk = func(n *node, depth int) {
+		if len(n.items) > maxItems || len(n.items) == 0 || n != tr.root && len(n.items) < minItems {
+			t.Fatalf("node at depth %d holds %d items", depth, len(n.items))
+		}
+		switch {
+		case len(n.children) == 0 && leaves < 0:
+			leaves = depth
+		case len(n.children) == 0 && leaves != depth:
+			t.Fatalf("leaves at depths %d and %d", leaves, depth)
+		case len(n.children) > 0 && len(n.children) != len(n.items)+1:
+			t.Fatalf("node at depth %d has %d items and %d children", depth, len(n.items), len(n.children))
+		}
+		for i, it := range n.items {
+			if len(n.children) > 0 {
+				walk(n.children[i], depth+1)
+			}
+			if prev != nil && !prev.Less(it) {
+				t.Fatalf("%v follows %v", it, prev)
+			}
+			prev = it
+			count++
+		}
+		if len(n.children) > 0 {
+			walk(n.children[len(n.items)], depth+1)
+		}
+	}
+	walk(tr.root, 1)
+	if count != tr.Len() {
+		t.Fatalf("tree holds %d items, Len says %d", count, tr.Len())
+	}
+	return leaves
+}
+
+func sortedInts(n int) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = intItem(2 * i) // gaps, so inserts can land between
+	}
+	return items
+}
+
+// TestFromSortedShape loads the sizes where the shape changes: empty, one
+// item, a full root leaf, the first two-level tree, and either side of the
+// first three- and four-level ones.
+func TestFromSortedShape(t *testing.T) {
+	const fan = maxItems + 1 // children of a full inner node
+	for _, c := range []struct{ n, depth int }{
+		{0, 0}, {1, 1}, {maxItems, 1}, {maxItems + 1, 2},
+		{fan*fan - 1, 2}, {fan * fan, 3}, {fan * fan * fan, 4},
+	} {
+		tr := FromSorted(sortedInts(c.n))
+		if got := checkShape(t, tr); got != c.depth || tr.Len() != c.n {
+			t.Errorf("FromSorted of %d items: depth %d, Len %d; want depth %d", c.n, got, tr.Len(), c.depth)
+		}
+	}
+	for n := 0; n <= 3*fan*fan; n += 1 + n/7 {
+		checkShape(t, FromSorted(sortedInts(n)))
+	}
+}
+
+// TestQuickFromSortedAgainstInserts: a bulk-loaded tree, then random inserts
+// and deletes, stays well-formed and answers every scan as a tree built by
+// inserts and a reference map do.
+func TestQuickFromSortedAgainstInserts(t *testing.T) {
+	scan := func(tr *Tree, lo, hi int) [][]int {
+		var out [][]int
+		collect := func(visit func(Visitor)) {
+			var got []int
+			visit(func(it Item) bool { got = append(got, int(it.(intItem))); return true })
+			out = append(out, got)
+		}
+		collect(tr.Ascend)
+		collect(func(v Visitor) { tr.AscendRange(intItem(lo), intItem(hi), v) })
+		collect(func(v Visitor) { tr.AscendGreaterOrEqual(intItem(lo), v) })
+		collect(tr.Descend)
+		collect(func(v Visitor) { tr.DescendLessOrEqual(intItem(hi), v) })
+		return out
+	}
+	f := func(size uint16, seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := int(size) % 5000
+		ref := map[int]bool{}
+		var keys []int
+		for _, k := range r.Perm(2*n + 1)[:n] {
+			ref[k] = true
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
+		items := make([]Item, len(keys))
+		incr := New()
+		for i, k := range keys {
+			items[i] = intItem(k)
+			incr.ReplaceOrInsert(intItem(k))
+		}
+		bulk := FromSorted(items)
+		for op := 0; op < n/2+64; op++ {
+			k := r.Intn(2*n + 64)
+			if r.Intn(2) == 0 {
+				if (bulk.ReplaceOrInsert(intItem(k)) != nil) != ref[k] || (incr.ReplaceOrInsert(intItem(k)) != nil) != ref[k] {
+					return false
+				}
+				ref[k] = true
+			} else {
+				if (bulk.Delete(intItem(k)) != nil) != ref[k] || (incr.Delete(intItem(k)) != nil) != ref[k] {
+					return false
+				}
+				delete(ref, k)
+			}
+		}
+		checkShape(t, bulk)
+		want := make([]int, 0, len(ref))
+		for k := range ref {
+			want = append(want, k)
+		}
+		sort.Ints(want)
+		lo, hi := r.Intn(2*n+64), r.Intn(2*n+64)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		var wantScans [][]int
+		for _, keep := range []func(k int) bool{
+			func(int) bool { return true },
+			func(k int) bool { return k >= lo && k < hi },
+			func(k int) bool { return k >= lo },
+		} {
+			var s []int
+			for _, k := range want {
+				if keep(k) {
+					s = append(s, k)
+				}
+			}
+			wantScans = append(wantScans, s)
+		}
+		var desc, descLE []int
+		for i := len(want) - 1; i >= 0; i-- {
+			desc = append(desc, want[i])
+			if want[i] <= hi {
+				descLE = append(descLE, want[i])
+			}
+		}
+		wantScans = append(wantScans, desc, descLE)
+		got, other := scan(bulk, lo, hi), scan(incr, lo, hi)
+		for i := range wantScans {
+			if !slices.Equal(got[i], wantScans[i]) || !slices.Equal(other[i], wantScans[i]) {
+				return false
+			}
+		}
+		return bulk.Len() == len(ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

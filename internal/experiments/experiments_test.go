@@ -441,6 +441,11 @@ func TestRelQueryPlannerPaths(t *testing.T) {
 	if len(res.BenchMetrics()) == 0 {
 		t.Error("no bench metrics emitted")
 	}
+	// The table, a third of its rows updated once, and a quarter of them
+	// twinned by a scratch row inserted and deleted.
+	if want := 1 + 20000 + 6667 + 2*5000; res.ReplayRecords != want || res.ReplayAllocsPerRecord <= 0 {
+		t.Errorf("replayed %d records (%.1f allocs each), want %d", res.ReplayRecords, res.ReplayAllocsPerRecord, want)
+	}
 }
 
 func TestSloburnDetectionAndIsolation(t *testing.T) {

@@ -3,11 +3,16 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
 	"gallery/internal/benchfmt"
 	"gallery/internal/relstore"
+	"gallery/internal/wal"
 )
 
 // Experiment E21 — relstore query-planner hot paths. The paper's model
@@ -24,6 +29,11 @@ import (
 // against a forced full scan, and SelectFunc's rows, order and Explain
 // against SelectExplain's, so a planner or visitor bug fails the
 // experiment rather than skewing it.
+//
+// The table is written through a write-ahead log that also updates and
+// deletes rows, and the queries run on the store that log reopens into, so
+// they read the indexes replay builds. The reopen's allocations per record
+// are gated too: index upkeep paid per replayed record shows up there.
 
 // RelQueryCase is one measured query shape.
 type RelQueryCase struct {
@@ -42,6 +52,9 @@ type RelQueryResult struct {
 	TableRows int
 	DupRun    int // size of the duplicate mape run the OpGt seek must skip
 	Cases     []RelQueryCase
+
+	ReplayRecords         int     // WAL records the reopen applied
+	ReplayAllocsPerRecord float64 // heap allocations of relstore.Open per record
 }
 
 // relQuerySchema is the registry-shaped benchmark table.
@@ -63,38 +76,33 @@ func relQuerySchema() relstore.Schema {
 // must stay within twice its candidates.
 const compositeCase = "city_mape_newest_desc"
 
-// RelQuery builds an n-row table and plans each query shape against it.
+// RelQuery builds an n-row table, reopens it from its log, and plans each
+// query shape against it.
 func RelQuery(n int) (*RelQueryResult, error) {
-	s := relstore.NewMemory()
-	if err := s.CreateTable(relQuerySchema()); err != nil {
+	dir, err := os.MkdirTemp("", "relquery")
+	if err != nil {
 		return nil, err
 	}
-	cities := []string{
-		"sf", "nyc", "la", "chicago", "london", "paris", "tokyo", "sydney",
-		"berlin", "madrid", "rome", "dublin", "oslo", "lima", "cairo", "delhi",
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "meta.wal")
+	dupRun, err := writeRelQueryLog(path, n)
+	if err != nil {
+		return nil, err
 	}
-	dupRun := 0
-	for i := 0; i < n; i++ {
-		// Half the rows share one exact mape value: the worst case for a
-		// greater-than index scan, which must not crawl the equal run.
-		mape := 0.5
-		if i%2 == 1 {
-			mape = 0.5 + float64(i%997)/2000 + 0.001
-		} else {
-			dupRun++
-		}
-		row := relstore.Row{
-			"id":      relstore.String(fmt.Sprintf("i%06d", i)),
-			"city":    relstore.String(cities[i%len(cities)]),
-			"created": relstore.Time(epoch.Add(time.Duration(i) * time.Second)),
-			"mape":    relstore.Float(mape),
-		}
-		if err := s.Insert("instances", row); err != nil {
-			return nil, err
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := relstore.Open(path, wal.Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return nil, err
 	}
-
-	res := &RelQueryResult{TableRows: n, DupRun: dupRun}
+	defer s.Close()
+	records, _ := s.Replayed()
+	res := &RelQueryResult{
+		TableRows: n, DupRun: dupRun,
+		ReplayRecords:         records,
+		ReplayAllocsPerRecord: float64(after.Mallocs-before.Mallocs) / float64(records),
+	}
 	cutoff := epoch.Add(time.Duration(n-200) * time.Second)
 	queries := []struct {
 		name string
@@ -239,6 +247,70 @@ func RelQuery(n int) (*RelQueryResult, error) {
 	return res, nil
 }
 
+// writeRelQueryLog writes E21's n-row table to a write-ahead log at path and
+// returns the size of its duplicate mape run.
+func writeRelQueryLog(path string, n int) (int, error) {
+	s, err := relstore.Open(path, wal.Options{})
+	if err != nil {
+		return 0, err
+	}
+	defer s.Close()
+	if err := s.CreateTable(relQuerySchema()); err != nil {
+		return 0, err
+	}
+	cities := []string{
+		"sf", "nyc", "la", "chicago", "london", "paris", "tokyo", "sydney",
+		"berlin", "madrid", "rome", "dublin", "oslo", "lima", "cairo", "delhi",
+	}
+	dupRun := 0
+	for i := 0; i < n; i++ {
+		// Half the rows share one exact mape value: the worst case for a
+		// greater-than index scan, which must not crawl the equal run.
+		mape := 0.5
+		if i%2 == 1 {
+			mape = 0.5 + float64(i%997)/2000 + 0.001
+		} else {
+			dupRun++
+		}
+		row := relstore.Row{
+			"id":      relstore.String(fmt.Sprintf("i%06d", i)),
+			"city":    relstore.String(cities[i%len(cities)]),
+			"created": relstore.Time(epoch.Add(time.Duration(i) * time.Second)),
+			"mape":    relstore.Float(mape),
+		}
+		// Every third row is logged first with another city and mape, then
+		// updated to its own; every fourth has a scratch twin, deleted once
+		// the table is whole. So the log replays updates and deletes into
+		// exactly the table the query shapes are tuned on.
+		if i%3 == 0 {
+			first := maps.Clone(row)
+			first["city"] = relstore.String(cities[(i+1)%len(cities)])
+			first["mape"] = relstore.Float(mape + 1)
+			if err := s.Insert("instances", first); err != nil {
+				return 0, err
+			}
+			if err := s.Update("instances", row); err != nil {
+				return 0, err
+			}
+		} else if err := s.Insert("instances", row); err != nil {
+			return 0, err
+		}
+		if i%4 == 0 {
+			twin := maps.Clone(row)
+			twin["id"] = relstore.String(fmt.Sprintf("x%06d", i))
+			if err := s.Insert("instances", twin); err != nil {
+				return 0, err
+			}
+		}
+	}
+	for i := 0; i < n; i += 4 {
+		if err := s.Delete("instances", fmt.Sprintf("x%06d", i)); err != nil {
+			return 0, err
+		}
+	}
+	return dupRun, s.Close()
+}
+
 // Case returns the named case, or nil.
 func (r *RelQueryResult) Case(name string) *RelQueryCase {
 	for i := range r.Cases {
@@ -263,6 +335,7 @@ func (r *RelQueryResult) Format() string {
 		fmt.Fprintf(&b, "  streamed vs full-scan+sort: %d vs %d rows scanned for the same %d rows\n",
 			stream.Scanned, ref.Scanned, stream.Rows)
 	}
+	fmt.Fprintf(&b, "  replay: %d records, %.1f allocs per record\n", r.ReplayRecords, r.ReplayAllocsPerRecord)
 	return b.String()
 }
 
@@ -270,7 +343,9 @@ func (r *RelQueryResult) Format() string {
 // deterministic scanned counts and planner verdicts. Returned rows and
 // candidates are cross-checked above and printed.
 func (r *RelQueryResult) BenchMetrics() []benchfmt.Metric {
-	var ms []benchfmt.Metric
+	ms := []benchfmt.Metric{
+		{Name: "replay_allocs_per_record", Unit: "allocs", Value: r.ReplayAllocsPerRecord, Better: benchfmt.LowerIsBetter, Tol: 0.05},
+	}
 	for _, c := range r.Cases {
 		ms = append(ms,
 			benchfmt.Metric{Name: c.Name + "_rows_scanned", Unit: "rows", Value: float64(c.Scanned), Better: benchfmt.LowerIsBetter, Tol: 0.01},

@@ -41,7 +41,8 @@ type Store struct {
 	walOpts wal.Options // kept so Compact reopens the log as Open did
 	recBuf  []byte      // record encoding scratch, reused under mu
 
-	replayed, replayedLegacy int // records Open applied; of those, gob-format ones
+	replayed, replayedLegacy int  // records Open applied; of those, gob-format ones
+	replaying                bool // Open is applying the log: tables it creates defer their trees
 
 	obs           *obs.Registry
 	walSeconds    *obs.Histogram
@@ -103,6 +104,52 @@ type table struct {
 	rows    map[string]Row
 	pks     *btree.Tree // ordered primary keys (keyItem) for stable scans
 	indexes []*index    // secondary indexes, in Schema.Indexes order
+	// replaying is set while Open applies the log: mutations then keep rows
+	// only, and build makes pks and every index once, after the last record.
+	replaying bool
+}
+
+// build ends replay for t: it bulk-loads pks and every index from the rows.
+func (t *table) build() {
+	t.replaying = false
+	pks := make([]string, 0, len(t.rows))
+	for pk := range t.rows {
+		pks = append(pks, pk)
+	}
+	t.pks = sortedTree(pks)
+	t.buildIndexes(t.indexes)
+}
+
+// buildIndexes replaces the postings of each of ixs with those of t's rows:
+// collected in one pass over the rows, then sorted and bulk-loaded, with no
+// comparison in the trees.
+func (t *table) buildIndexes(ixs []*index) {
+	keys := make([][]string, len(ixs))
+	for i := range keys {
+		keys[i] = make([]string, 0, len(t.rows))
+	}
+	var buf []byte
+	for pk, row := range t.rows {
+		for i, ix := range ixs {
+			var ok bool
+			if buf, ok = ix.appendKey(buf[:0], row, pk); ok {
+				keys[i] = append(keys[i], string(buf))
+			}
+		}
+	}
+	for i, ix := range ixs {
+		ix.tree = sortedTree(keys[i])
+	}
+}
+
+// sortedTree sorts keys and bulk-loads them; they must be distinct.
+func sortedTree(keys []string) *btree.Tree {
+	slices.Sort(keys)
+	items := make([]btree.Item, len(keys))
+	for i, k := range keys {
+		items[i] = keyItem(k)
+	}
+	return btree.FromSorted(items)
 }
 
 // NewMemory returns a volatile in-memory store.
@@ -115,9 +162,12 @@ func NewMemory() *Store {
 // Open returns a durable store backed by a write-ahead log at path. Existing
 // state is replayed; a torn tail from a crash is truncated. Records are read
 // in the version 1 format of record.go or, where a daemon older than that
-// format wrote them, as gob; everything appended is version 1.
+// format wrote them, as gob; everything appended is version 1. Replay checks
+// every record against the rows as a live mutation would, but builds the
+// primary-key tree and the indexes of each table once, after the last
+// record, by sorting their keys and bulk-loading them.
 func Open(path string, opts wal.Options) (*Store, error) {
-	s := &Store{tables: make(map[string]*table), path: path}
+	s := &Store{tables: make(map[string]*table), path: path, replaying: true}
 	s.Instrument(nil)
 	l, err := wal.Open(path, opts, func(payload []byte) error {
 		op, legacy, err := decodeRecord(s.tables, payload)
@@ -132,6 +182,10 @@ func Open(path string, opts wal.Options) (*Store, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	s.replaying = false
+	for _, t := range s.tables {
+		t.build()
 	}
 	s.log, s.walOpts = l, opts
 	return s, nil
@@ -350,9 +404,10 @@ func (s *Store) applyCreateTable(schema Schema) error {
 		return fmt.Errorf("relstore: table %s already exists", schema.Table)
 	}
 	t := &table{
-		schema: schema,
-		rows:   make(map[string]Row),
-		pks:    btree.New(),
+		schema:    schema,
+		rows:      make(map[string]Row),
+		pks:       btree.New(),
+		replaying: s.replaying,
 	}
 	for _, name := range schema.Indexes {
 		t.indexes = append(t.indexes, newIndex(&t.schema, name))
@@ -362,8 +417,8 @@ func (s *Store) applyCreateTable(schema Schema) error {
 }
 
 // applyIndexes replaces a table's index list: an index it already has
-// keeps its postings, a new one is built from the rows, a dropped one is
-// discarded.
+// keeps its postings, a new one is built from the rows (during replay, with
+// the others after the last record), a dropped one is discarded.
 func (s *Store) applyIndexes(tableName string, names []string) error {
 	t, ok := s.tables[tableName]
 	if !ok {
@@ -376,6 +431,7 @@ func (s *Store) applyIndexes(tableName string, names []string) error {
 	}
 	old := t.indexes
 	t.schema, t.indexes = schema, nil
+	var fresh []*index
 	for _, name := range names {
 		i := slices.IndexFunc(old, func(ix *index) bool { return ix.name == name })
 		if i >= 0 {
@@ -383,10 +439,11 @@ func (s *Store) applyIndexes(tableName string, names []string) error {
 			continue
 		}
 		ix := newIndex(&t.schema, name)
-		for pk, row := range t.rows {
-			ix.insert(row, pk)
-		}
 		t.indexes = append(t.indexes, ix)
+		fresh = append(fresh, ix)
+	}
+	if !t.replaying {
+		t.buildIndexes(fresh)
 	}
 	return nil
 }
@@ -523,21 +580,31 @@ func (s *Store) applyDelete(tableName, pk string) error {
 	}
 	t.unindex(pk, old)
 	delete(t.rows, pk)
-	t.pks.Delete(keyItem(pk))
+	if !t.replaying {
+		t.pks.Delete(keyItem(pk))
+	}
 	return nil
 }
 
-// put installs row under pk and maintains all indexes. Caller has validated.
+// put installs row under pk and, outside replay, maintains pks and all
+// indexes. Caller has validated.
 func (t *table) put(pk string, row Row) {
 	t.rows[pk] = row
+	if t.replaying {
+		return
+	}
 	t.pks.ReplaceOrInsert(keyItem(pk))
 	for _, ix := range t.indexes {
 		ix.insert(row, pk)
 	}
 }
 
-// unindex removes row's postings from all indexes.
+// unindex removes row's postings from all indexes; during replay there are
+// none to remove.
 func (t *table) unindex(pk string, row Row) {
+	if t.replaying {
+		return
+	}
 	for _, ix := range t.indexes {
 		ix.remove(row, pk)
 	}

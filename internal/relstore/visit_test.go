@@ -6,11 +6,14 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gallery/internal/wal"
 )
 
 // The tests in this file check SelectFunc, the store's one read path,
@@ -396,10 +399,30 @@ func checkQuery(t *testing.T, s *Store, oracle map[string]Row, q Query, r *rand.
 	return ex
 }
 
+// reopen closes s and opens its log again: the store replay returns, with
+// its bulk-loaded primary keys and indexes, must hold exactly what s held.
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	want := dump(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Open(s.path, wal.Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := dump(t, back); got != want {
+		t.Fatalf("reopened store holds\n%s\nwant\n%s", got, want)
+	}
+	return back
+}
+
 // TestSelectFuncModelBased drives random insert/update/delete/batch
-// sequences, a refused batch among them, and after every step checks
-// random queries against the oracle. It also checks that the composite
-// indexes drove queries, streamed in both directions.
+// sequences, a refused batch among them, over a store that is closed and
+// reopened from its log at random steps and at the end, so later steps
+// mutate and read the trees replay bulk-loaded. After every step and every
+// reopen it checks random queries against the oracle. It also checks that
+// the composite indexes drove queries, streamed in both directions.
 func TestSelectFuncModelBased(t *testing.T) {
 	plans := map[string]int{} // streamed queries by index and direction
 	tally := func(ex Explain, q Query) {
@@ -413,14 +436,28 @@ func TestSelectFuncModelBased(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		s := NewMemory()
+		restarts := rand.New(rand.NewSource(-seed)) // when to reopen, and the queries after
+		s, err := Open(filepath.Join(t.TempDir(), "mb.wal"), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := s.CreateTable(mbSchema()); err != nil {
 			t.Fatal(err)
 		}
 		oracle := map[string]Row{}
+		restart := func() {
+			s = reopen(t, s)
+			for i := 0; i < 6; i++ {
+				q := randomQuery(restarts)
+				tally(checkQuery(t, s, oracle, q, restarts), q)
+			}
+		}
 		var live []string
 		next := 0
 		for step := 0; step < 120; step++ {
+			if restarts.Intn(20) == 0 {
+				restart()
+			}
 			var muts []Mutation
 			nmut := 1
 			if r.Intn(4) == 0 {
@@ -483,7 +520,10 @@ func TestSelectFuncModelBased(t *testing.T) {
 				tally(checkQuery(t, s, oracle, q, r), q)
 			}
 		}
-		dump(t, s)
+		restart()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, want := range []string{"city,created asc", "city,created desc", "k,x asc", "k,x desc", "n,city asc", "n,city desc"} {
 		if plans[want] == 0 {
