@@ -130,8 +130,8 @@ type Log struct {
 	clk   clock.Clock
 	gen   *uuid.Generator
 	keep  int
-	reg   *obs.Registry
 
+	cEvents *obs.CounterVec // audit_events_total{action}; capped, since actions come from request bodies
 	cErrs   *obs.Counter
 	cPruned *obs.Counter
 
@@ -163,7 +163,7 @@ func Open(store *relstore.Store, opts Options) (*Log, error) {
 		clk:     opts.Clock,
 		gen:     opts.UUIDs,
 		keep:    opts.Keep,
-		reg:     opts.Obs,
+		cEvents: opts.Obs.CounterVec("audit_events_total", []string{"action"}, 0),
 		cErrs:   opts.Obs.Counter("audit_events_errors_total"),
 		cPruned: opts.Obs.Counter("audit_events_pruned_total"),
 	}
@@ -215,7 +215,7 @@ func (l *Log) Record(ctx context.Context, ev Event) error {
 		l.cErrs.Inc()
 		return err
 	}
-	l.reg.Counter(obs.Name("audit_events_total", "action", ev.Action)).Inc()
+	l.cEvents.With(ev.Action).Inc()
 	if l.keep > 0 {
 		if n, err := l.pruneLocked(ctx, ev.EntityID, l.keep); err == nil && n > 0 {
 			l.cPruned.Add(int64(n))

@@ -125,13 +125,16 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 	if reg == nil {
 		reg = obs.Default
 	}
+	op := []string{"op"}
+	seconds := reg.HistogramVec("blobstore_op_seconds", op, obs.LatencyBuckets, 0)
+	errs := reg.CounterVec("blobstore_op_errors_total", op, 0)
 	return storeMetrics{
-		putSeconds:   reg.Histogram(obs.Name("blobstore_op_seconds", "op", "put"), obs.LatencyBuckets),
-		getSeconds:   reg.Histogram(obs.Name("blobstore_op_seconds", "op", "get"), obs.LatencyBuckets),
-		delSeconds:   reg.Histogram(obs.Name("blobstore_op_seconds", "op", "delete"), obs.LatencyBuckets),
-		putErrors:    reg.Counter(obs.Name("blobstore_op_errors_total", "op", "put")),
-		getErrors:    reg.Counter(obs.Name("blobstore_op_errors_total", "op", "get")),
-		delErrors:    reg.Counter(obs.Name("blobstore_op_errors_total", "op", "delete")),
+		putSeconds:   seconds.With("put"),
+		getSeconds:   seconds.With("get"),
+		delSeconds:   seconds.With("delete"),
+		putErrors:    errs.With("put"),
+		getErrors:    errs.With("get"),
+		delErrors:    errs.With("delete"),
 		corruptSkips: reg.Counter("blobstore_corrupt_skips_total"),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -191,6 +192,100 @@ func TestMetricFamiliesCoverGolden(t *testing.T) {
 		if slices.Contains(got, tc.foreign) {
 			t.Errorf("%s exposes %q: the daemons share a registry", tc.name, tc.foreign)
 		}
+	}
+}
+
+// TestMetricSeriesMatchGolden drives requestScript against both daemons
+// and checks that each one shows exactly the series, JSON snapshot keys
+// and exposition lines alike, that the same script showed when labelled
+// metrics still had a second, flat-name mechanism (testdata/*.series,
+// captured then): nothing was renamed, relabelled or reordered. The one
+// series deliberately gone is the gateway's unlabelled
+// serve_predict_seconds, which double-counted every prediction beside its
+// {namespace,model} children.
+func TestMetricSeriesMatchGolden(t *testing.T) {
+	removed := map[string]bool{
+		"histogram serve_predict_seconds":   true,
+		"prom serve_predict_seconds_bucket": true,
+		"prom serve_predict_seconds_count":  true,
+		"prom serve_predict_seconds_sum":    true,
+	}
+	p := bootPair(t, testToken, scriptGallerydArgs, scriptGalleryserveArgs)
+	must(t, requestScript(p.gdC, p.gwC))
+	for name, c := range map[string]*client.Client{"galleryd": p.gdC, "galleryserve": p.gwC} {
+		snap, err := c.DebugMetrics()
+		must(t, err)
+		prom, err := c.DebugMetricsProm()
+		must(t, err)
+		got, err := metricSeries(snap, prom)
+		must(t, err)
+		golden, err := os.ReadFile("testdata/" + name + ".series")
+		must(t, err)
+		var want []string
+		for _, s := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+			if !removed[s] {
+				want = append(want, s)
+			}
+		}
+		for _, s := range want {
+			if _, ok := slices.BinarySearch(got, s); !ok {
+				t.Errorf("%s: series %q missing", name, s)
+			}
+		}
+		for _, s := range got {
+			if _, ok := slices.BinarySearch(want, s); !ok {
+				t.Errorf("%s: series %q not in the golden", name, s)
+			}
+		}
+	}
+}
+
+// TestAuditActionsStayBounded: audit_events_total takes its action label
+// from POST /v1/audit bodies, so a caller spraying actions must run into
+// the family's cap, and an action holding a quote and a newline must come
+// out of the exposition escaped, not lost.
+func TestAuditActionsStayBounded(t *testing.T) {
+	gd, err := NewGalleryd(gallerydConfig(t, "-mem"))
+	must(t, err)
+	defer gd.Close()
+	ts := httptest.NewServer(gd.Handler())
+	defer ts.Close()
+
+	var req api.RecordAuditRequest
+	for i := range 1100 {
+		action := fmt.Sprintf("spray.%d", i)
+		if i == 0 {
+			action = "say \"hi\"\nbye"
+		}
+		req.Events = append(req.Events, api.AuditEvent{Action: action, EntityType: "model", EntityID: fmt.Sprintf("e%d", i)})
+	}
+	body, err := json.Marshal(req)
+	must(t, err)
+	resp, err := http.Post(ts.URL+"/v1/audit", "application/json", bytes.NewReader(body))
+	must(t, err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/audit = %d", resp.StatusCode)
+	}
+
+	prom, err := client.New(ts.URL, nil).DebugMetricsProm()
+	must(t, err)
+	if err := obs.ValidateExposition(prom); err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	children, overflow := 0, false
+	for _, line := range strings.Split(string(prom), "\n") {
+		if strings.HasPrefix(line, "audit_events_total{") {
+			children++
+			overflow = overflow || strings.HasPrefix(line, `audit_events_total{action="_overflow"} `)
+		}
+	}
+	if children > obs.DefaultVecCardinality+1 || !overflow {
+		t.Errorf("audit_events_total has %d children (overflow %v), want at most %d plus _overflow",
+			children, overflow, obs.DefaultVecCardinality)
+	}
+	if want := `audit_events_total{action="say \"hi\"\nbye"} 1`; !strings.Contains(string(prom), want) {
+		t.Errorf("exposition lacks %s", want)
 	}
 }
 

@@ -5,13 +5,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"gallery/internal/api"
+	"gallery/internal/audit"
 	"gallery/internal/client"
 	"gallery/internal/forecast"
+	"gallery/internal/obs"
 )
 
 // Flags both daemons run with under requestScript: every background loop
@@ -63,6 +67,13 @@ func requestScript(gd, gw *client.Client) (err error) {
 	for range 3 {
 		step("predict", second(gw.Predict(m.ID, api.PredictRequest{History: []float64{10, 20}})))
 	}
+	// The model's first health transition needs the monitor to see this
+	// instance, whose metrics give the drift check a verdict, before the
+	// swap below replaces it with one that has none.
+	step("health transition", waitFor(func() bool {
+		evs, err := gd.AuditEvents(client.AuditQuery{Action: audit.ActionHealthTransition, Limit: 1})
+		return err == nil && len(evs) > 0
+	}))
 	if _, e := gw.Predict(up.ID, api.PredictRequest{History: []float64{10, 20}}); e == nil {
 		step("predict without an instance", fmt.Errorf("succeeded"))
 	}
@@ -104,6 +115,50 @@ func waitFor(cond func() bool) error {
 		}
 	}
 	return fmt.Errorf("condition not met within 5s")
+}
+
+var (
+	uuidRE      = regexp.MustCompile(`[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}`)
+	buildInfoRE = regexp.MustCompile(`gallery_build_info\{version="[^"]*",go_version="[^"]*"\}`)
+	leRE        = regexp.MustCompile(`,?le="[^"]*"\}`)
+)
+
+// metricSeries lists every series a daemon shows, without values: one
+// "<kind> <key>" entry per JSON snapshot key and one "prom <series>" entry
+// per exposition sample line, with a histogram's bucket lines folded into
+// one (le dropped). Generated IDs and the build identity are replaced by
+// placeholders, so the list is the same on every run and every machine.
+func metricSeries(snapJSON, prom []byte) ([]string, error) {
+	var snap obs.Snapshot
+	if err := json.Unmarshal(snapJSON, &snap); err != nil {
+		return nil, err
+	}
+	var out []string
+	for k := range snap.Counters {
+		out = append(out, "counter "+k)
+	}
+	for k := range snap.Gauges {
+		out = append(out, "gauge "+k)
+	}
+	for k := range snap.Histograms {
+		out = append(out, "histogram "+k)
+	}
+	for _, line := range strings.Split(string(prom), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		if strings.Contains(series, "_bucket") {
+			series = strings.TrimSuffix(leRE.ReplaceAllString(series, "}"), "{}")
+		}
+		out = append(out, "prom "+series)
+	}
+	for i, s := range out {
+		s = buildInfoRE.ReplaceAllString(s, `gallery_build_info{version="<version>",go_version="<go>"}`)
+		out[i] = uuidRE.ReplaceAllString(s, "<id>")
+	}
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // promFamilies lists the metric families of a Prometheus text exposition,

@@ -192,6 +192,7 @@ type monitorMetrics struct {
 	evaluations *obs.Counter
 	events      *obs.Counter
 	models      *obs.Gauge
+	status, psi *obs.GaugeVec // {model}
 }
 
 // Monitor ingests gateway observations and maintains per-model health.
@@ -224,6 +225,8 @@ func New(reg *core.Registry, cfg Config) *Monitor {
 			evaluations: cfg.Obs.Counter("health_evaluations_total"),
 			events:      cfg.Obs.Counter("health_events_total"),
 			models:      cfg.Obs.Gauge("health_models"),
+			status:      cfg.Obs.GaugeVec("health_model_status", []string{"model"}, 0),
+			psi:         cfg.Obs.GaugeVec("health_model_psi", []string{"model"}, 0),
 		},
 	}
 	return m
@@ -536,8 +539,8 @@ func (m *Monitor) evaluateLocked(ctx context.Context, st *modelState, events []o
 // is encoded 0=unknown 1=healthy 2=warning 3=degraded.
 func (m *Monitor) publishGauges(st *modelState) {
 	id := st.modelID.String()
-	m.cfg.Obs.Gauge(obs.Name("health_model_status", "model", id)).Set(float64(st.status.rank()))
-	m.cfg.Obs.Gauge(obs.Name("health_model_psi", "model", id)).Set(st.psi)
+	m.mx.status.With(id).Set(float64(st.status.rank()))
+	m.mx.psi.With(id).Set(st.psi)
 }
 
 // appendEpisodeEvents raises health drift / skew for the rules engine,

@@ -259,7 +259,7 @@ func TestMonitorShiftDegradesAndEmitsOnce(t *testing.T) {
 
 	// Status gauge mirrors the verdict.
 	snap := h.reg.Snapshot()
-	name := obs.Name("health_model_status", "model", h.model.ID.String())
+	name := `health_model_status{model="` + h.model.ID.String() + `"}`
 	if snap.Gauges[name] != 3 {
 		t.Fatalf("status gauge = %g, want 3 (degraded)", snap.Gauges[name])
 	}

@@ -122,9 +122,16 @@ func StatusClass(code int) string {
 // start/end, and one structured access-log line. The route label is the
 // ServeMux pattern that matched (bounded cardinality), never the raw URL.
 func Wrap(next http.Handler, o Options) http.Handler {
+	// Families resolved once; per request, children are looked up by
+	// (route, status) without building a name.
+	byRoute := []string{"route"}
+	requests := o.Obs.CounterVec("http_requests_total", []string{"route", "status"}, 0)
+	seconds := o.Obs.HistogramVec("http_request_seconds", byRoute, obs.LatencyBuckets, 0)
+	reqBytes := o.Obs.HistogramVec("http_request_bytes", byRoute, obs.SizeBuckets, 0)
+	respBytes := o.Obs.HistogramVec("http_response_bytes", byRoute, obs.SizeBuckets, 0)
 	var red RED
 	if o.TenantOf != nil {
-		red = NewRED(o.Obs) // handles fetched once; per-request path allocates nothing
+		red = NewRED(o.Obs)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -142,18 +149,15 @@ func Wrap(next http.Handler, o Options) http.Handler {
 		elapsed := time.Since(start)
 		traceID := span.TraceIDString()
 
-		o.Obs.Counter(obs.Name("http_requests_total", "route", route, "status", StatusClass(rec.Status))).Inc()
-		o.Obs.Histogram(obs.Name("http_request_seconds", "route", route), obs.LatencyBuckets).
-			ObserveExemplar(elapsed.Seconds(), traceID)
+		requests.With2(route, StatusClass(rec.Status)).Inc()
+		seconds.With(route).ObserveExemplar(elapsed.Seconds(), traceID)
 		if o.AllLatency != nil {
 			o.AllLatency.ObserveExemplar(elapsed.Seconds(), traceID)
 		}
 		if r.ContentLength > 0 {
-			o.Obs.Histogram(obs.Name("http_request_bytes", "route", route), obs.SizeBuckets).
-				Observe(float64(r.ContentLength))
+			reqBytes.With(route).Observe(float64(r.ContentLength))
 		}
-		o.Obs.Histogram(obs.Name("http_response_bytes", "route", route), obs.SizeBuckets).
-			Observe(float64(rec.Bytes))
+		respBytes.With(route).Observe(float64(rec.Bytes))
 
 		if o.TenantOf != nil {
 			ns := o.TenantOf(r)

@@ -15,7 +15,7 @@ func TestRuntimeGaugesExposed(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntime(r)
 
-	buildSeries := Name("gallery_build_info", "version", BuildVersion(), "go_version", runtime.Version())
+	buildSeries := `gallery_build_info{version="` + BuildVersion() + `",go_version="` + runtime.Version() + `"}`
 
 	// JSON side: the snapshot served at /v1/debug/metrics.
 	snap := r.Snapshot()
@@ -58,8 +58,9 @@ func TestRuntimeGaugesExposed(t *testing.T) {
 // golden exposition pins the exact before/after output.
 func TestRemoveGaugeDropsSeriesFromProm(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge(Name("slo_error_budget", "slo", "checkout")).Set(0.75)
-	r.Gauge(Name("slo_error_budget", "slo", "search")).Set(0.5)
+	budget := r.GaugeVec("slo_error_budget", []string{"slo"}, 0)
+	budget.With("checkout").Set(0.75)
+	budget.With("search").Set(0.5)
 
 	prom := func() string {
 		var buf bytes.Buffer
@@ -80,7 +81,7 @@ func TestRemoveGaugeDropsSeriesFromProm(t *testing.T) {
 		t.Fatalf("before removal:\n got %q\nwant %q", got, before)
 	}
 
-	r.RemoveGauge(Name("slo_error_budget", "slo", "checkout"))
+	budget.Delete("checkout")
 
 	after := "# HELP slo_error_budget Gallery gauge slo_error_budget.\n" +
 		"# TYPE slo_error_budget gauge\n" +

@@ -8,10 +8,12 @@
 // p50/p95/p99 summaries — behind a Registry that renders to JSON for
 // GET /v1/debug/metrics and the CLI snapshot dumps.
 //
-// Metric naming scheme: snake_case base names suffixed with a unit
-// (_total, _seconds, _bytes) plus optional labels rendered in braces,
-// e.g. relstore_ops_total{op="insert",table="instances"}. Use Name to
-// build labelled names so the format stays uniform.
+// Metric naming scheme: snake_case family names suffixed with a unit
+// (_total, _seconds, _bytes). Labels are never part of a name: a labelled
+// metric is a family registered with its label keys (CounterVec,
+// GaugeVec, HistogramVec), whose children are looked up by label values
+// under a cardinality cap, and whose series render as
+// relstore_ops_total{op="insert",table="instances"}.
 //
 // Everything here is safe for concurrent use and allocation-light on the
 // hot path: a metric handle, once obtained from a Registry, updates with
@@ -21,7 +23,6 @@ package obs
 import (
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,13 +39,24 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n (n must be >= 0 for the value to stay monotone).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value returns the current count; a nil Counter (a family child that
+// does not exist, see Vec.Peek) reads as 0.
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
-// Gauge is an atomically settable float64 value.
+// Gauge is an atomically settable float64 value, or a read function.
 type Gauge struct {
 	bits atomic.Uint64
+	fn   atomic.Pointer[func() float64]
 }
+
+// SetFunc makes the gauge report fn's result, computed at snapshot time,
+// in place of the stored value. fn must not call back into the registry.
+func (g *Gauge) SetFunc(fn func() float64) { g.fn.Store(&fn) }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
@@ -61,7 +73,12 @@ func (g *Gauge) Add(d float64) {
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if fn := g.fn.Load(); fn != nil {
+		return (*fn)()
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Default bucket sets. Bounds are upper bounds; observations above the
 // last bound land in an implicit overflow bucket.
@@ -285,28 +302,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return lo + (hi-lo)*frac
 	}
 	return h.Max()
-}
-
-// Name renders a labelled metric name: Name("x_total", "op", "put")
-// yields `x_total{op="put"}`. Labels are alternating key, value pairs
-// and are rendered in the order given.
-func Name(base string, labels ...string) string {
-	if len(labels) == 0 {
-		return base
-	}
-	var b strings.Builder
-	b.Grow(len(base) + 16*len(labels))
-	b.WriteString(base)
-	b.WriteByte('{')
-	for i := 0; i+1 < len(labels); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(labels[i+1])
-		b.WriteString(`"`)
-	}
-	b.WriteByte('}')
-	return b.String()
 }

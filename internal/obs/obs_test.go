@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -122,20 +124,22 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// TestName pins how a series is named in snapshots: the family name,
+// then its labels in braces in the order the family declared them, with
+// raw values.
 func TestName(t *testing.T) {
-	cases := []struct {
-		base   string
-		labels []string
-		want   string
-	}{
-		{"dal_blob_puts_total", nil, "dal_blob_puts_total"},
-		{"x_total", []string{"op", "put"}, `x_total{op="put"}`},
-		{"x_total", []string{"op", "put", "table", "models"}, `x_total{op="put",table="models"}`},
+	r := NewRegistry()
+	r.Counter("dal_blob_puts_total")
+	r.CounterVec("x_total", []string{"op"}, 0).With("put")
+	r.CounterVec("y_total", []string{"op", "table"}, 0).With2("put", "models")
+	var got []string
+	for name := range r.Snapshot().Counters {
+		got = append(got, name)
 	}
-	for _, tc := range cases {
-		if got := Name(tc.base, tc.labels...); got != tc.want {
-			t.Errorf("Name(%q, %v) = %q, want %q", tc.base, tc.labels, got, tc.want)
-		}
+	sort.Strings(got)
+	want := []string{"dal_blob_puts_total", `x_total{op="put"}`, `y_total{op="put",table="models"}`}
+	if !slices.Equal(got, want) {
+		t.Errorf("series names = %q, want %q", got, want)
 	}
 }
 
@@ -147,14 +151,16 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 	if r.Gauge("b") != r.Gauge("b") {
 		t.Fatal("Gauge handle not stable across get-or-create")
 	}
-	if r.Histogram("c", LatencyBuckets) != r.Histogram("c", SizeBuckets) {
-		t.Fatal("Histogram handle not stable; second bounds must be ignored")
+	if r.Histogram("c", LatencyBuckets) != r.Histogram("c", LatencyBuckets) {
+		t.Fatal("Histogram handle not stable across get-or-create")
 	}
+	// Other bounds are another metric under the same name: refused.
+	mustPanic(t, func() { r.Histogram("c", SizeBuckets) })
 }
 
 func TestRegistryJSONRendering(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Name("ops_total", "op", "put")).Add(3)
+	r.CounterVec("ops_total", []string{"op"}, 0).With("put").Add(3)
 	r.Gauge("cache_bytes").Set(1024)
 	r.GaugeFunc("hit_ratio", func() float64 { return 0.75 })
 	h := r.Histogram("req_seconds", []float64{1, 2})
@@ -196,8 +202,9 @@ func TestRegistryJSONRendering(t *testing.T) {
 
 func TestSumCounters(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Name("http_requests_total", "route", "a", "status", "2xx")).Add(2)
-	r.Counter(Name("http_requests_total", "route", "b", "status", "5xx")).Add(1)
+	requests := r.CounterVec("http_requests_total", []string{"route", "status"}, 0)
+	requests.With2("a", "2xx").Add(2)
+	requests.With2("b", "5xx").Add(1)
 	r.Counter("other_total").Add(10)
 	if got := r.SumCounters("http_requests_total"); got != 3 {
 		t.Fatalf("SumCounters = %d, want 3", got)

@@ -90,10 +90,10 @@ func TestHTTPExporterFailureCounted(t *testing.T) {
 	export("p", []profile.Summary{cpuSummary(1)})
 	ship.Flush()
 	failed := reg.CounterVec("telemetry_failed_total", []string{"channel"}, 0)
-	if got := failed.Get(obs.ChannelProfiles); got != 1 {
+	if got := failed.Peek(obs.ChannelProfiles).Value(); got != 1 {
 		t.Fatalf("failed{profiles} = %d, want 1", got)
 	}
-	if got := failed.Get(obs.ChannelTraces) + failed.Get(obs.ChannelAudit); got != 0 {
+	if got := failed.Peek(obs.ChannelTraces).Value() + failed.Peek(obs.ChannelAudit).Value(); got != 0 {
 		t.Fatalf("failure counted on another channel: %d", got)
 	}
 	if n := hits.Load(); n != 1 {

@@ -18,175 +18,75 @@ import (
 // every histogram bucket, cumulative, ending at le="+Inf". It reads the
 // live metric structures instead.
 //
-// Registry metric names are "flat": labels are pre-rendered into the map
-// key (base{k="v"}). The writer parses them back apart so series sharing
-// a base name are grouped into one family with a single HELP/TYPE pair,
-// as the spec requires. Base names and label keys are sanitized to the
+// Each family is one exposition family with a single HELP/TYPE pair, as
+// the spec requires. Family names and label keys are sanitized to the
 // legal charsets; label values are escaped per the spec.
-
-// promSeries is one parsed flat metric name.
-type promSeries struct {
-	labels string // canonical re-rendered {k="v",...} or ""
-	c      *Counter
-	g      float64
-	h      *Histogram
-}
-
-type promFamily struct {
-	kind   string // "counter" | "gauge" | "histogram"
-	series map[string]*promSeries
-}
 
 // WriteProm renders every registered metric in Prometheus text exposition
 // format 0.0.4.
 func (r *Registry) WriteProm(w io.Writer) error {
-	fams := make(map[string]*promFamily)
-	addRaw := func(base, labels, kind string) *promSeries {
-		f := fams[base]
-		if f == nil {
-			f = &promFamily{kind: kind, series: make(map[string]*promSeries)}
-			fams[base] = f
-		} else if f.kind != kind {
-			// A base name claimed by two metric kinds cannot be exposed as
-			// one family; first kind wins, the clashing series is dropped.
-			return nil
-		}
-		s := &promSeries{labels: labels}
-		f.series[base+labels] = s
-		return s
+	type series struct {
+		labels string // escaped {k="v",...} or ""
+		m      any
 	}
-	add := func(flat, kind string) *promSeries {
-		base, labels := promParseName(flat)
-		return addRaw(base, labels, kind)
+	type promFamily struct {
+		name, base, kind, help string
+		series                 []series
 	}
-	// Vector children skip the flat-name parse: their raw label values are
-	// escaped directly, so values the flat rendering cannot round-trip
-	// (embedded quotes) still expose correctly.
-	vecLabels := func(c *vecCore, k vecKey) string {
-		var b strings.Builder
-		b.WriteByte('{')
-		b.WriteString(promSanitizeLabel(c.labels[0]))
-		b.WriteString(`="`)
-		b.WriteString(promEscape(k.a))
-		b.WriteByte('"')
-		if len(c.labels) == 2 {
-			b.WriteByte(',')
-			b.WriteString(promSanitizeLabel(c.labels[1]))
-			b.WriteString(`="`)
-			b.WriteString(promEscape(k.b))
-			b.WriteByte('"')
-		}
-		b.WriteByte('}')
-		return b.String()
-	}
-
 	r.mu.RLock()
-	for name, c := range r.counters {
-		if s := add(name, "counter"); s != nil {
-			s.c = c
+	fams := make([]promFamily, 0, len(r.fams))
+	for name, f := range r.fams {
+		_, labels := f.meta()
+		keys := make([]string, len(labels))
+		for i, l := range labels {
+			keys[i] = promSanitizeLabel(l)
 		}
-	}
-	for name, g := range r.gauges {
-		if s := add(name, "gauge"); s != nil {
-			s.g = g.Value()
+		pf := promFamily{name: name, base: promSanitizeName(name), kind: f.kind(), help: r.help[name]}
+		f.each(func(k vecKey, m any) {
+			pf.series = append(pf.series, series{labelBlock(keys, k, promEscape), m})
+		})
+		if len(pf.series) > 0 {
+			fams = append(fams, pf)
 		}
-	}
-	for name, fn := range r.gaugeFuncs {
-		if s := add(name, "gauge"); s != nil {
-			s.g = fn()
-		}
-	}
-	for name, h := range r.hists {
-		if s := add(name, "histogram"); s != nil {
-			s.h = h
-		}
-	}
-	for _, v := range r.counterVecs {
-		base := promSanitizeName(v.base)
-		v.mu.RLock()
-		for k, c := range v.children {
-			if s := addRaw(base, vecLabels(&v.vecCore, k), "counter"); s != nil {
-				s.c = c
-			}
-		}
-		if v.overflow != nil {
-			if s := addRaw(base, vecLabels(&v.vecCore, v.overflowKey()), "counter"); s != nil {
-				s.c = v.overflow
-			}
-		}
-		v.mu.RUnlock()
-	}
-	for _, v := range r.histVecs {
-		base := promSanitizeName(v.base)
-		v.mu.RLock()
-		for k, h := range v.children {
-			if s := addRaw(base, vecLabels(&v.vecCore, k), "histogram"); s != nil {
-				s.h = h
-			}
-		}
-		if v.overflow != nil {
-			if s := addRaw(base, vecLabels(&v.vecCore, v.overflowKey()), "histogram"); s != nil {
-				s.h = v.overflow
-			}
-		}
-		v.mu.RUnlock()
-	}
-	help := make(map[string]string, len(r.help))
-	for base, text := range r.help {
-		help[promSanitizeName(base)] = text
 	}
 	r.mu.RUnlock()
-
-	bases := make([]string, 0, len(fams))
-	for b := range fams {
-		bases = append(bases, b)
-	}
-	sort.Strings(bases)
+	sort.Slice(fams, func(i, j int) bool {
+		a, b := fams[i], fams[j]
+		return a.base < b.base || a.base == b.base && a.name < b.name
+	})
 
 	var b strings.Builder
-	for _, base := range bases {
-		f := fams[base]
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
+	for i, f := range fams {
+		if i > 0 && f.base == fams[i-1].base {
+			continue // two names that sanitize alike: the first in name order wins
 		}
-		sort.Strings(keys)
-
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 		b.Reset()
 		b.WriteString("# HELP ")
-		b.WriteString(base)
-		if text, ok := help[base]; ok {
+		b.WriteString(f.base)
+		if f.help != "" {
 			b.WriteString(" ")
-			b.WriteString(promHelpEscaper.Replace(text))
+			b.WriteString(promHelpEscaper.Replace(f.help))
 		} else {
 			b.WriteString(" Gallery ")
 			b.WriteString(f.kind)
 			b.WriteString(" ")
-			b.WriteString(base)
+			b.WriteString(f.base)
 			b.WriteString(".")
 		}
 		b.WriteString("\n# TYPE ")
-		b.WriteString(base)
+		b.WriteString(f.base)
 		b.WriteString(" ")
 		b.WriteString(f.kind)
 		b.WriteString("\n")
-		for _, k := range keys {
-			s := f.series[k]
-			switch f.kind {
-			case "counter":
-				b.WriteString(base)
-				b.WriteString(s.labels)
-				b.WriteString(" ")
-				b.WriteString(strconv.FormatInt(s.c.Value(), 10))
-				b.WriteString("\n")
-			case "gauge":
-				b.WriteString(base)
-				b.WriteString(s.labels)
-				b.WriteString(" ")
-				b.WriteString(promFloat(s.g))
-				b.WriteString("\n")
-			case "histogram":
-				promHistogram(&b, base, s.labels, s.h)
+		for _, s := range f.series {
+			switch m := s.m.(type) {
+			case *Counter:
+				promSample(&b, f.base, s.labels, strconv.FormatInt(m.Value(), 10))
+			case *Gauge:
+				promSample(&b, f.base, s.labels, promFloat(m.Value()))
+			case *Histogram:
+				promHistogram(&b, f.base, s.labels, m)
 			}
 		}
 		if _, err := io.WriteString(w, b.String()); err != nil {
@@ -194,6 +94,14 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+func promSample(b *strings.Builder, name, labels, value string) {
+	b.WriteString(name)
+	b.WriteString(labels)
+	b.WriteString(" ")
+	b.WriteString(value)
+	b.WriteString("\n")
 }
 
 // promHistogram emits every bucket cumulatively (empty ones included),
@@ -235,62 +143,6 @@ func promHistogram(b *strings.Builder, base, labels string, h *Histogram) {
 }
 
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// promParseName splits a flat registry name (base{k="v",...} or plain
-// base) into a sanitized base and canonically re-rendered, escaped label
-// block. The base never contains '{', so the first brace starts labels.
-func promParseName(flat string) (base, labels string) {
-	i := strings.IndexByte(flat, '{')
-	if i < 0 {
-		return promSanitizeName(flat), ""
-	}
-	base = promSanitizeName(flat[:i])
-	body := flat[i:]
-	if len(body) < 2 || body[len(body)-1] != '}' {
-		return base, ""
-	}
-	body = body[1 : len(body)-1]
-
-	// Quote-aware split of k="v" pairs; values may contain ',', '{', '}'.
-	var b strings.Builder
-	b.Grow(len(body) + 8)
-	b.WriteByte('{')
-	first := true
-	for len(body) > 0 {
-		eq := strings.IndexByte(body, '=')
-		if eq < 0 || eq+1 >= len(body) || body[eq+1] != '"' {
-			break
-		}
-		key := promSanitizeLabel(body[:eq])
-		rest := body[eq+2:]
-		end := -1
-		for j := 0; j < len(rest); j++ {
-			if rest[j] == '"' {
-				end = j
-				break
-			}
-		}
-		if end < 0 {
-			break
-		}
-		val := rest[:end]
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		b.WriteString(key)
-		b.WriteString(`="`)
-		b.WriteString(promEscape(val))
-		b.WriteByte('"')
-		body = rest[end+1:]
-		body = strings.TrimPrefix(body, ",")
-	}
-	if first {
-		return base, ""
-	}
-	b.WriteByte('}')
-	return base, b.String()
-}
 
 // promSanitizeName maps a base name into [a-zA-Z_:][a-zA-Z0-9_:]*.
 func promSanitizeName(s string) string {

@@ -7,16 +7,16 @@ import (
 )
 
 // populated builds a registry exercising every metric shape the writer
-// handles: plain counters/gauges, labelled flat names (including label
+// handles: plain counters/gauges, labelled families (including label
 // values with braces and spaces, like route patterns), gauge funcs,
-// histograms with empty buckets, and both vector kinds with overflow.
+// histograms with empty buckets, and overflow children.
 func populatedRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("plain_total").Add(7)
-	r.Counter(Name("http_requests_total", "route", "POST /v1/predict/{model}", "status", "2xx")).Add(3)
+	r.CounterVec("http_requests_total", []string{"route", "status"}, 0).With2("POST /v1/predict/{model}", "2xx").Add(3)
 	r.Gauge("heap_bytes").Set(12345.5)
 	r.GaugeFunc("computed_ratio", func() float64 { return 0.25 })
-	h := r.Histogram(Name("http_request_seconds", "route", "GET /v1/serving"), LatencyBuckets)
+	h := r.HistogramVec("http_request_seconds", []string{"route"}, LatencyBuckets, 0).With("GET /v1/serving")
 	h.Observe(0.003)
 	h.Observe(42) // overflow bucket
 	cv := r.CounterVec("tenant_http_requests_total", []string{"namespace"}, 2)
@@ -69,10 +69,9 @@ func TestWritePromValid(t *testing.T) {
 
 func TestWritePromEscapesLabelValues(t *testing.T) {
 	r := NewRegistry()
-	// Vector children carry raw label values, so even quotes survive.
+	// Children carry raw label values; the writer escapes them.
 	r.CounterVec("x_total", []string{"k"}, 4).With("quote\"back\\slash\nnl").Inc()
-	// Flat names can carry backslashes and newlines in values.
-	r.Counter(Name("y_total", "k", "back\\slash\nnl")).Inc()
+	r.CounterVec("y_total", []string{"k"}, 4).With("back\\slash\nnl").Inc()
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatal(err)
@@ -92,7 +91,7 @@ func TestWritePromEscapesLabelValues(t *testing.T) {
 
 func TestWritePromSanitizesNames(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Name("weird-name.total", "bad-key", "v")).Inc()
+	r.CounterVec("weird-name.total", []string{"bad-key"}, 0).With("v").Inc()
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatal(err)

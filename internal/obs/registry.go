@@ -8,19 +8,14 @@ import (
 	"sync"
 )
 
-// Registry holds named metrics and renders them to JSON. Handles returned
-// by Counter/Gauge/Histogram are stable: callers on hot paths should fetch
-// them once and reuse them. Get-or-create calls are cheap enough for
-// dynamically labelled metrics (per-table, per-route).
+// Registry holds named metric families and renders them to JSON and the
+// Prometheus exposition. Handles returned by Counter/Gauge/Histogram and
+// by a family's With are stable: callers on hot paths should fetch them
+// once and reuse them.
 type Registry struct {
-	mu          sync.RWMutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	gaugeFuncs  map[string]func() float64
-	hists       map[string]*Histogram
-	counterVecs map[string]*CounterVec
-	histVecs    map[string]*HistogramVec
-	help        map[string]string // family base name -> HELP text
+	mu   sync.RWMutex
+	fams map[string]family
+	help map[string]string // family name -> HELP text
 }
 
 // Default is the process-wide registry. Components default to it so a
@@ -30,108 +25,56 @@ var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		gaugeFuncs:  make(map[string]func() float64),
-		hists:       make(map[string]*Histogram),
-		counterVecs: make(map[string]*CounterVec),
-		histVecs:    make(map[string]*HistogramVec),
-		help:        make(map[string]string),
-	}
+	return &Registry{fams: make(map[string]family), help: make(map[string]string)}
 }
 
 // Help sets the HELP text the Prometheus exposition shows for the metric
-// family base (its name without labels), in place of the generic line:
-// for a metric whose name alone does not say what it measures.
-func (r *Registry) Help(base, text string) {
+// family name, in place of the generic line: for a metric whose name
+// alone does not say what it measures.
+func (r *Registry) Help(name, text string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.help[base] = text
+	r.help[name] = text
 }
 
-// Counter returns the counter registered under name, creating it if new.
+// Counter returns the unlabelled counter registered under name, creating
+// it if new.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return register[*Counter](r, name, nil, nil, 0).only
 }
 
-// Gauge returns the gauge registered under name, creating it if new.
+// Gauge returns the unlabelled gauge registered under name, creating it
+// if new.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return register[*Gauge](r, name, nil, nil, 0).only
 }
 
-// GaugeFunc registers (or replaces) a gauge whose value is computed at
-// snapshot time — e.g. cache hit ratio or resident bytes. fn runs with
-// the registry's lock held and must not call back into the registry.
+// GaugeFunc makes the unlabelled gauge name read fn at snapshot time —
+// e.g. cache hit ratio or resident bytes. fn runs with the registry's
+// lock held and must not call back into the registry.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gaugeFuncs[name] = fn
+	r.Gauge(name).SetFunc(fn)
 }
 
-// RemoveGaugeFunc drops a computed gauge — used when the object backing
-// the closure goes away (e.g. a serving slot evicted from a cache), so
-// snapshots stop reporting a value nobody maintains.
-func (r *Registry) RemoveGaugeFunc(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.gaugeFuncs, name)
-}
-
-// RemoveGauge drops a plain gauge — used when the entity it describes is
-// deleted (e.g. an SLO objective), so snapshots and scrapes stop showing
-// a stale series.
-func (r *Registry) RemoveGauge(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.gauges, name)
-}
-
-// Histogram returns the histogram registered under name, creating it with
-// the given bucket bounds if new. An existing histogram keeps its original
-// bounds.
+// Histogram returns the unlabelled histogram registered under name,
+// creating it with the given bucket bounds if new.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h = NewHistogram(bounds)
-	r.hists[name] = h
-	return h
+	return register[*Histogram](r, name, nil, bounds, 0).only
 }
+
+// labelBlock renders a child's labels as {k="v",...}, or "" for an
+// unlabelled family, passing each value through esc.
+func labelBlock(keys []string, k vecKey, esc func(string) string) string {
+	switch len(keys) {
+	case 0:
+		return ""
+	case 1:
+		return "{" + keys[0] + `="` + esc(k.a) + `"}`
+	}
+	return "{" + keys[0] + `="` + esc(k.a) + `",` + keys[1] + `="` + esc(k.b) + `"}`
+}
+
+func raw(s string) string { return s }
 
 // Bucket is one non-empty histogram bucket in a snapshot. Le is the
 // bucket's upper bound ("+Inf" for the overflow bucket).
@@ -154,9 +97,11 @@ type HistSnapshot struct {
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
 }
 
-// Snapshot is a point-in-time copy of every metric in a registry. It
-// marshals to the JSON served at /v1/debug/metrics (object keys come out
-// sorted, so output is deterministic for a fixed state).
+// Snapshot is a point-in-time copy of every metric in a registry, keyed
+// by series name: the family name followed by its labels in braces in
+// registration order, e.g. relstore_ops_total{op="insert",table="models"}.
+// It marshals to the JSON served at /v1/debug/metrics (object keys come
+// out sorted, so output is deterministic for a fixed state).
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`
 	Gauges     map[string]float64      `json:"gauges,omitempty"`
@@ -165,31 +110,25 @@ type Snapshot struct {
 
 // Snapshot captures the current value of every registered metric.
 func (r *Registry) Snapshot() Snapshot {
+	snap := Snapshot{
+		Counters:   make(map[string]int64),
+		Gauges:     make(map[string]float64),
+		Histograms: make(map[string]HistSnapshot),
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	snap := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)+len(r.gaugeFuncs)),
-		Histograms: make(map[string]HistSnapshot, len(r.hists)),
-	}
-	for name, c := range r.counters {
-		snap.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
-	}
-	for name, fn := range r.gaugeFuncs {
-		snap.Gauges[name] = fn()
-	}
-	for name, h := range r.hists {
-		snap.Histograms[name] = histSnapshot(h)
-	}
-	for _, v := range r.counterVecs {
-		v.snapshot(snap.Counters)
-	}
-	for _, v := range r.histVecs {
-		v.each(func(name string, h *Histogram) {
-			snap.Histograms[name] = histSnapshot(h)
+	for _, f := range r.fams {
+		name, labels := f.meta()
+		f.each(func(k vecKey, m any) {
+			key := name + labelBlock(labels, k, raw)
+			switch m := m.(type) {
+			case *Counter:
+				snap.Counters[key] = m.Value()
+			case *Gauge:
+				snap.Gauges[key] = m.Value()
+			case *Histogram:
+				snap.Histograms[key] = histSnapshot(m)
+			}
 		})
 	}
 	return snap
@@ -219,21 +158,20 @@ func histSnapshot(h *Histogram) HistSnapshot {
 	return hs
 }
 
-// SumCounters returns the sum of every counter whose name starts with
-// prefix — e.g. SumCounters("http_requests_total") totals requests across
-// all route/status labels.
+// SumCounters returns the sum of every counter in the families whose
+// name starts with prefix — e.g. SumCounters("http_requests_total")
+// totals requests across all route/status labels.
 func (r *Registry) SumCounters(prefix string) int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var total int64
-	for name, c := range r.counters {
+	for name, f := range r.fams {
 		if strings.HasPrefix(name, prefix) {
-			total += c.Value()
-		}
-	}
-	for base, v := range r.counterVecs {
-		if strings.HasPrefix(base, prefix) {
-			total += v.sum()
+			f.each(func(_ vecKey, m any) {
+				if c, ok := m.(*Counter); ok {
+					total += c.Value()
+				}
+			})
 		}
 	}
 	return total

@@ -136,8 +136,8 @@ func RegisterRuntime(r *Registry) {
 	cache := &memStatsCache{ttl: time.Second}
 	// The Prometheus build-info idiom: a constant-1 gauge whose labels
 	// carry the identity, joinable against any other series.
-	r.GaugeFunc(Name("gallery_build_info", "version", BuildVersion(), "go_version", runtime.Version()),
-		func() float64 { return 1 })
+	r.GaugeVec("gallery_build_info", []string{"version", "go_version"}, 1).
+		With2(BuildVersion(), runtime.Version()).Set(1)
 	r.GaugeFunc("process_start_time_seconds", func() float64 {
 		return float64(processStart.UnixNano()) / 1e9
 	})

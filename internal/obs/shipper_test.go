@@ -37,9 +37,9 @@ func TestShipper(t *testing.T) {
 		s.Export(ChannelTraces, func(context.Context) error { return nil })
 		s.Close()
 		failed := reg.CounterVec("telemetry_failed_total", []string{"channel"}, 0)
-		if failed.Get(ChannelProfiles) != 1 || failed.Get(ChannelTraces) != 0 || reg.SumCounters("telemetry_dropped") != 0 {
-			t.Fatalf("failed profiles=%d traces=%d dropped=%d", failed.Get(ChannelProfiles),
-				failed.Get(ChannelTraces), reg.SumCounters("telemetry_dropped"))
+		if failed.Peek(ChannelProfiles).Value() != 1 || failed.Peek(ChannelTraces).Value() != 0 || reg.SumCounters("telemetry_dropped") != 0 {
+			t.Fatalf("failed profiles=%d traces=%d dropped=%d", failed.Peek(ChannelProfiles).Value(),
+				failed.Peek(ChannelTraces).Value(), reg.SumCounters("telemetry_dropped"))
 		}
 	})
 
@@ -51,7 +51,7 @@ func TestShipper(t *testing.T) {
 		s.Close()
 		s.Export(ChannelProfiles, func(context.Context) error { t.Error("sent after Close"); return nil })
 		dropped := reg.CounterVec("telemetry_dropped_total", []string{"channel"}, 0)
-		if got := dropped.Get(ChannelProfiles); got != 1 {
+		if got := dropped.Peek(ChannelProfiles).Value(); got != 1 {
 			t.Fatalf("telemetry_dropped_total{channel=profiles} = %d, want 1", got)
 		}
 	})

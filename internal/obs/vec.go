@@ -1,327 +1,242 @@
 package obs
 
 import (
-	"sort"
+	"slices"
 	"sync"
 )
 
-// Labeled metric vectors with bounded cardinality.
+// Metric families with bounded cardinality.
 //
-// The registry's plain get-or-create calls key metrics by their fully
-// rendered name (base{k="v"}), which costs one string build per lookup —
-// fine for per-table or per-route labels resolved once, wrong for
-// per-request dimensions like the tenant namespace. A vector instead
-// keys its children by the raw label values (a comparable struct, so the
-// steady-state lookup allocates nothing) and enforces an explicit
-// cardinality cap: once Limit distinct label sets exist, further label
-// values collapse into a single overflow series labeled OverflowLabel.
-// That bound is the defense the multi-tenant plane needs — a misbehaving
-// caller cycling through label values cannot grow the registry without
-// limit, it can only inflate one overflow bucket.
+// Every metric is a family: a kind (counter, gauge or histogram), zero to
+// two label keys, bucket bounds for histograms, and children keyed by
+// their raw label values (a comparable struct, so the steady-state lookup
+// allocates nothing). An unlabelled metric is a family with no labels and
+// exactly one child, which Registry.Counter, Gauge and Histogram return.
+// A labelled family enforces an explicit cardinality cap: once its limit
+// of distinct label sets exists, further label values collapse into a
+// single overflow child labelled OverflowLabel. That bound is the defence
+// against label values a caller controls (tenant names, model IDs, audit
+// actions from a request body): cycling through them can only inflate
+// one overflow series, never grow the registry.
 
-// DefaultVecCardinality is the per-vector child cap used by the built-in
-// RED vectors: generous for realistic tenant and model counts, small
+// DefaultVecCardinality is the per-family child cap used when a caller
+// passes none: generous for realistic tenant and model counts, small
 // enough that a label-explosion attack stays bounded.
 const DefaultVecCardinality = 1024
 
 // OverflowLabel is the synthetic label value that absorbs every series
-// beyond a vector's cardinality cap.
+// beyond a family's cardinality cap.
 const OverflowLabel = "_overflow"
 
-// vecKey is a child's label values. Vectors carry one or two labels; the
-// second value is "" for one-label vectors. A struct key keeps child
-// lookup allocation-free on hot paths.
+// vecKey is a child's label values; unused positions are "".
 type vecKey struct{ a, b string }
 
-// vecCore is the label bookkeeping shared by CounterVec and HistogramVec.
-type vecCore struct {
-	base   string
-	labels []string // 1 or 2 label key names
+// Metric is the set of child types a family holds.
+type Metric interface{ *Counter | *Gauge | *Histogram }
+
+// Vec is one metric family. With/With2 are safe for concurrent use and
+// allocation-free once a child exists.
+type Vec[M Metric] struct {
+	name   string
+	labels []string  // 0, 1 or 2 label keys
+	bounds []float64 // histogram families only
 	limit  int
+	only   M // the one child of an unlabelled family
+
+	mu       sync.RWMutex
+	children map[vecKey]M // the overflow child, once made, sits at overflowKey
 }
 
-func newVecCore(base string, labels []string, limit int) vecCore {
-	if len(labels) < 1 || len(labels) > 2 {
-		panic("obs: vector must carry one or two labels, got " + base)
+// The three kinds of family.
+type (
+	CounterVec   = Vec[*Counter]
+	GaugeVec     = Vec[*Gauge]
+	HistogramVec = Vec[*Histogram]
+)
+
+// family is what the registry reads of any Vec.
+type family interface {
+	meta() (name string, labels []string)
+	kind() string
+	each(visit func(k vecKey, m any))
+}
+
+func newVec[M Metric](name string, labels []string, bounds []float64, limit int) *Vec[M] {
+	if len(labels) > 2 {
+		panic("obs: a metric carries at most two labels, got " + name)
 	}
+	validateBounds(bounds)
 	if limit <= 0 {
 		limit = DefaultVecCardinality
 	}
-	return vecCore{base: base, labels: labels, limit: limit}
-}
-
-// name renders one child's full metric name.
-func (c *vecCore) name(k vecKey) string {
-	if len(c.labels) == 1 {
-		return Name(c.base, c.labels[0], k.a)
+	v := &Vec[M]{name: name, labels: slices.Clone(labels), bounds: slices.Clone(bounds), limit: limit,
+		children: make(map[vecKey]M)}
+	if len(labels) == 0 {
+		v.only = v.newChild()
+		v.children[vecKey{}] = v.only
 	}
-	return Name(c.base, c.labels[0], k.a, c.labels[1], k.b)
+	return v
 }
 
-func (c *vecCore) overflowKey() vecKey {
+func (v *Vec[M]) newChild() M {
+	var m M
+	switch p := any(&m).(type) {
+	case **Counter:
+		*p = new(Counter)
+	case **Gauge:
+		*p = new(Gauge)
+	case **Histogram:
+		*p = NewHistogram(v.bounds)
+	}
+	return m
+}
+
+func (v *Vec[M]) meta() (string, []string) { return v.name, v.labels }
+
+func (v *Vec[M]) kind() string {
+	switch any(v.only).(type) { // a nil pointer still carries its type
+	case *Counter:
+		return "counter"
+	case *Gauge:
+		return "gauge"
+	}
+	return "histogram"
+}
+
+func (v *Vec[M]) each(visit func(k vecKey, m any)) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	for k, m := range v.children {
+		visit(k, m)
+	}
+}
+
+func (v *Vec[M]) overflowKey() vecKey {
 	k := vecKey{a: OverflowLabel}
-	if len(c.labels) == 2 {
+	if len(v.labels) == 2 {
 		k.b = OverflowLabel
 	}
 	return k
 }
 
-// CounterVec is a family of Counters sharing one base name, keyed by one
-// or two label values, with a hard cardinality cap. With/With2 are safe
-// for concurrent use and allocation-free once a child exists.
-type CounterVec struct {
-	vecCore
-	mu       sync.RWMutex
-	children map[vecKey]*Counter
-	overflow *Counter // lazily created when the cap is first hit
-}
-
-// NewCounterVec builds an unregistered counter vector. Most callers want
-// Registry.CounterVec, which also exposes the children in snapshots.
-func NewCounterVec(base string, labels []string, limit int) *CounterVec {
-	return &CounterVec{
-		vecCore:  newVecCore(base, labels, limit),
-		children: make(map[vecKey]*Counter),
-	}
-}
-
-// With returns the child for a one-label vector.
-func (v *CounterVec) With(a string) *Counter {
+// With returns the child for a one-label family, creating it if new.
+func (v *Vec[M]) With(a string) M {
 	if len(v.labels) != 1 {
-		panic("obs: With on a " + v.base + " vector with " + v.labels[0] + "," + v.labels[1] + " labels")
+		panic("obs: With on " + v.name + ", which does not carry one label")
 	}
 	return v.child(vecKey{a: a})
 }
 
-// With2 returns the child for a two-label vector.
-func (v *CounterVec) With2(a, b string) *Counter {
+// With2 returns the child for a two-label family, creating it if new.
+func (v *Vec[M]) With2(a, b string) M {
 	if len(v.labels) != 2 {
-		panic("obs: With2 on one-label vector " + v.base)
+		panic("obs: With2 on " + v.name + ", which does not carry two labels")
 	}
 	return v.child(vecKey{a: a, b: b})
 }
 
-func (v *CounterVec) child(k vecKey) *Counter {
+func (v *Vec[M]) child(k vecKey) M {
 	v.mu.RLock()
-	c, ok := v.children[k]
-	of := v.overflow
-	n := len(v.children)
+	m, ok := v.children[k]
+	if !ok && v.lenLocked() >= v.limit {
+		m, ok = v.children[v.overflowKey()]
+	}
 	v.mu.RUnlock()
 	if ok {
-		return c
-	}
-	if n >= v.limit && of != nil {
-		return of
+		return m
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c, ok := v.children[k]; ok {
-		return c
+	if m, ok := v.children[k]; ok {
+		return m
 	}
-	if len(v.children) >= v.limit {
-		if v.overflow == nil {
-			v.overflow = &Counter{}
+	if v.lenLocked() >= v.limit {
+		k = v.overflowKey()
+		if m, ok := v.children[k]; ok {
+			return m
 		}
-		return v.overflow
 	}
-	c = &Counter{}
-	v.children[k] = c
-	return c
+	m = v.newChild()
+	v.children[k] = m
+	return m
 }
 
-// Get reads the current value of a one-label child without creating it.
-func (v *CounterVec) Get(a string) int64 { return v.get(vecKey{a: a}) }
+// Peek returns a one-label family's child if it exists, else nil (which
+// Counter.Value reads as 0): readers such as the SLO evaluator must not
+// create series for targets that saw no traffic.
+func (v *Vec[M]) Peek(a string) M { return v.peek(vecKey{a: a}) }
 
-// Get2 reads the current value of a two-label child without creating it.
-func (v *CounterVec) Get2(a, b string) int64 { return v.get(vecKey{a: a, b: b}) }
+// Peek2 is Peek for two-label families.
+func (v *Vec[M]) Peek2(a, b string) M { return v.peek(vecKey{a: a, b: b}) }
 
-func (v *CounterVec) get(k vecKey) int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if c, ok := v.children[k]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
-// Len reports how many distinct child series exist (the overflow series
-// excluded).
-func (v *CounterVec) Len() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.children)
-}
-
-// sum totals every child plus the overflow series.
-func (v *CounterVec) sum() int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	var total int64
-	for _, c := range v.children {
-		total += c.Value()
-	}
-	if v.overflow != nil {
-		total += v.overflow.Value()
-	}
-	return total
-}
-
-// snapshot folds every child (and a non-zero overflow series) into out,
-// keyed by rendered name.
-func (v *CounterVec) snapshot(out map[string]int64) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for k, c := range v.children {
-		out[v.name(k)] = c.Value()
-	}
-	if v.overflow != nil {
-		out[v.name(v.overflowKey())] = v.overflow.Value()
-	}
-}
-
-// HistogramVec is a family of Histograms sharing one base name and bucket
-// bounds, keyed by one or two label values, with a hard cardinality cap.
-type HistogramVec struct {
-	vecCore
-	bounds   []float64
-	mu       sync.RWMutex
-	children map[vecKey]*Histogram
-	overflow *Histogram
-}
-
-// NewHistogramVec builds an unregistered histogram vector over the given
-// strictly ascending bucket bounds (same contract as NewHistogram).
-func NewHistogramVec(base string, labels []string, bounds []float64, limit int) *HistogramVec {
-	validateBounds(bounds)
-	cp := make([]float64, len(bounds))
-	copy(cp, bounds)
-	return &HistogramVec{
-		vecCore:  newVecCore(base, labels, limit),
-		bounds:   cp,
-		children: make(map[vecKey]*Histogram),
-	}
-}
-
-// With returns the child for a one-label vector.
-func (v *HistogramVec) With(a string) *Histogram {
-	if len(v.labels) != 1 {
-		panic("obs: With on a " + v.base + " vector with " + v.labels[0] + "," + v.labels[1] + " labels")
-	}
-	return v.child(vecKey{a: a})
-}
-
-// With2 returns the child for a two-label vector.
-func (v *HistogramVec) With2(a, b string) *Histogram {
-	if len(v.labels) != 2 {
-		panic("obs: With2 on one-label vector " + v.base)
-	}
-	return v.child(vecKey{a: a, b: b})
-}
-
-func (v *HistogramVec) child(k vecKey) *Histogram {
-	v.mu.RLock()
-	h, ok := v.children[k]
-	of := v.overflow
-	n := len(v.children)
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	if n >= v.limit && of != nil {
-		return of
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok := v.children[k]; ok {
-		return h
-	}
-	if len(v.children) >= v.limit {
-		if v.overflow == nil {
-			v.overflow = NewHistogram(v.bounds)
-		}
-		return v.overflow
-	}
-	h = NewHistogram(v.bounds)
-	v.children[k] = h
-	return h
-}
-
-// Peek returns a one-label child if it exists, else nil — readers (the
-// SLO evaluator) must not create series for targets that saw no traffic.
-func (v *HistogramVec) Peek(a string) *Histogram { return v.peek(vecKey{a: a}) }
-
-// Peek2 is Peek for two-label vectors.
-func (v *HistogramVec) Peek2(a, b string) *Histogram { return v.peek(vecKey{a: a, b: b}) }
-
-func (v *HistogramVec) peek(k vecKey) *Histogram {
+func (v *Vec[M]) peek(k vecKey) M {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.children[k]
 }
 
-// Len reports how many distinct child series exist (overflow excluded).
-func (v *HistogramVec) Len() int {
+// Delete drops a one-label family's child, so snapshots and scrapes stop
+// showing a series whose subject is gone (an evicted model, a deleted
+// objective).
+func (v *Vec[M]) Delete(a string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	delete(v.children, vecKey{a: a})
+}
+
+// Len reports how many distinct children exist, the overflow child
+// excluded.
+func (v *Vec[M]) Len() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.children)
+	return v.lenLocked()
 }
 
-// each visits every child (overflow included when present) in sorted
-// rendered-name order — the exposition writer's iteration.
-func (v *HistogramVec) each(visit func(name string, h *Histogram)) {
-	v.mu.RLock()
-	type kv struct {
-		name string
-		h    *Histogram
+func (v *Vec[M]) lenLocked() int {
+	n := len(v.children)
+	if _, ok := v.children[v.overflowKey()]; ok {
+		n--
 	}
-	all := make([]kv, 0, len(v.children)+1)
-	for k, h := range v.children {
-		all = append(all, kv{v.name(k), h})
-	}
-	if v.overflow != nil {
-		all = append(all, kv{v.name(v.overflowKey()), v.overflow})
-	}
-	v.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
-	for _, e := range all {
-		visit(e.name, e.h)
-	}
+	return n
 }
 
-// CounterVec returns the counter vector registered under base, creating
-// it if new. An existing vector keeps its original labels and limit.
-func (r *Registry) CounterVec(base string, labels []string, limit int) *CounterVec {
+// register returns the family registered under name, creating it if new.
+// Registering a name again as another kind, or with other labels or
+// bounds, panics: one name is one family.
+func register[M Metric](r *Registry, name string, labels []string, bounds []float64, limit int) *Vec[M] {
 	r.mu.RLock()
-	v, ok := r.counterVecs[base]
+	f, ok := r.fams[name]
 	r.mu.RUnlock()
-	if ok {
-		return v
+	if !ok {
+		nv := newVec[M](name, labels, bounds, limit) // a bad spec panics before any lock is held
+		r.mu.Lock()
+		if f, ok = r.fams[name]; !ok {
+			f = nv
+			r.fams[name] = f
+		}
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.counterVecs[base]; ok {
-		return v
+	v, same := f.(*Vec[M])
+	if !same || !slices.Equal(v.labels, labels) || !slices.Equal(v.bounds, bounds) {
+		panic("obs: " + name + " registered again with another kind, labels or bounds")
 	}
-	v = NewCounterVec(base, labels, limit)
-	r.counterVecs[base] = v
 	return v
 }
 
-// HistogramVec returns the histogram vector registered under base,
-// creating it with the given bounds if new.
-func (r *Registry) HistogramVec(base string, labels []string, bounds []float64, limit int) *HistogramVec {
-	r.mu.RLock()
-	v, ok := r.histVecs[base]
-	r.mu.RUnlock()
-	if ok {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.histVecs[base]; ok {
-		return v
-	}
-	v = NewHistogramVec(base, labels, bounds, limit)
-	r.histVecs[base] = v
-	return v
+// CounterVec returns the counter family registered under name, creating
+// it if new. An existing family keeps its original limit.
+func (r *Registry) CounterVec(name string, labels []string, limit int) *CounterVec {
+	return register[*Counter](r, name, labels, nil, limit)
+}
+
+// GaugeVec returns the gauge family registered under name, creating it if
+// new.
+func (r *Registry) GaugeVec(name string, labels []string, limit int) *GaugeVec {
+	return register[*Gauge](r, name, labels, nil, limit)
+}
+
+// HistogramVec returns the histogram family registered under name,
+// creating it with the given strictly ascending bounds if new.
+func (r *Registry) HistogramVec(name string, labels []string, bounds []float64, limit int) *HistogramVec {
+	return register[*Histogram](r, name, labels, bounds, limit)
 }

@@ -7,17 +7,17 @@ import (
 )
 
 func TestCounterVecChildrenAndGet(t *testing.T) {
-	v := NewCounterVec("tenant_http_requests_total", []string{"namespace"}, 8)
+	v := NewRegistry().CounterVec("tenant_http_requests_total", []string{"namespace"}, 8)
 	v.With("ads").Inc()
 	v.With("ads").Inc()
 	v.With("maps").Add(5)
-	if got := v.Get("ads"); got != 2 {
+	if got := v.Peek("ads").Value(); got != 2 {
 		t.Fatalf("ads = %d, want 2", got)
 	}
-	if got := v.Get("maps"); got != 5 {
+	if got := v.Peek("maps").Value(); got != 5 {
 		t.Fatalf("maps = %d, want 5", got)
 	}
-	if got := v.Get("absent"); got != 0 {
+	if got := v.Peek("absent").Value(); got != 0 {
 		t.Fatalf("absent = %d, want 0", got)
 	}
 	if v.Len() != 2 {
@@ -26,20 +26,21 @@ func TestCounterVecChildrenAndGet(t *testing.T) {
 }
 
 func TestCounterVecTwoLabels(t *testing.T) {
-	v := NewCounterVec("serve_predict_requests_total", []string{"namespace", "model"}, 8)
+	v := NewRegistry().CounterVec("serve_predict_requests_total", []string{"namespace", "model"}, 8)
 	v.With2("ads", "ctr").Inc()
-	if got := v.Get2("ads", "ctr"); got != 1 {
+	if got := v.Peek2("ads", "ctr").Value(); got != 1 {
 		t.Fatalf("got %d, want 1", got)
 	}
 	// Distinct label positions must not collide.
-	if got := v.Get2("ctr", "ads"); got != 0 {
+	if got := v.Peek2("ctr", "ads").Value(); got != 0 {
 		t.Fatalf("swapped labels = %d, want 0", got)
 	}
 }
 
 func TestCounterVecOverflowCap(t *testing.T) {
 	const cap = 4
-	v := NewCounterVec("x_total", []string{"namespace"}, cap)
+	r := NewRegistry()
+	v := r.CounterVec("x_total", []string{"namespace"}, cap)
 	for i := 0; i < cap; i++ {
 		v.With(fmt.Sprintf("ns%d", i)).Inc()
 	}
@@ -50,22 +51,20 @@ func TestCounterVecOverflowCap(t *testing.T) {
 	if v.Len() != cap {
 		t.Fatalf("Len = %d, want %d (cap enforced)", v.Len(), cap)
 	}
-	snap := map[string]int64{}
-	v.snapshot(snap)
-	of := snap[Name("x_total", "namespace", OverflowLabel)]
-	if of != 10 {
+	if of := r.Snapshot().Counters[`x_total{namespace="_overflow"}`]; of != 10 {
 		t.Fatalf("overflow = %d, want 10", of)
 	}
 	// Existing children still addressable after the cap is hit.
 	v.With("ns0").Inc()
-	if got := v.Get("ns0"); got != 2 {
+	if got := v.Peek("ns0").Value(); got != 2 {
 		t.Fatalf("ns0 = %d, want 2", got)
 	}
 }
 
 func TestCounterVecConcurrentTenantsBounded(t *testing.T) {
 	const cap = 16
-	v := NewCounterVec("x_total", []string{"namespace"}, cap)
+	r := NewRegistry()
+	v := r.CounterVec("x_total", []string{"namespace"}, cap)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -82,19 +81,14 @@ func TestCounterVecConcurrentTenantsBounded(t *testing.T) {
 	if v.Len() > cap {
 		t.Fatalf("Len = %d, want <= %d", v.Len(), cap)
 	}
-	snap := map[string]int64{}
-	v.snapshot(snap)
-	var total int64
-	for _, n := range snap {
-		total += n
-	}
-	if total != 8*500 {
+	if total := r.SumCounters("x_total"); total != 8*500 {
 		t.Fatalf("total observations = %d, want %d", total, 8*500)
 	}
 }
 
 func TestHistogramVecOverflowAndPeek(t *testing.T) {
-	v := NewHistogramVec("x_seconds", []string{"namespace", "model"}, []float64{0.1, 1}, 2)
+	r := NewRegistry()
+	v := r.HistogramVec("x_seconds", []string{"namespace", "model"}, []float64{0.1, 1}, 2)
 	v.With2("a", "m1").Observe(0.05)
 	v.With2("b", "m2").Observe(0.5)
 	v.With2("c", "m3").Observe(2) // over cap -> overflow child
@@ -107,17 +101,10 @@ func TestHistogramVecOverflowAndPeek(t *testing.T) {
 	if h := v.Peek2("c", "m3"); h != nil {
 		t.Fatalf("Peek2(c,m3) should be nil (absorbed by overflow)")
 	}
-	names := []string{}
-	v.each(func(name string, h *Histogram) { names = append(names, name) })
-	want := Name("x_seconds", "namespace", OverflowLabel, "model", OverflowLabel)
-	found := false
-	for _, n := range names {
-		if n == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("overflow series %q missing from %v", want, names)
+	snap := r.Snapshot()
+	want := `x_seconds{namespace="_overflow",model="_overflow"}`
+	if h, ok := snap.Histograms[want]; !ok || h.Count != 1 {
+		t.Fatalf("overflow series %q missing from %v", want, snap.Histograms)
 	}
 }
 
@@ -129,10 +116,10 @@ func TestRegistryVecSnapshotFolding(t *testing.T) {
 	hv.With("ads").Observe(0.05)
 
 	snap := r.Snapshot()
-	if got := snap.Counters[Name("tenant_http_requests_total", "namespace", "ads")]; got != 3 {
+	if got := snap.Counters[`tenant_http_requests_total{namespace="ads"}`]; got != 3 {
 		t.Fatalf("folded counter = %d, want 3", got)
 	}
-	hs, ok := snap.Histograms[Name("tenant_http_request_seconds", "namespace", "ads")]
+	hs, ok := snap.Histograms[`tenant_http_request_seconds{namespace="ads"}`]
 	if !ok || hs.Count != 1 {
 		t.Fatalf("folded histogram = %+v ok=%v", hs, ok)
 	}
@@ -146,12 +133,41 @@ func TestRegistryVecSnapshotFolding(t *testing.T) {
 }
 
 func TestCounterVecLabelArityPanics(t *testing.T) {
-	v := NewCounterVec("x_total", []string{"a", "b"}, 4)
+	r := NewRegistry()
+	v := r.CounterVec("x_total", []string{"a", "b"}, 4)
 	mustPanic(t, func() { v.With("only-one") })
-	v1 := NewCounterVec("y_total", []string{"a"}, 4)
+	v1 := r.CounterVec("y_total", []string{"a"}, 4)
 	mustPanic(t, func() { v1.With2("x", "y") })
-	mustPanic(t, func() { NewCounterVec("z_total", nil, 4) })
-	mustPanic(t, func() { NewCounterVec("z_total", []string{"a", "b", "c"}, 4) })
+	v0 := r.CounterVec("z_total", nil, 4)
+	mustPanic(t, func() { v0.With("x") })
+	mustPanic(t, func() { r.CounterVec("w_total", []string{"a", "b", "c"}, 4) })
+}
+
+// TestConflictingRegistrationPanics: one name is one family. Registering
+// it again as another kind, with other labels, or with other bounds
+// panics at registration, and an identical registration returns the
+// same family.
+func TestConflictingRegistrationPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total")
+	r.CounterVec("v_total", []string{"a"}, 0)
+	r.Histogram("h_seconds", LatencyBuckets)
+	for name, fn := range map[string]func(){
+		"counter as gauge":         func() { r.Gauge("c_total") },
+		"counter as histogram":     func() { r.Histogram("c_total", LatencyBuckets) },
+		"unlabelled as labelled":   func() { r.CounterVec("c_total", []string{"a"}, 0) },
+		"labelled as unlabelled":   func() { r.Counter("v_total") },
+		"other label keys":         func() { r.CounterVec("v_total", []string{"b"}, 0) },
+		"more labels":              func() { r.CounterVec("v_total", []string{"a", "b"}, 0) },
+		"other bounds":             func() { r.Histogram("h_seconds", SizeBuckets) },
+		"histogram as counter vec": func() { r.CounterVec("h_seconds", nil, 0) },
+		"gauge func over counter":  func() { r.GaugeFunc("c_total", func() float64 { return 1 }) },
+	} {
+		t.Run(name, func(t *testing.T) { mustPanic(t, fn) })
+	}
+	if r.CounterVec("v_total", []string{"a"}, 8) != r.CounterVec("v_total", []string{"a"}, 0) {
+		t.Fatal("identical re-registration returned another family")
+	}
 }
 
 func TestHistogramBoundValidation(t *testing.T) {
@@ -162,7 +178,7 @@ func TestHistogramBoundValidation(t *testing.T) {
 	mustPanic(t, func() { NewHistogram([]float64{0.5, 0.5, 2}) })
 	mustPanic(t, func() { NewRegistry().Histogram("h", []float64{3, 1}) })
 	mustPanic(t, func() {
-		NewHistogramVec("h", []string{"a"}, []float64{2, 1}, 4)
+		NewRegistry().HistogramVec("h", []string{"a"}, []float64{2, 1}, 4)
 	})
 	// Sorted bounds register fine.
 	NewHistogram([]float64{0.5, 1, 2})

@@ -44,18 +44,13 @@ type Store struct {
 	replayed, replayedLegacy int  // records Open applied; of those, gob-format ones
 	replaying                bool // Open is applying the log: tables it creates defer their trees
 
-	obs           *obs.Registry
+	ops           *obs.CounterVec // relstore_ops_total{op,table}
 	walSeconds    *obs.Histogram
 	commitSeconds *obs.Histogram
 	walRecords    *obs.Counter
 	walBytes      *obs.Counter
 	walCommits    *obs.Counter
-	opMu          sync.RWMutex
-	opCounters    map[opKey]*obs.Counter // handle cache: countOp is on every hot path
 }
-
-// opKey keys the per-(op, table) counter-handle cache.
-type opKey struct{ op, table string }
 
 // Instrument redirects the store's metrics to reg (default obs.Default).
 // Call before serving traffic.
@@ -65,7 +60,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.obs = reg
+	s.ops = reg.CounterVec("relstore_ops_total", []string{"op", "table"}, 0)
 	s.walSeconds = reg.Histogram("relstore_wal_append_seconds", obs.LatencyBuckets)
 	reg.Help("relstore_wal_append_seconds", "Time to write one WAL record through to the OS; the fsync is not in it, see relstore_wal_commit_seconds.")
 	s.commitSeconds = reg.Histogram("relstore_wal_commit_seconds", obs.LatencyBuckets)
@@ -76,28 +71,11 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	reg.Help("relstore_wal_bytes_total", "WAL record payload bytes appended, without the log's 8-byte frame per record; over relstore_wal_records_total it is the bytes per record.")
 	s.walCommits = reg.Counter("relstore_wal_commits_total")
 	reg.Help("relstore_wal_commits_total", "WAL fsyncs issued by Commit; committers that arrive together share one, so this grows slower than the requests that wrote.")
-	s.opMu.Lock()
-	s.opCounters = make(map[opKey]*obs.Counter)
-	s.opMu.Unlock()
 }
 
 // countOp bumps the per-table operation counter, e.g.
-// relstore_ops_total{op="insert",table="instances"}. Handles are cached
-// per (op, table) so the hot path is one read-locked map hit and an
-// atomic increment — no name formatting or registry traffic.
-func (s *Store) countOp(op, tableName string) {
-	k := opKey{op, tableName}
-	s.opMu.RLock()
-	c, ok := s.opCounters[k]
-	s.opMu.RUnlock()
-	if !ok {
-		c = s.obs.Counter(obs.Name("relstore_ops_total", "op", op, "table", tableName))
-		s.opMu.Lock()
-		s.opCounters[k] = c
-		s.opMu.Unlock()
-	}
-	c.Inc()
-}
+// relstore_ops_total{op="insert",table="instances"}.
+func (s *Store) countOp(op, tableName string) { s.ops.With2(op, tableName).Inc() }
 
 type table struct {
 	schema  Schema

@@ -119,7 +119,8 @@ type entry struct {
 	// lastOK is the unix-nano time of the last successful load or
 	// refresh, feeding the per-model refresh-age gauge.
 	lastOK atomic.Int64
-	// mxStale is this model's dedicated stale-serve counter.
+	// mxStale is this model's serve_stale_serves_total child, made once
+	// the initial load succeeds.
 	mxStale *obs.Counter
 	// health is the model's live observation window; nil when health
 	// recording is off.
@@ -155,11 +156,16 @@ type gatewayMetrics struct {
 	predicts        *obs.Counter
 	predictErrs     *obs.Counter
 	stale           *obs.Counter
-	latency         *obs.Histogram
 	loadedModels    *obs.Gauge
 	healthFlushes   *obs.Counter
 	healthFlushErrs *obs.Counter
+	// Per-model series, {model}: created only after a successful load and
+	// deleted on eviction, so unknown model IDs leave nothing behind.
+	staleServes               *obs.CounterVec
+	servedVersion, refreshAge *obs.GaugeVec
 }
+
+var byModel = []string{"model"}
 
 // New builds a Gateway and starts its refresh loop (unless disabled).
 func New(src Source, opts Options) *Gateway {
@@ -203,10 +209,12 @@ func New(src Source, opts Options) *Gateway {
 			predicts:        opts.Obs.Counter("serve_predictions_total"),
 			predictErrs:     opts.Obs.Counter("serve_prediction_errors_total"),
 			stale:           opts.Obs.Counter("serve_stale_predictions_total"),
-			latency:         opts.Obs.Histogram("serve_predict_seconds", obs.LatencyBuckets),
 			loadedModels:    opts.Obs.Gauge("serve_loaded_models"),
 			healthFlushes:   opts.Obs.Counter("serve_health_flushes_total"),
 			healthFlushErrs: opts.Obs.Counter("serve_health_flush_errors_total"),
+			staleServes:     opts.Obs.CounterVec("serve_stale_serves_total", byModel, 0),
+			servedVersion:   opts.Obs.GaugeVec("serve_served_version", byModel, 0),
+			refreshAge:      opts.Obs.GaugeVec("serve_refresh_age_seconds", byModel, 0),
 		},
 	}
 	if opts.RefreshInterval > 0 {
@@ -270,7 +278,6 @@ func (g *Gateway) PredictCtx(ctx context.Context, modelID string, fctx forecast.
 	if e.health != nil {
 		e.health.record(value, time.Since(start).Seconds(), stale)
 	}
-	g.mx.latency.ObserveSinceExemplar(start, span.TraceIDString())
 	span.End()
 	return api.PredictResponse{
 		ModelID:    modelID,
@@ -311,7 +318,6 @@ func (g *Gateway) entry(ctx context.Context, modelID string) (*entry, string, er
 	default:
 	}
 	e := &entry{modelID: modelID, ready: make(chan struct{})}
-	e.mxStale = g.obs.Counter(obs.Name("serve_stale_serves_total", "model", modelID))
 	if g.opts.HealthSink != nil {
 		e.health = newEntryHealth(time.Now())
 	}
@@ -333,20 +339,20 @@ func (g *Gateway) entry(ctx context.Context, modelID string) (*entry, string, er
 	for _, old := range evicted {
 		g.mx.evictions.Inc()
 		// An entry can be evicted while its initial load is still in
-		// flight, and the load registers the refresh-age gauge before ready
-		// closes, so drop the gauge from a goroutine that waits for that
+		// flight, and the load creates the per-model series before ready
+		// closes, so drop them from a goroutine that waits for that
 		// instead of racing the loader.
 		go func(old *entry) {
 			<-old.ready
-			// Drop the evicted model's refresh-age gauge unless the model
-			// was re-admitted in the meantime (the new slot re-registers
-			// its own closure; a lost race here only leaves a gauge
-			// reading the old slot until the next load).
+			// Keep the series if the model was re-admitted meanwhile. The
+			// check and the delete share g.mu, and a new slot creates its
+			// series only after admission under g.mu, so they survive.
 			g.mu.Lock()
-			_, resurrected := g.entries[old.modelID]
-			g.mu.Unlock()
-			if !resurrected {
-				g.obs.RemoveGaugeFunc(obs.Name("serve_refresh_age_seconds", "model", old.modelID))
+			defer g.mu.Unlock()
+			if _, resurrected := g.entries[old.modelID]; !resurrected {
+				g.mx.staleServes.Delete(old.modelID)
+				g.mx.servedVersion.Delete(old.modelID)
+				g.mx.refreshAge.Delete(old.modelID)
 			}
 		}(old)
 	}
@@ -371,6 +377,7 @@ func (g *Gateway) entry(ctx context.Context, modelID string) (*entry, string, er
 	e.cur.Store(srv)
 	e.lastOK.Store(time.Now().UnixNano())
 	g.mx.loads.Inc()
+	e.mxStale = g.mx.staleServes.With(modelID)
 	g.setVersionGauge(e, &srv.version)
 	g.registerAgeGauge(e)
 	close(e.ready)
@@ -382,7 +389,7 @@ func (g *Gateway) entry(ctx context.Context, modelID string) (*entry, string, er
 // number. The closure reads one atomic, so it is safe under the metric
 // registry's snapshot lock.
 func (g *Gateway) registerAgeGauge(e *entry) {
-	g.obs.GaugeFunc(obs.Name("serve_refresh_age_seconds", "model", e.modelID), func() float64 {
+	g.mx.refreshAge.With(e.modelID).SetFunc(func() float64 {
 		ns := e.lastOK.Load()
 		if ns == 0 {
 			return -1
@@ -580,8 +587,7 @@ func (g *Gateway) reportSwap(modelID string, prev *served, v *api.VersionRecord,
 // setVersionGauge publishes which version a model serves, encoded as
 // major*1000 + minor so promotions show up as visible steps.
 func (g *Gateway) setVersionGauge(e *entry, v *api.VersionRecord) {
-	g.obs.Gauge(obs.Name("serve_served_version", "model", e.modelID)).
-		Set(float64(v.Major)*1000 + float64(v.Minor))
+	g.mx.servedVersion.With(e.modelID).Set(float64(v.Major)*1000 + float64(v.Minor))
 }
 
 // Status snapshots every loaded model.

@@ -2,6 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,12 +133,12 @@ func TestPerModelStaleCounterAndRefreshAgeGauge(t *testing.T) {
 	if _, err := g.Predict("m1", fctx); err != nil {
 		t.Fatal(err)
 	}
-	staleName := obs.Name("serve_stale_serves_total", "model", "m1")
-	if got := reg.Counter(staleName).Value(); got != 0 {
-		t.Fatalf("stale counter = %d before any degradation", got)
-	}
-	ageName := obs.Name("serve_refresh_age_seconds", "model", "m1")
+	staleName := `serve_stale_serves_total{model="m1"}`
 	snap := reg.Snapshot()
+	if got, ok := snap.Counters[staleName]; !ok || got != 0 {
+		t.Fatalf("stale counter = %d (present %v) before any degradation", got, ok)
+	}
+	ageName := `serve_refresh_age_seconds{model="m1"}`
 	age, ok := snap.Gauges[ageName]
 	if !ok {
 		t.Fatalf("refresh-age gauge missing; gauges = %v", snap.Gauges)
@@ -152,7 +156,7 @@ func TestPerModelStaleCounterAndRefreshAgeGauge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := reg.Counter(staleName).Value(); got != 3 {
+	if got := reg.Snapshot().Counters[staleName]; got != 3 {
 		t.Fatalf("per-model stale counter = %d, want 3", got)
 	}
 
@@ -166,6 +170,26 @@ func TestPerModelStaleCounterAndRefreshAgeGauge(t *testing.T) {
 	}
 }
 
+// modelSeries lists the per-model gateway series a snapshot holds.
+func modelSeries(snap obs.Snapshot) []string {
+	var out []string
+	for k := range snap.Counters {
+		if strings.HasPrefix(k, "serve_stale_serves_total{") {
+			out = append(out, k)
+		}
+	}
+	for k := range snap.Gauges {
+		if strings.HasPrefix(k, "serve_served_version{") || strings.HasPrefix(k, "serve_refresh_age_seconds{") {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestRefreshAgeGaugeRemovedOnEviction: an evicted model's three
+// per-model series (stale serves, served version, refresh age) all go,
+// and the resident model's stay.
 func TestRefreshAgeGaugeRemovedOnEviction(t *testing.T) {
 	src := newFakeSource()
 	src.promote(t, "m1", 0, &forecast.Heuristic{K: 1})
@@ -181,19 +205,44 @@ func TestRefreshAgeGaugeRemovedOnEviction(t *testing.T) {
 	if _, err := g.Predict("m2", fctx); err != nil {
 		t.Fatal(err)
 	}
-	name1 := obs.Name("serve_refresh_age_seconds", "model", "m1")
-	name2 := obs.Name("serve_refresh_age_seconds", "model", "m2")
+	want := []string{
+		`serve_refresh_age_seconds{model="m2"}`,
+		`serve_served_version{model="m2"}`,
+		`serve_stale_serves_total{model="m2"}`,
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		snap := reg.Snapshot()
-		_, has1 := snap.Gauges[name1]
-		_, has2 := snap.Gauges[name2]
-		if !has1 && has2 {
-			break // evicted gauge dropped, resident gauge kept
+		got := modelSeries(reg.Snapshot())
+		if slices.Equal(got, want) {
+			break // evicted series dropped, resident series kept
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("gauges after eviction = %v", snap.Gauges)
+			t.Fatalf("per-model series after eviction = %v, want %v", got, want)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestUnknownModelsLeaveNoSeries: predictions on model IDs that fail to
+// load create no per-model series, however many distinct IDs are sprayed.
+func TestUnknownModelsLeaveNoSeries(t *testing.T) {
+	src := newFakeSource()
+	src.promote(t, "m1", 0, &forecast.Heuristic{K: 1})
+	reg := obs.NewRegistry()
+	g := newTestGateway(t, src, Options{Obs: reg})
+	fctx := forecast.Context{History: []float64{10, 20, 30}}
+	for i := range 500 {
+		if _, err := g.Predict(fmt.Sprintf("ghost-%d", i), fctx); err == nil {
+			t.Fatalf("unknown model ghost-%d predicted", i)
+		}
+	}
+	if got := modelSeries(reg.Snapshot()); len(got) != 0 {
+		t.Fatalf("500 unknown models left %d per-model series, e.g. %v", len(got), got[0])
+	}
+	if _, err := g.Predict("m1", fctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := modelSeries(reg.Snapshot()); len(got) != 3 {
+		t.Fatalf("a loaded model has series %v, want its three", got)
 	}
 }

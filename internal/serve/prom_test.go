@@ -120,7 +120,7 @@ func TestGatewayTelemetryLossExposition(t *testing.T) {
 	export()
 	<-entered
 	accepted := 1
-	for dropped.Get(obs.ChannelTraces) == 0 {
+	for dropped.Peek(obs.ChannelTraces).Value() == 0 {
 		if accepted > 1<<16 {
 			t.Fatal("queue never filled: Export is not bounded")
 		}

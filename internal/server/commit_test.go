@@ -284,7 +284,7 @@ func TestCommitOnAck(t *testing.T) {
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("POST over a closed WAL = %d, want 500", resp.StatusCode)
 		}
-		if got := st.obs.Counter(obs.Name("http_requests_total", "route", "POST /v1/search", "status", "5xx")).Value(); got != 1 {
+		if got := st.obs.CounterVec("http_requests_total", []string{"route", "status"}, 0).Peek2("POST /v1/search", "5xx").Value(); got != 1 {
 			t.Fatalf("the 500 was not counted against its route: %d", got)
 		}
 	})

@@ -151,8 +151,8 @@ func (s VecSource) Counts(o Objective) (int64, int64, bool) {
 			if s.ModelRequests == nil || s.ModelErrors == nil {
 				return 0, 0, false
 			}
-			req := s.ModelRequests.Get2(o.Namespace, o.ModelID)
-			bad := s.ModelErrors.Get2(o.Namespace, o.ModelID)
+			req := s.ModelRequests.Peek2(o.Namespace, o.ModelID).Value()
+			bad := s.ModelErrors.Peek2(o.Namespace, o.ModelID).Value()
 			return req - bad, bad, true
 		}
 	}
@@ -171,8 +171,8 @@ func (s VecSource) Counts(o Objective) (int64, int64, bool) {
 		if s.Requests == nil || s.Errors == nil {
 			return 0, 0, false
 		}
-		req := s.Requests.Get(o.Namespace)
-		bad := s.Errors.Get(o.Namespace)
+		req := s.Requests.Peek(o.Namespace).Value()
+		bad := s.Errors.Peek(o.Namespace).Value()
 		return req - bad, bad, true
 	}
 }
@@ -340,6 +340,8 @@ type Service struct {
 	cEvaluations *obs.Counter
 	cBurns       *obs.Counter
 	cRecoveries  *obs.Counter
+	// Per-objective gauges, labelled {slo}.
+	gBurnFast, gBurnSlow, gBreached, gBudget *obs.GaugeVec
 }
 
 // Open declares the objectives table on store (idempotent over a
@@ -362,6 +364,10 @@ func Open(store *relstore.Store, src Source, cfg Config) (*Service, error) {
 		cEvaluations: cfg.Obs.Counter("slo_evaluations_total"),
 		cBurns:       cfg.Obs.Counter("slo_burn_events_total"),
 		cRecoveries:  cfg.Obs.Counter("slo_recovered_events_total"),
+		gBurnFast:    cfg.Obs.GaugeVec("slo_burn_rate_fast", sloLabel, 0),
+		gBurnSlow:    cfg.Obs.GaugeVec("slo_burn_rate_slow", sloLabel, 0),
+		gBreached:    cfg.Obs.GaugeVec("slo_breached", sloLabel, 0),
+		gBudget:      cfg.Obs.GaugeVec("slo_error_budget_remaining", sloLabel, 0),
 	}
 	rows, err := store.Select(relstore.Query{Table: Table})
 	if err != nil {
@@ -373,6 +379,8 @@ func Open(store *relstore.Store, src Source, cfg Config) (*Service, error) {
 	}
 	return s, nil
 }
+
+var sloLabel = []string{"slo"}
 
 // newState sizes the ring to the longest window plus the current tick.
 func (s *Service) newState(o Objective) *state {
@@ -441,8 +449,8 @@ func (s *Service) Delete(ctx context.Context, id string) error {
 	s.mu.Lock()
 	delete(s.objs, id)
 	s.mu.Unlock()
-	for _, g := range []string{"slo_burn_rate_fast", "slo_burn_rate_slow", "slo_breached", "slo_error_budget_remaining"} {
-		s.cfg.Obs.RemoveGauge(obs.Name(g, "slo", id))
+	for _, g := range []*obs.GaugeVec{s.gBurnFast, s.gBurnSlow, s.gBreached, s.gBudget} {
+		g.Delete(id)
 	}
 	s.audit(ctx, "", audit.ActionSLODelete, st.obj, st.obj.scope())
 	return nil
@@ -609,14 +617,14 @@ func (s *Service) Evaluate(ctx context.Context) {
 
 func (s *Service) publishGauges(st *state) {
 	id := st.obj.ID
-	s.cfg.Obs.Gauge(obs.Name("slo_burn_rate_fast", "slo", id)).Set(st.burnFast)
-	s.cfg.Obs.Gauge(obs.Name("slo_burn_rate_slow", "slo", id)).Set(st.burnSlow)
+	s.gBurnFast.With(id).Set(st.burnFast)
+	s.gBurnSlow.With(id).Set(st.burnSlow)
 	breached := 0.0
 	if st.breached {
 		breached = 1
 	}
-	s.cfg.Obs.Gauge(obs.Name("slo_breached", "slo", id)).Set(breached)
-	s.cfg.Obs.Gauge(obs.Name("slo_error_budget_remaining", "slo", id)).Set(st.budget)
+	s.gBreached.With(id).Set(breached)
+	s.gBudget.With(id).Set(st.budget)
 }
 
 // emit records the audit event, then publishes the transition, stamped

@@ -114,7 +114,7 @@ func TestBurnAndRecovery(t *testing.T) {
 	if !st.Breached || st.Severity != "fast" {
 		t.Fatalf("after 2 faulty ticks: %+v", st)
 	}
-	if g := reg.Gauge(obs.Name("slo_breached", "slo", o.ID)).Value(); g != 1 {
+	if g := reg.GaugeVec("slo_breached", []string{"slo"}, 0).Peek(o.ID).Value(); g != 1 {
 		t.Fatalf("slo_breached gauge = %v, want 1", g)
 	}
 	if reg.Counter("slo_burn_events_total").Value() != 1 {
@@ -133,7 +133,7 @@ func TestBurnAndRecovery(t *testing.T) {
 	if reg.Counter("slo_recovered_events_total").Value() != 1 {
 		t.Fatal("expected exactly one recovery event")
 	}
-	if g := reg.Gauge(obs.Name("slo_breached", "slo", o.ID)).Value(); g != 0 {
+	if g := reg.GaugeVec("slo_breached", []string{"slo"}, 0).Peek(o.ID).Value(); g != 0 {
 		t.Fatalf("slo_breached gauge = %v, want 0", g)
 	}
 }
@@ -388,7 +388,7 @@ func TestDeleteRemovesGauges(t *testing.T) {
 	o := mustCreate(t, s, Objective{Namespace: "ads", Kind: KindAvailability, Target: 0.99})
 	src.good = 100
 	s.Evaluate(context.Background())
-	name := obs.Name("slo_breached", "slo", o.ID)
+	name := `slo_breached{slo="` + o.ID + `"}`
 	if _, ok := reg.Snapshot().Gauges[name]; !ok {
 		t.Fatal("gauge not published after Evaluate")
 	}
