@@ -17,13 +17,12 @@
 package blobstore
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -92,24 +91,49 @@ type Stats struct {
 	BytesIn, BytesOut   int64
 	CorruptSkips        int64
 	Latency             time.Duration
+	// What the store holds: live blobs, their bytes (one copy), and the
+	// bytes of overwritten or deleted blobs a disk store still keeps.
+	Blobs, LiveBytes, DeadBytes int64
+	// What opening a disk store did: legacy per-blob files imported, and
+	// whether it rewrote the store into a new generation.
+	Imported  int64
+	Compacted bool
 }
 
-// backend stores framed blobs (4-byte CRC32C prefix + payload) by key.
+// backend holds every replica's copy of every blob. put writes all of
+// them or, failing on any replica, leaves nothing of the new copy
+// visible; read returns one replica's copy and the checksum it was put
+// with, or ErrNotFound when that replica lacks it; keys is sorted.
 type backend interface {
-	put(key string, framed []byte) error
-	get(key string) ([]byte, error)
-	delete(key string) error
+	put(key string, data []byte, sum uint32, hook FaultHook) error
+	read(replica int, key string) (data []byte, sum uint32, err error)
+	remove(key string) error
 	keys() []string
+	corrupt(replica int, key string) error
+	footprint() (blobs int, live, dead int64)
+	close() error
+}
+
+// fault consults hook, if any, before an operation on one replica.
+func fault(hook FaultHook, op OpKind, replica int, key string) error {
+	if hook == nil {
+		return nil
+	}
+	return hook(op, replica, key)
+}
+
+func replicaErr(op, key string, replica int, err error) error {
+	return fmt.Errorf("blobstore: %s %s replica %d: %w", op, key, replica, err)
 }
 
 // Store is a replicated blob store. It is safe for concurrent use.
 type Store struct {
-	mu       sync.Mutex
-	replicas []backend
-	opts     Options
-	stats    Stats
-	scheme   string
-	mx       storeMetrics
+	mu     sync.Mutex
+	b      backend
+	opts   Options
+	stats  Stats
+	scheme string
+	mx     storeMetrics
 }
 
 // storeMetrics holds the obs handles for one store. Latency histograms
@@ -152,25 +176,19 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // NewMemory returns a Store with in-memory replicas.
 func NewMemory(opts Options) *Store {
 	opts = normalize(opts)
-	reps := make([]backend, opts.Replicas)
-	for i := range reps {
-		reps[i] = &memBackend{blobs: make(map[string][]byte)}
-	}
-	return &Store{replicas: reps, opts: opts, scheme: "mem", mx: newStoreMetrics(nil)}
+	b := &memBackend{blobs: map[string]memBlob{}, replicas: opts.Replicas}
+	return &Store{b: b, opts: opts, scheme: "mem", mx: newStoreMetrics(nil)}
 }
 
-// NewDisk returns a Store whose replicas live in subdirectories of dir.
+// NewDisk opens (creating if necessary) the Store kept in dir: one
+// append-only volume per replica behind one index (see volume.go).
 func NewDisk(dir string, opts Options) (*Store, error) {
 	opts = normalize(opts)
-	reps := make([]backend, opts.Replicas)
-	for i := range reps {
-		sub := filepath.Join(dir, fmt.Sprintf("r%d", i))
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return nil, fmt.Errorf("blobstore: create replica dir: %w", err)
-		}
-		reps[i] = &diskBackend{dir: sub}
+	b, opened, err := openDisk(dir, opts.Replicas)
+	if err != nil {
+		return nil, err
 	}
-	return &Store{replicas: reps, opts: opts, scheme: "disk", mx: newStoreMetrics(nil)}, nil
+	return &Store{b: b, opts: opts, stats: opened, scheme: "disk", mx: newStoreMetrics(nil)}, nil
 }
 
 func normalize(opts Options) Options {
@@ -180,55 +198,30 @@ func normalize(opts Options) Options {
 	return opts
 }
 
-// frame prefixes data with its CRC32C so corruption is detectable
-// end-to-end regardless of backend.
-func frame(data []byte) []byte {
-	out := make([]byte, 4+len(data))
-	binary.LittleEndian.PutUint32(out[:4], crc32.Checksum(data, crcTable))
-	copy(out[4:], data)
-	return out
-}
-
-// unframe verifies and strips the checksum prefix.
-func unframe(framed []byte) ([]byte, error) {
-	if len(framed) < 4 {
-		return nil, ErrCorrupt
-	}
-	want := binary.LittleEndian.Uint32(framed[:4])
-	data := framed[4:]
-	if crc32.Checksum(data, crcTable) != want {
-		return nil, ErrCorrupt
-	}
-	return data, nil
-}
+// validKey reports whether key can name a blob: non-empty, without path
+// separators.
+func validKey(key string) bool { return key != "" && !strings.ContainsAny(key, "/\\") }
 
 // Put stores data under key on every replica and returns its location.
-// A failure on any replica fails the put: Gallery prefers a clean failure
-// it can retry over a blob it cannot trust to be durable.
+// A failure on any replica fails the put and leaves no copy visible:
+// Gallery prefers a clean failure it can retry over a blob it cannot
+// trust to be durable.
 func (s *Store) Put(key string, data []byte) (string, error) {
 	start := time.Now()
-	if key == "" || strings.ContainsAny(key, "/\\") {
+	if !validKey(key) {
 		return "", fmt.Errorf("blobstore: invalid key %q", key)
 	}
-	framed := frame(data)
+	sum := crc32.Checksum(data, crcTable)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.mx.putSeconds.ObserveSince(start)
-	for i, r := range s.replicas {
-		if s.opts.Hook != nil {
-			if err := s.opts.Hook(OpPut, i, key); err != nil {
-				s.mx.putErrors.Inc()
-				return "", fmt.Errorf("blobstore: put %s replica %d: %w", key, i, err)
-			}
-		}
-		if err := r.put(key, framed); err != nil {
-			s.mx.putErrors.Inc()
-			return "", fmt.Errorf("blobstore: put %s replica %d: %w", key, i, err)
-		}
+	if err := s.b.put(key, data, sum, s.opts.Hook); err != nil {
+		s.mx.putErrors.Inc()
+		return "", err
 	}
 	s.stats.Puts++
 	s.stats.BytesIn += int64(len(data))
-	s.stats.Latency += s.opts.Latency.charge(len(data) * len(s.replicas))
+	s.stats.Latency += s.opts.Latency.charge(len(data) * s.opts.Replicas)
 	return s.location(key), nil
 }
 
@@ -255,24 +248,21 @@ func (s *Store) Get(location string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.mx.getSeconds.ObserveSince(start)
-	var lastErr error = ErrNotFound
-	for i, r := range s.replicas {
-		if s.opts.Hook != nil {
-			if err := s.opts.Hook(OpGet, i, key); err != nil {
-				lastErr = err
-				continue
-			}
+	lastErr := ErrNotFound
+	for i := 0; i < s.opts.Replicas; i++ {
+		if err := fault(s.opts.Hook, OpGet, i, key); err != nil {
+			lastErr = err
+			continue
 		}
-		framed, err := r.get(key)
+		data, sum, err := s.b.read(i, key)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		data, err := unframe(framed)
-		if err != nil {
+		if crc32.Checksum(data, crcTable) != sum {
 			s.stats.CorruptSkips++
 			s.mx.corruptSkips.Inc()
-			lastErr = err
+			lastErr = ErrCorrupt
 			continue
 		}
 		s.stats.Gets++
@@ -284,8 +274,9 @@ func (s *Store) Get(location string) ([]byte, error) {
 	return nil, fmt.Errorf("blobstore: get %s: %w", key, lastErr)
 }
 
-// Delete removes the blob from every replica. Missing replicas are ignored
-// so deletes are idempotent, but a blob absent everywhere is ErrNotFound.
+// Delete removes the blob from every replica; a blob absent everywhere is
+// ErrNotFound. Every replica's fault hook runs first, so a failed delete
+// removes nothing.
 func (s *Store) Delete(location string) error {
 	start := time.Now()
 	key, err := s.Key(location)
@@ -295,154 +286,128 @@ func (s *Store) Delete(location string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.mx.delSeconds.ObserveSince(start)
-	found := false
-	for i, r := range s.replicas {
-		if s.opts.Hook != nil {
-			if err := s.opts.Hook(OpDelete, i, key); err != nil {
-				s.mx.delErrors.Inc()
-				return fmt.Errorf("blobstore: delete %s replica %d: %w", key, i, err)
-			}
-		}
-		if err := r.delete(key); err == nil {
-			found = true
+	for i := 0; i < s.opts.Replicas && err == nil; i++ {
+		if err = fault(s.opts.Hook, OpDelete, i, key); err != nil {
+			err = replicaErr("delete", key, i, err)
 		}
 	}
-	if !found {
+	if err == nil {
+		if err = s.b.remove(key); err != nil {
+			err = fmt.Errorf("blobstore: delete %s: %w", key, err)
+		}
+	}
+	if err != nil {
 		s.mx.delErrors.Inc()
-		return fmt.Errorf("blobstore: delete %s: %w", key, ErrNotFound)
+		return err
 	}
 	s.stats.Deletes++
 	s.stats.Latency += s.opts.Latency.charge(0)
 	return nil
 }
 
-// Keys lists every key present on at least one replica, sorted. The DAL's
-// orphan-blob garbage collector uses this to find blobs whose metadata
-// write never happened.
+// Keys lists every stored key, sorted. The DAL's orphan-blob garbage
+// collector uses this to find blobs whose metadata write never happened.
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	set := make(map[string]bool)
-	for _, r := range s.replicas {
-		for _, k := range r.keys() {
-			set[k] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return s.b.keys()
 }
 
 // Location returns the location string a key would have in this store.
 func (s *Store) Location(key string) string { return s.location(key) }
 
-// Stats returns a snapshot of activity counters.
+// Stats returns a snapshot of activity counters and of what the store holds.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	n, live, dead := s.b.footprint()
+	st.Blobs, st.LiveBytes, st.DeadBytes = int64(n), live, dead
+	return st
 }
 
-// CorruptReplica flips a byte of key's payload on one replica, for tests
-// exercising checksum-based replica fail-over. It returns ErrNotFound if
-// that replica has no such blob.
+// CorruptReplica flips the last byte of key's payload on one replica, for
+// tests exercising checksum-based replica fail-over. It returns
+// ErrNotFound if that replica has no such blob.
 func (s *Store) CorruptReplica(replica int, key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if replica < 0 || replica >= len(s.replicas) {
+	if replica < 0 || replica >= s.opts.Replicas {
 		return fmt.Errorf("blobstore: no replica %d", replica)
 	}
-	framed, err := s.replicas[replica].get(key)
-	if err != nil {
-		return err
+	return s.b.corrupt(replica, key)
+}
+
+// flipLast corrupts a payload in place; an empty one has nothing to flip.
+func flipLast(p []byte) error {
+	if len(p) == 0 {
+		return errors.New("blobstore: cannot corrupt an empty blob")
 	}
-	framed[len(framed)-1] ^= 0xFF
-	return s.replicas[replica].put(key, framed)
-}
-
-// memBackend keeps framed blobs in a map.
-type memBackend struct {
-	blobs map[string][]byte
-}
-
-func (b *memBackend) put(key string, framed []byte) error {
-	cp := make([]byte, len(framed))
-	copy(cp, framed)
-	b.blobs[key] = cp
+	p[len(p)-1] ^= 0xFF
 	return nil
 }
 
-func (b *memBackend) get(key string) ([]byte, error) {
-	framed, ok := b.blobs[key]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	cp := make([]byte, len(framed))
-	copy(cp, framed)
-	return cp, nil
+// Close releases a disk store's files.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.close()
 }
 
-func (b *memBackend) delete(key string) error {
-	if _, ok := b.blobs[key]; !ok {
+// memBackend keeps every replica's copy of a blob in one map entry.
+type memBackend struct {
+	blobs    map[string]memBlob
+	replicas int
+	live     int64
+}
+
+type memBlob struct {
+	sum    uint32
+	copies [][]byte // one per replica
+}
+
+func (b *memBackend) put(key string, data []byte, sum uint32, hook FaultHook) error {
+	copies := make([][]byte, b.replicas)
+	for i := range copies {
+		if err := fault(hook, OpPut, i, key); err != nil {
+			return replicaErr("put", key, i, err)
+		}
+		copies[i] = bytes.Clone(data)
+	}
+	_ = b.remove(key) // the version this one replaces, if any
+	b.blobs[key] = memBlob{sum: sum, copies: copies}
+	b.live += int64(len(data))
+	return nil
+}
+
+func (b *memBackend) read(replica int, key string) ([]byte, uint32, error) {
+	m, ok := b.blobs[key]
+	if !ok {
+		return nil, 0, ErrNotFound
+	}
+	return bytes.Clone(m.copies[replica]), m.sum, nil
+}
+
+func (b *memBackend) remove(key string) error {
+	m, ok := b.blobs[key]
+	if !ok {
 		return ErrNotFound
 	}
+	b.live -= int64(len(m.copies[0]))
 	delete(b.blobs, key)
 	return nil
 }
 
-func (b *memBackend) keys() []string {
-	out := make([]string, 0, len(b.blobs))
-	for k := range b.blobs {
-		out = append(out, k)
-	}
-	return out
-}
+func (b *memBackend) keys() []string { return slices.Sorted(maps.Keys(b.blobs)) }
 
-// diskBackend stores each framed blob as one file.
-type diskBackend struct {
-	dir string
-}
-
-func (b *diskBackend) path(key string) string { return filepath.Join(b.dir, key) }
-
-func (b *diskBackend) put(key string, framed []byte) error {
-	// Write-then-rename so a crash never leaves a half-written visible blob.
-	tmp := b.path(key) + ".tmp"
-	if err := os.WriteFile(tmp, framed, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, b.path(key))
-}
-
-func (b *diskBackend) get(key string) ([]byte, error) {
-	data, err := os.ReadFile(b.path(key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, ErrNotFound
-	}
-	return data, err
-}
-
-func (b *diskBackend) delete(key string) error {
-	err := os.Remove(b.path(key))
-	if errors.Is(err, os.ErrNotExist) {
+func (b *memBackend) corrupt(replica int, key string) error {
+	m, ok := b.blobs[key]
+	if !ok {
 		return ErrNotFound
 	}
-	return err
+	return flipLast(m.copies[replica])
 }
 
-func (b *diskBackend) keys() []string {
-	entries, err := os.ReadDir(b.dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range entries {
-		if !e.IsDir() && !strings.HasSuffix(e.Name(), ".tmp") {
-			out = append(out, e.Name())
-		}
-	}
-	return out
-}
+func (b *memBackend) footprint() (int, int64, int64) { return len(b.blobs), b.live, 0 }
+
+func (b *memBackend) close() error { return nil }

@@ -125,21 +125,51 @@ func TestAllReplicasCorrupt(t *testing.T) {
 	}
 }
 
+// A failed put leaves nothing of itself visible on either backend: not a
+// new key, not a new version of an old one, and no disk volume bytes.
 func TestFaultHookFailsPut(t *testing.T) {
 	boom := errors.New("injected")
 	fail := true
-	s := NewMemory(Options{Hook: func(op OpKind, replica int, key string) error {
+	opts := Options{Replicas: 3, Hook: func(op OpKind, replica int, key string) error {
 		if fail && op == OpPut && replica == 1 {
 			return boom
 		}
 		return nil
-	}})
-	if _, err := s.Put("k", []byte("x")); !errors.Is(err, boom) {
-		t.Fatalf("Put = %v, want injected error", err)
-	}
-	fail = false
-	if _, err := s.Put("k", []byte("x")); err != nil {
-		t.Fatalf("Put after clearing fault = %v", err)
+	}}
+	for name, s := range backends(t, opts) {
+		t.Run(name, func(t *testing.T) {
+			fail = true
+			if _, err := s.Put("k", []byte("partial")); !errors.Is(err, boom) {
+				t.Fatalf("Put = %v, want injected error", err)
+			}
+			if _, err := s.Get(s.Location("k")); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get after failed put = %v, want ErrNotFound", err)
+			}
+			if keys := s.Keys(); len(keys) != 0 {
+				t.Fatalf("Keys after failed put = %v", keys)
+			}
+			if d, ok := s.b.(*diskBackend); ok {
+				for i, f := range d.vols {
+					if st, err := f.Stat(); err != nil || st.Size() != 0 {
+						t.Fatalf("volume %d after failed put: %d bytes, %v", i, st.Size(), err)
+					}
+				}
+			}
+			fail = false
+			if _, err := s.Put("k", []byte("v1")); err != nil {
+				t.Fatalf("Put after clearing fault = %v", err)
+			}
+			fail = true
+			if _, err := s.Put("k", []byte("v2, longer")); !errors.Is(err, boom) {
+				t.Fatalf("Put = %v, want injected error", err)
+			}
+			if got, err := s.Get(s.Location("k")); err != nil || string(got) != "v1" {
+				t.Fatalf("Get after failed overwrite = %q, %v", got, err)
+			}
+			if st := s.Stats(); st.Blobs != 1 || st.LiveBytes != 2 {
+				t.Fatalf("footprint = %d blobs, %d live bytes", st.Blobs, st.LiveBytes)
+			}
+		})
 	}
 }
 
@@ -244,30 +274,33 @@ func TestStatsAndLatencyAccounting(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := NewMemory(Options{})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				key := fmt.Sprintf("w%d-k%d", w, i)
-				loc, err := s.Put(key, []byte(key))
-				if err != nil {
-					t.Errorf("put: %v", err)
-					return
-				}
-				got, err := s.Get(loc)
-				if err != nil || string(got) != key {
-					t.Errorf("get %s: %q %v", key, got, err)
-					return
-				}
+	for name, s := range backends(t, Options{}) {
+		t.Run(name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 100; i++ {
+						key := fmt.Sprintf("w%d-k%d", w, i)
+						loc, err := s.Put(key, []byte(key))
+						if err != nil {
+							t.Errorf("put: %v", err)
+							return
+						}
+						got, err := s.Get(loc)
+						if err != nil || string(got) != key {
+							t.Errorf("get %s: %q %v", key, got, err)
+							return
+						}
+					}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
-	if got := len(s.Keys()); got != 800 {
-		t.Fatalf("stored %d blobs, want 800", got)
+			wg.Wait()
+			if got := len(s.Keys()); got != 800 {
+				t.Fatalf("stored %d blobs, want 800", got)
+			}
+		})
 	}
 }
 
@@ -290,13 +323,35 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: single-byte corruption anywhere in a framed blob is detected.
+// Property: single-byte corruption anywhere in a stored payload is detected.
 func TestQuickCorruptionDetected(t *testing.T) {
+	s, err := NewDisk(t.TempDir(), Options{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	vol := s.b.(*diskBackend).vols[0]
+	i := 0
 	f := func(data []byte, pos uint16) bool {
-		framed := frame(data)
-		idx := int(pos) % len(framed)
-		framed[idx] ^= 0xFF
-		_, err := unframe(framed)
+		if len(data) == 0 {
+			return true
+		}
+		i++
+		key := fmt.Sprintf("q%d", i)
+		loc, err := s.Put(key, data)
+		if err != nil {
+			return false
+		}
+		at := s.b.(*diskBackend).blobs[key].off + int64(int(pos)%len(data))
+		b := make([]byte, 1)
+		if _, err := vol.ReadAt(b, at); err != nil {
+			return false
+		}
+		b[0] ^= 0xFF
+		if _, err := vol.WriteAt(b, at); err != nil {
+			return false
+		}
+		_, err = s.Get(loc)
 		return errors.Is(err, ErrCorrupt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -33,7 +33,7 @@ func (s *Store) PutCtx(ctx context.Context, key string, data []byte) (string, er
 	loc, err := s.Put(key, data)
 	if span != nil {
 		span.AnnotateInt("bytes", int64(len(data)))
-		span.AnnotateDuration("sim_latency", s.opts.Latency.cost(len(data)*len(s.replicas)))
+		span.AnnotateDuration("sim_latency", s.opts.Latency.cost(len(data)*s.opts.Replicas))
 	}
 	span.EndErr(err)
 	return loc, err

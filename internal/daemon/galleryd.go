@@ -83,9 +83,20 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 			}
 			log.Printf("galleryd: compacted metadata WAL %d -> %d bytes", before, d.meta.LogSize())
 		}
+		opening = time.Now()
 		if blobs, err = blobstore.NewDisk(filepath.Join(cfg.Data, "blobs"), blobstore.Options{}); err != nil {
 			return nil, fmt.Errorf("open blob store: %w", err)
 		}
+		d.stops.add(blobs.Close)
+		st, note := blobs.Stats(), ""
+		switch {
+		case st.Imported > 0:
+			note = fmt.Sprintf(" (imported %d legacy files)", st.Imported)
+		case st.Compacted:
+			note = " (compacted)"
+		}
+		log.Printf("galleryd: opened blob store: %d blobs, %d live / %d dead bytes in %.3fs%s",
+			st.Blobs, st.LiveBytes, st.DeadBytes, time.Since(opening).Seconds(), note)
 	}
 	blobs.Instrument(d.obs)
 

@@ -137,6 +137,7 @@ func IncidentCapture(n int) (*IncidentCaptureResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer blobs.Close()
 	reg, err := core.New(meta, blobs, core.Options{Clock: clk, UUIDs: uuid.NewSeeded(71)})
 	if err != nil {
 		return nil, err
@@ -413,6 +414,7 @@ func IncidentCapture(n int) (*IncidentCaptureResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer blobs2.Close()
 	rec2, err := incident.Open(dal.New(meta2, blobs2, dal.Options{Obs: obs.NewRegistry()}), incident.Config{
 		Obs: obs.NewRegistry(), Clock: clk, UUIDs: uuid.NewSeeded(75),
 	})

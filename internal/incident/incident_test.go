@@ -231,7 +231,7 @@ func TestBundleSurvivesReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dal.New(meta, blobs, dal.Options{Obs: obs.NewRegistry()}), func() { meta.Close() }
+		return dal.New(meta, blobs, dal.Options{Obs: obs.NewRegistry()}), func() { blobs.Close(); meta.Close() }
 	}
 
 	d, cleanup := open()
@@ -342,7 +342,7 @@ func TestBundleEmbedsProfileHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dal.New(meta, blobs, dal.Options{Obs: obs.NewRegistry()}), func() { meta.Close() }
+		return dal.New(meta, blobs, dal.Options{Obs: obs.NewRegistry()}), func() { blobs.Close(); meta.Close() }
 	}
 
 	d, cleanup := open()
