@@ -64,6 +64,40 @@ func TestQuickMetricsBlobRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzMetricsBlob feeds request bytes to the metricsblob parser (the body
+// of POST /v1/instances/{id}/metricsblob). It must never panic, never
+// accept a non-finite value, and whatever it accepts must survive
+// FormatMetricsBlob and a second parse bit for bit (-0 stays -0).
+func FuzzMetricsBlob(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		m, err := ParseMetricsBlob(blob)
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("ParseMetricsBlob(%q) = %v, want ErrBadSpec", blob, err)
+			}
+			return
+		}
+		for name, v := range m {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ParseMetricsBlob(%q) accepted %s = %v", blob, name, v)
+			}
+		}
+		text := FormatMetricsBlob(m)
+		back, err := ParseMetricsBlob(text)
+		if err != nil {
+			t.Fatalf("reparse of %q: %v", text, err)
+		}
+		if len(back) != len(m) {
+			t.Fatalf("reparse of %q has %d metrics, want %d", text, len(back), len(m))
+		}
+		for name, v := range m {
+			if w, ok := back[name]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+				t.Fatalf("reparse of %q: %q = %v (present %v), want %v", text, name, w, ok, v)
+			}
+		}
+	})
+}
+
 func TestInsertMetricsBlob(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "b")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gallery/internal/blobstore"
+	"gallery/internal/obs"
 	"gallery/internal/relstore"
 )
 
@@ -33,9 +34,13 @@ func newDAL(t *testing.T, hook blobstore.FaultHook, cacheBytes int64) *DAL {
 		t.Fatal(err)
 	}
 	blobs := blobstore.NewMemory(blobstore.Options{Hook: hook})
+	// A registry of its own: counters start at zero on every run, so a
+	// test that waits on one (the stampede test's coalesced count) passes
+	// at any -count.
 	return New(meta, blobs, Options{
 		CacheBytes: cacheBytes,
 		Refs:       []BlobRef{{Table: "instances", LocField: "blob_location"}},
+		Obs:        obs.NewRegistry(),
 	})
 }
 

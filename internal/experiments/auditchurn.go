@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"gallery/internal/benchfmt"
 	"gallery/internal/blobstore"
 	"gallery/internal/clock"
 	"gallery/internal/core"
@@ -103,21 +102,6 @@ func AuditChurn(rounds, keep int) (*AuditChurnResult, error) {
 	res.FinalLen = reg.Audit().Len()
 	res.Pruned = res.Recorded - res.FinalLen
 	return res, nil
-}
-
-// BenchMetrics emits BENCH_auditchurn.json metrics. The trail-size
-// numbers are fully deterministic (seeded clock and IDs), so they gate
-// with a tight tolerance; recorded and pruned totals are only printed.
-func (r *AuditChurnResult) BenchMetrics() []benchfmt.Metric {
-	bounded := 0.0
-	if r.Bounded() {
-		bounded = 1
-	}
-	return []benchfmt.Metric{
-		{Name: "peak_trail_len", Unit: "events", Value: float64(r.PeakLen), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "final_trail_len", Unit: "events", Value: float64(r.FinalLen), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "bounded", Value: bounded, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-	}
 }
 
 // Bounded reports whether the trail stayed within the retention envelope:

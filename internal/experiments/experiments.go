@@ -3,12 +3,13 @@
 // quantitative claim, each returning a structured, printable result. The
 // benchmark harness (cmd/benchharness) prints them as paper-style rows;
 // bench_test.go measures them; the package's own tests assert that each
-// result reproduces the paper's qualitative shape.
+// result reproduces the paper's qualitative shape, and bound the exact
+// counts and allocs/op figures the gated experiments produce (DESIGN.md
+// "Gates").
 package experiments
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -82,9 +83,3 @@ func allocsPerOp(n int, op func() error) (float64, error) {
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(n), nil
 }
-
-// wholeAllocs rounds an allocs/op figure to whole allocations, clamping
-// below at 0. Sub-alloc fractions are pool and warmup jitter; a healthy
-// value then reads exactly 0, which benchfmt gates with Tol as an
-// absolute allowance, so any run measuring one more alloc/op fails.
-func wholeAllocs(v float64) float64 { return math.Max(0, math.Round(v)) }

@@ -7,6 +7,15 @@ import (
 
 // Every test here asserts that an experiment reproduces the *shape* of the
 // paper's corresponding result, per DESIGN.md's per-experiment index.
+//
+// The tests of E7 and E18–E25 are also the repo's gates: they run at the
+// parameters cmd/benchharness prints, and bound every exact count, planner
+// verdict and allocs/op figure those runs produce. A bound is the measured
+// value: a count or verdict may not move the worse way at all, an allocs/op
+// figure above 0 may rise 5 %, and one that reads 0 must stay under half an
+// allocation. To re-baseline, edit the bound here. The allocs/op bounds on
+// pooled paths skip under -race, where sync.Pool drops items on purpose;
+// CI runs this package without -race too, so they still gate.
 
 func TestTable1GalleryRowAllYes(t *testing.T) {
 	row, err := Table1Probe()
@@ -167,27 +176,36 @@ func TestRuleEngineFigure8Shape(t *testing.T) {
 	}
 }
 
-// TestScaleShape is Experiment E7 at test-friendly tiers: throughput must
-// not collapse and indexed search must stay far below full-scan cost.
+// TestScaleShape is Experiment E7 at benchharness's tiers: throughput must
+// not collapse, and the indexed city search (limit 100) and the lineage
+// read must return every row the tier holds. The 100k tier takes about
+// 35 s, so a -race run keeps the 10k tier only.
 func TestScaleShape(t *testing.T) {
-	rs, err := Scale([]int{2000, 8000})
+	tiers := []int{10_000, 100_000}
+	if raceEnabled {
+		tiers = tiers[:1]
+	}
+	rs, err := Scale(tiers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 2 {
+	if len(rs) != len(tiers) {
 		t.Fatalf("%d tiers", len(rs))
 	}
+	want := map[int]struct{ search, lineage int }{10_000: {25, 25}, 100_000: {100, 250}}
 	for _, r := range rs {
-		if r.SearchResults == 0 || r.LineageLen == 0 {
-			t.Errorf("tier %d found nothing: %+v", r.Instances, r)
+		w := want[r.Instances]
+		if r.SearchResults < w.search || r.LineageLen < w.lineage {
+			t.Errorf("tier %d: search %d rows, lineage %d, want %d and %d",
+				r.Instances, r.SearchResults, r.LineageLen, w.search, w.lineage)
 		}
 		if r.SaveThroughput < 100 {
 			t.Errorf("tier %d save throughput %.0f inst/s", r.Instances, r.SaveThroughput)
 		}
 	}
-	// 4x the data must not cost anywhere near 4x the per-instance time
+	// 10x the data must not cost anywhere near 10x the per-instance time
 	// (sub-linear indexed access): allow generous CI noise.
-	if rs[1].SaveThroughput < rs[0].SaveThroughput/4 {
+	if len(rs) == 2 && rs[1].SaveThroughput < rs[0].SaveThroughput/4 {
 		t.Errorf("save throughput collapsed: %.0f -> %.0f", rs[0].SaveThroughput, rs[1].SaveThroughput)
 	}
 }
@@ -359,6 +377,23 @@ func TestTieredOnboarding(t *testing.T) {
 	}
 }
 
+// TestServingGateway is Experiment E18: a prediction storm with a hot swap
+// landing mid-storm loses no prediction, the swap reaches traffic, and a
+// prediction allocates nothing. The gateway's predict path uses no pool,
+// so its count holds under -race too.
+func TestServingGateway(t *testing.T) {
+	res, err := ServingGateway(8, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.SwapServed {
+		t.Error("predictions after the promotion still came from the old instance")
+	}
+	if res.AllocsPerOp >= 0.5 {
+		t.Errorf("predict allocates %.2f times per call, want 0", res.AllocsPerOp)
+	}
+}
+
 // TestOnlineDrift is Experiment E19: the continuous health pipeline must
 // stay quiet through steady traffic, flip to degraded after the regime
 // shift, and fire the retrain rule exactly once per episode.
@@ -375,8 +410,8 @@ func TestOnlineDrift(t *testing.T) {
 			t.Errorf("window %d degraded before the shift (psi=%.3f)", w.Index, w.PSI)
 		}
 	}
-	if res.DegradedAt == 0 || res.DegradedAt <= 4 {
-		t.Fatalf("degraded at window %d, want a post-shift window", res.DegradedAt)
+	if res.DegradedAt != 5 {
+		t.Fatalf("degraded at window %d, want 5, the first post-shift window", res.DegradedAt)
 	}
 	if res.RetrainFired != 1 {
 		t.Fatalf("retrain fired %d times, want 1", res.RetrainFired)
@@ -390,7 +425,7 @@ func TestOnlineDrift(t *testing.T) {
 }
 
 func TestAuditChurnBounded(t *testing.T) {
-	res, err := AuditChurn(200, 16)
+	res, err := AuditChurn(400, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +435,12 @@ func TestAuditChurnBounded(t *testing.T) {
 	if res.Pruned == 0 {
 		t.Fatal("retention never pruned")
 	}
-	if res.Recorded < 200 {
-		t.Fatalf("recorded only %d events over 200 rounds", res.Recorded)
+	if res.Recorded < 400 {
+		t.Fatalf("recorded only %d events over 400 rounds", res.Recorded)
 	}
-	if res.FinalLen > res.PeakLen {
-		t.Fatalf("final %d > peak %d", res.FinalLen, res.PeakLen)
+	// 33 is the measured trail; Bounded's envelope (2*keep+8 = 40) is looser.
+	if res.PeakLen > 33 || res.FinalLen > 33 {
+		t.Fatalf("trail peak %d, final %d events, want at most 33", res.PeakLen, res.FinalLen)
 	}
 	if !strings.Contains(res.Format(), "bounded=true") {
 		t.Error("Format() missing verdict")
@@ -419,42 +455,87 @@ func TestRelQueryPlannerPaths(t *testing.T) {
 	if len(res.Cases) != 6 {
 		t.Fatalf("%d cases", len(res.Cases))
 	}
-	if c := res.Case(compositeCase); c == nil || !c.Ordered || c.Rows != 5 || c.Scanned > 2*c.Candidates {
-		t.Errorf("%s = %+v, want 5 rows streamed, scanning at most twice the candidates", compositeCase, c)
-	}
-	stream := res.Case("newest_after_cutoff_desc")
-	if stream == nil || stream.Rows != 50 {
-		t.Fatalf("newest_after_cutoff_desc = %+v", stream)
-	}
-	if !stream.Ordered {
-		t.Errorf("OrderBy shares the driving index column but planner sorted (Ordered=false)")
-	}
-	if asc := res.Case("after_cutoff_asc_paged"); asc == nil || !asc.Ordered || asc.Rows != 50 {
-		t.Errorf("after_cutoff_asc_paged = %+v, want ordered with 50 rows", asc)
-	}
-	if gt := res.Case("gt_over_dup_run"); gt == nil || gt.Scanned > 1000 {
-		t.Errorf("OpGt scanned %d postings; seek should skip the %d-row equal run", gt.Scanned, res.DupRun)
+	// Rows each plan scans and returns, and whether it must stream in
+	// index order. gt_over_dup_run's seek skips a 10,000-row equal run;
+	// forcescan_sort_reference is the full scan the others are measured
+	// against.
+	for _, w := range []struct {
+		name          string
+		scanned, rows int
+		ordered       bool
+	}{
+		{"newest_after_cutoff_desc", 50, 50, true},
+		{"after_cutoff_asc_paged", 75, 50, true},
+		{"gt_over_dup_run", 25, 25, false},
+		{"eq_city_sorted", 20, 20, true},
+		{compositeCase, 61, 5, true},
+		{"forcescan_sort_reference", 20000, 50, false},
+	} {
+		c := res.Case(w.name)
+		if c == nil {
+			t.Errorf("%s: case missing", w.name)
+			continue
+		}
+		if c.Scanned > w.scanned || c.Rows != w.rows {
+			t.Errorf("%s scanned %d rows and returned %d, want at most %d and %d", w.name, c.Scanned, c.Rows, w.scanned, w.rows)
+		}
+		if w.ordered && !c.Ordered {
+			t.Errorf("%s sorted its result, want it streamed in index order", w.name)
+		}
 	}
 	if !strings.Contains(res.Format(), "ordered") {
 		t.Error("Format() missing planner columns")
-	}
-	if len(res.BenchMetrics()) == 0 {
-		t.Error("no bench metrics emitted")
 	}
 	// The table, a third of its rows updated once, and a quarter of them
 	// twinned by a scratch row inserted and deleted.
 	if want := 1 + 20000 + 6667 + 2*5000; res.ReplayRecords != want || res.ReplayAllocsPerRecord <= 0 {
 		t.Errorf("replayed %d records (%.1f allocs each), want %d", res.ReplayRecords, res.ReplayAllocsPerRecord, want)
 	}
+	// Replay allocates per record, not through a pool, so this holds
+	// under -race as well.
+	if got, bound := res.ReplayAllocsPerRecord, 9.595*1.05; got > bound {
+		t.Errorf("replay allocates %.3f per record, want at most %.3f", got, bound)
+	}
 }
 
-func TestSloburnDetectionAndIsolation(t *testing.T) {
-	res, err := Sloburn(300)
+// TestMultiTenant is Experiment E22: auth adds no allocation to a
+// prediction, the authed predict and registry paths keep their allocation
+// counts, and a flooding tenant is clipped at its burst while the quiet
+// one loses nothing.
+func TestMultiTenant(t *testing.T) {
+	res, err := MultiTenant(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DetectTicks <= 0 || res.DetectTicks > 15 {
-		t.Fatalf("detected in %d ticks, want a prompt fast-window trip", res.DetectTicks)
+	if !raceEnabled {
+		if extra := res.PredictExtraAllocs(); extra >= 0.5 {
+			t.Errorf("auth costs %.2f allocs/op on the predict path, want 0", extra)
+		}
+		if got, bound := res.OnAllocs, 30.024*1.05; got > bound {
+			t.Errorf("authed predict allocates %.3f per request, want at most %.3f", got, bound)
+		}
+		if got, bound := res.RegOnAllocs, 36.047*1.05; got > bound {
+			t.Errorf("authed GET /v1/models/{id} allocates %.3f per request, want at most %.3f", got, bound)
+		}
+	}
+	if res.NoisyAllowed > 10 || res.NoisyRejected < 40 {
+		t.Errorf("noisy tenant: %d admitted, %d rejected, want 10 and 40 (burst 10 of 50)", res.NoisyAllowed, res.NoisyRejected)
+	}
+	if r := res.QuietOKRatio(); r != 1 {
+		t.Errorf("quiet tenant ok ratio %.2f, want 1", r)
+	}
+	if !strings.Contains(res.Format(), "noisy neighbor") {
+		t.Error("Format() missing the isolation row")
+	}
+}
+
+func TestSloburnDetectionAndIsolation(t *testing.T) {
+	res, err := Sloburn(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DetectTicks <= 0 || res.DetectTicks > 9 {
+		t.Fatalf("detected in %d ticks, want a fast-window trip within 9", res.DetectTicks)
 	}
 	if res.BreachSeverity != "fast" {
 		t.Fatalf("severity = %q, want fast (sharp outage must trip the fast pair first)", res.BreachSeverity)
@@ -465,11 +546,11 @@ func TestSloburnDetectionAndIsolation(t *testing.T) {
 	if res.QuietBreached || res.QuietBudget != 1 {
 		t.Fatalf("quiet tenant damaged: budget %.3f breached=%v", res.QuietBudget, res.QuietBreached)
 	}
-	if res.RecoveryTicks <= 0 {
-		t.Fatal("breach never cleared after the fault was removed")
+	if res.RecoveryTicks <= 0 || res.RecoveryTicks > 5 {
+		t.Fatalf("breach cleared %d ticks after the fault was removed, want 1 to 5", res.RecoveryTicks)
 	}
-	if extra := res.REDExtraAllocs(); extra > 0.5 {
-		t.Fatalf("auth+RED cost %.1f allocs/op on the predict path, want 0", extra)
+	if extra := res.REDExtraAllocs(); extra >= 0.5 && !raceEnabled {
+		t.Fatalf("auth+RED cost %.2f allocs/op on the predict path, want 0", extra)
 	}
 	if !strings.Contains(res.Format(), "breached after") {
 		t.Error("Format() missing detection verdict")
@@ -477,7 +558,7 @@ func TestSloburnDetectionAndIsolation(t *testing.T) {
 }
 
 func TestIncidentCaptureDebounceAndDurability(t *testing.T) {
-	res, err := IncidentCapture(300)
+	res, err := IncidentCapture(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,14 +569,17 @@ func TestIncidentCaptureDebounceAndDurability(t *testing.T) {
 		t.Fatalf("debounce: captures=%d suppressed=%d for %d events, want 1/%d",
 			res.Captures, res.Suppressed, res.BurnEvents, res.BurnEvents-1)
 	}
+	if res.Errors != 0 {
+		t.Fatalf("%d capture errors", res.Errors)
+	}
 	if res.BundlePartial {
 		t.Fatal("bundle marked partial with a live gateway")
 	}
 	if !res.RestartOK {
 		t.Fatal("bundle did not survive the store reopen")
 	}
-	if extra := res.RecorderExtraAllocs(); extra > 0.5 {
-		t.Fatalf("armed recorder cost %.1f allocs/op on the predict path, want 0", extra)
+	if extra := res.RecorderExtraAllocs(); extra >= 0.5 && !raceEnabled {
+		t.Fatalf("armed recorder cost %.2f allocs/op on the predict path, want 0", extra)
 	}
 	if !strings.Contains(res.Format(), "suppressed") {
 		t.Error("Format() missing debounce verdict")
@@ -503,7 +587,7 @@ func TestIncidentCaptureDebounceAndDurability(t *testing.T) {
 }
 
 func TestProfileRegressionClosedLoop(t *testing.T) {
-	res, err := ProfileRegression(300)
+	res, err := ProfileRegression(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,8 +606,8 @@ func TestProfileRegressionClosedLoop(t *testing.T) {
 	if res.FleetProcesses != 2 {
 		t.Fatalf("fleet view covers %d processes, want 2", res.FleetProcesses)
 	}
-	if extra := res.ProfilerExtraAllocs(); extra > 0.5 {
-		t.Fatalf("armed profiler cost %.1f allocs/op on the predict path, want 0", extra)
+	if extra := res.ProfilerExtraAllocs(); extra >= 0.5 && !raceEnabled {
+		t.Fatalf("armed profiler cost %.2f allocs/op on the predict path, want 0", extra)
 	}
 	if !strings.Contains(res.Format(), "armed allocs/op") {
 		t.Error("Format() missing the hot-path cost row")

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/benchfmt"
 	"gallery/internal/blobstore"
 	"gallery/internal/clock"
 	"gallery/internal/core"
@@ -85,29 +84,6 @@ func (r *IncidentCaptureResult) Format() string {
 	fmt.Fprintf(&b, "  predict hot path (%d ops): recorder off allocs/op=%.1f; armed allocs/op=%.1f (extra %+.1f)\n",
 		r.AllocOps, r.OffAllocs, r.OnAllocs, r.RecorderExtraAllocs())
 	return b.String()
-}
-
-// BenchMetrics emits BENCH_incidentcapture.json. The debounce and
-// durability outcomes are counter arithmetic over seeded traffic and gate
-// exactly; the bundle's size depends on ring contents and is only printed.
-func (r *IncidentCaptureResult) BenchMetrics() []benchfmt.Metric {
-	partial := 0.0
-	if r.BundlePartial {
-		partial = 1
-	}
-	restart := 0.0
-	if r.RestartOK {
-		restart = 1
-	}
-	return []benchfmt.Metric{
-		{Name: "burn_events", Unit: "events", Value: float64(r.BurnEvents), Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "bundles_persisted", Unit: "bundles", Value: float64(r.Captures), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "captures_suppressed", Unit: "events", Value: float64(r.Suppressed), Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "capture_errors", Value: float64(r.Errors), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "bundle_partial", Value: partial, Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "bundle_survives_restart", Value: restart, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "predict_recorder_extra_allocs_per_op", Unit: "allocs/op", Value: wholeAllocs(r.RecorderExtraAllocs()), Better: benchfmt.LowerIsBetter, Tol: 0.5},
-	}
 }
 
 // IncidentCapture runs E24 with n measured ops per predict-cost arm.

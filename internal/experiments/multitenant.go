@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/benchfmt"
 	"gallery/internal/clock"
 	"gallery/internal/core"
 	"gallery/internal/forecast"
@@ -73,24 +72,6 @@ func (r *MultiTenantResult) Format() string {
 	fmt.Fprintf(&b, "noisy neighbor (frozen clock, noisy burst=10): noisy %d/%d admitted, %d rejected 429; quiet %d/%d ok (isolation %.2f)\n",
 		r.NoisyAllowed, r.NoisySent, r.NoisyRejected, r.QuietOK, r.QuietSent, r.QuietOKRatio())
 	return b.String()
-}
-
-// BenchMetrics emits BENCH_multitenant.json: allocation counts and the
-// rate-limiter's exact admit/reject split. The registry arm gates its
-// authed count alone: auth=off runs withActor, which auth=on skips, so
-// their difference is not the cost of auth (and reads negative).
-func (r *MultiTenantResult) BenchMetrics() []benchfmt.Metric {
-	return []benchfmt.Metric{
-		// The tentpole claim: zero extra allocs on the authed predict path.
-		{Name: "predict_auth_extra_allocs_per_op", Unit: "allocs/op", Value: wholeAllocs(r.PredictExtraAllocs()), Better: benchfmt.LowerIsBetter, Tol: 0.5},
-		// Absolute counts. Ten runs spread 0.03 allocs/op around 34 and 39;
-		// tol 0.05 (about 1.7 allocs) passes +1 alloc/op and fails +2.
-		{Name: "predict_auth_on_allocs_per_op", Unit: "allocs/op", Value: r.OnAllocs, Better: benchfmt.LowerIsBetter, Tol: 0.05},
-		{Name: "registry_auth_on_allocs_per_op", Unit: "allocs/op", Value: r.RegOnAllocs, Better: benchfmt.LowerIsBetter, Tol: 0.05},
-		{Name: "noisy_allowed", Unit: "reqs", Value: float64(r.NoisyAllowed), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "noisy_rejected", Unit: "reqs", Value: float64(r.NoisyRejected), Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "quiet_ok_ratio", Value: r.QuietOKRatio(), Better: benchfmt.HigherIsBetter, Tol: 0.01},
-	}
 }
 
 // MultiTenant runs E22 with n measured ops per hot-path arm.

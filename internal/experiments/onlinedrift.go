@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/benchfmt"
 	"gallery/internal/core"
 	"gallery/internal/forecast"
 	"gallery/internal/health"
@@ -182,18 +181,4 @@ func (r *OnlineDriftResult) Format() string {
 	fmt.Fprintf(&b, "degraded at window %d; retrain rule fired %d time(s)\n",
 		r.DegradedAt, r.RetrainFired)
 	return b.String()
-}
-
-// BenchMetrics emits BENCH_onlinedrift.json metrics. The detection
-// outcome (which window degraded, whether the retrain rule fired) is
-// deterministic given the seeds, so it gates; PSI values are printed.
-func (r *OnlineDriftResult) BenchMetrics() []benchfmt.Metric {
-	fired := 0.0
-	if r.RetrainFired > 0 {
-		fired = 1
-	}
-	return []benchfmt.Metric{
-		{Name: "degraded_at_window", Unit: "window", Value: float64(r.DegradedAt), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "retrain_fired", Value: fired, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-	}
 }

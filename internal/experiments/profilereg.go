@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/benchfmt"
 	"gallery/internal/blobstore"
 	"gallery/internal/client"
 	"gallery/internal/clock"
@@ -86,28 +85,6 @@ func (r *ProfileRegResult) Format() string {
 	fmt.Fprintf(&b, "  predict hot path (%d ops): profiler off allocs/op=%.1f; armed allocs/op=%.1f (extra %+.1f)\n",
 		r.AllocOps, r.OffAllocs, r.OnAllocs, r.ProfilerExtraAllocs())
 	return b.String()
-}
-
-// BenchMetrics emits BENCH_profilereg.json. The detection and
-// closed-loop outcomes are binary and gate exactly; how many windows the
-// detector took and the hog's sampled share depend on the CPU sampler and
-// are only printed.
-func (r *ProfileRegResult) BenchMetrics() []benchfmt.Metric {
-	named := 0.0
-	if strings.Contains(r.HogFunction, "profileregHogEncode") {
-		named = 1
-	}
-	history := 0.0
-	if r.BundleProfiles > 0 {
-		history = 1
-	}
-	return []benchfmt.Metric{
-		{Name: "detector_named_hog", Value: named, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "bundles_persisted", Unit: "bundles", Value: float64(r.Bundles), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "bundle_has_profile_history", Value: history, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "fleet_processes", Unit: "processes", Value: float64(r.FleetProcesses), Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "predict_profiler_extra_allocs_per_op", Unit: "allocs/op", Value: wholeAllocs(r.ProfilerExtraAllocs()), Better: benchfmt.LowerIsBetter, Tol: 0.5},
-	}
 }
 
 // profileregWindow keeps E25's CPU windows short: at the default 100 Hz

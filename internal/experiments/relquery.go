@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"gallery/internal/benchfmt"
 	"gallery/internal/relstore"
 	"gallery/internal/wal"
 )
@@ -337,28 +336,4 @@ func (r *RelQueryResult) Format() string {
 	}
 	fmt.Fprintf(&b, "  replay: %d records, %.1f allocs per record\n", r.ReplayRecords, r.ReplayAllocsPerRecord)
 	return b.String()
-}
-
-// BenchMetrics emits the experiment's BENCH_relquery.json metrics: the
-// deterministic scanned counts and planner verdicts. Returned rows and
-// candidates are cross-checked above and printed.
-func (r *RelQueryResult) BenchMetrics() []benchfmt.Metric {
-	ms := []benchfmt.Metric{
-		{Name: "replay_allocs_per_record", Unit: "allocs", Value: r.ReplayAllocsPerRecord, Better: benchfmt.LowerIsBetter, Tol: 0.05},
-	}
-	for _, c := range r.Cases {
-		ms = append(ms,
-			benchfmt.Metric{Name: c.Name + "_rows_scanned", Unit: "rows", Value: float64(c.Scanned), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		)
-		ordered := 0.0
-		if c.Ordered {
-			ordered = 1
-		}
-		// Gate the planner verdict on the paths that must stream.
-		switch c.Name {
-		case "newest_after_cutoff_desc", "after_cutoff_asc_paged", "eq_city_sorted", compositeCase:
-			ms = append(ms, benchfmt.Metric{Name: c.Name + "_ordered", Value: ordered, Better: benchfmt.HigherIsBetter, Tol: 0.01})
-		}
-	}
-	return ms
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"gallery/internal/benchfmt"
 	"gallery/internal/core"
 	"gallery/internal/uuid"
 )
@@ -132,21 +131,6 @@ func scaleTier(n int) (ScaleResult, error) {
 	}
 	res.LineageLen = len(lineage)
 	return res, nil
-}
-
-// ScaleBenchMetrics emits BENCH_scale.json gates for a tier sweep: the
-// deterministic result counts. Throughput and latency stay in the printed
-// table.
-func ScaleBenchMetrics(rs []ScaleResult) []benchfmt.Metric {
-	var ms []benchfmt.Metric
-	for _, r := range rs {
-		prefix := fmt.Sprintf("tier%d_", r.Instances)
-		ms = append(ms,
-			benchfmt.Metric{Name: prefix + "search_results", Unit: "rows", Value: float64(r.SearchResults), Better: benchfmt.HigherIsBetter, Tol: 0.01},
-			benchfmt.Metric{Name: prefix + "lineage_len", Unit: "rows", Value: float64(r.LineageLen), Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		)
-	}
-	return ms
 }
 
 // FormatScale renders the tier table.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/benchfmt"
 	"gallery/internal/core"
 	"gallery/internal/forecast"
 	"gallery/internal/obs"
@@ -189,18 +188,4 @@ func servingStorm(gw *serve.Gateway, modelID string, fctx forecast.Context, clie
 		return fmt.Errorf("dropped %d predictions", n)
 	}
 	return nil
-}
-
-// BenchMetrics emits the experiment's BENCH_serving.json gates: heap
-// allocations per prediction (0: the predict path allocates nothing), and
-// whether the swap reached traffic.
-func (r *ServingResult) BenchMetrics() []benchfmt.Metric {
-	swap := 0.0
-	if r.SwapServed {
-		swap = 1
-	}
-	return []benchfmt.Metric{
-		{Name: "predict_allocs_per_op", Unit: "allocs/op", Value: wholeAllocs(r.AllocsPerOp), Better: benchfmt.LowerIsBetter, Tol: 0.5},
-		{Name: "swap_served", Value: swap, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-	}
 }

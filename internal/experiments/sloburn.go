@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/benchfmt"
 	"gallery/internal/blobstore"
 	"gallery/internal/clock"
 	"gallery/internal/core"
@@ -74,29 +73,6 @@ func (r *SloburnResult) Format() string {
 	fmt.Fprintf(&b, "  predict hot path (%d ops): plain allocs/op=%.1f; auth+RED allocs/op=%.1f (extra %+.1f)\n",
 		r.AllocOps, r.OffAllocs, r.OnAllocs, r.REDExtraAllocs())
 	return b.String()
-}
-
-// BenchMetrics emits BENCH_sloburn.json. Burn detection is pure counter
-// arithmetic over seeded traffic, so the tick counts and isolation
-// outcomes gate exactly; the alloc delta gates on benchfmt's
-// zero-baseline path like E22.
-func (r *SloburnResult) BenchMetrics() []benchfmt.Metric {
-	fired := 0.0
-	if r.RuleFired > 0 {
-		fired = 1
-	}
-	breached := 0.0
-	if r.QuietBreached {
-		breached = 1
-	}
-	return []benchfmt.Metric{
-		{Name: "burn_detection_ticks", Unit: "ticks", Value: float64(r.DetectTicks), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "burn_recovery_ticks", Unit: "ticks", Value: float64(r.RecoveryTicks), Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "burn_rule_fired", Value: fired, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "quiet_budget_remaining", Value: r.QuietBudget, Better: benchfmt.HigherIsBetter, Tol: 0.01},
-		{Name: "quiet_breached", Value: breached, Better: benchfmt.LowerIsBetter, Tol: 0.01},
-		{Name: "predict_red_extra_allocs_per_op", Unit: "allocs/op", Value: wholeAllocs(r.REDExtraAllocs()), Better: benchfmt.LowerIsBetter, Tol: 0.5},
-	}
 }
 
 var errBlobFault = errors.New("sloburn: injected blob fault")

@@ -31,8 +31,8 @@ const (
 )
 
 // Baseline is the checked-in per-process profile expectation
-// (PROFILE_<process>.json, the benchfmt idiom): the self-share each
-// known-hot function is allowed before the detector calls a regression.
+// (PROFILE_<process>.json): the self-share each known-hot function is
+// allowed before the detector calls a regression.
 // Shares are machine-portable the way allocation counts are — a
 // function's fraction of total CPU is a property of the code path, not
 // the clock — which is what makes a committed baseline meaningful.
