@@ -107,7 +107,7 @@ func (c *Client) do(method, path string, in, out any) error {
 func (c *Client) doCtx(ctx context.Context, method, path string, in, out any) error {
 	var payload []byte
 	if in != nil {
-		b, err := json.Marshal(in)
+		b, err := api.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("client: encode request: %w", err)
 		}
@@ -176,7 +176,7 @@ func (c *Client) once(ctx context.Context, method, path string, hasBody bool, pa
 		req.Header.Set("Authorization", "Bearer "+c.opts.Token)
 	}
 	if span != nil {
-		req.Header.Set("traceparent", span.Traceparent())
+		req.Header.Set(trace.TraceparentHeader, span.Traceparent())
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -208,7 +208,7 @@ func (c *Client) once(ctx context.Context, method, path string, hasBody bool, pa
 			*raw = data
 			return nil
 		}
-		if err := json.Unmarshal(data, out); err != nil {
+		if err := api.Unmarshal(data, out); err != nil {
 			return fmt.Errorf("client: decode response: %w", err)
 		}
 	}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -317,14 +318,14 @@ func TestGallerydAssembly(t *testing.T) {
 	// One request per subsystem lands in this daemon's registry: the SLO
 	// evaluator reads the RED series the server records...
 	must(t, second(c.CreateSLO(api.CreateSLORequest{Namespace: "default", Kind: "availability", Target: 0.99})))
-	gd.slo.Evaluate(t.Context()) // the first tick only anchors the window
+	gd.slo.Evaluate(context.Background()) // the first tick only anchors the window
 	for range 3 {
 		must(t, second(c.GetModel(m.ID)))
 	}
 	if _, err := c.SelectModel("no-such-rule", api.SearchRequest{}); err == nil {
 		t.Fatal("selecting with an unknown rule succeeded")
 	}
-	gd.slo.Evaluate(t.Context())
+	gd.slo.Evaluate(context.Background())
 	st, err := c.SLOStatus()
 	if err != nil || len(st) != 1 || st[0].BudgetRemaining >= 1 {
 		t.Fatalf("SLO status = %+v, %v; want one objective whose budget the failed request spent", st, err)

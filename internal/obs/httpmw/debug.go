@@ -2,7 +2,6 @@ package httpmw
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -125,22 +124,28 @@ func ParseSince(v string) (time.Time, error) {
 
 // jsonBufPool amortizes encode buffers across responses: each is staged
 // in a pooled buffer so Content-Length can be set and the write happens in
-// one syscall, instead of json.Encoder allocating per call.
+// one syscall.
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// WriteJSON writes v as a JSON response with status.
+// WriteJSON writes v as a JSON response with status: the wire codec's
+// bytes for the types api.Encode knows, encoding/json's for the rest.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer jsonBufPool.Put(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := api.Encode(buf, v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	WriteEncoded(w, status, buf.Bytes())
+}
+
+// WriteEncoded answers with status and body, an encoded JSON value.
+func WriteEncoded(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // WriteError answers with status and err in the api.Error body both

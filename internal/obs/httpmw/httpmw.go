@@ -16,9 +16,6 @@ import (
 	"gallery/internal/obs/trace"
 )
 
-// TraceparentHeader is the propagation header name (W3C Trace Context).
-const TraceparentHeader = "traceparent"
-
 // PromContentType is the Content-Type both daemons send on
 // /v1/debug/metrics/prom (text exposition format 0.0.4).
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -135,7 +132,7 @@ func Wrap(next http.Handler, o Options) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ctx, span := o.Tracer.StartRoot(r.Context(), r.Method+" "+r.URL.Path, r.Header.Get(TraceparentHeader))
+		ctx, span := o.Tracer.StartRoot(r.Context(), r.Method+" "+r.URL.Path, r.Header.Get(trace.TraceparentHeader))
 		if span != nil {
 			r = r.WithContext(ctx)
 		}

@@ -22,6 +22,7 @@ package profile
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -113,9 +114,12 @@ type Config struct {
 }
 
 // Profiler runs the capture loop. All methods are safe for concurrent
-// use. Only one CPU profile can run per process — when something else
-// (an operator's /v1/debug/pprof/profile pull) holds it, the window is
-// skipped and counted, never fought over.
+// use. Only one CPU profile can run per process, and an operator's pull
+// wins it: HandOffCPU ends the in-flight window early (its partial
+// summary is dropped and counted as a capture error), and windows due
+// while the pull runs are skipped and counted the same way. Something
+// else holding the profile (a test's, a pull not made through
+// HandOffCPU) also makes a window skip, never fight.
 type Profiler struct {
 	cfg  Config
 	ring *Ring
@@ -233,21 +237,85 @@ func (p *Profiler) CaptureCycle() []Summary {
 	return out
 }
 
+// cpuOwner is the process-wide hand-off of the one CPU profile between
+// the profilers' windows and operators' pulls.
+var cpuOwner struct {
+	mu      sync.Mutex
+	pulls   int           // pulls in progress; no window starts meanwhile
+	preempt chan struct{} // closed to end the in-flight window; nil when none runs
+	stopped chan struct{} // closed once that window has stopped profiling
+}
+
+var errPreempted = errors.New("profile: cpu window handed to an operator's pull")
+
+// HandOffCPU makes way for an operator's CPU profile: it ends the
+// in-flight window, if any, waits until that window has stopped the
+// runtime profiler, and keeps new windows from starting until release is
+// called. The pull itself can still fail if something other than a
+// Profiler holds the profile.
+func HandOffCPU() (release func()) {
+	cpuOwner.mu.Lock()
+	cpuOwner.pulls++
+	preempt, stopped := cpuOwner.preempt, cpuOwner.stopped
+	cpuOwner.preempt = nil
+	cpuOwner.mu.Unlock()
+	if preempt != nil {
+		close(preempt)
+		<-stopped
+	}
+	return func() {
+		cpuOwner.mu.Lock()
+		cpuOwner.pulls--
+		cpuOwner.mu.Unlock()
+	}
+}
+
+// startWindow starts CPU profiling into buf at hz unless an operator's
+// pull holds the profile, and registers the window for HandOffCPU.
+func startWindow(buf *bytes.Buffer, hz int) (preempt, stopped chan struct{}, err error) {
+	cpuOwner.mu.Lock()
+	defer cpuOwner.mu.Unlock()
+	if cpuOwner.pulls > 0 {
+		return nil, nil, errPreempted
+	}
+	if hz != DefaultHz {
+		runtime.SetCPUProfileRate(hz)
+	}
+	if err := pprof.StartCPUProfile(buf); err != nil {
+		return nil, nil, err
+	}
+	preempt, stopped = make(chan struct{}), make(chan struct{})
+	cpuOwner.preempt, cpuOwner.stopped = preempt, stopped
+	return preempt, stopped, nil
+}
+
 // captureCPU samples CPU for one window and folds the profile.
 func (p *Profiler) captureCPU() (Summary, error) {
 	var buf bytes.Buffer
-	if p.cfg.Hz != DefaultHz {
-		runtime.SetCPUProfileRate(p.cfg.Hz)
-	}
 	start := time.Now()
-	if err := pprof.StartCPUProfile(&buf); err != nil {
+	preempt, stopped, err := startWindow(&buf, p.cfg.Hz)
+	if err != nil {
 		return Summary{}, err
 	}
 	select {
 	case <-time.After(p.cfg.Window):
 	case <-p.quit:
+	case <-preempt:
 	}
+	// Stopped under the lock, so a pull that no longer finds this window
+	// registered finds the profile free.
+	cpuOwner.mu.Lock()
 	pprof.StopCPUProfile()
+	if cpuOwner.preempt == preempt {
+		cpuOwner.preempt = nil
+	}
+	cpuOwner.mu.Unlock()
+	close(stopped)
+	select {
+	case <-preempt:
+		return Summary{}, errPreempted
+	default:
+	}
 	end := time.Now()
 	s, err := Summarize(buf.Bytes(), KindCPU, p.cfg.TopN)
 	if err != nil {

@@ -381,6 +381,11 @@ func (t *Tracer) finish(s *Span, data SpanData) {
 
 // --- traceparent ---
 
+// TraceparentHeader is the propagation header name (W3C Trace Context),
+// in canonical form: Header.Get and Set canonicalize any other spelling
+// into a new string on every call.
+const TraceparentHeader = "Traceparent"
+
 // ErrTraceparent reports a malformed traceparent header.
 var ErrTraceparent = errors.New("trace: malformed traceparent")
 

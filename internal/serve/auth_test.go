@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,7 +26,7 @@ func TestGatewayAuthorizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := t.Context()
+	ctx := context.Background()
 	secret, tok, err := tm.MintToken(ctx, tenant.DefaultNamespace, "rt", tenant.RoleReader)
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"sync"
 	"time"
 
+	"gallery/internal/api"
 	"gallery/internal/client"
 	"gallery/internal/forecast"
 	"gallery/internal/incident"
@@ -205,8 +209,63 @@ func (h *Handler) servePredict(w http.ResponseWriter, r *http.Request, modelID s
 		httpmw.WriteError(w, status, err)
 		return status
 	}
-	writePredictResponse(w, resp)
+	s.writeResponse(w, resp)
 	return http.StatusOK
+}
+
+// maxPredictBody is the largest predict body served; one byte more is a 413.
+const maxPredictBody = 4 << 20
+
+// Scratch grown past these by one large request is dropped, not pooled.
+const (
+	maxPooledBody   = 64 << 10
+	maxPooledPoints = 8 << 10
+)
+
+// predictScratch is one request's buffers: its body, the slices the
+// decoded request borrows until release, and the encoded response.
+type predictScratch struct {
+	body   bytes.Buffer
+	floats []float64
+	bools  []bool
+	out    []byte
+}
+
+var predictScratchPool = sync.Pool{
+	New: func() any {
+		return &predictScratch{floats: make([]float64, 0, 64), bools: make([]bool, 0, 64), out: make([]byte, 0, 256)}
+	},
+}
+
+func (s *predictScratch) release() {
+	if s.body.Cap() <= maxPooledBody && cap(s.floats) <= maxPooledPoints && cap(s.bools) <= maxPooledPoints {
+		predictScratchPool.Put(s)
+	}
+}
+
+// decode reads r to EOF and returns the request in it, exactly as
+// json.NewDecoder(r).Decode would have — except that it has then seen the
+// whole body, so a read error (a body over the limit) is reported even
+// when a complete request came first.
+func (s *predictScratch) decode(r io.Reader) (api.PredictRequest, error) {
+	s.body.Reset()
+	if _, err := s.body.ReadFrom(r); err != nil {
+		return api.PredictRequest{}, err
+	}
+	return api.DecodePredictRequest(s.body.Bytes(), &s.floats, &s.bools)
+}
+
+// writeResponse answers with resp, encoded into the scratch. A non-finite
+// value, which encoding/json refuses, goes to the generic writer and is a
+// 500.
+func (s *predictScratch) writeResponse(w http.ResponseWriter, resp api.PredictResponse) {
+	b, ok := api.AppendPredictResponse(s.out[:0], &resp)
+	if !ok {
+		httpmw.WriteJSON(w, http.StatusOK, resp)
+		return
+	}
+	s.out = append(b, '\n')
+	httpmw.WriteEncoded(w, http.StatusOK, s.out)
 }
 
 func (h *Handler) handleServing(w http.ResponseWriter, r *http.Request) {

@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"gallery/internal/api"
 	"gallery/internal/forecast"
@@ -22,7 +25,8 @@ func postPredict(h http.Handler, model string, body []byte) (int, []byte) {
 
 // TestPredictHandlerStatusAndText pins what a caller sees for each way a
 // predict can go, once on a body the scanner takes and once on an
-// equivalent one it hands to encoding/json (an unknown key forces that).
+// equivalent one it hands to encoding/json (an unknown key forces that;
+// api's TestDecodeFastPathCoverage pins which side each body falls on).
 // Malformed bodies are encoding/json's alone: the scanner never answers
 // for them.
 func TestPredictHandlerStatusAndText(t *testing.T) {
@@ -32,33 +36,29 @@ func TestPredictHandlerStatusAndText(t *testing.T) {
 
 	for _, tc := range []struct {
 		name, model, body string
-		fast              bool
 		status            int
 		want              string // the error text, or on 200 the value
 	}{
-		{"ok", "m1", `{"history":[1,3]}`, true, 200, "2"},
-		{"ok", "m1", `{"history":[1,3],"x":0}`, false, 200, "2"},
-		{"empty body", "m1", ``, false, 400, "decode request: EOF"},
-		{"blank body", "m1", " \n", false, 400, "decode request: EOF"},
-		{"non-object", "m1", `[1,3]`, false, 400, "decode request: json: cannot unmarshal array into Go value of type api.PredictRequest"},
-		{"truncated", "m1", `{"history":[1,3`, false, 400, "decode request: unexpected EOF"},
-		{"syntax error mid-array", "m1", `{"history":[1,3,x]}`, false, 400, "decode request: invalid character 'x' looking for beginning of value"},
-		{"wrong element type", "m1", `{"history":[1,"3"]}`, false, 400, "decode request: json: cannot unmarshal string into Go struct field PredictRequest.history of type float64"},
-		{"number out of range", "m1", `{"history":[1e999]}`, false, 400, "decode request: json: cannot unmarshal number 1e999 into Go struct field PredictRequest.history of type float64"},
-		{"bad time", "m1", `{"history":[1],"time":"noon"}`, false, 400, `decode request: parsing time "noon" as "2006-01-02T15:04:05Z07:00": cannot parse "noon" as "2006"`},
-		{"empty history", "m1", `{"history":[]}`, true, 400, "history must not be empty"},
-		{"empty history", "m1", `{}`, true, 400, "history must not be empty"},
-		{"empty history", "m1", `{"history":null}`, false, 400, "history must not be empty"},
-		{"empty history", "m1", `null`, false, 400, "history must not be empty"},
-		{"history_events mismatch", "m1", `{"history":[1,3],"history_events":[true]}`, true, 400, "history_events length 1 does not match history length 2"},
-		{"history_events mismatch", "m1", `{"history":[1,3],"history_events":[]}`, true, 400, "history_events length 0 does not match history length 2"},
-		{"history_events mismatch", "m1", `{"history":[1,3],"history_events":[true],"x":0}`, false, 400, "history_events length 1 does not match history length 2"},
-		{"unknown model", "nope", `{"history":[1,3]}`, true, 502, "serve: production version of model nope: model nope not found"},
-		{"unknown model", "nope", `{"history":[1,3],"x":0}`, false, 502, "serve: production version of model nope: model nope not found"},
+		{"ok", "m1", `{"history":[1,3]}`, 200, "2"},
+		{"ok", "m1", `{"history":[1,3],"x":0}`, 200, "2"},
+		{"empty body", "m1", ``, 400, "decode request: EOF"},
+		{"blank body", "m1", " \n", 400, "decode request: EOF"},
+		{"non-object", "m1", `[1,3]`, 400, "decode request: json: cannot unmarshal array into Go value of type api.PredictRequest"},
+		{"truncated", "m1", `{"history":[1,3`, 400, "decode request: unexpected EOF"},
+		{"syntax error mid-array", "m1", `{"history":[1,3,x]}`, 400, "decode request: invalid character 'x' looking for beginning of value"},
+		{"wrong element type", "m1", `{"history":[1,"3"]}`, 400, "decode request: json: cannot unmarshal string into Go struct field PredictRequest.history of type float64"},
+		{"number out of range", "m1", `{"history":[1e999]}`, 400, "decode request: json: cannot unmarshal number 1e999 into Go struct field PredictRequest.history of type float64"},
+		{"bad time", "m1", `{"history":[1],"time":"noon"}`, 400, `decode request: parsing time "noon" as "2006-01-02T15:04:05Z07:00": cannot parse "noon" as "2006"`},
+		{"empty history", "m1", `{"history":[]}`, 400, "history must not be empty"},
+		{"empty history", "m1", `{}`, 400, "history must not be empty"},
+		{"empty history", "m1", `{"history":null}`, 400, "history must not be empty"},
+		{"empty history", "m1", `null`, 400, "history must not be empty"},
+		{"history_events mismatch", "m1", `{"history":[1,3],"history_events":[true]}`, 400, "history_events length 1 does not match history length 2"},
+		{"history_events mismatch", "m1", `{"history":[1,3],"history_events":[]}`, 400, "history_events length 0 does not match history length 2"},
+		{"history_events mismatch", "m1", `{"history":[1,3],"history_events":[true],"x":0}`, 400, "history_events length 1 does not match history length 2"},
+		{"unknown model", "nope", `{"history":[1,3]}`, 502, "serve: production version of model nope: model nope not found"},
+		{"unknown model", "nope", `{"history":[1,3],"x":0}`, 502, "serve: production version of model nope: model nope not found"},
 	} {
-		if _, fast := decodeBoth(t, []byte(tc.body)); fast != tc.fast {
-			t.Errorf("%s %q: fast path = %v, want %v", tc.name, tc.body, fast, tc.fast)
-		}
 		status, raw := postPredict(h, tc.model, []byte(tc.body))
 		got := ""
 		if status == http.StatusOK {
@@ -113,4 +113,84 @@ func TestPredictBodyLimit(t *testing.T) {
 			t.Fatalf("pool handed back a %d-byte body buffer", s.body.Cap())
 		}
 	}
+}
+
+// TestDecodePredictRequestZeroAlloc is the gate beside the encoder's: once
+// the scratch is warm, reading and decoding a request allocates nothing.
+func TestDecodePredictRequestZeroAlloc(t *testing.T) {
+	start := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
+	hist := forecast.Generate(forecast.CityConfig{
+		Name: "sf", Base: 100, GrowthPerWeek: 3, DailyAmp: 20, WeeklyAmp: 10, NoiseStd: 2, Seed: 7,
+	}, start, time.Hour, 672).Values()
+	for name, req := range map[string]api.PredictRequest{
+		"h672":           {History: hist, Time: start},
+		"history_events": {History: hist[:48], Time: start, Event: true, HistoryEvents: make([]bool, 48)},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One scratch held across runs, as a warm pool hands it back; the
+		// pool itself drops a quarter of what it is given under -race.
+		s := predictScratchPool.New().(*predictScratch)
+		rd := bytes.NewReader(body)
+		var points int
+		allocs := testing.AllocsPerRun(200, func() {
+			rd.Reset(body)
+			req, err := s.decode(rd) // the encoding/json fallback allocates
+			if err != nil {
+				t.Fatal(err)
+			}
+			points = len(req.History)
+		})
+		if allocs != 0 || points == 0 {
+			t.Errorf("%s: pooled decode of %d points allocates %.1f per op, want 0", name, points, allocs)
+		}
+	}
+}
+
+// FuzzDecodePredictRequest is the differential test over hostile bytes, run
+// where the gateway decodes them: through a pooled scratch an earlier body
+// has dirtied. The checked-in corpus under testdata/fuzz replays in plain
+// `go test`. What the scanner accepts and what it hands to encoding/json
+// must both come out as encoding/json's own decode: the same error, type
+// and text, or the same request, floats by bit pattern and nil slices told
+// from empty ones.
+func FuzzDecodePredictRequest(f *testing.F) {
+	s := predictScratchPool.New().(*predictScratch)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want api.PredictRequest
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		got, gotErr := s.decode(bytes.NewReader(body))
+		if !bytes.Equal(s.body.Bytes(), body) {
+			t.Fatalf("decode read %d bytes of %d", s.body.Len(), len(body))
+		}
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("body %q: err = %v, encoding/json says %v", body, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			if gotErr.Error() != wantErr.Error() || fmt.Sprintf("%T", gotErr) != fmt.Sprintf("%T", wantErr) {
+				t.Fatalf("body %q: err = %T %v, encoding/json says %T %v", body, gotErr, gotErr, wantErr, wantErr)
+			}
+			var gs, ws *json.SyntaxError
+			if errors.As(wantErr, &ws) && (!errors.As(gotErr, &gs) || gs.Offset != ws.Offset) {
+				t.Fatalf("body %q: syntax error offset differs from encoding/json's %d", body, ws.Offset)
+			}
+			return
+		}
+		if len(got.History) != len(want.History) || (got.History == nil) != (want.History == nil) ||
+			(got.HistoryEvents == nil) != (want.HistoryEvents == nil) {
+			t.Fatalf("body %q: got %+v, encoding/json says %+v", body, got, want)
+		}
+		for i := range want.History {
+			if math.Float64bits(got.History[i]) != math.Float64bits(want.History[i]) {
+				t.Fatalf("body %q: history[%d] = %v, encoding/json says %v", body, i, got.History[i], want.History[i])
+			}
+		}
+		gb, _ := json.Marshal(got)
+		wb, _ := json.Marshal(want)
+		if !bytes.Equal(gb, wb) || got.Time.Location().String() != want.Time.Location().String() {
+			t.Fatalf("body %q: got %s, encoding/json says %s", body, gb, wb)
+		}
+	})
 }

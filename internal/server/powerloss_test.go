@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -112,7 +113,7 @@ func TestPowerLossKeepsEveryAcknowledgedWrite(t *testing.T) {
 	dial := func(secret string) *client.Client {
 		return client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Token: secret, Retries: 0})
 	}
-	rootSecret, _, err := tm.MintToken(t.Context(), tenant.DefaultNamespace, "root", tenant.RoleOperator)
+	rootSecret, _, err := tm.MintToken(context.Background(), tenant.DefaultNamespace, "root", tenant.RoleOperator)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -84,7 +85,7 @@ func newAuthHarness(t *testing.T) *authHarness {
 
 func (h *authHarness) mint(t *testing.T, ns, name string, role tenant.Role) string {
 	t.Helper()
-	secret, _, err := h.tm.MintToken(t.Context(), ns, name, role)
+	secret, _, err := h.tm.MintToken(context.Background(), ns, name, role)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestAuthReaderCannotMutate(t *testing.T) {
 
 func TestAuthRevokedTokenRejectedNextRequest(t *testing.T) {
 	h := newAuthHarness(t)
-	secret, tok, err := h.tm.MintToken(t.Context(), tenant.DefaultNamespace, "temp", tenant.RoleReader)
+	secret, tok, err := h.tm.MintToken(context.Background(), tenant.DefaultNamespace, "temp", tenant.RoleReader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +391,7 @@ func TestTenantAdminScoping(t *testing.T) {
 
 	// Token listing and revocation stay inside the namespace too: the maps
 	// operator cannot revoke a fraud token even by guessed ID.
-	fraudSecret, fraudTok, err := h.tm.MintToken(t.Context(), "fraud", "scorer", tenant.RoleReader)
+	fraudSecret, fraudTok, err := h.tm.MintToken(context.Background(), "fraud", "scorer", tenant.RoleReader)
 	if err != nil {
 		t.Fatal(err)
 	}
