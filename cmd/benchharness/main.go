@@ -10,7 +10,7 @@
 // Experiment names: table1, fig1, fig4, fig5-7, fig8, scale, switching,
 // deployment, simulation, drift, skew, consistency, classes, reposition,
 // serving, onlinedrift, auditchurn, relquery, multitenant, sloburn,
-// incidentcapture, profilereg, tiered.
+// incidentcapture, profilefleet, tiered.
 //
 // The harness prints; it does not judge. The exact counts, planner
 // verdicts and allocs/op figures these runs produce are asserted, at the
@@ -209,8 +209,8 @@ func main() {
 			}
 			return res.Format(), nil
 		}},
-		{"profilereg", "E25 (extension) — continuous profiling: baseline detection, rule-driven capture, fleet view", func() (string, error) {
-			res, err := experiments.ProfileRegression(2000)
+		{"profilefleet", "E25 (extension) — continuous profiling: fleet view over HTTP, armed-profiler cost", func() (string, error) {
+			res, err := experiments.ProfileFleet(2000)
 			if err != nil {
 				return "", err
 			}

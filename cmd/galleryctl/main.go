@@ -28,7 +28,7 @@
 //	stats
 //	metrics   [-prom]
 //	slo       create|list|delete|status ... (see `slo -h`)
-//	profile   top|diff|baseline ... (see `profile -h`)
+//	profile   top ... (see `profile top -h`)
 //	incident  list|get|trigger ... (see `incident -h`)
 //	traces    [-limit N | -id TRACE_ID] [-json]
 //	audit     [-entity UUID | -model UUID] [-action A] [-actor A] [-trace ID]

@@ -14,24 +14,12 @@ import (
 
 // cmdProfile inspects the continuous profiler's merged fleet view
 // (GET /v1/debug/profile): `top` renders the hottest functions per
-// process and kind, `diff` judges the live CPU picture against a
-// checked-in PROFILE_<process>.json baseline, and `baseline`
-// regenerates that file from the live view.
+// process and kind.
 func cmdProfile(c *client.Client, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: profile top|diff|baseline ... (see `profile <sub> -h`)")
+	if len(args) == 0 || args[0] != "top" {
+		return fmt.Errorf("usage: profile top ... (see `profile top -h`)")
 	}
-	sub, rest := args[0], args[1:]
-	switch sub {
-	case "top":
-		return profileTop(c, rest)
-	case "diff":
-		return profileDiff(c, rest)
-	case "baseline":
-		return profileBaseline(c, rest)
-	default:
-		return fmt.Errorf("unknown profile subcommand %q (want top, diff, or baseline)", sub)
-	}
+	return profileTop(c, args[1:])
 }
 
 func profileTop(c *client.Client, args []string) error {
@@ -114,96 +102,4 @@ func formatProfileValue(unit string, v int64) string {
 	default:
 		return fmt.Sprintf("%d", v)
 	}
-}
-
-func profileDiff(c *client.Client, args []string) error {
-	fs := flag.NewFlagSet("profile diff", flag.ExitOnError)
-	basePath := fs.String("baseline", "", "baseline file to judge against (PROFILE_<process>.json; required)")
-	merge := fs.Duration("merge", 0, "fold only windows ending within this duration (0 = all retained)")
-	factor := fs.Float64("factor", profile.DefaultFactor, "flag a function when live self-share exceeds baseline by this factor")
-	minShare := fs.Float64("min-share", profile.DefaultMinShare, "ignore functions below this absolute self-share")
-	newShare := fs.Float64("new-share", profile.DefaultNewShare, "assumed baseline share for functions the baseline never saw")
-	raw := fs.Bool("json", false, "print regressions as raw JSON")
-	fs.Parse(args)
-
-	if *basePath == "" {
-		return fmt.Errorf("profile diff: -baseline FILE is required")
-	}
-	base, err := profile.LoadBaseline(*basePath)
-	if err != nil {
-		return err
-	}
-	v, err := c.DebugProfile(*merge, 0)
-	if err != nil {
-		return err
-	}
-	live, windows, ok := findMerged(v, base.Process, base.Kind)
-	if !ok {
-		return fmt.Errorf("profile diff: no %s windows retained for process %q (is its profiler armed?)",
-			base.Kind, base.Process)
-	}
-	regs := profile.CompareBaseline(base, live, *factor, *minShare, *newShare)
-	if *raw {
-		if err := dump(regs, nil); err != nil {
-			return err
-		}
-	} else if len(regs) == 0 {
-		fmt.Printf("%s %s: no regressions against %s (%d window(s) folded)\n",
-			base.Process, base.Kind, *basePath, windows)
-	} else {
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "FACTOR\tSHARE\tBASELINE\tFUNCTION")
-		for _, r := range regs {
-			fmt.Fprintf(tw, "%.1fx\t%.1f%%\t%.1f%%\t%s\n",
-				r.Factor, r.Share*100, r.Baseline*100, r.Function)
-		}
-		tw.Flush()
-	}
-	if len(regs) > 0 {
-		return fmt.Errorf("profile diff: %d function(s) regressed against %s", len(regs), *basePath)
-	}
-	return nil
-}
-
-func profileBaseline(c *client.Client, args []string) error {
-	fs := flag.NewFlagSet("profile baseline", flag.ExitOnError)
-	proc := fs.String("process", "galleryd", "process whose merged CPU view becomes the baseline")
-	merge := fs.Duration("merge", 0, "fold only windows ending within this duration (0 = all retained)")
-	out := fs.String("out", "", "output path (default PROFILE_<process>.json; - prints to stdout)")
-	fs.Parse(args)
-
-	v, err := c.DebugProfile(*merge, 0)
-	if err != nil {
-		return err
-	}
-	live, windows, ok := findMerged(v, *proc, profile.KindCPU)
-	if !ok {
-		return fmt.Errorf("profile baseline: no cpu windows retained for process %q (is its profiler armed?)", *proc)
-	}
-	b := profile.BaselineOf(*proc, live)
-	if *out == "-" {
-		return dump(b, nil)
-	}
-	path := *out
-	if path == "" {
-		path = profile.BaselineFileName(*proc)
-	}
-	if err := profile.WriteBaselineFile(path, b); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d function(s) from %d window(s))\n", path, len(b.Shares), windows)
-	return nil
-}
-
-// findMerged pulls one process's merged summary of a kind out of a
-// fleet view.
-func findMerged(v profile.View, process, kind string) (profile.Summary, int, bool) {
-	for _, pv := range v.Processes {
-		if pv.Process != process {
-			continue
-		}
-		s, ok := pv.Merged[kind]
-		return s, pv.Windows[kind], ok
-	}
-	return profile.Summary{}, 0, false
 }

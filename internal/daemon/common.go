@@ -31,30 +31,21 @@ func (c *Common) tracer(process string, export func([]trace.SpanData)) (*trace.T
 }
 
 // profiler sets the opt-in lock-contention sampling rates (each costs a
-// little on every contended op) and builds the continuous profiler, armed
-// with a detector when a baseline is given and started when the interval
-// is positive.
-func (c *Common) profiler(process string, reg *obs.Registry, sink obs.EventFunc, export func(string, []profile.Summary)) (*profile.Profiler, error) {
+// little on every contended op) and builds the continuous profiler,
+// started when the interval is positive.
+func (c *Common) profiler(process string, reg *obs.Registry, export func(string, []profile.Summary)) *profile.Profiler {
 	if c.MutexProfileFraction > 0 {
 		runtime.SetMutexProfileFraction(c.MutexProfileFraction)
 	}
 	if c.BlockProfileRate > 0 {
 		runtime.SetBlockProfileRate(c.BlockProfileRate)
 	}
-	var detector *profile.Detector
-	if c.ProfileBaseline != "" {
-		base, err := profile.LoadBaseline(c.ProfileBaseline)
-		if err != nil {
-			return nil, fmt.Errorf("load profile baseline: %w", err)
-		}
-		detector = profile.NewDetector(profile.DetectorConfig{Baseline: base, Factor: c.ProfileFactor, Obs: reg, Sink: sink})
-	}
 	p := profile.New(profile.Config{Process: process, Window: c.ProfileWindow, Interval: c.ProfileInterval,
-		Hz: c.ProfileHz, Obs: reg, Detector: detector, Exporter: export})
+		Obs: reg, Exporter: export})
 	if c.ProfileInterval > 0 {
 		p.Start()
 	}
-	return p, nil
+	return p
 }
 
 // logging builds the log ring served at GET /v1/debug/logs and the

@@ -9,7 +9,6 @@ package daemon
 
 import (
 	"flag"
-	"fmt"
 	"time"
 
 	"gallery/internal/obs/profile"
@@ -27,16 +26,13 @@ type Common struct {
 	LogBuffer            int
 	ProfileInterval      time.Duration
 	ProfileWindow        time.Duration
-	ProfileHz            int
-	ProfileBaseline      string
-	ProfileFactor        float64
 	MutexProfileFraction int
 	BlockProfileRate     int
 	Auth                 bool
 	TokenFile            string
 }
 
-func (c *Common) flags(fs *flag.FlagSet, process, addr string) {
+func (c *Common) flags(fs *flag.FlagSet, addr string) {
 	fs.StringVar(&c.Addr, "addr", addr, "listen address")
 	fs.BoolVar(&c.AccessLog, "access-log", false, "write a JSON access-log line per request to stderr")
 	fs.StringVar(&c.TraceSample, "trace-sample", "errslow:250ms", "trace sampler: never | always | errslow:<dur> | <probability 0..1>")
@@ -46,9 +42,6 @@ func (c *Common) flags(fs *flag.FlagSet, process, addr string) {
 	fs.IntVar(&c.LogBuffer, "log-buffer", 1024, "structured log lines kept for /v1/debug/logs")
 	fs.DurationVar(&c.ProfileInterval, "profile-interval", profile.DefaultInterval, "continuous-profiler cycle period (negative disables the capture loop)")
 	fs.DurationVar(&c.ProfileWindow, "profile-window", profile.DefaultWindow, "CPU sampling window per profiler cycle")
-	fs.IntVar(&c.ProfileHz, "profile-hz", profile.DefaultHz, "CPU profile sample rate")
-	fs.StringVar(&c.ProfileBaseline, "profile-baseline", "", fmt.Sprintf("per-process CPU baseline JSON (PROFILE_%s.json); regressions against it show in the profile_regression gauge and, on galleryd, raise profile.regression rule events", process))
-	fs.Float64Var(&c.ProfileFactor, "profile-factor", profile.DefaultFactor, "flag a function when its CPU self-share exceeds baseline by this factor")
 	fs.IntVar(&c.MutexProfileFraction, "mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction: sample 1/n mutex contention events (0 disables)")
 	fs.IntVar(&c.BlockProfileRate, "block-profile-rate", 0, "runtime.SetBlockProfileRate: sample blocking events >= n ns (0 disables)")
 	fs.BoolVar(&c.Auth, "auth", false, "enforce the multi-tenant control plane: bearer tokens, roles, rate limits (galleryd also charges quotas; galleryserve needs -token-file)")
@@ -78,7 +71,7 @@ type GallerydConfig struct {
 
 // Flags registers galleryd's flags, with their defaults, on fs.
 func (c *GallerydConfig) Flags(fs *flag.FlagSet) {
-	c.Common.flags(fs, "galleryd", ":8440")
+	c.Common.flags(fs, ":8440")
 	fs.StringVar(&c.Data, "data", "gallery-data", "data directory for metadata WAL and blob replicas")
 	fs.BoolVar(&c.Mem, "mem", false, "run fully in memory (no durability)")
 	fs.BoolVar(&c.Fsync, "fsync", false, "fsync the metadata WAL before every acknowledgement: a 2xx on a mutating request means its records are on disk")
@@ -112,7 +105,7 @@ type GalleryserveConfig struct {
 
 // Flags registers galleryserve's flags, with their defaults, on fs.
 func (c *GalleryserveConfig) Flags(fs *flag.FlagSet) {
-	c.Common.flags(fs, "galleryserve", ":8441")
+	c.Common.flags(fs, ":8441")
 	fs.StringVar(&c.Gallery, "gallery", "http://localhost:8440", "galleryd base URL")
 	fs.DurationVar(&c.Refresh, "refresh", 5*time.Second, "production-pointer poll interval")
 	fs.IntVar(&c.MaxModels, "max-models", 64, "LRU bound on concurrently loaded models")

@@ -110,8 +110,8 @@ func TestFlagsMatchGolden(t *testing.T) {
 		flags  func(*flag.FlagSet)
 		fields int
 	}{
-		{"galleryd", &GallerydConfig{}, (&GallerydConfig{}).Flags, 32},
-		{"galleryserve", &GalleryserveConfig{}, (&GalleryserveConfig{}).Flags, 24},
+		{"galleryd", &GallerydConfig{}, (&GallerydConfig{}).Flags, 29},
+		{"galleryserve", &GalleryserveConfig{}, (&GalleryserveConfig{}).Flags, 21},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet(tc.name, flag.ContinueOnError)

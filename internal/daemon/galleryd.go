@@ -111,12 +111,9 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 	engine.RegisterAction("deploy", rules.DeployAction(d.reg))
 
 	// The local profiler exports into the fleet store gateways also ship
-	// into; its detector turns regressions into rule events.
+	// into.
 	fleet := profile.NewFleet(0)
-	profiler, err := cfg.profiler("galleryd", d.obs, engine.Event, fleet.Ingest)
-	if err != nil {
-		return nil, err
-	}
+	profiler := cfg.profiler("galleryd", d.obs, fleet.Ingest)
 	d.stops.add(noErr(profiler.Stop))
 
 	// The recorder tails the log ring; the health monitor and SLO evaluator

@@ -85,12 +85,9 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 
 	// Profile windows ship to galleryd's fleet store; the local ring serves
 	// GET /v1/debug/profile here and rides incident bundle pulls.
-	profiler, err := cfg.profiler("galleryserve", reg, nil, func(process string, summaries []profile.Summary) {
+	profiler := cfg.profiler("galleryserve", reg, func(process string, summaries []profile.Summary) {
 		ship.Export(obs.ChannelProfiles, func(ctx context.Context) error { return cl.ExportProfiles(ctx, process, summaries) })
 	})
-	if err != nil {
-		return nil, err
-	}
 	g.stops.add(noErr(profiler.Stop))
 
 	ring, accessLog := cfg.logging()

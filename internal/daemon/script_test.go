@@ -22,8 +22,8 @@ import (
 // ticks within the script except the profiler's, which would fight the
 // other daemon in the same test process for the one CPU profile.
 var (
-	scriptGallerydArgs     = []string{"-mem", "-auth", "-trace-sample", "always", "-profile-interval", "-1s", "-profile-baseline", "../../PROFILE_galleryserve.json", "-health-interval", "50ms", "-slo-interval", "50ms"}
-	scriptGalleryserveArgs = []string{"-auth", "-trace-sample", "always", "-profile-interval", "-1s", "-profile-baseline", "../../PROFILE_galleryserve.json", "-refresh", "50ms", "-health-flush", "50ms"}
+	scriptGallerydArgs     = []string{"-mem", "-auth", "-trace-sample", "always", "-profile-interval", "-1s", "-health-interval", "50ms", "-slo-interval", "50ms"}
+	scriptGalleryserveArgs = []string{"-auth", "-trace-sample", "always", "-profile-interval", "-1s", "-refresh", "50ms", "-health-flush", "50ms"}
 )
 
 // requestScript is the fixed request sequence behind the metric-family

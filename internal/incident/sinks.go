@@ -49,11 +49,8 @@ func (r *Recorder) Event(ctx context.Context, ev obs.Event) {
 // as action errors.
 func CaptureAction(r *Recorder) func(*rules.ActionContext) error {
 	return func(ac *rules.ActionContext) error {
-		t := Trigger{Kind: "rule", Reason: "rule " + ac.Rule.UUID}
-		if ac.Instance != nil {
-			t.ModelID = ac.Instance.ModelID.String()
-		}
-		t.TraceID = trace.FromContext(ac.Ctx).TraceIDString()
+		t := Trigger{Kind: "rule", Reason: "rule " + ac.Rule.UUID, ModelID: ac.Instance.ModelID.String(),
+			TraceID: trace.FromContext(ac.Ctx).TraceIDString()}
 		_, err := r.Trigger(ac.Ctx, t)
 		if errors.Is(err, ErrSuppressed) {
 			return nil

@@ -59,7 +59,6 @@ func TestRecorderEventSelects(t *testing.T) {
 		{Kind: "slo", Name: "recovered", ModelID: "m1"},
 		{Kind: "health", Name: "warning", ModelID: "m1", Fields: map[string]any{"from": "healthy", "reasons": "psi 0.15"}},
 		{Kind: "health", Name: "drift", ModelID: "m1", Fields: map[string]any{"psi": 0.4}},
-		{Kind: "profile", Name: "regression"},
 	} {
 		r.Event(ctx, ev)
 	}

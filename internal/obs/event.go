@@ -6,15 +6,15 @@ import (
 	"gallery/internal/uuid"
 )
 
-// Event is one signal a monitor publishes: a health verdict, an SLO burn,
-// a profile regression. Every publisher emits this one shape and every
-// subscriber — the rules engine, the incident recorder — takes it through
-// an EventFunc, so a new signal needs no new interface.
+// Event is one signal a monitor publishes: a health verdict or an SLO
+// burn. Every publisher emits this one shape and every subscriber — the
+// rules engine, the incident recorder — takes it through an EventFunc, so
+// a new signal needs no new interface.
 type Event struct {
-	// Kind names the publisher ("health", "slo", "profile"). It is the
-	// identifier a rule watches and the variable Fields are bound under.
+	// Kind names the publisher ("health", "slo"). It is the identifier a
+	// rule watches and the variable Fields are bound under.
 	Kind string
-	// Name is the event within its kind ("drift", "burn", "regression");
+	// Name is the event within its kind ("drift", "burn", "recovered");
 	// rules read it as <kind>.event.
 	Name string
 	// Namespace and ModelID scope the event; both empty means the whole

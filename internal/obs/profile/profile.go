@@ -11,19 +11,13 @@
 // The summaries are fleet-aware: a gateway ships its ring to galleryd
 // (through the process's one telemetry shipper, obs.Shipper, beside its
 // traces) where a Fleet store serves the merged per-process view at
-// GET /v1/debug/profile. A Detector compares
-// each fresh CPU window against a checked-in per-process baseline
-// (PROFILE_<process>.json) and raises profile.regression events into the
-// rules engine when a function's self-share blows past its baseline — so
-// a hot-path regression pages machinery, not a human rereading BENCH
-// files. The incident Recorder embeds the ring in bundles, giving every
-// capture pre-trigger history.
+// GET /v1/debug/profile. The incident Recorder embeds the ring in
+// bundles, giving every capture pre-trigger history.
 package profile
 
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"time"
@@ -44,10 +38,13 @@ const (
 const (
 	DefaultWindow   = 10 * time.Second
 	DefaultInterval = 60 * time.Second
-	DefaultHz       = 100
 	DefaultTopN     = 20
 	DefaultKeep     = 32
 )
+
+// KnownKind reports whether kind is one of the five Kind constants: the
+// only kinds a Ring accepts from outside the process.
+func KnownKind(kind string) bool { return kind == KindCPU || lookupNames[kind] != "" }
 
 // defaultKinds are the snapshot profiles captured each cycle alongside
 // the CPU window.
@@ -89,10 +86,6 @@ type Config struct {
 	// Interval is the cycle period (default 60s). Window is clamped to
 	// Interval when an operator configures them inverted.
 	Interval time.Duration
-	// Hz is the CPU sample rate (default 100). Non-default rates are set
-	// before StartCPUProfile, which pins 100 itself; the pre-set rate
-	// wins, at the cost of one runtime warning line on stderr per window.
-	Hz int
 	// TopN bounds functions retained per summary (default 20).
 	TopN int
 	// Keep bounds summaries retained per kind (default 32 — about half an
@@ -103,9 +96,6 @@ type Config struct {
 	Kinds []string
 	// Obs receives the profile_* counters; nil uses obs.Default.
 	Obs *obs.Registry
-	// Detector, when non-nil, checks each fresh CPU summary for
-	// regressions against its baseline.
-	Detector *Detector
 	// Exporter, when non-nil, receives each cycle's summaries on their way
 	// to the fleet view — Fleet.Ingest in-process on galleryd, the
 	// telemetry shipper's queue on a gateway. It runs on the capture loop,
@@ -146,9 +136,6 @@ func New(cfg Config) *Profiler {
 	}
 	if cfg.Window > cfg.Interval {
 		cfg.Window = cfg.Interval
-	}
-	if cfg.Hz <= 0 {
-		cfg.Hz = DefaultHz
 	}
 	if cfg.TopN <= 0 {
 		cfg.TopN = DefaultTopN
@@ -209,9 +196,9 @@ func (p *Profiler) loop() {
 }
 
 // CaptureCycle runs one full cycle synchronously — a CPU window plus the
-// snapshot kinds — adding every summary to the ring, consulting the
-// detector, and exporting. Exposed so tests and experiments drive the
-// profiler deterministically without the ticker.
+// snapshot kinds — adding every summary to the ring and exporting.
+// Exposed so tests and experiments drive the profiler deterministically
+// without the ticker.
 func (p *Profiler) CaptureCycle() []Summary {
 	var out []Summary
 	if s, err := p.captureCPU(); err == nil {
@@ -222,13 +209,6 @@ func (p *Profiler) CaptureCycle() []Summary {
 	out = append(out, p.CaptureSnapshots(time.Now())...)
 	for _, s := range out {
 		p.ring.Add(s)
-	}
-	if p.cfg.Detector != nil {
-		for _, s := range out {
-			if s.Kind == KindCPU {
-				p.cfg.Detector.Check(s)
-			}
-		}
 	}
 	if p.cfg.Exporter != nil && len(out) > 0 {
 		p.cfg.Exporter(p.cfg.Process, out)
@@ -270,16 +250,13 @@ func HandOffCPU() (release func()) {
 	}
 }
 
-// startWindow starts CPU profiling into buf at hz unless an operator's
-// pull holds the profile, and registers the window for HandOffCPU.
-func startWindow(buf *bytes.Buffer, hz int) (preempt, stopped chan struct{}, err error) {
+// startWindow starts CPU profiling into buf unless an operator's pull
+// holds the profile, and registers the window for HandOffCPU.
+func startWindow(buf *bytes.Buffer) (preempt, stopped chan struct{}, err error) {
 	cpuOwner.mu.Lock()
 	defer cpuOwner.mu.Unlock()
 	if cpuOwner.pulls > 0 {
 		return nil, nil, errPreempted
-	}
-	if hz != DefaultHz {
-		runtime.SetCPUProfileRate(hz)
 	}
 	if err := pprof.StartCPUProfile(buf); err != nil {
 		return nil, nil, err
@@ -293,7 +270,7 @@ func startWindow(buf *bytes.Buffer, hz int) (preempt, stopped chan struct{}, err
 func (p *Profiler) captureCPU() (Summary, error) {
 	var buf bytes.Buffer
 	start := time.Now()
-	preempt, stopped, err := startWindow(&buf, p.cfg.Hz)
+	preempt, stopped, err := startWindow(&buf)
 	if err != nil {
 		return Summary{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -449,6 +450,11 @@ func Summarize(data []byte, kind string, topN int) (Summary, error) {
 		v := s.values[vi]
 		if v == 0 {
 			continue
+		}
+		// The runtime writes no negative value, and a sum past int64
+		// would make the shares meaningless.
+		if v < 0 || v > math.MaxInt64-total {
+			return Summary{}, errMalformed
 		}
 		total += v
 		samples++

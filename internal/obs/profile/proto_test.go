@@ -50,8 +50,7 @@ func appendPacked(b []byte, field int, vs ...uint64) []byte {
 //
 // With the "cpu" column selected: fA self=125 cum=125, fB self=50
 // cum=50, fC self=0 cum=150, total=175.
-func testProfile(t *testing.T, packed bool) []byte {
-	t.Helper()
+func testProfile(packed bool) []byte {
 	var b []byte
 
 	vt := func(typ, unit uint64) []byte {
@@ -129,7 +128,7 @@ func statOf(t *testing.T, s Summary, name string) FuncStat {
 
 func TestSummarizeHandEncoded(t *testing.T) {
 	for _, packed := range []bool{true, false} {
-		s, err := Summarize(testProfile(t, packed), KindCPU, 10)
+		s, err := Summarize(testProfile(packed), KindCPU, 10)
 		if err != nil {
 			t.Fatalf("packed=%v: %v", packed, err)
 		}
@@ -160,7 +159,7 @@ func TestSummarizeHandEncoded(t *testing.T) {
 }
 
 func TestSummarizeTopNBound(t *testing.T) {
-	s, err := Summarize(testProfile(t, true), KindCPU, 1)
+	s, err := Summarize(testProfile(true), KindCPU, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,4 +250,40 @@ func TestSummarizeLiveSnapshots(t *testing.T) {
 			t.Fatalf("kind = %q, want %q", s.Kind, kind)
 		}
 	}
+}
+
+// FuzzSummarize feeds the pprof walker arbitrary protobuf bytes. The
+// seeds under testdata/fuzz/FuzzSummarize are runtime/pprof CPU, heap and
+// goroutine profiles with their gzip framing removed (so mutations reach
+// the protobuf), plus a truncated profile, an overlong varint and wrong
+// wire types. Summarize must never panic, and whatever it accepts must be
+// a well-formed summary: at most topN functions, ranked by Self, every
+// share a fraction, and the Self values summing to no more than Total.
+func FuzzSummarize(f *testing.F) {
+	f.Add(testProfile(true), KindCPU, 10)
+	f.Add(testProfile(false), KindCPU, 2)
+	f.Fuzz(func(t *testing.T, data []byte, kind string, topN int) {
+		s, err := Summarize(data, kind, topN)
+		if err != nil {
+			return
+		}
+		if topN > 0 && len(s.Top) > topN {
+			t.Fatalf("%d functions kept, topN %d", len(s.Top), topN)
+		}
+		var self int64
+		for i, fn := range s.Top {
+			if i > 0 && fn.Self > s.Top[i-1].Self {
+				t.Fatalf("Top not ranked by Self: %+v", s.Top)
+			}
+			for _, share := range []float64{fn.SelfShare, fn.CumShare} {
+				if !(share >= 0 && share <= 1) {
+					t.Fatalf("%s: share %v outside [0, 1] (total %d): %+v", fn.Name, share, s.Total, fn)
+				}
+			}
+			self += fn.Self
+			if fn.Self < 0 || self > s.Total {
+				t.Fatalf("Self values sum past Total %d: %+v", s.Total, s.Top)
+			}
+		}
+	})
 }

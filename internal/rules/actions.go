@@ -2,7 +2,6 @@ package rules
 
 import (
 	"context"
-	"fmt"
 
 	"gallery/internal/core"
 )
@@ -15,9 +14,6 @@ import (
 // switching is exactly a metric-triggered rule firing this callback.
 func DeployAction(reg *core.Registry) Action {
 	return func(ctx *ActionContext) error {
-		if ctx.Instance == nil {
-			return fmt.Errorf("rules: deploy action fired without an instance")
-		}
 		// ctx.Ctx threads the triggering event's trace and actor into the
 		// promotion's audit event.
 		c := ctx.Ctx

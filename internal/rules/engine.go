@@ -27,8 +27,9 @@ type ActionContext struct {
 	// Ctx is the firing rule evaluation's context: it carries the trace
 	// lineage of the triggering event and the audit actor, so callbacks
 	// that mutate the registry should pass it to the *Ctx variants.
-	Ctx      context.Context
-	Rule     *Rule
+	Ctx  context.Context
+	Rule *Rule
+	// Instance is the instance the rule matched; never nil.
 	Instance *core.Instance
 	Metrics  map[string]float64
 	Params   map[string]any
@@ -148,7 +149,7 @@ func NewEngine(reg *core.Registry, repo *Repo, clk clock.Clock) *Engine {
 			e.recordAlert(Alert{
 				Time:       ctx.Time,
 				RuleUUID:   ctx.Rule.UUID,
-				InstanceID: instanceIDOf(ctx),
+				InstanceID: ctx.Instance.ID,
 				Action:     name,
 				Message:    fmt.Sprintf("%v", ctx.Params["message"]),
 			})
@@ -159,13 +160,6 @@ func NewEngine(reg *core.Registry, repo *Repo, clk clock.Clock) *Engine {
 	e.actions["alert"] = record("alert")
 	e.actions["email"] = record("email")
 	return e
-}
-
-func instanceIDOf(ctx *ActionContext) uuid.UUID {
-	if ctx.Instance == nil {
-		return uuid.Nil
-	}
-	return ctx.Instance.ID
 }
 
 // RegisterAction installs (or replaces) a named callback.
@@ -251,23 +245,20 @@ func (e *Engine) MetadataUpdatedCtx(ctx context.Context, instanceID uuid.UUID, f
 }
 
 // Event is the one entry for everything a monitor publishes — health
-// drift and skew, SLO burns and recoveries, profile regressions (it is an
-// obs.EventFunc). Action rules in scope that watch the identifier ev.Kind
-// re-evaluate with a variable of that name holding ev.Fields plus the
-// event name, so a rule can say e.g.
+// drift and skew, SLO burns and recoveries (it is an obs.EventFunc).
+// Action rules in scope that watch the identifier ev.Kind re-evaluate
+// with a variable of that name holding ev.Fields plus the event name, so
+// a rule can say e.g.
 //
 //	when: 'health.event == "drift" && health.psi > 0.25'
 //	when: 'slo.event == "burn" && slo.burn_fast > 14'
-//	when: 'profile.event == "regression" && profile.factor > 3'
 //
 // and close the paper's detect → retrain loop automatically. Rules
-// execute against an instance environment, so an event scoped to a
-// namespace or a model that names no instance (a namespace-level burn, a
-// model nobody serves, a health status change) is ignored. A
-// process-level event — no scope at all, as for a hot function — is
-// evaluated with uuid.Nil and a minimal environment.
+// execute against an instance environment, so an event that names no
+// instance (a namespace-level burn, a model nobody serves, a health
+// status change) is ignored.
 func (e *Engine) Event(ctx context.Context, ev obs.Event) {
-	if ev.Instance == uuid.Nil && (ev.Namespace != "" || ev.ModelID != "") {
+	if ev.Instance == uuid.Nil {
 		return
 	}
 	payload := make(map[string]any, len(ev.Fields)+1)
@@ -340,29 +331,15 @@ func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.
 		span.Annotate("rule", rule.UUID)
 		span.Annotate("instance", instanceID.String())
 	}
-	var (
-		env *expr.Env
-		in  *core.Instance
-		err error
-	)
-	if instanceID == uuid.Nil {
-		// Process-level events (profile regressions) have no instance;
-		// give the rule an empty metrics map so metric references fail
-		// soft the same way a missing metric does.
-		env = &expr.Env{Vars: map[string]any{"metrics": map[string]any{}}}
-	} else {
-		env, in, err = e.instanceEnv(ctx, instanceID)
-	}
-	if err == nil {
-		for k, v := range extra {
-			env.Vars[k] = v
-		}
-	}
+	env, in, err := e.instanceEnv(ctx, instanceID)
 	if err != nil {
 		e.recordAlert(Alert{Time: e.clk.Now(), RuleUUID: rule.UUID, InstanceID: instanceID,
 			Action: "engine", Message: "environment build failed: " + err.Error()})
 		span.EndErr(err)
 		return
+	}
+	for k, v := range extra {
+		env.Vars[k] = v
 	}
 	ok, evalErr := e.condition(rule, env)
 	e.mu.Lock()
@@ -443,13 +420,13 @@ func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.
 			fired = append(fired, ref.Action)
 		}
 	}
-	e.auditFiring(ctx, rule, in, instanceID, fired, failed)
+	e.auditFiring(ctx, rule, in, fired, failed)
 	span.End()
 }
 
 // auditFiring records a rule firing on the matched instance's audit
 // timeline, with the owning model joined through model_id.
-func (e *Engine) auditFiring(ctx context.Context, rule *Rule, in *core.Instance, instanceID uuid.UUID, fired, failed []string) {
+func (e *Engine) auditFiring(ctx context.Context, rule *Rule, in *core.Instance, fired, failed []string) {
 	if e.reg == nil || e.reg.Audit() == nil {
 		return
 	}
@@ -460,11 +437,9 @@ func (e *Engine) auditFiring(ctx context.Context, rule *Rule, in *core.Instance,
 	ev := audit.Event{
 		Action:     audit.ActionRuleFire,
 		EntityType: audit.EntityInstance,
-		EntityID:   instanceID.String(),
+		EntityID:   in.ID.String(),
+		ModelID:    in.ModelID.String(),
 		Detail:     fmt.Sprintf("rule=%s (%s) %s", rule.Name, rule.UUID, detail),
-	}
-	if in != nil {
-		ev.ModelID = in.ModelID.String()
 	}
 	_ = e.reg.Audit().Record(ctx, ev)
 }

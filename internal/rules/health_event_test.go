@@ -15,12 +15,6 @@ func healthEvent(in uuid.UUID, name string, fields map[string]any) obs.Event {
 	return obs.Event{Kind: "health", Name: name, ModelID: "m", Instance: in, Fields: fields}
 }
 
-// profileEvent is what profile.Detector publishes: process-level, no
-// scope and no instance.
-func profileEvent(fields map[string]any) obs.Event {
-	return obs.Event{Kind: "profile", Name: "regression", Fields: fields}
-}
-
 // healthRule fires on drift events with strong PSI evidence.
 func healthRule() *Rule {
 	return &Rule{
@@ -135,9 +129,9 @@ func TestEngineEvent(t *testing.T) {
 		{"health status change is ignored", func(uuid.UUID) obs.Event {
 			return obs.Event{Kind: "health", Name: "degraded", ModelID: "m", Fields: map[string]any{"from": "healthy"}}
 		}, 0, 0, false},
-		{"process event evaluates with uuid.Nil", func(uuid.UUID) obs.Event {
-			return profileEvent(map[string]any{"factor": 8.0})
-		}, 1, 1, false},
+		{"event without an instance is ignored", func(uuid.UUID) obs.Event {
+			return obs.Event{Kind: "slo", Name: "burn", Fields: burn}
+		}, 0, 0, false},
 		{"kind no rule watches", func(in uuid.UUID) obs.Event {
 			return obs.Event{Kind: "nonesuch", Name: "x", Instance: in}
 		}, 1, 0, false},
@@ -151,7 +145,7 @@ func TestEngineEvent(t *testing.T) {
 			t.Run(mode+"/"+tc.name, func(t *testing.T) {
 				h := newHarness(t)
 				in := h.upload(t, h.model(t, "demand", "UberX"), "sf")
-				h.commit(t, sloRule, profileRule(), constRule)
+				h.commit(t, sloRule, constRule)
 				var fired, withInstance atomic.Int64
 				h.eng.RegisterAction("page", func(ac *ActionContext) error {
 					fired.Add(1)

@@ -52,6 +52,14 @@ func (s *Server) handleIngestProfile(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: summaries must not be empty", core.ErrBadSpec))
 		return
 	}
+	// A ring keeps one slice per kind, so an unknown kind would grow it
+	// without bound; refuse the whole shipment before any of it lands.
+	for _, sum := range req.Summaries {
+		if !profile.KnownKind(sum.Kind) {
+			writeErr(w, fmt.Errorf("%w: unknown profile kind %q", core.ErrBadSpec, sum.Kind))
+			return
+		}
+	}
 	s.profiles.Ingest(req.Process, req.Summaries)
 	w.WriteHeader(http.StatusAccepted)
 }
