@@ -10,6 +10,7 @@
 package gallery_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -423,10 +424,10 @@ func benchRuleTrigger(b *testing.B, polling bool) {
 		if polling {
 			// A poll sweep evaluates the rule against the whole fleet.
 			for _, other := range ids {
-				engine.MetricUpdated(other)
+				engine.MetricUpdatedCtx(context.Background(), other)
 			}
 		} else {
-			engine.MetricUpdated(id)
+			engine.MetricUpdatedCtx(context.Background(), id)
 		}
 	}
 	b.StopTimer()

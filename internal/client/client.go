@@ -591,10 +591,11 @@ func (c *Client) ExportProfiles(ctx context.Context, process string, summaries [
 	return c.ship(ctx, "/v1/debug/profile", profile.IngestRequest{Process: process, Summaries: summaries})
 }
 
-// ship posts telemetry (ExportSpans, ExportProfiles, ReportAuditEvent)
-// with exactly one attempt, whatever Options.Retries says. Its caller is
-// the telemetry shipper's single worker (obs.Shipper): a backoff sleep
-// there would hold up every channel queued behind this one.
+// ship posts telemetry (ExportSpans, ExportProfiles, ReportAuditEvent,
+// ReportHealthObservations) with exactly one attempt, whatever
+// Options.Retries says. Its caller is the telemetry shipper's single
+// worker (obs.Shipper): a backoff sleep there would hold up every channel
+// queued behind this one.
 func (c *Client) ship(ctx context.Context, path string, in any) error {
 	payload, err := json.Marshal(in)
 	if err != nil {
@@ -671,11 +672,10 @@ func (c *Client) CheckSkew(instanceID string, req api.SkewRequest) (api.SkewRepo
 }
 
 // ReportHealthObservations ships a batch of gateway observation windows
-// to galleryd's health monitor. *Client satisfies serve.HealthSink, so a
-// gateway pointed at galleryd flushes its sketches here.
+// to galleryd's health monitor (POST /v1/health/observations) — how a
+// gateway's sketches, queued on its telemetry shipper, reach galleryd.
 func (c *Client) ReportHealthObservations(ctx context.Context, req api.HealthObservationsRequest) error {
-	var resp api.HealthObservationsResponse
-	return c.doCtx(ctx, "POST", "/v1/health/observations", req, &resp)
+	return c.ship(ctx, "/v1/health/observations", req)
 }
 
 // ListModelHealth reads every tracked model's health verdict.

@@ -114,7 +114,7 @@ func TestRetry429Exhausted(t *testing.T) {
 	}
 }
 
-// TestTelemetryCallsNeverRetry: the three calls the gateway's telemetry
+// TestTelemetryCallsNeverRetry: the four calls the gateway's telemetry
 // shipper makes take one attempt and never sleep, even on a 429 with a
 // Retry-After hint and a retry budget — their caller is one worker with
 // every other channel queued behind it.
@@ -123,6 +123,9 @@ func TestTelemetryCallsNeverRetry(t *testing.T) {
 		"audit":    func(c *Client) error { return c.ReportAuditEvent(context.Background(), api.AuditEvent{}) },
 		"traces":   func(c *Client) error { return c.ExportSpans(context.Background(), nil) },
 		"profiles": func(c *Client) error { return c.ExportProfiles(context.Background(), "p", nil) },
+		"health": func(c *Client) error {
+			return c.ReportHealthObservations(context.Background(), api.HealthObservationsRequest{})
+		},
 	}
 	for name, call := range calls {
 		t.Run(name, func(t *testing.T) {

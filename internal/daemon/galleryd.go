@@ -196,12 +196,11 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 	}
 
 	d.srv = server.NewWith(d.reg, repo, engine, opts)
-	d.stops.add(noErr(d.srv.Close))
 	// Last registered, so first to run on Close: drain queued rule-engine
-	// events while everything they touch is still up, then take the final
-	// snapshot.
+	// triggers while everything they touch is still up, then take the
+	// final snapshot.
 	d.stops.add(func() error {
-		d.srv.Flush()
+		engine.Flush()
 		if !cfg.DumpMetrics {
 			return nil
 		}
@@ -222,7 +221,7 @@ func (d *Galleryd) Bootstrap() (id, secret string) { return d.bootstrapID, d.boo
 // Counts reports the registry's model, instance and metric rows.
 func (d *Galleryd) Counts() (models, instances, metrics int) { return d.reg.Counts() }
 
-// Close drains queued rule-engine events, dumps the metrics registry to
+// Close drains queued rule-engine triggers, dumps the metrics registry to
 // stderr under -dump-metrics, and stops every component in the reverse of
 // the order it started in, the metadata store last.
 func (d *Galleryd) Close() error { return d.stops.close() }

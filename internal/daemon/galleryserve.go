@@ -42,9 +42,10 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 		return nil, errors.New("-auth requires -token-file (a gateway has no durable store to mint from)")
 	}
 	cl := client.NewWith(cfg.Gallery, client.Options{Retries: cfg.Retries, Actor: "gateway:" + cfg.Name, Token: cfg.Token})
-	// Kept traces, profile summaries and hot-swap audit events ride one
-	// queue through the one client (same token; a slow galleryd costs
-	// counted drops, never latency). It closes after all that feeds it.
+	// Kept traces, profile summaries, health windows and hot-swap audit
+	// events ride one queue through the one client (same token; a slow
+	// galleryd costs counted drops, never latency). It closes after all
+	// that feeds it.
 	ship := obs.NewShipper(reg)
 	g.stops.add(noErr(ship.Close))
 	// Kept traces land in galleryd's trace buffer, so a predict request
@@ -67,7 +68,9 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 	}
 	if cfg.HealthFlush > 0 {
 		// Prediction sketches stream back to galleryd's health monitor.
-		gwOpts.HealthSink = cl
+		gwOpts.HealthSink = func(req api.HealthObservationsRequest) {
+			ship.Export(obs.ChannelHealth, func(ctx context.Context) error { return cl.ReportHealthObservations(ctx, req) })
+		}
 		gwOpts.HealthInterval = cfg.HealthFlush
 	}
 	gw := serve.New(cl, gwOpts)
@@ -116,6 +119,7 @@ func (g *Galleryserve) Handler() http.Handler { return g.handler }
 
 // Close stops the producers of telemetry first and the shipper last: the
 // profiler (whose interrupted CPU window is exported on the way out), then
-// the gateway (whose refresh loop may report a last hot swap), then the
-// shipper, which sends what they queued.
+// the gateway (whose refresh loop may report a last hot swap and whose
+// health loop cuts a last window), then the shipper, which sends what they
+// queued.
 func (g *Galleryserve) Close() error { return g.stops.close() }

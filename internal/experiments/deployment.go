@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -105,7 +106,7 @@ func DeploymentCost(n int) (*DeploymentResult, error) {
 		if _, err := env.Reg.InsertMetric(in.ID, "mape", core.ScopeProduction, mape); err != nil {
 			return nil, err
 		}
-		env.Engine.MetricUpdated(in.ID)
+		env.Engine.MetricUpdatedCtx(context.Background(), in.ID)
 	}
 	res.Deployed = deployed
 	res.AutomatedMinutesDay = 0

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -283,7 +284,7 @@ func RuleEngineFigure8() (*Fig8Result, error) {
 	if _, err := env.Reg.InsertMetric(rfIn.ID, "bias", core.ScopeValidation, 0.7); err != nil {
 		return nil, err
 	}
-	env.Engine.MetricUpdated(rfIn.ID)
+	env.Engine.MetricUpdatedCtx(context.Background(), rfIn.ID)
 	env.Engine.Flush()
 	res.RejectedFirst = len(res.Deployments) == 0
 
@@ -291,7 +292,7 @@ func RuleEngineFigure8() (*Fig8Result, error) {
 	if _, err := env.Reg.InsertMetric(rfIn.ID, "bias", core.ScopeValidation, 0.03); err != nil {
 		return nil, err
 	}
-	env.Engine.MetricUpdated(rfIn.ID)
+	env.Engine.MetricUpdatedCtx(context.Background(), rfIn.ID)
 	env.Engine.Flush()
 
 	res.EngineStats = env.Engine.Stats()

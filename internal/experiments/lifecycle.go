@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -170,7 +171,7 @@ func Lifecycle() (*LifecycleResult, error) {
 	if _, err := env.Reg.InsertMetric(champ.ID, "mape", core.ScopeValidation, vals["mape"]); err != nil {
 		return nil, err
 	}
-	env.Engine.MetricUpdated(champ.ID)
+	env.Engine.MetricUpdatedCtx(context.Background(), champ.ID)
 	if len(deployed) != 1 || deployed[0] != champ.ID {
 		return nil, fmt.Errorf("lifecycle: deployment rule did not fire for the champion")
 	}
@@ -227,7 +228,7 @@ func Lifecycle() (*LifecycleResult, error) {
 	if _, err := env.Reg.InsertMetric(champ.ID, "drift_degradation", core.ScopeProduction, drift.Degradation); err != nil {
 		return nil, err
 	}
-	env.Engine.MetricUpdated(champ.ID)
+	env.Engine.MetricUpdatedCtx(context.Background(), champ.ID)
 	res.RetrainTriggered = retrainRequested
 	if !retrainRequested {
 		return nil, fmt.Errorf("lifecycle: retrain rule did not fire")
@@ -255,7 +256,7 @@ func Lifecycle() (*LifecycleResult, error) {
 	if _, err := env.Reg.InsertMetric(freshIn.ID, "mape", core.ScopeValidation, 5); err != nil {
 		return nil, err
 	}
-	env.Engine.MetricUpdated(freshIn.ID)
+	env.Engine.MetricUpdatedCtx(context.Background(), freshIn.ID)
 	if len(deployed) != 2 || deployed[1] != freshIn.ID {
 		return nil, fmt.Errorf("lifecycle: retrained instance was not deployed")
 	}

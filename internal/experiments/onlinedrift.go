@@ -42,15 +42,6 @@ type OnlineDriftResult struct {
 	FinalStatus  string
 }
 
-// monitorSink feeds gateway flushes straight into an in-process monitor,
-// standing in for the HTTP hop of the deployed system.
-type monitorSink struct{ mon *health.Monitor }
-
-func (s monitorSink) ReportHealthObservations(ctx context.Context, req api.HealthObservationsRequest) error {
-	_, err := s.mon.Ingest(ctx, req)
-	return err
-}
-
 // OnlineDrift runs the experiment: preWindows windows of steady traffic,
 // then postWindows windows after a 1.6x regime shift.
 func OnlineDrift(preWindows, postWindows int) (*OnlineDriftResult, error) {
@@ -119,16 +110,21 @@ func OnlineDrift(preWindows, postWindows int) (*OnlineDriftResult, error) {
 		Obs:              obs.NewRegistry(),
 		Events:           env.Engine.Event,
 	})
+	// Gateway flushes feed the in-process monitor straight, standing in
+	// for the shipper's HTTP hop in the deployed system.
+	ctx := context.Background()
+	var ingestErr error
 	gw := serve.New(regSource{env.Reg}, serve.Options{
 		Name:            "gw-drift",
 		RefreshInterval: -1,
-		HealthSink:      monitorSink{mon},
-		HealthInterval:  -1,
-		Obs:             obs.NewRegistry(),
+		HealthSink: func(req api.HealthObservationsRequest) {
+			_, ingestErr = mon.Ingest(ctx, req)
+		},
+		HealthInterval: -1,
+		Obs:            obs.NewRegistry(),
 	})
 	defer gw.Close()
 
-	ctx := context.Background()
 	for w := 0; w < totalWindows; w++ {
 		start := trainHours + w*windowHours
 		for i := start; i < start+windowHours; i++ {
@@ -142,8 +138,8 @@ func OnlineDrift(preWindows, postWindows int) (*OnlineDriftResult, error) {
 				return nil, err
 			}
 		}
-		if err := gw.FlushHealth(ctx); err != nil {
-			return nil, err
+		if gw.FlushHealth(); ingestErr != nil {
+			return nil, ingestErr
 		}
 		mon.Evaluate(ctx)
 		env.Engine.Flush()

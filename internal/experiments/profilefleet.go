@@ -126,7 +126,6 @@ func ProfileFleet(n int) (*ProfileFleetResult, error) {
 	srv := server.NewWith(reg, nil, nil, server.Options{Obs: obs.NewRegistry(), Profiles: fleet})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	defer srv.Close()
 	cl := client.NewWith(ts.URL, client.Options{})
 	shipObs := obs.NewRegistry()
 	shipper := obs.NewShipper(shipObs)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 
@@ -120,7 +121,7 @@ func Table1Probe() (Table1Row, error) {
 		Actions: []rules.ActionRef{{Action: "probe_deploy"}},
 	}
 	if _, err := env.Repo.Commit("probe", "action", []*rules.Rule{act}, nil); err == nil {
-		env.Engine.MetricUpdated(in.ID)
+		env.Engine.MetricUpdatedCtx(context.Background(), in.ID)
 	}
 	row.Features["Orchestration"] = deployed
 

@@ -11,12 +11,25 @@ const (
 	ChannelTraces   = "traces"
 	ChannelProfiles = "profiles"
 	ChannelAudit    = "audit"
+	ChannelHealth   = "health"
 )
+
+// ChannelRules is the rules engine's trigger queue, which counts what it
+// drops in the same family as the shipper.
+const ChannelRules = "rules"
+
+// Dropped is telemetry_dropped_total{channel}: what a bounded queue in
+// front of a best-effort consumer discarded rather than wait.
+func Dropped(reg *Registry) *CounterVec {
+	reg.Help("telemetry_dropped_total", "Telemetry shipments discarded unsent because their bounded queue was full or had closed (on the rules channel: rule-engine triggers).")
+	return reg.CounterVec("telemetry_dropped_total", []string{"channel"}, 0)
+}
 
 const (
 	// shipQueue bounds shipments waiting for the worker: at one kept trace
 	// per slow or failed request that is a burst of 64 before the first
-	// drop, and a profile cycle or a hot swap adds one each.
+	// drop, and a profile cycle, a health window or a hot swap adds one
+	// each.
 	shipQueue = 64
 	// shipTimeout bounds one send, so a peer that accepts and never
 	// answers costs the queue five seconds, not the worker.
@@ -24,10 +37,10 @@ const (
 )
 
 // Shipper is the one outbound path for telemetry nobody waits for: a
-// gateway's kept traces, profile summaries and hot-swap audit reports all
-// ride its single bounded queue to one worker. Export never blocks — a
-// full queue, or a closed Shipper, drops the shipment — and the worker
-// calls each send once. What is lost is counted per channel in the
+// gateway's kept traces, profile summaries, health windows and hot-swap
+// audit reports all ride its single bounded queue to one worker. Export
+// never blocks — a full queue, or a closed Shipper, drops the shipment —
+// and the worker calls each send once. What is lost is counted per channel in the
 // registry the Shipper was built over, so the observability stack reports
 // on itself.
 type Shipper struct {
@@ -53,16 +66,15 @@ type shipment struct {
 // channels are registered up front, so a scrape shows them at zero rather
 // than absent.
 func NewShipper(reg *Registry) *Shipper {
-	reg.Help("telemetry_dropped_total", "Telemetry shipments discarded unsent because the shipper's queue was full or it had closed.")
 	reg.Help("telemetry_failed_total", "Telemetry shipments whose one send attempt failed (network error or non-2xx).")
 	s := &Shipper{
-		dropped: reg.CounterVec("telemetry_dropped_total", []string{"channel"}, 0),
+		dropped: Dropped(reg),
 		failed:  reg.CounterVec("telemetry_failed_total", []string{"channel"}, 0),
 		ch:      make(chan shipment, shipQueue),
 		done:    make(chan struct{}),
 	}
 	s.idle = sync.NewCond(&s.mu)
-	for _, c := range []string{ChannelTraces, ChannelProfiles, ChannelAudit} {
+	for _, c := range []string{ChannelTraces, ChannelProfiles, ChannelAudit, ChannelHealth} {
 		s.dropped.With(c)
 		s.failed.With(c)
 	}

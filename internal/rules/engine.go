@@ -53,14 +53,20 @@ type Stats struct {
 	ActionsRun        int64
 	ActionErrors      int64
 	SelectionRequests int64
-	EventsTriggered   int64
+	EventsTriggered   int64 // triggers accepted: queued, or run inline
+	EventsDropped     int64 // triggers refused: queue full, or engine stopped
 }
 
+// queueSize bounds the triggers waiting for a worker: room for a burst of
+// metric writes while every worker sits in a slow action (a capture pulls
+// the gateway's bundle over HTTP). Past it, a trigger is dropped rather
+// than stall the request or monitor loop that sent it.
+const queueSize = 1024
+
 // Engine evaluates rules against the Gallery registry. Evaluation is event
-// based (paper §3.7.2): direct selection requests and metric/metadata
-// update events both flow through a job queue drained by worker
-// goroutines; tests and callers that need determinism use Flush to wait
-// for the queue to empty.
+// based (paper §3.7.2): metric, metadata and monitor events are triggers
+// on one bounded queue drained by worker goroutines; tests and callers
+// that need determinism use Flush to wait for the queue to empty.
 type Engine struct {
 	reg  *core.Registry
 	repo *Repo
@@ -73,60 +79,65 @@ type Engine struct {
 	mu      sync.Mutex
 	actions map[string]Action
 	alerts  []Alert
-	stats   Stats
 	mx      engineMetrics
 
-	jobs    chan job
-	pending sync.WaitGroup
-	started bool
+	// The trigger queue, nil until Start and closed by Stop. mu orders a
+	// send against the close; queued counts triggers not yet run, and idle
+	// signals it reaching zero.
+	jobs             chan trigger
+	idle             *sync.Cond
+	queued           int
+	started, stopped bool
 }
 
-// engineMetrics mirrors Stats into an obs registry so the rule engine
-// shows up in /v1/debug/metrics alongside the storage layer.
+// engineMetrics are the engine's counts; Stats reads them back, so
+// /v1/debug/metrics and Stats never disagree.
 type engineMetrics struct {
 	evaluations  *obs.Counter
 	matches      *obs.Counter
 	actionsRun   *obs.Counter
 	actionErrors *obs.Counter
 	events       *obs.Counter
+	dropped      *obs.Counter
 	selections   *obs.Counter
 	alerts       *obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
-	if reg == nil {
-		reg = obs.Default
-	}
 	return engineMetrics{
 		evaluations:  reg.Counter("rules_evaluations_total"),
 		matches:      reg.Counter("rules_matches_total"),
 		actionsRun:   reg.Counter("rules_actions_run_total"),
 		actionErrors: reg.Counter("rules_action_errors_total"),
 		events:       reg.Counter("rules_events_triggered_total"),
+		dropped:      obs.Dropped(reg).With(obs.ChannelRules),
 		selections:   reg.Counter("rules_selection_requests_total"),
 		alerts:       reg.Counter("rules_alerts_total"),
 	}
 }
 
-// Instrument redirects the engine's metrics to reg (default obs.Default).
-// Call before serving traffic.
+// Instrument moves the engine's counts into reg; until then they live in
+// a registry of the engine's own. Call before serving traffic: counts
+// taken earlier stay behind.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.mx = newEngineMetrics(reg)
 }
 
-type job struct {
-	// ctx carries trace lineage from the triggering request; it is
-	// detached (trace.Detach) so the rule run is not cancelled when the
-	// HTTP request that inserted the metric returns.
+// trigger is one event on the queue: the instance it concerns and the
+// identifiers it changed.
+type trigger struct {
+	// ctx carries trace lineage from the triggering request; a queued
+	// trigger's is detached (trace.Detach) so the rule run is not
+	// cancelled when the HTTP request that inserted the metric returns.
 	ctx        context.Context
-	rule       *Rule
 	instanceID uuid.UUID
 	// extra adds event-specific variables to the evaluation environment
 	// (e.g. the "health" payload of a drift event); nil for plain
 	// metric/metadata triggers.
-	extra map[string]any
+	extra  map[string]any
+	idents []string
 }
 
 // NewEngine assembles an engine. The built-in actions log, alert, and
@@ -142,8 +153,9 @@ func NewEngine(reg *core.Registry, repo *Repo, clk clock.Clock) *Engine {
 		clk:         clk,
 		Environment: "production",
 		actions:     make(map[string]Action),
-		mx:          newEngineMetrics(nil),
+		mx:          newEngineMetrics(obs.NewRegistry()),
 	}
+	e.idle = sync.NewCond(&e.mu)
 	record := func(name string) Action {
 		return func(ctx *ActionContext) error {
 			e.recordAlert(Alert{
@@ -169,7 +181,8 @@ func (e *Engine) RegisterAction(name string, a Action) {
 	e.actions[name] = a
 }
 
-// Start launches the worker pool that drains the evaluation job queue.
+// Start launches the worker pool that drains the trigger queue. An
+// engine never started runs every trigger inline, on the caller.
 func (e *Engine) Start(workers int) {
 	if workers <= 0 {
 		workers = 4
@@ -180,68 +193,68 @@ func (e *Engine) Start(workers int) {
 		return
 	}
 	e.started = true
-	e.jobs = make(chan job, 1024)
-	jobs := e.jobs
+	e.jobs = make(chan trigger, queueSize)
 	for i := 0; i < workers; i++ {
-		go func() {
-			for j := range jobs {
-				e.runActionRule(j.ctx, j.rule, j.instanceID, j.extra)
-				// A fired rule wrote (audit row, promotion, capture) with
-				// no client waiting: the job is the unit of work, so it
-				// commits. Nothing fired, nothing outstanding, no fsync.
-				if e.reg != nil {
-					_ = e.reg.Commit(j.ctx) // sticky in the WAL; the next request reports it
-				}
-				e.pending.Done()
-			}
-		}()
+		go e.work(e.jobs)
 	}
 }
 
-// Stop drains outstanding jobs and stops the workers.
+func (e *Engine) work(jobs <-chan trigger) {
+	for t := range jobs {
+		// A rule that fired wrote (audit row, promotion, capture) with no
+		// client waiting: the trigger is the unit of work, so it commits.
+		// Nothing fired, nothing written, no fsync.
+		if e.run(t) && e.reg != nil {
+			_ = e.reg.Commit(t.ctx) // sticky in the WAL; the next request reports it
+		}
+		e.mu.Lock()
+		if e.queued--; e.queued == 0 {
+			e.idle.Broadcast()
+		}
+		e.mu.Unlock()
+	}
+}
+
+// Stop runs what is queued and stops the workers. Later triggers are
+// dropped and counted. Safe to call twice, or without Start.
 func (e *Engine) Stop() {
 	e.mu.Lock()
-	if !e.started {
-		e.mu.Unlock()
-		return
+	if e.started && !e.stopped {
+		e.stopped = true
+		close(e.jobs)
 	}
-	e.started = false
-	jobs := e.jobs
-	e.jobs = nil
 	e.mu.Unlock()
-	e.pending.Wait()
-	close(jobs)
+	e.Flush()
 }
 
-// Flush blocks until every queued job has been processed.
-func (e *Engine) Flush() { e.pending.Wait() }
+// Flush blocks until every queued trigger has been run.
+func (e *Engine) Flush() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.queued > 0 {
+		e.idle.Wait()
+	}
+}
 
 // --- event trigger (paper Fig. 8, Client 2) ---
 
-// MetricUpdated notifies the engine that an instance gained a metric
+// metricIdents is what every metric trigger changed; shared, so the
+// trigger allocates no slice.
+var metricIdents = []string{"metrics"}
+
+// MetricUpdatedCtx notifies the engine that an instance gained a metric
 // measurement. Every active action rule in scope that watches metrics is
-// re-evaluated against that instance — asynchronously when the engine is
-// started, inline otherwise.
-func (e *Engine) MetricUpdated(instanceID uuid.UUID) {
-	e.MetricUpdatedCtx(context.Background(), instanceID)
-}
-
-// MetricUpdatedCtx is MetricUpdated carrying the triggering request's
-// trace lineage, so async rule evaluations show up as child spans of the
-// metric insert that caused them.
+// re-evaluated against that instance, with ctx's trace lineage, so the
+// evaluations show up as child spans of the metric insert that caused
+// them.
 func (e *Engine) MetricUpdatedCtx(ctx context.Context, instanceID uuid.UUID) {
-	e.trigger(ctx, instanceID, nil, "metrics")
+	e.trigger(trigger{ctx: ctx, instanceID: instanceID, idents: metricIdents})
 }
 
-// MetadataUpdated notifies the engine that an instance's metadata changed;
-// action rules watching any of the named fields re-evaluate.
-func (e *Engine) MetadataUpdated(instanceID uuid.UUID, fields ...string) {
-	e.MetadataUpdatedCtx(context.Background(), instanceID, fields...)
-}
-
-// MetadataUpdatedCtx is MetadataUpdated with trace lineage.
+// MetadataUpdatedCtx notifies the engine that an instance's metadata
+// changed; action rules watching any of the named fields re-evaluate.
 func (e *Engine) MetadataUpdatedCtx(ctx context.Context, instanceID uuid.UUID, fields ...string) {
-	e.trigger(ctx, instanceID, nil, fields...)
+	e.trigger(trigger{ctx: ctx, instanceID: instanceID, idents: fields})
 }
 
 // Event is the one entry for everything a monitor publishes — health
@@ -266,29 +279,57 @@ func (e *Engine) Event(ctx context.Context, ev obs.Event) {
 		payload[k] = v
 	}
 	payload["event"] = ev.Name
-	e.trigger(ctx, ev.Instance, map[string]any{ev.Kind: payload}, ev.Kind)
+	e.trigger(trigger{ctx: ctx, instanceID: ev.Instance, extra: map[string]any{ev.Kind: payload}, idents: []string{ev.Kind}})
 }
 
-// trigger is the event trigger itself: count it, then hand every active
-// action rule in scope that watches one of idents to dispatch. extra is
-// added to the rule's evaluation environment (nil for metric and metadata
-// updates).
-func (e *Engine) trigger(ctx context.Context, instanceID uuid.UUID, extra map[string]any, idents ...string) {
+// trigger hands t to the queue without waiting: a full queue, or a
+// stopped engine, drops it and counts the loss in
+// telemetry_dropped_total{channel="rules"}. Rule re-evaluation is best
+// effort; the next update re-triggers it. An engine never started runs t
+// inline instead.
+func (e *Engine) trigger(t trigger) {
 	e.mu.Lock()
-	e.stats.EventsTriggered++
+	if !e.started {
+		e.mu.Unlock()
+		e.mx.events.Inc()
+		e.run(t)
+		return
+	}
+	queued := false
+	if !e.stopped {
+		t.ctx = trace.Detach(t.ctx)
+		select {
+		case e.jobs <- t:
+			e.queued++
+			queued = true
+		default:
+		}
+	}
 	e.mu.Unlock()
-	e.mx.events.Inc()
+	if queued {
+		e.mx.events.Inc()
+	} else {
+		e.mx.dropped.Inc()
+	}
+}
+
+// run evaluates every active action rule in scope that watches one of
+// t's identifiers against t's instance, and reports whether any fired.
+func (e *Engine) run(t trigger) (fired bool) {
 	for _, rule := range e.repo.Active() {
 		if rule.Kind != KindAction || !e.inScope(rule) {
 			continue
 		}
-		for _, id := range idents {
+		for _, id := range t.idents {
 			if watches(rule, id) {
-				e.dispatch(ctx, rule, instanceID, extra)
+				if e.runActionRule(t.ctx, rule, t.instanceID, t.extra) {
+					fired = true
+				}
 				break
 			}
 		}
 	}
+	return fired
 }
 
 func watches(rule *Rule, field string) bool {
@@ -300,20 +341,6 @@ func watches(rule *Rule, field string) bool {
 	return false
 }
 
-func (e *Engine) dispatch(ctx context.Context, rule *Rule, instanceID uuid.UUID, extra map[string]any) {
-	e.mu.Lock()
-	started, jobs := e.started, e.jobs
-	if started {
-		e.pending.Add(1)
-	}
-	e.mu.Unlock()
-	if started {
-		jobs <- job{ctx: trace.Detach(ctx), rule: rule, instanceID: instanceID, extra: extra}
-		return
-	}
-	e.runActionRule(ctx, rule, instanceID, extra)
-}
-
 func (e *Engine) inScope(rule *Rule) bool {
 	return rule.Environment == "" || rule.Environment == e.Environment
 }
@@ -321,8 +348,9 @@ func (e *Engine) inScope(rule *Rule) bool {
 // runActionRule evaluates one action rule against one instance and fires
 // its callbacks when the condition holds. Evaluation errors (e.g. a rule
 // referencing a metric the instance has not reported) mean "condition not
-// met", surfaced as a log alert rather than a crash.
-func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.UUID, extra map[string]any) {
+// met", surfaced as a log alert rather than a crash. It reports whether
+// the condition held.
+func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.UUID, extra map[string]any) bool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -336,22 +364,13 @@ func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.
 		e.recordAlert(Alert{Time: e.clk.Now(), RuleUUID: rule.UUID, InstanceID: instanceID,
 			Action: "engine", Message: "environment build failed: " + err.Error()})
 		span.EndErr(err)
-		return
+		return false
 	}
 	for k, v := range extra {
 		env.Vars[k] = v
 	}
 	ok, evalErr := e.condition(rule, env)
-	e.mu.Lock()
-	e.stats.Evaluations++
-	if ok {
-		e.stats.Matches++
-	}
-	e.mu.Unlock()
-	e.mx.evaluations.Inc()
-	if ok {
-		e.mx.matches.Inc()
-	}
+	e.countEvaluation(ok)
 	if span != nil {
 		span.Annotate("matched", fmt.Sprintf("%t", ok))
 	}
@@ -361,14 +380,14 @@ func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.
 			e.recordAlert(Alert{Time: e.clk.Now(), RuleUUID: rule.UUID, InstanceID: instanceID,
 				Action: "engine", Message: "condition error: " + evalErr.Error()})
 			span.EndErr(evalErr)
-			return
+			return false
 		}
 		span.End()
-		return
+		return false
 	}
 	if !ok {
 		span.End()
-		return
+		return false
 	}
 	metrics, _ := env.Vars["metrics"].(map[string]any)
 	ctx = audit.WithActor(ctx, "rules")
@@ -390,9 +409,6 @@ func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.
 			aspan.Annotate("action", ref.Action)
 		}
 		if !known {
-			e.mu.Lock()
-			e.stats.ActionErrors++
-			e.mu.Unlock()
 			e.mx.actionErrors.Inc()
 			e.recordAlert(Alert{Time: e.clk.Now(), RuleUUID: rule.UUID, InstanceID: instanceID,
 				Action: ref.Action, Message: "unknown action"})
@@ -402,17 +418,9 @@ func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.
 		}
 		err := a(ac)
 		aspan.EndErr(err)
-		e.mu.Lock()
-		e.stats.ActionsRun++
-		if err != nil {
-			e.stats.ActionErrors++
-		}
-		e.mu.Unlock()
 		e.mx.actionsRun.Inc()
 		if err != nil {
 			e.mx.actionErrors.Inc()
-		}
-		if err != nil {
 			failed = append(failed, ref.Action)
 			e.recordAlert(Alert{Time: e.clk.Now(), RuleUUID: rule.UUID, InstanceID: instanceID,
 				Action: ref.Action, Message: "action failed: " + err.Error()})
@@ -422,6 +430,14 @@ func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.
 	}
 	e.auditFiring(ctx, rule, in, fired, failed)
 	span.End()
+	return true
+}
+
+func (e *Engine) countEvaluation(matched bool) {
+	e.mx.evaluations.Inc()
+	if matched {
+		e.mx.matches.Inc()
+	}
 }
 
 // auditFiring records a rule firing on the matched instance's audit
@@ -483,9 +499,6 @@ func (e *Engine) SelectModel(ruleID string, filter core.InstanceFilter) (*core.I
 	if rule.Kind != KindSelection {
 		return nil, fmt.Errorf("rules: %s is not a selection rule", ruleID)
 	}
-	e.mu.Lock()
-	e.stats.SelectionRequests++
-	e.mu.Unlock()
 	e.mx.selections.Inc()
 
 	candidates, err := e.reg.SearchInstances(filter)
@@ -505,16 +518,7 @@ func (e *Engine) SelectModel(ruleID string, filter core.InstanceFilter) (*core.I
 			continue
 		}
 		ok, evalErr := e.condition(rule, env)
-		e.mu.Lock()
-		e.stats.Evaluations++
-		if ok {
-			e.stats.Matches++
-		}
-		e.mu.Unlock()
-		e.mx.evaluations.Inc()
-		if ok {
-			e.mx.matches.Inc()
-		}
+		e.countEvaluation(ok)
 		if evalErr != nil || !ok {
 			continue
 		}
@@ -607,6 +611,15 @@ func (e *Engine) recordAlert(a Alert) {
 // Stats returns a snapshot of activity counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
+	mx := e.mx
+	e.mu.Unlock()
+	return Stats{
+		Evaluations:       mx.evaluations.Value(),
+		Matches:           mx.matches.Value(),
+		ActionsRun:        mx.actionsRun.Value(),
+		ActionErrors:      mx.actionErrors.Value(),
+		SelectionRequests: mx.selections.Value(),
+		EventsTriggered:   mx.events.Value(),
+		EventsDropped:     mx.dropped.Value(),
+	}
 }

@@ -1,10 +1,14 @@
 package rules
 
 import (
+	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gallery/internal/core"
+	"gallery/internal/obs"
 	"gallery/internal/uuid"
 )
 
@@ -17,29 +21,144 @@ func TestStartIdempotentAndStopWithoutStart(t *testing.T) {
 	h.eng.Stop() // double Stop is safe
 }
 
-func TestDispatchAfterStopRunsInline(t *testing.T) {
+// TestQueueNeverBlocks parks every worker in a blocking action and fills
+// the queue behind them. A trigger must then come back at once, dropped
+// and counted in telemetry_dropped_total{channel="rules"}, and so must a
+// trigger after Stop; nothing dropped runs.
+func TestQueueNeverBlocks(t *testing.T) {
+	h := newHarness(t)
+	reg := obs.NewRegistry()
+	h.eng.Instrument(reg)
+	dropped := func() int64 { return reg.Snapshot().Counters[`telemetry_dropped_total{channel="rules"}`] }
+	m := h.model(t, "Random Forest", "UberX")
+	in := h.upload(t, m, "sf")
+	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	var runs atomic.Int64
+	parked, release := make(chan struct{}, workers), make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	h.eng.RegisterAction("block", func(*ActionContext) error {
+		if runs.Add(1) <= workers {
+			parked <- struct{}{}
+		}
+		<-release
+		return nil
+	})
+	h.commit(t,
+		&Rule{UUID: "q-metrics", Team: "t", Kind: KindAction, When: `metrics.bias >= 0`, Actions: []ActionRef{{Action: "block"}}},
+		&Rule{UUID: "q-health", Team: "t", Kind: KindAction, When: `health.event == "drift"`, Actions: []ActionRef{{Action: "block"}}},
+	)
+	h.eng.Start(workers)
+	defer h.eng.Stop()
+	defer unblock()
+
+	ctx := context.Background()
+	for i := 0; i < workers; i++ {
+		h.eng.MetricUpdatedCtx(ctx, in.ID)
+	}
+	for i := 0; i < workers; i++ {
+		select {
+		case <-parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("workers never reached the blocking action")
+		}
+	}
+	// The triggers queued behind them evaluate false: they fill the queue
+	// without firing, which keeps the test fast under -race.
+	h.clk.Advance(time.Minute)
+	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, -1); err != nil {
+		t.Fatal(err)
+	}
+	queue := cap(h.eng.jobs)
+	for i := 0; i < queue; i++ {
+		h.eng.MetricUpdatedCtx(ctx, in.ID)
+	}
+	if got := dropped(); got != 0 {
+		t.Fatalf("dropped %d while filling the queue, want 0", got)
+	}
+
+	within := func(name string, trigger func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { trigger(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s blocked for 1s on a full queue", name)
+		}
+	}
+	within("MetricUpdatedCtx", func() { h.eng.MetricUpdatedCtx(ctx, in.ID) })
+	within("Event", func() { h.eng.Event(ctx, healthEvent(in.ID, "drift", nil)) })
+	if got := dropped(); got != 2 {
+		t.Fatalf("dropped = %d on a full queue, want 2", got)
+	}
+
+	unblock()
+	h.eng.Stop()
+	within("MetricUpdatedCtx after Stop", func() { h.eng.MetricUpdatedCtx(ctx, in.ID) })
+	accepted := int64(workers + queue)
+	st := h.eng.Stats()
+	if st.EventsTriggered != accepted || st.Evaluations != accepted || runs.Load() != workers || st.ActionsRun != workers {
+		t.Fatalf("stats %+v, %d actions; want %d accepted triggers evaluated once each, %d fired", st, runs.Load(), accepted, workers)
+	}
+	if st.EventsDropped != 3 || dropped() != 3 {
+		t.Fatalf("dropped %d (stats %d), want 3: full queue twice, then after Stop", dropped(), st.EventsDropped)
+	}
+}
+
+// TestQueueAccountsEveryTrigger races producers against Flush and Stop:
+// every trigger is run once or dropped and counted, never both and never
+// lost.
+func TestQueueAccountsEveryTrigger(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "Random Forest", "UberX")
 	in := h.upload(t, m, "sf")
-	fired := 0
-	h.eng.RegisterAction("forecasting_deployment", func(*ActionContext) error { fired++; return nil })
-	h.commit(t, listing2())
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
+	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.Start(2)
-	h.eng.Stop()
-	// After Stop, events evaluate inline rather than being lost.
-	h.eng.MetricUpdated(in.ID)
-	if fired != 1 {
-		t.Fatalf("fired = %d after stop", fired)
+	var runs atomic.Int64
+	h.eng.RegisterAction("count", func(*ActionContext) error { runs.Add(1); return nil })
+	h.commit(t, &Rule{UUID: "q-count", Team: "t", Kind: KindAction, When: `metrics.bias >= 0`, Actions: []ActionRef{{Action: "count"}}})
+	h.eng.Start(3)
+
+	const producers, each, stopAt = 4, 100, 50
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.eng.MetricUpdatedCtx(context.Background(), in.ID)
+				switch {
+				case p == 0 && i == stopAt:
+					h.eng.Stop()
+				case i%25 == 0:
+					h.eng.Flush()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	h.eng.Flush()
+	st := h.eng.Stats()
+	if st.EventsTriggered+st.EventsDropped != producers*each {
+		t.Fatalf("accepted %d + dropped %d, want %d triggers", st.EventsTriggered, st.EventsDropped, producers*each)
+	}
+	if runs.Load() != st.EventsTriggered || st.ActionsRun != st.EventsTriggered {
+		t.Fatalf("ran %d (stats %d), want every one of %d accepted triggers once", runs.Load(), st.ActionsRun, st.EventsTriggered)
+	}
+	if st.EventsDropped < each-stopAt-1 {
+		t.Fatalf("dropped %d, want at least the %d triggers sent after Stop", st.EventsDropped, each-stopAt-1)
 	}
 }
 
 func TestUnknownInstanceEventAlerts(t *testing.T) {
 	h := newHarness(t)
 	h.commit(t, listing2())
-	h.eng.MetricUpdated(uuid.New()) // instance does not exist
+	h.eng.MetricUpdatedCtx(context.Background(), uuid.New()) // instance does not exist
 	alerts := h.eng.Alerts()
 	if len(alerts) != 1 || alerts[0].Action != "engine" {
 		t.Fatalf("alerts = %v", alerts)
@@ -102,7 +221,7 @@ func TestMultipleActionsPerRule(t *testing.T) {
 	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.MetricUpdated(in.ID)
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Fatalf("order = %v", order)
 	}
@@ -123,7 +242,7 @@ func TestActionParamsReachCallback(t *testing.T) {
 	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.MetricUpdated(in.ID)
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	if got == nil || got["endpoint"] != "http://serve/cfg" || got["timeout"] != 3.0 {
 		t.Fatalf("params = %v", got)
 	}
@@ -142,7 +261,7 @@ func TestActionContextCarriesMetrics(t *testing.T) {
 	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.04); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.MetricUpdated(in.ID)
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	if metrics["bias"] != 0.04 {
 		t.Fatalf("metrics = %v", metrics)
 	}

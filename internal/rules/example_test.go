@@ -1,6 +1,7 @@
 package rules_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -52,6 +53,6 @@ func Example() {
 	if _, err := reg.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.05); err != nil {
 		log.Fatal(err)
 	}
-	engine.MetricUpdated(in.ID) // the Fig. 8 Client 2 event
+	engine.MetricUpdatedCtx(context.Background(), in.ID) // the Fig. 8 Client 2 event
 	// Output: deploying rf-v1 (bias 0.05)
 }

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -347,7 +348,7 @@ func TestRuleEngineFigure8(t *testing.T) {
 	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.MetricUpdated(in.ID)
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	if len(deployed) != 0 {
 		t.Fatal("deployed despite bias out of range")
 	}
@@ -357,7 +358,7 @@ func TestRuleEngineFigure8(t *testing.T) {
 	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.05); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.MetricUpdated(in.ID)
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	if len(deployed) != 1 || deployed[0] != in.ID {
 		t.Fatalf("deployed = %v", deployed)
 	}
@@ -386,7 +387,7 @@ func TestActionRuleAsyncWorkers(t *testing.T) {
 		if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.01); err != nil {
 			t.Fatal(err)
 		}
-		h.eng.MetricUpdated(in.ID)
+		h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	}
 	h.eng.Flush()
 	close(done)
@@ -409,7 +410,7 @@ func TestActionErrorsAlert(t *testing.T) {
 	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.MetricUpdated(in.ID)
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	alerts := h.eng.Alerts()
 	if len(alerts) != 1 || alerts[0].Action != "forecasting_deployment" {
 		t.Fatalf("alerts = %v", alerts)
@@ -427,7 +428,7 @@ func TestUnknownActionAlerts(t *testing.T) {
 	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.MetricUpdated(in.ID)
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	if len(h.eng.Alerts()) != 1 {
 		t.Fatalf("alerts = %v", h.eng.Alerts())
 	}
@@ -443,7 +444,7 @@ func TestBuiltinAlertAction(t *testing.T) {
 	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.MetricUpdated(in.ID)
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	alerts := h.eng.Alerts()
 	if len(alerts) != 1 || alerts[0].Message != "bias back in range" {
 		t.Fatalf("alerts = %v", alerts)
@@ -465,12 +466,12 @@ func TestEnvironmentScoping(t *testing.T) {
 	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
-	h.eng.MetricUpdated(in.ID) // engine is in production scope
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID) // engine is in production scope
 	if fired != 0 {
 		t.Fatal("staging rule fired in production engine")
 	}
 	h.eng.Environment = "staging"
-	h.eng.MetricUpdated(in.ID)
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
 	if fired != 1 {
 		t.Fatal("staging rule did not fire in staging engine")
 	}
@@ -488,12 +489,12 @@ func TestMetadataUpdateTrigger(t *testing.T) {
 		Actions: []ActionRef{{Action: "noop"}},
 	}
 	h.commit(t, r)
-	h.eng.MetadataUpdated(in.ID, "city")
+	h.eng.MetadataUpdatedCtx(context.Background(), in.ID, "city")
 	if fired != 1 {
 		t.Fatalf("fired = %d", fired)
 	}
 	// Updating a field the rule does not watch: no evaluation.
-	h.eng.MetadataUpdated(in.ID, "framework")
+	h.eng.MetadataUpdatedCtx(context.Background(), in.ID, "framework")
 	if fired != 1 {
 		t.Fatalf("fired = %d after unwatched field", fired)
 	}
@@ -508,7 +509,7 @@ func TestMissingMetricIsNotMet(t *testing.T) {
 	fired := 0
 	h.eng.RegisterAction("forecasting_deployment", func(ctx *ActionContext) error { fired++; return nil })
 	h.commit(t, listing2())
-	h.eng.MetricUpdated(in.ID) // no bias metric reported at all
+	h.eng.MetricUpdatedCtx(context.Background(), in.ID) // no bias metric reported at all
 	if fired != 0 {
 		t.Fatal("rule fired without its metric")
 	}

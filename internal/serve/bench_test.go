@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -9,14 +8,6 @@ import (
 	"gallery/internal/forecast"
 	"gallery/internal/obs"
 )
-
-// nopSink discards health observations; it exists to turn recording on
-// without measuring a network.
-type nopSink struct{}
-
-func (nopSink) ReportHealthObservations(context.Context, api.HealthObservationsRequest) error {
-	return nil
-}
 
 // benchGateway serves one trained LinearAR with a month-long history
 // window, the shape of the predict_hot workload.
@@ -33,7 +24,8 @@ func benchGateway(tb testing.TB, health bool) (*Gateway, string, forecast.Contex
 	src.promote(tb, "m1", 0, m)
 	opts := Options{RefreshInterval: -1, Obs: obs.NewRegistry()}
 	if health {
-		opts.HealthSink = nopSink{}
+		// Discard the windows: recording on, no network measured.
+		opts.HealthSink = func(api.HealthObservationsRequest) {}
 		opts.HealthInterval = -1 // record on the hot path, no flush loop
 	}
 	g := New(src, opts)

@@ -75,9 +75,11 @@ type Options struct {
 	Name string
 	// HealthSink, when set, turns on continuous model-health recording:
 	// per-model sketches of predicted values and latencies plus
-	// request/stale counts, flushed every HealthInterval. Nil keeps the
-	// predict hot path free of any recording work.
-	HealthSink HealthSink
+	// request/stale counts, cut every HealthInterval and handed to it.
+	// galleryserve queues them on its telemetry shipper for galleryd's
+	// health monitor. It is called from the health loop and must not
+	// block. Nil keeps the predict hot path free of any recording work.
+	HealthSink func(api.HealthObservationsRequest)
 	// HealthInterval is the observation-window length (default 15s).
 	// Zero uses the default; negative disables the flush loop (tests
 	// drive FlushHealth directly).
@@ -147,18 +149,16 @@ type Gateway struct {
 }
 
 type gatewayMetrics struct {
-	loads           *obs.Counter
-	loadErrs        *obs.Counter
-	swaps           *obs.Counter
-	evictions       *obs.Counter
-	refreshes       *obs.Counter
-	refreshErrs     *obs.Counter
-	predicts        *obs.Counter
-	predictErrs     *obs.Counter
-	stale           *obs.Counter
-	loadedModels    *obs.Gauge
-	healthFlushes   *obs.Counter
-	healthFlushErrs *obs.Counter
+	loads        *obs.Counter
+	loadErrs     *obs.Counter
+	swaps        *obs.Counter
+	evictions    *obs.Counter
+	refreshes    *obs.Counter
+	refreshErrs  *obs.Counter
+	predicts     *obs.Counter
+	predictErrs  *obs.Counter
+	stale        *obs.Counter
+	loadedModels *obs.Gauge
 	// Per-model series, {model}: created only after a successful load and
 	// deleted on eviction, so unknown model IDs leave nothing behind.
 	staleServes               *obs.CounterVec
@@ -200,21 +200,19 @@ func New(src Source, opts Options) *Gateway {
 		ll:      list.New(),
 		done:    make(chan struct{}),
 		mx: gatewayMetrics{
-			loads:           opts.Obs.Counter("serve_model_loads_total"),
-			loadErrs:        opts.Obs.Counter("serve_model_load_errors_total"),
-			swaps:           opts.Obs.Counter("serve_hot_swaps_total"),
-			evictions:       opts.Obs.Counter("serve_evictions_total"),
-			refreshes:       opts.Obs.Counter("serve_refreshes_total"),
-			refreshErrs:     opts.Obs.Counter("serve_refresh_errors_total"),
-			predicts:        opts.Obs.Counter("serve_predictions_total"),
-			predictErrs:     opts.Obs.Counter("serve_prediction_errors_total"),
-			stale:           opts.Obs.Counter("serve_stale_predictions_total"),
-			loadedModels:    opts.Obs.Gauge("serve_loaded_models"),
-			healthFlushes:   opts.Obs.Counter("serve_health_flushes_total"),
-			healthFlushErrs: opts.Obs.Counter("serve_health_flush_errors_total"),
-			staleServes:     opts.Obs.CounterVec("serve_stale_serves_total", byModel, 0),
-			servedVersion:   opts.Obs.GaugeVec("serve_served_version", byModel, 0),
-			refreshAge:      opts.Obs.GaugeVec("serve_refresh_age_seconds", byModel, 0),
+			loads:         opts.Obs.Counter("serve_model_loads_total"),
+			loadErrs:      opts.Obs.Counter("serve_model_load_errors_total"),
+			swaps:         opts.Obs.Counter("serve_hot_swaps_total"),
+			evictions:     opts.Obs.Counter("serve_evictions_total"),
+			refreshes:     opts.Obs.Counter("serve_refreshes_total"),
+			refreshErrs:   opts.Obs.Counter("serve_refresh_errors_total"),
+			predicts:      opts.Obs.Counter("serve_predictions_total"),
+			predictErrs:   opts.Obs.Counter("serve_prediction_errors_total"),
+			stale:         opts.Obs.Counter("serve_stale_predictions_total"),
+			loadedModels:  opts.Obs.Gauge("serve_loaded_models"),
+			staleServes:   opts.Obs.CounterVec("serve_stale_serves_total", byModel, 0),
+			servedVersion: opts.Obs.GaugeVec("serve_served_version", byModel, 0),
+			refreshAge:    opts.Obs.GaugeVec("serve_refresh_age_seconds", byModel, 0),
 		},
 	}
 	if opts.RefreshInterval > 0 {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
@@ -13,17 +12,10 @@ import (
 // (paper §3.6 made continuous): every prediction is folded into per-model
 // distribution sketches — predicted values and request latency — plus
 // request/stale counters, all lock-free and allocation-free on the hot
-// path. A background loop periodically cuts the window and ships it to a
-// HealthSink (galleryd's POST /v1/health/observations), where the health
-// monitor compares live windows against each model's reference
-// distribution.
-
-// HealthSink receives flushed observation windows. *client.Client
-// satisfies it; tests and in-process experiments can hand the monitor's
-// ingest directly.
-type HealthSink interface {
-	ReportHealthObservations(ctx context.Context, req api.HealthObservationsRequest) error
-}
+// path. A background loop periodically cuts the window and hands it to
+// Options.HealthSink; galleryserve queues it on its telemetry shipper for
+// galleryd's POST /v1/health/observations, where the health monitor
+// compares live windows against each model's reference distribution.
 
 // Sketch geometries. Values cover forecast magnitudes (defaults span
 // 1e-4..1e9); latencies cover 1µs..1000s in seconds.
@@ -100,27 +92,23 @@ func (g *Gateway) healthLoop() {
 	for {
 		select {
 		case <-g.done:
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_ = g.FlushHealth(ctx)
-			cancel()
+			g.FlushHealth()
 			return
 		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), g.opts.HealthInterval)
-			_ = g.FlushHealth(ctx)
-			cancel()
+			g.FlushHealth()
 		}
 	}
 }
 
-// FlushHealth cuts every loaded model's observation window and ships the
-// non-empty ones to the HealthSink. Exported so tests and experiments can
-// flush deterministically instead of waiting out the interval. A sink
-// error leaves the cut windows dropped (sketches are statistics, not
-// ledgers); the error counter and the monitor's missing-window view make
-// the gap visible.
-func (g *Gateway) FlushHealth(ctx context.Context) error {
+// FlushHealth cuts every loaded model's observation window and hands the
+// non-empty ones to the HealthSink in one request. Exported so tests and
+// experiments can flush deterministically instead of waiting out the
+// interval. A window the sink fails to deliver is lost (sketches are
+// statistics, not ledgers); the shipper's loss counters and the monitor's
+// missing-window view make the gap visible.
+func (g *Gateway) FlushHealth() {
 	if g.opts.HealthSink == nil {
-		return nil
+		return
 	}
 	g.mu.Lock()
 	es := make([]*entry, 0, len(g.entries))
@@ -155,16 +143,7 @@ func (g *Gateway) FlushHealth(ctx context.Context) error {
 		}
 		out = append(out, o)
 	}
-	if len(out) == 0 {
-		return nil
+	if len(out) > 0 {
+		g.opts.HealthSink(api.HealthObservationsRequest{Gateway: g.opts.Name, Observations: out})
 	}
-	g.mx.healthFlushes.Inc()
-	err := g.opts.HealthSink.ReportHealthObservations(ctx, api.HealthObservationsRequest{
-		Gateway:      g.opts.Name,
-		Observations: out,
-	})
-	if err != nil {
-		g.mx.healthFlushErrs.Inc()
-	}
-	return err
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -21,11 +20,10 @@ type captureSink struct {
 	reqs []api.HealthObservationsRequest
 }
 
-func (s *captureSink) ReportHealthObservations(_ context.Context, req api.HealthObservationsRequest) error {
+func (s *captureSink) record(req api.HealthObservationsRequest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reqs = append(s.reqs, req)
-	return nil
 }
 
 func (s *captureSink) all() []api.HealthObservationsRequest {
@@ -39,7 +37,7 @@ func TestHealthFlushShipsWindow(t *testing.T) {
 	src.promote(t, "m1", 0, &forecast.Heuristic{K: 1})
 	sink := &captureSink{}
 	g := newTestGateway(t, src, Options{
-		Name: "gw-test", HealthSink: sink, HealthInterval: -1,
+		Name: "gw-test", HealthSink: sink.record, HealthInterval: -1,
 	})
 
 	fctx := forecast.Context{History: []float64{10, 20, 30}}
@@ -48,9 +46,7 @@ func TestHealthFlushShipsWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := g.FlushHealth(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	g.FlushHealth()
 	reqs := sink.all()
 	if len(reqs) != 1 {
 		t.Fatalf("got %d flushes, want 1", len(reqs))
@@ -77,9 +73,7 @@ func TestHealthFlushShipsWindow(t *testing.T) {
 	}
 
 	// Quiet window: nothing to ship.
-	if err := g.FlushHealth(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	g.FlushHealth()
 	if got := len(sink.all()); got != 1 {
 		t.Fatalf("empty window still flushed: %d reports", got)
 	}
@@ -89,7 +83,7 @@ func TestHealthWindowResetOnHotSwap(t *testing.T) {
 	src := newFakeSource()
 	src.promote(t, "m1", 0, &forecast.Heuristic{K: 1})
 	sink := &captureSink{}
-	g := newTestGateway(t, src, Options{HealthSink: sink, HealthInterval: -1})
+	g := newTestGateway(t, src, Options{HealthSink: sink.record, HealthInterval: -1})
 
 	fctx := forecast.Context{History: []float64{10, 20, 30}}
 	for i := 0; i < 3; i++ {
@@ -100,9 +94,7 @@ func TestHealthWindowResetOnHotSwap(t *testing.T) {
 	// Hot swap discards the mixed window...
 	src.promote(t, "m1", 1, &forecast.Heuristic{K: 2})
 	g.RefreshAll()
-	if err := g.FlushHealth(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	g.FlushHealth()
 	if got := len(sink.all()); got != 0 {
 		t.Fatalf("pre-swap window leaked through: %d reports", got)
 	}
@@ -110,9 +102,7 @@ func TestHealthWindowResetOnHotSwap(t *testing.T) {
 	if _, err := g.Predict("m1", fctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.FlushHealth(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	g.FlushHealth()
 	reqs := sink.all()
 	if len(reqs) != 1 || len(reqs[0].Observations) != 1 {
 		t.Fatalf("reports = %+v", reqs)

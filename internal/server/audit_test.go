@@ -56,7 +56,6 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	c := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Actor: "e2e-test"})
 
 	// Standing policy: good offline error promotes the new instance;
@@ -104,8 +103,10 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 	gw := serve.New(c, serve.Options{
 		Name:            "gw-e2e",
 		RefreshInterval: -1,
-		HealthSink:      c,
-		HealthInterval:  -1,
+		HealthSink: func(req api.HealthObservationsRequest) {
+			ship.Export(obs.ChannelHealth, func(ctx context.Context) error { return c.ReportHealthObservations(ctx, req) })
+		},
+		HealthInterval: -1,
 		AuditSink: func(ev api.AuditEvent) {
 			ship.Export(obs.ChannelAudit, func(ctx context.Context) error { return c.ReportAuditEvent(ctx, ev) })
 		},
@@ -147,8 +148,10 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := gw.FlushHealth(context.Background()); err != nil {
-			t.Fatal(err)
+		gw.FlushHealth()
+		ship.Flush()
+		if n := gwObs.Snapshot().Counters[`telemetry_failed_total{channel="health"}`]; n != 0 {
+			t.Fatalf("%d health windows failed to ship", n)
 		}
 	}
 	for s := int64(0); s < 4; s++ {
@@ -314,7 +317,6 @@ func TestAuditSearchAndIngest(t *testing.T) {
 	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry()})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	c := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Actor: "searcher"})
 
 	m, err := c.RegisterModel(api.RegisterModelRequest{BaseVersionID: "bv-s", Project: "p", Name: "n"})

@@ -12,6 +12,7 @@ import (
 	"gallery/internal/api"
 	"gallery/internal/audit"
 	"gallery/internal/blobstore"
+	"gallery/internal/client"
 	"gallery/internal/core"
 	"gallery/internal/health"
 	"gallery/internal/incident"
@@ -93,23 +94,27 @@ func (st *syncStack) fired(t *testing.T) int {
 	return len(evs)
 }
 
-// TestBackgroundLoopsCommit ticks each of the four places that write with
-// no client waiting and requires the WAL to be durable to its end
-// afterwards. A new unacknowledged writer added without a commit leaves
-// Size ahead of Durable and fails here.
+// TestBackgroundLoopsCommit ticks each of the three places that write with
+// no client waiting, and a metric request whose rule runs inline, and
+// requires the WAL to be durable to its end afterwards. A new
+// unacknowledged writer added without a commit leaves Size ahead of
+// Durable and fails here.
 func TestBackgroundLoopsCommit(t *testing.T) {
-	t.Run("server.eventLoop", func(t *testing.T) {
+	t.Run("server.handler", func(t *testing.T) {
 		st := newSyncStack(t)
-		// An unstarted engine runs rules inline, on the loop's goroutine.
+		// An unstarted engine runs rules inline, inside the metric request:
+		// the request's own commit must cover the rule's write.
 		srv := NewWith(st.reg, st.repo, rules.NewEngine(st.reg, st.repo, nil), Options{Obs: st.obs})
-		defer srv.Close()
-		srv.notifyMetricUpdated(st.in.ID)
-		srv.Flush()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		if _, err := client.New(ts.URL, ts.Client()).InsertMetric(st.in.ID.String(), "mape", "production", 2); err != nil {
+			t.Fatal(err)
+		}
 		if st.fired(t) != 1 {
-			t.Fatalf("rule fired %d times, want 1: the loop wrote nothing to commit", st.fired(t))
+			t.Fatalf("rule fired %d times, want 1: the request wrote nothing to commit", st.fired(t))
 		}
 		if n := st.outstanding(); n != 0 {
-			t.Fatalf("event loop pass left %d bytes uncommitted", n)
+			t.Fatalf("metric request left %d bytes uncommitted", n)
 		}
 	})
 
@@ -118,7 +123,7 @@ func TestBackgroundLoopsCommit(t *testing.T) {
 		eng := rules.NewEngine(st.reg, st.repo, nil)
 		eng.Start(2)
 		defer eng.Stop()
-		eng.MetricUpdated(st.in.ID)
+		eng.MetricUpdatedCtx(context.Background(), st.in.ID)
 		eng.Flush()
 		if st.fired(t) != 1 {
 			t.Fatalf("rule fired %d times, want 1: the worker wrote nothing to commit", st.fired(t))
@@ -200,7 +205,6 @@ func TestCommitOnAck(t *testing.T) {
 	t.Run("commits before the first byte", func(t *testing.T) {
 		st := newSyncStack(t)
 		srv := NewWith(st.reg, nil, nil, Options{Obs: st.obs})
-		defer srv.Close()
 		h := srv.commitOnAck(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			write(st)(w, r)
 			if st.outstanding() == 0 {
@@ -221,7 +225,6 @@ func TestCommitOnAck(t *testing.T) {
 	t.Run("silent handler commits on return", func(t *testing.T) {
 		st := newSyncStack(t)
 		srv := NewWith(st.reg, nil, nil, Options{Obs: st.obs})
-		defer srv.Close()
 		rec := httptest.NewRecorder()
 		srv.commitOnAck(write(st)).ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/x", nil))
 		if rec.Code != http.StatusOK || st.outstanding() != 0 {
@@ -232,7 +235,6 @@ func TestCommitOnAck(t *testing.T) {
 	t.Run("GET is not wrapped", func(t *testing.T) {
 		st := newSyncStack(t)
 		srv := NewWith(st.reg, nil, nil, Options{Obs: st.obs})
-		defer srv.Close()
 		rec := httptest.NewRecorder()
 		srv.commitOnAck(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if _, wrapped := w.(*commitWriter); wrapped {
@@ -257,7 +259,6 @@ func TestCommitOnAck(t *testing.T) {
 			}
 			rec := httptest.NewRecorder()
 			srv.commitOnAck(respond).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/x", nil))
-			srv.Close()
 			body := rec.Body.String()
 			if rec.Code != http.StatusInternalServerError || strings.Contains(body, "acknowledged") || !strings.Contains(body, "metadata commit") {
 				t.Fatalf("%s: status %d body %q, want a 500 naming the commit and none of the handler's response", name, rec.Code, body)
@@ -268,7 +269,6 @@ func TestCommitOnAck(t *testing.T) {
 	t.Run("end to end over a real route", func(t *testing.T) {
 		st := newSyncStack(t)
 		srv := NewWith(st.reg, nil, nil, Options{Obs: st.obs})
-		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 		if err := st.meta.Close(); err != nil {
@@ -297,7 +297,6 @@ func TestCommitSpanUnderRequestRoot(t *testing.T) {
 	st := newSyncStack(t)
 	tr := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Always()})
 	srv := NewWith(st.reg, nil, nil, Options{Obs: st.obs, Tracer: tr})
-	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

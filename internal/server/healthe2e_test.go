@@ -49,7 +49,6 @@ func TestContinuousHealthEndToEnd(t *testing.T) {
 	srv := NewWith(reg, repo, eng, Options{Obs: obs.NewRegistry(), Health: mon})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	c := client.New(ts.URL, ts.Client())
 
 	// The standing policy: when a model's live distribution drifts hard,
@@ -99,9 +98,13 @@ func TestContinuousHealthEndToEnd(t *testing.T) {
 	gw := serve.New(c, serve.Options{
 		Name:            "gw-e2e",
 		RefreshInterval: -1,
-		HealthSink:      c,
-		HealthInterval:  -1, // flushed explicitly per window
-		Obs:             obs.NewRegistry(),
+		HealthSink: func(req api.HealthObservationsRequest) {
+			if err := c.ReportHealthObservations(context.Background(), req); err != nil {
+				t.Error(err)
+			}
+		},
+		HealthInterval: -1, // flushed explicitly per window
+		Obs:            obs.NewRegistry(),
 	})
 	t.Cleanup(gw.Close)
 
@@ -116,9 +119,7 @@ func TestContinuousHealthEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := gw.FlushHealth(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		gw.FlushHealth()
 	}
 
 	// Four windows of reference-shaped traffic: two become the reference,
@@ -183,7 +184,6 @@ func TestModelHealthNotFound(t *testing.T) {
 	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), Health: mon})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	c := client.New(ts.URL, ts.Client())
 
 	if _, err := c.ModelHealth(uuid.NewSeeded(5).New().String()); err == nil {

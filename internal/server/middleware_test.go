@@ -97,7 +97,6 @@ func TestAccessLogLines(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), AccessLog: slog.New(slog.NewJSONHandler(&buf, nil))})
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -134,7 +133,6 @@ func TestBodyLimitReturns413(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), MaxBodyBytes: 64})
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -170,11 +168,12 @@ func TestBodyLimitReturns413(t *testing.T) {
 	}
 }
 
-// TestEngineDispatchCounted verifies metric writes are dispatched through
-// the bounded queue and counted, and that events arriving after Close are
-// dropped (and counted) rather than wedging the request path.
+// TestEngineDispatchCounted verifies that /v1/stats reports the rule
+// engine's own queue: a metric write is one accepted trigger, and a write
+// after the engine stopped is a counted drop that still answers 200.
 func TestEngineDispatchCounted(t *testing.T) {
 	h := newHarness(t)
+	h.eng.Start(2)
 	m := h.registerModel(t, "Random Forest", "UberX")
 	in := h.upload(t, m.ID, "sf", []byte("x"))
 
@@ -182,18 +181,23 @@ func TestEngineDispatchCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.flush()
-	if got := h.srv.cDispatched.Value(); got != 1 {
-		t.Fatalf("dispatched = %d, want 1", got)
+	st, err := h.c.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := h.srv.cDropped.Value(); got != 0 {
-		t.Fatalf("dropped = %d, want 0", got)
+	if st.EngineDispatches != 1 || st.EngineDrops != 0 {
+		t.Fatalf("dispatched, dropped = %d, %d; want 1, 0", st.EngineDispatches, st.EngineDrops)
 	}
 
-	h.srv.Close()
-	id, _ := uuid.Parse(in.ID)
-	h.srv.notifyMetricUpdated(id)
-	if got := h.srv.cDropped.Value(); got != 1 {
-		t.Fatalf("post-Close dropped = %d, want 1", got)
+	h.eng.Stop()
+	if _, err := h.c.InsertMetric(in.ID, "bias", "validation", 0.03); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = h.c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if st.EngineDispatches != 1 || st.EngineDrops != 1 {
+		t.Fatalf("post-Stop dispatched, dropped = %d, %d; want 1, 1", st.EngineDispatches, st.EngineDrops)
 	}
 }
 
@@ -214,7 +218,6 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 	eng := rules.NewEngine(reg, repo, clk)
 	eng.Instrument(metrics)
 	srv := NewWith(reg, repo, eng, Options{Obs: metrics})
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	c := client.New(ts.URL, ts.Client())
@@ -264,8 +267,8 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 	if _, ok := snap.Histograms[`blobstore_op_seconds{op="put"}`]; !ok {
 		t.Error("missing blobstore put latency histogram")
 	}
-	if snap.Counters["server_engine_dispatch_total"] != 1 {
-		t.Errorf("dispatch counter = %d", snap.Counters["server_engine_dispatch_total"])
+	if snap.Counters["rules_events_triggered_total"] != 1 {
+		t.Errorf("rule trigger counter = %d", snap.Counters["rules_events_triggered_total"])
 	}
 	if _, ok := snap.Gauges["dal_cache_hit_ratio"]; !ok {
 		t.Error("missing dal_cache_hit_ratio gauge")

@@ -109,7 +109,6 @@ func TestPowerLossKeepsEveryAcknowledgedWrite(t *testing.T) {
 	srv := NewWith(reg, repo, rules.NewEngine(reg, repo, nil), Options{Obs: o, Tenants: tm})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	defer srv.Close()
 	dial := func(secret string) *client.Client {
 		return client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Token: secret, Retries: 0})
 	}

@@ -28,7 +28,6 @@ func TestProfileIngestRejectsUnknownKind(t *testing.T) {
 	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), Profiles: profile.NewFleet(0)})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	c := client.New(ts.URL, ts.Client())
 
 	end := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)

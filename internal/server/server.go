@@ -6,7 +6,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"gallery/internal/api"
 	"gallery/internal/audit"
@@ -39,7 +37,7 @@ const DefaultMaxBodyBytes = 256 << 20
 
 // Options tunes a Server.
 type Options struct {
-	// Obs receives HTTP and dispatch metrics; nil uses obs.Default.
+	// Obs receives HTTP metrics; nil uses obs.Default.
 	Obs *obs.Registry
 	// AccessLog, when non-nil, receives one structured log line per
 	// request and the server's ad-hoc error logs. Build it over Logs
@@ -48,9 +46,6 @@ type Options struct {
 	// MaxBodyBytes bounds JSON request bodies (default DefaultMaxBodyBytes).
 	// Oversized bodies are rejected with 413.
 	MaxBodyBytes int64
-	// EventQueue bounds the rule-engine dispatch queue (default 1024).
-	// Metric events beyond the bound are dropped and counted.
-	EventQueue int
 	// Tracer records request traces. nil builds a local tracer with the
 	// Never sampler — the debug endpoints still serve (and ingest spans
 	// shipped by tracing peers), but no local request starts a trace.
@@ -111,25 +106,7 @@ type Server struct {
 	maxBody    int64
 	allLatency *obs.Histogram // route-less latency; headline p50/p95 for /v1/stats
 
-	cDispatched    *obs.Counter
-	cDropped       *obs.Counter
 	cBlobWriteErrs *obs.Counter
-
-	// Rule-engine dispatch queue: metric-update events leave the request
-	// path here and are replayed into the engine by a single goroutine,
-	// keeping the engine's own serialization.
-	events    chan metricEvent
-	eventWG   sync.WaitGroup
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-// metricEvent pairs a metric update with the detached trace context of the
-// request that caused it, so asynchronous rule evaluation shows up as late
-// spans of the same trace.
-type metricEvent struct {
-	ctx context.Context
-	id  uuid.UUID
 }
 
 // NewWith builds a Server. The engine may be nil for storage-only
@@ -141,9 +118,6 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if opts.EventQueue <= 0 {
-		opts.EventQueue = 1024
 	}
 	if opts.Tracer == nil {
 		opts.Tracer = trace.New(trace.Options{Service: "galleryd"})
@@ -164,12 +138,7 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 		tracer:         opts.Tracer,
 		maxBody:        opts.MaxBodyBytes,
 		allLatency:     opts.Obs.Histogram("http_request_seconds_all", obs.LatencyBuckets),
-		cDispatched:    opts.Obs.Counter("server_engine_dispatch_total"),
-		cDropped:       opts.Obs.Counter("server_engine_dispatch_dropped_total"),
 		cBlobWriteErrs: opts.Obs.Counter("server_blob_write_errors_total"),
-
-		events: make(chan metricEvent, opts.EventQueue),
-		done:   make(chan struct{}),
 	}
 	s.logs, s.accessLog = opts.Logs, opts.AccessLog
 	if s.accessLog == nil && s.logs != nil {
@@ -203,86 +172,20 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 	} else {
 		s.h = withActor(wrapped, opts.Obs.Counter("audit_anonymous_actor_total"))
 	}
-	go s.eventLoop()
 	return s
 }
 
-// notifyMetricUpdated hands a metric-update event to the dispatch queue
-// without blocking the request path. When the queue is full the event is
-// dropped (and counted): rule re-evaluation is best-effort and a later
-// metric write re-triggers it.
-func (s *Server) notifyMetricUpdated(id uuid.UUID) {
-	s.notifyMetricUpdatedCtx(context.Background(), id)
-}
-
-// notifyMetricUpdatedCtx is notifyMetricUpdated carrying the request's
-// trace span (detached: the span link survives the response, request
-// cancellation does not) into the rule engine.
-func (s *Server) notifyMetricUpdatedCtx(ctx context.Context, id uuid.UUID) {
-	if s.engine == nil {
-		return
-	}
-	select {
-	case <-s.done:
-		s.cDropped.Inc()
-		return
-	default:
-	}
-	s.eventWG.Add(1)
-	select {
-	case s.events <- metricEvent{ctx: trace.Detach(ctx), id: id}:
-		s.cDispatched.Inc()
-	default:
-		s.eventWG.Done()
-		s.cDropped.Inc()
-	}
-}
-
-// eventLoop replays queued metric events into the rule engine, one at a
-// time. The engine applies its own worker-pool parallelism when started.
-func (s *Server) eventLoop() {
-	for {
-		select {
-		case ev := <-s.events:
-			s.dispatch(ev)
-		case <-s.done:
-			for {
-				select {
-				case ev := <-s.events:
-					s.dispatch(ev)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// dispatch is one pass of the event loop. Rules an unstarted engine runs
-// inline write audit rows and promotions with no client waiting, so the
-// pass commits them itself (a started engine's workers commit their own).
-// A failed commit has nobody to refuse; it is sticky in the WAL, so the
-// next mutating request reports it.
-func (s *Server) dispatch(ev metricEvent) {
-	s.engine.MetricUpdatedCtx(ev.ctx, ev.id)
-	_ = s.reg.Commit(ev.ctx)
-	s.eventWG.Done()
-}
-
-// Flush blocks until every queued metric event has been handed to the
-// engine and the engine's own queue has drained. Tests use it to observe
-// the effects of asynchronous dispatch deterministically.
+// Flush blocks until the rule engine's queue has drained. Tests use it
+// to observe the effects of asynchronous rule runs deterministically.
 func (s *Server) Flush() {
-	s.eventWG.Wait()
 	if s.engine != nil {
 		s.engine.Flush()
 	}
 }
 
-// Close stops the dispatch goroutine after draining queued events.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.done) })
-}
+// Close does nothing: the server starts no goroutine. It stays for the
+// callers in bench/ladder.go, which ROADMAP item 14 deletes.
+func (s *Server) Close() {}
 
 // handle registers a route on the mux and records its pattern for the
 // classification-coverage test.
@@ -825,9 +728,11 @@ func (s *Server) handleInsertMetric(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	// Metric updates are rule-engine events (paper Fig. 8, Client 2),
-	// dispatched off the request path.
-	s.notifyMetricUpdatedCtx(r.Context(), id)
+	// Metric updates are rule-engine events (paper Fig. 8, Client 2):
+	// the engine queues them for its workers without waiting.
+	if s.engine != nil {
+		s.engine.MetricUpdatedCtx(r.Context(), id)
+	}
 	httpmw.WriteJSON(w, http.StatusCreated, metricDTO(m))
 }
 
@@ -850,7 +755,9 @@ func (s *Server) handleInsertMetrics(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	s.notifyMetricUpdatedCtx(r.Context(), id)
+	if s.engine != nil {
+		s.engine.MetricUpdatedCtx(r.Context(), id)
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -969,7 +876,9 @@ func (s *Server) handleInsertMetricsBlob(w http.ResponseWriter, r *http.Request)
 		writeErr(w, err)
 		return
 	}
-	s.notifyMetricUpdatedCtx(r.Context(), id)
+	if s.engine != nil {
+		s.engine.MetricUpdatedCtx(r.Context(), id)
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1068,10 +977,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	bs := s.reg.DAL().Blobs().Stats()
 	st.BlobPuts, st.BlobGets = bs.Puts, bs.Gets
 	if s.engine != nil {
-		st.RuleEvaluations = s.engine.Stats().Evaluations
+		es := s.engine.Stats()
+		st.RuleEvaluations, st.EngineDispatches, st.EngineDrops = es.Evaluations, es.EventsTriggered, es.EventsDropped
 	}
-	st.EngineDispatches = s.cDispatched.Value()
-	st.EngineDrops = s.cDropped.Value()
 	httpmw.WriteJSON(w, http.StatusOK, st)
 }
 

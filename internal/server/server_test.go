@@ -51,7 +51,6 @@ func newHarness(t *testing.T) *harness {
 	srv := NewWith(reg, repo, eng, Options{Obs: obs.NewRegistry()})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	return &harness{c: client.New(ts.URL, ts.Client()), clk: clk, ts: ts, eng: eng, srv: srv}
 }
 
@@ -69,7 +68,6 @@ func newStorageOnlyHarness(t *testing.T) *harness {
 	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry()})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	return &harness{c: client.New(ts.URL, ts.Client()), clk: clk, ts: ts, srv: srv}
 }
 

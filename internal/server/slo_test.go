@@ -56,7 +56,6 @@ func newSLOHarness(t *testing.T) *harness {
 	srv := NewWith(reg, repo, eng, Options{Obs: o, SLO: sloSvc})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	return &harness{c: client.New(ts.URL, ts.Client()), clk: clk, ts: ts, eng: eng, srv: srv}
 }
 

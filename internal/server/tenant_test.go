@@ -76,7 +76,6 @@ func newAuthHarness(t *testing.T) *authHarness {
 		Profiles: profile.NewFleet(0)})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	h := &authHarness{ts: ts, srv: srv, tm: tm, obs: o, clk: clk}
 	adminSecret := h.mint(t, tenant.DefaultNamespace, "root", tenant.RoleOperator)
 	h.admin = h.client(adminSecret)
@@ -322,7 +321,6 @@ func TestAnonymousActorWithoutAuth(t *testing.T) {
 	srv := NewWith(reg, nil, nil, Options{Obs: o})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	c := client.New(ts.URL, ts.Client()) // no Actor, no Token
 	m, err := c.RegisterModel(api.RegisterModelRequest{BaseVersionID: "bv-1", Name: "eta", Owner: "x", Team: "maps", Domain: "maps"})
 	if err != nil {

@@ -34,7 +34,6 @@ func newTracedHarness(t *testing.T, tr *trace.Tracer) *harness {
 	srv := NewWith(reg, repo, eng, Options{Obs: obs.NewRegistry(), Tracer: tr})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	return &harness{c: client.New(ts.URL, ts.Client()), clk: clk, ts: ts, eng: eng, srv: srv}
 }
 
