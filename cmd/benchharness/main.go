@@ -9,14 +9,16 @@
 //
 // Experiment names: table1, fig1, fig4, fig5-7, fig8, scale, switching,
 // deployment, simulation, drift, skew, consistency, classes, reposition,
-// serving, onlinedrift, auditchurn, relquery, multitenant, sloburn,
-// incidentcapture, profilefleet, tiered.
+// serving, onlinedrift, auditchurn, relquery, multitenant, tiered.
 //
 // The harness prints; it does not judge. The exact counts, planner
 // verdicts and allocs/op figures these runs produce are asserted, at the
 // same parameters, by the tests in internal/experiments (DESIGN.md
-// "Gates"). Wall-clock performance is measured over real sockets by the
-// bench/ module, not here.
+// "Gates"). multitenant (E22) boots galleryd and galleryserve from their
+// flags, as internal/daemon assembles them, and measures through their
+// handlers; the other experiments drive the libraries in-process.
+// Wall-clock performance is measured over real sockets by the bench/
+// module, not here.
 package main
 
 import (
@@ -188,29 +190,8 @@ func main() {
 			}
 			return res.Format(), nil
 		}},
-		{"multitenant", "E22 (extension) — multi-tenant control plane: auth hot-path cost, noisy-neighbor isolation", func() (string, error) {
+		{"multitenant", "E22 (extension) — multi-tenant control plane on the shipped daemons: auth hot-path cost, noisy-neighbor isolation", func() (string, error) {
 			res, err := experiments.MultiTenant(2000)
-			if err != nil {
-				return "", err
-			}
-			return res.Format(), nil
-		}},
-		{"sloburn", "E23 (extension) — per-tenant SLO engine: burn-rate detection, rule wiring, isolation", func() (string, error) {
-			res, err := experiments.Sloburn(2000)
-			if err != nil {
-				return "", err
-			}
-			return res.Format(), nil
-		}},
-		{"incidentcapture", "E24 (extension) — incident flight recorder: debounced capture, cross-process bundle, WAL durability", func() (string, error) {
-			res, err := experiments.IncidentCapture(2000)
-			if err != nil {
-				return "", err
-			}
-			return res.Format(), nil
-		}},
-		{"profilefleet", "E25 (extension) — continuous profiling: fleet view over HTTP, armed-profiler cost", func() (string, error) {
-			res, err := experiments.ProfileFleet(2000)
 			if err != nil {
 				return "", err
 			}

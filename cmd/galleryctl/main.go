@@ -426,13 +426,12 @@ func cmdSLO(c *client.Client, args []string) error {
 	case "create":
 		fs := flag.NewFlagSet("slo create", flag.ExitOnError)
 		ns := fs.String("namespace", "default", "tenant namespace the objective covers")
-		model := fs.String("model", "", "scope to one served model (empty: whole namespace)")
 		kind := fs.String("kind", "availability", "objective kind: availability | latency")
 		target := fs.Float64("target", 0.999, "success-ratio target, e.g. 0.999")
 		threshold := fs.Float64("threshold-ms", 0, "latency kind: threshold in milliseconds")
 		fs.Parse(rest)
 		return dump(c.CreateSLO(api.CreateSLORequest{
-			Namespace: *ns, ModelID: *model, Kind: *kind,
+			Namespace: *ns, Kind: *kind,
 			Target: *target, LatencyThresholdMS: *threshold,
 		}))
 	case "list":

@@ -19,6 +19,7 @@ import (
 
 	"gallery/internal/api"
 	"gallery/internal/client"
+	"gallery/internal/forecast"
 	"gallery/internal/obs"
 	"gallery/internal/obs/profile"
 )
@@ -412,13 +413,22 @@ func TestConfigErrors(t *testing.T) {
 // TestGatewayCloseShipsLastWindow closes a gateway while its profiler is
 // in the middle of a CPU window. Stop cuts the window short and exports
 // it; Close must still be able to ship it, so galleryd's fleet view then
-// holds the gateway's CPU window.
+// holds both processes: galleryd's own short boot cycle, finished before
+// the gateway opens its window, and the gateway's interrupted CPU window,
+// with nothing dropped or failed on the way.
 func TestGatewayCloseShipsLastWindow(t *testing.T) {
-	gd, err := NewGalleryd(gallerydConfig(t, "-mem"))
+	gd, err := NewGalleryd(gallerydConfig(t, "-mem", "-profile-interval", "1h", "-profile-window", "20ms"))
 	must(t, err)
 	defer gd.Close()
 	ts := httptest.NewServer(gd.Handler())
 	defer ts.Close()
+	c := client.New(ts.URL, nil)
+	// Only one CPU profile runs per process: let galleryd's boot window
+	// close first.
+	must(t, waitFor(func() bool {
+		view, err := c.DebugProfile(0, 5)
+		return err == nil && len(view.Processes) == 1
+	}))
 
 	gw, err := NewGalleryserve(galleryserveConfig(t, "-gallery", ts.URL, "-refresh", "-1s", "-health-flush", "-1s",
 		"-profile-interval", "1h", "-profile-window", "1h"))
@@ -426,12 +436,71 @@ func TestGatewayCloseShipsLastWindow(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let the first window open
 	must(t, gw.Close())
 
-	view, err := client.New(ts.URL, nil).DebugProfile(0, 5)
+	view, err := c.DebugProfile(0, 5)
 	must(t, err)
+	processes := map[string]bool{}
 	for _, pv := range view.Processes {
-		if pv.Process == "galleryserve" && pv.Windows[profile.KindCPU] == 1 {
-			return
+		processes[pv.Process] = true
+		if pv.Process == "galleryserve" && pv.Windows[profile.KindCPU] != 1 {
+			t.Errorf("gateway CPU windows = %d, want its one interrupted window", pv.Windows[profile.KindCPU])
 		}
 	}
-	t.Fatalf("galleryd's profile view lacks the gateway's interrupted CPU window: %+v", view.Processes)
+	if len(processes) != 2 || !processes["galleryd"] || !processes["galleryserve"] {
+		t.Fatalf("galleryd's profile view covers %+v, want galleryd and galleryserve", view.Processes)
+	}
+	snap := metricsSnapshot(t, gw.Handler())
+	for _, name := range []string{`telemetry_dropped_total{channel="profiles"}`, `telemetry_failed_total{channel="profiles"}`} {
+		if v, ok := snap.Counters[name]; !ok || v != 0 {
+			t.Errorf("gateway %s = %d (present %v), want 0", name, v, ok)
+		}
+	}
+}
+
+// TestIncidentBundleFromPair triggers an incident on galleryd after
+// traffic through both daemons. The bundle must hold the gateway's half,
+// pulled over HTTP with -incident-gateway-token, beside galleryd's own.
+func TestIncidentBundleFromPair(t *testing.T) {
+	p := bootPair(t, testToken, []string{"-mem", "-auth", "-health-interval", "-1s", "-slo-interval", "-1s"},
+		[]string{"-auth", "-trace-sample", "always", "-refresh", "-1s", "-health-flush", "-1s"})
+	m, err := p.gdC.RegisterModel(api.RegisterModelRequest{BaseVersionID: "bv-incident", Name: "demand", Domain: "UberX"})
+	must(t, err)
+	blob, err := forecast.Encode(&forecast.Heuristic{K: 1})
+	must(t, err)
+	must(t, second(p.gdC.UploadInstance(api.UploadInstanceRequest{ModelID: m.ID, Name: "first", City: "sf", Blob: blob})))
+	must(t, second(p.gwC.Predict(m.ID, api.PredictRequest{History: []float64{10, 20}})))
+	must(t, second(p.gdC.CreateSLO(api.CreateSLORequest{Namespace: "default", Kind: "availability", Target: 0.99})))
+
+	inc, err := p.gdC.TriggerIncident(api.TriggerIncidentRequest{Reason: "pair"})
+	must(t, err)
+	detail, err := p.gdC.GetIncident(inc.ID)
+	must(t, err)
+	b := detail.Bundle
+	if detail.Incident.Partial || b.GatewayError != "" || b.Gateway == nil {
+		t.Fatalf("bundle partial (%q) with a live gateway", b.GatewayError)
+	}
+	if !strings.Contains(b.Gateway.MetricsProm, "serve_predictions_total") {
+		t.Error("gateway half lacks serve_predictions_total")
+	}
+	if !bytes.Contains(b.Gateway.Traces, []byte("POST /v1/predict")) {
+		t.Error("gateway half lacks a POST /v1/predict span")
+	}
+	if len(b.Registry.Logs) == 0 || len(b.Gateway.Logs) == 0 {
+		t.Errorf("log tails: registry %d, gateway %d entries, want both non-empty", len(b.Registry.Logs), len(b.Gateway.Logs))
+	}
+	if b.Registry.Build.GoVersion == "" || b.Gateway.Build.GoVersion == "" {
+		t.Errorf("build info not stamped: registry %+v, gateway %+v", b.Registry.Build, b.Gateway.Build)
+	}
+	if len(b.SLO) == 0 {
+		t.Error("SLO section empty")
+	}
+}
+
+// metricsSnapshot reads a daemon's GET /v1/debug/metrics through h.
+func metricsSnapshot(t *testing.T, h http.Handler) obs.Snapshot {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/debug/metrics", nil))
+	var snap obs.Snapshot
+	must(t, json.Unmarshal(rec.Body.Bytes(), &snap))
+	return snap
 }

@@ -2,39 +2,38 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/clock"
-	"gallery/internal/core"
+	"gallery/internal/client"
+	"gallery/internal/daemon"
 	"gallery/internal/forecast"
-	"gallery/internal/obs"
-	"gallery/internal/relstore"
-	"gallery/internal/serve"
-	"gallery/internal/server"
 	"gallery/internal/tenant"
-	"gallery/internal/uuid"
 )
 
 // MultiTenantResult is E22: what the multi-tenant control plane costs on
-// the hot paths, and whether it actually isolates tenants. Three probes:
+// the hot paths of the shipped daemons, and whether it actually isolates
+// tenants. Three probes, each through an assembled daemon's handler:
 //
-//  1. Predict arm — the same serving handler answers the same prediction
-//     storm with auth off and on (identical requests, the off arm simply
+//  1. Predict arm — galleryserve without and with -auth answers the same
+//     prediction storm (identical requests, the plain gateway simply
 //     ignores the bearer header). The claim under test: authentication
 //     adds zero heap allocations per request.
-//  2. Registry arm — GET /v1/models/{id} against galleryd, auth off vs
-//     on, for the metadata-path allocation cost.
-//  3. Noisy neighbor — two tenants on one frozen-clock gateway: "noisy"
-//     rate-limited at burst 10, "quiet" unlimited. The noisy tenant's
-//     flood must clip at exactly its burst while the quiet tenant loses
-//     nothing.
+//  2. Registry arm — GET /v1/models/{id} against galleryd without and
+//     with -auth, for the metadata-path allocation cost.
+//  3. Noisy neighbor — two tenants on the authed gateway: "noisy" at
+//     burst 10 with a bucket that refills once every 1,000 s, "quiet"
+//     unlimited. The noisy tenant's flood must clip at exactly its burst
+//     while the quiet tenant loses nothing.
 type MultiTenantResult struct {
 	PredictOps int
 
@@ -44,6 +43,7 @@ type MultiTenantResult struct {
 	RegOffAllocs, RegOnAllocs float64
 
 	NoisySent, NoisyAllowed, NoisyRejected int
+	NoisyRetryAfter                        string
 	QuietSent, QuietOK                     int
 }
 
@@ -63,32 +63,111 @@ func (r *MultiTenantResult) QuietOKRatio() float64 {
 // Format renders E22 as paper-style rows.
 func (r *MultiTenantResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "predict hot path (%d ops): auth=off allocs/op=%.1f; auth=on allocs/op=%.1f (extra %+.1f, target 0)\n",
+	fmt.Fprintf(&b, "galleryserve POST /v1/predict/{model} (%d ops): auth=off allocs/op=%.1f; auth=on allocs/op=%.1f (extra %+.1f, target 0)\n",
 		r.PredictOps, r.OffAllocs, r.OnAllocs, r.PredictExtraAllocs())
-	fmt.Fprintf(&b, "registry GET /v1/models/{id} (%d ops): auth=off allocs/op=%.1f; auth=on allocs/op=%.1f\n",
+	fmt.Fprintf(&b, "galleryd GET /v1/models/{id} (%d ops): auth=off allocs/op=%.1f; auth=on allocs/op=%.1f\n",
 		r.RegOps, r.RegOffAllocs, r.RegOnAllocs)
 	b.WriteString("  auth=off pays for withActor's r.WithContext + context.WithValue (the anonymous actor);\n" +
 		"  auth=on carries the token identity instead, so the arms differ by more than auth and only auth=on gates\n")
-	fmt.Fprintf(&b, "noisy neighbor (frozen clock, noisy burst=10): noisy %d/%d admitted, %d rejected 429; quiet %d/%d ok (isolation %.2f)\n",
-		r.NoisyAllowed, r.NoisySent, r.NoisyRejected, r.QuietOK, r.QuietSent, r.QuietOKRatio())
+	fmt.Fprintf(&b, "noisy neighbor (noisy burst=10, refill 1/1000s): noisy %d/%d admitted, %d rejected 429 (Retry-After %s); quiet %d/%d ok (isolation %.2f)\n",
+		r.NoisyAllowed, r.NoisySent, r.NoisyRejected, r.NoisyRetryAfter, r.QuietOK, r.QuietSent, r.QuietOKRatio())
 	return b.String()
 }
 
+// Token secrets of E22's -token-file.
+const (
+	mtAdmin = "gal_e22admin000000000000000000000000000000"
+	mtBench = "gal_e22bench000000000000000000000000000000"
+	mtNoisy = "gal_e22noisy000000000000000000000000000000"
+	mtQuiet = "gal_e22quiet000000000000000000000000000000"
+)
+
+// Background loops off, as the daemons' own tests run them: the allocation
+// count is process-wide, so only the measured requests may allocate. The
+// sampler and the log level stay at their defaults.
+var (
+	mtGallerydArgs     = []string{"-mem", "-profile-interval", "-1s", "-health-interval", "-1s", "-slo-interval", "-1s", "-dump-metrics=false"}
+	mtGalleryserveArgs = []string{"-profile-interval", "-1s", "-refresh", "-1s", "-health-flush", "-1s"}
+)
+
 // MultiTenant runs E22 with n measured ops per hot-path arm.
 func MultiTenant(n int) (*MultiTenantResult, error) {
-	env, err := NewEnv(47)
+	dir, err := os.MkdirTemp("", "gallery-e22-")
 	if err != nil {
 		return nil, err
 	}
-	res := &MultiTenantResult{PredictOps: n, RegOps: n}
-
-	// One trained model, promoted, as the serving workload.
-	m, err := env.Reg.RegisterModel(core.ModelSpec{
-		BaseVersionID: "tenant_bench", Project: "bench", Name: "bench/demand", Domain: "UberX",
+	defer os.RemoveAll(dir)
+	tokens := filepath.Join(dir, "tokens.json")
+	seed, err := json.Marshal(tenant.Seed{
+		Namespaces: []tenant.SeedNamespace{{Name: "bench"}, {Name: "noisy", RatePerSec: 0.001, Burst: 10}, {Name: "quiet"}},
+		Tokens: []tenant.SeedToken{
+			{Secret: mtAdmin, Name: "admin", Namespace: tenant.DefaultNamespace, Role: "operator"},
+			{Secret: mtBench, Name: "bench-reader", Namespace: "bench", Role: "reader"},
+			{Secret: mtNoisy, Name: "noisy-reader", Namespace: "noisy", Role: "reader"},
+			{Secret: mtQuiet, Name: "quiet-reader", Namespace: "quiet", Role: "reader"},
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	if err := os.WriteFile(tokens, seed, 0o600); err != nil {
+		return nil, err
+	}
+	auth := []string{"-auth", "-token-file", tokens}
+
+	// Each daemon is closed after everything booted later: gateways before
+	// the galleryd they ship to. Only the galleryds listen; the measured
+	// requests go straight into the handlers.
+	var stops []func()
+	defer func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
+		}
+	}()
+	gallerydOn := func(extra []string) (*daemon.Galleryd, *httptest.Server, error) {
+		var cfg daemon.GallerydConfig
+		if err := parseFlags(cfg.Flags, mtGallerydArgs, extra); err != nil {
+			return nil, nil, err
+		}
+		gd, err := daemon.NewGalleryd(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		ts := httptest.NewServer(gd.Handler())
+		stops = append(stops, func() { gd.Close() }, ts.Close)
+		return gd, ts, nil
+	}
+	gdOff, gdOffTS, err := gallerydOn(nil)
+	if err != nil {
+		return nil, err
+	}
+	gdOn, gdOnTS, err := gallerydOn(auth)
+	if err != nil {
+		return nil, err
+	}
+	galleryserveOn := func(extra []string) (*daemon.Galleryserve, error) {
+		var cfg daemon.GalleryserveConfig
+		if err := parseFlags(cfg.Flags, mtGalleryserveArgs, []string{"-gallery", gdOffTS.URL}, extra); err != nil {
+			return nil, err
+		}
+		gw, err := daemon.NewGalleryserve(cfg)
+		if err != nil {
+			return nil, err
+		}
+		stops = append(stops, func() { gw.Close() })
+		return gw, nil
+	}
+	gwOff, err := galleryserveOn(nil)
+	if err != nil {
+		return nil, err
+	}
+	gwOn, err := galleryserveOn(auth)
+	if err != nil {
+		return nil, err
+	}
+
+	// One trained model, uploaded (and so in production) on the gateways'
+	// galleryd, as the serving workload; the authed galleryd holds a model for the registry arm.
 	series := forecast.Generate(forecast.CityConfig{
 		Name: "sf", Base: 100, GrowthPerWeek: 3, DailyAmp: 20, WeeklyAmp: 10, NoiseStd: 2, Seed: 47,
 	}, epoch, time.Hour, 24*14)
@@ -100,135 +179,107 @@ func MultiTenant(n int) (*MultiTenantResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst, err := env.Reg.UploadInstance(core.InstanceSpec{ModelID: m.ID, Name: "champion", City: "sf"}, blob)
+	spec := api.RegisterModelRequest{BaseVersionID: "tenant_bench", Project: "bench", Name: "bench/demand", Domain: "UberX"}
+	m, err := client.New(gdOffTS.URL, nil).RegisterModel(spec)
 	if err != nil {
 		return nil, err
 	}
-	if err := env.Reg.PromoteInstance(inst.ID); err != nil {
+	if _, err := client.New(gdOffTS.URL, nil).UploadInstance(api.UploadInstanceRequest{ModelID: m.ID, Name: "champion", City: "sf", Blob: blob}); err != nil {
 		return nil, err
 	}
-
-	// The gateway-side control plane: in-memory store, deterministic ids,
-	// frozen mock clock (rate buckets never refill, so admit/reject counts
-	// are exact).
-	clk := clock.NewMock(epoch)
-	tm, err := tenant.Open(relstore.NewMemory(), tenant.Options{
-		Clock: clk, UUIDs: uuid.NewSeeded(48), Obs: obs.NewRegistry(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := tm.CreateNamespace(context.Background(), tenant.Namespace{Name: "bench"}); err != nil {
-		return nil, err
-	}
-	if err := tm.CreateNamespace(context.Background(), tenant.Namespace{Name: "noisy", RatePerSec: 1, Burst: 10}); err != nil {
-		return nil, err
-	}
-	if err := tm.CreateNamespace(context.Background(), tenant.Namespace{Name: "quiet"}); err != nil {
-		return nil, err
-	}
-	benchSecret, _, err := tm.MintToken(context.Background(), "bench", "bench-reader", tenant.RoleReader)
-	if err != nil {
-		return nil, err
-	}
-	noisySecret, _, err := tm.MintToken(context.Background(), "noisy", "noisy-reader", tenant.RoleReader)
-	if err != nil {
-		return nil, err
-	}
-	quietSecret, _, err := tm.MintToken(context.Background(), "quiet", "quiet-reader", tenant.RoleReader)
+	mOn, err := client.NewWith(gdOnTS.URL, client.Options{Token: mtAdmin}).RegisterModel(spec)
 	if err != nil {
 		return nil, err
 	}
 
-	// --- predict arm ---
-	gw := serve.New(regSource{env.Reg}, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
-	defer gw.Close()
-	hOff := serve.NewHandler(gw)
-	hOn := serve.NewHandler(gw, serve.WithAuthorizer(tm))
-
-	hist := series.Values()[len(series)-48:]
-	payload, err := json.Marshal(api.PredictRequest{History: hist})
-	if err != nil {
-		return nil, err
-	}
-	predictPath := "/v1/predict/" + m.ID.String()
-	// Both arms build byte-identical requests — bearer header included —
-	// so the measured delta is exactly what the auth middleware adds.
-	predictOp := func(h *serve.Handler) error {
-		req := httptest.NewRequest(http.MethodPost, predictPath, bytes.NewReader(payload))
-		req.Header.Set("Authorization", "Bearer "+benchSecret)
+	// Every request carries the bench reader's bearer token, so the arms
+	// differ in the daemon's flags only.
+	call := func(h http.Handler, method, path string, body []byte, secret string) *httptest.ResponseRecorder {
+		var r io.Reader
+		if body != nil {
+			r = bytes.NewReader(body)
+		}
+		req := httptest.NewRequest(method, path, r)
+		req.Header.Set("Authorization", "Bearer "+secret)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return fmt.Errorf("experiments: predict status %d: %s", rec.Code, rec.Body.String())
-		}
-		return nil
+		return rec
 	}
-	if res.OffAllocs, err = allocsPerOp(n, func() error { return predictOp(hOff) }); err != nil {
+	measure := func(h http.Handler, method, path string, body []byte) (float64, error) {
+		return allocsPerOp(n, func() error {
+			if rec := call(h, method, path, body, mtBench); rec.Code != http.StatusOK {
+				return fmt.Errorf("experiments: %s %s status %d: %s", method, path, rec.Code, rec.Body.String())
+			}
+			return nil
+		})
+	}
+	res := &MultiTenantResult{PredictOps: n, RegOps: n}
+
+	// --- predict arm ---
+	payload, err := json.Marshal(api.PredictRequest{History: series.Values()[len(series)-48:]})
+	if err != nil {
 		return nil, err
 	}
-	if res.OnAllocs, err = allocsPerOp(n, func() error { return predictOp(hOn) }); err != nil {
+	predictPath := "/v1/predict/" + m.ID
+	if res.OffAllocs, err = measure(gwOff.Handler(), http.MethodPost, predictPath, payload); err != nil {
+		return nil, err
+	}
+	if res.OnAllocs, err = measure(gwOn.Handler(), http.MethodPost, predictPath, payload); err != nil {
 		return nil, err
 	}
 
 	// --- registry arm ---
-	srvOff := server.NewWith(env.Reg, env.Repo, env.Engine, server.Options{Obs: obs.NewRegistry()})
-	defer srvOff.Close()
-	srvOn := server.NewWith(env.Reg, env.Repo, env.Engine, server.Options{Obs: obs.NewRegistry(), Tenants: tm})
-	defer srvOn.Close()
-	modelPath := "/v1/models/" + m.ID.String()
-	registryOp := func(h http.Handler) error {
-		req := httptest.NewRequest(http.MethodGet, modelPath, nil)
-		req.Header.Set("Authorization", "Bearer "+benchSecret)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return fmt.Errorf("experiments: get model status %d: %s", rec.Code, rec.Body.String())
-		}
-		return nil
-	}
-	if res.RegOffAllocs, err = allocsPerOp(n, func() error { return registryOp(srvOff) }); err != nil {
+	if res.RegOffAllocs, err = measure(gdOff.Handler(), http.MethodGet, "/v1/models/"+m.ID, nil); err != nil {
 		return nil, err
 	}
-	if res.RegOnAllocs, err = allocsPerOp(n, func() error { return registryOp(srvOn) }); err != nil {
+	if res.RegOnAllocs, err = measure(gdOn.Handler(), http.MethodGet, "/v1/models/"+mOn.ID, nil); err != nil {
 		return nil, err
 	}
 
 	// --- noisy neighbor ---
-	// The clock is frozen, so the noisy bucket starts full (burst 10) and
-	// never refills: of 50 requests exactly 10 must pass. The quiet tenant
-	// has no limit and must feel nothing.
-	flood := func(secret string, count int) (ok, limited int, err error) {
+	// The noisy bucket starts full (burst 10) and refills one token per
+	// 1,000 s, so of 50 back-to-back requests exactly 10 must pass. The
+	// quiet tenant has no limit and must feel nothing.
+	flood := func(secret string, count int) (ok, limited int, retryAfter string, err error) {
 		for i := 0; i < count; i++ {
-			req := httptest.NewRequest(http.MethodGet, "/v1/serving", nil)
-			req.Header.Set("Authorization", "Bearer "+secret)
-			rec := httptest.NewRecorder()
-			hOn.ServeHTTP(rec, req)
+			rec := call(gwOn.Handler(), http.MethodGet, "/v1/serving", nil, secret)
 			switch rec.Code {
 			case http.StatusOK:
 				ok++
 			case http.StatusTooManyRequests:
-				if rec.Header().Get("Retry-After") == "" {
-					return 0, 0, fmt.Errorf("experiments: 429 without Retry-After")
+				if retryAfter = rec.Header().Get("Retry-After"); retryAfter == "" {
+					return 0, 0, "", fmt.Errorf("experiments: 429 without Retry-After")
 				}
 				limited++
 			default:
-				return 0, 0, fmt.Errorf("experiments: flood status %d: %s", rec.Code, rec.Body.String())
+				return 0, 0, "", fmt.Errorf("experiments: flood status %d: %s", rec.Code, rec.Body.String())
 			}
 		}
-		return ok, limited, nil
+		return ok, limited, retryAfter, nil
 	}
 	res.NoisySent = 50
-	if res.NoisyAllowed, res.NoisyRejected, err = flood(noisySecret, res.NoisySent); err != nil {
+	if res.NoisyAllowed, res.NoisyRejected, res.NoisyRetryAfter, err = flood(mtNoisy, res.NoisySent); err != nil {
 		return nil, err
 	}
 	res.QuietSent = 50
 	quietLimited := 0
-	if res.QuietOK, quietLimited, err = flood(quietSecret, res.QuietSent); err != nil {
+	if res.QuietOK, quietLimited, _, err = flood(mtQuiet, res.QuietSent); err != nil {
 		return nil, err
 	}
 	if quietLimited != 0 {
 		return nil, fmt.Errorf("experiments: quiet tenant rate-limited %d times by the noisy tenant's flood", quietLimited)
 	}
 	return res, nil
+}
+
+// parseFlags fills a daemon config from its defaults and args, the way
+// the daemon's main does with its command line.
+func parseFlags(flags func(*flag.FlagSet), args ...[]string) error {
+	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
+	flags(fs)
+	var all []string
+	for _, a := range args {
+		all = append(all, a...)
+	}
+	return fs.Parse(all)
 }

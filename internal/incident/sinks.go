@@ -11,10 +11,10 @@ import (
 )
 
 // Event subscribes the recorder to what the monitors publish (it is an
-// obs.EventFunc): every SLO burn — namespace- or model-scoped — and every
-// model entering the degraded health state asks for a capture. Other
-// events (recoveries, warnings, drift evidence) are visible in the audit
-// trail but don't merit a bundle. The per-scope debounce turns a burn
+// obs.EventFunc): every namespace's SLO burn and every model entering the
+// degraded health state asks for a capture. Other events (recoveries,
+// warnings, drift evidence) are visible in the audit trail but don't
+// merit a bundle. The per-scope debounce turns a burn
 // storm into at most one bundle per interval, so suppression here is the
 // expected steady state, not an error; it and capture failure are both
 // counted, and there is nothing else to do from a subscriber.
@@ -25,7 +25,6 @@ func (r *Recorder) Event(ctx context.Context, ev obs.Event) {
 		_, _ = r.Trigger(ctx, Trigger{
 			Kind:      "slo.burn",
 			Namespace: ev.Namespace,
-			ModelID:   ev.ModelID,
 			Reason: fmt.Sprintf("slo %v %v burn severity %v fast %.2f slow %.2f budget %.3f",
 				f["slo"], f["kind"], f["severity"], f["burn_fast"], f["burn_slow"], f["budget"]),
 		})
@@ -41,7 +40,7 @@ func (r *Recorder) Event(ctx context.Context, ev obs.Event) {
 // CaptureAction adapts the recorder into a rules-engine action named
 // "capture", so a standing rule like
 //
-//	when: 'slo.event == "burn"'  actions: [capture]
+//	when: 'health.event == "drift"'  actions: [capture]
 //
 // snapshots the implicated model's flight data. Suppression by the
 // debounce is success from the rule's point of view — the evidence was

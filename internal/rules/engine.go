@@ -257,19 +257,18 @@ func (e *Engine) MetadataUpdatedCtx(ctx context.Context, instanceID uuid.UUID, f
 	e.trigger(trigger{ctx: ctx, instanceID: instanceID, idents: fields})
 }
 
-// Event is the one entry for everything a monitor publishes — health
-// drift and skew, SLO burns and recoveries (it is an obs.EventFunc).
-// Action rules in scope that watch the identifier ev.Kind re-evaluate
-// with a variable of that name holding ev.Fields plus the event name, so
-// a rule can say e.g.
+// Event is the one entry for everything a monitor publishes (it is an
+// obs.EventFunc). Action rules in scope that watch the identifier ev.Kind
+// re-evaluate with a variable of that name holding ev.Fields plus the
+// event name, so a rule can say e.g.
 //
 //	when: 'health.event == "drift" && health.psi > 0.25'
-//	when: 'slo.event == "burn" && slo.burn_fast > 14'
+//	when: 'health.event == "skew" && health.gap > 0.1'
 //
 // and close the paper's detect → retrain loop automatically. Rules
 // execute against an instance environment, so an event that names no
-// instance (a namespace-level burn, a model nobody serves, a health
-// status change) is ignored.
+// instance (an SLO burn, which is namespace-scoped; a model nobody
+// serves; a health status change) is ignored.
 func (e *Engine) Event(ctx context.Context, ev obs.Event) {
 	if ev.Instance == uuid.Nil {
 		return

@@ -36,27 +36,26 @@ type Handler struct {
 	auth      httpmw.Authorizer
 	pprof     bool
 	profiler  *profile.Profiler
-	red       PredictRED
+	red       predictRED
 	nsOf      func(*http.Request) string
 	h         http.Handler
 }
 
-// PredictRED bundles the per-tenant, per-model RED vectors the predict
-// path records — the signal the SLO evaluator consumes for model-scoped
-// objectives. NewPredictRED is idempotent per registry.
-type PredictRED struct {
-	Requests *obs.CounterVec // serve_predict_requests_total{namespace,model}
-	Errors   *obs.CounterVec // serve_predict_errors_total{namespace,model}
-	Latency  *obs.HistogramVec
+// predictRED bundles the per-tenant, per-model RED vectors the predict
+// path records: what each namespace's traffic to each model costs, for
+// the gateway's exposition and its incident bundle half.
+type predictRED struct {
+	requests *obs.CounterVec // serve_predict_requests_total{namespace,model}
+	errors   *obs.CounterVec // serve_predict_errors_total{namespace,model}
+	latency  *obs.HistogramVec
 }
 
-// NewPredictRED returns the predict RED vectors registered in reg.
-func NewPredictRED(reg *obs.Registry) PredictRED {
+func newPredictRED(reg *obs.Registry) predictRED {
 	lbl := []string{"namespace", "model"}
-	return PredictRED{
-		Requests: reg.CounterVec("serve_predict_requests_total", lbl, obs.DefaultVecCardinality),
-		Errors:   reg.CounterVec("serve_predict_errors_total", lbl, obs.DefaultVecCardinality),
-		Latency:  reg.HistogramVec("serve_predict_seconds", lbl, obs.LatencyBuckets, obs.DefaultVecCardinality),
+	return predictRED{
+		requests: reg.CounterVec("serve_predict_requests_total", lbl, obs.DefaultVecCardinality),
+		errors:   reg.CounterVec("serve_predict_errors_total", lbl, obs.DefaultVecCardinality),
+		latency:  reg.HistogramVec("serve_predict_seconds", lbl, obs.LatencyBuckets, obs.DefaultVecCardinality),
 	}
 }
 
@@ -113,7 +112,7 @@ func NewHandler(gw *Gateway, opts ...HandlerOption) *Handler {
 	if h.tracer == nil {
 		h.tracer = gw.tracer
 	}
-	h.red = NewPredictRED(h.obs)
+	h.red = newPredictRED(h.obs)
 	// tenant.Manager resolves a request's namespace allocation-free; with
 	// auth off (or an authorizer that can't), every request lands in the
 	// default namespace so namespace-scoped SLOs still work.
@@ -158,17 +157,17 @@ func (h *Handler) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	// Per-tenant/per-model RED over bounded vectors: two counter lookups
 	// and one histogram observe against pre-registered handles, no
-	// allocation — gated at 0 extra allocs/op by E23 alongside E22's auth
-	// gate.
+	// allocation. Both arms of E22 record it, so E22's authed-predict
+	// bound counts it.
 	ns := h.nsOf(r)
 	if ns == "" {
 		ns = httpmw.DefaultNamespace
 	}
-	h.red.Requests.With2(ns, modelID).Inc()
+	h.red.requests.With2(ns, modelID).Inc()
 	if status >= 500 {
-		h.red.Errors.With2(ns, modelID).Inc()
+		h.red.errors.With2(ns, modelID).Inc()
 	}
-	h.red.Latency.With2(ns, modelID).Observe(time.Since(start).Seconds())
+	h.red.latency.With2(ns, modelID).Observe(time.Since(start).Seconds())
 }
 
 // servePredict writes the response and reports the status it chose.

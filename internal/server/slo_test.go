@@ -15,7 +15,6 @@ import (
 	"gallery/internal/obs/httpmw"
 	"gallery/internal/relstore"
 	"gallery/internal/rules"
-	"gallery/internal/serve"
 	"gallery/internal/slo"
 	"gallery/internal/tenant"
 	"gallery/internal/uuid"
@@ -38,15 +37,11 @@ func newSLOHarness(t *testing.T) *harness {
 	}
 	repo := rules.NewRepo(clk)
 	eng := rules.NewEngine(reg, repo, clk)
-	// Wire both metric scopes, like a single-process embedding: the
-	// namespace RED vectors the server middleware records plus the
-	// gateway's predict vectors, so model-scoped objectives are
-	// creatable here too.
+	// The namespace RED vectors the server middleware records, as galleryd
+	// wires them.
 	red := httpmw.NewRED(o)
-	pred := serve.NewPredictRED(o)
 	sloSvc, err := slo.Open(relstore.NewMemory(), slo.VecSource{
 		Requests: red.Requests, Errors: red.Errors, Latency: red.Latency,
-		ModelRequests: pred.Requests, ModelErrors: pred.Errors, ModelLatency: pred.Latency,
 	}, slo.Config{
 		Clock: clk, UUIDs: uuid.NewSeeded(52), Obs: o, Audit: reg.Audit(),
 	})
@@ -75,8 +70,7 @@ func TestSLOLifecycleHTTP(t *testing.T) {
 	// Latency thresholds travel as milliseconds on the wire and must
 	// round-trip exactly.
 	lat, err := h.c.CreateSLO(api.CreateSLORequest{
-		Namespace: "maps", ModelID: "demand", Kind: "latency",
-		Target: 0.95, LatencyThresholdMS: 250,
+		Namespace: "maps", Kind: "latency", Target: 0.95, LatencyThresholdMS: 250,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +109,9 @@ func TestSLOLifecycleHTTP(t *testing.T) {
 	_, err = h.c.CreateSLO(api.CreateSLORequest{Namespace: "maps", Kind: "availability", Target: 0})
 	wantStatus(t, err, http.StatusBadRequest)
 	_, err = h.c.CreateSLO(api.CreateSLORequest{Namespace: "maps", Kind: "typo", Target: 0.9})
+	wantStatus(t, err, http.StatusBadRequest)
+	// So does a model scope, which no metric source answers.
+	_, err = h.c.CreateSLO(api.CreateSLORequest{Namespace: "maps", ModelID: "demand", Kind: "availability", Target: 0.99})
 	wantStatus(t, err, http.StatusBadRequest)
 }
 

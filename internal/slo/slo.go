@@ -1,17 +1,16 @@
 // Package slo is Gallery's service-level-objective engine: the layer
-// that turns raw per-tenant/per-model RED telemetry into explicit,
-// continuously evaluated service targets.
+// that turns raw per-tenant RED telemetry into explicit, continuously
+// evaluated service targets.
 //
 // The paper's thesis is closed-loop lifecycle automation — signals feed
 // rules that retrain, deprecate, or roll back. Telemetry alone cannot
 // close that loop: nothing in a latency histogram says what "healthy"
 // means for a tenant. An Objective does: "99% of the ads namespace's
-// requests succeed" or "99% of model ctr's predictions finish within
-// 100ms". Objectives are declared over /v1/slo (or galleryctl slo),
-// persisted in the relational store over the WAL like every other piece
-// of control-plane state, and evaluated on a tick against the
-// bounded-cardinality metric vectors recorded by the HTTP middleware and
-// the serving gateway.
+// requests succeed" or "99% of them finish within 100ms". Objectives are
+// declared over /v1/slo (or galleryctl slo), persisted in the relational
+// store over the WAL like every other piece of control-plane state, and
+// evaluated on a tick against the bounded-cardinality metric vectors the
+// HTTP middleware records.
 //
 // Evaluation uses the multi-window, multi-burn-rate method: an error
 // budget of (1 - target) and a burn rate of (bad/total)/(1 - target)
@@ -26,11 +25,9 @@
 // frozen-clock experiments deterministic.
 //
 // Breach transitions emit slo.burn / slo.recovered audit events and are
-// published through Config.Events. For model-scoped objectives whose
-// model resolves to a production instance the event names it, so the
-// rules engine acts on it and a rule like `slo.event == "burn"` can
-// deprecate or roll back automatically.
-// Current state is exported as slo_* gauges and GET /v1/slo/status.
+// published through Config.Events; galleryd hands them to the incident
+// recorder. Current state is exported as slo_* gauges and
+// GET /v1/slo/status.
 package slo
 
 import (
@@ -71,16 +68,16 @@ var (
 	ErrNotFound = errors.New("slo: objective not found")
 	ErrBadSpec  = errors.New("slo: bad objective spec")
 	// ErrNoSource rejects an objective whose scope this process has no
-	// metric source for — e.g. a model-scoped objective on the registry
-	// daemon, whose predict RED vectors live in the serving gateway.
-	// Accepting it would only ever report no-data.
+	// metric source for — a model-scoped objective, or any objective over
+	// a source missing its vectors. Accepting it would only ever report
+	// no-data.
 	ErrNoSource = errors.New("slo: no metric source for objective scope")
 )
 
-// Objective is one declared service target. Namespace is always set;
-// ModelID narrows the objective to one model's predict traffic (recorded
-// by the serving gateway) instead of the namespace's whole request
-// stream.
+// Objective is one declared service target over a namespace's whole
+// request stream. ModelID is kept so that rows persisted with one replay
+// unchanged; no source answers a model scope, so such an objective
+// reports no-data and Create refuses a new one.
 type Objective struct {
 	ID               string
 	Namespace        string
@@ -99,13 +96,6 @@ func (o Objective) scope() string {
 	return o.Namespace
 }
 
-// InstanceResolver maps a model ID (as it appears in the predict path)
-// to its current production instance, which a model-scoped breach event
-// then carries. The rules engine acts only on events that name one —
-// rules run against an instance environment, and a namespace or an
-// unserved model has none.
-type InstanceResolver func(modelID string) (uuid.UUID, bool)
-
 // Source supplies cumulative good/bad counts for an objective. ok=false
 // means the source cannot answer for this objective at all (wrong shape),
 // which surfaces as no-data rather than a healthy 0-burn.
@@ -119,42 +109,19 @@ type SourceFunc func(o Objective) (good, bad int64, ok bool)
 // Counts implements Source.
 func (f SourceFunc) Counts(o Objective) (int64, int64, bool) { return f(o) }
 
-// VecSource reads the RED vectors recorded by httpmw.Wrap (namespace
-// scope) and the serve predict path (model scope). Any nil field makes
-// the corresponding scope answer ok=false.
+// VecSource reads the namespace RED vectors recorded by httpmw.Wrap, one
+// label {namespace}. A nil field, or a model-scoped objective, answers
+// ok=false.
 type VecSource struct {
-	// Namespace scope: one label {namespace}.
 	Requests *obs.CounterVec
 	Errors   *obs.CounterVec
 	Latency  *obs.HistogramVec
-	// Model scope: two labels {namespace, model}.
-	ModelRequests *obs.CounterVec
-	ModelErrors   *obs.CounterVec
-	ModelLatency  *obs.HistogramVec
 }
 
 // Counts implements Source.
 func (s VecSource) Counts(o Objective) (int64, int64, bool) {
 	if o.ModelID != "" {
-		switch o.Kind {
-		case KindLatency:
-			if s.ModelLatency == nil {
-				return 0, 0, false
-			}
-			h := s.ModelLatency.Peek2(o.Namespace, o.ModelID)
-			if h == nil {
-				return 0, 0, true
-			}
-			good := h.CountAtOrBelow(o.LatencyThreshold)
-			return good, h.Count() - good, true
-		default:
-			if s.ModelRequests == nil || s.ModelErrors == nil {
-				return 0, 0, false
-			}
-			req := s.ModelRequests.Peek2(o.Namespace, o.ModelID).Value()
-			bad := s.ModelErrors.Peek2(o.Namespace, o.ModelID).Value()
-			return req - bad, bad, true
-		}
+		return 0, 0, false
 	}
 	switch o.Kind {
 	case KindLatency:
@@ -198,13 +165,12 @@ type Config struct {
 	// long-window burn. Default 10.
 	MinSamples int64
 
-	Clock     clock.Clock
-	UUIDs     *uuid.Generator
-	Obs       *obs.Registry
-	Audit     *audit.Log
-	Instances InstanceResolver
+	Clock clock.Clock
+	UUIDs *uuid.Generator
+	Obs   *obs.Registry
+	Audit *audit.Log
 	// Events, when non-nil, receives every breach transition — Kind "slo",
-	// Name "burn" or "recovered", namespace- and model-scoped alike —
+	// Name "burn" or "recovered", naming the namespace and no instance —
 	// after its audit record. Evaluate calls it outside the service lock,
 	// so a subscriber may call back into Statuses.
 	Events obs.EventFunc
@@ -414,11 +380,10 @@ func (s *Service) Create(ctx context.Context, o Objective) (Objective, error) {
 	// instead. Objectives restored from the store still surface no-data,
 	// covering deployments whose wiring changed under persisted state.
 	if _, _, ok := s.src.Counts(o); !ok {
-		scope := "namespace"
 		if o.ModelID != "" {
-			scope = "model"
+			return Objective{}, fmt.Errorf("%w: model-scoped objectives are not evaluable (predict metrics are recorded by the serving gateway)", ErrNoSource)
 		}
-		return Objective{}, fmt.Errorf("%w: %s-scoped objectives are not evaluable in this process (predict metrics are recorded by the serving gateway)", ErrNoSource, scope)
+		return Objective{}, fmt.Errorf("%w: namespace-scoped objectives are not evaluable in this process", ErrNoSource)
 	}
 	o.ID = s.cfg.UUIDs.New().String()
 	o.Created = s.cfg.Clock.Now()
@@ -627,9 +592,7 @@ func (s *Service) publishGauges(st *state) {
 	s.gBudget.With(id).Set(st.budget)
 }
 
-// emit records the audit event, then publishes the transition, stamped
-// with the production instance when the objective is model-scoped and
-// its model resolves to one.
+// emit records the audit event, then publishes the transition.
 func (s *Service) emit(ctx context.Context, t transition) {
 	action := audit.ActionSLOBurn
 	if t.event == "recovered" {
@@ -650,16 +613,10 @@ func (s *Service) emit(ctx context.Context, t transition) {
 	if s.cfg.Events == nil {
 		return
 	}
-	ev := obs.Event{Kind: "slo", Name: t.event, Namespace: t.obj.Namespace, ModelID: t.obj.ModelID}
-	if t.obj.ModelID != "" && s.cfg.Instances != nil {
-		if inst, ok := s.cfg.Instances(t.obj.ModelID); ok {
-			ev.Instance = inst
-		}
-	}
+	ev := obs.Event{Kind: "slo", Name: t.event, Namespace: t.obj.Namespace}
 	ev.Fields = map[string]any{
 		"slo":       t.obj.ID,
 		"namespace": t.obj.Namespace,
-		"model":     t.obj.ModelID,
 		"kind":      string(t.obj.Kind),
 		"target":    t.obj.Target,
 		"severity":  t.severity,

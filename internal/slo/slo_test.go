@@ -138,66 +138,10 @@ func TestBurnAndRecovery(t *testing.T) {
 	}
 }
 
-func TestModelScopedEventDispatch(t *testing.T) {
-	src := &countSource{}
-	cfg, _ := testConfig(src)
-	instID := uuid.NewSeeded(3).New()
-	// events are the ones naming an instance — what the rules engine acts
-	// on; nsEvents are the namespace-scoped ones it ignores.
-	var events, nsEvents []string
-	cfg.Events = func(ctx context.Context, ev obs.Event) {
-		if ev.Kind != "slo" || ev.Namespace != "ads" {
-			t.Errorf("event = %+v", ev)
-		}
-		if ev.ModelID == "" {
-			if !ev.Instance.IsNil() {
-				t.Errorf("namespace-scoped event carries instance %s", ev.Instance)
-			}
-			nsEvents = append(nsEvents, ev.Name)
-			return
-		}
-		if ev.Instance != instID {
-			t.Errorf("event instance = %s, want %s", ev.Instance, instID)
-		}
-		if ev.ModelID != "ctr" || ev.Fields["model"] != "ctr" || ev.Fields["namespace"] != "ads" {
-			t.Errorf("event = %+v", ev)
-		}
-		events = append(events, ev.Name)
-	}
-	cfg.Instances = func(modelID string) (uuid.UUID, bool) { return instID, modelID == "ctr" }
-	s, err := Open(relstore.NewMemory(), src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCreate(t, s, Objective{Namespace: "ads", ModelID: "ctr", Kind: KindAvailability, Target: 0.99})
-	// A namespace-scoped objective breaching alongside is published with
-	// no instance, so it cannot dispatch into the engine.
-	mustCreate(t, s, Objective{Namespace: "ads", Kind: KindAvailability, Target: 0.99})
-
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		src.good += 100
-		s.Evaluate(ctx)
-	}
-	for i := 0; i < 5; i++ {
-		src.bad += 100
-		s.Evaluate(ctx)
-	}
-	if len(events) != 1 || events[0] != "burn" {
-		t.Fatalf("events = %v, want [burn]", events)
-	}
-	for i := 0; i < 60; i++ {
-		src.good += 100
-		s.Evaluate(ctx)
-	}
-	if len(events) != 2 || events[1] != "recovered" {
-		t.Fatalf("events = %v, want [burn recovered]", events)
-	}
-	if len(nsEvents) != 2 || nsEvents[0] != "burn" || nsEvents[1] != "recovered" {
-		t.Fatalf("namespace events = %v, want [burn recovered]", nsEvents)
-	}
-}
-
+// TestLatencyObjectiveOverVectors: a latency regression in one namespace
+// breaches that namespace's objective and nothing else. The second
+// namespace's objective, over its own clean traffic in the same vectors,
+// stays unbreached with its whole budget left.
 func TestLatencyObjectiveOverVectors(t *testing.T) {
 	reg := obs.NewRegistry()
 	lat := reg.HistogramVec("tenant_http_request_seconds", []string{"namespace"}, []float64{0.1, 0.5, 1}, 8)
@@ -211,35 +155,49 @@ func TestLatencyObjectiveOverVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 99% of requests within 100ms.
-	mustCreate(t, s, Objective{Namespace: "ads", Kind: KindLatency, Target: 0.99, LatencyThreshold: 0.1})
+	// 99% of requests within 100ms, in each namespace.
+	ads := mustCreate(t, s, Objective{Namespace: "ads", Kind: KindLatency, Target: 0.99, LatencyThreshold: 0.1})
+	maps := mustCreate(t, s, Objective{Namespace: "maps", Kind: KindLatency, Target: 0.99, LatencyThreshold: 0.1})
+	status := func(id string) Status {
+		for _, st := range s.Statuses() {
+			if st.Objective.ID == id {
+				return st
+			}
+		}
+		t.Fatalf("no status for %s", id)
+		return Status{}
+	}
 	ctx := context.Background()
-	for i := 0; i < 10; i++ {
+	tick := func(adsLatency float64) {
 		for j := 0; j < 50; j++ {
-			lat.With("ads").Observe(0.01)
+			lat.With("ads").Observe(adsLatency)
+			lat.With("maps").Observe(0.01)
 		}
 		s.Evaluate(ctx)
 	}
-	if st := s.Statuses()[0]; st.Breached || st.NoData {
+	for i := 0; i < 10; i++ {
+		tick(0.01)
+	}
+	if st := status(ads.ID); st.Breached || st.NoData {
 		t.Fatalf("fast traffic: %+v", st)
 	}
-	// Latency regression: everything lands above the threshold.
+	// Latency regression in ads only: everything lands above the threshold.
 	for i := 0; i < 5; i++ {
-		for j := 0; j < 50; j++ {
-			lat.With("ads").Observe(0.9)
-		}
-		s.Evaluate(ctx)
+		tick(0.9)
 	}
-	if st := s.Statuses()[0]; !st.Breached {
+	if st := status(ads.ID); !st.Breached {
 		t.Fatalf("slow traffic never breached: %+v", st)
+	}
+	if st := status(maps.ID); st.Breached || st.NoData || st.BudgetRemaining != 1 {
+		t.Fatalf("the other namespace's objective was touched by ads' regression: %+v", st)
 	}
 }
 
 // TestCreateRejectsUnanswerableScope pins the capability probe: an
-// objective whose scope this process has no metric source for is
-// rejected at Create instead of sitting at no-data forever. This is
-// what the registry daemon does with model-scoped objectives — its
-// predict RED vectors live in the serving gateway.
+// objective whose scope no metric source answers is rejected at Create
+// instead of sitting at no-data forever. This is what the registry daemon
+// does with model-scoped objectives: predict RED vectors live in the
+// serving gateway, and no SLO evaluator reads them.
 func TestCreateRejectsUnanswerableScope(t *testing.T) {
 	reg := obs.NewRegistry()
 	nsOnly := VecSource{
@@ -346,6 +304,9 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := mustCreate(t, s, Objective{Namespace: "ads", Kind: KindAvailability, Target: 0.999})
+	// A model-scoped row, as a process that still answered model scope
+	// wrote it.
+	model := mustCreate(t, s, Objective{Namespace: "ads", ModelID: "ctr", Kind: KindAvailability, Target: 0.99})
 	dropped := mustCreate(t, s, Objective{Namespace: "maps", Kind: KindLatency, Target: 0.95, LatencyThreshold: 0.25})
 	if err := s.Delete(context.Background(), dropped.ID); err != nil {
 		t.Fatal(err)
@@ -365,16 +326,33 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := s2.List()
-	if len(objs) != 1 {
-		t.Fatalf("recovered %d objectives, want 1", len(objs))
+	if len(objs) != 2 {
+		t.Fatalf("recovered %d objectives, want 2", len(objs))
 	}
-	got := objs[0]
-	if got.ID != kept.ID || got.Namespace != "ads" || got.Kind != KindAvailability ||
-		got.Target != 0.999 || !got.Created.Equal(kept.Created) {
+	if got := objs[0]; got != kept {
 		t.Fatalf("recovered %+v, want %+v", got, kept)
+	}
+	if got := objs[1]; got != model {
+		t.Fatalf("recovered %+v, want %+v", got, model)
 	}
 	if _, err := s2.Get(dropped.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted objective survived reopen: %v", err)
+	}
+
+	// Over the namespace vectors a daemon reads, the model-scoped row
+	// reports no-data rather than healthy.
+	reg := obs.NewRegistry()
+	cfg3, _ := testConfig(nil)
+	s3, err := Open(store2, VecSource{
+		Requests: reg.CounterVec("tenant_http_requests_total", []string{"namespace"}, 8),
+		Errors:   reg.CounterVec("tenant_http_errors_total", []string{"namespace"}, 8),
+	}, cfg3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3.Evaluate(context.Background())
+	if st := s3.Statuses(); st[0].NoData || !st[1].NoData || st[1].Breached {
+		t.Fatalf("statuses = %+v, want the model-scoped objective alone at no-data", st)
 	}
 }
 
