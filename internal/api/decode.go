@@ -10,8 +10,10 @@ import (
 
 // The mirror image of encode.go: one scanner per hot type, for exactly the
 // bodies the encoders write. Keys are matched byte for byte, numbers are
-// checked against the JSON grammar and converted by strconv (the
-// conversions encoding/json uses, so values are bit-identical), times are
+// checked against the JSON grammar and converted in the same pass (floats
+// by strconv's own exact and Eisel-Lemire conversions, see atof.go, and
+// by strconv.ParseFloat where those give up; integers by strconv, so values
+// are encoding/json's bit for bit), times are
 // handed raw to time.Time.UnmarshalJSON, and strings of printable ASCII
 // are taken with their one-character escapes. Anything else — an unknown,
 // case-folded, escaped or duplicate key, null, a \u escape or a non-ASCII
@@ -310,10 +312,17 @@ func scanString(b []byte, i int, s *string) int {
 	return j + 1
 }
 
+// scanFloat converts the number scanNumber read: decimal.float gives
+// strconv.ParseFloat's bits for the common numbers without reading the
+// digits again, and ParseFloat itself takes the rest.
 func scanFloat(b []byte, i int, f *float64) int {
-	j := scanNumber(b, i)
+	j, d := scanNumber(b, i)
 	if j < 0 {
 		return -1
+	}
+	if v, ok := d.float(); ok {
+		*f = v
+		return j
 	}
 	// The view never outlives the call: ParseFloat copies what its error
 	// keeps.
@@ -328,7 +337,7 @@ func scanFloat(b []byte, i int, f *float64) int {
 // scanInt takes what encoding/json puts in an int64: an integer literal
 // that fits.
 func scanInt(b []byte, i int, n *int64) int {
-	j := scanNumber(b, i)
+	j, _ := scanNumber(b, i)
 	if j < 0 {
 		return -1
 	}
@@ -369,46 +378,76 @@ func scanTime(b []byte, i int, t *time.Time) int {
 	return -1
 }
 
-// scanNumber returns the index past the JSON number starting at i, or -1.
+// scanNumber returns the index past the JSON number starting at i, or -1,
+// and the number as strconv's readFloat reads it: up to 19 significant
+// digits, leading zeros skipped, later ones counted into the exponent.
 // ParseFloat alone would also take hex, underscores, "inf" and "+1".
-func scanNumber(b []byte, i int) int {
+func scanNumber(b []byte, i int) (int, decimal) {
+	var d decimal
+	nd := 0 // significant digits in d.man
 	if i < len(b) && b[i] == '-' {
+		d.neg = true
 		i++
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if c := uint64(b[i] - '0'); nd < 19 {
+				d.man = d.man*10 + c
+				nd++
+			} else {
+				d.exp10++
+				d.trunc = d.trunc || c != 0
+			}
+		}
 	default:
-		return -1
+		return -1, d
 	}
 	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return -1
+		i++
+		start := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			switch c := uint64(b[i] - '0'); {
+			case nd == 19:
+				d.trunc = d.trunc || c != 0
+			case d.man == 0 && c == 0: // a leading zero
+				d.exp10--
+			default:
+				d.man = d.man*10 + c
+				nd++
+				d.exp10--
+			}
 		}
-		i = j
+		if i == start {
+			return -1, d
+		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
 			i++
 		}
-		j := skipDigits(b, i)
-		if j == i {
-			return -1
+		start, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 { // past any table, as readFloat caps it
+				e = e*10 + int(b[i]-'0')
+			}
 		}
-		i = j
+		if i == start {
+			return -1, d
+		}
+		if neg {
+			e = -e
+		}
+		d.exp10 += e
 	}
-	return i
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+	if d.man == 0 {
+		d.exp10 = 0
 	}
-	return i
+	return i, d
 }
 
 func skipSpace(b []byte, i int) int {

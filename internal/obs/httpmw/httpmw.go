@@ -132,7 +132,9 @@ func Wrap(next http.Handler, o Options) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ctx, span := o.Tracer.StartRoot(r.Context(), r.Method+" "+r.URL.Path, r.Header.Get(trace.TraceparentHeader))
+		// The span is renamed to the route once the mux has matched one; no
+		// sampler reads the name, so none is built per request.
+		ctx, span := o.Tracer.StartRoot(r.Context(), "http.request", r.Header.Get(trace.TraceparentHeader))
 		if span != nil {
 			r = r.WithContext(ctx)
 		}
