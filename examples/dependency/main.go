@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -82,7 +83,7 @@ func main() {
 	// Figure 7: add Model D as a new dependency of A.
 	d := register("model_D", 5)
 	models = append(models, d)
-	if err := reg.AddDependency(a.ID, d.ID); err != nil {
+	if err := reg.AddDependency(context.Background(), a.ID, d.ID); err != nil {
 		log.Fatal(err)
 	}
 	show("Figure 7 — after adding D as a dependency of A:")
@@ -95,7 +96,7 @@ func main() {
 	fmt.Printf("blast radius of changing B: %d models (A, X, Y)\n", len(impact))
 
 	// Cycles are rejected.
-	if err := reg.AddDependency(b.ID, x.ID); err != nil {
+	if err := reg.AddDependency(context.Background(), b.ID, x.ID); err != nil {
 		fmt.Printf("adding B -> X correctly rejected: %v\n", err)
 	}
 }

@@ -30,13 +30,8 @@ type Options struct {
 	// failures: dial errors (the request never left this process, so any
 	// method is safe to resend), and — for idempotent GETs only — other
 	// connection errors and 5xx responses. 0 disables retry entirely.
+	// Backoff starts at 50ms and doubles per attempt, capped at 2s.
 	Retries int
-	// RetryBase is the first backoff delay (default 50ms); each further
-	// attempt doubles it, capped at RetryMax (default 2s). The actual
-	// sleep is jittered uniformly over [delay/2, delay] so a fleet of
-	// clients recovering together does not thunder in lockstep.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Sleep replaces time.Sleep between attempts; tests inject a recorder.
 	Sleep func(time.Duration)
 	// Actor, when set, is sent as the X-Gallery-Actor header on every
@@ -67,12 +62,6 @@ func New(base string, httpClient *http.Client) *Client {
 func NewWith(base string, opts Options) *Client {
 	if opts.HTTP == nil {
 		opts.HTTP = http.DefaultClient
-	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = 50 * time.Millisecond
-	}
-	if opts.RetryMax <= 0 {
-		opts.RetryMax = 2 * time.Second
 	}
 	if opts.Sleep == nil {
 		opts.Sleep = time.Sleep
@@ -122,16 +111,16 @@ func (c *Client) doCtx(ctx context.Context, method, path string, in, out any) er
 		if attempt >= c.opts.Retries || !retryable(method, err) {
 			return err
 		}
-		backoff = c.backoff(attempt)
+		backoff = retryDelay(attempt)
 		// A rate-limited server told us when capacity returns; sleeping
 		// less would burn an attempt on a guaranteed 429. Honor the hint
 		// (still jittered so a capped fleet does not re-arrive in lockstep,
-		// still bounded by RetryMax like every other backoff).
+		// still bounded by retryMax like every other backoff).
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.RetryAfter > backoff {
 			backoff = apiErr.RetryAfter + rand.N(apiErr.RetryAfter/4+1)
-			if backoff > c.opts.RetryMax {
-				backoff = c.opts.RetryMax
+			if backoff > retryMax {
+				backoff = retryMax
 			}
 		}
 		c.opts.Sleep(backoff)
@@ -242,14 +231,23 @@ func retryable(method string, err error) bool {
 	return false
 }
 
-// backoff returns the jittered exponential delay before re-attempt n+1.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.opts.RetryBase
-	for i := 0; i < attempt && d < c.opts.RetryMax; i++ {
+// The retry backoff: the first delay is retryBase, each further attempt
+// doubles it, capped at retryMax. The actual sleep is jittered uniformly
+// over [delay/2, delay] so a fleet of clients recovering together does
+// not thunder in lockstep.
+const (
+	retryBase = 50 * time.Millisecond
+	retryMax  = 2 * time.Second
+)
+
+// retryDelay returns the jittered exponential delay before re-attempt n+1.
+func retryDelay(attempt int) time.Duration {
+	d := retryBase
+	for i := 0; i < attempt && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > c.opts.RetryMax {
-		d = c.opts.RetryMax
+	if d > retryMax {
+		d = retryMax
 	}
 	half := d / 2
 	return half + rand.N(half+1)

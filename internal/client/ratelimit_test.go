@@ -34,15 +34,12 @@ func rateLimitedHandler(failN int, retryAfter string, v string) (http.Handler, *
 // Retry-After hint (jittered upward) instead of its much smaller
 // exponential backoff.
 func TestRetryAfterHonored(t *testing.T) {
-	h, calls := rateLimitedHandler(1, "2", `{"models":1,"instances":0,"metrics":0}`)
+	h, calls := rateLimitedHandler(1, "1", `{"models":1,"instances":0,"metrics":0}`)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	var slept []time.Duration
-	c := NewWith(ts.URL, Options{
-		Retries: 2, Sleep: noSleep(&slept),
-		RetryBase: 10 * time.Millisecond, RetryMax: 10 * time.Second,
-	})
+	c := NewWith(ts.URL, Options{Retries: 2, Sleep: noSleep(&slept)})
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("stats after transient 429: %v", err)
 	}
@@ -52,29 +49,26 @@ func TestRetryAfterHonored(t *testing.T) {
 	if len(slept) != 1 {
 		t.Fatalf("slept %d times, want 1", len(slept))
 	}
-	// hint=2s, jitter in [0, hint/4]: the sleep lands in [2s, 2.5s] — far
-	// above the 10ms exponential base, and under RetryMax.
-	if slept[0] < 2*time.Second || slept[0] > 2500*time.Millisecond {
-		t.Fatalf("slept %v, want within [2s, 2.5s] per Retry-After hint", slept[0])
+	// hint=1s, jitter in [0, hint/4]: the sleep lands in [1s, 1.25s] — far
+	// above the 50ms exponential base, and under retryMax.
+	if slept[0] < time.Second || slept[0] > 1250*time.Millisecond {
+		t.Fatalf("slept %v, want within [1s, 1.25s] per Retry-After hint", slept[0])
 	}
 }
 
-// TestRetryAfterCapped: the honored hint still respects RetryMax.
+// TestRetryAfterCapped: the honored hint still respects retryMax.
 func TestRetryAfterCapped(t *testing.T) {
 	h, _ := rateLimitedHandler(1, "3600", `{"models":1,"instances":0,"metrics":0}`)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	var slept []time.Duration
-	c := NewWith(ts.URL, Options{
-		Retries: 2, Sleep: noSleep(&slept),
-		RetryBase: 10 * time.Millisecond, RetryMax: 500 * time.Millisecond,
-	})
+	c := NewWith(ts.URL, Options{Retries: 2, Sleep: noSleep(&slept)})
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if len(slept) != 1 || slept[0] > 500*time.Millisecond {
-		t.Fatalf("slept %v, want exactly one sleep capped at RetryMax=500ms", slept)
+	if len(slept) != 1 || slept[0] > retryMax {
+		t.Fatalf("slept %v, want exactly one sleep capped at retryMax=%v", slept, retryMax)
 	}
 }
 

@@ -125,18 +125,20 @@ func TestRetryDialErrorForPOST(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	c := NewWith("http://x", Options{RetryBase: 100 * time.Millisecond, RetryMax: 400 * time.Millisecond})
 	for attempt, want := range []time.Duration{
-		100 * time.Millisecond, // 1st retry: base
+		50 * time.Millisecond, // 1st retry: base
+		100 * time.Millisecond,
 		200 * time.Millisecond,
 		400 * time.Millisecond,
-		400 * time.Millisecond, // capped
-		400 * time.Millisecond,
+		800 * time.Millisecond,
+		1600 * time.Millisecond,
+		2 * time.Second, // capped
+		2 * time.Second,
 	} {
 		for i := 0; i < 50; i++ { // jitter is random; probe repeatedly
-			d := c.backoff(attempt)
+			d := retryDelay(attempt)
 			if d < want/2 || d > want {
-				t.Fatalf("backoff(%d) = %v, want in [%v, %v]", attempt, d, want/2, want)
+				t.Fatalf("retryDelay(%d) = %v, want in [%v, %v]", attempt, d, want/2, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestConcurrentRegistryUse(t *testing.T) {
 		ms[i] = m
 	}
 	// A dependency chain conc1 -> conc0 so uploads propagate under load.
-	if err := g.AddDependency(ms[1].ID, ms[0].ID); err != nil {
+	if err := g.AddDependency(context.Background(), ms[1].ID, ms[0].ID); err != nil {
 		t.Fatal(err)
 	}
 

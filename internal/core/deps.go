@@ -22,22 +22,23 @@ import (
 // AddDependency declares that from depends on to. It rejects self-edges,
 // duplicate edges, and anything that would create a cycle. Adding a
 // dependency bumps from's version (paper Fig. 7) and propagates to from's
-// downstreams.
-func (g *Registry) AddDependency(from, to uuid.UUID) error {
+// downstreams. ctx carries the caller's actor and trace into the reads,
+// the write and its audit event.
+func (g *Registry) AddDependency(ctx context.Context, from, to uuid.UUID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if from == to {
 		return fmt.Errorf("%w: model cannot depend on itself", ErrBadSpec)
 	}
-	if _, err := g.getModelLocked(from); err != nil {
+	if _, err := g.getModelLocked(ctx, from); err != nil {
 		return err
 	}
-	if _, err := g.getModelLocked(to); err != nil {
+	if _, err := g.getModelLocked(ctx, to); err != nil {
 		return err
 	}
 	// Cycle check: from→to is a cycle iff to already (transitively)
 	// depends on from.
-	reach, err := g.transitiveUpstreamsLocked(to)
+	reach, err := g.transitiveUpstreamsLocked(ctx, to)
 	if err != nil {
 		return err
 	}
@@ -48,15 +49,15 @@ func (g *Registry) AddDependency(from, to uuid.UUID) error {
 	muts := []relstore.Mutation{
 		{Kind: relstore.MutInsert, Table: TableDeps, Row: depToRow(d)},
 	}
-	bumps, err := g.versionBumpsLocked(from, CauseDepAdded, uuid.Nil, to)
+	bumps, err := g.versionBumpsLocked(ctx, from, CauseDepAdded, uuid.Nil, to)
 	if err != nil {
 		return err
 	}
 	muts = append(muts, bumps...)
-	if err := g.dal.Meta().Batch(muts); err != nil {
+	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
 		return fmt.Errorf("core: add dependency %s -> %s: %w", from, to, err)
 	}
-	g.audited(context.Background(), audit.Event{
+	g.audited(ctx, audit.Event{
 		Action: audit.ActionDepAdd, EntityType: audit.EntityModel,
 		EntityID: from.String(), ModelID: from.String(),
 		After: "depends on " + to.String(),
@@ -66,21 +67,21 @@ func (g *Registry) AddDependency(from, to uuid.UUID) error {
 
 // RemoveDependency deletes the edge from→to and, like any dependency
 // change, versions the downstream side.
-func (g *Registry) RemoveDependency(from, to uuid.UUID) error {
+func (g *Registry) RemoveDependency(ctx context.Context, from, to uuid.UUID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	muts := []relstore.Mutation{
 		{Kind: relstore.MutDelete, Table: TableDeps, PK: depKey(from, to)},
 	}
-	bumps, err := g.versionBumpsLocked(from, CauseDepRemoved, uuid.Nil, to)
+	bumps, err := g.versionBumpsLocked(ctx, from, CauseDepRemoved, uuid.Nil, to)
 	if err != nil {
 		return err
 	}
 	muts = append(muts, bumps...)
-	if err := g.dal.Meta().Batch(muts); err != nil {
+	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
 		return err
 	}
-	g.audited(context.Background(), audit.Event{
+	g.audited(ctx, audit.Event{
 		Action: audit.ActionDepRemove, EntityType: audit.EntityModel,
 		EntityID: from.String(), ModelID: from.String(),
 		Before: "depends on " + to.String(),
@@ -92,14 +93,14 @@ func (g *Registry) RemoveDependency(from, to uuid.UUID) error {
 func (g *Registry) Upstreams(id uuid.UUID) ([]uuid.UUID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.upstreamsLocked(id)
+	return g.upstreamsLocked(context.Background(), id)
 }
 
 // Downstreams returns the models that directly depend on id.
 func (g *Registry) Downstreams(id uuid.UUID) ([]uuid.UUID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.downstreamsLocked(id)
+	return g.downstreamsLocked(context.Background(), id)
 }
 
 // TransitiveDownstreams returns every model reachable by following
@@ -108,23 +109,23 @@ func (g *Registry) Downstreams(id uuid.UUID) ([]uuid.UUID, error) {
 func (g *Registry) TransitiveDownstreams(id uuid.UUID) ([]uuid.UUID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	set, err := g.transitiveDownstreamsLocked(id)
+	set, err := g.transitiveDownstreamsLocked(context.Background(), id)
 	if err != nil {
 		return nil, err
 	}
 	return sortedIDs(set), nil
 }
 
-func (g *Registry) upstreamsLocked(id uuid.UUID) ([]uuid.UUID, error) {
-	return g.depEdges("from_model", id, "to_model")
+func (g *Registry) upstreamsLocked(ctx context.Context, id uuid.UUID) ([]uuid.UUID, error) {
+	return g.depEdges(ctx, "from_model", id, "to_model")
 }
 
-func (g *Registry) downstreamsLocked(id uuid.UUID) ([]uuid.UUID, error) {
-	return g.depEdges("to_model", id, "from_model")
+func (g *Registry) downstreamsLocked(ctx context.Context, id uuid.UUID) ([]uuid.UUID, error) {
+	return g.depEdges(ctx, "to_model", id, "from_model")
 }
 
-func (g *Registry) depEdges(matchField string, id uuid.UUID, wantField string) ([]uuid.UUID, error) {
-	return selectAs(context.Background(), g.dal.Meta(), relstore.Query{
+func (g *Registry) depEdges(ctx context.Context, matchField string, id uuid.UUID, wantField string) ([]uuid.UUID, error) {
+	return selectAs(ctx, g.dal.Meta(), relstore.Query{
 		Table:   TableDeps,
 		Where:   []relstore.Constraint{{Field: matchField, Op: relstore.OpEq, Value: relstore.String(id.String())}},
 		OrderBy: "created",
@@ -137,22 +138,22 @@ func (g *Registry) depEdges(matchField string, id uuid.UUID, wantField string) (
 	})
 }
 
-func (g *Registry) transitiveUpstreamsLocked(id uuid.UUID) (map[uuid.UUID]bool, error) {
-	return g.closure(id, g.upstreamsLocked)
+func (g *Registry) transitiveUpstreamsLocked(ctx context.Context, id uuid.UUID) (map[uuid.UUID]bool, error) {
+	return g.closure(ctx, id, g.upstreamsLocked)
 }
 
-func (g *Registry) transitiveDownstreamsLocked(id uuid.UUID) (map[uuid.UUID]bool, error) {
-	return g.closure(id, g.downstreamsLocked)
+func (g *Registry) transitiveDownstreamsLocked(ctx context.Context, id uuid.UUID) (map[uuid.UUID]bool, error) {
+	return g.closure(ctx, id, g.downstreamsLocked)
 }
 
 // closure BFSes from start (exclusive) following step.
-func (g *Registry) closure(start uuid.UUID, step func(uuid.UUID) ([]uuid.UUID, error)) (map[uuid.UUID]bool, error) {
+func (g *Registry) closure(ctx context.Context, start uuid.UUID, step func(context.Context, uuid.UUID) ([]uuid.UUID, error)) (map[uuid.UUID]bool, error) {
 	seen := make(map[uuid.UUID]bool)
 	frontier := []uuid.UUID{start}
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		next, err := step(cur)
+		next, err := step(ctx, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -170,20 +171,20 @@ func (g *Registry) closure(start uuid.UUID, step func(uuid.UUID) ([]uuid.UUID, e
 // version record for the changed model (promoted to production — its
 // owner made the change deliberately) plus non-production dep_update
 // records for every transitive downstream.
-func (g *Registry) versionBumpsLocked(changed uuid.UUID, cause VersionCause, instanceID, triggeredBy uuid.UUID) ([]relstore.Mutation, error) {
+func (g *Registry) versionBumpsLocked(ctx context.Context, changed uuid.UUID, cause VersionCause, instanceID, triggeredBy uuid.UUID) ([]relstore.Mutation, error) {
 	var muts []relstore.Mutation
-	own, err := g.bumpOneLocked(changed, cause, instanceID, triggeredBy, true)
+	own, err := g.bumpOneLocked(ctx, changed, cause, instanceID, triggeredBy, true)
 	if err != nil {
 		return nil, err
 	}
 	muts = append(muts, own...)
 
-	down, err := g.transitiveDownstreamsLocked(changed)
+	down, err := g.transitiveDownstreamsLocked(ctx, changed)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range sortedIDs(down) {
-		dm, err := g.bumpOneLocked(d, CauseDepUpdate, uuid.Nil, changed, false)
+		dm, err := g.bumpOneLocked(ctx, d, CauseDepUpdate, uuid.Nil, changed, false)
 		if err != nil {
 			return nil, err
 		}
@@ -196,8 +197,8 @@ func (g *Registry) versionBumpsLocked(changed uuid.UUID, cause VersionCause, ins
 // the denormalized minor counter off the model row so the bump is O(1) in
 // the model's history length. When production is true it also demotes the
 // current production record and repoints the model at the new one.
-func (g *Registry) bumpOneLocked(id uuid.UUID, cause VersionCause, instanceID, triggeredBy uuid.UUID, production bool) ([]relstore.Mutation, error) {
-	m, err := g.getModelLocked(id)
+func (g *Registry) bumpOneLocked(ctx context.Context, id uuid.UUID, cause VersionCause, instanceID, triggeredBy uuid.UUID, production bool) ([]relstore.Mutation, error) {
+	m, err := g.getModelLocked(ctx, id)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +216,7 @@ func (g *Registry) bumpOneLocked(id uuid.UUID, cause VersionCause, instanceID, t
 	var muts []relstore.Mutation
 	if production {
 		if !m.ProductionVersion.IsNil() {
-			cur, err := g.versionByIDLocked(m.ProductionVersion)
+			cur, err := g.versionByIDLocked(ctx, m.ProductionVersion)
 			if err != nil {
 				return nil, err
 			}
@@ -233,8 +234,8 @@ func (g *Registry) bumpOneLocked(id uuid.UUID, cause VersionCause, instanceID, t
 }
 
 // versionByIDLocked fetches one version record by primary key.
-func (g *Registry) versionByIDLocked(id uuid.UUID) (*VersionRecord, error) {
-	row, err := g.dal.Meta().Get(TableVersions, id.String())
+func (g *Registry) versionByIDLocked(ctx context.Context, id uuid.UUID) (*VersionRecord, error) {
+	row, err := g.dal.Meta().GetCtx(ctx, TableVersions, id.String())
 	if err != nil {
 		return nil, fmt.Errorf("%w: version %s", ErrNotFound, id)
 	}
@@ -245,7 +246,7 @@ func (g *Registry) versionByIDLocked(id uuid.UUID) (*VersionRecord, error) {
 func (g *Registry) Version(id uuid.UUID) (*VersionRecord, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.versionByIDLocked(id)
+	return g.versionByIDLocked(context.Background(), id)
 }
 
 // VersionHistory returns a model's version records, oldest first.
@@ -316,14 +317,14 @@ func (g *Registry) ProductionVersionCtx(ctx context.Context, id uuid.UUID) (*Ver
 }
 
 func (g *Registry) productionVersionLocked(id uuid.UUID) (*VersionRecord, error) {
-	m, err := g.getModelLocked(id)
+	m, err := g.getModelLocked(context.Background(), id)
 	if err != nil {
 		return nil, err
 	}
 	if m.ProductionVersion.IsNil() {
 		return nil, nil
 	}
-	return g.versionByIDLocked(m.ProductionVersion)
+	return g.versionByIDLocked(context.Background(), m.ProductionVersion)
 }
 
 // Promote marks a version record as the production version for its model,
@@ -355,7 +356,7 @@ func (g *Registry) PromoteInstance(instanceID uuid.UUID) error {
 func (g *Registry) PromoteInstanceCtx(ctx context.Context, instanceID uuid.UUID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	in, err := g.GetInstance(instanceID)
+	in, err := g.GetInstanceCtx(ctx, instanceID)
 	if err != nil {
 		return err
 	}
@@ -379,7 +380,7 @@ func (g *Registry) PromoteInstanceCtx(ctx context.Context, instanceID uuid.UUID)
 }
 
 func (g *Registry) promoteLocked(ctx context.Context, versionID uuid.UUID) error {
-	row, err := g.dal.Meta().Get(TableVersions, versionID.String())
+	row, err := g.dal.Meta().GetCtx(ctx, TableVersions, versionID.String())
 	if err != nil {
 		return fmt.Errorf("%w: version %s", ErrNotFound, versionID)
 	}
@@ -390,14 +391,14 @@ func (g *Registry) promoteLocked(ctx context.Context, versionID uuid.UUID) error
 	if v.Production {
 		return nil
 	}
-	m, err := g.getModelLocked(v.ModelID)
+	m, err := g.getModelLocked(ctx, v.ModelID)
 	if err != nil {
 		return err
 	}
 	var muts []relstore.Mutation
 	before := "none"
 	if !m.ProductionVersion.IsNil() {
-		cur, err := g.versionByIDLocked(m.ProductionVersion)
+		cur, err := g.versionByIDLocked(ctx, m.ProductionVersion)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestDependencyFigure7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.h.g.AddDependency(f.a.ID, d.ID); err != nil {
+	if err := f.h.g.AddDependency(context.Background(), f.a.ID, d.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,7 +174,7 @@ func TestDependencyFigure7(t *testing.T) {
 
 func TestRemoveDependency(t *testing.T) {
 	f := buildFigure5(t)
-	if err := f.h.g.RemoveDependency(f.a.ID, f.c.ID); err != nil {
+	if err := f.h.g.RemoveDependency(context.Background(), f.a.ID, f.c.ID); err != nil {
 		t.Fatal(err)
 	}
 	ups, err := f.h.g.Upstreams(f.a.ID)
@@ -199,7 +200,7 @@ func TestRemoveDependency(t *testing.T) {
 
 func TestRemoveAbsentDependency(t *testing.T) {
 	f := buildFigure5(t)
-	if err := f.h.g.RemoveDependency(f.b.ID, f.c.ID); err == nil {
+	if err := f.h.g.RemoveDependency(context.Background(), f.b.ID, f.c.ID); err == nil {
 		t.Fatal("removing a non-existent edge succeeded")
 	}
 }
@@ -207,26 +208,26 @@ func TestRemoveAbsentDependency(t *testing.T) {
 func TestCycleRejected(t *testing.T) {
 	f := buildFigure5(t)
 	// B -> X would close the loop X -> A -> B.
-	err := f.h.g.AddDependency(f.b.ID, f.x.ID)
+	err := f.h.g.AddDependency(context.Background(), f.b.ID, f.x.ID)
 	if !errors.Is(err, ErrCycle) {
 		t.Fatalf("cycle err = %v", err)
 	}
 	// Self-dependency.
-	if err := f.h.g.AddDependency(f.a.ID, f.a.ID); !errors.Is(err, ErrBadSpec) {
+	if err := f.h.g.AddDependency(context.Background(), f.a.ID, f.a.ID); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("self-edge err = %v", err)
 	}
 	// Direct two-node cycle.
-	if err := f.h.g.AddDependency(f.b.ID, f.a.ID); !errors.Is(err, ErrCycle) {
+	if err := f.h.g.AddDependency(context.Background(), f.b.ID, f.a.ID); !errors.Is(err, ErrCycle) {
 		t.Fatalf("2-cycle err = %v", err)
 	}
 }
 
 func TestDuplicateEdgeRejected(t *testing.T) {
 	f := buildFigure5(t)
-	if err := f.h.g.AddDependency(f.x.ID, f.b.ID); err != nil {
+	if err := f.h.g.AddDependency(context.Background(), f.x.ID, f.b.ID); err != nil {
 		t.Fatal(err) // new edge is fine
 	}
-	if err := f.h.g.AddDependency(f.x.ID, f.b.ID); err == nil {
+	if err := f.h.g.AddDependency(context.Background(), f.x.ID, f.b.ID); err == nil {
 		t.Fatal("duplicate edge accepted")
 	}
 }
@@ -235,7 +236,7 @@ func TestDuplicateEdgeRejected(t *testing.T) {
 // (X->B added here) and through A; X must get exactly one new version.
 func TestDiamondPropagationCountsOnce(t *testing.T) {
 	f := buildFigure5(t)
-	if err := f.h.g.AddDependency(f.x.ID, f.b.ID); err != nil {
+	if err := f.h.g.AddDependency(context.Background(), f.x.ID, f.b.ID); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := f.h.g.VersionHistory(f.x.ID)

@@ -168,13 +168,13 @@ func (g *Registry) RegisterModelCtx(ctx context.Context, spec ModelSpec) (*Model
 		{Kind: relstore.MutInsert, Table: TableVersions, Row: versionToRow(v)},
 	}
 	for _, up := range spec.Upstreams {
-		if _, err := g.getModelLocked(up); err != nil {
+		if _, err := g.getModelLocked(ctx, up); err != nil {
 			return nil, fmt.Errorf("%w: upstream %s", err, up)
 		}
 		d := &Dependency{From: m.ID, To: up, Created: g.now()}
 		muts = append(muts, relstore.Mutation{Kind: relstore.MutInsert, Table: TableDeps, Row: depToRow(d)})
 	}
-	if err := g.dal.Meta().Batch(muts); err != nil {
+	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
 		return nil, err
 	}
 	g.audited(ctx, audit.Event{
@@ -190,11 +190,11 @@ func (g *Registry) RegisterModelCtx(ctx context.Context, spec ModelSpec) (*Model
 func (g *Registry) GetModel(id uuid.UUID) (*Model, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.getModelLocked(id)
+	return g.getModelLocked(context.Background(), id)
 }
 
-func (g *Registry) getModelLocked(id uuid.UUID) (*Model, error) {
-	row, err := g.dal.Meta().Get(TableModels, id.String())
+func (g *Registry) getModelLocked(ctx context.Context, id uuid.UUID) (*Model, error) {
+	row, err := g.dal.Meta().GetCtx(ctx, TableModels, id.String())
 	if errors.Is(err, relstore.ErrNotFound) {
 		return nil, fmt.Errorf("%w: model %s", ErrNotFound, id)
 	}
@@ -227,7 +227,7 @@ func (g *Registry) EvolveModel(prevID uuid.UUID, description string) (*Model, er
 func (g *Registry) EvolveModelCtx(ctx context.Context, prevID uuid.UUID, description string) (*Model, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	prev, err := g.getModelLocked(prevID)
+	prev, err := g.getModelLocked(ctx, prevID)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +259,7 @@ func (g *Registry) EvolveModelCtx(ctx context.Context, prevID uuid.UUID, descrip
 	}
 	next.ProductionVersion = v.ID
 	// The evolved model inherits its predecessor's dependencies.
-	ups, err := g.upstreamsLocked(prev.ID)
+	ups, err := g.upstreamsLocked(ctx, prev.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +272,7 @@ func (g *Registry) EvolveModelCtx(ctx context.Context, prevID uuid.UUID, descrip
 		d := &Dependency{From: next.ID, To: up, Created: g.now()}
 		muts = append(muts, relstore.Mutation{Kind: relstore.MutInsert, Table: TableDeps, Row: depToRow(d)})
 	}
-	if err := g.dal.Meta().Batch(muts); err != nil {
+	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
 		return nil, err
 	}
 	g.audited(ctx, audit.Event{
@@ -290,14 +290,14 @@ func (g *Registry) EvolveModelCtx(ctx context.Context, prevID uuid.UUID, descrip
 func (g *Registry) Evolution(id uuid.UUID) ([]*Model, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	m, err := g.getModelLocked(id)
+	m, err := g.getModelLocked(context.Background(), id)
 	if err != nil {
 		return nil, err
 	}
 	// Walk to the head.
 	head := m
 	for !head.PrevModel.IsNil() {
-		prev, err := g.getModelLocked(head.PrevModel)
+		prev, err := g.getModelLocked(context.Background(), head.PrevModel)
 		if err != nil {
 			return nil, err
 		}
@@ -309,7 +309,7 @@ func (g *Registry) Evolution(id uuid.UUID) ([]*Model, error) {
 		if cur.NextModel.IsNil() {
 			break
 		}
-		next, err := g.getModelLocked(cur.NextModel)
+		next, err := g.getModelLocked(context.Background(), cur.NextModel)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +341,7 @@ func (g *Registry) DeprecateModelCtx(ctx context.Context, id uuid.UUID) error {
 func (g *Registry) DeprecateModelReport(ctx context.Context, id uuid.UUID) (retired bool, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	m, err := g.getModelLocked(id)
+	m, err := g.getModelLocked(ctx, id)
 	if err != nil {
 		return false, err
 	}
@@ -387,7 +387,7 @@ func (g *Registry) UploadInstanceCtx(ctx context.Context, spec InstanceSpec, blo
 func (g *Registry) uploadInstanceCtx(ctx context.Context, spec InstanceSpec, blob []byte) (*Instance, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	m, err := g.getModelLocked(spec.ModelID)
+	m, err := g.getModelLocked(ctx, spec.ModelID)
 	if err != nil {
 		return nil, err
 	}
@@ -430,11 +430,11 @@ func (g *Registry) uploadInstanceCtx(ctx context.Context, spec InstanceSpec, blo
 	// dep_update versions.
 	beforeProd := "none"
 	if !m.ProductionVersion.IsNil() {
-		if cur, err := g.versionByIDLocked(m.ProductionVersion); err == nil {
+		if cur, err := g.versionByIDLocked(ctx, m.ProductionVersion); err == nil {
 			beforeProd = fmt.Sprintf("v%d.%d (%s)", cur.Major, cur.Minor, cur.ID)
 		}
 	}
-	bumps, err := g.versionBumpsLocked(m.ID, CauseRetrained, in.ID, uuid.Nil)
+	bumps, err := g.versionBumpsLocked(ctx, m.ID, CauseRetrained, in.ID, uuid.Nil)
 	if err != nil {
 		return nil, err
 	}
@@ -460,8 +460,8 @@ func (g *Registry) uploadInstanceCtx(ctx context.Context, spec InstanceSpec, blo
 	// The upload implicitly flipped the production pointer (the owner's
 	// retrained version is born promoted); record that transition too so
 	// a timeline reader sees every pointer change, implicit or explicit.
-	if m2, err := g.getModelLocked(m.ID); err == nil && !m2.ProductionVersion.IsNil() {
-		if v2, err := g.versionByIDLocked(m2.ProductionVersion); err == nil {
+	if m2, err := g.getModelLocked(ctx, m.ID); err == nil && !m2.ProductionVersion.IsNil() {
+		if v2, err := g.versionByIDLocked(ctx, m2.ProductionVersion); err == nil {
 			g.audited(ctx, audit.Event{
 				Action: audit.ActionPromote, EntityType: audit.EntityInstance,
 				EntityID: in.ID.String(), ModelID: m.ID.String(),
@@ -532,7 +532,7 @@ func (g *Registry) DeprecateInstance(id uuid.UUID) error {
 func (g *Registry) DeprecateInstanceCtx(ctx context.Context, id uuid.UUID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	row, err := g.dal.Meta().Get(TableInstances, id.String())
+	row, err := g.dal.Meta().GetCtx(ctx, TableInstances, id.String())
 	if errors.Is(err, relstore.ErrNotFound) {
 		return fmt.Errorf("%w: instance %s", ErrNotFound, id)
 	}

@@ -27,7 +27,7 @@ func (c *Common) tracer(process string, export func([]trace.SpanData)) (*trace.T
 	if err != nil {
 		return nil, err
 	}
-	return trace.New(trace.Options{Service: process, Sampler: sampler, Capacity: c.TraceBuffer, Exporter: export}), nil
+	return trace.New(trace.Options{Service: process, Sampler: sampler, Exporter: export}), nil
 }
 
 // profiler sets the opt-in lock-contention sampling rates (each costs a
@@ -52,7 +52,7 @@ func (c *Common) profiler(process string, reg *obs.Registry, export func(string,
 // access logger that feeds it from -log-level up, teeing JSON lines to
 // stderr under -access-log.
 func (c *Common) logging() (*obslog.Ring, *slog.Logger) {
-	ring := obslog.NewRing(c.LogBuffer)
+	ring := obslog.NewRing(obslog.DefaultCapacity)
 	var tee slog.Handler
 	if c.AccessLog {
 		tee = slog.NewJSONHandler(os.Stderr, nil)

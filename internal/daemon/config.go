@@ -14,16 +14,21 @@ import (
 	"gallery/internal/obs/profile"
 )
 
+// Tuning values with one setting in use are constants, not flags; where a
+// component's own default is that value, the daemons pass nothing.
+const (
+	ruleWorkers    = 4 // galleryd's rule-engine worker goroutines
+	gatewayRetries = 3 // galleryserve's retry budget per request to galleryd
+)
+
 // Common holds the flags both daemons declare, with the same meaning in
 // each. Every config field is one flag, in the order Flags registers them.
 type Common struct {
 	Addr                 string
 	AccessLog            bool
 	TraceSample          string
-	TraceBuffer          int
 	Pprof                bool
 	LogLevel             string
-	LogBuffer            int
 	ProfileInterval      time.Duration
 	ProfileWindow        time.Duration
 	MutexProfileFraction int
@@ -36,10 +41,8 @@ func (c *Common) flags(fs *flag.FlagSet, addr string) {
 	fs.StringVar(&c.Addr, "addr", addr, "listen address")
 	fs.BoolVar(&c.AccessLog, "access-log", false, "write a JSON access-log line per request to stderr")
 	fs.StringVar(&c.TraceSample, "trace-sample", "errslow:250ms", "trace sampler: never | always | errslow:<dur> | <probability 0..1>")
-	fs.IntVar(&c.TraceBuffer, "trace-buffer", 256, "completed traces kept for /v1/debug/traces")
 	fs.BoolVar(&c.Pprof, "pprof", false, "expose net/http/pprof under /v1/debug/pprof/ (profiles can leak memory contents; opt-in)")
 	fs.StringVar(&c.LogLevel, "log-level", "info", "min level entering the /v1/debug/logs ring: debug|info|warn|error")
-	fs.IntVar(&c.LogBuffer, "log-buffer", 1024, "structured log lines kept for /v1/debug/logs")
 	fs.DurationVar(&c.ProfileInterval, "profile-interval", profile.DefaultInterval, "continuous-profiler cycle period (negative disables the capture loop)")
 	fs.DurationVar(&c.ProfileWindow, "profile-window", profile.DefaultWindow, "CPU sampling window per profiler cycle")
 	fs.IntVar(&c.MutexProfileFraction, "mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction: sample 1/n mutex contention events (0 disables)")
@@ -54,19 +57,13 @@ type GallerydConfig struct {
 	Data                 string
 	Mem                  bool
 	Fsync                bool
-	Workers              int
 	CompactMB            int64
 	DumpMetrics          bool
 	HealthInterval       time.Duration
-	HealthRefWindows     int
-	HealthKeepWindows    int
 	HealthMetric         string
 	SLOInterval          time.Duration
-	IncidentKeep         int
-	IncidentDebounce     time.Duration
 	IncidentGateway      string
 	IncidentGatewayToken string
-	AuditKeep            int
 }
 
 // Flags registers galleryd's flags, with their defaults, on fs.
@@ -75,19 +72,13 @@ func (c *GallerydConfig) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Data, "data", "gallery-data", "data directory for metadata WAL and blob replicas")
 	fs.BoolVar(&c.Mem, "mem", false, "run fully in memory (no durability)")
 	fs.BoolVar(&c.Fsync, "fsync", false, "fsync the metadata WAL before every acknowledgement: a 2xx on a mutating request means its records are on disk")
-	fs.IntVar(&c.Workers, "workers", 4, "rule engine worker goroutines")
 	fs.Int64Var(&c.CompactMB, "compact-mb", 256, "compact the metadata WAL at startup when larger than this many MiB (0 disables)")
 	fs.BoolVar(&c.DumpMetrics, "dump-metrics", true, "dump the metric registry snapshot to stderr on shutdown")
 	fs.DurationVar(&c.HealthInterval, "health-interval", 30*time.Second, "model-health evaluation period (negative disables the monitor loop)")
-	fs.IntVar(&c.HealthRefWindows, "health-ref-windows", 3, "observation windows that form a model's reference distribution")
-	fs.IntVar(&c.HealthKeepWindows, "health-keep-windows", 48, "persisted health windows kept per model")
 	fs.StringVar(&c.HealthMetric, "health-metric", "mape", "production error metric for the monitor's drift/skew checks")
 	fs.DurationVar(&c.SLOInterval, "slo-interval", 15*time.Second, "SLO burn-rate evaluation period (negative disables the evaluator)")
-	fs.IntVar(&c.IncidentKeep, "incident-keep", 32, "incident bundles retained before the oldest are pruned (negative disables pruning)")
-	fs.DurationVar(&c.IncidentDebounce, "incident-debounce", 5*time.Minute, "minimum interval between captures of the same scope (negative disables)")
 	fs.StringVar(&c.IncidentGateway, "incident-gateway", "", "serving gateway base URL pulled into incident bundles via GET /v1/debug/bundle (empty: local snapshot only)")
 	fs.StringVar(&c.IncidentGatewayToken, "incident-gateway-token", "", "bearer token for the incident gateway pull when the gateway runs -auth")
-	fs.IntVar(&c.AuditKeep, "audit-keep", 256, "audit events retained per entity (negative disables pruning)")
 }
 
 // GalleryserveConfig is galleryserve's command line.
@@ -99,7 +90,6 @@ type GalleryserveConfig struct {
 	Preload     string
 	Name        string
 	HealthFlush time.Duration
-	Retries     int
 	Token       string
 }
 
@@ -112,6 +102,5 @@ func (c *GalleryserveConfig) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Preload, "preload", "", "comma-separated model IDs to load at startup")
 	fs.StringVar(&c.Name, "name", "gateway", "gateway name stamped on flushed health observations")
 	fs.DurationVar(&c.HealthFlush, "health-flush", 15*time.Second, "health observation flush period (negative disables health reporting)")
-	fs.IntVar(&c.Retries, "retries", 3, "gallery client retry budget per request")
 	fs.StringVar(&c.Token, "token", "", "bearer token this gateway presents to galleryd (when galleryd runs -auth)")
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -111,8 +112,8 @@ func TestFlagsMatchGolden(t *testing.T) {
 		flags  func(*flag.FlagSet)
 		fields int
 	}{
-		{"galleryd", &GallerydConfig{}, (&GallerydConfig{}).Flags, 29},
-		{"galleryserve", &GalleryserveConfig{}, (&GalleryserveConfig{}).Flags, 21},
+		{"galleryd", &GallerydConfig{}, (&GallerydConfig{}).Flags, 21},
+		{"galleryserve", &GalleryserveConfig{}, (&GalleryserveConfig{}).Flags, 18},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet(tc.name, flag.ContinueOnError)
@@ -131,6 +132,34 @@ func TestFlagsMatchGolden(t *testing.T) {
 				t.Errorf("%d flags and %d config fields, want %d of each", n, f, tc.fields)
 			}
 		})
+	}
+}
+
+// TestBenchmarkFlagsParse holds the command lines the benchmark harness
+// starts the binaries with: bench/stack.go (galleryd's -data -auth
+// -token-file [-fsync], the gateway's -gallery -token -auth -token-file),
+// bench/predict.go (deploy_mixed's -refresh -max-models), bench/procs.go
+// (-addr before every list) and the -pprof a profiled run adds to both.
+// The benchmark's own short tests never boot the daemons, so a deleted
+// flag would otherwise show only when the benchmark runs.
+func TestBenchmarkFlagsParse(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flags func(*flag.FlagSet)
+		args  []string
+	}{
+		{"galleryd", (&GallerydConfig{}).Flags, []string{"-addr", "127.0.0.1:0",
+			"-data", "d", "-auth", "-token-file", "t.json", "-fsync", "-pprof"}},
+		{"galleryserve", (&GalleryserveConfig{}).Flags, []string{"-addr", "127.0.0.1:0",
+			"-gallery", "http://127.0.0.1:1", "-token", "gal_x", "-auth", "-token-file", "t.json",
+			"-refresh", "250ms", "-max-models", "64", "-pprof"}},
+	} {
+		fs := flag.NewFlagSet(tc.name, flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		tc.flags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Errorf("%s %v: %v", tc.name, tc.args, err)
+		}
 	}
 }
 

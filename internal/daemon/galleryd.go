@@ -100,7 +100,7 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 	}
 	blobs.Instrument(d.obs)
 
-	if d.reg, err = core.New(d.meta, blobs, core.Options{AuditKeep: cfg.AuditKeep, Obs: d.obs}); err != nil {
+	if d.reg, err = core.New(d.meta, blobs, core.Options{Obs: d.obs}); err != nil {
 		return nil, fmt.Errorf("init registry: %w", err)
 	}
 	repo := rules.NewRepo(nil)
@@ -112,7 +112,7 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 
 	// The local profiler exports into the fleet store gateways also ship
 	// into.
-	fleet := profile.NewFleet(0)
+	fleet := profile.NewFleet()
 	profiler := cfg.profiler("galleryd", d.obs, fleet.Ingest)
 	d.stops.add(noErr(profiler.Stop))
 
@@ -122,20 +122,18 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 	recorder, err := incident.Open(d.reg.DAL(), incident.Config{
 		Obs: d.obs, Tracer: tracer, Logs: logs, Audit: d.reg.Audit(), Profiles: profiler.Ring(),
 		Gateway: cfg.IncidentGateway, GatewayToken: cfg.IncidentGatewayToken,
-		Keep: cfg.IncidentKeep, Debounce: cfg.IncidentDebounce,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("open incident recorder: %w", err)
 	}
 	engine.RegisterAction("capture", incident.CaptureAction(recorder))
-	engine.Start(cfg.Workers)
+	engine.Start(ruleWorkers)
 	d.stops.add(noErr(engine.Stop))
 
 	// Health events reach the flight recorder first, so a bundle shows the
 	// state that tripped it rather than what a rule did about it.
 	monitor := health.New(d.reg, health.Config{
-		Metric: cfg.HealthMetric, ReferenceWindows: cfg.HealthRefWindows,
-		KeepWindows: cfg.HealthKeepWindows, Interval: cfg.HealthInterval, Obs: d.obs,
+		Metric: cfg.HealthMetric, Interval: cfg.HealthInterval, Obs: d.obs,
 		Events: func(ctx context.Context, ev obs.Event) {
 			recorder.Event(ctx, ev)
 			engine.Event(ctx, ev)

@@ -41,7 +41,7 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 	if cfg.Auth && cfg.TokenFile == "" {
 		return nil, errors.New("-auth requires -token-file (a gateway has no durable store to mint from)")
 	}
-	cl := client.NewWith(cfg.Gallery, client.Options{Retries: cfg.Retries, Actor: "gateway:" + cfg.Name, Token: cfg.Token})
+	cl := client.NewWith(cfg.Gallery, client.Options{Retries: gatewayRetries, Actor: "gateway:" + cfg.Name, Token: cfg.Token})
 	// Kept traces, profile summaries, health windows and hot-swap audit
 	// events ride one queue through the one client (same token; a slow
 	// galleryd costs counted drops, never latency). It closes after all

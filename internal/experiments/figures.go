@@ -156,7 +156,7 @@ func DependencyFigures() ([]DepStep, error) {
 		return nil, err
 	}
 	order = append(order, d)
-	if err := reg.AddDependency(a.ID, d.ID); err != nil {
+	if err := reg.AddDependency(context.Background(), a.ID, d.ID); err != nil {
 		return nil, err
 	}
 	s, err = snapshot("Figure 7: after adding D as a dependency of A")

@@ -63,6 +63,18 @@ func raise(a, b Status) Status {
 	return a
 }
 
+// The monitor's fixed operating points.
+const (
+	// psiWarn and psiDegraded are the conventional moderate and
+	// significant population-stability shift levels.
+	psiWarn     = 0.1
+	psiDegraded = 0.25
+	// staleWarnRatio flags a window serving mostly stale answers.
+	staleWarnRatio = 0.5
+	// keepWindows bounds stored windows per model.
+	keepWindows = 48
+)
+
 // Config tunes the monitor.
 type Config struct {
 	// Metric is the production error metric fed to CheckDrift/CheckSkew
@@ -77,22 +89,9 @@ type Config struct {
 	// MinSamples gates PSI: both sides need at least this many
 	// observations before a verdict (default 50).
 	MinSamples int64
-	// PSIWarn and PSIDegraded are the PSI operating points (defaults 0.1
-	// and 0.25 — the conventional moderate/significant shift levels).
-	PSIWarn     float64
-	PSIDegraded float64
-	// StaleWarnRatio flags a window serving mostly stale answers
-	// (default 0.5).
-	StaleWarnRatio float64
 	// Interval is the evaluation tick (default 30s). Zero uses the
 	// default; negative disables the loop (tests call Evaluate).
 	Interval time.Duration
-	// KeepWindows bounds stored windows per model (default 48).
-	KeepWindows int
-	// Drift and Skew tune the metric-history checks; their Metric field
-	// is defaulted from Metric.
-	Drift core.DriftConfig
-	Skew  core.SkewConfig
 	// Obs receives monitor metrics; nil uses obs.Default.
 	Obs *obs.Registry
 	// Events, when non-nil, receives everything the monitor publishes,
@@ -122,26 +121,8 @@ func (c *Config) defaults() {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 50
 	}
-	if c.PSIWarn <= 0 {
-		c.PSIWarn = 0.1
-	}
-	if c.PSIDegraded <= 0 {
-		c.PSIDegraded = 0.25
-	}
-	if c.StaleWarnRatio <= 0 {
-		c.StaleWarnRatio = 0.5
-	}
 	if c.Interval == 0 {
 		c.Interval = 30 * time.Second
-	}
-	if c.KeepWindows <= 0 {
-		c.KeepWindows = 48
-	}
-	if c.Drift.Metric == "" {
-		c.Drift.Metric = c.Metric
-	}
-	if c.Skew.Metric == "" {
-		c.Skew.Metric = c.Metric
 	}
 	if c.Obs == nil {
 		c.Obs = obs.Default
@@ -302,7 +283,7 @@ func (m *Monitor) Ingest(ctx context.Context, req api.HealthObservationsRequest)
 		if err := m.reg.InsertHealthWindow(ctx, w); err != nil {
 			return resp, err
 		}
-		if _, err := m.reg.PruneHealthWindows(ctx, modelID, m.cfg.KeepWindows); err != nil {
+		if _, err := m.reg.PruneHealthWindows(ctx, modelID, keepWindows); err != nil {
 			return resp, err
 		}
 		m.mu.Lock()
@@ -377,7 +358,7 @@ func (m *Monitor) Recover() error {
 		return err
 	}
 	for _, id := range ids {
-		ws, err := m.reg.HealthWindows(id, m.cfg.KeepWindows)
+		ws, err := m.reg.HealthWindows(id, keepWindows)
 		if err != nil {
 			return err
 		}
@@ -447,10 +428,10 @@ func (m *Monitor) evaluateLocked(ctx context.Context, st *modelState, events []o
 	if !st.instanceID.IsNil() {
 		// The metric-history checks ride along; errors (unknown instance,
 		// no metrics yet) just leave them unchecked.
-		if rep, err := m.reg.CheckDrift(st.instanceID, m.cfg.Drift); err == nil {
+		if rep, err := m.reg.CheckDrift(st.instanceID, core.DriftConfig{Metric: m.cfg.Metric}); err == nil {
 			st.drift = rep
 		}
-		if rep, err := m.reg.CheckSkew(st.instanceID, m.cfg.Skew); err == nil {
+		if rep, err := m.reg.CheckSkew(st.instanceID, core.SkewConfig{Metric: m.cfg.Metric}); err == nil {
 			st.skew = rep
 		}
 	}
@@ -462,14 +443,14 @@ func (m *Monitor) evaluateLocked(ctx context.Context, st *modelState, events []o
 	if psiOK {
 		verdict = true
 		switch {
-		case st.psi >= m.cfg.PSIDegraded:
+		case st.psi >= psiDegraded:
 			status = raise(status, StatusDegraded)
 			reasons = append(reasons, fmt.Sprintf(
-				"prediction distribution shifted: psi=%.3f >= %.2f", st.psi, m.cfg.PSIDegraded))
-		case st.psi >= m.cfg.PSIWarn:
+				"prediction distribution shifted: psi=%.3f >= %.2f", st.psi, psiDegraded))
+		case st.psi >= psiWarn:
 			status = raise(status, StatusWarning)
 			reasons = append(reasons, fmt.Sprintf(
-				"prediction distribution drifting: psi=%.3f >= %.2f", st.psi, m.cfg.PSIWarn))
+				"prediction distribution drifting: psi=%.3f >= %.2f", st.psi, psiWarn))
 		default:
 			status = raise(status, StatusHealthy)
 		}
@@ -496,7 +477,7 @@ func (m *Monitor) evaluateLocked(ctx context.Context, st *modelState, events []o
 	}
 	if st.lastRequests > 0 {
 		staleRatio := float64(st.lastStale) / float64(st.lastRequests)
-		if staleRatio >= m.cfg.StaleWarnRatio {
+		if staleRatio >= staleWarnRatio {
 			status = raise(status, StatusWarning)
 			reasons = append(reasons, fmt.Sprintf(
 				"%.0f%% of last window served stale", staleRatio*100))
@@ -565,7 +546,7 @@ func (m *Monitor) appendEpisodeEvents(st *modelState, events []obs.Event) []obs.
 			Kind: "health", Name: name, ModelID: st.modelID.String(), Instance: st.instanceID, Fields: fields,
 		})
 	}
-	distShift := st.psi >= m.cfg.PSIDegraded
+	distShift := st.psi >= psiDegraded
 	metricDrift := st.drift != nil && st.drift.Checked && st.drift.Drifted
 	if distShift || metricDrift {
 		if !st.emitted["drift"] {

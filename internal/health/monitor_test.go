@@ -266,14 +266,14 @@ func TestMonitorShiftDegradesAndEmitsOnce(t *testing.T) {
 }
 
 func TestMonitorWarningBand(t *testing.T) {
-	// With the degraded threshold pushed out of reach, a real shift lands
-	// in the warning band deterministically.
-	h := newHarness(t, Config{ReferenceWindows: 3, LiveWindows: 3, PSIDegraded: 100})
+	// A small shift lands between the warning and degraded operating
+	// points (psi in [0.1, 0.25)) deterministically.
+	h := newHarness(t, Config{ReferenceWindows: 3, LiveWindows: 3})
 	for i := 0; i < 3; i++ {
 		h.ingest(t, h.window(i, 200, 20, 150))
 	}
 	for i := 3; i < 6; i++ {
-		h.ingest(t, h.window(i, 320, 20, 150))
+		h.ingest(t, h.window(i, 210, 20, 150))
 	}
 	h.mon.Evaluate(context.Background())
 	mh := h.health(t)
@@ -343,12 +343,14 @@ func TestMonitorReferenceResetOnPromotion(t *testing.T) {
 }
 
 func TestMonitorMetricDriftEscalates(t *testing.T) {
-	h := newHarness(t, Config{
-		ReferenceWindows: 1, LiveWindows: 1,
-		Drift: core.DriftConfig{Window: 3, Baseline: 3, Threshold: 0.25},
-	})
-	// Production mape history: three good points, then three 3x worse.
-	for _, v := range []float64{0.10, 0.11, 0.09, 0.30, 0.32, 0.31} {
+	h := newHarness(t, Config{ReferenceWindows: 1, LiveWindows: 1})
+	// Production mape history: five good points, then the drift check's
+	// 10-point recent window three times worse.
+	history := []float64{0.10, 0.11, 0.09, 0.10, 0.10}
+	for i := 0; i < 10; i++ {
+		history = append(history, 0.30+0.01*float64(i%3))
+	}
+	for _, v := range history {
 		h.clk.Advance(time.Minute)
 		if _, err := h.g.InsertMetric(h.inst.ID, "mape", core.ScopeProduction, v); err != nil {
 			t.Fatal(err)
@@ -436,16 +438,16 @@ func TestMonitorIngestRejectsMalformed(t *testing.T) {
 }
 
 func TestMonitorKeepWindowsPrunes(t *testing.T) {
-	h := newHarness(t, Config{KeepWindows: 4})
-	for i := 0; i < 10; i++ {
+	h := newHarness(t, Config{})
+	for i := 0; i < keepWindows+2; i++ {
 		h.ingest(t, h.window(i, 200, 20, 20))
 	}
 	ws, err := h.g.HealthWindows(h.model.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ws) != 4 {
-		t.Fatalf("stored %d windows, want 4 (KeepWindows)", len(ws))
+	if len(ws) != keepWindows {
+		t.Fatalf("stored %d windows, want %d (keepWindows)", len(ws), keepWindows)
 	}
 }
 

@@ -11,7 +11,7 @@
 // capture survives a daemon restart.
 //
 // Captures are debounced per scope — a token-bucket of one capture per
-// scope per Debounce interval — so a burn storm cannot flood the blob
+// scope per five minutes — so a burn storm cannot flood the blob
 // store, and are cross-process: the registry daemon pulls the implicated
 // gateway's snapshot over GET /v1/debug/bundle with a bounded timeout,
 // marking the bundle partial if the gateway is the thing that's down.
@@ -47,15 +47,22 @@ import (
 // Table is the relstore table indexing persisted bundles.
 const Table = "incidents"
 
-// Defaults; Config fields of 0 take these.
+// The recorder's fixed bounds.
 const (
-	DefaultKeep           = 32
-	DefaultDebounce       = 5 * time.Minute
-	DefaultGatewayTimeout = 2 * time.Second
-	DefaultLogTail        = 256
-	DefaultTraceTail      = 64
-	DefaultAuditTail      = 64
-	DefaultProfileTail    = 16
+	// keepBundles bounds persisted bundles; the oldest are pruned (index
+	// row and blob) as new captures land.
+	keepBundles = 32
+	// debounce is the per-scope minimum interval between captures (token
+	// bucket of one).
+	debounce = 5 * time.Minute
+	// gatewayTimeout bounds the gateway pull; past it the bundle is
+	// marked partial rather than blocked.
+	gatewayTimeout = 2 * time.Second
+	// The tails each bundle section holds.
+	logTail     = 256
+	traceTail   = 64
+	auditTail   = 64
+	profileTail = 16
 )
 
 // maxProfileBytes bounds each embedded pprof text profile so one huge
@@ -135,32 +142,11 @@ type Config struct {
 	// local process snapshot as pre-trigger evidence; may be nil.
 	Profiles ProfileHistory
 
-	// Service names the local process in its snapshot (default
-	// "galleryd").
-	Service string
 	// Gateway is the serving gateway's base URL for the cross-process
 	// half of a bundle; empty skips the pull.
 	Gateway string
 	// GatewayToken authenticates the pull when the gateway runs -auth.
 	GatewayToken string
-	// GatewayTimeout bounds the pull (default 2s); past it the bundle is
-	// marked partial rather than blocked.
-	GatewayTimeout time.Duration
-	// HTTP overrides the pull transport; nil uses http.DefaultClient.
-	HTTP *http.Client
-
-	// Keep bounds persisted bundles; the oldest are pruned (index row and
-	// blob) as new captures land. 0 uses DefaultKeep; negative disables.
-	Keep int
-	// Debounce is the per-scope minimum interval between captures
-	// (token bucket of one). 0 uses DefaultDebounce; negative disables.
-	Debounce time.Duration
-	// LogTail / TraceTail / AuditTail / ProfileTail bound each bundle
-	// section.
-	LogTail     int
-	TraceTail   int
-	AuditTail   int
-	ProfileTail int
 
 	Clock clock.Clock
 	UUIDs *uuid.Generator
@@ -172,9 +158,8 @@ type Config struct {
 // transitions, rule actions, and the manual endpoint — so an idle
 // recorder costs the predict path nothing.
 type Recorder struct {
-	d    *dal.DAL
-	cfg  Config
-	http *http.Client
+	d   *dal.DAL
+	cfg Config
 
 	cCaptures   *obs.Counter // incident_captures_total
 	cSuppressed *obs.Counter // incident_suppressed_total
@@ -192,38 +177,11 @@ func Open(d *dal.DAL, cfg Config) (*Recorder, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.Default
 	}
-	if cfg.Service == "" {
-		cfg.Service = "galleryd"
-	}
-	if cfg.GatewayTimeout <= 0 {
-		cfg.GatewayTimeout = DefaultGatewayTimeout
-	}
-	if cfg.Keep == 0 {
-		cfg.Keep = DefaultKeep
-	}
-	if cfg.Debounce == 0 {
-		cfg.Debounce = DefaultDebounce
-	}
-	if cfg.LogTail <= 0 {
-		cfg.LogTail = DefaultLogTail
-	}
-	if cfg.TraceTail <= 0 {
-		cfg.TraceTail = DefaultTraceTail
-	}
-	if cfg.AuditTail <= 0 {
-		cfg.AuditTail = DefaultAuditTail
-	}
-	if cfg.ProfileTail <= 0 {
-		cfg.ProfileTail = DefaultProfileTail
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
 	if cfg.UUIDs == nil {
 		cfg.UUIDs = uuid.NewGenerator()
-	}
-	if cfg.HTTP == nil {
-		cfg.HTTP = http.DefaultClient
 	}
 	if err := d.Meta().CreateTable(schema()); err != nil {
 		return nil, fmt.Errorf("incident: create table: %w", err)
@@ -231,7 +189,6 @@ func Open(d *dal.DAL, cfg Config) (*Recorder, error) {
 	return &Recorder{
 		d:           d,
 		cfg:         cfg,
-		http:        cfg.HTTP,
 		cCaptures:   cfg.Obs.Counter("incident_captures_total"),
 		cSuppressed: cfg.Obs.Counter("incident_suppressed_total"),
 		cErrors:     cfg.Obs.Counter("incident_errors_total"),
@@ -259,7 +216,7 @@ func (r *Recorder) BindSLO(s SLOStatuser) {
 
 // Trigger asks for a capture. The per-scope debounce is checked first —
 // a storm of burn events on one scope yields exactly one bundle per
-// Debounce interval, the rest returning ErrSuppressed. A failed capture
+// debounce interval, the rest returning ErrSuppressed. A failed capture
 // keeps its token spent: a persistently failing trigger must not turn
 // the debounce into a retry hammer against the blob store.
 func (r *Recorder) Trigger(ctx context.Context, t Trigger) (api.Incident, error) {
@@ -267,13 +224,11 @@ func (r *Recorder) Trigger(ctx context.Context, t Trigger) (api.Incident, error)
 	scope := t.Scope()
 
 	r.mu.Lock()
-	if r.cfg.Debounce > 0 {
-		if last, ok := r.lastAt[scope]; ok && now.Sub(last) < r.cfg.Debounce {
-			r.mu.Unlock()
-			r.cSuppressed.Inc()
-			return api.Incident{}, fmt.Errorf("%w: scope %q captured %s ago (debounce %s)",
-				ErrSuppressed, scope, now.Sub(last), r.cfg.Debounce)
-		}
+	if last, ok := r.lastAt[scope]; ok && now.Sub(last) < debounce {
+		r.mu.Unlock()
+		r.cSuppressed.Inc()
+		return api.Incident{}, fmt.Errorf("%w: scope %q captured %s ago (debounce %s)",
+			ErrSuppressed, scope, now.Sub(last), debounce)
 	}
 	r.lastAt[scope] = now
 	health, sloSrc := r.cfg.Health, r.cfg.SLO
@@ -305,8 +260,7 @@ func (r *Recorder) capture(ctx context.Context, t Trigger, now time.Time, health
 	}
 
 	b := api.IncidentBundle{
-		Registry: SnapshotProcess(r.cfg.Service, r.cfg.Obs, r.cfg.Tracer, r.cfg.Logs,
-			r.cfg.Profiles, r.cfg.TraceTail, r.cfg.LogTail, r.cfg.ProfileTail, now),
+		Registry: SnapshotProcess("galleryd", r.cfg.Obs, r.cfg.Tracer, r.cfg.Logs, r.cfg.Profiles, now),
 	}
 	if r.cfg.Gateway != "" {
 		gs, err := r.fetchGateway(ctx)
@@ -349,7 +303,7 @@ func (r *Recorder) capture(ctx context.Context, t Trigger, now time.Time, health
 // the model's joined timeline when one is named, else events naming the
 // namespace, else the process-wide tail.
 func (r *Recorder) auditQuery(t Trigger) audit.Query {
-	q := audit.Query{Limit: r.cfg.AuditTail, Desc: true}
+	q := audit.Query{Limit: auditTail, Desc: true}
 	switch {
 	case t.ModelID != "":
 		q.ModelID = t.ModelID
@@ -362,7 +316,7 @@ func (r *Recorder) auditQuery(t Trigger) audit.Query {
 // fetchGateway pulls the serving gateway's process snapshot with a
 // bounded timeout.
 func (r *Recorder) fetchGateway(ctx context.Context) (api.ProcessSnapshot, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.GatewayTimeout)
+	ctx, cancel := context.WithTimeout(ctx, gatewayTimeout)
 	defer cancel()
 	url := strings.TrimRight(r.cfg.Gateway, "/") + "/v1/debug/bundle"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -372,7 +326,7 @@ func (r *Recorder) fetchGateway(ctx context.Context) (api.ProcessSnapshot, error
 	if r.cfg.GatewayToken != "" {
 		req.Header.Set("Authorization", "Bearer "+r.cfg.GatewayToken)
 	}
-	resp, err := r.http.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return api.ProcessSnapshot{}, fmt.Errorf("incident: gateway pull: %w", err)
 	}
@@ -390,11 +344,8 @@ func (r *Recorder) fetchGateway(ctx context.Context) (api.ProcessSnapshot, error
 // prune drops the oldest bundles past the retention bound — index row
 // first, then the now-unreferenced blob.
 func (r *Recorder) prune(ctx context.Context) {
-	if r.cfg.Keep <= 0 {
-		return
-	}
 	rows, err := r.d.Meta().SelectCtx(ctx, relstore.Query{
-		Table: Table, OrderBy: "created", Desc: true, Offset: r.cfg.Keep,
+		Table: Table, OrderBy: "created", Desc: true, Offset: keepBundles,
 	})
 	if err != nil {
 		return
@@ -456,16 +407,7 @@ func (r *Recorder) Get(ctx context.Context, id string) (api.Incident, api.Incide
 // continuous-profiler window history, goroutine and heap profiles, and
 // build info. It is what the serving gateway serves at
 // GET /v1/debug/bundle and what the recorder embeds for its own process.
-func SnapshotProcess(service string, reg *obs.Registry, tracer *trace.Tracer, logs *obslog.Ring, profiles ProfileHistory, traceTail, logTail, profileTail int, now time.Time) api.ProcessSnapshot {
-	if traceTail <= 0 {
-		traceTail = DefaultTraceTail
-	}
-	if logTail <= 0 {
-		logTail = DefaultLogTail
-	}
-	if profileTail <= 0 {
-		profileTail = DefaultProfileTail
-	}
+func SnapshotProcess(service string, reg *obs.Registry, tracer *trace.Tracer, logs *obslog.Ring, profiles ProfileHistory, now time.Time) api.ProcessSnapshot {
 	ps := api.ProcessSnapshot{
 		Service:  service,
 		Captured: now,

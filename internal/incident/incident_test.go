@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -53,7 +54,7 @@ func TestTriggerCapturesAndGets(t *testing.T) {
 	_, span := trace.Start(context.Background(), "warmup")
 	span.End()
 
-	r, _, o := harness(t, Config{Tracer: tracer, Logs: ring, Service: "galleryd-test"})
+	r, _, o := harness(t, Config{Tracer: tracer, Logs: ring})
 	inc, err := r.Trigger(context.Background(), Trigger{Kind: "manual", Namespace: "maps", Reason: "drill"})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestTriggerCapturesAndGets(t *testing.T) {
 		t.Fatalf("Get meta mismatch: %+v vs %+v", got, inc)
 	}
 	reg := bundle.Registry
-	if reg.Service != "galleryd-test" {
+	if reg.Service != "galleryd" {
 		t.Fatalf("snapshot service = %q", reg.Service)
 	}
 	if len(reg.Metrics) == 0 || reg.MetricsProm == "" {
@@ -93,7 +94,7 @@ func TestTriggerCapturesAndGets(t *testing.T) {
 }
 
 func TestDebouncePerScope(t *testing.T) {
-	r, clk, o := harness(t, Config{Debounce: 5 * time.Minute})
+	r, clk, o := harness(t, Config{})
 	ctx := context.Background()
 	if _, err := r.Trigger(ctx, Trigger{Kind: "slo.burn", ModelID: "m1"}); err != nil {
 		t.Fatal(err)
@@ -110,7 +111,7 @@ func TestDebouncePerScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Past the window the scope re-arms.
-	clk.Advance(5 * time.Minute)
+	clk.Advance(debounce)
 	if _, err := r.Trigger(ctx, Trigger{Kind: "slo.burn", ModelID: "m1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,11 @@ func TestDebouncePerScope(t *testing.T) {
 }
 
 func TestRetentionPrunes(t *testing.T) {
-	r, clk, _ := harness(t, Config{Keep: 2, Debounce: -1})
+	r, clk, _ := harness(t, Config{})
 	ctx := context.Background()
 	var ids []string
-	for _, scope := range []string{"a", "b", "c", "d"} {
-		inc, err := r.Trigger(ctx, Trigger{Kind: "manual", Namespace: scope})
+	for i := 0; i < keepBundles+2; i++ {
+		inc, err := r.Trigger(ctx, Trigger{Kind: "manual", Namespace: fmt.Sprintf("ns%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,20 +143,22 @@ func TestRetentionPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(incs) != 2 {
-		t.Fatalf("retained %d incidents, want 2", len(incs))
+	if len(incs) != keepBundles {
+		t.Fatalf("retained %d incidents, want %d", len(incs), keepBundles)
 	}
-	// Newest first; the two oldest (a, b) are gone — row and blob.
-	if incs[0].ID != ids[3] || incs[1].ID != ids[2] {
+	// Newest first; the two oldest are gone — row and blob.
+	if incs[0].ID != ids[len(ids)-1] || incs[keepBundles-1].ID != ids[2] {
 		t.Fatalf("retained wrong incidents: %+v", incs)
 	}
-	if _, _, err := r.Get(ctx, ids[0]); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("pruned Get err = %v, want ErrNotFound", err)
+	for _, id := range ids[:2] {
+		if _, _, err := r.Get(ctx, id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("pruned Get err = %v, want ErrNotFound", err)
+		}
 	}
 }
 
 func TestNamespaceScopedList(t *testing.T) {
-	r, clk, _ := harness(t, Config{Debounce: -1})
+	r, clk, _ := harness(t, Config{})
 	ctx := context.Background()
 	for _, ns := range []string{"maps", "fraud", "maps"} {
 		if _, err := r.Trigger(ctx, Trigger{Kind: "manual", Namespace: ns, ModelID: ns + "-m" + clk.Now().Format("05")}); err != nil {
@@ -185,7 +188,7 @@ func TestGatewayPullAndPartialMarking(t *testing.T) {
 		}
 		_ = json.NewEncoder(w).Encode(api.ProcessSnapshot{Service: "galleryserve", MetricsProm: "# up 1\n"})
 	}))
-	r, _, _ := harness(t, Config{Gateway: gw.URL, GatewayToken: "sesame", Debounce: -1})
+	r, _, _ := harness(t, Config{Gateway: gw.URL, GatewayToken: "sesame"})
 	inc, err := r.Trigger(context.Background(), Trigger{Kind: "manual", Namespace: "a"})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +302,7 @@ func TestAuditTailScoping(t *testing.T) {
 	clk := clock.NewMock(t0)
 	o := obs.NewRegistry()
 	d := dal.New(store, blobstore.NewMemory(blobstore.Options{}), dal.Options{Obs: o})
-	r, err := Open(d, Config{Obs: o, Audit: log, Clock: clk, UUIDs: uuid.NewSeeded(12), Debounce: -1})
+	r, err := Open(d, Config{Obs: o, Audit: log, Clock: clk, UUIDs: uuid.NewSeeded(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +323,7 @@ func TestBundleEmbedsProfileHistory(t *testing.T) {
 	// Hand-feed a profiler ring two windows so the capture has
 	// pre-trigger evidence to embed, then restart the stores: the
 	// history must ride the bundle blob through the WAL replay.
-	ring := profile.NewRing(8)
+	ring := profile.NewRing()
 	ring.Add(profile.Summary{
 		Kind: profile.KindCPU, Unit: "nanoseconds", Total: 1000, Samples: 10,
 		Start: t0.Add(-time.Minute), End: t0.Add(-50 * time.Second),
@@ -386,11 +389,11 @@ func TestBundleEmbedsProfileHistory(t *testing.T) {
 }
 
 func TestProfileTailBounded(t *testing.T) {
-	ring := profile.NewRing(64)
+	ring := profile.NewRing()
 	for i := 0; i < 40; i++ {
 		ring.Add(profile.Summary{Kind: profile.KindCPU, Total: int64(i), End: t0.Add(time.Duration(i) * time.Second)})
 	}
-	r, _, _ := harness(t, Config{Profiles: ring, ProfileTail: 4})
+	r, _, _ := harness(t, Config{Profiles: ring})
 	inc, err := r.Trigger(context.Background(), Trigger{Kind: "manual", Namespace: "maps"})
 	if err != nil {
 		t.Fatal(err)
@@ -399,8 +402,8 @@ func TestProfileTailBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bundle.Registry.Profiles) != 4 {
-		t.Fatalf("profile tail = %d, want 4 (ProfileTail bound ignored)", len(bundle.Registry.Profiles))
+	if len(bundle.Registry.Profiles) != profileTail {
+		t.Fatalf("profile tail = %d, want %d (profileTail bound ignored)", len(bundle.Registry.Profiles), profileTail)
 	}
 	if bundle.Registry.Profiles[0].Total != 39 {
 		t.Fatalf("tail not newest-first: %+v", bundle.Registry.Profiles[0])

@@ -25,9 +25,9 @@ func (b *burning) Counts(slo.Objective) (int64, int64, bool) {
 // here as a %!f(<nil>) in the text.
 func TestRecorderEventFromSLOBurn(t *testing.T) {
 	r, clk, _ := harness(t, Config{})
+	const tick = 5 * time.Minute // the fast-short window, one tick
 	svc, err := slo.Open(relstore.NewMemory(), &burning{}, slo.Config{
-		Tick: time.Second, MinSamples: 1, Clock: clk, Obs: obs.NewRegistry(), Events: r.Event,
-		FastShort: 2 * time.Second, FastLong: 4 * time.Second, SlowShort: 2 * time.Second, SlowLong: 4 * time.Second,
+		Tick: tick, Clock: clk, Obs: obs.NewRegistry(), Events: r.Event,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestRecorderEventFromSLOBurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		clk.Advance(time.Second)
+		clk.Advance(tick)
 		svc.Evaluate(context.Background())
 	}
 	incs, err := r.List("maps")

@@ -19,8 +19,7 @@ import (
 func TestPprofProfileDuringCaptureWindow(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := profile.New(profile.Config{
-		Process: "t", Window: time.Minute, Interval: time.Hour,
-		Kinds: []string{profile.KindGoroutine}, Obs: reg,
+		Process: "t", Window: time.Minute, Interval: time.Hour, Obs: reg,
 	})
 	cycle := func() chan []profile.Summary {
 		ch := make(chan []profile.Summary, 1)

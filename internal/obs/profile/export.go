@@ -44,19 +44,14 @@ const maxFleetProcesses = 64
 // gateway shipments land in it through the ingest endpoint.
 type Fleet struct {
 	mu    sync.Mutex
-	keep  int
 	rings map[string]*Ring
 
 	dropped atomic.Uint64 // shipments refused at the process bound
 }
 
-// NewFleet builds a Fleet keeping up to keep summaries per kind per
-// process (0 = DefaultKeep).
-func NewFleet(keep int) *Fleet {
-	if keep <= 0 {
-		keep = DefaultKeep
-	}
-	return &Fleet{keep: keep, rings: make(map[string]*Ring)}
+// NewFleet builds a Fleet keeping one Ring per process.
+func NewFleet() *Fleet {
+	return &Fleet{rings: make(map[string]*Ring)}
 }
 
 // Ingest adds one process's summaries. Shipments for a new process past
@@ -73,7 +68,7 @@ func (f *Fleet) Ingest(process string, summaries []Summary) {
 			f.dropped.Add(1)
 			return
 		}
-		r = NewRing(f.keep)
+		r = NewRing()
 		f.rings[process] = r
 	}
 	f.mu.Unlock()

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFleetIngestAndSnapshot(t *testing.T) {
-	f := NewFleet(8)
+	f := NewFleet()
 	t0 := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 	f.Ingest("galleryd", []Summary{mkSummary(KindCPU, t0.Add(time.Minute), 100,
 		FuncStat{Name: "d_hot", Self: 100, Cum: 100})})
@@ -35,7 +35,7 @@ func TestFleetIngestAndSnapshot(t *testing.T) {
 }
 
 func TestFleetProcessBound(t *testing.T) {
-	f := NewFleet(2)
+	f := NewFleet()
 	s := []Summary{mkSummary(KindCPU, time.Now(), 1)}
 	for i := 0; i < maxFleetProcesses+5; i++ {
 		f.Ingest(fmt.Sprintf("proc-%03d", i), s)
@@ -49,13 +49,11 @@ func TestFleetProcessBound(t *testing.T) {
 }
 
 func TestProfilerCycle(t *testing.T) {
-	fleet := NewFleet(8)
+	fleet := NewFleet()
 	p := New(Config{
 		Process:  "testproc",
 		Window:   50 * time.Millisecond,
 		Interval: time.Hour, // loop never ticks; we drive cycles by hand
-		TopN:     10,
-		Keep:     4,
 		Exporter: fleet.Ingest,
 	})
 	spinDone := make(chan struct{})
@@ -91,8 +89,7 @@ func TestProfilerCycle(t *testing.T) {
 }
 
 func TestProfilerStartStop(t *testing.T) {
-	p := New(Config{Process: "t", Window: 20 * time.Millisecond, Interval: 25 * time.Millisecond,
-		Kinds: []string{KindGoroutine}})
+	p := New(Config{Process: "t", Window: 20 * time.Millisecond, Interval: 25 * time.Millisecond})
 	p.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for len(p.Ring().Recent(KindCPU, 0)) == 0 && time.Now().Before(deadline) {

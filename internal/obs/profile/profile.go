@@ -38,17 +38,23 @@ const (
 const (
 	DefaultWindow   = 10 * time.Second
 	DefaultInterval = 60 * time.Second
-	DefaultTopN     = 20
-	DefaultKeep     = 32
 )
+
+// DefaultTopN is the functions retained per summary the profiler
+// captures, and the top-N of a view that asks for none.
+const DefaultTopN = 20
+
+// ringKeep bounds the summaries a Ring retains per kind: about half an
+// hour of CPU windows at the default cadence.
+const ringKeep = 32
 
 // KnownKind reports whether kind is one of the five Kind constants: the
 // only kinds a Ring accepts from outside the process.
 func KnownKind(kind string) bool { return kind == KindCPU || lookupNames[kind] != "" }
 
-// defaultKinds are the snapshot profiles captured each cycle alongside
+// snapshotKinds are the snapshot profiles captured each cycle alongside
 // the CPU window.
-var defaultKinds = []string{KindHeap, KindGoroutine, KindMutex, KindBlock}
+var snapshotKinds = []string{KindHeap, KindGoroutine, KindMutex, KindBlock}
 
 // FuncStat is one function's aggregate within a summary. Self is the
 // value sampled with the function as the leaf frame; Cum counts samples
@@ -86,14 +92,6 @@ type Config struct {
 	// Interval is the cycle period (default 60s). Window is clamped to
 	// Interval when an operator configures them inverted.
 	Interval time.Duration
-	// TopN bounds functions retained per summary (default 20).
-	TopN int
-	// Keep bounds summaries retained per kind (default 32 — about half an
-	// hour of CPU windows at the default cadence).
-	Keep int
-	// Kinds are the snapshot profiles captured each cycle (default heap,
-	// goroutine, mutex, block).
-	Kinds []string
 	// Obs receives the profile_* counters; nil uses obs.Default.
 	Obs *obs.Registry
 	// Exporter, when non-nil, receives each cycle's summaries on their way
@@ -137,21 +135,12 @@ func New(cfg Config) *Profiler {
 	if cfg.Window > cfg.Interval {
 		cfg.Window = cfg.Interval
 	}
-	if cfg.TopN <= 0 {
-		cfg.TopN = DefaultTopN
-	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = DefaultKeep
-	}
-	if cfg.Kinds == nil {
-		cfg.Kinds = defaultKinds
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.Default
 	}
 	return &Profiler{
 		cfg:      cfg,
-		ring:     NewRing(cfg.Keep),
+		ring:     NewRing(),
 		cWindows: cfg.Obs.Counter("profile_windows_total"),
 		cErrors:  cfg.Obs.Counter("profile_capture_errors_total"),
 		quit:     make(chan struct{}),
@@ -294,7 +283,7 @@ func (p *Profiler) captureCPU() (Summary, error) {
 	default:
 	}
 	end := time.Now()
-	s, err := Summarize(buf.Bytes(), KindCPU, p.cfg.TopN)
+	s, err := Summarize(buf.Bytes(), KindCPU, DefaultTopN)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -315,7 +304,7 @@ var lookupNames = map[string]string{
 // runtime.SetMutexProfileFraction / SetBlockProfileRate.
 func (p *Profiler) CaptureSnapshots(now time.Time) []Summary {
 	var out []Summary
-	for _, kind := range p.cfg.Kinds {
+	for _, kind := range snapshotKinds {
 		name, ok := lookupNames[kind]
 		if !ok {
 			continue
@@ -329,7 +318,7 @@ func (p *Profiler) CaptureSnapshots(now time.Time) []Summary {
 			p.cErrors.Inc()
 			continue
 		}
-		s, err := Summarize(buf.Bytes(), kind, p.cfg.TopN)
+		s, err := Summarize(buf.Bytes(), kind, DefaultTopN)
 		if err != nil {
 			p.cErrors.Inc()
 			continue

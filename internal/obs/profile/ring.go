@@ -11,16 +11,12 @@ import (
 // the incident recorder embeds its tail in bundles.
 type Ring struct {
 	mu     sync.Mutex
-	keep   int
 	byKind map[string][]Summary
 }
 
-// NewRing builds a ring keeping up to keep summaries per kind.
-func NewRing(keep int) *Ring {
-	if keep <= 0 {
-		keep = DefaultKeep
-	}
-	return &Ring{keep: keep, byKind: make(map[string][]Summary)}
+// NewRing builds a ring keeping up to 32 summaries per kind.
+func NewRing() *Ring {
+	return &Ring{byKind: make(map[string][]Summary)}
 }
 
 // Add appends one summary, evicting the oldest of its kind past the
@@ -29,9 +25,9 @@ func (r *Ring) Add(s Summary) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ss := append(r.byKind[s.Kind], s)
-	if len(ss) > r.keep {
+	if len(ss) > ringKeep {
 		// Shift in place so the backing array stays bounded.
-		n := copy(ss, ss[len(ss)-r.keep:])
+		n := copy(ss, ss[len(ss)-ringKeep:])
 		ss = ss[:n]
 	}
 	r.byKind[s.Kind] = ss

@@ -18,22 +18,23 @@ func mkSummary(kind string, end time.Time, total int64, fns ...FuncStat) Summary
 }
 
 func TestRingBoundAndOrder(t *testing.T) {
-	r := NewRing(3)
+	r := NewRing()
 	t0 := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 5; i++ {
+	const n = ringKeep + 2
+	for i := 0; i < n; i++ {
 		r.Add(mkSummary(KindCPU, t0.Add(time.Duration(i)*time.Minute), int64(i+1)))
 	}
 	got := r.Recent(KindCPU, 0)
-	if len(got) != 3 {
-		t.Fatalf("retained %d, want 3", len(got))
+	if len(got) != ringKeep {
+		t.Fatalf("retained %d, want %d", len(got), ringKeep)
 	}
-	// Newest first: totals 5, 4, 3.
-	for i, want := range []int64{5, 4, 3} {
-		if got[i].Total != want {
+	// Newest first: totals n, n-1, ..., 3.
+	for i := range got {
+		if want := int64(n - i); got[i].Total != want {
 			t.Fatalf("recent[%d].Total = %d, want %d", i, got[i].Total, want)
 		}
 	}
-	if got = r.Recent(KindCPU, 1); len(got) != 1 || got[0].Total != 5 {
+	if got = r.Recent(KindCPU, 1); len(got) != 1 || got[0].Total != n {
 		t.Fatalf("Recent(1) = %v", got)
 	}
 	if got = r.Recent(KindHeap, 0); len(got) != 0 {
@@ -42,7 +43,7 @@ func TestRingBoundAndOrder(t *testing.T) {
 }
 
 func TestRingHistoryAcrossKinds(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	t0 := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 	r.Add(mkSummary(KindCPU, t0.Add(1*time.Minute), 1))
 	r.Add(mkSummary(KindHeap, t0.Add(2*time.Minute), 2))
@@ -96,7 +97,7 @@ func TestMerge(t *testing.T) {
 }
 
 func TestRingViewMergeWindow(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	t0 := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 	r.Add(mkSummary(KindCPU, t0.Add(1*time.Minute), 100, FuncStat{Name: "old", Self: 100, Cum: 100}))
 	r.Add(mkSummary(KindCPU, t0.Add(50*time.Minute), 100, FuncStat{Name: "new", Self: 100, Cum: 100}))

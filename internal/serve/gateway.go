@@ -62,8 +62,6 @@ type Options struct {
 	// Zero uses the default; negative disables the loop (tests drive
 	// RefreshAll directly).
 	RefreshInterval time.Duration
-	// Loader resolves learner kinds (default forecast.DefaultLoader).
-	Loader *forecast.Loader
 	// Obs receives gateway metrics; nil uses obs.Default.
 	Obs *obs.Registry
 	// Tracer, when set, lets background gateway work (hot-swap refreshes)
@@ -133,7 +131,6 @@ type entry struct {
 type Gateway struct {
 	src    Source
 	opts   Options
-	loader *forecast.Loader
 	obs    *obs.Registry
 	tracer *trace.Tracer // may be nil; every use is nil-safe
 
@@ -175,9 +172,6 @@ func New(src Source, opts Options) *Gateway {
 	if opts.RefreshInterval == 0 {
 		opts.RefreshInterval = 5 * time.Second
 	}
-	if opts.Loader == nil {
-		opts.Loader = forecast.DefaultLoader
-	}
 	if opts.Obs == nil {
 		opts.Obs = obs.Default
 	}
@@ -193,7 +187,6 @@ func New(src Source, opts Options) *Gateway {
 	g := &Gateway{
 		src:     src,
 		opts:    opts,
-		loader:  opts.Loader,
 		obs:     opts.Obs,
 		tracer:  opts.Tracer,
 		entries: make(map[string]*entry),
@@ -432,7 +425,7 @@ func (g *Gateway) load(ctx context.Context, modelID string) (srv *served, err er
 	if err != nil {
 		return nil, fmt.Errorf("serve: fetch blob of instance %s: %w", v.InstanceID, err)
 	}
-	learner, err := g.loader.Load(blob)
+	learner, err := forecast.Decode(blob)
 	if err != nil {
 		return nil, fmt.Errorf("serve: instance %s: %w", v.InstanceID, err)
 	}
@@ -527,7 +520,7 @@ func (g *Gateway) refresh(e *entry) {
 		span.EndErr(err)
 		return
 	}
-	learner, err := g.loader.Load(blob)
+	learner, err := forecast.Decode(blob)
 	if err != nil {
 		e.stale.Store(true)
 		g.mx.refreshErrs.Inc()

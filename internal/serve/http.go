@@ -281,7 +281,7 @@ func (h *Handler) handleBundle(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Cache-Control", "no-store")
 	httpmw.WriteJSON(w, http.StatusOK,
-		incident.SnapshotProcess("galleryserve", h.obs, h.tracer, h.logs, hist, 0, 0, 0, time.Now()))
+		incident.SnapshotProcess("galleryserve", h.obs, h.tracer, h.logs, hist, time.Now()))
 }
 
 // handleProfile serves the local continuous-profiling view: this

@@ -374,3 +374,43 @@ func TestAuditSearchAndIngest(t *testing.T) {
 		t.Fatal("malformed since accepted")
 	}
 }
+
+// TestDependencyEditsCarryTheActor: adding and removing an edge over HTTP
+// records model.dep_add and model.dep_remove under the caller's actor,
+// like every other mutation, not as the system.
+func TestDependencyEditsCarryTheActor(t *testing.T) {
+	clk := clock.NewMock(t0)
+	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
+		Clock: clk, UUIDs: uuid.NewSeeded(33),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry()}))
+	t.Cleanup(ts.Close)
+	c := client.NewWith(ts.URL, client.Options{HTTP: ts.Client(), Actor: "alice"})
+
+	a, err := c.RegisterModel(api.RegisterModelRequest{BaseVersionID: "bv-a", Project: "p", Name: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.RegisterModel(api.RegisterModelRequest{BaseVersionID: "bv-b", Project: "p", Name: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddDependency(a.ID, b.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveDependency(a.ID, b.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, action := range []string{"model.dep_add", "model.dep_remove"} {
+		evs, err := c.AuditEvents(client.AuditQuery{Action: action})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) != 1 || evs[0].EntityID != a.ID || evs[0].Actor != "alice" {
+			t.Fatalf("%s events = %+v, want one on %s by alice", action, evs, a.ID)
+		}
+	}
+}

@@ -25,7 +25,7 @@ func TestProfileIngestRejectsUnknownKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), Profiles: profile.NewFleet(0)})
+	srv := NewWith(reg, nil, nil, Options{Obs: obs.NewRegistry(), Profiles: profile.NewFleet()})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	c := client.New(ts.URL, ts.Client())

@@ -538,7 +538,7 @@ func (s *Server) handleAddDep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if err := s.reg.AddDependency(from, to); err != nil {
+	if err := s.reg.AddDependency(r.Context(), from, to); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -555,7 +555,7 @@ func (s *Server) handleRemoveDep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if err := s.reg.RemoveDependency(from, to); err != nil {
+	if err := s.reg.RemoveDependency(r.Context(), from, to); err != nil {
 		writeErr(w, err)
 		return
 	}

@@ -73,7 +73,7 @@ func newAuthHarness(t *testing.T) *authHarness {
 		t.Fatal(err)
 	}
 	srv := NewWith(reg, repo, eng, Options{Obs: o, Tenants: tm, SLO: sloSvc, Incidents: rec,
-		Profiles: profile.NewFleet(0)})
+		Profiles: profile.NewFleet()})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	h := &authHarness{ts: ts, srv: srv, tm: tm, obs: o, clk: clk}

@@ -271,7 +271,7 @@ func (s *Server) authorizeInstanceWrite(r *http.Request, instanceID uuid.UUID) (
 	if s.tenants == nil {
 		return "", nil
 	}
-	in, err := s.reg.GetInstance(instanceID)
+	in, err := s.reg.GetInstanceCtx(r.Context(), instanceID)
 	if err != nil {
 		return "", err
 	}

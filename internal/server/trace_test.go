@@ -282,3 +282,53 @@ func TestUnsampledTraceparentNotForced(t *testing.T) {
 		t.Fatalf("unsampled traceparent forced a trace: %+v", st)
 	}
 }
+
+// TestWriteTracesReachTheStore: a sampled registration, deprecation and
+// dependency edit are attributed down to the metadata store — the model's
+// own batch and the rows read on the way, not only the audit row's insert.
+func TestWriteTracesReachTheStore(t *testing.T) {
+	tr := trace.New(trace.Options{Service: "galleryd", Sampler: trace.Always()})
+	h := newTracedHarness(t, tr)
+	m := h.registerModel(t, "Traced Writes", "demand")
+	up := h.registerModel(t, "Traced Upstream", "demand")
+	in := h.upload(t, m.ID, "san_francisco", []byte("serialized-model-bytes"))
+
+	traced := func(callerTrace, method, path, body string) map[string]*trace.Node {
+		t.Helper()
+		req, err := http.NewRequest(method, h.ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("traceparent", "00-"+callerTrace+"-00f067aa0ba902b7-01")
+		resp, err := h.ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
+		}
+		d, ok := tr.Store().Get(callerTrace)
+		if !ok {
+			t.Fatalf("no trace recorded under %s", callerTrace)
+		}
+		return collectNodes(d.Roots)
+	}
+
+	nodes := traced("6bf92f3577b34da6a3ce929d0e0e4736", http.MethodPost, "/v1/models",
+		`{"base_version_id":"bv-traced","project":"p","name":"traced"}`)
+	if _, ok := nodes["relstore.batch"]; !ok {
+		t.Fatalf("relstore.batch missing from the register trace; have %v", spanNames(nodes))
+	}
+	nodes = traced("7bf92f3577b34da6a3ce929d0e0e4736", http.MethodPost, "/v1/instances/"+in.ID+"/deprecate", "")
+	if _, ok := nodes["relstore.get"]; !ok {
+		t.Fatalf("relstore.get missing from the deprecate trace; have %v", spanNames(nodes))
+	}
+	nodes = traced("8bf92f3577b34da6a3ce929d0e0e4736", http.MethodPost, "/v1/deps",
+		`{"from":"`+m.ID+`","to":"`+up.ID+`"}`)
+	for _, name := range []string{"relstore.get", "relstore.select", "relstore.batch"} {
+		if _, ok := nodes[name]; !ok {
+			t.Fatalf("%s missing from the dependency-add trace; have %v", name, spanNames(nodes))
+		}
+	}
+}

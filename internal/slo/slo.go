@@ -144,26 +144,30 @@ func (s VecSource) Counts(o Objective) (int64, int64, bool) {
 	}
 }
 
-// Config tunes the evaluator. Durations are converted to whole ticks;
-// the zero value gets production defaults.
-type Config struct {
-	// Tick is the evaluation cadence (and ring resolution). Default 15s.
-	Tick time.Duration
-	// Fast pair: short window confirmed by long window, both at FastBurn.
-	// Defaults 5m / 1h at burn 14.4 (exhausts a 30-day budget in ~2 days).
-	FastShort time.Duration
-	FastLong  time.Duration
-	FastBurn  float64
-	// Slow pair. Defaults 30m / 6h at burn 6 (~5 days to exhaustion).
-	SlowShort time.Duration
-	SlowLong  time.Duration
-	SlowBurn  float64
-	// MinSamples is the fewest requests a window must hold before its
+// The two burn-rate window pairs and their thresholds (the multiwindow
+// alerting of the SRE workbook): a pair fires when both its short and its
+// long window burn at or above its rate. The fast pair exhausts a 30-day
+// budget in about 2 days, the slow pair in about 5.
+const (
+	fastShort = 5 * time.Minute
+	fastLong  = time.Hour
+	fastBurn  = 14.4
+	slowShort = 30 * time.Minute
+	slowLong  = 6 * time.Hour
+	slowBurn  = 6
+	// minSamples is the fewest requests a window must hold before its
 	// burn rate counts; below it the window reads 0. When history is
 	// shorter than a window, the floor scales up by the truncation
 	// factor, so a brief blip right after startup cannot pass for a
-	// long-window burn. Default 10.
-	MinSamples int64
+	// long-window burn.
+	minSamples = 10
+)
+
+// Config wires the evaluator. Windows are converted to whole ticks; the
+// zero value gets production defaults.
+type Config struct {
+	// Tick is the evaluation cadence (and ring resolution). Default 15s.
+	Tick time.Duration
 
 	Clock clock.Clock
 	UUIDs *uuid.Generator
@@ -179,27 +183,6 @@ type Config struct {
 func (c Config) defaults() Config {
 	if c.Tick <= 0 {
 		c.Tick = 15 * time.Second
-	}
-	if c.FastShort <= 0 {
-		c.FastShort = 5 * time.Minute
-	}
-	if c.FastLong <= 0 {
-		c.FastLong = time.Hour
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14.4
-	}
-	if c.SlowShort <= 0 {
-		c.SlowShort = 30 * time.Minute
-	}
-	if c.SlowLong <= 0 {
-		c.SlowLong = 6 * time.Hour
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 6
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 10
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
@@ -252,7 +235,7 @@ func (st *state) push(tick int64, s sample) {
 // included) and the span actually covered. With less history than k, the
 // whole recorded history is the window — partial windows evaluate rather
 // than blocking alerts until an hour of uptime accumulates — and the
-// caller compensates for the truncation (see the MinSamples scaling in
+// caller compensates for the truncation (see the minSamples scaling in
 // Evaluate).
 func (st *state) window(tick int64, k int) (sample, int) {
 	if st.n == 0 {
@@ -322,10 +305,10 @@ func Open(store *relstore.Store, src Source, cfg Config) (*Service, error) {
 		store:        store,
 		src:          src,
 		cfg:          cfg,
-		fastShort:    cfg.ticks(cfg.FastShort),
-		fastLong:     cfg.ticks(cfg.FastLong),
-		slowShort:    cfg.ticks(cfg.SlowShort),
-		slowLong:     cfg.ticks(cfg.SlowLong),
+		fastShort:    cfg.ticks(fastShort),
+		fastLong:     cfg.ticks(fastLong),
+		slowShort:    cfg.ticks(slowShort),
+		slowLong:     cfg.ticks(slowLong),
 		objs:         make(map[string]*state),
 		cEvaluations: cfg.Obs.Counter("slo_evaluations_total"),
 		cBurns:       cfg.Obs.Counter("slo_burn_events_total"),
@@ -515,14 +498,14 @@ func (s *Service) Evaluate(ctx context.Context) {
 				return 0
 			}
 			total := w.good + w.bad
-			// MinSamples is calibrated to the full window. When history
+			// minSamples is calibrated to the full window. When history
 			// clamps the window to a shorter span, scale the floor by the
 			// truncation factor: without this, both windows of a pair
 			// collapse to the same short span just after startup and one
-			// MinSamples-sized blip counterfeits a confirmed long burn.
+			// minSamples-sized blip counterfeits a confirmed long burn.
 			// A genuine outage at real traffic volume still clears the
 			// scaled floor within a few ticks.
-			need := s.cfg.MinSamples * int64(k) / int64(span)
+			need := minSamples * int64(k) / int64(span)
 			if total < need {
 				return 0
 			}
@@ -540,8 +523,8 @@ func (s *Service) Evaluate(ctx context.Context) {
 			st.budget = 1
 		}
 
-		fastHit := fastS >= s.cfg.FastBurn && fastL >= s.cfg.FastBurn
-		slowHit := slowS >= s.cfg.SlowBurn && slowL >= s.cfg.SlowBurn
+		fastHit := fastS >= fastBurn && fastL >= fastBurn
+		slowHit := slowS >= slowBurn && slowL >= slowBurn
 		breached := fastHit || slowHit
 		if breached != st.breached {
 			st.breached = breached

@@ -16,24 +16,15 @@ import (
 
 var t0 = time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 
-// testConfig keeps windows tiny so burn math is easy to drive by hand:
-// tick 1s, fast pair 5s/20s, slow pair 10s/40s. Thresholds are chosen so
-// a sharp outage over a healthy baseline trips the fast pair first, like
-// the production defaults do.
+// testConfig ticks every 5 minutes, so the fixed windows are whole ticks:
+// fast pair 1/12, slow pair 6/72. Evaluate is driven by hand.
 func testConfig(src *countSource) (Config, *obs.Registry) {
 	reg := obs.NewRegistry()
 	return Config{
-		Tick:       time.Second,
-		FastShort:  5 * time.Second,
-		FastLong:   20 * time.Second,
-		FastBurn:   9.5,
-		SlowShort:  10 * time.Second,
-		SlowLong:   40 * time.Second,
-		SlowBurn:   8,
-		MinSamples: 1,
-		Clock:      clock.NewMock(t0),
-		UUIDs:      uuid.NewSeeded(9),
-		Obs:        reg,
+		Tick:  5 * time.Minute,
+		Clock: clock.NewMock(t0),
+		UUIDs: uuid.NewSeeded(9),
+		Obs:   reg,
 	}, reg
 }
 
@@ -87,8 +78,9 @@ func TestBurnAndRecovery(t *testing.T) {
 	o := mustCreate(t, s, Objective{Namespace: "ads", Kind: KindAvailability, Target: 0.99})
 	ctx := context.Background()
 
-	// 30 healthy ticks: 100 requests each, none bad.
-	for i := 0; i < 30; i++ {
+	// 80 healthy ticks (past the 72-tick slow-long window): 100 requests
+	// each, none bad.
+	for i := 0; i < 80; i++ {
 		src.good += 100
 		s.Evaluate(ctx)
 	}
@@ -97,12 +89,12 @@ func TestBurnAndRecovery(t *testing.T) {
 		t.Fatalf("healthy state = %+v", st)
 	}
 
-	// Full outage: every request bad. Fast-short (5 ticks) saturates
-	// immediately, but fast-long (20 ticks) mixes in healthy history:
-	// after f faulty ticks its bad ratio is 100f/2000, so burn =
-	// (f/20)/0.01 = 5f. Breach needs burn >= 9.5 -> f = 2. The slow pair
-	// is still held back by slow-long (burn 6.25 < 8 at f = 2), so the
-	// first breach carries fast severity.
+	// Full outage: every request bad. Fast-short (1 tick) saturates
+	// immediately, but fast-long (12 ticks) mixes in healthy history:
+	// after f faulty ticks its bad ratio is 100f/1200, so burn =
+	// (f/12)/0.01 ≈ 8.3f. Breach needs burn >= 14.4 -> f = 2. The slow
+	// pair is still held back by slow-long (burn (f/72)/0.01 ≈ 2.8 < 6 at
+	// f = 2), so the first breach carries fast severity.
 	src.bad += 100
 	s.Evaluate(ctx)
 	if s.Statuses()[0].Breached {
@@ -254,14 +246,14 @@ func TestNoDataSource(t *testing.T) {
 	}
 }
 
-// TestPartialWindowBlipDoesNotBreach pins the scaled MinSamples floor:
+// TestPartialWindowBlipDoesNotBreach pins the scaled minSamples floor:
 // right after startup every window clamps to the recorded history, so
-// without scaling one MinSamples-sized blip satisfies both windows of a
-// pair at once and counterfeits a confirmed burn.
+// without scaling one minSamples-sized blip satisfies both windows of a
+// pair at once (fast-short is a single tick) and counterfeits a
+// confirmed burn.
 func TestPartialWindowBlipDoesNotBreach(t *testing.T) {
 	src := &countSource{}
 	cfg, _ := testConfig(src)
-	cfg.MinSamples = 10
 	s, err := Open(relstore.NewMemory(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -270,12 +262,11 @@ func TestPartialWindowBlipDoesNotBreach(t *testing.T) {
 	ctx := context.Background()
 
 	s.Evaluate(ctx) // tick 1: empty baseline
-	src.bad += 10   // exactly MinSamples failures, then silence
-	s.Evaluate(ctx)
-	for i := 0; i < 10; i++ {
+	src.bad += 10   // exactly minSamples failures, then silence
+	for i := 0; i < 11; i++ {
 		s.Evaluate(ctx)
 		if st := s.Statuses()[0]; st.Breached {
-			t.Fatalf("startup blip breached at tick %d: %+v", i+3, st)
+			t.Fatalf("startup blip breached at tick %d: %+v", i+2, st)
 		}
 	}
 
@@ -381,14 +372,14 @@ func TestDeleteRemovesGauges(t *testing.T) {
 func TestMinSamplesSuppressesThinWindows(t *testing.T) {
 	src := &countSource{}
 	cfg, _ := testConfig(src)
-	cfg.MinSamples = 50
 	s, err := Open(relstore.NewMemory(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustCreate(t, s, Objective{Namespace: "ads", Kind: KindAvailability, Target: 0.99})
 	ctx := context.Background()
-	// 3 requests per tick, all failing — but under MinSamples, so no burn.
+	// 3 requests per tick, all failing — under minSamples in the one-tick
+	// fast-short window, so the fast pair reads no burn and nothing breaches.
 	for i := 0; i < 10; i++ {
 		src.bad += 3
 		s.Evaluate(ctx)
