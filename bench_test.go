@@ -162,7 +162,7 @@ func BenchmarkMillionInstancesFetch(b *testing.B) {
 	reg, ids := newBenchRegistry(b, 100_000, 400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reg.FetchBlob(ids[i%len(ids)]); err != nil {
+		if _, err := reg.FetchBlob(context.Background(), ids[i%len(ids)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -332,7 +332,7 @@ func benchBlobRead(b *testing.B, cacheBytes int64) {
 	locs := make([]string, hotSet)
 	payload := make([]byte, 64<<10)
 	for i := range locs {
-		loc, err := d.InsertWithBlob("instances",
+		loc, err := d.InsertWithBlob(context.Background(), "instances",
 			relstore.Row{"id": relstore.String(fmt.Sprintf("i%d", i))},
 			"blob_location", fmt.Sprintf("i%d", i), payload)
 		if err != nil {
@@ -343,7 +343,7 @@ func benchBlobRead(b *testing.B, cacheBytes int64) {
 	before := blobs.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.GetBlob(locs[i%hotSet]); err != nil {
+		if _, err := d.GetBlobCtx(context.Background(), locs[i%hotSet]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -409,7 +409,7 @@ func benchRuleTrigger(b *testing.B, polling bool) {
 			b.Fatal(err)
 		}
 		ids[i] = in.ID
-		if _, err := reg.InsertMetric(in.ID, "mape", core.ScopeProduction, 7); err != nil {
+		if _, err := reg.InsertMetric(context.Background(), in.ID, "mape", core.ScopeProduction, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -418,7 +418,7 @@ func benchRuleTrigger(b *testing.B, polling bool) {
 	for i := 0; i < b.N; i++ {
 		id := ids[i%fleet]
 		clk.Advance(time.Second)
-		if _, err := reg.InsertMetric(id, "mape", core.ScopeProduction, 4); err != nil {
+		if _, err := reg.InsertMetric(context.Background(), id, "mape", core.ScopeProduction, 4); err != nil {
 			b.Fatal(err)
 		}
 		if polling {

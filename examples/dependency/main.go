@@ -48,7 +48,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			prod, err := reg.ProductionVersion(m.ID)
+			prod, err := reg.ProductionVersion(context.Background(), m.ID)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := reg.Promote(hist[len(hist)-1].ID); err != nil {
+	if err := reg.Promote(context.Background(), hist[len(hist)-1].ID); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("  A's owner promoted 4.1 to production.")

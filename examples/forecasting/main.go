@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -169,14 +170,14 @@ func runCity(reg *core.Registry, engine *rules.Engine, eventRuleID, regularRuleI
 			}
 			if len(ae) > 0 {
 				if met, err := forecast.Evaluate(pe, ae); err == nil {
-					if _, err := reg.InsertMetric(c.instance.ID, "mape_event", core.ScopeProduction, met.MAPE); err != nil {
+					if _, err := reg.InsertMetric(context.Background(), c.instance.ID, "mape_event", core.ScopeProduction, met.MAPE); err != nil {
 						log.Fatal(err)
 					}
 				}
 			}
 			if len(ar) > 0 {
 				if met, err := forecast.Evaluate(pr, ar); err == nil {
-					if _, err := reg.InsertMetric(c.instance.ID, "mape_regular", core.ScopeProduction, met.MAPE); err != nil {
+					if _, err := reg.InsertMetric(context.Background(), c.instance.ID, "mape_regular", core.ScopeProduction, met.MAPE); err != nil {
 						log.Fatal(err)
 					}
 				}

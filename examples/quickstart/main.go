@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -91,7 +92,7 @@ func main() {
 	fmt.Printf("search matched %d instance(s)\n", len(results))
 
 	// Fetch the blob back and serve a prediction with it.
-	servedBlob, err := reg.FetchBlob(results[0].ID)
+	servedBlob, err := reg.FetchBlob(context.Background(), results[0].ID)
 	if err != nil {
 		log.Fatal(err)
 	}

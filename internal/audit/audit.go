@@ -169,7 +169,7 @@ func Open(store *relstore.Store, opts Options) (*Log, error) {
 	}
 	// Crash recovery: WAL replay already rebuilt the table; find where the
 	// sequence left off so new events extend the timeline, never fork it.
-	rows, err := store.Select(relstore.Query{Table: Table, OrderBy: "seq", Desc: true, Limit: 1})
+	rows, err := store.Select(context.Background(), relstore.Query{Table: Table, OrderBy: "seq", Desc: true, Limit: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -185,9 +185,6 @@ func Open(store *relstore.Store, opts Options) (*Log, error) {
 // context's active span when unset. Recording also prunes the entity's
 // history down to the retention bound.
 func (l *Log) Record(ctx context.Context, ev Event) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if ev.Action == "" || ev.EntityID == "" {
 		l.cErrs.Inc()
 		return fmt.Errorf("audit: event needs an action and an entity id (got action=%q entity=%q)", ev.Action, ev.EntityID)
@@ -339,7 +336,7 @@ func (l *Log) pruneLocked(ctx context.Context, entityID string, keep int) (int, 
 	for _, id := range ids[:excess] {
 		muts = append(muts, relstore.Mutation{Kind: relstore.MutDelete, Table: Table, PK: id})
 	}
-	if err := l.store.BatchCtx(ctx, muts); err != nil {
+	if err := l.store.Batch(ctx, muts); err != nil {
 		return 0, err
 	}
 	return excess, nil

@@ -54,11 +54,11 @@ func TestConcurrentRegistryUse(t *testing.T) {
 					t.Errorf("upload: %v", err)
 					return
 				}
-				if _, err := g.InsertMetric(in.ID, "mape", ScopeProduction, float64(i)); err != nil {
+				if _, err := g.InsertMetric(context.Background(), in.ID, "mape", ScopeProduction, float64(i)); err != nil {
 					t.Errorf("metric: %v", err)
 					return
 				}
-				if _, err := g.FetchBlob(in.ID); err != nil {
+				if _, err := g.FetchBlob(context.Background(), in.ID); err != nil {
 					t.Errorf("fetch: %v", err)
 					return
 				}

@@ -54,7 +54,7 @@ func (g *Registry) AddDependency(ctx context.Context, from, to uuid.UUID) error 
 		return err
 	}
 	muts = append(muts, bumps...)
-	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
+	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
 		return fmt.Errorf("core: add dependency %s -> %s: %w", from, to, err)
 	}
 	g.audited(ctx, audit.Event{
@@ -78,7 +78,7 @@ func (g *Registry) RemoveDependency(ctx context.Context, from, to uuid.UUID) err
 		return err
 	}
 	muts = append(muts, bumps...)
-	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
+	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
 		return err
 	}
 	g.audited(ctx, audit.Event{
@@ -235,7 +235,7 @@ func (g *Registry) bumpOneLocked(ctx context.Context, id uuid.UUID, cause Versio
 
 // versionByIDLocked fetches one version record by primary key.
 func (g *Registry) versionByIDLocked(ctx context.Context, id uuid.UUID) (*VersionRecord, error) {
-	row, err := g.dal.Meta().GetCtx(ctx, TableVersions, id.String())
+	row, err := g.dal.Meta().Get(ctx, TableVersions, id.String())
 	if err != nil {
 		return nil, fmt.Errorf("%w: version %s", ErrNotFound, id)
 	}
@@ -287,15 +287,10 @@ func (g *Registry) latestVersionLocked(id uuid.UUID) (*VersionRecord, error) {
 }
 
 // ProductionVersion returns the version currently promoted for a model,
-// or ErrNotFound if none is.
-func (g *Registry) ProductionVersion(id uuid.UUID) (*VersionRecord, error) {
-	return g.ProductionVersionCtx(context.Background(), id)
-}
-
-// ProductionVersionCtx is ProductionVersion with trace attribution. The
-// lookup runs under the registry lock, so the span covers the whole
-// resolve (model row + version row) rather than individual table reads.
-func (g *Registry) ProductionVersionCtx(ctx context.Context, id uuid.UUID) (*VersionRecord, error) {
+// or ErrNotFound if none is. The lookup runs under the registry lock, so
+// its span covers the whole resolve (model row + version row) rather than
+// individual table reads.
+func (g *Registry) ProductionVersion(ctx context.Context, id uuid.UUID) (*VersionRecord, error) {
 	_, span := trace.Start(ctx, "core.production_version")
 	if span != nil {
 		span.Annotate("model", id.String())
@@ -330,33 +325,22 @@ func (g *Registry) productionVersionLocked(id uuid.UUID) (*VersionRecord, error)
 // Promote marks a version record as the production version for its model,
 // demoting whichever held that role — the owner's explicit upgrade step
 // after a dependency update (paper §3.4.2).
-func (g *Registry) Promote(versionID uuid.UUID) error {
-	return g.PromoteCtx(context.Background(), versionID)
-}
-
-// PromoteCtx is Promote carrying the caller's context, so the audit event
-// inherits its actor and trace lineage.
-func (g *Registry) PromoteCtx(ctx context.Context, versionID uuid.UUID) error {
+func (g *Registry) Promote(ctx context.Context, versionID uuid.UUID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.promoteLocked(ctx, versionID)
 }
 
-// PromoteInstance promotes the version record realized by an instance —
+// PromoteInstanceCtx promotes the version record realized by an instance —
 // what a deployment callback holds is an instance id, so this resolves it
 // to the version the upload minted (the newest one, should a model ever
-// carry several records for one instance) and promotes that.
-func (g *Registry) PromoteInstance(instanceID uuid.UUID) error {
-	return g.PromoteInstanceCtx(context.Background(), instanceID)
-}
-
-// PromoteInstanceCtx is PromoteInstance with audit/trace lineage from the
-// caller — a rule-driven deployment passes the firing rule's context so
-// the promotion event links back to the trace that triggered it.
+// carry several records for one instance) and promotes that. A
+// rule-driven deployment passes the firing rule's context, so the
+// promotion event links back to the trace that triggered it.
 func (g *Registry) PromoteInstanceCtx(ctx context.Context, instanceID uuid.UUID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	in, err := g.GetInstanceCtx(ctx, instanceID)
+	in, err := g.GetInstance(ctx, instanceID)
 	if err != nil {
 		return err
 	}
@@ -380,7 +364,7 @@ func (g *Registry) PromoteInstanceCtx(ctx context.Context, instanceID uuid.UUID)
 }
 
 func (g *Registry) promoteLocked(ctx context.Context, versionID uuid.UUID) error {
-	row, err := g.dal.Meta().GetCtx(ctx, TableVersions, versionID.String())
+	row, err := g.dal.Meta().Get(ctx, TableVersions, versionID.String())
 	if err != nil {
 		return fmt.Errorf("%w: version %s", ErrNotFound, versionID)
 	}
@@ -412,7 +396,7 @@ func (g *Registry) promoteLocked(ctx context.Context, versionID uuid.UUID) error
 		relstore.Mutation{Kind: relstore.MutUpdate, Table: TableVersions, Row: versionToRow(v)},
 		relstore.Mutation{Kind: relstore.MutUpdate, Table: TableModels, Row: modelToRow(m)},
 	)
-	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
+	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
 		return err
 	}
 	// The event lands on the realized instance when the version has one

@@ -50,7 +50,7 @@ func (f *figure5) version(t *testing.T, m *Model) string {
 
 func (f *figure5) prodVersion(t *testing.T, m *Model) string {
 	t.Helper()
-	v, err := f.h.g.ProductionVersion(m.ID)
+	v, err := f.h.g.ProductionVersion(context.Background(), m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestDependencyFigure6(t *testing.T) {
 	}
 	// The owner of A can choose to upgrade (paper: "can choose to
 	// upgrade to the new model version").
-	if err := f.h.g.Promote(last.ID); err != nil {
+	if err := f.h.g.Promote(context.Background(), last.ID); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.prodVersion(t, f.a); got != "4.1" {
@@ -249,18 +249,18 @@ func TestDiamondPropagationCountsOnce(t *testing.T) {
 
 func TestPromoteUnknownVersion(t *testing.T) {
 	f := buildFigure5(t)
-	if err := f.h.g.Promote(uuid.New()); !errors.Is(err, ErrNotFound) {
+	if err := f.h.g.Promote(context.Background(), uuid.New()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestPromoteIdempotent(t *testing.T) {
 	f := buildFigure5(t)
-	v, err := f.h.g.ProductionVersion(f.a.ID)
+	v, err := f.h.g.ProductionVersion(context.Background(), f.a.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.h.g.Promote(v.ID); err != nil {
+	if err := f.h.g.Promote(context.Background(), v.ID); err != nil {
 		t.Fatal(err)
 	}
 	// Still exactly one production version.

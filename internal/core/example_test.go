@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -44,7 +45,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	if _, err := reg.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.05); err != nil {
+	if _, err := reg.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.05); err != nil {
 		log.Fatal(err)
 	}
 
@@ -57,7 +58,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	blob, err := reg.FetchBlob(found[0].ID)
+	blob, err := reg.FetchBlob(context.Background(), found[0].ID)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func ExampleRegistry_AddDependency() {
 		log.Fatal(err)
 	}
 	latest, _ := reg.LatestVersion(a.ID)
-	prod, _ := reg.ProductionVersion(a.ID)
+	prod, _ := reg.ProductionVersion(context.Background(), a.ID)
 	fmt.Printf("A latest %s (cause %s), production %s\n", latest, latest.Cause, prod)
 	// Output: A latest 4.1 (cause dep_update), production 4.0
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -102,7 +103,7 @@ func TestInsertMetricsBlob(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "b")
 	in := h.upload(t, m, "sf", []byte("x"))
-	if err := h.g.InsertMetricsBlob(in.ID, ScopeValidation, []byte("mape:7.5\nbias:0.01")); err != nil {
+	if err := h.g.InsertMetricsBlob(context.Background(), in.ID, ScopeValidation, []byte("mape:7.5\nbias:0.01")); err != nil {
 		t.Fatal(err)
 	}
 	vals, err := h.g.LatestMetrics(in.ID, ScopeValidation)
@@ -112,7 +113,7 @@ func TestInsertMetricsBlob(t *testing.T) {
 	if vals["mape"] != 7.5 || vals["bias"] != 0.01 {
 		t.Fatalf("vals = %v", vals)
 	}
-	if err := h.g.InsertMetricsBlob(in.ID, ScopeValidation, []byte("garbage")); !errors.Is(err, ErrBadSpec) {
+	if err := h.g.InsertMetricsBlob(context.Background(), in.ID, ScopeValidation, []byte("garbage")); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("bad blob err = %v", err)
 	}
 }
@@ -132,7 +133,7 @@ func TestCheckFleetHealth(t *testing.T) {
 	report := func(in *Instance, scope Scope, name string, v float64) {
 		t.Helper()
 		h.clk.Advance(time.Minute)
-		if _, err := h.g.InsertMetric(in.ID, name, scope, v); err != nil {
+		if _, err := h.g.InsertMetric(context.Background(), in.ID, name, scope, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +202,7 @@ func TestFleetHealthSkipsDeprecated(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "fleet")
 	in := h.upload(t, m, "sf", []byte("a"))
-	if err := h.g.DeprecateInstance(in.ID); err != nil {
+	if err := h.g.DeprecateInstance(context.Background(), in.ID); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := h.g.CheckFleetHealth(FleetHealthConfig{Project: "marketplace"})

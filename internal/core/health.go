@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -30,7 +31,7 @@ type CompletenessReport struct {
 
 // Completeness audits an instance's reproducibility metadata.
 func (g *Registry) Completeness(instanceID uuid.UUID) (*CompletenessReport, error) {
-	in, err := g.GetInstance(instanceID)
+	in, err := g.GetInstance(context.Background(), instanceID)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -11,7 +12,7 @@ func TestCompletenessFullMetadata(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "b")
 	in := h.upload(t, m, "sf", []byte("x")) // harness fills all repro fields
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeValidation, 5); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeValidation, 5); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := h.g.Completeness(in.ID)
@@ -49,13 +50,13 @@ func driftSeries(t *testing.T, h *harness, in *Instance, base float64, n1 int, s
 	t.Helper()
 	for i := 0; i < n1; i++ {
 		h.clk.Advance(time.Minute)
-		if _, err := h.g.InsertMetric(in.ID, "mape", ScopeProduction, base); err != nil {
+		if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeProduction, base); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n2; i++ {
 		h.clk.Advance(time.Minute)
-		if _, err := h.g.InsertMetric(in.ID, "mape", ScopeProduction, shifted); err != nil {
+		if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeProduction, shifted); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,10 +216,10 @@ func TestSkewDetected(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "b")
 	in := h.upload(t, m, "sf", []byte("x"))
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeValidation, 8.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeValidation, 8.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeProduction, 13.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeProduction, 13.0); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := h.g.CheckSkew(in.ID, SkewConfig{Metric: "mape"})
@@ -237,10 +238,10 @@ func TestNoSkewWhenAligned(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "b")
 	in := h.upload(t, m, "sf", []byte("x"))
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeValidation, 8.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeValidation, 8.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeProduction, 8.5); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeProduction, 8.5); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := h.g.CheckSkew(in.ID, SkewConfig{Metric: "mape"})
@@ -256,10 +257,10 @@ func TestSkewFallsBackToTraining(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "b")
 	in := h.upload(t, m, "sf", []byte("x"))
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeTraining, 6.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeTraining, 6.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeProduction, 6.1); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeProduction, 6.1); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := h.g.CheckSkew(in.ID, SkewConfig{Metric: "mape"})
@@ -285,10 +286,10 @@ func TestSkewSmallExplicitThreshold(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "b")
 	in := h.upload(t, m, "sf", []byte("x"))
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeValidation, 8.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeValidation, 8.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeProduction, 8.5); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeProduction, 8.5); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := h.g.CheckSkew(in.ID, SkewConfig{Metric: "mape", Threshold: 0.01})
@@ -304,7 +305,7 @@ func TestSkewUncheckedWithoutBothSides(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "b")
 	in := h.upload(t, m, "sf", []byte("x"))
-	if _, err := h.g.InsertMetric(in.ID, "mape", ScopeValidation, 8.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeValidation, 8.0); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := h.g.CheckSkew(in.ID, SkewConfig{Metric: "mape"})

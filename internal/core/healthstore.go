@@ -110,7 +110,7 @@ func (g *Registry) PruneHealthWindows(ctx context.Context, modelID uuid.UUID, ke
 			Kind: relstore.MutDelete, Table: TableHealthWindows, PK: id,
 		})
 	}
-	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
+	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
 		return 0, err
 	}
 	return excess, nil

@@ -70,14 +70,8 @@ func FormatMetricsBlob(values map[string]float64) []byte {
 }
 
 // InsertMetricsBlob parses a "<metric>:<value>" blob and records every
-// pair for the instance.
-func (g *Registry) InsertMetricsBlob(instanceID uuid.UUID, scope Scope, blob []byte) error {
-	return g.InsertMetricsBlobCtx(context.Background(), instanceID, scope, blob)
-}
-
-// InsertMetricsBlobCtx is InsertMetricsBlob with trace attribution; the
-// pairs land atomically (see InsertMetricsCtx).
-func (g *Registry) InsertMetricsBlobCtx(ctx context.Context, instanceID uuid.UUID, scope Scope, blob []byte) error {
+// pair for the instance, atomically (see InsertMetricsCtx).
+func (g *Registry) InsertMetricsBlob(ctx context.Context, instanceID uuid.UUID, scope Scope, blob []byte) error {
 	values, err := ParseMetricsBlob(blob)
 	if err != nil {
 		return err

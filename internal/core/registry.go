@@ -103,7 +103,7 @@ func (g *Registry) DAL() *dal.DAL { return g.dal }
 // wait for the disk themselves — several hold g.mu — so whoever
 // acknowledges their work commits first: the HTTP server once per
 // mutating request, a background loop once per pass.
-func (g *Registry) Commit(ctx context.Context) error { return g.dal.Meta().CommitCtx(ctx) }
+func (g *Registry) Commit(ctx context.Context) error { return g.dal.Meta().Commit(ctx) }
 
 // Audit exposes the lifecycle audit trail; subsystems above the core
 // (rule engine, health monitor, HTTP server) record their events here.
@@ -174,7 +174,7 @@ func (g *Registry) RegisterModelCtx(ctx context.Context, spec ModelSpec) (*Model
 		d := &Dependency{From: m.ID, To: up, Created: g.now()}
 		muts = append(muts, relstore.Mutation{Kind: relstore.MutInsert, Table: TableDeps, Row: depToRow(d)})
 	}
-	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
+	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
 		return nil, err
 	}
 	g.audited(ctx, audit.Event{
@@ -194,7 +194,7 @@ func (g *Registry) GetModel(id uuid.UUID) (*Model, error) {
 }
 
 func (g *Registry) getModelLocked(ctx context.Context, id uuid.UUID) (*Model, error) {
-	row, err := g.dal.Meta().GetCtx(ctx, TableModels, id.String())
+	row, err := g.dal.Meta().Get(ctx, TableModels, id.String())
 	if errors.Is(err, relstore.ErrNotFound) {
 		return nil, fmt.Errorf("%w: model %s", ErrNotFound, id)
 	}
@@ -218,13 +218,7 @@ func (g *Registry) ModelsByBase(baseVersionID string) ([]*Model, error) {
 // the underlying transform (new features, new architecture; paper §3.4.1).
 // The new record's major version is the predecessor's plus one, and the two
 // records are linked through next/previous pointers (§3.3.1).
-func (g *Registry) EvolveModel(prevID uuid.UUID, description string) (*Model, error) {
-	return g.EvolveModelCtx(context.Background(), prevID, description)
-}
-
-// EvolveModelCtx is EvolveModel carrying the caller's context for audit
-// and trace lineage.
-func (g *Registry) EvolveModelCtx(ctx context.Context, prevID uuid.UUID, description string) (*Model, error) {
+func (g *Registry) EvolveModel(ctx context.Context, prevID uuid.UUID, description string) (*Model, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	prev, err := g.getModelLocked(ctx, prevID)
@@ -272,7 +266,7 @@ func (g *Registry) EvolveModelCtx(ctx context.Context, prevID uuid.UUID, descrip
 		d := &Dependency{From: next.ID, To: up, Created: g.now()}
 		muts = append(muts, relstore.Mutation{Kind: relstore.MutInsert, Table: TableDeps, Row: depToRow(d)})
 	}
-	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
+	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
 		return nil, err
 	}
 	g.audited(ctx, audit.Event{
@@ -321,18 +315,12 @@ func (g *Registry) Evolution(id uuid.UUID) ([]*Model, error) {
 // DeprecateModel flags a model as deprecated. It is not deleted: existing
 // consumers keep working until they migrate (paper §3.7, Model
 // Deprecation).
-func (g *Registry) DeprecateModel(id uuid.UUID) error {
-	return g.DeprecateModelCtx(context.Background(), id)
-}
-
-// DeprecateModelCtx is DeprecateModel carrying the caller's context for
-// audit and trace lineage.
-func (g *Registry) DeprecateModelCtx(ctx context.Context, id uuid.UUID) error {
+func (g *Registry) DeprecateModel(ctx context.Context, id uuid.UUID) error {
 	_, err := g.DeprecateModelReport(ctx, id)
 	return err
 }
 
-// DeprecateModelReport is DeprecateModelCtx reporting whether this call
+// DeprecateModelReport is DeprecateModel reporting whether this call
 // performed the active→deprecated transition (false when the model was
 // already deprecated — deprecation is idempotent). The transition is
 // decided under the registry lock, so exactly one of any set of racing
@@ -347,7 +335,7 @@ func (g *Registry) DeprecateModelReport(ctx context.Context, id uuid.UUID) (reti
 	}
 	wasDeprecated := m.Deprecated
 	m.Deprecated = true
-	if err := g.dal.Meta().UpdateCtx(ctx, TableModels, modelToRow(m)); err != nil {
+	if err := g.dal.Meta().Update(ctx, TableModels, modelToRow(m)); err != nil {
 		return false, err
 	}
 	if !wasDeprecated {
@@ -439,7 +427,7 @@ func (g *Registry) uploadInstanceCtx(ctx context.Context, spec InstanceSpec, blo
 		return nil, err
 	}
 	muts = append(muts, bumps...)
-	if err := g.dal.Meta().BatchCtx(ctx, muts); err != nil {
+	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
 		// The blob is now an orphan; the DAL garbage collector reclaims
 		// it. Audit the half-written state so the blob-first write that
 		// never got its metadata is visible post-hoc.
@@ -475,14 +463,8 @@ func (g *Registry) uploadInstanceCtx(ctx context.Context, spec InstanceSpec, blo
 }
 
 // GetInstance fetches instance metadata by id.
-func (g *Registry) GetInstance(id uuid.UUID) (*Instance, error) {
-	return g.GetInstanceCtx(context.Background(), id)
-}
-
-// GetInstanceCtx is GetInstance with trace attribution down through the
-// metadata read.
-func (g *Registry) GetInstanceCtx(ctx context.Context, id uuid.UUID) (*Instance, error) {
-	row, err := g.dal.Meta().GetCtx(ctx, TableInstances, id.String())
+func (g *Registry) GetInstance(ctx context.Context, id uuid.UUID) (*Instance, error) {
+	row, err := g.dal.Meta().Get(ctx, TableInstances, id.String())
 	if errors.Is(err, relstore.ErrNotFound) {
 		return nil, fmt.Errorf("%w: instance %s", ErrNotFound, id)
 	}
@@ -493,14 +475,9 @@ func (g *Registry) GetInstanceCtx(ctx context.Context, id uuid.UUID) (*Instance,
 }
 
 // FetchBlob returns the serialized model bytes for an instance, through
-// the DAL's read cache.
-func (g *Registry) FetchBlob(id uuid.UUID) ([]byte, error) {
-	return g.FetchBlobCtx(context.Background(), id)
-}
-
-// FetchBlobCtx is FetchBlob with trace attribution: one core-level span
-// whose children are the metadata read and the cached blob read.
-func (g *Registry) FetchBlobCtx(ctx context.Context, id uuid.UUID) ([]byte, error) {
+// the DAL's read cache. Its span's children are the metadata read and the
+// cached blob read.
+func (g *Registry) FetchBlob(ctx context.Context, id uuid.UUID) ([]byte, error) {
 	ctx, span := trace.Start(ctx, "core.fetch_blob")
 	if span != nil {
 		span.Annotate("instance", id.String())
@@ -511,7 +488,7 @@ func (g *Registry) FetchBlobCtx(ctx context.Context, id uuid.UUID) ([]byte, erro
 }
 
 func (g *Registry) fetchBlobCtx(ctx context.Context, id uuid.UUID) ([]byte, error) {
-	in, err := g.GetInstanceCtx(ctx, id)
+	in, err := g.GetInstance(ctx, id)
 	if err != nil {
 		return nil, err
 	}
@@ -523,16 +500,10 @@ func (g *Registry) fetchBlobCtx(ctx context.Context, id uuid.UUID) ([]byte, erro
 
 // DeprecateInstance flags an instance; fetching by id still works, but
 // default searches skip it.
-func (g *Registry) DeprecateInstance(id uuid.UUID) error {
-	return g.DeprecateInstanceCtx(context.Background(), id)
-}
-
-// DeprecateInstanceCtx is DeprecateInstance carrying the caller's context
-// for audit and trace lineage.
-func (g *Registry) DeprecateInstanceCtx(ctx context.Context, id uuid.UUID) error {
+func (g *Registry) DeprecateInstance(ctx context.Context, id uuid.UUID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	row, err := g.dal.Meta().GetCtx(ctx, TableInstances, id.String())
+	row, err := g.dal.Meta().Get(ctx, TableInstances, id.String())
 	if errors.Is(err, relstore.ErrNotFound) {
 		return fmt.Errorf("%w: instance %s", ErrNotFound, id)
 	}
@@ -541,7 +512,7 @@ func (g *Registry) DeprecateInstanceCtx(ctx context.Context, id uuid.UUID) error
 	}
 	wasDeprecated := row["deprecated"].Bool
 	row["deprecated"] = relstore.Bool(true)
-	if err := g.dal.Meta().UpdateCtx(ctx, TableInstances, row); err != nil {
+	if err := g.dal.Meta().Update(ctx, TableInstances, row); err != nil {
 		return err
 	}
 	if !wasDeprecated {
@@ -573,13 +544,7 @@ func (g *Registry) LineageCtx(ctx context.Context, baseVersionID string) ([]*Ins
 // --- metrics ---
 
 // InsertMetric records one evaluation measurement for an instance.
-func (g *Registry) InsertMetric(instanceID uuid.UUID, name string, scope Scope, value float64) (*Metric, error) {
-	return g.InsertMetricCtx(context.Background(), instanceID, name, scope, value)
-}
-
-// InsertMetricCtx is InsertMetric with trace attribution down through the
-// metadata read and insert.
-func (g *Registry) InsertMetricCtx(ctx context.Context, instanceID uuid.UUID, name string, scope Scope, value float64) (*Metric, error) {
+func (g *Registry) InsertMetric(ctx context.Context, instanceID uuid.UUID, name string, scope Scope, value float64) (*Metric, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: metric name is required", ErrBadSpec)
 	}
@@ -589,7 +554,7 @@ func (g *Registry) InsertMetricCtx(ctx context.Context, instanceID uuid.UUID, na
 	if err := checkMetricValue(name, value); err != nil {
 		return nil, err
 	}
-	in, err := g.GetInstanceCtx(ctx, instanceID)
+	in, err := g.GetInstance(ctx, instanceID)
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +586,7 @@ func (g *Registry) InsertMetricsCtx(ctx context.Context, instanceID uuid.UUID, s
 	if !ValidScope(scope) {
 		return fmt.Errorf("%w: unknown scope %q", ErrBadSpec, scope)
 	}
-	in, err := g.GetInstanceCtx(ctx, instanceID)
+	in, err := g.GetInstance(ctx, instanceID)
 	if err != nil {
 		return err
 	}
@@ -652,7 +617,7 @@ func (g *Registry) InsertMetricsCtx(ctx context.Context, instanceID uuid.UUID, s
 			At:         g.now(),
 		})}
 	}
-	return g.dal.Meta().BatchCtx(ctx, muts)
+	return g.dal.Meta().Batch(ctx, muts)
 }
 
 // checkMetricValue rejects NaN and ±Inf. No threshold means anything for

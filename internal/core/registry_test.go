@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -82,7 +83,7 @@ func TestRegisterAndGetModel(t *testing.T) {
 		t.Fatalf("model = %+v", got)
 	}
 	// Registration creates an initial production version 1.0.
-	v, err := h.g.ProductionVersion(m.ID)
+	v, err := h.g.ProductionVersion(context.Background(), m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +121,14 @@ func TestUploadInstanceRoundTrip(t *testing.T) {
 	blob := []byte("serialized SparkML pipeline")
 	in := h.upload(t, m, "New York City", blob)
 
-	got, err := h.g.GetInstance(in.ID)
+	got, err := h.g.GetInstance(context.Background(), in.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.City != "New York City" || got.Framework != "SparkML" || got.BaseVersionID != "supply_rejection" {
 		t.Fatalf("instance = %+v", got)
 	}
-	data, err := h.g.FetchBlob(in.ID)
+	data, err := h.g.FetchBlob(context.Background(), in.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestUploadBumpsVersion(t *testing.T) {
 		t.Fatalf("latest = %s cause %s", v, v.Cause)
 	}
 	// The owner's own retrain is promoted automatically.
-	p, err := h.g.ProductionVersion(m.ID)
+	p, err := h.g.ProductionVersion(context.Background(), m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +219,11 @@ func TestLineageFigure4(t *testing.T) {
 func TestEvolutionChain(t *testing.T) {
 	h := newHarness(t)
 	m1 := h.model(t, "demand")
-	m2, err := h.g.EvolveModel(m1.ID, "add weather features")
+	m2, err := h.g.EvolveModel(context.Background(), m1.ID, "add weather features")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3, err := h.g.EvolveModel(m2.ID, "switch to neural network")
+	m3, err := h.g.EvolveModel(context.Background(), m2.ID, "switch to neural network")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestEvolutionChain(t *testing.T) {
 		t.Fatalf("majors = %d, %d", m2.Major, m3.Major)
 	}
 	// Evolving an already-evolved record is rejected.
-	if _, err := h.g.EvolveModel(m1.ID, "again"); !errors.Is(err, ErrBadSpec) {
+	if _, err := h.g.EvolveModel(context.Background(), m1.ID, "again"); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("double evolve err = %v", err)
 	}
 	// The chain reads the same from any entry point.
@@ -252,7 +253,7 @@ func TestEvolveInheritsDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := h.g.EvolveModel(a.ID, "v2")
+	a2, err := h.g.EvolveModel(context.Background(), a.ID, "v2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +271,11 @@ func TestMetricsRoundTrip(t *testing.T) {
 	m := h.model(t, "b")
 	in := h.upload(t, m, "sf", []byte("x"))
 
-	if _, err := h.g.InsertMetric(in.ID, "bias", ScopeValidation, 0.05); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", ScopeValidation, 0.05); err != nil {
 		t.Fatal(err)
 	}
 	h.clk.Advance(time.Minute)
-	if _, err := h.g.InsertMetric(in.ID, "bias", ScopeValidation, 0.07); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", ScopeValidation, 0.07); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.g.InsertMetrics(in.ID, ScopeTraining, map[string]float64{"mape": 8.2, "r2": 0.91}); err != nil {
@@ -312,18 +313,18 @@ func TestMetricValidation(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "b")
 	in := h.upload(t, m, "sf", []byte("x"))
-	if _, err := h.g.InsertMetric(in.ID, "", ScopeTraining, 1); !errors.Is(err, ErrBadSpec) {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "", ScopeTraining, 1); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("empty name err = %v", err)
 	}
-	if _, err := h.g.InsertMetric(in.ID, "mape", Scope("bogus"), 1); !errors.Is(err, ErrBadSpec) {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", Scope("bogus"), 1); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("bad scope err = %v", err)
 	}
-	if _, err := h.g.InsertMetric(uuid.New(), "mape", ScopeTraining, 1); !errors.Is(err, ErrNotFound) {
+	if _, err := h.g.InsertMetric(context.Background(), uuid.New(), "mape", ScopeTraining, 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown instance err = %v", err)
 	}
 	// No threshold can judge NaN or ±Inf, so neither path stores one.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := h.g.InsertMetric(in.ID, "mape", ScopeTraining, v); !errors.Is(err, ErrBadSpec) {
+		if _, err := h.g.InsertMetric(context.Background(), in.ID, "mape", ScopeTraining, v); !errors.Is(err, ErrBadSpec) {
 			t.Fatalf("InsertMetric(%v) err = %v", v, err)
 		}
 		if err := h.g.InsertMetrics(in.ID, ScopeTraining, map[string]float64{"bias": 0.1, "mape": v}); !errors.Is(err, ErrBadSpec) {
@@ -346,7 +347,7 @@ func TestSearchInstances(t *testing.T) {
 	}
 	// Paper Listing 5: project + name + metric constraint.
 	for i, in := range ins {
-		if _, err := h.g.InsertMetric(in.ID, "bias", ScopeValidation, float64(i)*0.1); err != nil {
+		if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", ScopeValidation, float64(i)*0.1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,7 +391,7 @@ func TestSearchSkipsDeprecated(t *testing.T) {
 	m := h.model(t, "demand")
 	in1 := h.upload(t, m, "sf", []byte("a"))
 	in2 := h.upload(t, m, "sf", []byte("b"))
-	if err := h.g.DeprecateInstance(in1.ID); err != nil {
+	if err := h.g.DeprecateInstance(context.Background(), in1.ID); err != nil {
 		t.Fatal(err)
 	}
 	got, err := h.g.SearchInstances(InstanceFilter{City: "sf"})
@@ -409,7 +410,7 @@ func TestSearchSkipsDeprecated(t *testing.T) {
 	}
 	// Deprecated instances are still directly fetchable (paper §3.7:
 	// dependents keep working until they migrate).
-	if _, err := h.g.FetchBlob(in1.ID); err != nil {
+	if _, err := h.g.FetchBlob(context.Background(), in1.ID); err != nil {
 		t.Fatalf("deprecated instance blob unavailable: %v", err)
 	}
 }
@@ -417,7 +418,7 @@ func TestSearchSkipsDeprecated(t *testing.T) {
 func TestDeprecateModel(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "old")
-	if err := h.g.DeprecateModel(m.ID); err != nil {
+	if err := h.g.DeprecateModel(context.Background(), m.ID); err != nil {
 		t.Fatal(err)
 	}
 	got, err := h.g.GetModel(m.ID)
@@ -435,7 +436,7 @@ func TestImmutabilityOfStoredInstance(t *testing.T) {
 	in := h.upload(t, m, "sf", []byte("x"))
 	// Mutating the returned struct must not affect the stored record.
 	in.City = "mutated"
-	got, err := h.g.GetInstance(in.ID)
+	got, err := h.g.GetInstance(context.Background(), in.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestModelsByBase(t *testing.T) {
 	h := newHarness(t)
 	m1 := h.model(t, "demand")
 	h.clk.Advance(time.Hour)
-	m2, err := h.g.EvolveModel(m1.ID, "v2")
+	m2, err := h.g.EvolveModel(context.Background(), m1.ID, "v2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +485,7 @@ func TestInsertMetricsIsAtomic(t *testing.T) {
 		t.Fatalf("rejected sets left %d metric rows behind", after-before)
 	}
 
-	if err := h.g.InsertMetricsBlob(in.ID, ScopeTraining, []byte("mape:8.2\nr2:0.91\nbias:-0.1")); err != nil {
+	if err := h.g.InsertMetricsBlob(context.Background(), in.ID, ScopeTraining, []byte("mape:8.2\nr2:0.91\nbias:-0.1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, after := h.g.Counts(); after != before+3 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -65,11 +66,11 @@ func writeLifecycleLog(tb testing.TB, path string, models, iters int) int {
 		}
 		switch i % 20 {
 		case 0:
-			if err := g.PromoteInstance(first[m].ID); err != nil {
+			if err := g.PromoteInstanceCtx(context.Background(), first[m].ID); err != nil {
 				tb.Fatal(err)
 			}
 		case 10:
-			if err := g.DeprecateInstance(in.ID); err != nil {
+			if err := g.DeprecateInstance(context.Background(), in.ID); err != nil {
 				tb.Fatal(err)
 			}
 		}

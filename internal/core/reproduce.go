@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"gallery/internal/uuid"
@@ -37,11 +38,11 @@ type ReproduceReport struct {
 // the result against the stored blob. The rebuilt bytes are returned so
 // callers can deploy or inspect them.
 func (g *Registry) Reproduce(id uuid.UUID, train Trainer) (*ReproduceReport, []byte, error) {
-	in, err := g.GetInstance(id)
+	in, err := g.GetInstance(context.Background(), id)
 	if err != nil {
 		return nil, nil, err
 	}
-	original, err := g.FetchBlob(id)
+	original, err := g.FetchBlob(context.Background(), id)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: reproduce %s: original blob unavailable: %w", id, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -50,12 +51,12 @@ func TestSingleColumnLogOpensUnderCompositeIndexes(t *testing.T) {
 		if err := old.CreateTable(sc); err != nil {
 			t.Fatal(err)
 		}
-		rows, err := h.g.dal.Meta().Select(relstore.Query{Table: sc.Table})
+		rows, err := h.g.dal.Meta().Select(context.Background(), relstore.Query{Table: sc.Table})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
-			if err := old.Insert(sc.Table, r); err != nil {
+			if err := old.InsertCtx(context.Background(), sc.Table, r); err != nil {
 				t.Fatal(err)
 			}
 		}

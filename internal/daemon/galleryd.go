@@ -189,7 +189,7 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 	// Start-up assembly wrote schemas, the token-file seed and maybe the
 	// bootstrap token without waiting for the disk; commit once before
 	// anything is shown or served.
-	if err := d.meta.Commit(); err != nil {
+	if err := d.meta.Commit(context.Background()); err != nil {
 		return nil, fmt.Errorf("commit start-up state: %w", err)
 	}
 

@@ -81,7 +81,7 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 			continue
 		}
 		// A throwaway query that only forces the load.
-		if _, err := gw.Predict(id, forecast.Context{History: []float64{1, 1, 1, 1}}); err != nil {
+		if _, err := gw.PredictCtx(context.Background(), id, forecast.Context{History: []float64{1, 1, 1, 1}}); err != nil {
 			log.Printf("galleryserve: preload %s: %v", id, err)
 		}
 	}

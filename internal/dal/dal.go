@@ -173,14 +173,9 @@ func (d *DAL) isPinned(location string) bool {
 // location is pinned for the duration so a concurrent CollectOrphans
 // cannot reap the blob inside the write window. If the metadata insert
 // fails the blob is left behind as an orphan; it is unreachable and a
-// later CollectOrphans reclaims it.
-func (d *DAL) InsertWithBlob(table string, row relstore.Row, locField, blobKey string, blob []byte) (string, error) {
-	return d.InsertWithBlobCtx(context.Background(), table, row, locField, blobKey, blob)
-}
-
-// InsertWithBlobCtx is InsertWithBlob with trace attribution: one span for
-// the ordered write pair, with blob-put and metadata-insert children.
-func (d *DAL) InsertWithBlobCtx(ctx context.Context, table string, row relstore.Row, locField, blobKey string, blob []byte) (string, error) {
+// later CollectOrphans reclaims it. One span covers the ordered write
+// pair, with blob-put and metadata-insert children.
+func (d *DAL) InsertWithBlob(ctx context.Context, table string, row relstore.Row, locField, blobKey string, blob []byte) (string, error) {
 	ctx, span := trace.Start(ctx, "dal.insert_with_blob")
 	loc, err := d.insertWithBlobCtx(ctx, table, row, locField, blobKey, blob)
 	span.EndErr(err)
@@ -208,15 +203,10 @@ func (d *DAL) insertWithBlobCtx(ctx context.Context, table string, row relstore.
 	return loc, nil
 }
 
-// PutBlob writes a blob through the DAL so the write is counted. Callers
+// PutBlobCtx writes a blob through the DAL so the write is counted. Callers
 // composing their own metadata transaction (e.g. a multi-row batch) must
 // Pin the key's location before calling and Unpin after the metadata
 // commit, per the pin protocol.
-func (d *DAL) PutBlob(key string, blob []byte) (string, error) {
-	return d.PutBlobCtx(context.Background(), key, blob)
-}
-
-// PutBlobCtx is PutBlob with trace attribution.
 func (d *DAL) PutBlobCtx(ctx context.Context, key string, blob []byte) (string, error) {
 	loc, err := d.blobs.PutCtx(ctx, key, blob)
 	if err != nil {
@@ -233,7 +223,7 @@ func (d *DAL) InsertMetadataFirst(table string, row relstore.Row, locField, blob
 	loc := d.blobs.Location(blobKey)
 	row = row.Clone()
 	row[locField] = relstore.String(loc)
-	if err := d.meta.Insert(table, row); err != nil {
+	if err := d.meta.InsertCtx(context.Background(), table, row); err != nil {
 		return "", err
 	}
 	if _, err := d.blobs.Put(blobKey, blob); err != nil {
@@ -243,17 +233,13 @@ func (d *DAL) InsertMetadataFirst(table string, row relstore.Row, locField, blob
 	return loc, nil
 }
 
-// GetBlob fetches blob bytes by location through the cache. Concurrent
+// GetBlobCtx fetches blob bytes by location through the cache. Concurrent
 // misses on the same location coalesce into a single backend fetch: one
-// caller populates the cache while the rest wait for its result.
-func (d *DAL) GetBlob(location string) ([]byte, error) {
-	return d.GetBlobCtx(context.Background(), location)
-}
-
-// GetBlobCtx is GetBlob with trace attribution. The span's cache attr
-// records which path answered — "hit", "miss" (this caller fetched from
-// the backend), or "coalesced" (waited on another caller's fetch) — and
-// the read-latency histogram gains an exemplar pointing at the trace.
+// caller populates the cache while the rest wait for its result. The
+// span's cache attr records which path answered — "hit", "miss" (this
+// caller fetched from the backend), or "coalesced" (waited on another
+// caller's fetch) — and the read-latency histogram gains an exemplar
+// pointing at the trace.
 func (d *DAL) GetBlobCtx(ctx context.Context, location string) ([]byte, error) {
 	ctx, span := trace.Start(ctx, "dal.get_blob")
 	start := time.Now()
@@ -320,7 +306,7 @@ func (d *DAL) CacheStats() cache.Stats { return d.cache.Stats() }
 func (d *DAL) referenced() (map[string]bool, error) {
 	refs := make(map[string]bool)
 	for _, r := range d.refs {
-		rows, err := d.meta.Select(relstore.Query{Table: r.Table})
+		rows, err := d.meta.Select(context.Background(), relstore.Query{Table: r.Table})
 		if err != nil {
 			return nil, fmt.Errorf("dal: scan %s for blob refs: %w", r.Table, err)
 		}
@@ -403,7 +389,7 @@ func (d *DAL) CollectOrphans() (int, error) {
 func (d *DAL) Dangling() ([]string, error) {
 	var dangling []string
 	for _, r := range d.refs {
-		rows, err := d.meta.Select(relstore.Query{Table: r.Table})
+		rows, err := d.meta.Select(context.Background(), relstore.Query{Table: r.Table})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package dal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -50,18 +51,18 @@ func instRow(id string) relstore.Row {
 
 func TestInsertWithBlobHappyPath(t *testing.T) {
 	d := newDAL(t, nil, 1<<20)
-	loc, err := d.InsertWithBlob("instances", instRow("i1"), "blob_location", "i1", []byte("model-bytes"))
+	loc, err := d.InsertWithBlob(context.Background(), "instances", instRow("i1"), "blob_location", "i1", []byte("model-bytes"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := d.Meta().Get("instances", "i1")
+	row, err := d.Meta().Get(context.Background(), "instances", "i1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row["blob_location"].Str != loc {
 		t.Fatalf("metadata location = %q, want %q", row["blob_location"].Str, loc)
 	}
-	data, err := d.GetBlob(loc)
+	data, err := d.GetBlobCtx(context.Background(), loc)
 	if err != nil || string(data) != "model-bytes" {
 		t.Fatalf("GetBlob = %q, %v", data, err)
 	}
@@ -75,11 +76,11 @@ func TestBlobFailureWritesNoMetadata(t *testing.T) {
 		}
 		return nil
 	}, 0)
-	_, err := d.InsertWithBlob("instances", instRow("i1"), "blob_location", "i1", []byte("x"))
+	_, err := d.InsertWithBlob(context.Background(), "instances", instRow("i1"), "blob_location", "i1", []byte("x"))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := d.Meta().Get("instances", "i1"); !errors.Is(err, relstore.ErrNotFound) {
+	if _, err := d.Meta().Get(context.Background(), "instances", "i1"); !errors.Is(err, relstore.ErrNotFound) {
 		t.Fatal("metadata written despite blob failure — §3.5 invariant violated")
 	}
 	dangling, err := d.Dangling()
@@ -95,10 +96,10 @@ func TestMetadataFailureOrphansBlob(t *testing.T) {
 	d := newDAL(t, nil, 0)
 	// First insert succeeds; second with the same pk fails at metadata,
 	// leaving its blob orphaned.
-	if _, err := d.InsertWithBlob("instances", instRow("i1"), "blob_location", "i1-blob", []byte("v1")); err != nil {
+	if _, err := d.InsertWithBlob(context.Background(), "instances", instRow("i1"), "blob_location", "i1-blob", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	_, err := d.InsertWithBlob("instances", instRow("i1"), "blob_location", "i1-blob-retry", []byte("v2"))
+	_, err := d.InsertWithBlob(context.Background(), "instances", instRow("i1"), "blob_location", "i1-blob-retry", []byte("v2"))
 	if !errors.Is(err, relstore.ErrDuplicate) {
 		t.Fatalf("err = %v", err)
 	}
@@ -119,8 +120,8 @@ func TestMetadataFailureOrphansBlob(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("CollectOrphans = %d, %v", n, err)
 	}
-	row, _ := d.Meta().Get("instances", "i1")
-	if _, err := d.GetBlob(row["blob_location"].Str); err != nil {
+	row, _ := d.Meta().Get(context.Background(), "instances", "i1")
+	if _, err := d.GetBlobCtx(context.Background(), row["blob_location"].Str); err != nil {
 		t.Fatalf("live blob collected: %v", err)
 	}
 	orphans, _ = d.Orphans()
@@ -154,12 +155,12 @@ func TestMetadataFirstAblationLeavesDangling(t *testing.T) {
 
 func TestGetBlobCaching(t *testing.T) {
 	d := newDAL(t, nil, 1<<20)
-	loc, err := d.InsertWithBlob("instances", instRow("i1"), "blob_location", "i1", []byte("bytes"))
+	loc, err := d.InsertWithBlob(context.Background(), "instances", instRow("i1"), "blob_location", "i1", []byte("bytes"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := d.GetBlob(loc); err != nil {
+		if _, err := d.GetBlobCtx(context.Background(), loc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,12 +175,12 @@ func TestGetBlobCaching(t *testing.T) {
 
 func TestGetBlobCacheDisabled(t *testing.T) {
 	d := newDAL(t, nil, 0)
-	loc, err := d.InsertWithBlob("instances", instRow("i1"), "blob_location", "i1", []byte("bytes"))
+	loc, err := d.InsertWithBlob(context.Background(), "instances", instRow("i1"), "blob_location", "i1", []byte("bytes"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := d.GetBlob(loc); err != nil {
+		if _, err := d.GetBlobCtx(context.Background(), loc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,17 +191,17 @@ func TestGetBlobCacheDisabled(t *testing.T) {
 
 func TestDeleteBlobInvalidatesCache(t *testing.T) {
 	d := newDAL(t, nil, 1<<20)
-	loc, err := d.InsertWithBlob("instances", instRow("i1"), "blob_location", "i1", []byte("bytes"))
+	loc, err := d.InsertWithBlob(context.Background(), "instances", instRow("i1"), "blob_location", "i1", []byte("bytes"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.GetBlob(loc); err != nil {
+	if _, err := d.GetBlobCtx(context.Background(), loc); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.DeleteBlob(loc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.GetBlob(loc); err == nil {
+	if _, err := d.GetBlobCtx(context.Background(), loc); err == nil {
 		t.Fatal("deleted blob still served (stale cache)")
 	}
 }
@@ -213,7 +214,7 @@ func TestCrashConsistencyUnderRandomFaults(t *testing.T) {
 	wrote := 0
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("i%d", i%50) // collisions force metadata failures
-		_, err := d.InsertWithBlob("instances", instRow(id), "blob_location",
+		_, err := d.InsertWithBlob(context.Background(), "instances", instRow(id), "blob_location",
 			fmt.Sprintf("blob-%d", i), []byte("payload"))
 		if err == nil {
 			wrote++
@@ -243,12 +244,12 @@ func TestCrashConsistencyUnderRandomFaults(t *testing.T) {
 		t.Fatalf("CollectOrphans = %d, %v", n, err)
 	}
 	// Every live row's blob must still fetch.
-	rows, err := d.Meta().Select(relstore.Query{Table: "instances"})
+	rows, err := d.Meta().Select(context.Background(), relstore.Query{Table: "instances"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range rows {
-		if _, err := d.GetBlob(row["blob_location"].Str); err != nil {
+		if _, err := d.GetBlobCtx(context.Background(), row["blob_location"].Str); err != nil {
 			t.Fatalf("live blob unreadable after GC: %v", err)
 		}
 	}
@@ -266,7 +267,7 @@ func TestGCDoesNotReapInFlightInsert(t *testing.T) {
 	d.testAfterBlobPut = func() {
 		reclaimed, gcErr = d.CollectOrphans()
 	}
-	loc, err := d.InsertWithBlob("instances", instRow("i1"), "blob_location", "i1", []byte("payload"))
+	loc, err := d.InsertWithBlob(context.Background(), "instances", instRow("i1"), "blob_location", "i1", []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestGCDoesNotReapInFlightInsert(t *testing.T) {
 	if reclaimed != 0 {
 		t.Fatalf("GC reclaimed %d blobs out from under an in-flight insert", reclaimed)
 	}
-	data, err := d.GetBlob(loc)
+	data, err := d.GetBlobCtx(context.Background(), loc)
 	if err != nil || string(data) != "payload" {
 		t.Fatalf("blob unreadable after mid-insert GC: %q, %v", data, err)
 	}
@@ -322,7 +323,7 @@ func TestGCConcurrentWithInserts(t *testing.T) {
 			defer iwg.Done()
 			for i := 0; i < perWriter; i++ {
 				id := fmt.Sprintf("i%d-%d", w, i)
-				if _, err := d.InsertWithBlob("instances", instRow(id), "blob_location", id, []byte("v-"+id)); err != nil {
+				if _, err := d.InsertWithBlob(context.Background(), "instances", instRow(id), "blob_location", id, []byte("v-"+id)); err != nil {
 					t.Errorf("InsertWithBlob(%s): %v", id, err)
 					return
 				}
@@ -333,7 +334,7 @@ func TestGCConcurrentWithInserts(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	rows, err := d.Meta().Select(relstore.Query{Table: "instances"})
+	rows, err := d.Meta().Select(context.Background(), relstore.Query{Table: "instances"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestGCConcurrentWithInserts(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(rows), writers*perWriter)
 	}
 	for _, row := range rows {
-		if _, err := d.GetBlob(row["blob_location"].Str); err != nil {
+		if _, err := d.GetBlobCtx(context.Background(), row["blob_location"].Str); err != nil {
 			t.Fatalf("blob for %s unreadable after concurrent GC: %v", row["id"].Str, err)
 		}
 	}
@@ -366,7 +367,7 @@ func TestGetBlobStampedeCoalesced(t *testing.T) {
 		return nil
 	}, 0) // cache disabled: every read takes the singleflight path
 	// Seed the blob without tripping the Get hook.
-	loc, err := d.InsertWithBlob("instances", instRow("i1"), "blob_location", "i1", []byte("hot-model"))
+	loc, err := d.InsertWithBlob(context.Background(), "instances", instRow("i1"), "blob_location", "i1", []byte("hot-model"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestGetBlobStampedeCoalesced(t *testing.T) {
 	const followers = 8
 	results := make(chan error, followers+1)
 	read := func() {
-		data, err := d.GetBlob(loc)
+		data, err := d.GetBlobCtx(context.Background(), loc)
 		if err == nil && string(data) != "hot-model" {
 			err = fmt.Errorf("got %q", data)
 		}

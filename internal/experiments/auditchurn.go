@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -86,7 +87,7 @@ func AuditChurn(rounds, keep int) (*AuditChurnResult, error) {
 		if r%2 == 0 {
 			target = b.ID
 		}
-		if err := reg.PromoteInstance(target); err != nil {
+		if err := reg.PromoteInstanceCtx(context.Background(), target); err != nil {
 			return nil, err
 		}
 		res.Recorded++

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -134,7 +135,7 @@ func ModelClassChampionship() (*ClassResult, error) {
 				return nil, err
 			}
 			cr.MAPEByClass[fm.Name()] = met.MAPE
-			if _, err := env.Reg.InsertMetric(in.ID, "mape", core.ScopeValidation, met.MAPE); err != nil {
+			if _, err := env.Reg.InsertMetric(context.Background(), in.ID, "mape", core.ScopeValidation, met.MAPE); err != nil {
 				return nil, err
 			}
 			nameByID[in.ID.String()] = fm.Name()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -113,7 +114,7 @@ func runOrderingArm(ordering string, n, blobEvery, metaEvery int) (ConsistencyAr
 		// error, after whatever the ordering wrote first.
 		metaWrites++
 		if metaEvery > 0 && metaWrites%metaEvery == 0 {
-			if err := meta.Insert("instances", relstore.Row{
+			if err := meta.InsertCtx(context.Background(), "instances", relstore.Row{
 				"id":      relstore.String(id),
 				"created": relstore.Time(epoch),
 			}); err != nil {
@@ -123,7 +124,7 @@ func runOrderingArm(ordering string, n, blobEvery, metaEvery int) (ConsistencyAr
 
 		var err error
 		if ordering == "blob-first" {
-			_, err = d.InsertWithBlob("instances", row, "blob_location", id, []byte("model bytes"))
+			_, err = d.InsertWithBlob(context.Background(), "instances", row, "blob_location", id, []byte("model bytes"))
 		} else {
 			_, err = d.InsertMetadataFirst("instances", row, "blob_location", id, []byte("model bytes"))
 		}
@@ -152,12 +153,12 @@ func runOrderingArm(ordering string, n, blobEvery, metaEvery int) (ConsistencyAr
 
 	// Every committed instance must still serve.
 	for _, id := range committed {
-		row, err := meta.Get("instances", id)
+		row, err := meta.Get(context.Background(), "instances", id)
 		if err != nil {
 			arm.ServingFailures++
 			continue
 		}
-		if _, err := d.GetBlob(row["blob_location"].Str); err != nil {
+		if _, err := d.GetBlobCtx(context.Background(), row["blob_location"].Str); err != nil {
 			arm.ServingFailures++
 			continue
 		}

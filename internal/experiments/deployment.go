@@ -103,7 +103,7 @@ func DeploymentCost(n int) (*DeploymentResult, error) {
 		if i%10 == 0 {
 			mape = 20.0 // every tenth model fails the gate and is not deployed
 		}
-		if _, err := env.Reg.InsertMetric(in.ID, "mape", core.ScopeProduction, mape); err != nil {
+		if _, err := env.Reg.InsertMetric(context.Background(), in.ID, "mape", core.ScopeProduction, mape); err != nil {
 			return nil, err
 		}
 		env.Engine.MetricUpdatedCtx(context.Background(), in.ID)

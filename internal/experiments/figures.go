@@ -120,7 +120,7 @@ func DependencyFigures() ([]DepStep, error) {
 			if err != nil {
 				return step, err
 			}
-			prod, err := reg.ProductionVersion(m.ID)
+			prod, err := reg.ProductionVersion(context.Background(), m.ID)
 			if err != nil {
 				return step, err
 			}
@@ -230,7 +230,7 @@ func RuleEngineFigure8() (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := env.Reg.InsertMetric(in.ID, "mae", core.ScopeValidation, mae); err != nil {
+		if _, err := env.Reg.InsertMetric(context.Background(), in.ID, "mae", core.ScopeValidation, mae); err != nil {
 			return nil, err
 		}
 		candidates = append(candidates, in)
@@ -281,7 +281,7 @@ func RuleEngineFigure8() (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := env.Reg.InsertMetric(rfIn.ID, "bias", core.ScopeValidation, 0.7); err != nil {
+	if _, err := env.Reg.InsertMetric(context.Background(), rfIn.ID, "bias", core.ScopeValidation, 0.7); err != nil {
 		return nil, err
 	}
 	env.Engine.MetricUpdatedCtx(context.Background(), rfIn.ID)
@@ -289,7 +289,7 @@ func RuleEngineFigure8() (*Fig8Result, error) {
 	res.RejectedFirst = len(res.Deployments) == 0
 
 	env.Clock.Advance(time.Hour)
-	if _, err := env.Reg.InsertMetric(rfIn.ID, "bias", core.ScopeValidation, 0.03); err != nil {
+	if _, err := env.Reg.InsertMetric(context.Background(), rfIn.ID, "bias", core.ScopeValidation, 0.03); err != nil {
 		return nil, err
 	}
 	env.Engine.MetricUpdatedCtx(context.Background(), rfIn.ID)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -93,7 +94,7 @@ func SkewDetection() (*SkewResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := env.Reg.InsertMetric(in.ID, "mape", core.ScopeValidation, valMAPE); err != nil {
+		if _, err := env.Reg.InsertMetric(context.Background(), in.ID, "mape", core.ScopeValidation, valMAPE); err != nil {
 			return nil, err
 		}
 		prodMAPE, err := serveMAPE(arm.bug)
@@ -102,7 +103,7 @@ func SkewDetection() (*SkewResult, error) {
 		}
 		*arm.mape = prodMAPE
 		env.Clock.Advance(time.Minute)
-		if _, err := env.Reg.InsertMetric(in.ID, "mape", core.ScopeProduction, prodMAPE); err != nil {
+		if _, err := env.Reg.InsertMetric(context.Background(), in.ID, "mape", core.ScopeProduction, prodMAPE); err != nil {
 			return nil, err
 		}
 		rep, err := env.Reg.CheckSkew(in.ID, core.SkewConfig{Metric: "mape", Threshold: 0.5})
@@ -159,7 +160,7 @@ func TieredOnboarding() ([]TierReport, error) {
 		if err != nil {
 			return err
 		}
-		got, err := env.Reg.FetchBlob(in.ID)
+		got, err := env.Reg.FetchBlob(context.Background(), in.ID)
 		if err != nil {
 			return err
 		}
@@ -200,7 +201,7 @@ func TieredOnboarding() ([]TierReport, error) {
 		if err != nil {
 			return err
 		}
-		if _, err := env.Reg.InsertMetric(in.ID, "auc", core.ScopeValidation, 0.91); err != nil {
+		if _, err := env.Reg.InsertMetric(context.Background(), in.ID, "auc", core.ScopeValidation, 0.91); err != nil {
 			return err
 		}
 		vals, err := env.Reg.LatestMetrics(in.ID, core.ScopeValidation)

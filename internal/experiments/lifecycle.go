@@ -51,6 +51,7 @@ const (
 // Lifecycle runs the full Figure 1 loop on a demand series with an
 // injected regime shift.
 func Lifecycle() (*LifecycleResult, error) {
+	ctx := context.Background()
 	env := mustEnv(2)
 	res := &LifecycleResult{}
 	stage := func(format string, args ...any) {
@@ -168,10 +169,10 @@ func Lifecycle() (*LifecycleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := env.Reg.InsertMetric(champ.ID, "mape", core.ScopeValidation, vals["mape"]); err != nil {
+	if _, err := env.Reg.InsertMetric(ctx, champ.ID, "mape", core.ScopeValidation, vals["mape"]); err != nil {
 		return nil, err
 	}
-	env.Engine.MetricUpdatedCtx(context.Background(), champ.ID)
+	env.Engine.MetricUpdatedCtx(ctx, champ.ID)
 	if len(deployed) != 1 || deployed[0] != champ.ID {
 		return nil, fmt.Errorf("lifecycle: deployment rule did not fire for the champion")
 	}
@@ -186,7 +187,7 @@ func Lifecycle() (*LifecycleResult, error) {
 			return 0, err
 		}
 		env.Clock.Advance(24 * time.Hour)
-		_, err = env.Reg.InsertMetric(inst, "mape", core.ScopeProduction, mape)
+		_, err = env.Reg.InsertMetric(ctx, inst, "mape", core.ScopeProduction, mape)
 		return mape, err
 	}
 	var phase1 float64
@@ -225,10 +226,10 @@ func Lifecycle() (*LifecycleResult, error) {
 	// The health check result is itself a metric; reporting it triggers
 	// the retrain rule.
 	env.Clock.Advance(time.Minute)
-	if _, err := env.Reg.InsertMetric(champ.ID, "drift_degradation", core.ScopeProduction, drift.Degradation); err != nil {
+	if _, err := env.Reg.InsertMetric(ctx, champ.ID, "drift_degradation", core.ScopeProduction, drift.Degradation); err != nil {
 		return nil, err
 	}
-	env.Engine.MetricUpdatedCtx(context.Background(), champ.ID)
+	env.Engine.MetricUpdatedCtx(ctx, champ.ID)
 	res.RetrainTriggered = retrainRequested
 	if !retrainRequested {
 		return nil, fmt.Errorf("lifecycle: retrain rule did not fire")
@@ -253,14 +254,14 @@ func Lifecycle() (*LifecycleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := env.Reg.InsertMetric(freshIn.ID, "mape", core.ScopeValidation, 5); err != nil {
+	if _, err := env.Reg.InsertMetric(ctx, freshIn.ID, "mape", core.ScopeValidation, 5); err != nil {
 		return nil, err
 	}
-	env.Engine.MetricUpdatedCtx(context.Background(), freshIn.ID)
+	env.Engine.MetricUpdatedCtx(ctx, freshIn.ID)
 	if len(deployed) != 2 || deployed[1] != freshIn.ID {
 		return nil, fmt.Errorf("lifecycle: retrained instance was not deployed")
 	}
-	if err := env.Reg.DeprecateInstance(champ.ID); err != nil {
+	if err := env.Reg.DeprecateInstance(ctx, champ.ID); err != nil {
 		return nil, err
 	}
 	res.OldDeprecated = true

@@ -80,7 +80,7 @@ func OnlineDrift(preWindows, postWindows int) (*OnlineDriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := env.Reg.PromoteInstance(in.ID); err != nil {
+	if err := env.Reg.PromoteInstanceCtx(context.Background(), in.ID); err != nil {
 		return nil, err
 	}
 
@@ -131,7 +131,7 @@ func OnlineDrift(preWindows, postWindows int) (*OnlineDriftResult, error) {
 			// Live traffic: forecast the next hour from everything seen so
 			// far. After ShiftAt the history (and so the AR model's
 			// output) rides the new regime.
-			if _, err := gw.Predict(m.ID.String(), forecast.Context{
+			if _, err := gw.PredictCtx(ctx, m.ID.String(), forecast.Context{
 				History: values[:i],
 				Time:    data[i].T,
 			}); err != nil {

@@ -249,6 +249,7 @@ func RelQuery(n int) (*RelQueryResult, error) {
 // writeRelQueryLog writes E21's n-row table to a write-ahead log at path and
 // returns the size of its duplicate mape run.
 func writeRelQueryLog(path string, n int) (int, error) {
+	ctx := context.Background()
 	s, err := relstore.Open(path, wal.Options{})
 	if err != nil {
 		return 0, err
@@ -285,25 +286,25 @@ func writeRelQueryLog(path string, n int) (int, error) {
 			first := maps.Clone(row)
 			first["city"] = relstore.String(cities[(i+1)%len(cities)])
 			first["mape"] = relstore.Float(mape + 1)
-			if err := s.Insert("instances", first); err != nil {
+			if err := s.InsertCtx(ctx, "instances", first); err != nil {
 				return 0, err
 			}
-			if err := s.Update("instances", row); err != nil {
+			if err := s.Update(ctx, "instances", row); err != nil {
 				return 0, err
 			}
-		} else if err := s.Insert("instances", row); err != nil {
+		} else if err := s.InsertCtx(ctx, "instances", row); err != nil {
 			return 0, err
 		}
 		if i%4 == 0 {
 			twin := maps.Clone(row)
 			twin["id"] = relstore.String(fmt.Sprintf("x%06d", i))
-			if err := s.Insert("instances", twin); err != nil {
+			if err := s.InsertCtx(ctx, "instances", twin); err != nil {
 				return 0, err
 			}
 		}
 	}
 	for i := 0; i < n; i += 4 {
-		if err := s.Delete("instances", fmt.Sprintf("x%06d", i)); err != nil {
+		if err := s.Delete(ctx, "instances", fmt.Sprintf("x%06d", i)); err != nil {
 			return 0, err
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -103,7 +104,7 @@ func DriverRepositioning(seeds int) (*RepositionResult, error) {
 	fetch := func(ids []uuid.UUID) ([]forecast.Model, error) {
 		out := make([]forecast.Model, len(ids))
 		for i, id := range ids {
-			blob, err := env.Reg.FetchBlob(id)
+			blob, err := env.Reg.FetchBlob(context.Background(), id)
 			if err != nil {
 				return nil, err
 			}

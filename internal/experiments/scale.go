@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -112,7 +113,7 @@ func scaleTier(n int) (ScaleResult, error) {
 
 	// Point fetch (metadata + blob through the cache).
 	res.FetchLatency, err = probe(scaleProbeIters, func() error {
-		_, err := env.Reg.FetchBlob(probeID)
+		_, err := env.Reg.FetchBlob(context.Background(), probeID)
 		return err
 	})
 	if err != nil {

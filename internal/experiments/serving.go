@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -24,7 +25,7 @@ func (s regSource) ProductionVersion(modelID string) (api.VersionRecord, error) 
 	if err != nil {
 		return api.VersionRecord{}, err
 	}
-	v, err := s.reg.ProductionVersion(id)
+	v, err := s.reg.ProductionVersion(context.Background(), id)
 	if err != nil {
 		return api.VersionRecord{}, err
 	}
@@ -43,7 +44,7 @@ func (s regSource) FetchBlob(instanceID string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.reg.FetchBlob(id)
+	return s.reg.FetchBlob(context.Background(), id)
 }
 
 // ServingResult is the serving-gateway experiment outcome: a prediction
@@ -74,6 +75,7 @@ func (r *ServingResult) Format() string {
 // with a promotion landing mid-storm. A run with failed predictions or a
 // swap that never reaches traffic is an experiment failure.
 func ServingGateway(clients, perClient int) (*ServingResult, error) {
+	ctx := context.Background()
 	env, err := NewEnv(31)
 	if err != nil {
 		return nil, err
@@ -120,7 +122,7 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := env.Reg.PromoteInstance(champ.ID); err != nil {
+	if err := env.Reg.PromoteInstanceCtx(ctx, champ.ID); err != nil {
 		return nil, err
 	}
 
@@ -128,12 +130,12 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 	gw := serve.New(regSource{env.Reg}, serve.Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
 	defer gw.Close()
 	// The gateway caches the champion before the promotion.
-	if _, err := gw.Predict(modelID, fctx); err != nil {
+	if _, err := gw.PredictCtx(ctx, modelID, fctx); err != nil {
 		return nil, err
 	}
 	// The refresh is what moves the gateway mid-storm.
 	if err := servingStorm(gw, modelID, fctx, clients, perClient, func() error {
-		if err := env.Reg.PromoteInstance(chall.ID); err != nil {
+		if err := env.Reg.PromoteInstanceCtx(ctx, chall.ID); err != nil {
 			return err
 		}
 		gw.RefreshAll()
@@ -141,13 +143,13 @@ func ServingGateway(clients, perClient int) (*ServingResult, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("experiments: serving storm: %w", err)
 	}
-	resp, err := gw.Predict(modelID, fctx)
+	resp, err := gw.PredictCtx(ctx, modelID, fctx)
 	if err != nil {
 		return nil, err
 	}
 	res := &ServingResult{Clients: clients, PerClient: perClient, SwapServed: resp.InstanceID == chall.ID.String()}
 	if res.AllocsPerOp, err = allocsPerOp(1000, func() error {
-		_, err := gw.Predict(modelID, fctx)
+		_, err := gw.PredictCtx(ctx, modelID, fctx)
 		return err
 	}); err != nil {
 		return nil, err
@@ -172,7 +174,7 @@ func servingStorm(gw *serve.Gateway, modelID string, fctx forecast.Context, clie
 				if c == 0 && i == perClient/2 {
 					close(half)
 				}
-				if _, err := gw.Predict(modelID, fctx); err != nil {
+				if _, err := gw.PredictCtx(context.Background(), modelID, fctx); err != nil {
 					failed.Add(1)
 				}
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -163,7 +164,7 @@ func switchingCity(env *Env, city forecast.CityConfig) (SwitchingCityResult, err
 				if err != nil {
 					return err
 				}
-				if _, err := env.Reg.InsertMetric(c.inst.ID, "mape_event", core.ScopeProduction, met.MAPE); err != nil {
+				if _, err := env.Reg.InsertMetric(context.Background(), c.inst.ID, "mape_event", core.ScopeProduction, met.MAPE); err != nil {
 					return err
 				}
 			}
@@ -172,7 +173,7 @@ func switchingCity(env *Env, city forecast.CityConfig) (SwitchingCityResult, err
 				if err != nil {
 					return err
 				}
-				if _, err := env.Reg.InsertMetric(c.inst.ID, "mape_regular", core.ScopeProduction, met.MAPE); err != nil {
+				if _, err := env.Reg.InsertMetric(context.Background(), c.inst.ID, "mape_regular", core.ScopeProduction, met.MAPE); err != nil {
 					return err
 				}
 			}

@@ -77,15 +77,15 @@ func Table1Probe() (Table1Row, error) {
 	}
 
 	// Loading: fetch the exact bytes back.
-	got, err := env.Reg.FetchBlob(in.ID)
+	got, err := env.Reg.FetchBlob(context.Background(), in.ID)
 	row.Features["Loading"] = err == nil && bytes.Equal(got, blob)
 
 	// Metadata: stored metadata round-trips.
-	meta, err := env.Reg.GetInstance(in.ID)
+	meta, err := env.Reg.GetInstance(context.Background(), in.ID)
 	row.Features["Metadata"] = err == nil && meta.TrainingData == "hdfs://probe" && meta.CodePointer == "git://probe"
 
 	// Metrics: store and read back performance measurements.
-	if _, err := env.Reg.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.04); err == nil {
+	if _, err := env.Reg.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.04); err == nil {
 		vals, err := env.Reg.LatestMetrics(in.ID, core.ScopeValidation)
 		row.Features["Metrics"] = err == nil && vals["bias"] == 0.04
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -242,6 +243,32 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestNestingBound checks that every shape of deep nesting is refused
+// with a syntax error rather than recursing until the stack overflows.
+func TestNestingBound(t *testing.T) {
+	const n = 10_000
+	deep := map[string]string{
+		"parens":  strings.Repeat("(", n) + "1" + strings.Repeat(")", n),
+		"lists":   strings.Repeat("[", n) + strings.Repeat("]", n),
+		"calls":   strings.Repeat("abs(", n) + "1" + strings.Repeat(")", n),
+		"unary":   strings.Repeat("!", n) + "true",
+		"chain":   "1" + strings.Repeat(" + 1", n),
+		"members": "metrics" + strings.Repeat(".r2", n),
+		"indexes": "metrics" + strings.Repeat(`["r2"]`, n),
+	}
+	for name, src := range deep {
+		_, err := Parse(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: Parse of %d levels: err = %v, want a *SyntaxError", name, n, err)
+		}
+	}
+	shallow := strings.Repeat("(", 100) + "1" + strings.Repeat(" + 1)", 100)
+	if v, err := Eval(shallow, nil); err != nil || v != 101.0 {
+		t.Errorf("100 levels: %v, %v; want 101", v, err)
+	}
+}
+
 func TestEvalErrors(t *testing.T) {
 	bad := []string{
 		"unknown_var",
@@ -331,6 +358,31 @@ func TestNodeString(t *testing.T) {
 				src, rendered, v1, err1, v2, err2)
 		}
 	}
+}
+
+// FuzzExpr: whatever parses prints as source that parses back to the same
+// printed form and the same evaluation, and evaluation never panics. The
+// seed corpus in testdata/fuzz/FuzzExpr holds the rule shapes in use.
+func FuzzExpr(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		n, err := Parse(src)
+		if err != nil {
+			return
+		}
+		printed := n.String()
+		n2, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", src, printed, err)
+		}
+		if again := n2.String(); again != printed {
+			t.Fatalf("%q prints as %q, which prints as %q", src, printed, again)
+		}
+		v1, err1 := EvalNode(n, env())
+		v2, err2 := EvalNode(n2, env())
+		if fmt.Sprint(v1) != fmt.Sprint(v2) || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("%q evaluates to %v (%v), its printed form %q to %v (%v)", src, v1, err1, printed, v2, err2)
+		}
+	})
 }
 
 // Property: integer arithmetic expressions evaluate exactly.

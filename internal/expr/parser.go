@@ -1,6 +1,10 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Node is an AST node that can evaluate itself against an environment.
 type Node interface {
@@ -27,11 +31,18 @@ func (n *listNode) String() string {
 	return s + "]"
 }
 
+// litEscaper writes a string literal with only the escapes lexString
+// reads back; every other byte, invalid UTF-8 included, stands for itself.
+var litEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
+
 func (n *litNode) String() string {
-	if s, ok := n.val.(string); ok {
-		return fmt.Sprintf("%q", s)
-	}
-	if n.val == nil {
+	switch v := n.val.(type) {
+	case string:
+		return `"` + litEscaper.Replace(v) + `"`
+	case float64:
+		// The lexer reads no exponent, so never print one.
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	case nil:
 		return "null"
 	}
 	return fmt.Sprintf("%v", n.val)
@@ -50,7 +61,18 @@ type memberNode struct {
 	pos   int
 }
 
-func (n *memberNode) String() string { return n.obj.String() + "." + n.field }
+func (n *memberNode) String() string { return postfixOperand(n.obj) + "." + n.field }
+
+// postfixOperand prints the object of a member access or index. A literal
+// or a unary operation is parenthesised: "1.x" lexes as a malformed
+// number, and "-a.b" negates a.b rather than taking b of -a.
+func postfixOperand(n Node) string {
+	switch n.(type) {
+	case *litNode, *unaryNode:
+		return "(" + n.String() + ")"
+	}
+	return n.String()
+}
 
 type indexNode struct {
 	obj Node
@@ -58,7 +80,7 @@ type indexNode struct {
 	pos int
 }
 
-func (n *indexNode) String() string { return n.obj.String() + "[" + n.key.String() + "]" }
+func (n *indexNode) String() string { return postfixOperand(n.obj) + "[" + n.key.String() + "]" }
 
 type callNode struct {
 	fn   string
@@ -127,9 +149,28 @@ func bindingPower(k kind) int {
 	}
 }
 
+// maxDepth bounds how deeply an expression nests. Parenthesised and
+// bracketed subexpressions, operator chains, postfix chains and unary
+// prefixes each deepen the tree that parsing, printing and evaluation walk
+// recursively; rules in use nest a few levels. Without a bound, a few
+// megabytes of "(" overflow the goroutine stack, a fatal error no recover
+// catches.
+const maxDepth = 1000
+
 type parser struct {
-	toks []token
-	i    int
+	toks  []token
+	i     int
+	depth int
+}
+
+// deeper counts one more level of nesting at pos; the caller restores
+// p.depth when it returns.
+func (p *parser) deeper(pos int) error {
+	p.depth++
+	if p.depth > maxDepth {
+		return &SyntaxError{pos, fmt.Sprintf("expression nests deeper than %d levels", maxDepth)}
+	}
+	return nil
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -170,6 +211,10 @@ func MustParse(src string) Node {
 }
 
 func (p *parser) parseExpr(minBP int) (Node, error) {
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.deeper(p.peek().pos); err != nil {
+		return nil, err
+	}
 	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -181,6 +226,9 @@ func (p *parser) parseExpr(minBP int) (Node, error) {
 			return lhs, nil
 		}
 		p.next()
+		if err := p.deeper(op.pos); err != nil {
+			return nil, err
+		}
 		rhs, err := p.parseExpr(bp)
 		if err != nil {
 			return nil, err
@@ -190,24 +238,20 @@ func (p *parser) parseExpr(minBP int) (Node, error) {
 }
 
 func (p *parser) parseUnary() (Node, error) {
-	switch t := p.peek(); t.kind {
-	case tokNot:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryNode{op: tokNot, x: x, pos: t.pos}, nil
-	case tokMinus:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryNode{op: tokMinus, x: x, pos: t.pos}, nil
-	default:
+	t := p.peek()
+	if t.kind != tokNot && t.kind != tokMinus {
 		return p.parsePostfix()
 	}
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.deeper(t.pos); err != nil {
+		return nil, err
+	}
+	p.next()
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	return &unaryNode{op: t.kind, x: x, pos: t.pos}, nil
 }
 
 // parsePostfix parses a primary expression followed by any chain of member
@@ -217,8 +261,15 @@ func (p *parser) parsePostfix() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func(d int) { p.depth = d }(p.depth)
 	for {
-		switch t := p.peek(); t.kind {
+		t := p.peek()
+		if t.kind == tokDot || t.kind == tokLBracket {
+			if err := p.deeper(t.pos); err != nil {
+				return nil, err
+			}
+		}
+		switch t.kind {
 		case tokDot:
 			p.next()
 			field, err := p.expect(tokIdent, "field name after '.'")

@@ -352,7 +352,7 @@ func TestMonitorMetricDriftEscalates(t *testing.T) {
 	}
 	for _, v := range history {
 		h.clk.Advance(time.Minute)
-		if _, err := h.g.InsertMetric(h.inst.ID, "mape", core.ScopeProduction, v); err != nil {
+		if _, err := h.g.InsertMetric(context.Background(), h.inst.ID, "mape", core.ScopeProduction, v); err != nil {
 			t.Fatal(err)
 		}
 	}

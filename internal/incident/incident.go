@@ -292,7 +292,7 @@ func (r *Recorder) capture(ctx context.Context, t Trigger, now time.Time, health
 	}
 	inc.Size = int64(len(blob))
 
-	if _, err := r.d.InsertWithBlobCtx(ctx, Table, rowOf(inc), "location", "incident-"+inc.ID, blob); err != nil {
+	if _, err := r.d.InsertWithBlob(ctx, Table, rowOf(inc), "location", "incident-"+inc.ID, blob); err != nil {
 		return api.Incident{}, fmt.Errorf("incident: persist bundle: %w", err)
 	}
 	r.prune(ctx)
@@ -344,14 +344,14 @@ func (r *Recorder) fetchGateway(ctx context.Context) (api.ProcessSnapshot, error
 // prune drops the oldest bundles past the retention bound — index row
 // first, then the now-unreferenced blob.
 func (r *Recorder) prune(ctx context.Context) {
-	rows, err := r.d.Meta().SelectCtx(ctx, relstore.Query{
+	rows, err := r.d.Meta().Select(ctx, relstore.Query{
 		Table: Table, OrderBy: "created", Desc: true, Offset: keepBundles,
 	})
 	if err != nil {
 		return
 	}
 	for _, row := range rows {
-		if err := r.d.Meta().DeleteCtx(ctx, Table, row["id"].Str); err != nil {
+		if err := r.d.Meta().Delete(ctx, Table, row["id"].Str); err != nil {
 			continue
 		}
 		if loc := row["location"].Str; loc != "" {
@@ -368,7 +368,7 @@ func (r *Recorder) List(namespace string) ([]api.Incident, error) {
 	if namespace != "" {
 		q.Where = []relstore.Constraint{{Field: "namespace", Op: relstore.OpEq, Value: relstore.String(namespace)}}
 	}
-	rows, err := r.d.Meta().Select(q)
+	rows, err := r.d.Meta().Select(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +382,7 @@ func (r *Recorder) List(namespace string) ([]api.Incident, error) {
 
 // Get fetches one incident's index row and its persisted bundle.
 func (r *Recorder) Get(ctx context.Context, id string) (api.Incident, api.IncidentBundle, error) {
-	row, err := r.d.Meta().GetCtx(ctx, Table, id)
+	row, err := r.d.Meta().Get(ctx, Table, id)
 	if err != nil {
 		if errors.Is(err, relstore.ErrNotFound) {
 			return api.Incident{}, api.IncidentBundle{}, fmt.Errorf("%w: %s", ErrNotFound, id)

@@ -181,7 +181,8 @@ func Wrap(next http.Handler, o Options) http.Handler {
 			span.End()
 		}
 
-		if o.AccessLog != nil {
+		// The attributes are built only for a line the logger will keep.
+		if o.AccessLog != nil && o.AccessLog.Enabled(r.Context(), slog.LevelInfo) {
 			attrs := []any{
 				"method", r.Method,
 				"path", r.URL.Path,

@@ -244,13 +244,6 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// Detach returns a fresh background context carrying only ctx's span, for
-// work that outlives the request (async rule dispatch): the span link
-// survives, request cancellation does not.
-func Detach(ctx context.Context) context.Context {
-	return ContextWith(context.Background(), FromContext(ctx))
-}
-
 // Start opens a child of the span in ctx. When ctx carries no span (not
 // sampled, or no tracing wired) it returns (ctx, nil) without allocating —
 // this is the only call instrumented layers make, so tracing off costs a

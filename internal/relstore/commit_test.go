@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -31,26 +32,26 @@ func openSyncStore(t *testing.T) (*Store, string) {
 // and the metrics an operator reads the coalescing from count both sides.
 func TestMutatorsDoNotWaitForDisk(t *testing.T) {
 	s, _ := openSyncStore(t)
-	if err := s.Commit(); err != nil { // the CreateTable record
+	if err := s.Commit(context.Background()); err != nil { // the CreateTable record
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 	for i := 0; i < 4; i++ {
-		if err := s.Insert("instances", row(fmt.Sprintf("i%d", i), "b", "sf", t0, 0.1)); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", row(fmt.Sprintf("i%d", i), "b", "sf", t0, 0.1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s.LogDurable() >= s.LogSize() {
 		t.Fatalf("inserts waited for the disk: durable %d size %d", s.LogDurable(), s.LogSize())
 	}
-	if err := s.Commit(); err != nil {
+	if err := s.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.LogDurable() != s.LogSize() {
 		t.Fatalf("after Commit durable %d, size %d", s.LogDurable(), s.LogSize())
 	}
-	if err := s.Commit(); err != nil { // nothing outstanding: not a commit an operator should count
+	if err := s.Commit(context.Background()); err != nil { // nothing outstanding: not a commit an operator should count
 		t.Fatal(err)
 	}
 	if r, c := reg.Counter("relstore_wal_records_total").Value(), reg.Counter("relstore_wal_commits_total").Value(); r != 4 || c != 1 {
@@ -63,7 +64,7 @@ func TestMutatorsDoNotWaitForDisk(t *testing.T) {
 
 // TestCommitNoOpOnVolatileAndUnsynced: -fsync stays the only switch.
 func TestCommitNoOpOnVolatileAndUnsynced(t *testing.T) {
-	if err := NewMemory().Commit(); err != nil {
+	if err := NewMemory().Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(filepath.Join(t.TempDir(), "meta.wal"), wal.Options{})
@@ -76,7 +77,7 @@ func TestCommitNoOpOnVolatileAndUnsynced(t *testing.T) {
 	if err := s.CreateTable(modelsSchema()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(); err != nil {
+	if err := s.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.LogDurable() != 0 || reg.Counter("relstore_wal_commits_total").Value() != 0 {
@@ -91,7 +92,7 @@ func TestCommitNoOpOnVolatileAndUnsynced(t *testing.T) {
 func TestCompactKeepsSyncOption(t *testing.T) {
 	s, path := openSyncStore(t)
 	for i := 0; i < 20; i++ {
-		if err := s.Insert("instances", row(fmt.Sprintf("i%02d", i), "b", "sf", t0, 0.1)); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", row(fmt.Sprintf("i%02d", i), "b", "sf", t0, 0.1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,10 +102,10 @@ func TestCompactKeepsSyncOption(t *testing.T) {
 	if s.LogDurable() != s.LogSize() {
 		t.Fatalf("compacted log not durable: durable %d size %d", s.LogDurable(), s.LogSize())
 	}
-	if err := s.Insert("instances", row("post", "b", "sf", t0, 0.2)); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", row("post", "b", "sf", t0, 0.2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(); err != nil {
+	if err := s.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.LogDurable() != s.LogSize() || s.LogDurable() == 0 {
@@ -138,11 +139,11 @@ func TestCommitRacesCompact(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if err := s.Insert("instances", row(fmt.Sprintf("w%d-%02d", w, i), "b", "sf", t0, 0.1)); err != nil {
+				if err := s.InsertCtx(context.Background(), "instances", row(fmt.Sprintf("w%d-%02d", w, i), "b", "sf", t0, 0.1)); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := s.Commit(); err != nil {
+				if err := s.Commit(context.Background()); err != nil {
 					t.Errorf("Commit across compaction: %v", err)
 					return
 				}
@@ -155,7 +156,7 @@ func TestCommitRacesCompact(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if err := s.Commit(); err != nil {
+	if err := s.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.LogDurable() != s.LogSize() {
@@ -171,7 +172,7 @@ func TestCommitAfterCloseFails(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(); !errors.Is(err, wal.ErrClosed) {
+	if err := s.Commit(context.Background()); !errors.Is(err, wal.ErrClosed) {
 		t.Fatalf("Commit after Close = %v, want wal.ErrClosed", err)
 	}
 }

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -20,17 +21,17 @@ func TestCompactShrinksLogAndPreservesState(t *testing.T) {
 	// Generate churn: inserts, updates, deletes — lots of dead log records.
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("i%03d", i)
-		if err := s.Insert("instances", row(id, "b", "sf", t0, 0.1)); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", row(id, "b", "sf", t0, 0.1)); err != nil {
 			t.Fatal(err)
 		}
 		for rev := 0; rev < 5; rev++ {
-			if err := s.Update("instances", row(id, "b", fmt.Sprintf("city%d", rev), t0, 0.1)); err != nil {
+			if err := s.Update(context.Background(), "instances", row(id, "b", fmt.Sprintf("city%d", rev), t0, 0.1)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if err := s.Delete("instances", fmt.Sprintf("i%03d", i)); err != nil {
+		if err := s.Delete(context.Background(), "instances", fmt.Sprintf("i%03d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,13 +49,13 @@ func TestCompactShrinksLogAndPreservesState(t *testing.T) {
 	if n != 100 {
 		t.Fatalf("rows after compaction = %d", n)
 	}
-	got, err := s.Get("instances", "i150")
+	got, err := s.Get(context.Background(), "instances", "i150")
 	if err != nil || got["city"].Str != "city4" {
 		t.Fatalf("row after compaction = %v, %v", got, err)
 	}
 
 	// Post-compaction writes land in the new log and everything recovers.
-	if err := s.Insert("instances", row("post", "b", "sf", t0, 0.2)); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", row("post", "b", "sf", t0, 0.2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -69,7 +70,7 @@ func TestCompactShrinksLogAndPreservesState(t *testing.T) {
 	if n != 101 {
 		t.Fatalf("recovered rows = %d, want 101", n)
 	}
-	got, err = s2.Get("instances", "i150")
+	got, err = s2.Get(context.Background(), "instances", "i150")
 	if err != nil || got["city"].Str != "city4" {
 		t.Fatalf("recovered row = %v, %v", got, err)
 	}
@@ -108,7 +109,7 @@ func TestCompactEmptyStore(t *testing.T) {
 	if err := s.CreateTable(modelsSchema()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert("instances", row("x", "b", "sf", t0, 0.1)); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", row("x", "b", "sf", t0, 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -104,7 +105,7 @@ func TestOrderedPathSkippedForNullableColumn(t *testing.T) {
 		"base_version_id": String("b"),
 		"created":         Time(t0.Add(time.Hour * 10000)),
 	}
-	if err := s.Insert("instances", nullCity); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", nullCity); err != nil {
 		t.Fatal(err)
 	}
 	rows, ex, err := s.SelectExplain(Query{Table: "instances", OrderBy: "city"})

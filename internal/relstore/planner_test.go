@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -177,13 +178,13 @@ func TestGtSeeksPastEqualRun(t *testing.T) {
 	// 400 rows share mape 0.5; 20 rows sit above it.
 	for i := 0; i < 400; i++ {
 		r := row(pad("dup", i), "b", "sf", t0.Add(time.Duration(i)*time.Second), 0.5)
-		if err := s.Insert("instances", r); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 20; i++ {
 		r := row(pad("hi", i), "b", "sf", t0.Add(time.Duration(1000+i)*time.Second), 0.9)
-		if err := s.Insert("instances", r); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +219,7 @@ func TestIndexBoundaryRows(t *testing.T) {
 	// Cities chosen to bracket the "sf" prefix on both sides.
 	for i, city := range []string{"se", "sea", "sf", "sf", "sfo", "sg", "sz"} {
 		r := row(pad("r", i), "b", city, t0.Add(time.Duration(i)*time.Minute), 0.1)
-		if err := s.Insert("instances", r); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +265,7 @@ func TestIndexBoundaryRows(t *testing.T) {
 func TestNeExcludesNullRows(t *testing.T) {
 	s := newStore(t)
 	withCity := row("i1", "b", "sf", t0, 0.1)
-	if err := s.Insert("instances", withCity); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", withCity); err != nil {
 		t.Fatal(err)
 	}
 	noCity := Row{
@@ -272,10 +273,10 @@ func TestNeExcludesNullRows(t *testing.T) {
 		"base_version_id": String("b"),
 		"created":         Time(t0),
 	}
-	if err := s.Insert("instances", noCity); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", noCity); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := s.Select(Query{
+	rows, err := s.Select(context.Background(), Query{
 		Table: "instances",
 		Where: []Constraint{{Field: "city", Op: OpNe, Value: String("nyc")}},
 	})
@@ -313,7 +314,7 @@ func TestPrefixDescStreams(t *testing.T) {
 	s := newStore(t)
 	for i, city := range []string{"se", "sf", "sf", "sfo", "sg"} {
 		r := row(pad("r", i), "b", city, t0.Add(time.Duration(i)*time.Minute), 0.1)
-		if err := s.Insert("instances", r); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -167,14 +167,8 @@ func (c Constraint) matches(row Row) bool {
 	}
 }
 
-// Select runs a query and returns row copies.
-func (s *Store) Select(q Query) ([]Row, error) {
-	rows, _, err := s.selectCopies(context.Background(), q)
-	return rows, err
-}
-
-// SelectCtx is Select with trace attribution (see SelectFunc).
-func (s *Store) SelectCtx(ctx context.Context, q Query) ([]Row, error) {
+// Select runs a query and returns row copies, traced as SelectFunc is.
+func (s *Store) Select(ctx context.Context, q Query) ([]Row, error) {
 	rows, _, err := s.selectCopies(ctx, q)
 	return rows, err
 }
@@ -199,7 +193,7 @@ func (s *Store) selectCopies(ctx context.Context, q Query) ([]Row, Explain, erro
 }
 
 // SelectFunc runs a query and calls fn with each result row, in result
-// order, until the rows run out or fn returns false. Select, SelectCtx and
+// order, until the rows run out or fn returns false. Select and
 // SelectExplain are SelectFunc copying each row, so the plan, the order and
 // the Explain are the same whichever a caller uses; the Explain counts what
 // the scan examined before it ended, so stopping early makes the counts

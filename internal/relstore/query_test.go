@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func fill(t *testing.T, s *Store, n int) {
 		r := row(fmt.Sprintf("i%04d", i), fmt.Sprintf("base%d", i%3), cities[i%len(cities)],
 			t0.Add(time.Duration(i)*time.Minute), float64(i%100)/100)
 		r["epoch"] = Int(int64(i))
-		if err := s.Insert("instances", r); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +143,7 @@ func TestSelectPrefixAndContains(t *testing.T) {
 		t.Fatalf("prefix l matched %d rows, want 40", len(rows))
 	}
 
-	rows, err = s.Select(Query{
+	rows, err = s.Select(context.Background(), Query{
 		Table: "instances",
 		Where: []Constraint{{Field: "city", Op: OpContains, Value: String("ondo")}},
 	})
@@ -157,7 +158,7 @@ func TestSelectPrefixAndContains(t *testing.T) {
 func TestSelectIn(t *testing.T) {
 	s := newStore(t)
 	fill(t, s, 100)
-	rows, err := s.Select(Query{
+	rows, err := s.Select(context.Background(), Query{
 		Table: "instances",
 		Where: []Constraint{{Field: "city", Op: OpIn, Values: []Value{String("sf"), String("la")}}},
 	})
@@ -172,7 +173,7 @@ func TestSelectIn(t *testing.T) {
 func TestSelectNe(t *testing.T) {
 	s := newStore(t)
 	fill(t, s, 100)
-	rows, err := s.Select(Query{
+	rows, err := s.Select(context.Background(), Query{
 		Table: "instances",
 		Where: []Constraint{{Field: "city", Op: OpNe, Value: String("sf")}},
 	})
@@ -212,7 +213,7 @@ func TestSelectConjunction(t *testing.T) {
 func TestSelectOrderByLimitOffset(t *testing.T) {
 	s := newStore(t)
 	fill(t, s, 50)
-	rows, err := s.Select(Query{
+	rows, err := s.Select(context.Background(), Query{
 		Table:   "instances",
 		OrderBy: "created",
 		Desc:    true,
@@ -239,7 +240,7 @@ func TestSelectOrderByLimitOffset(t *testing.T) {
 func TestSelectOffsetPastEnd(t *testing.T) {
 	s := newStore(t)
 	fill(t, s, 10)
-	rows, err := s.Select(Query{Table: "instances", Offset: 100})
+	rows, err := s.Select(context.Background(), Query{Table: "instances", Offset: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestSelectLimitEarlyTermination(t *testing.T) {
 func TestSelectNoOrderIsPKOrder(t *testing.T) {
 	s := newStore(t)
 	fill(t, s, 20)
-	rows, err := s.Select(Query{Table: "instances"})
+	rows, err := s.Select(context.Background(), Query{Table: "instances"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestQuickIndexScanEquivalence(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r := row(fmt.Sprintf("r%03d", i), "b", fmt.Sprintf("c%d", rng.Intn(5)),
 				t0.Add(time.Duration(i)*time.Second), float64(rng.Intn(1000))/1000)
-			if err := s.Insert("instances", r); err != nil {
+			if err := s.InsertCtx(context.Background(), "instances", r); err != nil {
 				return false
 			}
 		}

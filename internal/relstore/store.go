@@ -194,13 +194,10 @@ func (s *Store) wal() *wal.Log {
 // Commit makes every mutation that returned before the call durable. It
 // is the acknowledgement boundary: call it once per unit of work, after
 // the last mutation and before telling anyone the work is done. It is a
-// no-op for volatile stores and without wal.Options.Sync.
-func (s *Store) Commit() error { return s.CommitCtx(context.Background()) }
-
-// CommitCtx is Commit with trace attribution: the fsync wait gets its own
-// span, apart from the appends, and the commit-latency histogram an
-// exemplar pointing back at the trace.
-func (s *Store) CommitCtx(ctx context.Context) error {
+// no-op for volatile stores and without wal.Options.Sync. The fsync wait
+// gets its own span, apart from the appends, and the commit-latency
+// histogram an exemplar pointing back at the trace.
+func (s *Store) Commit(ctx context.Context) error {
 	l := s.wal()
 	if l == nil || !s.walOpts.Sync {
 		return nil
@@ -255,14 +252,11 @@ const (
 	opIndexes
 )
 
-// logOp persists op if the store is durable.
-func (s *Store) logOp(op walOp) error { return s.logOpCtx(context.Background(), op) }
-
-// logOpCtx is logOp with trace attribution: the WAL append gets its own
+// logOp persists op if the store is durable. The WAL append gets its own
 // child span, and the append-latency histogram an exemplar pointing back
 // at the trace. The record is written through to the OS, not fsynced —
 // callers hold mu, and the disk wait belongs to Commit.
-func (s *Store) logOpCtx(ctx context.Context, op walOp) error {
+func (s *Store) logOp(ctx context.Context, op walOp) error {
 	if s.log == nil {
 		return nil
 	}
@@ -356,12 +350,12 @@ func (s *Store) CreateTable(schema Schema) error {
 		if err := s.applyIndexes(schema.Table, schema.Indexes); err != nil {
 			return err
 		}
-		return s.logOp(walOp{Kind: opIndexes, Table: schema.Table, Indexes: schema.Indexes})
+		return s.logOp(context.Background(), walOp{Kind: opIndexes, Table: schema.Table, Indexes: schema.Indexes})
 	}
 	if err := s.applyCreateTable(schema); err != nil {
 		return err
 	}
-	return s.logOp(walOp{Kind: opCreateTable, Schema: &schema})
+	return s.logOp(context.Background(), walOp{Kind: opCreateTable, Schema: &schema})
 }
 
 func schemaEqual(a, b Schema) bool {
@@ -426,14 +420,10 @@ func (s *Store) applyIndexes(tableName string, names []string) error {
 	return nil
 }
 
-// Insert adds a new row. Gallery data is immutable, so inserting an existing
-// primary key fails with ErrDuplicate rather than overwriting.
-func (s *Store) Insert(tableName string, row Row) error {
-	return s.InsertCtx(context.Background(), tableName, row)
-}
-
-// InsertCtx is Insert with trace attribution: a per-table op span plus a
-// WAL-append child when the store is durable.
+// InsertCtx adds a new row. Gallery data is immutable, so inserting an
+// existing primary key fails with ErrDuplicate rather than overwriting. It
+// records a per-table op span plus a WAL-append child when the store is
+// durable.
 func (s *Store) InsertCtx(ctx context.Context, tableName string, row Row) error {
 	ctx, span := trace.Start(ctx, "relstore.insert")
 	if span != nil {
@@ -452,7 +442,7 @@ func (s *Store) insertCtx(ctx context.Context, tableName string, row Row) error 
 	if err := s.applyInsert(tableName, row); err != nil {
 		return err
 	}
-	return s.logOpCtx(ctx, walOp{Kind: opInsert, Table: tableName, Row: row})
+	return s.logOp(ctx, walOp{Kind: opInsert, Table: tableName, Row: row})
 }
 
 // applyInsert installs row itself, not a copy.
@@ -475,12 +465,7 @@ func (s *Store) applyInsert(tableName string, row Row) error {
 // Update replaces an existing row identified by its primary key. It fails
 // with ErrNotFound for absent rows; Gallery uses updates only for mutable
 // operational state such as deprecation flags and dependency pointers.
-func (s *Store) Update(tableName string, row Row) error {
-	return s.UpdateCtx(context.Background(), tableName, row)
-}
-
-// UpdateCtx is Update with trace attribution.
-func (s *Store) UpdateCtx(ctx context.Context, tableName string, row Row) error {
+func (s *Store) Update(ctx context.Context, tableName string, row Row) error {
 	ctx, span := trace.Start(ctx, "relstore.update")
 	if span != nil {
 		span.Annotate("table", tableName)
@@ -498,7 +483,7 @@ func (s *Store) updateCtx(ctx context.Context, tableName string, row Row) error 
 	if err := s.applyUpdate(tableName, row); err != nil {
 		return err
 	}
-	return s.logOpCtx(ctx, walOp{Kind: opUpdate, Table: tableName, Row: row})
+	return s.logOp(ctx, walOp{Kind: opUpdate, Table: tableName, Row: row})
 }
 
 // applyUpdate installs row itself, not a copy.
@@ -522,12 +507,7 @@ func (s *Store) applyUpdate(tableName string, row Row) error {
 
 // Delete removes a row by primary key. Deleting an absent row fails with
 // ErrNotFound.
-func (s *Store) Delete(tableName, pk string) error {
-	return s.DeleteCtx(context.Background(), tableName, pk)
-}
-
-// DeleteCtx is Delete with trace attribution.
-func (s *Store) DeleteCtx(ctx context.Context, tableName, pk string) error {
+func (s *Store) Delete(ctx context.Context, tableName, pk string) error {
 	ctx, span := trace.Start(ctx, "relstore.delete")
 	if span != nil {
 		span.Annotate("table", tableName)
@@ -544,7 +524,7 @@ func (s *Store) deleteCtx(ctx context.Context, tableName, pk string) error {
 	if err := s.applyDelete(tableName, pk); err != nil {
 		return err
 	}
-	return s.logOpCtx(ctx, walOp{Kind: opDelete, Table: tableName, PK: pk})
+	return s.logOp(ctx, walOp{Kind: opDelete, Table: tableName, PK: pk})
 }
 
 func (s *Store) applyDelete(tableName, pk string) error {
@@ -609,14 +589,9 @@ const (
 // Batch applies mutations atomically: either all succeed or none are
 // applied. It is Gallery's tool for multi-row invariants, e.g. writing a new
 // model-instance version together with the dependency-graph rows it bumps
-// (paper Figures 6–7).
-func (s *Store) Batch(muts []Mutation) error {
-	return s.BatchCtx(context.Background(), muts)
-}
-
-// BatchCtx is Batch with trace attribution: one span covering the whole
-// atomic group (annotated with its size) plus the WAL-append child.
-func (s *Store) BatchCtx(ctx context.Context, muts []Mutation) error {
+// (paper Figures 6–7). One span covers the whole atomic group (annotated
+// with its size), plus the WAL-append child.
+func (s *Store) Batch(ctx context.Context, muts []Mutation) error {
 	ctx, span := trace.Start(ctx, "relstore.batch")
 	if span != nil {
 		span.AnnotateInt("mutations", int64(len(muts)))
@@ -658,7 +633,7 @@ func (s *Store) batchCtx(ctx context.Context, muts []Mutation) error {
 			return fmt.Errorf("relstore: batch apply after validation: %w", err)
 		}
 	}
-	return s.logOpCtx(ctx, walOp{Kind: opBatch, Batch: ops})
+	return s.logOp(ctx, walOp{Kind: opBatch, Batch: ops})
 }
 
 // validateBatch checks all mutations, tracking the batch's own inserts and
@@ -709,14 +684,9 @@ func (s *Store) validateBatch(muts []Mutation) error {
 	return nil
 }
 
-// Get fetches a row copy by primary key.
-func (s *Store) Get(tableName, pk string) (Row, error) {
-	return s.GetCtx(context.Background(), tableName, pk)
-}
-
-// GetCtx is Get with trace attribution (a per-table read span when the
-// request is sampled; one nil check otherwise).
-func (s *Store) GetCtx(ctx context.Context, tableName, pk string) (Row, error) {
+// Get fetches a row copy by primary key, with a per-table read span when
+// the request is sampled (one nil check otherwise).
+func (s *Store) Get(ctx context.Context, tableName, pk string) (Row, error) {
 	_, span := trace.Start(ctx, "relstore.get")
 	if span != nil {
 		span.Annotate("table", tableName)

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -53,10 +54,10 @@ var t0 = time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 func TestInsertGet(t *testing.T) {
 	s := newStore(t)
 	r := row("i1", "demand_conversion", "sf", t0, 0.12)
-	if err := s.Insert("instances", r); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("instances", "i1")
+	got, err := s.Get(context.Background(), "instances", "i1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +69,10 @@ func TestInsertGet(t *testing.T) {
 func TestInsertDuplicateFails(t *testing.T) {
 	s := newStore(t)
 	r := row("i1", "b", "sf", t0, 0.1)
-	if err := s.Insert("instances", r); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", r); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Insert("instances", r)
+	err := s.InsertCtx(context.Background(), "instances", r)
 	if !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("second insert err = %v, want ErrDuplicate", err)
 	}
@@ -79,12 +80,12 @@ func TestInsertDuplicateFails(t *testing.T) {
 
 func TestGetReturnsCopy(t *testing.T) {
 	s := newStore(t)
-	if err := s.Insert("instances", row("i1", "b", "sf", t0, 0.1)); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", row("i1", "b", "sf", t0, 0.1)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Get("instances", "i1")
+	got, _ := s.Get(context.Background(), "instances", "i1")
 	got["city"] = String("mutated")
-	again, _ := s.Get("instances", "i1")
+	again, _ := s.Get(context.Background(), "instances", "i1")
 	if again["city"].Str != "sf" {
 		t.Fatal("mutating a returned row leaked into the store")
 	}
@@ -93,11 +94,11 @@ func TestGetReturnsCopy(t *testing.T) {
 func TestInsertCopiesCallerRow(t *testing.T) {
 	s := newStore(t)
 	r := row("i1", "b", "sf", t0, 0.1)
-	if err := s.Insert("instances", r); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", r); err != nil {
 		t.Fatal(err)
 	}
 	r["city"] = String("mutated-after-insert")
-	got, _ := s.Get("instances", "i1")
+	got, _ := s.Get(context.Background(), "instances", "i1")
 	if got["city"].Str != "sf" {
 		t.Fatal("mutating the caller's row after Insert leaked into the store")
 	}
@@ -130,7 +131,7 @@ func TestRowValidation(t *testing.T) {
 		{"id": String("x"), "base_version_id": Value{}, "created": Time(t0)},                      // null in non-nullable
 	}
 	for i, r := range cases {
-		if err := s.Insert("instances", r); err == nil {
+		if err := s.InsertCtx(context.Background(), "instances", r); err == nil {
 			t.Errorf("case %d: Insert accepted invalid row %#v", i, r)
 		}
 	}
@@ -177,30 +178,30 @@ func TestCreateTableIdempotent(t *testing.T) {
 
 func TestUpdate(t *testing.T) {
 	s := newStore(t)
-	if err := s.Insert("instances", row("i1", "b", "sf", t0, 0.1)); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", row("i1", "b", "sf", t0, 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	upd := row("i1", "b", "sf", t0, 0.1)
 	upd["deprecated"] = Bool(true)
-	if err := s.Update("instances", upd); err != nil {
+	if err := s.Update(context.Background(), "instances", upd); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Get("instances", "i1")
+	got, _ := s.Get(context.Background(), "instances", "i1")
 	if !got["deprecated"].Bool {
 		t.Fatal("update did not stick")
 	}
-	if err := s.Update("instances", row("absent", "b", "sf", t0, 0.1)); !errors.Is(err, ErrNotFound) {
+	if err := s.Update(context.Background(), "instances", row("absent", "b", "sf", t0, 0.1)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("update of absent row = %v, want ErrNotFound", err)
 	}
 }
 
 func TestUpdateMaintainsIndexes(t *testing.T) {
 	s := newStore(t)
-	if err := s.Insert("instances", row("i1", "b", "sf", t0, 0.5)); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", row("i1", "b", "sf", t0, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	upd := row("i1", "b", "nyc", t0, 0.5)
-	if err := s.Update("instances", upd); err != nil {
+	if err := s.Update(context.Background(), "instances", upd); err != nil {
 		t.Fatal(err)
 	}
 	rows, ex, err := s.SelectExplain(Query{
@@ -216,7 +217,7 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	if len(rows) != 0 {
 		t.Fatalf("stale index entry returned %d rows for sf", len(rows))
 	}
-	rows, _ = s.Select(Query{
+	rows, _ = s.Select(context.Background(), Query{
 		Table: "instances",
 		Where: []Constraint{{Field: "city", Op: OpEq, Value: String("nyc")}},
 	})
@@ -227,20 +228,20 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	s := newStore(t)
-	if err := s.Insert("instances", row("i1", "b", "sf", t0, 0.1)); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", row("i1", "b", "sf", t0, 0.1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("instances", "i1"); err != nil {
+	if err := s.Delete(context.Background(), "instances", "i1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get("instances", "i1"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Get(context.Background(), "instances", "i1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after delete = %v", err)
 	}
-	if err := s.Delete("instances", "i1"); !errors.Is(err, ErrNotFound) {
+	if err := s.Delete(context.Background(), "instances", "i1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete = %v", err)
 	}
 	// Index must not resurrect the row.
-	rows, _ := s.Select(Query{
+	rows, _ := s.Select(context.Background(), Query{
 		Table: "instances",
 		Where: []Constraint{{Field: "city", Op: OpEq, Value: String("sf")}},
 	})
@@ -251,42 +252,42 @@ func TestDelete(t *testing.T) {
 
 func TestNoTableErrors(t *testing.T) {
 	s := NewMemory()
-	if err := s.Insert("nope", Row{}); !errors.Is(err, ErrNoTable) {
+	if err := s.InsertCtx(context.Background(), "nope", Row{}); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("Insert = %v", err)
 	}
-	if _, err := s.Get("nope", "x"); !errors.Is(err, ErrNoTable) {
+	if _, err := s.Get(context.Background(), "nope", "x"); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("Get = %v", err)
 	}
-	if _, err := s.Select(Query{Table: "nope"}); !errors.Is(err, ErrNoTable) {
+	if _, err := s.Select(context.Background(), Query{Table: "nope"}); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("Select = %v", err)
 	}
 }
 
 func TestBatchAtomicity(t *testing.T) {
 	s := newStore(t)
-	if err := s.Insert("instances", row("seed", "b", "sf", t0, 0.1)); err != nil {
+	if err := s.InsertCtx(context.Background(), "instances", row("seed", "b", "sf", t0, 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	// Second mutation is invalid (duplicate of seed): nothing must apply.
-	err := s.Batch([]Mutation{
+	err := s.Batch(context.Background(), []Mutation{
 		{Kind: MutInsert, Table: "instances", Row: row("new1", "b", "sf", t0, 0.2)},
 		{Kind: MutInsert, Table: "instances", Row: row("seed", "b", "sf", t0, 0.3)},
 	})
 	if !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("batch err = %v", err)
 	}
-	if _, err := s.Get("instances", "new1"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Get(context.Background(), "instances", "new1"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("failed batch partially applied")
 	}
 	// Valid batch with intra-batch dependency: delete then reinsert same pk.
-	err = s.Batch([]Mutation{
+	err = s.Batch(context.Background(), []Mutation{
 		{Kind: MutDelete, Table: "instances", PK: "seed"},
 		{Kind: MutInsert, Table: "instances", Row: row("seed", "b2", "nyc", t0, 0.4)},
 	})
 	if err != nil {
 		t.Fatalf("valid batch failed: %v", err)
 	}
-	got, _ := s.Get("instances", "seed")
+	got, _ := s.Get(context.Background(), "instances", "seed")
 	if got["base_version_id"].Str != "b2" {
 		t.Fatalf("batch result row = %#v", got)
 	}
@@ -298,14 +299,14 @@ func TestBatchAtomicity(t *testing.T) {
 
 func TestBatchSeesOwnInserts(t *testing.T) {
 	s := newStore(t)
-	err := s.Batch([]Mutation{
+	err := s.Batch(context.Background(), []Mutation{
 		{Kind: MutInsert, Table: "instances", Row: row("a", "b", "sf", t0, 0.1)},
 		{Kind: MutUpdate, Table: "instances", Row: row("a", "b", "la", t0, 0.2)},
 	})
 	if err != nil {
 		t.Fatalf("batch insert-then-update failed: %v", err)
 	}
-	got, _ := s.Get("instances", "a")
+	got, _ := s.Get(context.Background(), "instances", "a")
 	if got["city"].Str != "la" {
 		t.Fatalf("city = %q, want la", got["city"].Str)
 	}
@@ -321,17 +322,17 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := s.Insert("instances", row(fmt.Sprintf("i%d", i), "b", "sf", t0.Add(time.Duration(i)*time.Hour), float64(i)/100)); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", row(fmt.Sprintf("i%d", i), "b", "sf", t0.Add(time.Duration(i)*time.Hour), float64(i)/100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Update("instances", row("i3", "b", "updated-city", t0, 0.99)); err != nil {
+	if err := s.Update(context.Background(), "instances", row("i3", "b", "updated-city", t0, 0.99)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("instances", "i7"); err != nil {
+	if err := s.Delete(context.Background(), "instances", "i7"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Batch([]Mutation{
+	if err := s.Batch(context.Background(), []Mutation{
 		{Kind: MutInsert, Table: "instances", Row: row("batch1", "b", "sf", t0, 0.5)},
 		{Kind: MutDelete, Table: "instances", PK: "i9"},
 	}); err != nil {
@@ -353,14 +354,14 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	if n != 19 { // 20 - i7 - i9 + batch1
 		t.Fatalf("recovered %d rows, want 19", n)
 	}
-	got, err := s2.Get("instances", "i3")
+	got, err := s2.Get(context.Background(), "instances", "i3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got["city"].Str != "updated-city" {
 		t.Fatal("update lost across reopen")
 	}
-	if _, err := s2.Get("instances", "i7"); !errors.Is(err, ErrNotFound) {
+	if _, err := s2.Get(context.Background(), "instances", "i7"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("delete lost across reopen")
 	}
 	// Recovered indexes must serve queries.
@@ -385,7 +386,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := fmt.Sprintf("w%d-i%d", w, i)
-				if err := s.Insert("instances", row(id, "b", "sf", t0, 0.1)); err != nil {
+				if err := s.InsertCtx(context.Background(), "instances", row(id, "b", "sf", t0, 0.1)); err != nil {
 					t.Errorf("insert %s: %v", id, err)
 					return
 				}
@@ -397,7 +398,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if _, err := s.Select(Query{
+				if _, err := s.Select(context.Background(), Query{
 					Table: "instances",
 					Where: []Constraint{{Field: "city", Op: OpEq, Value: String("sf")}},
 					Limit: 10,

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -93,17 +94,17 @@ func play(t testing.TB, s *Store, op walOp) {
 	case opCreateTable:
 		err = s.CreateTable(*op.Schema)
 	case opInsert:
-		err = s.Insert(op.Table, op.Row)
+		err = s.InsertCtx(context.Background(), op.Table, op.Row)
 	case opUpdate:
-		err = s.Update(op.Table, op.Row)
+		err = s.Update(context.Background(), op.Table, op.Row)
 	case opDelete:
-		err = s.Delete(op.Table, op.PK)
+		err = s.Delete(context.Background(), op.Table, op.PK)
 	case opBatch:
 		muts := make([]Mutation, len(op.Batch))
 		for i, sub := range op.Batch {
 			muts[i] = Mutation{Kind: MutationKind(sub.Kind - opInsert + 1), Table: sub.Table, Row: sub.Row, PK: sub.PK}
 		}
-		err = s.Batch(muts)
+		err = s.Batch(context.Background(), muts)
 	case opIndexes: // the table declared again with other indexes
 		sc := s.tables[op.Table].schema
 		sc.Indexes = op.Indexes
@@ -299,7 +300,7 @@ func TestCrashSweep(t *testing.T) {
 		if got := dump(t, s); got != want {
 			t.Fatalf("cut at %d recovered\n%s\nwant\n%s", cut, got, want)
 		}
-		if err := s.Insert("wide", probe); err != nil {
+		if err := s.InsertCtx(context.Background(), "wide", probe); err != nil {
 			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
 		}
 		if err := s.Close(); err != nil {
@@ -310,7 +311,7 @@ func TestCrashSweep(t *testing.T) {
 			t.Fatalf("cut at %d: reopen after append: %v", cut, err)
 		}
 		defer s.Close()
-		if _, err := s.Get("wide", "after-the-crash"); err != nil {
+		if _, err := s.Get(context.Background(), "wide", "after-the-crash"); err != nil {
 			t.Fatalf("cut at %d: the append after recovery is gone: %v", cut, err)
 		}
 	}
@@ -390,7 +391,7 @@ func TestCompactFailedSwapKeepsStoreWritable(t *testing.T) {
 	if _, err := os.Stat(elsewhere + ".compact"); !os.IsNotExist(err) {
 		t.Fatalf("the abandoned snapshot was left behind: %v", err)
 	}
-	if err := s.Insert("wide", Row{"id": String("after-the-failure")}); err != nil {
+	if err := s.InsertCtx(context.Background(), "wide", Row{"id": String("after-the-failure")}); err != nil {
 		t.Fatalf("mutation after a failed swap: %v", err)
 	}
 	want := dump(t, s)

@@ -47,7 +47,7 @@ func TestNaNIndexKeepsLivePostings(t *testing.T) {
 	nan := math.NaN()
 	vals := []float64{nan, 0.05, nan, 0.5, math.Inf(1), math.Inf(-1), nan, 0.05, 0}
 	for i, v := range vals {
-		if err := s.Insert("instances", row(pad("r", i), "b", "sf", t0.Add(time.Duration(i)*time.Minute), v)); err != nil {
+		if err := s.InsertCtx(context.Background(), "instances", row(pad("r", i), "b", "sf", t0.Add(time.Duration(i)*time.Minute), v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,18 +83,18 @@ func TestNaNIndexKeepsLivePostings(t *testing.T) {
 	check("after inserts")
 	// NaN → number, number → NaN, NaN → NaN, then deletes of both.
 	for i, v := range map[int]float64{0: 0.9, 1: nan, 2: nan, 5: nan} {
-		if err := s.Update("instances", row(pad("r", i), "b", "sf", t0.Add(time.Duration(i)*time.Minute), v)); err != nil {
+		if err := s.Update(context.Background(), "instances", row(pad("r", i), "b", "sf", t0.Add(time.Duration(i)*time.Minute), v)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	check("after updates")
 	for _, i := range []int{1, 3, 6} {
-		if err := s.Delete("instances", pad("r", i)); err != nil {
+		if err := s.Delete(context.Background(), "instances", pad("r", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	check("after deletes")
-	rows, err := s.Select(Query{Table: "instances", Where: []Constraint{{Field: "mape", Op: OpEq, Value: Float(nan)}}})
+	rows, err := s.Select(context.Background(), Query{Table: "instances", Where: []Constraint{{Field: "mape", Op: OpEq, Value: Float(nan)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestSelectFuncModelBased(t *testing.T) {
 				// A batch ending in a duplicate insert is refused whole: the
 				// key is live before the batch or inserted earlier in it.
 				dup := Mutation{Kind: MutInsert, Table: "mb", Row: randomMBRow(r, pick(r, live))}
-				if err := s.Batch(append(muts, dup)); err == nil {
+				if err := s.Batch(context.Background(), append(muts, dup)); err == nil {
 					t.Fatal("batch with a duplicate insert applied")
 				}
 				live = slices.Sorted(maps.Keys(oracle))
@@ -502,14 +502,14 @@ func TestSelectFuncModelBased(t *testing.T) {
 				m := muts[0]
 				switch m.Kind {
 				case MutInsert:
-					err = s.Insert("mb", m.Row)
+					err = s.InsertCtx(context.Background(), "mb", m.Row)
 				case MutUpdate:
-					err = s.Update("mb", m.Row)
+					err = s.Update(context.Background(), "mb", m.Row)
 				case MutDelete:
-					err = s.Delete("mb", m.PK)
+					err = s.Delete(context.Background(), "mb", m.PK)
 				}
 			} else {
-				err = s.Batch(muts)
+				err = s.Batch(context.Background(), muts)
 			}
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -555,13 +555,13 @@ func TestSelectFuncConcurrentWriters(t *testing.T) {
 				switch k := r.Intn(10); {
 				case len(live) == 0 || k < 5:
 					id := fmt.Sprintf("w%d-%03d", w, i)
-					err = s.Insert("mb", randomMBRow(r, id))
+					err = s.InsertCtx(context.Background(), "mb", randomMBRow(r, id))
 					live = append(live, id)
 				case k < 8:
-					err = s.Update("mb", randomMBRow(r, pick(r, live)))
+					err = s.Update(context.Background(), "mb", randomMBRow(r, pick(r, live)))
 				default:
 					j := r.Intn(len(live))
-					err = s.Delete("mb", live[j])
+					err = s.Delete(context.Background(), "mb", live[j])
 					live = append(live[:j], live[j+1:]...)
 				}
 				if err != nil {

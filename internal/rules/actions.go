@@ -1,10 +1,6 @@
 package rules
 
-import (
-	"context"
-
-	"gallery/internal/core"
-)
+import "gallery/internal/core"
 
 // DeployAction returns the standard deployment callback: it promotes the
 // matched instance's version to production in the registry, which flips
@@ -16,10 +12,6 @@ func DeployAction(reg *core.Registry) Action {
 	return func(ctx *ActionContext) error {
 		// ctx.Ctx threads the triggering event's trace and actor into the
 		// promotion's audit event.
-		c := ctx.Ctx
-		if c == nil {
-			c = context.Background()
-		}
-		return reg.PromoteInstanceCtx(c, ctx.Instance.ID)
+		return reg.PromoteInstanceCtx(ctx.Ctx, ctx.Instance.ID)
 	}
 }

@@ -129,8 +129,9 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 // identifiers it changed.
 type trigger struct {
 	// ctx carries trace lineage from the triggering request; a queued
-	// trigger's is detached (trace.Detach) so the rule run is not
-	// cancelled when the HTTP request that inserted the metric returns.
+	// trigger's drops its cancellation (context.WithoutCancel) so the rule
+	// run is not cancelled when the HTTP request that inserted the metric
+	// returns.
 	ctx        context.Context
 	instanceID uuid.UUID
 	// extra adds event-specific variables to the evaluation environment
@@ -251,9 +252,9 @@ func (e *Engine) MetricUpdatedCtx(ctx context.Context, instanceID uuid.UUID) {
 	e.trigger(trigger{ctx: ctx, instanceID: instanceID, idents: metricIdents})
 }
 
-// MetadataUpdatedCtx notifies the engine that an instance's metadata
+// MetadataUpdated notifies the engine that an instance's metadata
 // changed; action rules watching any of the named fields re-evaluate.
-func (e *Engine) MetadataUpdatedCtx(ctx context.Context, instanceID uuid.UUID, fields ...string) {
+func (e *Engine) MetadataUpdated(ctx context.Context, instanceID uuid.UUID, fields ...string) {
 	e.trigger(trigger{ctx: ctx, instanceID: instanceID, idents: fields})
 }
 
@@ -296,7 +297,7 @@ func (e *Engine) trigger(t trigger) {
 	}
 	queued := false
 	if !e.stopped {
-		t.ctx = trace.Detach(t.ctx)
+		t.ctx = context.WithoutCancel(t.ctx)
 		select {
 		case e.jobs <- t:
 			e.queued++
@@ -350,9 +351,6 @@ func (e *Engine) inScope(rule *Rule) bool {
 // met", surfaced as a log alert rather than a crash. It reports whether
 // the condition held.
 func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.UUID, extra map[string]any) bool {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, span := trace.Start(ctx, "rules.evaluate")
 	if span != nil {
 		span.Annotate("rule", rule.UUID)
@@ -546,7 +544,7 @@ func (e *Engine) SelectModel(ruleID string, filter core.InstanceFilter) (*core.I
 // stages override earlier ones, so metrics.mape means the freshest,
 // most production-like measurement).
 func (e *Engine) instanceEnv(ctx context.Context, instanceID uuid.UUID) (*expr.Env, *core.Instance, error) {
-	in, err := e.reg.GetInstanceCtx(ctx, instanceID)
+	in, err := e.reg.GetInstance(ctx, instanceID)
 	if err != nil {
 		return nil, nil, err
 	}

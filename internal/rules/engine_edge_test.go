@@ -32,7 +32,7 @@ func TestQueueNeverBlocks(t *testing.T) {
 	dropped := func() int64 { return reg.Snapshot().Counters[`telemetry_dropped_total{channel="rules"}`] }
 	m := h.model(t, "Random Forest", "UberX")
 	in := h.upload(t, m, "sf")
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 2
@@ -69,7 +69,7 @@ func TestQueueNeverBlocks(t *testing.T) {
 	// The triggers queued behind them evaluate false: they fill the queue
 	// without firing, which keeps the test fast under -race.
 	h.clk.Advance(time.Minute)
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, -1); err != nil {
+	if _, err := h.g.InsertMetric(ctx, in.ID, "bias", core.ScopeValidation, -1); err != nil {
 		t.Fatal(err)
 	}
 	queue := cap(h.eng.jobs)
@@ -116,7 +116,7 @@ func TestQueueAccountsEveryTrigger(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "Random Forest", "UberX")
 	in := h.upload(t, m, "sf")
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0); err != nil {
 		t.Fatal(err)
 	}
 	var runs atomic.Int64
@@ -172,11 +172,11 @@ func TestSelectionConsidersLatestProductionOverValidation(t *testing.T) {
 	// Validation says mae 2; later production measurement says 9. The
 	// engine's environment merges scopes with production winning, so the
 	// candidate must fail the mae < 5 filter.
-	if _, err := h.g.InsertMetric(in.ID, "mae", core.ScopeValidation, 2); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mae", core.ScopeValidation, 2); err != nil {
 		t.Fatal(err)
 	}
 	h.clk.Advance(time.Minute)
-	if _, err := h.g.InsertMetric(in.ID, "mae", core.ScopeProduction, 9); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mae", core.ScopeProduction, 9); err != nil {
 		t.Fatal(err)
 	}
 	h.commit(t, listing1())
@@ -191,11 +191,11 @@ func TestSelectionSkipsDeprecatedCandidates(t *testing.T) {
 	old := h.upload(t, m, "sf")
 	fresh := h.upload(t, m, "sf")
 	for _, in := range []*core.Instance{old, fresh} {
-		if _, err := h.g.InsertMetric(in.ID, "mae", core.ScopeValidation, 1); err != nil {
+		if _, err := h.g.InsertMetric(context.Background(), in.ID, "mae", core.ScopeValidation, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := h.g.DeprecateInstance(fresh.ID); err != nil {
+	if err := h.g.DeprecateInstance(context.Background(), fresh.ID); err != nil {
 		t.Fatal(err)
 	}
 	h.commit(t, listing1())
@@ -218,7 +218,7 @@ func TestMultipleActionsPerRule(t *testing.T) {
 	r := listing2()
 	r.Actions = []ActionRef{{Action: "first"}, {Action: "second"}}
 	h.commit(t, r)
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
@@ -239,7 +239,7 @@ func TestActionParamsReachCallback(t *testing.T) {
 	r := listing2()
 	r.Actions = []ActionRef{{Action: "configure", Params: map[string]any{"endpoint": "http://serve/cfg", "timeout": 3.0}}}
 	h.commit(t, r)
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
@@ -258,7 +258,7 @@ func TestActionContextCarriesMetrics(t *testing.T) {
 		return nil
 	})
 	h.commit(t, listing2())
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.04); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.04); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.MetricUpdatedCtx(context.Background(), in.ID)

@@ -50,7 +50,7 @@ func Example() {
 	})
 	in, _ := reg.UploadInstance(core.InstanceSpec{ModelID: m.ID, Name: "rf-v1"}, []byte("blob"))
 
-	if _, err := reg.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.05); err != nil {
+	if _, err := reg.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.05); err != nil {
 		log.Fatal(err)
 	}
 	engine.MetricUpdatedCtx(context.Background(), in.ID) // the Fig. 8 Client 2 event

@@ -264,7 +264,7 @@ func TestSelectModelFreshestQualifying(t *testing.T) {
 	fresh := h.upload(t, m, "sf")
 	// mae: old good, mid good, fresh bad -> mid should win (freshest good).
 	for in, mae := range map[*core.Instance]float64{old: 2.0, mid: 3.0, fresh: 9.0} {
-		if _, err := h.g.InsertMetric(in.ID, "mae", core.ScopeValidation, mae); err != nil {
+		if _, err := h.g.InsertMetric(context.Background(), in.ID, "mae", core.ScopeValidation, mae); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,7 +282,7 @@ func TestSelectModelNoCandidate(t *testing.T) {
 	h := newHarness(t)
 	m := h.model(t, "linear_regression", "UberX")
 	in := h.upload(t, m, "sf")
-	if _, err := h.g.InsertMetric(in.ID, "mae", core.ScopeValidation, 99); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "mae", core.ScopeValidation, 99); err != nil {
 		t.Fatal(err)
 	}
 	h.commit(t, listing1())
@@ -298,7 +298,7 @@ func TestSelectModelSkipsWrongDomain(t *testing.T) {
 	inX := h.upload(t, mx, "sf")
 	inP := h.upload(t, mp, "sf") // fresher but wrong domain
 	for _, in := range []*core.Instance{inX, inP} {
-		if _, err := h.g.InsertMetric(in.ID, "mae", core.ScopeValidation, 1); err != nil {
+		if _, err := h.g.InsertMetric(context.Background(), in.ID, "mae", core.ScopeValidation, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -345,7 +345,7 @@ func TestRuleEngineFigure8(t *testing.T) {
 	h.commit(t, listing2())
 
 	// Out-of-threshold bias: no deployment.
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.5); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
@@ -355,7 +355,7 @@ func TestRuleEngineFigure8(t *testing.T) {
 
 	// In-threshold bias reported later: deployment fires.
 	h.clk.Advance(time.Minute)
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.05); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.05); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
@@ -384,7 +384,7 @@ func TestActionRuleAsyncWorkers(t *testing.T) {
 	const n = 16
 	for i := 0; i < n; i++ {
 		in := h.upload(t, m, fmt.Sprintf("city-%d", i))
-		if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.01); err != nil {
+		if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.01); err != nil {
 			t.Fatal(err)
 		}
 		h.eng.MetricUpdatedCtx(context.Background(), in.ID)
@@ -407,7 +407,7 @@ func TestActionErrorsAlert(t *testing.T) {
 		return errors.New("config push failed")
 	})
 	h.commit(t, listing2())
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
@@ -425,7 +425,7 @@ func TestUnknownActionAlerts(t *testing.T) {
 	m := h.model(t, "Random Forest", "UberX")
 	in := h.upload(t, m, "sf")
 	h.commit(t, listing2()) // forecasting_deployment never registered
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
@@ -441,7 +441,7 @@ func TestBuiltinAlertAction(t *testing.T) {
 	r := listing2()
 	r.Actions = []ActionRef{{Action: "alert", Params: map[string]any{"message": "bias back in range"}}}
 	h.commit(t, r)
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.MetricUpdatedCtx(context.Background(), in.ID)
@@ -463,7 +463,7 @@ func TestEnvironmentScoping(t *testing.T) {
 	r := listing2()
 	r.Environment = "staging"
 	h.commit(t, r)
-	if _, err := h.g.InsertMetric(in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
+	if _, err := h.g.InsertMetric(context.Background(), in.ID, "bias", core.ScopeValidation, 0.0); err != nil {
 		t.Fatal(err)
 	}
 	h.eng.MetricUpdatedCtx(context.Background(), in.ID) // engine is in production scope
@@ -489,12 +489,12 @@ func TestMetadataUpdateTrigger(t *testing.T) {
 		Actions: []ActionRef{{Action: "noop"}},
 	}
 	h.commit(t, r)
-	h.eng.MetadataUpdatedCtx(context.Background(), in.ID, "city")
+	h.eng.MetadataUpdated(context.Background(), in.ID, "city")
 	if fired != 1 {
 		t.Fatalf("fired = %d", fired)
 	}
 	// Updating a field the rule does not watch: no evaluation.
-	h.eng.MetadataUpdatedCtx(context.Background(), in.ID, "framework")
+	h.eng.MetadataUpdated(context.Background(), in.ID, "framework")
 	if fired != 1 {
 		t.Fatalf("fired = %d after unwatched field", fired)
 	}

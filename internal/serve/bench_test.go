@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func benchGateway(tb testing.TB, health bool) (*Gateway, string, forecast.Contex
 		History: series.Values()[len(series)-24*28:],
 		Time:    series[len(series)-1].T.Add(time.Hour),
 	}
-	if _, err := g.Predict("m1", fctx); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m1", fctx); err != nil {
 		tb.Fatal(err)
 	}
 	return g, "m1", fctx
@@ -47,7 +48,7 @@ func benchPredict(b *testing.B, health bool) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := g.Predict(id, fctx); err != nil {
+			if _, err := g.PredictCtx(context.Background(), id, fctx); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -70,7 +71,7 @@ func TestPredictAllocsWithHealthRecording(t *testing.T) {
 	measure := func(health bool) float64 {
 		g, id, fctx := benchGateway(t, health)
 		return testing.AllocsPerRun(200, func() {
-			if _, err := g.Predict(id, fctx); err != nil {
+			if _, err := g.PredictCtx(context.Background(), id, fctx); err != nil {
 				t.Fatal(err)
 			}
 		})

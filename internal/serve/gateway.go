@@ -226,14 +226,9 @@ func (g *Gateway) Close() {
 	g.wg.Wait()
 }
 
-// Predict answers one forecast query from modelID's production instance,
-// loading it on first use.
-func (g *Gateway) Predict(modelID string, fctx forecast.Context) (api.PredictResponse, error) {
-	return g.PredictCtx(context.Background(), modelID, fctx)
-}
-
-// PredictCtx is Predict with trace attribution. When the caller's context
-// carries a span, a "serve.predict" child records whether the model was
+// PredictCtx answers one forecast query from modelID's production
+// instance, loading it on first use. When the caller's context carries a
+// span, a "serve.predict" child records whether the model was
 // resident (cache=hit), mid-load by another request (coalesced), or
 // loaded by this one (miss), and the load's Gallery calls propagate the
 // trace to galleryd. With no span in ctx the path is allocation-free,

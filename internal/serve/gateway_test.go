@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -109,7 +110,7 @@ func TestPredictLoadsAndServes(t *testing.T) {
 	v := src.promote(t, "m1", 0, &forecast.Heuristic{K: 2})
 	g := newTestGateway(t, src, Options{})
 
-	resp, err := g.Predict("m1", forecast.Context{History: []float64{1, 3}})
+	resp, err := g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{1, 3}})
 	if err != nil {
 		t.Fatalf("predict: %v", err)
 	}
@@ -131,7 +132,7 @@ func TestPredictLoadsAndServes(t *testing.T) {
 
 func TestUnknownModelFails(t *testing.T) {
 	g := newTestGateway(t, newFakeSource(), Options{})
-	if _, err := g.Predict("ghost", forecast.Context{History: []float64{1}}); err == nil {
+	if _, err := g.PredictCtx(context.Background(), "ghost", forecast.Context{History: []float64{1}}); err == nil {
 		t.Fatal("predicting an unknown model succeeded")
 	}
 	if st := g.Status(); len(st) != 0 {
@@ -152,7 +153,7 @@ func TestSingleflightLoad(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = g.Predict("m1", forecast.Context{History: []float64{7}})
+			_, errs[i] = g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{7}})
 		}(i)
 	}
 	wg.Wait()
@@ -172,11 +173,11 @@ func TestLoadFailureIsRetriedLater(t *testing.T) {
 	src.fail.Store(true)
 	g := newTestGateway(t, src, Options{})
 
-	if _, err := g.Predict("m1", forecast.Context{History: []float64{1}}); err == nil {
+	if _, err := g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{1}}); err == nil {
 		t.Fatal("predict with the source down succeeded")
 	}
 	src.fail.Store(false)
-	if _, err := g.Predict("m1", forecast.Context{History: []float64{1}}); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{1}}); err != nil {
 		t.Fatalf("predict after recovery: %v", err)
 	}
 }
@@ -189,7 +190,7 @@ func TestLRUEviction(t *testing.T) {
 	g := newTestGateway(t, src, Options{MaxModels: 2})
 
 	for i := 1; i <= 3; i++ {
-		if _, err := g.Predict(fmt.Sprintf("m%d", i), forecast.Context{History: []float64{1}}); err != nil {
+		if _, err := g.PredictCtx(context.Background(), fmt.Sprintf("m%d", i), forecast.Context{History: []float64{1}}); err != nil {
 			t.Fatalf("predict m%d: %v", i, err)
 		}
 	}
@@ -204,11 +205,11 @@ func TestLRUEviction(t *testing.T) {
 	}
 
 	// Touching m2 before loading a fourth keeps it resident.
-	if _, err := g.Predict("m2", forecast.Context{History: []float64{1}}); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m2", forecast.Context{History: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	blobsBefore := src.blobCalls.Load()
-	if _, err := g.Predict("m1", forecast.Context{History: []float64{1}}); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if src.blobCalls.Load() != blobsBefore+1 {
@@ -227,7 +228,7 @@ func TestHotSwapOnPromotion(t *testing.T) {
 	g := newTestGateway(t, src, Options{})
 
 	hist := forecast.Context{History: []float64{10, 20}}
-	resp, err := g.Predict("m1", hist)
+	resp, err := g.PredictCtx(context.Background(), "m1", hist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestHotSwapOnPromotion(t *testing.T) {
 	src.promote(t, "m1", 1, &forecast.Heuristic{K: 2}) // serves mean of last 2
 	g.RefreshAll()
 
-	resp, err = g.Predict("m1", hist)
+	resp, err = g.PredictCtx(context.Background(), "m1", hist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +264,13 @@ func TestStaleDegradation(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := newTestGateway(t, src, Options{Obs: reg})
 
-	if _, err := g.Predict("m1", forecast.Context{History: []float64{5}}); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{5}}); err != nil {
 		t.Fatal(err)
 	}
 
 	src.fail.Store(true)
 	g.RefreshAll()
-	resp, err := g.Predict("m1", forecast.Context{History: []float64{5}})
+	resp, err := g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{5}})
 	if err != nil {
 		t.Fatalf("predict with the source down: %v", err)
 	}
@@ -286,7 +287,7 @@ func TestStaleDegradation(t *testing.T) {
 	// Recovery clears the flag.
 	src.fail.Store(false)
 	g.RefreshAll()
-	resp, err = g.Predict("m1", forecast.Context{History: []float64{5}})
+	resp, err = g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestConcurrentPredictionsCorrect(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := float64(i)
-			resp, err := g.Predict("m1", forecast.Context{History: []float64{want}})
+			resp, err := g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{want}})
 			if err != nil || resp.Value != want {
 				bad.Add(1)
 			}
@@ -328,7 +329,7 @@ func TestPredictAfterClose(t *testing.T) {
 	src.promote(t, "m1", 0, &forecast.Heuristic{K: 1})
 	g := New(src, Options{RefreshInterval: -1, Obs: obs.NewRegistry()})
 	g.Close()
-	if _, err := g.Predict("m1", forecast.Context{History: []float64{1}}); !errors.Is(err, ErrClosed) {
+	if _, err := g.PredictCtx(context.Background(), "m1", forecast.Context{History: []float64{1}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -42,7 +43,7 @@ func TestHealthFlushShipsWindow(t *testing.T) {
 
 	fctx := forecast.Context{History: []float64{10, 20, 30}}
 	for i := 0; i < 5; i++ {
-		if _, err := g.Predict("m1", fctx); err != nil {
+		if _, err := g.PredictCtx(context.Background(), "m1", fctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +88,7 @@ func TestHealthWindowResetOnHotSwap(t *testing.T) {
 
 	fctx := forecast.Context{History: []float64{10, 20, 30}}
 	for i := 0; i < 3; i++ {
-		if _, err := g.Predict("m1", fctx); err != nil {
+		if _, err := g.PredictCtx(context.Background(), "m1", fctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +100,7 @@ func TestHealthWindowResetOnHotSwap(t *testing.T) {
 		t.Fatalf("pre-swap window leaked through: %d reports", got)
 	}
 	// ...and post-swap traffic reports against the new instance.
-	if _, err := g.Predict("m1", fctx); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m1", fctx); err != nil {
 		t.Fatal(err)
 	}
 	g.FlushHealth()
@@ -120,7 +121,7 @@ func TestPerModelStaleCounterAndRefreshAgeGauge(t *testing.T) {
 	g := newTestGateway(t, src, Options{Obs: reg})
 
 	fctx := forecast.Context{History: []float64{10, 20, 30}}
-	if _, err := g.Predict("m1", fctx); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m1", fctx); err != nil {
 		t.Fatal(err)
 	}
 	staleName := `serve_stale_serves_total{model="m1"}`
@@ -142,7 +143,7 @@ func TestPerModelStaleCounterAndRefreshAgeGauge(t *testing.T) {
 	src.fail.Store(true)
 	g.RefreshAll()
 	for i := 0; i < 3; i++ {
-		if _, err := g.Predict("m1", fctx); err != nil {
+		if _, err := g.PredictCtx(context.Background(), "m1", fctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,11 +189,11 @@ func TestRefreshAgeGaugeRemovedOnEviction(t *testing.T) {
 	g := newTestGateway(t, src, Options{Obs: reg, MaxModels: 1})
 
 	fctx := forecast.Context{History: []float64{10, 20, 30}}
-	if _, err := g.Predict("m1", fctx); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m1", fctx); err != nil {
 		t.Fatal(err)
 	}
 	// Loading m2 evicts m1 (MaxModels=1).
-	if _, err := g.Predict("m2", fctx); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m2", fctx); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
@@ -222,14 +223,14 @@ func TestUnknownModelsLeaveNoSeries(t *testing.T) {
 	g := newTestGateway(t, src, Options{Obs: reg})
 	fctx := forecast.Context{History: []float64{10, 20, 30}}
 	for i := range 500 {
-		if _, err := g.Predict(fmt.Sprintf("ghost-%d", i), fctx); err == nil {
+		if _, err := g.PredictCtx(context.Background(), fmt.Sprintf("ghost-%d", i), fctx); err == nil {
 			t.Fatalf("unknown model ghost-%d predicted", i)
 		}
 	}
 	if got := modelSeries(reg.Snapshot()); len(got) != 0 {
 		t.Fatalf("500 unknown models left %d per-model series, e.g. %v", len(got), got[0])
 	}
-	if _, err := g.Predict("m1", fctx); err != nil {
+	if _, err := g.PredictCtx(context.Background(), "m1", fctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := modelSeries(reg.Snapshot()); len(got) != 3 {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -48,7 +49,7 @@ func testPredictRacesHotSwap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				resp, err := g.Predict("m1", hist)
+				resp, err := g.PredictCtx(context.Background(), "m1", hist)
 				total.Add(1)
 				if err != nil {
 					failed.Add(1)
@@ -109,7 +110,7 @@ func TestEvictionRacesPredictions(t *testing.T) {
 			h := NewHandler(g)
 			predict := func(id string, hist []float64) (float64, error) {
 				if via == "gateway" {
-					resp, err := g.Predict(id, forecast.Context{History: hist})
+					resp, err := g.PredictCtx(context.Background(), id, forecast.Context{History: hist})
 					return resp.Value, err
 				}
 				body, err := json.Marshal(api.PredictRequest{History: hist})

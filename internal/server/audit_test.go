@@ -75,7 +75,7 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 	}
 	eng.RegisterAction("deploy", rules.DeployAction(reg))
 	eng.RegisterAction("deprecate", func(ac *rules.ActionContext) error {
-		return reg.DeprecateInstanceCtx(ac.Ctx, ac.Instance.ID)
+		return reg.DeprecateInstance(ac.Ctx, ac.Instance.ID)
 	})
 
 	m, err := c.RegisterModel(api.RegisterModelRequest{
@@ -113,7 +113,7 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 		Obs: gwObs,
 	})
 	t.Cleanup(gw.Close)
-	if _, err := gw.Predict(m.ID, forecast.Context{History: []float64{1, 2, 3}}); err != nil {
+	if _, err := gw.PredictCtx(context.Background(), m.ID, forecast.Context{History: []float64{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,7 +144,7 @@ func TestAuditTrailEndToEnd(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 200; i++ {
 			hist := []float64{mean, mean, mean + 20*rng.NormFloat64()}
-			if _, err := gw.Predict(m.ID, forecast.Context{History: hist}); err != nil {
+			if _, err := gw.PredictCtx(context.Background(), m.ID, forecast.Context{History: hist}); err != nil {
 				t.Fatal(err)
 			}
 		}

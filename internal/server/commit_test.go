@@ -67,7 +67,7 @@ func newSyncStack(t *testing.T) *syncStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.InsertMetric(in.ID, "mape", core.ScopeProduction, 1); err != nil {
+	if _, err := reg.InsertMetric(context.Background(), in.ID, "mape", core.ScopeProduction, 1); err != nil {
 		t.Fatal(err)
 	}
 	st.settle(t)
@@ -78,7 +78,7 @@ func newSyncStack(t *testing.T) *syncStack {
 // of the loop under test alone.
 func (st *syncStack) settle(t *testing.T) {
 	t.Helper()
-	if err := st.meta.Commit(); err != nil {
+	if err := st.meta.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -196,7 +196,7 @@ func TestBackgroundLoopsCommit(t *testing.T) {
 func TestCommitOnAck(t *testing.T) {
 	write := func(st *syncStack) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			if _, err := st.reg.InsertMetricCtx(r.Context(), st.in.ID, "mape", core.ScopeProduction, 2); err != nil {
+			if _, err := st.reg.InsertMetric(r.Context(), st.in.ID, "mape", core.ScopeProduction, 2); err != nil {
 				t.Error(err)
 			}
 		}

@@ -80,6 +80,23 @@ func TestHandlerErrorPaths(t *testing.T) {
 	}
 }
 
+// TestDeepRuleExpressionRejected commits a rule whose condition nests
+// 10,000 levels deep: the parse must fail as a 400, and the server must
+// still answer afterwards rather than die of a stack overflow.
+func TestDeepRuleExpressionRejected(t *testing.T) {
+	h := newHarness(t)
+	const n = 10_000
+	when := strings.Repeat("(", n) + "metrics.mape > 1" + strings.Repeat(")", n)
+	body := `{"author":"a","message":"m","upserts":[{"uuid":"deep","team":"t","kind":"action",` +
+		`"when":"` + when + `","callback_actions":[{"action":"alert","params":{"message":"x"}}]}]}`
+	if code := h.doRaw(t, "POST", "/v1/rules", body); code != http.StatusBadRequest {
+		t.Fatalf("POST /v1/rules with %d nested levels = %d, want 400", n, code)
+	}
+	if code := h.doRaw(t, "GET", "/v1/rules", ""); code != http.StatusOK {
+		t.Fatalf("GET /v1/rules after the deep commit = %d, want 200", code)
+	}
+}
+
 // TestRuleEndpointsDisabledWithoutEngine verifies storage-only deployments
 // (tiers 1–3) reject rule traffic cleanly.
 func TestRuleEndpointsDisabledWithoutEngine(t *testing.T) {

@@ -115,7 +115,7 @@ func TestContinuousHealthEndToEnd(t *testing.T) {
 			// Heuristic{K:1} predicts the last history value, so traffic
 			// with a shifted tail shifts the model's output distribution.
 			hist := []float64{mean, mean, mean + 20*rng.NormFloat64()}
-			if _, err := gw.Predict(m.ID, forecast.Context{History: hist}); err != nil {
+			if _, err := gw.PredictCtx(context.Background(), m.ID, forecast.Context{History: hist}); err != nil {
 				t.Fatal(err)
 			}
 		}

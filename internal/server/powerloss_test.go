@@ -245,7 +245,7 @@ func checkPowerLossImage(t *testing.T, dir string, image []byte, writers []*plWr
 				}
 			case a.promoted:
 			default:
-				if in, err := reg.GetInstance(id); err != nil || in.Name != a.name {
+				if in, err := reg.GetInstance(context.Background(), id); err != nil || in.Name != a.name {
 					t.Errorf("cut %d %s: acknowledged instance %s (%s) lost: %v", cut, w.ns, a.instance, a.name, err)
 				}
 			}
@@ -258,7 +258,7 @@ func checkPowerLossImage(t *testing.T, dir string, image []byte, writers []*plWr
 		// The production pointer is where the last acknowledged move left
 		// it, or where an in-flight later one did.
 		modelID := uuid.MustParse(w.model)
-		v, err := reg.ProductionVersion(modelID)
+		v, err := reg.ProductionVersion(context.Background(), modelID)
 		if err != nil {
 			t.Errorf("cut %d %s: production version: %v", cut, w.ns, err)
 			continue

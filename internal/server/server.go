@@ -396,7 +396,7 @@ func (s *Server) handleEvolveModel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	m, err := s.reg.EvolveModelCtx(r.Context(), id, req.Description)
+	m, err := s.reg.EvolveModel(r.Context(), id, req.Description)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -467,7 +467,7 @@ func (s *Server) handleProductionVersion(w http.ResponseWriter, r *http.Request)
 		writeErr(w, err)
 		return
 	}
-	v, err := s.reg.ProductionVersionCtx(r.Context(), id)
+	v, err := s.reg.ProductionVersion(r.Context(), id)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -492,7 +492,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := s.reg.PromoteCtx(r.Context(), id); err != nil {
+	if err := s.reg.Promote(r.Context(), id); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -627,7 +627,7 @@ func (s *Server) handleGetInstance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	in, err := s.reg.GetInstanceCtx(r.Context(), id)
+	in, err := s.reg.GetInstance(r.Context(), id)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -641,7 +641,7 @@ func (s *Server) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	data, err := s.reg.FetchBlobCtx(r.Context(), id)
+	data, err := s.reg.FetchBlob(r.Context(), id)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -701,7 +701,7 @@ func (s *Server) handleDeprecateInstance(w http.ResponseWriter, r *http.Request)
 		writeErr(w, err)
 		return
 	}
-	if err := s.reg.DeprecateInstanceCtx(r.Context(), id); err != nil {
+	if err := s.reg.DeprecateInstance(r.Context(), id); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -723,7 +723,7 @@ func (s *Server) handleInsertMetric(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	m, err := s.reg.InsertMetricCtx(r.Context(), id, req.Name, core.Scope(req.Scope), req.Value)
+	m, err := s.reg.InsertMetric(r.Context(), id, req.Name, core.Scope(req.Scope), req.Value)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -871,7 +871,7 @@ func (s *Server) handleInsertMetricsBlob(w http.ResponseWriter, r *http.Request)
 		writeErr(w, err)
 		return
 	}
-	if err := s.reg.InsertMetricsBlobCtx(r.Context(), id, scope, blob); err != nil {
+	if err := s.reg.InsertMetricsBlob(r.Context(), id, scope, blob); err != nil {
 		release()
 		writeErr(w, err)
 		return

@@ -271,7 +271,7 @@ func (s *Server) authorizeInstanceWrite(r *http.Request, instanceID uuid.UUID) (
 	if s.tenants == nil {
 		return "", nil
 	}
-	in, err := s.reg.GetInstanceCtx(r.Context(), instanceID)
+	in, err := s.reg.GetInstance(r.Context(), instanceID)
 	if err != nil {
 		return "", err
 	}
@@ -296,7 +296,7 @@ func (s *Server) reserveModelQuota(r *http.Request, modelName string) (func(), e
 	if err := s.tenants.ReserveModel(r.Context(), ns); err != nil {
 		return nil, err
 	}
-	return func() { s.tenants.ReleaseModel(context.Background(), ns) }, nil
+	return func() { s.tenants.ReleaseModel(context.WithoutCancel(r.Context()), ns) }, nil
 }
 
 // releaseModelQuota returns a retired model's slot to its owning
@@ -320,5 +320,5 @@ func (s *Server) reserveBlobQuota(ctx context.Context, owner string, n int64) (f
 	if err := s.tenants.ReserveBlob(ctx, owner, n); err != nil {
 		return nil, err
 	}
-	return func() { s.tenants.ReleaseBlob(context.Background(), owner, n) }, nil
+	return func() { s.tenants.ReleaseBlob(context.WithoutCancel(ctx), owner, n) }, nil
 }

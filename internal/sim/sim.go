@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -363,7 +364,7 @@ func acquireModels(cfg *Config, rep *Report) ([]forecast.Model, error) {
 		}
 		models := make([]forecast.Model, 0, len(cfg.ModelInstanceIDs))
 		for _, id := range cfg.ModelInstanceIDs {
-			blob, err := cfg.Registry.FetchBlob(id)
+			blob, err := cfg.Registry.FetchBlob(context.Background(), id)
 			if err != nil {
 				return nil, fmt.Errorf("sim: fetch %s: %w", id, err)
 			}

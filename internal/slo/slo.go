@@ -318,7 +318,7 @@ func Open(store *relstore.Store, src Source, cfg Config) (*Service, error) {
 		gBreached:    cfg.Obs.GaugeVec("slo_breached", sloLabel, 0),
 		gBudget:      cfg.Obs.GaugeVec("slo_error_budget_remaining", sloLabel, 0),
 	}
-	rows, err := store.Select(relstore.Query{Table: Table})
+	rows, err := store.Select(context.Background(), relstore.Query{Table: Table})
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +391,7 @@ func (s *Service) Delete(ctx context.Context, id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if err := s.store.DeleteCtx(ctx, Table, id); err != nil {
+	if err := s.store.Delete(ctx, Table, id); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -560,7 +560,7 @@ func (s *Service) Evaluate(ctx context.Context) {
 	// no client waiting: commit them here, after every lock is released.
 	// They go through the audit log and the recorder, which a durable
 	// process keeps in the same metadata store as the objectives.
-	_ = s.store.CommitCtx(ctx) // sticky in the WAL; the next request reports it
+	_ = s.store.Commit(ctx) // sticky in the WAL; the next request reports it
 }
 
 func (s *Service) publishGauges(st *state) {

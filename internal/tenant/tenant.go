@@ -257,7 +257,7 @@ func Open(store *relstore.Store, opts Options) (*Manager, error) {
 // recover replays the persisted control plane into memory. WAL replay
 // already rebuilt the tables; this walks them.
 func (m *Manager) recover() error {
-	nsRows, err := m.store.Select(relstore.Query{Table: NamespacesTable})
+	nsRows, err := m.store.Select(context.Background(), relstore.Query{Table: NamespacesTable})
 	if err != nil {
 		return err
 	}
@@ -265,7 +265,7 @@ func (m *Manager) recover() error {
 		ns := rowToNamespace(r)
 		m.namespaces[ns.Name] = newNSState(ns)
 	}
-	useRows, err := m.store.Select(relstore.Query{Table: UsageTable})
+	useRows, err := m.store.Select(context.Background(), relstore.Query{Table: UsageTable})
 	if err != nil {
 		return err
 	}
@@ -274,7 +274,7 @@ func (m *Manager) recover() error {
 			st.usage = Usage{Models: r["models"].Int, BlobBytes: r["blob_bytes"].Int}
 		}
 	}
-	tokRows, err := m.store.Select(relstore.Query{Table: TokensTable})
+	tokRows, err := m.store.Select(context.Background(), relstore.Query{Table: TokensTable})
 	if err != nil {
 		return err
 	}
@@ -351,7 +351,7 @@ func (m *Manager) SetQuotas(ctx context.Context, name string, maxModels, maxBlob
 		st.MaxModels, st.MaxBlobBytes, st.RatePerSec, st.Burst)
 	st.MaxModels, st.MaxBlobBytes = maxModels, maxBlobBytes
 	st.RatePerSec, st.Burst = ratePerSec, burst
-	if err := m.store.UpdateCtx(ctx, NamespacesTable, namespaceToRow(st.Namespace)); err != nil {
+	if err := m.store.Update(ctx, NamespacesTable, namespaceToRow(st.Namespace)); err != nil {
 		return err
 	}
 	st.limiter.configure(ratePerSec, burst)
@@ -476,7 +476,7 @@ func (m *Manager) RevokeToken(ctx context.Context, tokenID string) error {
 		}
 		ts.revoked.Store(true)
 		ts.Revoked = true
-		if err := m.store.UpdateCtx(ctx, TokensTable, tokenToRow(ts.Token, hash)); err != nil {
+		if err := m.store.Update(ctx, TokensTable, tokenToRow(ts.Token, hash)); err != nil {
 			ts.revoked.Store(false)
 			ts.Revoked = false
 			return err
@@ -630,7 +630,7 @@ func (m *Manager) ReleaseBlob(ctx context.Context, namespace string, n int64) {
 // Usage is advisory accounting, so a persist failure is counted, not
 // fatal: the in-memory counters stay authoritative for this process.
 func (m *Manager) persistUsageLocked(ctx context.Context, st *nsState) {
-	if err := m.store.UpdateCtx(ctx, UsageTable, usageToRow(st.Name, st.usage)); err != nil {
+	if err := m.store.Update(ctx, UsageTable, usageToRow(st.Name, st.usage)); err != nil {
 		m.cUsageErrs.Inc()
 	}
 }
