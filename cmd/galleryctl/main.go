@@ -28,7 +28,6 @@
 //	stats
 //	metrics   [-prom]
 //	slo       create|list|delete|status ... (see `slo -h`)
-//	profile   top ... (see `profile top -h`)
 //	incident  list|get|trigger ... (see `incident -h`)
 //	traces    [-limit N | -id TRACE_ID] [-json]
 //	audit     [-entity UUID | -model UUID] [-action A] [-actor A] [-trace ID]
@@ -105,8 +104,6 @@ func main() {
 		err = cmdMetrics(c, rest)
 	case "slo":
 		err = cmdSLO(c, rest)
-	case "profile":
-		err = cmdProfile(c, rest)
 	case "incident":
 		err = cmdIncident(c, rest)
 	case "traces":

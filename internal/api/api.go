@@ -12,7 +12,6 @@ import (
 	"time"
 
 	obslog "gallery/internal/obs/log"
-	"gallery/internal/obs/profile"
 	"gallery/internal/obs/sketch"
 )
 
@@ -547,10 +546,6 @@ type ProcessSnapshot struct {
 	Logs             []obslog.Entry  `json:"logs,omitempty"`
 	GoroutineProfile string          `json:"goroutine_profile,omitempty"` // pprof debug=1 text
 	HeapProfile      string          `json:"heap_profile,omitempty"`
-	// Profiles is the continuous profiler's recent window history
-	// (newest first, all kinds interleaved) — pre-trigger evidence of
-	// where the process was spending time before the incident.
-	Profiles []profile.Summary `json:"profiles,omitempty"`
 }
 
 // Incident is one flight-recorder capture's index row.

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"gallery/internal/api"
-	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
 )
 
@@ -555,27 +554,6 @@ func (c *Client) GetIncident(id string) (api.IncidentDetail, error) {
 	return out, err
 }
 
-// DebugProfile fetches the continuous-profiling view: per-process
-// top-N function summaries merged across retained windows. merge > 0
-// restricts the fold to windows ending within that duration; topN > 0
-// bounds functions per summary.
-func (c *Client) DebugProfile(merge time.Duration, topN int) (profile.View, error) {
-	path := "/v1/debug/profile"
-	q := url.Values{}
-	if merge > 0 {
-		q.Set("merge", merge.String())
-	}
-	if topN > 0 {
-		q.Set("n", strconv.Itoa(topN))
-	}
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	var out profile.View
-	err := c.do("GET", path, nil, &out)
-	return out, err
-}
-
 // ExportSpans ships one kept trace's spans to the service's trace buffer
 // (POST /v1/debug/traces), where they merge with the spans it recorded
 // for the same trace id.
@@ -583,13 +561,7 @@ func (c *Client) ExportSpans(ctx context.Context, spans []trace.SpanData) error 
 	return c.ship(ctx, "/v1/debug/traces", trace.IngestRequest{Spans: spans})
 }
 
-// ExportProfiles ships one profiler cycle's summaries to the service's
-// fleet view (POST /v1/debug/profile).
-func (c *Client) ExportProfiles(ctx context.Context, process string, summaries []profile.Summary) error {
-	return c.ship(ctx, "/v1/debug/profile", profile.IngestRequest{Process: process, Summaries: summaries})
-}
-
-// ship posts telemetry (ExportSpans, ExportProfiles, ReportAuditEvent,
+// ship posts telemetry (ExportSpans, ReportAuditEvent,
 // ReportHealthObservations) with exactly one attempt, whatever
 // Options.Retries says. Its caller is the telemetry shipper's single
 // worker (obs.Shipper): a backoff sleep there would hold up every channel

@@ -108,15 +108,14 @@ func TestRetry429Exhausted(t *testing.T) {
 	}
 }
 
-// TestTelemetryCallsNeverRetry: the four calls the gateway's telemetry
+// TestTelemetryCallsNeverRetry: the three calls the gateway's telemetry
 // shipper makes take one attempt and never sleep, even on a 429 with a
 // Retry-After hint and a retry budget — their caller is one worker with
 // every other channel queued behind it.
 func TestTelemetryCallsNeverRetry(t *testing.T) {
 	calls := map[string]func(*Client) error{
-		"audit":    func(c *Client) error { return c.ReportAuditEvent(context.Background(), api.AuditEvent{}) },
-		"traces":   func(c *Client) error { return c.ExportSpans(context.Background(), nil) },
-		"profiles": func(c *Client) error { return c.ExportProfiles(context.Background(), "p", nil) },
+		"audit":  func(c *Client) error { return c.ReportAuditEvent(context.Background(), api.AuditEvent{}) },
+		"traces": func(c *Client) error { return c.ExportSpans(context.Background(), nil) },
 		"health": func(c *Client) error {
 			return c.ReportHealthObservations(context.Background(), api.HealthObservationsRequest{})
 		},

@@ -13,9 +13,7 @@ import (
 	"syscall"
 	"time"
 
-	"gallery/internal/obs"
 	obslog "gallery/internal/obs/log"
-	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
 	"gallery/internal/relstore"
 	"gallery/internal/tenant"
@@ -30,22 +28,16 @@ func (c *Common) tracer(process string, export func([]trace.SpanData)) (*trace.T
 	return trace.New(trace.Options{Service: process, Sampler: sampler, Exporter: export}), nil
 }
 
-// profiler sets the opt-in lock-contention sampling rates (each costs a
-// little on every contended op) and builds the continuous profiler,
-// started when the interval is positive.
-func (c *Common) profiler(process string, reg *obs.Registry, export func(string, []profile.Summary)) *profile.Profiler {
+// sampling sets the opt-in lock-contention sampling rates that -pprof's
+// /mutex and /block profiles read (each costs a little on every contended
+// op).
+func (c *Common) sampling() {
 	if c.MutexProfileFraction > 0 {
 		runtime.SetMutexProfileFraction(c.MutexProfileFraction)
 	}
 	if c.BlockProfileRate > 0 {
 		runtime.SetBlockProfileRate(c.BlockProfileRate)
 	}
-	p := profile.New(profile.Config{Process: process, Window: c.ProfileWindow, Interval: c.ProfileInterval,
-		Obs: reg, Exporter: export})
-	if c.ProfileInterval > 0 {
-		p.Start()
-	}
-	return p
 }
 
 // logging builds the log ring served at GET /v1/debug/logs and the

@@ -10,8 +10,6 @@ package daemon
 import (
 	"flag"
 	"time"
-
-	"gallery/internal/obs/profile"
 )
 
 // Tuning values with one setting in use are constants, not flags; where a
@@ -29,8 +27,6 @@ type Common struct {
 	TraceSample          string
 	Pprof                bool
 	LogLevel             string
-	ProfileInterval      time.Duration
-	ProfileWindow        time.Duration
 	MutexProfileFraction int
 	BlockProfileRate     int
 	Auth                 bool
@@ -43,8 +39,6 @@ func (c *Common) flags(fs *flag.FlagSet, addr string) {
 	fs.StringVar(&c.TraceSample, "trace-sample", "errslow:250ms", "trace sampler: never | always | errslow:<dur> | <probability 0..1>")
 	fs.BoolVar(&c.Pprof, "pprof", false, "expose net/http/pprof under /v1/debug/pprof/ (profiles can leak memory contents; opt-in)")
 	fs.StringVar(&c.LogLevel, "log-level", "info", "min level entering the /v1/debug/logs ring: debug|info|warn|error")
-	fs.DurationVar(&c.ProfileInterval, "profile-interval", profile.DefaultInterval, "continuous-profiler cycle period (negative disables the capture loop)")
-	fs.DurationVar(&c.ProfileWindow, "profile-window", profile.DefaultWindow, "CPU sampling window per profiler cycle")
 	fs.IntVar(&c.MutexProfileFraction, "mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction: sample 1/n mutex contention events (0 disables)")
 	fs.IntVar(&c.BlockProfileRate, "block-profile-rate", 0, "runtime.SetBlockProfileRate: sample blocking events >= n ns (0 disables)")
 	fs.BoolVar(&c.Auth, "auth", false, "enforce the multi-tenant control plane: bearer tokens, roles, rate limits (galleryd also charges quotas; galleryserve needs -token-file)")

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -22,12 +23,8 @@ import (
 	"gallery/internal/client"
 	"gallery/internal/forecast"
 	"gallery/internal/obs"
-	"gallery/internal/obs/profile"
+	"gallery/internal/obs/trace"
 )
-
-// quiet keeps test daemons off the process's one CPU profile; later
-// arguments override it.
-var quiet = []string{"-profile-interval", "-1s"}
 
 // parseConfig fills a config from its defaults and args, the way main
 // does with the command line.
@@ -40,13 +37,13 @@ func parseConfig(t testing.TB, flags func(*flag.FlagSet), args []string) {
 
 func gallerydConfig(t testing.TB, args ...string) GallerydConfig {
 	var c GallerydConfig
-	parseConfig(t, c.Flags, append(append(slices.Clone(quiet), "-dump-metrics=false"), args...))
+	parseConfig(t, c.Flags, append([]string{"-dump-metrics=false"}, args...))
 	return c
 }
 
 func galleryserveConfig(t testing.TB, args ...string) GalleryserveConfig {
 	var c GalleryserveConfig
-	parseConfig(t, c.Flags, append(slices.Clone(quiet), args...))
+	parseConfig(t, c.Flags, args)
 	return c
 }
 
@@ -112,8 +109,8 @@ func TestFlagsMatchGolden(t *testing.T) {
 		flags  func(*flag.FlagSet)
 		fields int
 	}{
-		{"galleryd", &GallerydConfig{}, (&GallerydConfig{}).Flags, 21},
-		{"galleryserve", &GalleryserveConfig{}, (&GalleryserveConfig{}).Flags, 18},
+		{"galleryd", &GallerydConfig{}, (&GallerydConfig{}).Flags, 19},
+		{"galleryserve", &GalleryserveConfig{}, (&GalleryserveConfig{}).Flags, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet(tc.name, flag.ContinueOnError)
@@ -439,49 +436,138 @@ func TestConfigErrors(t *testing.T) {
 	gd.Close()
 }
 
-// TestGatewayCloseShipsLastWindow closes a gateway while its profiler is
-// in the middle of a CPU window. Stop cuts the window short and exports
-// it; Close must still be able to ship it, so galleryd's fleet view then
-// holds both processes: galleryd's own short boot cycle, finished before
-// the gateway opens its window, and the gateway's interrupted CPU window,
-// with nothing dropped or failed on the way.
-func TestGatewayCloseShipsLastWindow(t *testing.T) {
-	gd, err := NewGalleryd(gallerydConfig(t, "-mem", "-profile-interval", "1h", "-profile-window", "20ms"))
+// TestGatewayCloseShipsQueuedTraces: a gateway's Close sends what its
+// shipper already holds before it stops. The gateway samples every
+// request and is closed while it serves one predict, in the order the
+// binary closes: the HTTP drain, then Close. galleryd is slow both to
+// serve the model blob, so the predict is still in flight when closing
+// begins, and to accept trace shipments, so the gateway's one shipment
+// is still on its way when Close is called. When Close returns,
+// galleryd's trace buffer must hold the gateway's spans, with nothing
+// dropped or failed on the way.
+func TestGatewayCloseShipsQueuedTraces(t *testing.T) {
+	gd, err := NewGalleryd(gallerydConfig(t, "-mem", "-health-interval", "-1s", "-slo-interval", "-1s"))
 	must(t, err)
 	defer gd.Close()
-	ts := httptest.NewServer(gd.Handler())
+	loading := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/blob"):
+			select {
+			case loading <- struct{}{}:
+			default:
+			}
+			time.Sleep(100 * time.Millisecond)
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/debug/traces":
+			time.Sleep(200 * time.Millisecond)
+		}
+		gd.Handler().ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	c := client.New(ts.URL, nil)
-	// Only one CPU profile runs per process: let galleryd's boot window
-	// close first.
-	must(t, waitFor(func() bool {
-		view, err := c.DebugProfile(0, 5)
-		return err == nil && len(view.Processes) == 1
-	}))
-
-	gw, err := NewGalleryserve(galleryserveConfig(t, "-gallery", ts.URL, "-refresh", "-1s", "-health-flush", "-1s",
-		"-profile-interval", "1h", "-profile-window", "1h"))
+	m, err := c.RegisterModel(api.RegisterModelRequest{BaseVersionID: "bv-close", Name: "demand", Domain: "UberX"})
 	must(t, err)
-	time.Sleep(50 * time.Millisecond) // let the first window open
-	must(t, gw.Close())
-
-	view, err := c.DebugProfile(0, 5)
+	blob, err := forecast.Encode(&forecast.Heuristic{K: 1})
 	must(t, err)
-	processes := map[string]bool{}
-	for _, pv := range view.Processes {
-		processes[pv.Process] = true
-		if pv.Process == "galleryserve" && pv.Windows[profile.KindCPU] != 1 {
-			t.Errorf("gateway CPU windows = %d, want its one interrupted window", pv.Windows[profile.KindCPU])
+	must(t, second(c.UploadInstance(api.UploadInstanceRequest{ModelID: m.ID, Name: "first", City: "sf", Blob: blob})))
+
+	gw, err := NewGalleryserve(galleryserveConfig(t, "-gallery", ts.URL, "-trace-sample", "always",
+		"-refresh", "-1s", "-health-flush", "-1s"))
+	must(t, err)
+	gwTS := httptest.NewServer(gw.Handler())
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	req, err := http.NewRequest(http.MethodPost, gwTS.URL+"/v1/predict/"+m.ID, strings.NewReader(`{"history":[10,20]}`))
+	must(t, err)
+	req.Header.Set("traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			status <- 0
+			return
 		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-loading
+	gwTS.Close()
+	must(t, gw.Close())
+	if code := <-status; code != http.StatusOK {
+		t.Fatalf("predict = %d", code)
 	}
-	if len(processes) != 2 || !processes["galleryd"] || !processes["galleryserve"] {
-		t.Fatalf("galleryd's profile view covers %+v, want galleryd and galleryserve", view.Processes)
+
+	raw, err := c.DebugTrace(traceID)
+	must(t, err)
+	var d trace.Detail
+	must(t, json.Unmarshal(raw, &d))
+	if !slices.Contains(d.Summary.Services, "galleryserve") {
+		t.Errorf("galleryd's trace %s covers %v after the gateway closed, want galleryserve's spans too", traceID, d.Summary.Services)
 	}
 	snap := metricsSnapshot(t, gw.Handler())
-	for _, name := range []string{`telemetry_dropped_total{channel="profiles"}`, `telemetry_failed_total{channel="profiles"}`} {
+	for _, name := range []string{`telemetry_dropped_total{channel="traces"}`, `telemetry_failed_total{channel="traces"}`} {
 		if v, ok := snap.Counters[name]; !ok || v != 0 {
 			t.Errorf("gateway %s = %d (present %v), want 0", name, v, ok)
 		}
+	}
+}
+
+// TestPprofCPUProfileAtBoot: with -pprof, a CPU profile pull made in a
+// daemon's first second answers 200 with a gzipped profile, and so does
+// the pull straight after it. Nothing else in the process holds the one
+// CPU profile the runtime allows.
+func TestPprofCPUProfileAtBoot(t *testing.T) {
+	boots := map[string]func() (http.Handler, func() error, error){
+		"galleryd": func() (http.Handler, func() error, error) {
+			gd, err := NewGalleryd(gallerydConfig(t, "-mem", "-pprof"))
+			if err != nil {
+				return nil, nil, err
+			}
+			return gd.Handler(), gd.Close, nil
+		},
+		"galleryserve": func() (http.Handler, func() error, error) {
+			gw, err := NewGalleryserve(galleryserveConfig(t, "-pprof", "-gallery", "http://127.0.0.1:1",
+				"-refresh", "-1s", "-health-flush", "-1s"))
+			if err != nil {
+				return nil, nil, err
+			}
+			return gw.Handler(), gw.Close, nil
+		},
+	}
+	for name, boot := range boots {
+		t.Run(name, func(t *testing.T) {
+			start := time.Now()
+			h, closeFn, err := boot()
+			must(t, err)
+			defer closeFn()
+			ts := httptest.NewServer(h)
+			defer ts.Close()
+			if since := time.Since(start); since > time.Second {
+				t.Fatalf("boot took %v, past the first second", since)
+			}
+			for i := range 2 {
+				resp, err := http.Get(ts.URL + "/v1/debug/pprof/profile?seconds=1")
+				must(t, err)
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				must(t, err)
+				if resp.StatusCode != http.StatusOK || !bytes.HasPrefix(body, []byte{0x1f, 0x8b}) {
+					t.Fatalf("pull %d: %d, %d bytes %q, want 200 and a gzip body", i+1, resp.StatusCode, len(body), body[:min(len(body), 80)])
+				}
+			}
+		})
+	}
+}
+
+// TestMutexProfileFraction: -mutex-profile-fraction reaches the runtime,
+// which is where -pprof's /mutex profile reads it.
+func TestMutexProfileFraction(t *testing.T) {
+	old := runtime.SetMutexProfileFraction(-1)
+	defer runtime.SetMutexProfileFraction(old)
+	gd, err := NewGalleryd(gallerydConfig(t, "-mem", "-mutex-profile-fraction", "5"))
+	must(t, err)
+	defer gd.Close()
+	if got := runtime.SetMutexProfileFraction(-1); got != 5 {
+		t.Fatalf("mutex profile fraction = %d, want 5", got)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"gallery/internal/incident"
 	"gallery/internal/obs"
 	"gallery/internal/obs/httpmw"
-	"gallery/internal/obs/profile"
 	"gallery/internal/relstore"
 	"gallery/internal/rules"
 	"gallery/internal/server"
@@ -25,8 +24,8 @@ import (
 )
 
 // Galleryd is an assembled registry service: stores, registry core, rule
-// engine, health, SLO, incidents, profiler and the HTTP server, all
-// reporting into one metrics registry.
+// engine, health, SLO, incidents and the HTTP server, all reporting into
+// one metrics registry.
 type Galleryd struct {
 	obs                          *obs.Registry
 	meta                         *relstore.Store
@@ -50,6 +49,7 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
+	cfg.sampling()
 	tracer, err := cfg.tracer("galleryd", nil)
 	if err != nil {
 		return nil, err
@@ -110,17 +110,11 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 	// to it on their next refresh.
 	engine.RegisterAction("deploy", rules.DeployAction(d.reg))
 
-	// The local profiler exports into the fleet store gateways also ship
-	// into.
-	fleet := profile.NewFleet()
-	profiler := cfg.profiler("galleryd", d.obs, fleet.Ingest)
-	d.stops.add(noErr(profiler.Stop))
-
 	// The recorder tails the log ring; the health monitor and SLO evaluator
 	// are bound to it later (they want it as a sink, it wants their state).
 	logs, accessLog := cfg.logging()
 	recorder, err := incident.Open(d.reg.DAL(), incident.Config{
-		Obs: d.obs, Tracer: tracer, Logs: logs, Audit: d.reg.Audit(), Profiles: profiler.Ring(),
+		Obs: d.obs, Tracer: tracer, Logs: logs, Audit: d.reg.Audit(),
 		Gateway: cfg.IncidentGateway, GatewayToken: cfg.IncidentGatewayToken,
 	})
 	if err != nil {
@@ -148,7 +142,7 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 
 	opts := server.Options{
 		Obs: d.obs, Tracer: tracer, Pprof: cfg.Pprof, Health: monitor, Logs: logs,
-		AccessLog: accessLog, Incidents: recorder, Profiles: fleet,
+		AccessLog: accessLog, Incidents: recorder,
 	}
 	if cfg.Auth {
 		// Namespaces, token hashes and quota usage replay out of the same

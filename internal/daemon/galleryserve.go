@@ -11,15 +11,14 @@ import (
 	"gallery/internal/client"
 	"gallery/internal/forecast"
 	"gallery/internal/obs"
-	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
 	"gallery/internal/relstore"
 	"gallery/internal/serve"
 	"gallery/internal/tenant"
 )
 
-// Galleryserve is an assembled serving gateway: model cache, profiler,
-// telemetry shipper back to galleryd and the HTTP handler, all reporting
+// Galleryserve is an assembled serving gateway: model cache, telemetry
+// shipper back to galleryd and the HTTP handler, all reporting
 // into one metrics registry.
 type Galleryserve struct {
 	handler *serve.Handler
@@ -41,11 +40,11 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 	if cfg.Auth && cfg.TokenFile == "" {
 		return nil, errors.New("-auth requires -token-file (a gateway has no durable store to mint from)")
 	}
+	cfg.sampling()
 	cl := client.NewWith(cfg.Gallery, client.Options{Retries: gatewayRetries, Actor: "gateway:" + cfg.Name, Token: cfg.Token})
-	// Kept traces, profile summaries, health windows and hot-swap audit
-	// events ride one queue through the one client (same token; a slow
-	// galleryd costs counted drops, never latency). It closes after all
-	// that feeds it.
+	// Kept traces, health windows and hot-swap audit events ride one
+	// queue through the one client (same token; a slow galleryd costs
+	// counted drops, never latency). It closes after all that feeds it.
 	ship := obs.NewShipper(reg)
 	g.stops.add(noErr(ship.Close))
 	// Kept traces land in galleryd's trace buffer, so a predict request
@@ -86,16 +85,9 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 		}
 	}
 
-	// Profile windows ship to galleryd's fleet store; the local ring serves
-	// GET /v1/debug/profile here and rides incident bundle pulls.
-	profiler := cfg.profiler("galleryserve", reg, func(process string, summaries []profile.Summary) {
-		ship.Export(obs.ChannelProfiles, func(ctx context.Context) error { return cl.ExportProfiles(ctx, process, summaries) })
-	})
-	g.stops.add(noErr(profiler.Stop))
-
 	ring, accessLog := cfg.logging()
 	opts := []serve.HandlerOption{serve.WithTracer(tracer), serve.WithLogRing(ring),
-		serve.WithAccessLog(accessLog), serve.WithProfiler(profiler)}
+		serve.WithAccessLog(accessLog)}
 	if cfg.Pprof {
 		opts = append(opts, serve.WithPprof())
 	}
@@ -118,8 +110,7 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 func (g *Galleryserve) Handler() http.Handler { return g.handler }
 
 // Close stops the producers of telemetry first and the shipper last: the
-// profiler (whose interrupted CPU window is exported on the way out), then
-// the gateway (whose refresh loop may report a last hot swap and whose
-// health loop cuts a last window), then the shipper, which sends what they
-// queued.
+// gateway (whose refresh loop may report a last hot swap and whose health
+// loop cuts a last window), then the shipper, which sends what they and
+// the requests already served queued.
 func (g *Galleryserve) Close() error { return g.stops.close() }

@@ -19,11 +19,10 @@ import (
 )
 
 // Flags both daemons run with under requestScript: every background loop
-// ticks within the script except the profiler's, which would fight the
-// other daemon in the same test process for the one CPU profile.
+// ticks within the script.
 var (
-	scriptGallerydArgs     = []string{"-mem", "-auth", "-trace-sample", "always", "-profile-interval", "-1s", "-health-interval", "50ms", "-slo-interval", "50ms"}
-	scriptGalleryserveArgs = []string{"-auth", "-trace-sample", "always", "-profile-interval", "-1s", "-refresh", "50ms", "-health-flush", "50ms"}
+	scriptGallerydArgs     = []string{"-mem", "-auth", "-trace-sample", "always", "-health-interval", "50ms", "-slo-interval", "50ms"}
+	scriptGalleryserveArgs = []string{"-auth", "-trace-sample", "always", "-refresh", "50ms", "-health-flush", "50ms"}
 )
 
 // requestScript is the fixed request sequence behind the metric-family
@@ -95,7 +94,6 @@ func requestScript(gd, gw *client.Client) (err error) {
 		step("traces", second(c.DebugTraces(10)))
 		step("metrics", second(c.DebugMetrics()))
 	}
-	step("profile", second(gd.DebugProfile(0, 5)))
 	// Let the health flush, the monitor and the SLO evaluator tick over
 	// what the script did.
 	time.Sleep(300 * time.Millisecond)

@@ -86,8 +86,8 @@ const (
 // count is process-wide, so only the measured requests may allocate. The
 // sampler and the log level stay at their defaults.
 var (
-	mtGallerydArgs     = []string{"-mem", "-profile-interval", "-1s", "-health-interval", "-1s", "-slo-interval", "-1s", "-dump-metrics=false"}
-	mtGalleryserveArgs = []string{"-profile-interval", "-1s", "-refresh", "-1s", "-health-flush", "-1s"}
+	mtGallerydArgs     = []string{"-mem", "-health-interval", "-1s", "-slo-interval", "-1s", "-dump-metrics=false"}
+	mtGalleryserveArgs = []string{"-refresh", "-1s", "-health-flush", "-1s"}
 )
 
 // MultiTenant runs E22 with n measured ops per hot-path arm.

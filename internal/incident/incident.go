@@ -37,7 +37,6 @@ import (
 	"gallery/internal/dal"
 	"gallery/internal/obs"
 	obslog "gallery/internal/obs/log"
-	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
 	"gallery/internal/relstore"
 	"gallery/internal/slo"
@@ -59,10 +58,9 @@ const (
 	// marked partial rather than blocked.
 	gatewayTimeout = 2 * time.Second
 	// The tails each bundle section holds.
-	logTail     = 256
-	traceTail   = 64
-	auditTail   = 64
-	profileTail = 16
+	logTail   = 256
+	traceTail = 64
+	auditTail = 64
 )
 
 // maxProfileBytes bounds each embedded pprof text profile so one huge
@@ -114,13 +112,6 @@ type SLOStatuser interface {
 	Statuses() []slo.Status
 }
 
-// ProfileHistory supplies the bundle's continuous-profiling tail:
-// recent window summaries across kinds, newest first. *profile.Ring
-// satisfies it.
-type ProfileHistory interface {
-	History(limit int) []profile.Summary
-}
-
 // Config wires a Recorder into one process.
 type Config struct {
 	// Obs is the registry snapshotted into bundles; also home of the
@@ -138,9 +129,6 @@ type Config struct {
 	// components that want the recorder as their event sink).
 	Health HealthLister
 	SLO    SLOStatuser
-	// Profiles is the continuous profiler's window ring, tailed into the
-	// local process snapshot as pre-trigger evidence; may be nil.
-	Profiles ProfileHistory
 
 	// Gateway is the serving gateway's base URL for the cross-process
 	// half of a bundle; empty skips the pull.
@@ -260,7 +248,7 @@ func (r *Recorder) capture(ctx context.Context, t Trigger, now time.Time, health
 	}
 
 	b := api.IncidentBundle{
-		Registry: SnapshotProcess("galleryd", r.cfg.Obs, r.cfg.Tracer, r.cfg.Logs, r.cfg.Profiles, now),
+		Registry: SnapshotProcess("galleryd", r.cfg.Obs, r.cfg.Tracer, r.cfg.Logs, now),
 	}
 	if r.cfg.Gateway != "" {
 		gs, err := r.fetchGateway(ctx)
@@ -404,10 +392,9 @@ func (r *Recorder) Get(ctx context.Context, id string) (api.Incident, api.Incide
 
 // SnapshotProcess freezes one process's observability state: metric
 // registry (JSON and Prometheus text), trace-ring tail, log-ring tail,
-// continuous-profiler window history, goroutine and heap profiles, and
-// build info. It is what the serving gateway serves at
+// goroutine and heap profiles, and build info. It is what the serving gateway serves at
 // GET /v1/debug/bundle and what the recorder embeds for its own process.
-func SnapshotProcess(service string, reg *obs.Registry, tracer *trace.Tracer, logs *obslog.Ring, profiles ProfileHistory, now time.Time) api.ProcessSnapshot {
+func SnapshotProcess(service string, reg *obs.Registry, tracer *trace.Tracer, logs *obslog.Ring, now time.Time) api.ProcessSnapshot {
 	ps := api.ProcessSnapshot{
 		Service:  service,
 		Captured: now,
@@ -438,9 +425,6 @@ func SnapshotProcess(service string, reg *obs.Registry, tracer *trace.Tracer, lo
 	}
 	if logs != nil {
 		ps.Logs, _ = logs.Entries(obslog.Filter{Limit: logTail})
-	}
-	if profiles != nil {
-		ps.Profiles = profiles.History(profileTail)
 	}
 	ps.GoroutineProfile = profileText("goroutine")
 	ps.HeapProfile = profileText("heap")

@@ -1,14 +1,18 @@
 package incident
 
 import (
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +24,6 @@ import (
 	"gallery/internal/dal"
 	"gallery/internal/obs"
 	obslog "gallery/internal/obs/log"
-	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
 	"gallery/internal/relstore"
 	"gallery/internal/uuid"
@@ -319,93 +322,88 @@ func TestAuditTailScoping(t *testing.T) {
 	}
 }
 
-func TestBundleEmbedsProfileHistory(t *testing.T) {
-	// Hand-feed a profiler ring two windows so the capture has
-	// pre-trigger evidence to embed, then restart the stores: the
-	// history must ride the bundle blob through the WAL replay.
-	ring := profile.NewRing()
-	ring.Add(profile.Summary{
-		Kind: profile.KindCPU, Unit: "nanoseconds", Total: 1000, Samples: 10,
-		Start: t0.Add(-time.Minute), End: t0.Add(-50 * time.Second),
-		Top: []profile.FuncStat{{Name: "gallery/internal/forecast.hot", Self: 900, SelfShare: 0.9}},
-	})
-	ring.Add(profile.Summary{
-		Kind: profile.KindHeap, Unit: "bytes", Total: 1 << 20,
-		Start: t0.Add(-30 * time.Second), End: t0.Add(-30 * time.Second),
-	})
-
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "meta.wal")
-	open := func() (*dal.DAL, func()) {
-		meta, err := relstore.Open(walPath, wal.Options{})
-		if err != nil {
-			t.Fatal(err)
+// TestGetReadsBundleWithProfiles: bundles persisted while the daemons ran
+// a continuous profiler carry a "profiles" array in each process
+// snapshot. testdata/bundle-with-profiles.json.gz is one such blob, as a
+// galleryd and galleryserve pair of that time wrote it. Get still reads
+// it, every field but the dropped key intact.
+func TestGetReadsBundleWithProfiles(t *testing.T) {
+	f, err := os.Open("testdata/bundle-with-profiles.json.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]any
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []string{"registry", "gateway"} {
+		snap, _ := want[side].(map[string]any)
+		if _, ok := snap["profiles"]; !ok {
+			t.Fatalf("fixture's %s snapshot has no profiles array", side)
 		}
-		blobs, err := blobstore.NewDisk(filepath.Join(dir, "blobs"), blobstore.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dal.New(meta, blobs, dal.Options{Obs: obs.NewRegistry()}), func() { blobs.Close(); meta.Close() }
+		delete(snap, "profiles")
 	}
 
-	d, cleanup := open()
-	r, err := Open(d, Config{Obs: obs.NewRegistry(), Clock: clock.NewMock(t0), UUIDs: uuid.NewSeeded(13), Profiles: ring})
-	if err != nil {
+	// The index row is the one capture writes: the bundle's incident with
+	// the blob's size, which Get stamps back onto the bundle.
+	var stored api.IncidentBundle
+	if err := json.Unmarshal(blob, &stored); err != nil {
 		t.Fatal(err)
 	}
-	inc, err := r.Trigger(context.Background(), Trigger{Kind: "rule", Namespace: "maps", Reason: "cpu regression"})
-	if err != nil {
+	inc := stored.Incident
+	inc.Size = int64(len(blob))
+	want["incident"].(map[string]any)["size"] = float64(inc.Size)
+	r, _, _ := harness(t, Config{})
+	ctx := context.Background()
+	if _, err := r.d.InsertWithBlob(ctx, Table, rowOf(inc), "location", "incident-"+inc.ID, blob); err != nil {
 		t.Fatal(err)
 	}
-	_, bundle, err := r.Get(context.Background(), inc.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bundle.Registry.Profiles) != 2 {
-		t.Fatalf("bundle profiles = %d summaries, want 2", len(bundle.Registry.Profiles))
-	}
-	// Newest first: the heap snapshot was added last.
-	if bundle.Registry.Profiles[0].Kind != profile.KindHeap || bundle.Registry.Profiles[1].Kind != profile.KindCPU {
-		t.Fatalf("profile history order wrong: %+v", bundle.Registry.Profiles)
-	}
-	if top := bundle.Registry.Profiles[1].Top; len(top) != 1 || top[0].Name != "gallery/internal/forecast.hot" {
-		t.Fatalf("cpu top functions lost in capture: %+v", top)
-	}
-	cleanup()
 
-	d2, cleanup2 := open()
-	defer cleanup2()
-	r2, err := Open(d2, Config{Obs: obs.NewRegistry(), Clock: clock.NewMock(t0), UUIDs: uuid.NewSeeded(14)})
+	_, bundle, err := r.Get(ctx, inc.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bundle2, err := r2.Get(context.Background(), inc.ID)
+	raw, err := json.Marshal(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bundle2.Registry.Profiles) != 2 || bundle2.Registry.Profiles[1].Total != 1000 {
-		t.Fatalf("post-restart profile history degraded: %+v", bundle2.Registry.Profiles)
+	var got map[string]any
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
 	}
+	diffFields(t, "bundle", got, want)
 }
 
-func TestProfileTailBounded(t *testing.T) {
-	ring := profile.NewRing()
-	for i := 0; i < 40; i++ {
-		ring.Add(profile.Summary{Kind: profile.KindCPU, Total: int64(i), End: t0.Add(time.Duration(i) * time.Second)})
+// diffFields reports every field of two decoded JSON objects that differs,
+// descending into nested objects.
+func diffFields(t *testing.T, path string, got, want map[string]any) {
+	t.Helper()
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok {
+			t.Errorf("%s.%s lost", path, k)
+			continue
+		}
+		gm, gok := g.(map[string]any)
+		wm, wok := w.(map[string]any)
+		if gok && wok {
+			diffFields(t, path+"."+k, gm, wm)
+		} else if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s.%s = %.200v, want %.200v", path, k, g, w)
+		}
 	}
-	r, _, _ := harness(t, Config{Profiles: ring})
-	inc, err := r.Trigger(context.Background(), Trigger{Kind: "manual", Namespace: "maps"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, bundle, err := r.Get(context.Background(), inc.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bundle.Registry.Profiles) != profileTail {
-		t.Fatalf("profile tail = %d, want %d (profileTail bound ignored)", len(bundle.Registry.Profiles), profileTail)
-	}
-	if bundle.Registry.Profiles[0].Total != 39 {
-		t.Fatalf("tail not newest-first: %+v", bundle.Registry.Profiles[0])
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s.%s appeared", path, k)
+		}
 	}
 }

@@ -8,10 +8,9 @@ import (
 
 // Telemetry channels a Shipper reports on.
 const (
-	ChannelTraces   = "traces"
-	ChannelProfiles = "profiles"
-	ChannelAudit    = "audit"
-	ChannelHealth   = "health"
+	ChannelTraces = "traces"
+	ChannelAudit  = "audit"
+	ChannelHealth = "health"
 )
 
 // ChannelRules is the rules engine's trigger queue, which counts what it
@@ -28,8 +27,7 @@ func Dropped(reg *Registry) *CounterVec {
 const (
 	// shipQueue bounds shipments waiting for the worker: at one kept trace
 	// per slow or failed request that is a burst of 64 before the first
-	// drop, and a profile cycle, a health window or a hot swap adds one
-	// each.
+	// drop, and a health window or a hot swap adds one each.
 	shipQueue = 64
 	// shipTimeout bounds one send, so a peer that accepts and never
 	// answers costs the queue five seconds, not the worker.
@@ -37,8 +35,8 @@ const (
 )
 
 // Shipper is the one outbound path for telemetry nobody waits for: a
-// gateway's kept traces, profile summaries, health windows and hot-swap
-// audit reports all ride its single bounded queue to one worker. Export
+// gateway's kept traces, health windows and hot-swap audit reports all
+// ride its single bounded queue to one worker. Export
 // never blocks — a full queue, or a closed Shipper, drops the shipment —
 // and the worker calls each send once. What is lost is counted per channel in the
 // registry the Shipper was built over, so the observability stack reports
@@ -74,7 +72,7 @@ func NewShipper(reg *Registry) *Shipper {
 		done:    make(chan struct{}),
 	}
 	s.idle = sync.NewCond(&s.mu)
-	for _, c := range []string{ChannelTraces, ChannelProfiles, ChannelAudit, ChannelHealth} {
+	for _, c := range []string{ChannelTraces, ChannelAudit, ChannelHealth} {
 		s.dropped.With(c)
 		s.failed.With(c)
 	}

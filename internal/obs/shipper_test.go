@@ -33,26 +33,26 @@ func TestShipper(t *testing.T) {
 	t.Run("failure is counted on its own channel", func(t *testing.T) {
 		reg := NewRegistry()
 		s := NewShipper(reg)
-		s.Export(ChannelProfiles, func(context.Context) error { return errors.New("peer down") })
+		s.Export(ChannelHealth, func(context.Context) error { return errors.New("peer down") })
 		s.Export(ChannelTraces, func(context.Context) error { return nil })
 		s.Close()
 		failed := reg.CounterVec("telemetry_failed_total", []string{"channel"}, 0)
-		if failed.Peek(ChannelProfiles).Value() != 1 || failed.Peek(ChannelTraces).Value() != 0 || reg.SumCounters("telemetry_dropped") != 0 {
-			t.Fatalf("failed profiles=%d traces=%d dropped=%d", failed.Peek(ChannelProfiles).Value(),
+		if failed.Peek(ChannelHealth).Value() != 1 || failed.Peek(ChannelTraces).Value() != 0 || reg.SumCounters("telemetry_dropped") != 0 {
+			t.Fatalf("failed health=%d traces=%d dropped=%d", failed.Peek(ChannelHealth).Value(),
 				failed.Peek(ChannelTraces).Value(), reg.SumCounters("telemetry_dropped"))
 		}
 	})
 
-	// A producer that outlives the shipper (a profiler window cut short by
+	// A producer that outlives the shipper (a health window cut by
 	// shutdown) loses its shipment; the loss must show in the counter.
 	t.Run("export after close is counted as dropped", func(t *testing.T) {
 		reg := NewRegistry()
 		s := NewShipper(reg)
 		s.Close()
-		s.Export(ChannelProfiles, func(context.Context) error { t.Error("sent after Close"); return nil })
+		s.Export(ChannelHealth, func(context.Context) error { t.Error("sent after Close"); return nil })
 		dropped := reg.CounterVec("telemetry_dropped_total", []string{"channel"}, 0)
-		if got := dropped.Peek(ChannelProfiles).Value(); got != 1 {
-			t.Fatalf("telemetry_dropped_total{channel=profiles} = %d, want 1", got)
+		if got := dropped.Peek(ChannelHealth).Value(); got != 1 {
+			t.Fatalf("telemetry_dropped_total{channel=health} = %d, want 1", got)
 		}
 	})
 

@@ -17,7 +17,6 @@ import (
 	"gallery/internal/obs"
 	"gallery/internal/obs/httpmw"
 	obslog "gallery/internal/obs/log"
-	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
 )
 
@@ -35,7 +34,6 @@ type Handler struct {
 	logs      *obslog.Ring
 	auth      httpmw.Authorizer
 	pprof     bool
-	profiler  *profile.Profiler
 	red       predictRED
 	nsOf      func(*http.Request) string
 	h         http.Handler
@@ -87,13 +85,6 @@ func WithLogRing(r *obslog.Ring) HandlerOption {
 	return func(h *Handler) { h.logs = r }
 }
 
-// WithProfiler serves the continuous profiler's local window ring at
-// GET /v1/debug/profile (the single-process view galleryd's fleet
-// endpoint merges) and tails its history into GET /v1/debug/bundle.
-func WithProfiler(p *profile.Profiler) HandlerOption {
-	return func(h *Handler) { h.profiler = p }
-}
-
 // WithAuthorizer gates every route (except GET /v1/healthz, which the
 // authorizer exempts for load-balancer probes) behind the multi-tenant
 // control plane — the same bearer-token → role → rate-limit pipeline
@@ -125,9 +116,6 @@ func NewHandler(gw *Gateway, opts ...HandlerOption) *Handler {
 	h.mux.HandleFunc("GET /v1/debug/bundle", h.handleBundle)
 	h.mux.HandleFunc("GET /v1/healthz", h.handleHealthz)
 	httpmw.RegisterDebug(h.mux.HandleFunc, h.obs, h.tracer, h.logs)
-	if h.profiler != nil {
-		h.mux.HandleFunc("GET /v1/debug/profile", h.handleProfile)
-	}
 	if h.pprof {
 		httpmw.RegisterPprof(h.mux)
 	}
@@ -272,35 +260,13 @@ func (h *Handler) handleServing(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBundle serves this process's full observability snapshot —
-// metrics, trace and log tails, profiles, build info — for galleryd's
-// incident flight recorder to fold into a cross-process bundle.
+// metrics, trace and log tails, goroutine and heap profiles, build info —
+// for galleryd's incident flight recorder to fold into a cross-process
+// bundle.
 func (h *Handler) handleBundle(w http.ResponseWriter, r *http.Request) {
-	var hist incident.ProfileHistory
-	if h.profiler != nil {
-		hist = h.profiler.Ring()
-	}
 	w.Header().Set("Cache-Control", "no-store")
 	httpmw.WriteJSON(w, http.StatusOK,
-		incident.SnapshotProcess("galleryserve", h.obs, h.tracer, h.logs, hist, time.Now()))
-}
-
-// handleProfile serves the local continuous-profiling view: this
-// process's ring folded per kind, the single-process shape of the fleet
-// view galleryd serves under the same path.
-func (h *Handler) handleProfile(w http.ResponseWriter, r *http.Request) {
-	merge, topN, err := profile.ParseViewQuery(r.URL.Query())
-	if err != nil {
-		httpmw.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	now := time.Now()
-	v := profile.View{Generated: now}
-	if merge > 0 {
-		v.Merge = merge.String()
-	}
-	v.Processes = []profile.ProcessView{h.profiler.Ring().View(h.profiler.Process(), merge, topN, now)}
-	w.Header().Set("Cache-Control", "no-store")
-	httpmw.WriteJSON(w, http.StatusOK, v)
+		incident.SnapshotProcess("galleryserve", h.obs, h.tracer, h.logs, time.Now()))
 }
 
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -153,7 +153,7 @@ func TestGatewayTelemetryLossExposition(t *testing.T) {
 		`telemetry_dropped_total{channel="traces"} 10`,
 		fmt.Sprintf(`telemetry_failed_total{channel="traces"} %d`, accepted),
 		`telemetry_dropped_total{channel="audit"} 0`,
-		`telemetry_failed_total{channel="profiles"} 0`,
+		`telemetry_failed_total{channel="health"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)

@@ -251,22 +251,22 @@ func crossProcessTrace(t *testing.T, auth bool) {
 }
 
 // bootGalleryd starts the production galleryd, in memory and without the
-// profiler loop or the shutdown dump (later args override those), on a
-// loopback listener, and returns its base URL. It closes when the test ends.
+// shutdown dump (later args override those), on a loopback listener, and
+// returns its base URL. It closes when the test ends.
 func bootGalleryd(t *testing.T, args ...string) string {
 	t.Helper()
 	var cfg daemon.GallerydConfig
-	parseFlags(t, cfg.Flags, append([]string{"-mem", "-profile-interval", "-1s", "-dump-metrics=false"}, args...))
+	parseFlags(t, cfg.Flags, append([]string{"-mem", "-dump-metrics=false"}, args...))
 	gd, err := daemon.NewGalleryd(cfg)
 	return serveDaemon(t, gd, err)
 }
 
-// bootGalleryserve starts the production gateway without the profiler
-// loop (later args override that) the way bootGalleryd does.
+// bootGalleryserve starts the production gateway the way bootGalleryd
+// does.
 func bootGalleryserve(t *testing.T, args ...string) (*daemon.Galleryserve, string) {
 	t.Helper()
 	var cfg daemon.GalleryserveConfig
-	parseFlags(t, cfg.Flags, append([]string{"-profile-interval", "-1s"}, args...))
+	parseFlags(t, cfg.Flags, args)
 	gw, err := daemon.NewGalleryserve(cfg)
 	return gw, serveDaemon(t, gw, err)
 }

@@ -17,7 +17,7 @@ import (
 // or a log tail hands the operator a stale picture of an incident.
 func TestDebugEndpointHeaders(t *testing.T) {
 	var gdCfg daemon.GallerydConfig
-	parseFlags(t, gdCfg.Flags, "-mem", "-trace-sample", "always", "-profile-interval", "-1s", "-dump-metrics=false")
+	parseFlags(t, gdCfg.Flags, "-mem", "-trace-sample", "always", "-dump-metrics=false")
 	gd, err := daemon.NewGalleryd(gdCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestDebugEndpointHeaders(t *testing.T) {
 
 	var gwCfg daemon.GalleryserveConfig
 	parseFlags(t, gwCfg.Flags, "-gallery", ts.URL, "-trace-sample", "always",
-		"-refresh", "-1s", "-health-flush", "-1s", "-profile-interval", "-1s")
+		"-refresh", "-1s", "-health-flush", "-1s")
 	gw, err := daemon.NewGalleryserve(gwCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,12 +45,10 @@ func TestDebugEndpointHeaders(t *testing.T) {
 		{"galleryd", ts.URL, "/v1/debug/logs"},
 		{"galleryd", ts.URL, "/v1/debug/traces"},
 		{"galleryd", ts.URL, "/v1/debug/metrics"},
-		{"galleryd", ts.URL, "/v1/debug/profile"},
 		{"galleryserve", gwTS.URL, "/v1/debug/logs"},
 		{"galleryserve", gwTS.URL, "/v1/debug/traces"},
 		{"galleryserve", gwTS.URL, "/v1/debug/metrics"},
 		{"galleryserve", gwTS.URL, "/v1/debug/bundle"},
-		{"galleryserve", gwTS.URL, "/v1/debug/profile"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Get(tc.base + tc.path)

@@ -22,7 +22,6 @@ import (
 	"gallery/internal/obs"
 	"gallery/internal/obs/httpmw"
 	obslog "gallery/internal/obs/log"
-	"gallery/internal/obs/profile"
 	"gallery/internal/obs/trace"
 	"gallery/internal/relstore"
 	"gallery/internal/rules"
@@ -75,10 +74,6 @@ type Options struct {
 	// Incidents, when non-nil, mounts the flight-recorder endpoints
 	// (POST/GET /v1/incidents, GET /v1/incidents/{id}).
 	Incidents *incident.Recorder
-	// Profiles, when non-nil, mounts the continuous-profiling fleet view
-	// (GET /v1/debug/profile) and the cross-process summary ingest
-	// (POST /v1/debug/profile) that gateways ship into.
-	Profiles *profile.Fleet
 }
 
 // Server wires HTTP routes to the registry and rule engine.
@@ -90,7 +85,6 @@ type Server struct {
 	tenants   *tenant.Manager    // nil when auth is off
 	slo       *slo.Service       // nil when SLOs are off
 	incidents *incident.Recorder // nil when the flight recorder is off
-	profiles  *profile.Fleet     // nil when continuous profiling is off
 	mux       *http.ServeMux
 	h         http.Handler // mux behind the shared observability middleware
 
@@ -131,7 +125,6 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 		tenants:   opts.Tenants,
 		slo:       opts.SLO,
 		incidents: opts.Incidents,
-		profiles:  opts.Profiles,
 		mux:       http.NewServeMux(),
 
 		obs:            opts.Obs,
@@ -257,9 +250,6 @@ func (s *Server) routes() {
 	}
 	if s.incidents != nil {
 		s.incidentRoutes()
-	}
-	if s.profiles != nil {
-		s.profileRoutes()
 	}
 }
 

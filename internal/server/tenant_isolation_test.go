@@ -10,6 +10,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"regexp"
 	"strings"
 	"testing"
@@ -211,85 +212,89 @@ func TestAuthModelQuotaReleasedOnDeprecate(t *testing.T) {
 	wantStatus(t, err, http.StatusForbidden)
 }
 
+// routeClass is the tenant role class a route must land in: the least
+// role that may call it, and whether it mutates state.
+type routeClass struct {
+	role     tenant.Role
+	mutation bool
+}
+
+var (
+	classReader = routeClass{tenant.RoleReader, false}
+	classPub    = routeClass{tenant.RolePublisher, true}
+	classOp     = routeClass{tenant.RoleOperator, true}
+	classOpRead = routeClass{tenant.RoleOperator, false}
+)
+
+// routeClasses is the class of every route galleryd registers.
+var routeClasses = map[string]routeClass{
+	"POST /v1/models":                     classPub,
+	"GET /v1/models/{id}":                 classReader,
+	"GET /v1/models":                      classReader,
+	"POST /v1/models/{id}/evolve":         classPub,
+	"GET /v1/models/{id}/evolution":       classReader,
+	"POST /v1/models/{id}/deprecate":      classPub,
+	"GET /v1/models/{id}/versions":        classReader,
+	"GET /v1/models/{id}/production":      classReader,
+	"GET /v1/models/{id}/upstreams":       classReader,
+	"GET /v1/models/{id}/downstreams":     classReader,
+	"POST /v1/versions/{id}/promote":      classPub,
+	"POST /v1/deps":                       classPub,
+	"DELETE /v1/deps":                     classPub,
+	"POST /v1/instances":                  classPub,
+	"GET /v1/instances/{id}":              classReader,
+	"GET /v1/instances/{id}/blob":         classReader,
+	"POST /v1/instances/{id}/deprecate":   classPub,
+	"POST /v1/instances/{id}/promote":     classPub,
+	"POST /v1/instances/{id}/metrics":     classPub,
+	"POST /v1/instances/{id}/metricset":   classPub,
+	"GET /v1/instances/{id}/metrics":      classReader,
+	"POST /v1/instances/{id}/drift":       classReader,
+	"POST /v1/instances/{id}/skew":        classReader,
+	"POST /v1/instances/{id}/metricsblob": classPub,
+	"POST /v1/health/fleet":               classReader,
+	"POST /v1/health/observations":        classPub,
+	"GET /v1/health/models":               classReader,
+	"GET /v1/health/models/{id}":          classReader,
+	"POST /v1/search":                     classReader,
+	"GET /v1/lineage/{base}":              classReader,
+	"GET /v1/stats":                       classReader,
+	"GET /v1/healthz":                     classReader, // exempted earlier in Authorize; reader if it ever weren't
+	"GET /v1/audit":                       classReader,
+	"POST /v1/audit":                      classPub,
+	"GET /v1/audit/entity/{id}":           classReader,
+	"GET /v1/debug/logs":                  classReader,
+	"GET /v1/debug/metrics":               classReader,
+	"GET /v1/debug/metrics/prom":          classReader,
+	"GET /v1/debug/traces":                classReader,
+	"GET /v1/debug/traces/{id}":           classReader,
+	"POST /v1/debug/traces":               classPub,
+	"POST /v1/rules":                      classOp,
+	"GET /v1/rules":                       classReader,
+	"POST /v1/rules/{id}/select":          classOp,
+	"GET /v1/alerts":                      classReader,
+	"POST /v1/tenants":                    classOp,
+	"GET /v1/tenants":                     classOpRead,
+	"POST /v1/tenants/{ns}/quotas":        classOp,
+	"POST /v1/tenants/{ns}/tokens":        classOp,
+	"GET /v1/tenants/{ns}/tokens":         classOpRead,
+	"DELETE /v1/tenants/{ns}/tokens/{id}": classOp,
+	"POST /v1/slo":                        classOp,
+	"GET /v1/slo":                         classReader,
+	"DELETE /v1/slo/{id}":                 classOp,
+	"GET /v1/slo/status":                  classReader,
+	"POST /v1/incidents":                  classOp,
+	"GET /v1/incidents":                   classReader,
+	"GET /v1/incidents/{id}":              classReader,
+}
+
 // TestRouteClassificationCoverage pins every route galleryd registers to
-// an explicit tenant role class. A new route that is not added here fails
-// the test, so it cannot silently land in the wrong class — and
-// tenant.Classify's safe default (publisher mutation) means an unlisted
-// route can at worst be over-protected, never downgraded.
+// an explicit tenant role class. A new route that is not added to
+// routeClasses fails the test, so it cannot silently land in the wrong
+// class — and tenant.Classify's safe default (publisher mutation) means an
+// unlisted route can at worst be over-protected, never downgraded.
 func TestRouteClassificationCoverage(t *testing.T) {
 	h := newAuthHarness(t)
-
-	type class struct {
-		role     tenant.Role
-		mutation bool
-	}
-	reader := class{tenant.RoleReader, false}
-	pub := class{tenant.RolePublisher, true}
-	op := class{tenant.RoleOperator, true}
-	opRead := class{tenant.RoleOperator, false}
-
-	want := map[string]class{
-		"POST /v1/models":                     pub,
-		"GET /v1/models/{id}":                 reader,
-		"GET /v1/models":                      reader,
-		"POST /v1/models/{id}/evolve":         pub,
-		"GET /v1/models/{id}/evolution":       reader,
-		"POST /v1/models/{id}/deprecate":      pub,
-		"GET /v1/models/{id}/versions":        reader,
-		"GET /v1/models/{id}/production":      reader,
-		"GET /v1/models/{id}/upstreams":       reader,
-		"GET /v1/models/{id}/downstreams":     reader,
-		"POST /v1/versions/{id}/promote":      pub,
-		"POST /v1/deps":                       pub,
-		"DELETE /v1/deps":                     pub,
-		"POST /v1/instances":                  pub,
-		"GET /v1/instances/{id}":              reader,
-		"GET /v1/instances/{id}/blob":         reader,
-		"POST /v1/instances/{id}/deprecate":   pub,
-		"POST /v1/instances/{id}/promote":     pub,
-		"POST /v1/instances/{id}/metrics":     pub,
-		"POST /v1/instances/{id}/metricset":   pub,
-		"GET /v1/instances/{id}/metrics":      reader,
-		"POST /v1/instances/{id}/drift":       reader,
-		"POST /v1/instances/{id}/skew":        reader,
-		"POST /v1/instances/{id}/metricsblob": pub,
-		"POST /v1/health/fleet":               reader,
-		"POST /v1/health/observations":        pub,
-		"GET /v1/health/models":               reader,
-		"GET /v1/health/models/{id}":          reader,
-		"POST /v1/search":                     reader,
-		"GET /v1/lineage/{base}":              reader,
-		"GET /v1/stats":                       reader,
-		"GET /v1/healthz":                     reader, // exempted earlier in Authorize; reader if it ever weren't
-		"GET /v1/audit":                       reader,
-		"POST /v1/audit":                      pub,
-		"GET /v1/audit/entity/{id}":           reader,
-		"GET /v1/debug/logs":                  reader,
-		"GET /v1/debug/metrics":               reader,
-		"GET /v1/debug/metrics/prom":          reader,
-		"GET /v1/debug/traces":                reader,
-		"GET /v1/debug/traces/{id}":           reader,
-		"POST /v1/debug/traces":               pub,
-		"POST /v1/rules":                      op,
-		"GET /v1/rules":                       reader,
-		"POST /v1/rules/{id}/select":          op,
-		"GET /v1/alerts":                      reader,
-		"POST /v1/tenants":                    op,
-		"GET /v1/tenants":                     opRead,
-		"POST /v1/tenants/{ns}/quotas":        op,
-		"POST /v1/tenants/{ns}/tokens":        op,
-		"GET /v1/tenants/{ns}/tokens":         opRead,
-		"DELETE /v1/tenants/{ns}/tokens/{id}": op,
-		"POST /v1/slo":                        op,
-		"GET /v1/slo":                         reader,
-		"DELETE /v1/slo/{id}":                 op,
-		"GET /v1/slo/status":                  reader,
-		"POST /v1/incidents":                  op,
-		"GET /v1/incidents":                   reader,
-		"GET /v1/incidents/{id}":              reader,
-		"GET /v1/debug/profile":               reader,
-		"POST /v1/debug/profile":              pub,
-	}
 
 	wildcard := regexp.MustCompile(`\{[^}]+\}`)
 	seen := 0
@@ -298,7 +303,7 @@ func TestRouteClassificationCoverage(t *testing.T) {
 		if !ok {
 			t.Fatalf("route pattern %q has no method", pattern)
 		}
-		exp, ok := want[pattern]
+		exp, ok := routeClasses[pattern]
 		if !ok {
 			t.Errorf("route %q has no classification expectation — classify it explicitly in tenant.Classify and add it here", pattern)
 			continue
@@ -310,19 +315,16 @@ func TestRouteClassificationCoverage(t *testing.T) {
 			t.Errorf("Classify(%s %s) = (%v, %v), want (%v, %v)", method, concrete, role, mutation, exp.role, exp.mutation)
 		}
 	}
-	// The harness mounts tenants but not the optional health monitor, so
-	// its route set may be smaller than the table — never empty though.
-	if seen == 0 {
-		t.Fatal("no route patterns recorded")
+	if seen != len(routeClasses) {
+		t.Errorf("%d of the %d classified routes are registered: a deleted route's row stays in routeClasses", seen, len(routeClasses))
 	}
 
 	// The serving gateway's routes run the same Authorize; pin them too.
-	for pattern, exp := range map[string]class{
-		"POST /v1/predict/{model}": reader,
-		"GET /v1/serving":          reader,
-		"GET /v1/healthz":          reader, // exempted earlier in Authorize; reader if it ever weren't
-		"GET /v1/debug/bundle":     reader, // incident snapshot pull
-		"GET /v1/debug/profile":    reader, // continuous-profiling summaries
+	for pattern, exp := range map[string]routeClass{
+		"POST /v1/predict/{model}": classReader,
+		"GET /v1/serving":          classReader,
+		"GET /v1/healthz":          classReader, // exempted earlier in Authorize; reader if it ever weren't
+		"GET /v1/debug/bundle":     classReader, // incident snapshot pull
 	} {
 		method, path, _ := strings.Cut(pattern, " ")
 		concrete := wildcard.ReplaceAllString(path, "m1")
@@ -331,4 +333,33 @@ func TestRouteClassificationCoverage(t *testing.T) {
 			t.Errorf("Classify(%s %s) = (%v, %v), want (%v, %v)", method, concrete, role, mutation, exp.role, exp.mutation)
 		}
 	}
+}
+
+// FuzzRouteClass: no path value can move a route to another class. The
+// fuzzed segment, percent-escaped, fills every wildcard of every route
+// galleryd registers; wherever the mux still routes the result to that
+// route, Classify must put the request in the route's routeClasses row,
+// judging the path Authorize hands it.
+func FuzzRouteClass(f *testing.F) {
+	h := newAuthHarness(f)
+	wildcard := regexp.MustCompile(`\{[^}]+\}`)
+	f.Fuzz(func(t *testing.T, segment string) {
+		escaped := url.PathEscape(segment)
+		for _, pattern := range h.srv.routePatterns {
+			method, path, _ := strings.Cut(pattern, " ")
+			target := wildcard.ReplaceAllLiteralString(path, escaped)
+			r, err := http.NewRequest(method, "http://galleryd"+target, nil)
+			if err != nil {
+				continue
+			}
+			if _, routed := h.srv.mux.Handler(r); routed != pattern {
+				continue
+			}
+			exp := routeClasses[pattern]
+			if role, mutation := tenant.Classify(r.Method, tenant.RoutePath(r.URL)); role != exp.role || mutation != exp.mutation {
+				t.Errorf("%s %s routes to %q but Classify = (%v, %v), want (%v, %v)",
+					method, target, pattern, role, mutation, exp.role, exp.mutation)
+			}
+		}
+	})
 }

@@ -13,10 +13,10 @@ import (
 	"gallery/internal/client"
 	"gallery/internal/clock"
 	"gallery/internal/core"
+	"gallery/internal/health"
 	"gallery/internal/incident"
 	"gallery/internal/obs"
 	"gallery/internal/obs/httpmw"
-	"gallery/internal/obs/profile"
 	"gallery/internal/relstore"
 	"gallery/internal/rules"
 	"gallery/internal/slo"
@@ -35,7 +35,7 @@ type authHarness struct {
 	admin *client.Client // default-ns operator
 }
 
-func newAuthHarness(t *testing.T) *authHarness {
+func newAuthHarness(t testing.TB) *authHarness {
 	t.Helper()
 	clk := clock.NewMock(t0)
 	reg, err := core.New(relstore.NewMemory(), blobstore.NewMemory(blobstore.Options{}), core.Options{
@@ -72,8 +72,8 @@ func newAuthHarness(t *testing.T) *authHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWith(reg, repo, eng, Options{Obs: o, Tenants: tm, SLO: sloSvc, Incidents: rec,
-		Profiles: profile.NewFleet()})
+	mon := health.New(reg, health.Config{Interval: -1, Obs: o})
+	srv := NewWith(reg, repo, eng, Options{Obs: o, Tenants: tm, SLO: sloSvc, Incidents: rec, Health: mon})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	h := &authHarness{ts: ts, srv: srv, tm: tm, obs: o, clk: clk}
@@ -82,7 +82,7 @@ func newAuthHarness(t *testing.T) *authHarness {
 	return h
 }
 
-func (h *authHarness) mint(t *testing.T, ns, name string, role tenant.Role) string {
+func (h *authHarness) mint(t testing.TB, ns, name string, role tenant.Role) string {
 	t.Helper()
 	secret, _, err := h.tm.MintToken(context.Background(), ns, name, role)
 	if err != nil {

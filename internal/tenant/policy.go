@@ -3,6 +3,7 @@ package tenant
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"strings"
 
 	"gallery/internal/audit"
@@ -38,7 +39,7 @@ func (m *Manager) Authorize(r *http.Request) httpmw.Decision {
 			RetryAfter: secs,
 		}
 	}
-	need, mutation := Classify(r.Method, r.URL.Path)
+	need, mutation := Classify(r.Method, RoutePath(r.URL))
 	if ts.id.Role < need {
 		m.cForbidden.Inc()
 		m.recordDenied(r, ts.id)
@@ -102,7 +103,7 @@ func (m *Manager) ResolveRequest(r *http.Request) (Identity, bool) {
 //	reader     all GETs; predict, search, drift/skew analyses, fleet health
 //	publisher  model/instance lifecycle: register, evolve, deprecate,
 //	           upload, promote, deps, metrics, health ingest, audit/trace
-//	           ingest, profile-summary ingest
+//	           ingest
 //	operator   rules (commit/select) and /v1/tenants administration
 func Classify(method, path string) (need Role, mutation bool) {
 	if method == http.MethodGet || method == http.MethodHead {
@@ -130,6 +131,24 @@ func Classify(method, path string) (need Role, mutation bool) {
 		return RoleOperator, true
 	}
 	return RolePublisher, true
+}
+
+// RoutePath is the path Classify judges for a request URL: its path cut
+// into the segments the mux routes on, each unescaped. It is u.Path unless
+// an escaped "/" sits inside a segment; such a slash stays "%2F", so a
+// path value holding one cannot change the route's shape. Built only for
+// such a path, so the common case costs no allocation.
+func RoutePath(u *url.URL) string {
+	if !strings.Contains(u.RawPath, "%2F") && !strings.Contains(u.RawPath, "%2f") {
+		return u.Path
+	}
+	segs := strings.Split(u.RawPath, "/")
+	for i, seg := range segs {
+		if s, err := url.PathUnescape(seg); err == nil {
+			segs[i] = strings.ReplaceAll(s, "/", "%2F")
+		}
+	}
+	return strings.Join(segs, "/")
 }
 
 // isSLOAdminPath matches /v1/slo and its subtree — and nothing else.

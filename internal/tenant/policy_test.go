@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"net/http"
+	"net/url"
 	"testing"
 )
 
@@ -60,6 +61,30 @@ func TestClassifyShapes(t *testing.T) {
 		if role != c.role || mutation != c.mutation {
 			t.Errorf("Classify(%s %s) = (%v, %v), want (%v, %v)",
 				c.method, c.path, role, mutation, c.role, c.mutation)
+		}
+	}
+}
+
+// TestRoutePath: the path Classify judges keeps the segments the mux
+// routes on. An escaped "/" inside a path value stays escaped, so it
+// cannot split the value into more segments, and every other escape is
+// undone, as the mux undoes it before matching a route's literal
+// segments.
+func TestRoutePath(t *testing.T) {
+	for raw, want := range map[string]string{
+		"/v1/instances/abc/drift":         "/v1/instances/abc/drift",
+		"/v1/instances/a%2Fb/drift":       "/v1/instances/a%2Fb/drift",
+		"/v1/instances/a%2fb%2Fskew/skew": "/v1/instances/a%2Fb%2Fskew/skew",
+		"/v1/%74enants":                   "/v1/tenants",
+		"/v1/%74enants/a%2Fb/tokens":      "/v1/tenants/a%2Fb/tokens",
+		"/v1/models/a%20b":                "/v1/models/a b",
+	} {
+		u, err := url.Parse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RoutePath(u); got != want {
+			t.Errorf("RoutePath(%s) = %q, want %q", raw, got, want)
 		}
 	}
 }
