@@ -174,7 +174,7 @@ func Open(store *relstore.Store, opts Options) (*Log, error) {
 		return nil, err
 	}
 	if len(rows) > 0 {
-		l.seq = rows[0]["seq"].Int
+		l.seq = rows[0]["seq"].Int()
 	}
 	return l, nil
 }
@@ -262,7 +262,7 @@ func (l *Log) Events(q Query) ([]Event, error) {
 		OrderBy: "seq",
 		Desc:    q.Desc,
 		Limit:   q.Limit,
-	}, func(r relstore.Row) bool {
+	}, func(r relstore.Tuple) bool {
 		out = append(out, rowToEvent(r)) // the only copy: rows are read in place
 		return true
 	})
@@ -321,8 +321,8 @@ func (l *Log) pruneLocked(ctx context.Context, entityID string, keep int) (int, 
 		Table:   Table,
 		Where:   []relstore.Constraint{{Field: "entity_id", Op: relstore.OpEq, Value: relstore.String(entityID)}},
 		OrderBy: "seq",
-	}, func(r relstore.Row) bool {
-		ids = append(ids, r["id"].Str)
+	}, func(r relstore.Tuple) bool {
+		ids = append(ids, r[col.id].Str)
 		return true
 	})
 	if err != nil {
@@ -390,20 +390,45 @@ func eventToRow(ev Event) relstore.Row {
 	}
 }
 
-func rowToEvent(r relstore.Row) Event {
+// col holds each column's position in a stored audit row, resolved once
+// at start-up.
+var col = struct{ id, seq, created, actor, action, entityType, entityID, modelID, before, after, detail, traceID int }{
+	id:         pos("id"),
+	seq:        pos("seq"),
+	created:    pos("created"),
+	actor:      pos("actor"),
+	action:     pos("action"),
+	entityType: pos("entity_type"),
+	entityID:   pos("entity_id"),
+	modelID:    pos("model_id"),
+	before:     pos("before"),
+	after:      pos("after"),
+	detail:     pos("detail"),
+	traceID:    pos("trace_id"),
+}
+
+func pos(name string) int {
+	sc := Schema()
+	if i := sc.Pos(name); i >= 0 {
+		return i
+	}
+	panic("audit: schema declares no column " + name)
+}
+
+func rowToEvent(r relstore.Tuple) Event {
 	return Event{
-		ID:         r["id"].Str,
-		Seq:        r["seq"].Int,
-		Time:       r["created"].Time,
-		Actor:      r["actor"].Str,
-		Action:     r["action"].Str,
-		EntityType: r["entity_type"].Str,
-		EntityID:   r["entity_id"].Str,
-		ModelID:    r["model_id"].Str,
-		Before:     r["before"].Str,
-		After:      r["after"].Str,
-		Detail:     r["detail"].Str,
-		TraceID:    r["trace_id"].Str,
+		ID:         r[col.id].Str,
+		Seq:        r[col.seq].Int(),
+		Time:       r[col.created].Time(),
+		Actor:      r[col.actor].Str,
+		Action:     r[col.action].Str,
+		EntityType: r[col.entityType].Str,
+		EntityID:   r[col.entityID].Str,
+		ModelID:    r[col.modelID].Str,
+		Before:     r[col.before].Str,
+		After:      r[col.after].Str,
+		Detail:     r[col.detail].Str,
+		TraceID:    r[col.traceID].Str,
 	}
 }
 

@@ -117,20 +117,22 @@ func (g *Registry) TransitiveDownstreams(id uuid.UUID) ([]uuid.UUID, error) {
 }
 
 func (g *Registry) upstreamsLocked(ctx context.Context, id uuid.UUID) ([]uuid.UUID, error) {
-	return g.depEdges(ctx, "from_model", id, "to_model")
+	return g.depEdges(ctx, "from_model", id, depCol.toModel)
 }
 
 func (g *Registry) downstreamsLocked(ctx context.Context, id uuid.UUID) ([]uuid.UUID, error) {
-	return g.depEdges(ctx, "to_model", id, "from_model")
+	return g.depEdges(ctx, "to_model", id, depCol.fromModel)
 }
 
-func (g *Registry) depEdges(ctx context.Context, matchField string, id uuid.UUID, wantField string) ([]uuid.UUID, error) {
+// depEdges returns the models at column want of the edges whose column
+// matchField holds id.
+func (g *Registry) depEdges(ctx context.Context, matchField string, id uuid.UUID, want int) ([]uuid.UUID, error) {
 	return selectAs(ctx, g.dal.Meta(), relstore.Query{
 		Table:   TableDeps,
 		Where:   []relstore.Constraint{{Field: matchField, Op: relstore.OpEq, Value: relstore.String(id.String())}},
 		OrderBy: "created",
-	}, func(r relstore.Row) (uuid.UUID, error) {
-		u, err := uuid.Parse(r[wantField].Str)
+	}, func(r relstore.Tuple) (uuid.UUID, error) {
+		u, err := uuid.Parse(r[want].Str)
 		if err != nil {
 			return uuid.Nil, fmt.Errorf("core: corrupt dependency row: %w", err)
 		}
@@ -235,7 +237,7 @@ func (g *Registry) bumpOneLocked(ctx context.Context, id uuid.UUID, cause Versio
 
 // versionByIDLocked fetches one version record by primary key.
 func (g *Registry) versionByIDLocked(ctx context.Context, id uuid.UUID) (*VersionRecord, error) {
-	row, err := g.dal.Meta().Get(ctx, TableVersions, id.String())
+	row, err := g.dal.Meta().GetTuple(ctx, TableVersions, id.String())
 	if err != nil {
 		return nil, fmt.Errorf("%w: version %s", ErrNotFound, id)
 	}
@@ -364,7 +366,7 @@ func (g *Registry) PromoteInstanceCtx(ctx context.Context, instanceID uuid.UUID)
 }
 
 func (g *Registry) promoteLocked(ctx context.Context, versionID uuid.UUID) error {
-	row, err := g.dal.Meta().Get(ctx, TableVersions, versionID.String())
+	row, err := g.dal.Meta().GetTuple(ctx, TableVersions, versionID.String())
 	if err != nil {
 		return fmt.Errorf("%w: version %s", ErrNotFound, versionID)
 	}

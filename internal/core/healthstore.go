@@ -67,8 +67,8 @@ func (g *Registry) HealthWindows(modelID uuid.UUID, limit int) ([]*HealthWindow,
 func (g *Registry) HealthWindowModels() ([]uuid.UUID, error) {
 	seen := make(map[uuid.UUID]bool)
 	var out []uuid.UUID
-	_, err := g.dal.Meta().SelectFunc(context.Background(), relstore.Query{Table: TableHealthWindows}, func(r relstore.Row) bool {
-		id, err := uuid.Parse(r["model_id"].Str)
+	_, err := g.dal.Meta().SelectFunc(context.Background(), relstore.Query{Table: TableHealthWindows}, func(r relstore.Tuple) bool {
+		id, err := uuid.Parse(r[hwCol.modelID].Str)
 		if err != nil {
 			return true // skip unparseable legacy rows rather than fail recovery
 		}
@@ -96,7 +96,7 @@ func (g *Registry) PruneHealthWindows(ctx context.Context, modelID uuid.UUID, ke
 			{Field: "model_id", Op: relstore.OpEq, Value: relstore.String(modelID.String())},
 		},
 		OrderBy: "window_end",
-	}, func(r relstore.Row) (string, error) { return r["id"].Str, nil })
+	}, func(r relstore.Tuple) (string, error) { return r[hwCol.id].Str, nil })
 	if err != nil {
 		return 0, err
 	}
@@ -131,25 +131,25 @@ func healthWindowToRow(w *HealthWindow) relstore.Row {
 	}
 }
 
-func rowToHealthWindow(r relstore.Row) (*HealthWindow, error) {
-	id, err := uuid.Parse(r["id"].Str)
+func rowToHealthWindow(r relstore.Tuple) (*HealthWindow, error) {
+	id, err := uuid.Parse(r[hwCol.id].Str)
 	if err != nil {
 		return nil, fmt.Errorf("core: health window row has bad id: %w", err)
 	}
-	modelID, err := uuid.Parse(r["model_id"].Str)
+	modelID, err := uuid.Parse(r[hwCol.modelID].Str)
 	if err != nil {
 		return nil, fmt.Errorf("core: health window row has bad model_id: %w", err)
 	}
 	return &HealthWindow{
 		ID:            id,
 		ModelID:       modelID,
-		InstanceID:    parseOrNil(r["instance_id"].Str),
-		Gateway:       r["gateway"].Str,
-		Start:         r["window_start"].Time,
-		End:           r["window_end"].Time,
-		Requests:      r["requests"].Int,
-		StaleServes:   r["stale_serves"].Int,
-		ValuesSketch:  r["values_sketch"].Str,
-		LatencySketch: r["latency_sketch"].Str,
+		InstanceID:    parseOrNil(r[hwCol.instanceID].Str),
+		Gateway:       r[hwCol.gateway].Str,
+		Start:         r[hwCol.windowStart].Time(),
+		End:           r[hwCol.windowEnd].Time(),
+		Requests:      r[hwCol.requests].Int(),
+		StaleServes:   r[hwCol.staleServes].Int(),
+		ValuesSketch:  r[hwCol.valuesSketch].Str,
+		LatencySketch: r[hwCol.latencySketch].Str,
 	}, nil
 }

@@ -194,7 +194,7 @@ func (g *Registry) GetModel(id uuid.UUID) (*Model, error) {
 }
 
 func (g *Registry) getModelLocked(ctx context.Context, id uuid.UUID) (*Model, error) {
-	row, err := g.dal.Meta().Get(ctx, TableModels, id.String())
+	row, err := g.dal.Meta().GetTuple(ctx, TableModels, id.String())
 	if errors.Is(err, relstore.ErrNotFound) {
 		return nil, fmt.Errorf("%w: model %s", ErrNotFound, id)
 	}
@@ -464,7 +464,7 @@ func (g *Registry) uploadInstanceCtx(ctx context.Context, spec InstanceSpec, blo
 
 // GetInstance fetches instance metadata by id.
 func (g *Registry) GetInstance(ctx context.Context, id uuid.UUID) (*Instance, error) {
-	row, err := g.dal.Meta().Get(ctx, TableInstances, id.String())
+	row, err := g.dal.Meta().GetTuple(ctx, TableInstances, id.String())
 	if errors.Is(err, relstore.ErrNotFound) {
 		return nil, fmt.Errorf("%w: instance %s", ErrNotFound, id)
 	}
@@ -510,7 +510,7 @@ func (g *Registry) DeprecateInstance(ctx context.Context, id uuid.UUID) error {
 	if err != nil {
 		return err
 	}
-	wasDeprecated := row["deprecated"].Bool
+	wasDeprecated := row["deprecated"].Bool()
 	row["deprecated"] = relstore.Bool(true)
 	if err := g.dal.Meta().Update(ctx, TableInstances, row); err != nil {
 		return err
@@ -656,8 +656,8 @@ func metricSeriesQuery(instanceID uuid.UUID, name string, scope Scope) relstore.
 // evaluates against.
 func (g *Registry) LatestMetrics(instanceID uuid.UUID, scope Scope) (map[string]float64, error) {
 	out := make(map[string]float64)
-	_, err := g.dal.Meta().SelectFunc(context.Background(), latestMetricsQuery(instanceID, scope), func(r relstore.Row) bool { // ascending by time: later rows overwrite
-		out[r["name"].Str] = r["value"].Float
+	_, err := g.dal.Meta().SelectFunc(context.Background(), latestMetricsQuery(instanceID, scope), func(r relstore.Tuple) bool { // ascending by time: later rows overwrite
+		out[r[metricCol.name].Str] = r[metricCol.value].Float()
 		return true
 	})
 	if err != nil {
@@ -762,8 +762,8 @@ func (g *Registry) SearchInstancesCtx(ctx context.Context, f InstanceFilter) ([]
 		}
 		allowed = make(map[string]bool)
 		_, err := g.dal.Meta().SelectFunc(ctx, relstore.Query{Table: TableMetrics, Where: mwhere, ForceScan: f.ForceScan},
-			func(r relstore.Row) bool {
-				allowed[r["instance_id"].Str] = true
+			func(r relstore.Tuple) bool {
+				allowed[r[metricCol.instanceID].Str] = true
 				return true
 			})
 		if err != nil {
@@ -785,8 +785,8 @@ func (g *Registry) SearchInstancesCtx(ctx context.Context, f InstanceFilter) ([]
 		out     []*Instance
 		convErr error
 	)
-	_, err := g.dal.Meta().SelectFunc(ctx, q, func(r relstore.Row) bool {
-		if allowed != nil && !allowed[r["id"].Str] {
+	_, err := g.dal.Meta().SelectFunc(ctx, q, func(r relstore.Tuple) bool {
+		if allowed != nil && !allowed[r[instCol.id].Str] {
 			return true
 		}
 		in, err := rowToInstance(r)
@@ -819,10 +819,10 @@ func (g *Registry) Counts() (models, instances, metrics int) {
 // selectAs runs q and converts each result row as the store lends it
 // (relstore.Store.SelectFunc), so the converted value is the only copy a
 // result gets. A conversion error stops the scan and is returned.
-func selectAs[T any](ctx context.Context, meta *relstore.Store, q relstore.Query, conv func(relstore.Row) (T, error)) ([]T, error) {
+func selectAs[T any](ctx context.Context, meta *relstore.Store, q relstore.Query, conv func(relstore.Tuple) (T, error)) ([]T, error) {
 	out := []T{}
 	var convErr error
-	_, err := meta.SelectFunc(ctx, q, func(r relstore.Row) bool {
+	_, err := meta.SelectFunc(ctx, q, func(r relstore.Tuple) bool {
 		v, err := conv(r)
 		if err != nil {
 			convErr = err

@@ -3,9 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,4 +125,85 @@ func BenchmarkReplay(b *testing.B) {
 	per := float64(b.N * records)
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/per, "us/record")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/record")
+}
+
+// TestReplayCheckedInLog replays testdata/lifecycle.wal, a metadata log
+// writeLifecycleLog(6, 40) wrote when the store still kept each row as a
+// map, and compares every table's rows with testdata/lifecycle.dump, the
+// by-name dump that build took of the same log. Times compare by instant
+// and offset, floats by bits. The registry must then open over it.
+func TestReplayCheckedInLog(t *testing.T) {
+	log, err := os.ReadFile(filepath.Join("testdata", "lifecycle.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "lifecycle.dump"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := relstore.Open(path, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer meta.Close()
+	if records, legacy := meta.Replayed(); records != 205 || legacy != 0 {
+		t.Fatalf("replayed %d records, %d legacy; the log holds 205, none legacy", records, legacy)
+	}
+	if got := dumpByName(t, meta); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("replay differs from the dump at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("replay has %d dump lines, want %d", len(gl), len(wl))
+	}
+	if _, err := New(meta, blobstore.NewMemory(blobstore.Options{}), Options{}); err != nil {
+		t.Fatalf("registry over the replayed log: %v", err)
+	}
+}
+
+// dumpByName renders every table in name order, its rows in primary-key
+// order, each row's non-null columns in name order as name=kind:value.
+func dumpByName(t *testing.T, s *relstore.Store) string {
+	t.Helper()
+	var b strings.Builder
+	names := s.Tables()
+	sort.Strings(names)
+	for _, name := range names {
+		rows, err := s.Select(context.Background(), relstore.Query{Table: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "table %s %d\n", name, len(rows))
+		for _, r := range rows {
+			cols := slices.Sorted(maps.Keys(r))
+			for i, c := range cols {
+				if i > 0 {
+					b.WriteByte(' ')
+				}
+				v := r[c]
+				var s string
+				switch v.Kind {
+				case relstore.KindString:
+					s = strconv.Quote(v.Str)
+				case relstore.KindInt:
+					s = strconv.FormatInt(v.Int(), 10)
+				case relstore.KindFloat:
+					s = strconv.FormatUint(math.Float64bits(v.Float()), 16)
+				case relstore.KindBool:
+					s = strconv.FormatBool(v.Bool())
+				case relstore.KindTime:
+					s = v.Time().Format(time.RFC3339Nano)
+				}
+				fmt.Fprintf(&b, "%s=%s:%s", c, v.Kind, s)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }

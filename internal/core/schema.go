@@ -134,6 +134,94 @@ func Schemas() []relstore.Schema {
 
 // --- row <-> struct conversions ---
 
+// Each column's position in a stored row (relstore.Tuple), resolved once
+// at start-up: the converters read cells by position, not by name.
+var (
+	modelCol = struct{ id, baseVersionID, project, name, owner, team, domain, description, major, minor, productionVersion, prevModel, nextModel, created, deprecated int }{
+		id:                col(TableModels, "id"),
+		baseVersionID:     col(TableModels, "base_version_id"),
+		project:           col(TableModels, "project"),
+		name:              col(TableModels, "name"),
+		owner:             col(TableModels, "owner"),
+		team:              col(TableModels, "team"),
+		domain:            col(TableModels, "domain"),
+		description:       col(TableModels, "description"),
+		major:             col(TableModels, "major"),
+		minor:             col(TableModels, "minor"),
+		productionVersion: col(TableModels, "production_version"),
+		prevModel:         col(TableModels, "prev_model"),
+		nextModel:         col(TableModels, "next_model"),
+		created:           col(TableModels, "created"),
+		deprecated:        col(TableModels, "deprecated"),
+	}
+	instCol = struct{ id, modelID, baseVersionID, project, name, city, framework, trainingData, codePointer, seed, epochs, hyperparams, features, blobLocation, created, deprecated int }{
+		id:            col(TableInstances, "id"),
+		modelID:       col(TableInstances, "model_id"),
+		baseVersionID: col(TableInstances, "base_version_id"),
+		project:       col(TableInstances, "project"),
+		name:          col(TableInstances, "name"),
+		city:          col(TableInstances, "city"),
+		framework:     col(TableInstances, "framework"),
+		trainingData:  col(TableInstances, "training_data"),
+		codePointer:   col(TableInstances, "code_pointer"),
+		seed:          col(TableInstances, "seed"),
+		epochs:        col(TableInstances, "epochs"),
+		hyperparams:   col(TableInstances, "hyperparams"),
+		features:      col(TableInstances, "features"),
+		blobLocation:  col(TableInstances, "blob_location"),
+		created:       col(TableInstances, "created"),
+		deprecated:    col(TableInstances, "deprecated"),
+	}
+	metricCol = struct{ id, instanceID, modelID, name, scope, value, created int }{
+		id:         col(TableMetrics, "id"),
+		instanceID: col(TableMetrics, "instance_id"),
+		modelID:    col(TableMetrics, "model_id"),
+		name:       col(TableMetrics, "name"),
+		scope:      col(TableMetrics, "scope"),
+		value:      col(TableMetrics, "value"),
+		created:    col(TableMetrics, "created"),
+	}
+	versionCol = struct{ id, modelID, major, minor, cause, instanceID, triggeredBy, created, production int }{
+		id:          col(TableVersions, "id"),
+		modelID:     col(TableVersions, "model_id"),
+		major:       col(TableVersions, "major"),
+		minor:       col(TableVersions, "minor"),
+		cause:       col(TableVersions, "cause"),
+		instanceID:  col(TableVersions, "instance_id"),
+		triggeredBy: col(TableVersions, "triggered_by"),
+		created:     col(TableVersions, "created"),
+		production:  col(TableVersions, "production"),
+	}
+	depCol = struct{ fromModel, toModel int }{
+		fromModel: col(TableDeps, "from_model"),
+		toModel:   col(TableDeps, "to_model"),
+	}
+	hwCol = struct{ id, modelID, instanceID, gateway, windowStart, windowEnd, requests, staleServes, valuesSketch, latencySketch int }{
+		id:            col(TableHealthWindows, "id"),
+		modelID:       col(TableHealthWindows, "model_id"),
+		instanceID:    col(TableHealthWindows, "instance_id"),
+		gateway:       col(TableHealthWindows, "gateway"),
+		windowStart:   col(TableHealthWindows, "window_start"),
+		windowEnd:     col(TableHealthWindows, "window_end"),
+		requests:      col(TableHealthWindows, "requests"),
+		staleServes:   col(TableHealthWindows, "stale_serves"),
+		valuesSketch:  col(TableHealthWindows, "values_sketch"),
+		latencySketch: col(TableHealthWindows, "latency_sketch"),
+	}
+)
+
+// col returns the position of a column of one of Schemas' tables.
+func col(table, name string) int {
+	for _, sc := range Schemas() {
+		if sc.Table == table {
+			if i := sc.Pos(name); i >= 0 {
+				return i
+			}
+		}
+	}
+	panic(fmt.Sprintf("core: table %s declares no column %s", table, name))
+}
+
 func modelToRow(m *Model) relstore.Row {
 	return relstore.Row{
 		"id":                 relstore.String(m.ID.String()),
@@ -154,28 +242,28 @@ func modelToRow(m *Model) relstore.Row {
 	}
 }
 
-func rowToModel(r relstore.Row) (*Model, error) {
-	id, err := uuid.Parse(r["id"].Str)
+func rowToModel(r relstore.Tuple) (*Model, error) {
+	id, err := uuid.Parse(r[modelCol.id].Str)
 	if err != nil {
 		return nil, fmt.Errorf("core: model row has bad id: %w", err)
 	}
 	m := &Model{
 		ID:            id,
-		BaseVersionID: r["base_version_id"].Str,
-		Project:       r["project"].Str,
-		Name:          r["name"].Str,
-		Owner:         r["owner"].Str,
-		Team:          r["team"].Str,
-		Domain:        r["domain"].Str,
-		Description:   r["description"].Str,
-		Major:         int(r["major"].Int),
-		Minor:         int(r["minor"].Int),
-		Created:       r["created"].Time,
-		Deprecated:    r["deprecated"].Bool,
+		BaseVersionID: r[modelCol.baseVersionID].Str,
+		Project:       r[modelCol.project].Str,
+		Name:          r[modelCol.name].Str,
+		Owner:         r[modelCol.owner].Str,
+		Team:          r[modelCol.team].Str,
+		Domain:        r[modelCol.domain].Str,
+		Description:   r[modelCol.description].Str,
+		Major:         int(r[modelCol.major].Int()),
+		Minor:         int(r[modelCol.minor].Int()),
+		Created:       r[modelCol.created].Time(),
+		Deprecated:    r[modelCol.deprecated].Bool(),
 	}
-	m.ProductionVersion = parseOrNil(r["production_version"].Str)
-	m.PrevModel = parseOrNil(r["prev_model"].Str)
-	m.NextModel = parseOrNil(r["next_model"].Str)
+	m.ProductionVersion = parseOrNil(r[modelCol.productionVersion].Str)
+	m.PrevModel = parseOrNil(r[modelCol.prevModel].Str)
+	m.NextModel = parseOrNil(r[modelCol.nextModel].Str)
 	return m, nil
 }
 
@@ -200,32 +288,32 @@ func instanceToRow(in *Instance) relstore.Row {
 	}
 }
 
-func rowToInstance(r relstore.Row) (*Instance, error) {
-	id, err := uuid.Parse(r["id"].Str)
+func rowToInstance(r relstore.Tuple) (*Instance, error) {
+	id, err := uuid.Parse(r[instCol.id].Str)
 	if err != nil {
 		return nil, fmt.Errorf("core: instance row has bad id: %w", err)
 	}
-	modelID, err := uuid.Parse(r["model_id"].Str)
+	modelID, err := uuid.Parse(r[instCol.modelID].Str)
 	if err != nil {
 		return nil, fmt.Errorf("core: instance row has bad model_id: %w", err)
 	}
 	return &Instance{
 		ID:            id,
 		ModelID:       modelID,
-		BaseVersionID: r["base_version_id"].Str,
-		Project:       r["project"].Str,
-		Name:          r["name"].Str,
-		City:          r["city"].Str,
-		Framework:     r["framework"].Str,
-		TrainingData:  r["training_data"].Str,
-		CodePointer:   r["code_pointer"].Str,
-		Seed:          r["seed"].Int,
-		Epochs:        r["epochs"].Int,
-		Hyperparams:   r["hyperparams"].Str,
-		Features:      r["features"].Str,
-		BlobLocation:  r["blob_location"].Str,
-		Created:       r["created"].Time,
-		Deprecated:    r["deprecated"].Bool,
+		BaseVersionID: r[instCol.baseVersionID].Str,
+		Project:       r[instCol.project].Str,
+		Name:          r[instCol.name].Str,
+		City:          r[instCol.city].Str,
+		Framework:     r[instCol.framework].Str,
+		TrainingData:  r[instCol.trainingData].Str,
+		CodePointer:   r[instCol.codePointer].Str,
+		Seed:          r[instCol.seed].Int(),
+		Epochs:        r[instCol.epochs].Int(),
+		Hyperparams:   r[instCol.hyperparams].Str,
+		Features:      r[instCol.features].Str,
+		BlobLocation:  r[instCol.blobLocation].Str,
+		Created:       r[instCol.created].Time(),
+		Deprecated:    r[instCol.deprecated].Bool(),
 	}, nil
 }
 
@@ -241,23 +329,23 @@ func metricToRow(m *Metric) relstore.Row {
 	}
 }
 
-func rowToMetric(r relstore.Row) (*Metric, error) {
-	id, err := uuid.Parse(r["id"].Str)
+func rowToMetric(r relstore.Tuple) (*Metric, error) {
+	id, err := uuid.Parse(r[metricCol.id].Str)
 	if err != nil {
 		return nil, fmt.Errorf("core: metric row has bad id: %w", err)
 	}
-	instID, err := uuid.Parse(r["instance_id"].Str)
+	instID, err := uuid.Parse(r[metricCol.instanceID].Str)
 	if err != nil {
 		return nil, fmt.Errorf("core: metric row has bad instance_id: %w", err)
 	}
 	return &Metric{
 		ID:         id,
 		InstanceID: instID,
-		ModelID:    parseOrNil(r["model_id"].Str),
-		Name:       r["name"].Str,
-		Scope:      Scope(r["scope"].Str),
-		Value:      r["value"].Float,
-		At:         r["created"].Time,
+		ModelID:    parseOrNil(r[metricCol.modelID].Str),
+		Name:       r[metricCol.name].Str,
+		Scope:      Scope(r[metricCol.scope].Str),
+		Value:      r[metricCol.value].Float(),
+		At:         r[metricCol.created].Time(),
 	}, nil
 }
 
@@ -275,25 +363,25 @@ func versionToRow(v *VersionRecord) relstore.Row {
 	}
 }
 
-func rowToVersion(r relstore.Row) (*VersionRecord, error) {
-	id, err := uuid.Parse(r["id"].Str)
+func rowToVersion(r relstore.Tuple) (*VersionRecord, error) {
+	id, err := uuid.Parse(r[versionCol.id].Str)
 	if err != nil {
 		return nil, fmt.Errorf("core: version row has bad id: %w", err)
 	}
-	modelID, err := uuid.Parse(r["model_id"].Str)
+	modelID, err := uuid.Parse(r[versionCol.modelID].Str)
 	if err != nil {
 		return nil, fmt.Errorf("core: version row has bad model_id: %w", err)
 	}
 	return &VersionRecord{
 		ID:          id,
 		ModelID:     modelID,
-		Major:       int(r["major"].Int),
-		Minor:       int(r["minor"].Int),
-		Cause:       VersionCause(r["cause"].Str),
-		InstanceID:  parseOrNil(r["instance_id"].Str),
-		TriggeredBy: parseOrNil(r["triggered_by"].Str),
-		Created:     r["created"].Time,
-		Production:  r["production"].Bool,
+		Major:       int(r[versionCol.major].Int()),
+		Minor:       int(r[versionCol.minor].Int()),
+		Cause:       VersionCause(r[versionCol.cause].Str),
+		InstanceID:  parseOrNil(r[versionCol.instanceID].Str),
+		TriggeredBy: parseOrNil(r[versionCol.triggeredBy].Str),
+		Created:     r[versionCol.created].Time(),
+		Production:  r[versionCol.production].Bool(),
 	}, nil
 }
 

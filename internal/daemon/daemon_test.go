@@ -511,6 +511,55 @@ func TestGatewayCloseShipsQueuedTraces(t *testing.T) {
 	}
 }
 
+// TestDefaultSamplerKeepsFastCalleeTraces: under the shipped errslow
+// sampler the gateway records every request, but has not decided to keep
+// any of them while they run, so its calls to galleryd must not carry the
+// sampled flag; galleryd then applies its own tail filter to its half.
+// Twenty predicts that each load a distinct model make twenty fast
+// galleryd requests from the gateway, and galleryd's trace buffer must
+// keep none of them.
+func TestDefaultSamplerKeepsFastCalleeTraces(t *testing.T) {
+	gd, err := NewGalleryd(gallerydConfig(t, "-mem", "-health-interval", "-1s", "-slo-interval", "-1s"))
+	must(t, err)
+	defer gd.Close()
+	gdTS := httptest.NewServer(gd.Handler())
+	defer gdTS.Close()
+	c := client.New(gdTS.URL, nil)
+	blob, err := forecast.Encode(&forecast.Heuristic{K: 1})
+	must(t, err)
+	const models = 20
+	ids := make([]string, models)
+	for i := range ids {
+		m, err := c.RegisterModel(api.RegisterModelRequest{BaseVersionID: fmt.Sprintf("bv-%02d", i), Name: "demand", Domain: "UberX"})
+		must(t, err)
+		must(t, second(c.UploadInstance(api.UploadInstanceRequest{ModelID: m.ID, Name: "first", City: "sf", Blob: blob})))
+		ids[i] = m.ID
+	}
+
+	gw, err := NewGalleryserve(galleryserveConfig(t, "-gallery", gdTS.URL, "-refresh", "-1s", "-health-flush", "-1s"))
+	must(t, err)
+	defer gw.Close()
+	gwTS := httptest.NewServer(gw.Handler())
+	defer gwTS.Close()
+	gwC := client.New(gwTS.URL, nil)
+	for _, id := range ids {
+		must(t, second(gwC.Predict(id, api.PredictRequest{History: []float64{10, 20}})))
+	}
+	if got := metricsSnapshot(t, gw.Handler()).Counters["serve_model_loads_total"]; got < models {
+		t.Fatalf("the gateway loaded %d models, want %d", got, models)
+	}
+
+	raw, err := c.DebugTraces(0)
+	must(t, err)
+	var list struct {
+		Stats trace.Stats `json:"stats"`
+	}
+	must(t, json.Unmarshal(raw, &list))
+	if list.Stats.Completed != 0 {
+		t.Errorf("galleryd kept %d traces of fast requests (%+v), want 0", list.Stats.Completed, list.Stats)
+	}
+}
+
 // TestPprofCPUProfileAtBoot: with -pprof, a CPU profile pull made in a
 // daemon's first second answers 200 with a gzipped profile, and so does
 // the pull straight after it. Nothing else in the process holds the one

@@ -154,6 +154,8 @@ func RelQuery(n int) (*RelQueryResult, error) {
 		}},
 	}
 
+	schema := relQuerySchema()
+	idPos := schema.Pos("id")
 	for _, qc := range queries {
 		rows, ex, err := s.SelectExplain(qc.q)
 		if err != nil {
@@ -162,8 +164,8 @@ func RelQuery(n int) (*RelQueryResult, error) {
 		// The visitor the registry reads through must see what the copying
 		// path returns: the same rows in the same order, the same plan.
 		var visited []string
-		vex, err := s.SelectFunc(context.Background(), qc.q, func(r relstore.Row) bool {
-			visited = append(visited, r["id"].Str)
+		vex, err := s.SelectFunc(context.Background(), qc.q, func(r relstore.Tuple) bool {
+			visited = append(visited, r[idPos].Str)
 			return true
 		})
 		if err != nil {
@@ -225,7 +227,7 @@ func RelQuery(n int) (*RelQueryResult, error) {
 
 		all := qc.q
 		all.ForceScan, all.Limit, all.Offset = true, 0, 0
-		aex, err := s.SelectFunc(context.Background(), all, func(relstore.Row) bool { return true })
+		aex, err := s.SelectFunc(context.Background(), all, func(relstore.Tuple) bool { return true })
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -28,6 +29,11 @@ type ScaleResult struct {
 	FetchLatency   time.Duration
 	LineageLatency time.Duration
 	LineageLen     int
+	// HeapPerInstance is the live heap the uploads added, over the
+	// instances: read after a GC before the first upload and after the
+	// last, so it counts what the registry keeps per instance (its rows,
+	// their index postings, the blob and its index entry), not garbage.
+	HeapPerInstance float64
 }
 
 // scaleProbeIters repeats each latency probe enough for stable medians.
@@ -80,6 +86,7 @@ func scaleTier(n int) (ScaleResult, error) {
 	}
 
 	blob := []byte("tiny placeholder model blob")
+	heapBefore := liveHeap()
 	start := time.Now()
 	var probeID uuid.UUID
 	for i := 0; i < n; i++ {
@@ -97,6 +104,7 @@ func scaleTier(n int) (ScaleResult, error) {
 		}
 	}
 	res.SaveThroughput = float64(n) / time.Since(start).Seconds()
+	res.HeapPerInstance = float64(liveHeap()-heapBefore) / float64(n)
 
 	// Indexed metadata search: all instances of one city.
 	var err error
@@ -131,20 +139,30 @@ func scaleTier(n int) (ScaleResult, error) {
 		return res, err
 	}
 	res.LineageLen = len(lineage)
+	runtime.KeepAlive(env)
 	return res, nil
+}
+
+// liveHeap returns the bytes of live heap objects after a full GC.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // FormatScale renders the tier table.
 func FormatScale(rs []ScaleResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-14s %-16s %-14s %-16s\n",
-		"instances", "save inst/s", "search (city)", "fetch", "lineage (base)")
+	fmt.Fprintf(&b, "%-12s %-14s %-16s %-14s %-16s %-12s\n",
+		"instances", "save inst/s", "search (city)", "fetch", "lineage (base)", "heap/inst")
 	for _, r := range rs {
-		fmt.Fprintf(&b, "%-12d %-14.0f %-16s %-14s %-16s\n",
+		fmt.Fprintf(&b, "%-12d %-14.0f %-16s %-14s %-16s %-12s\n",
 			r.Instances, r.SaveThroughput,
 			fmt.Sprintf("%v/%d hits", r.SearchLatency.Round(time.Microsecond), r.SearchResults),
 			r.FetchLatency.Round(time.Microsecond),
-			fmt.Sprintf("%v/%d inst", r.LineageLatency.Round(time.Microsecond), r.LineageLen))
+			fmt.Sprintf("%v/%d inst", r.LineageLatency.Round(time.Microsecond), r.LineageLen),
+			fmt.Sprintf("%.0f B", r.HeapPerInstance))
 	}
 	b.WriteString("paper claim: Gallery manages >1M model instances under Michelangelo (§4)\n")
 	return b.String()

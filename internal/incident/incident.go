@@ -498,9 +498,9 @@ func incOf(row relstore.Row) (api.Incident, string) {
 		ModelID:   row["model_id"].Str,
 		Reason:    row["reason"].Str,
 		TraceID:   row["trace_id"].Str,
-		Created:   row["created"].Time,
-		Size:      row["size"].Int,
-		Partial:   row["partial"].Int != 0,
+		Created:   row["created"].Time(),
+		Size:      row["size"].Int(),
+		Partial:   row["partial"].Int() != 0,
 	}, row["location"].Str
 }
 

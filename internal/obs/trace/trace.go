@@ -100,10 +100,12 @@ type Span struct {
 	// localRoot marks the first span this process opened for the trace;
 	// its End is what commits the trace to the store (and exporter).
 	localRoot bool
-	// remoteParent marks a localRoot continuing a trace started by
-	// another process (sampled traceparent came in); such traces bypass
-	// the tail filter — the originator already decided to keep them.
-	remoteParent bool
+	// kept marks a trace this process has already decided to keep: its
+	// sampler keeps whatever it records (always, a probability hit), or the
+	// caller's traceparent carried the sampled flag. Such a trace bypasses
+	// the tail filter, and only such a trace sends the sampled flag on, so
+	// a callee keeps what its caller keeps and decides the rest itself.
+	kept bool
 
 	mu    sync.Mutex
 	attrs []Attr
@@ -260,6 +262,7 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 		parent:  parent.spanID,
 		name:    name,
 		start:   time.Now(),
+		kept:    parent.kept,
 	}
 	return ContextWith(ctx, child), child
 }
@@ -271,6 +274,9 @@ type Tracer struct {
 	sampler  Sampler
 	store    *Store
 	exporter func(spans []SpanData)
+	// headKeeps reports that the sampler keeps every trace it records, so
+	// a recorded trace is kept from its first span on.
+	headKeeps bool
 }
 
 // Options configures a Tracer.
@@ -299,10 +305,11 @@ func New(opts Options) *Tracer {
 		opts.Capacity = 256
 	}
 	return &Tracer{
-		service:  opts.Service,
-		sampler:  opts.Sampler,
-		store:    NewStore(opts.Capacity),
-		exporter: opts.Exporter,
+		service:   opts.Service,
+		sampler:   opts.Sampler,
+		store:     NewStore(opts.Capacity),
+		exporter:  opts.Exporter,
+		headKeeps: opts.Sampler.Keep(0, false),
 	}
 }
 
@@ -316,37 +323,33 @@ func (t *Tracer) Service() string { return t.service }
 // StartRoot opens this process's root span for a request. parent is the
 // incoming traceparent header value ("" when absent). The decision tree:
 //
-//   - sampled traceparent came in → continue that trace (forced: the
-//     caller decided), parenting to the remote span;
-//   - otherwise → consult the sampler for a fresh trace;
+//   - sampled traceparent came in → continue that trace, kept (the caller
+//     decided), parenting to the remote span;
+//   - otherwise → consult the sampler; a valid traceparent without the
+//     flag gives the trace ID and parent to continue, so the halves that
+//     both processes keep still join, and the tail filter decides;
 //   - not sampled → (ctx, nil), zero allocations.
 func (t *Tracer) StartRoot(ctx context.Context, name, parent string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
-	if tid, sid, sampled, err := ParseTraceparent(parent); err == nil && sampled {
-		s := &Span{
-			tracer:       t,
-			traceID:      tid,
-			spanID:       newSpanID(),
-			parent:       sid,
-			name:         name,
-			start:        time.Now(),
-			localRoot:    true,
-			remoteParent: true,
-		}
-		return ContextWith(ctx, s), s
-	}
-	if !t.sampler.Sample() {
+	tid, sid, sampled, err := ParseTraceparent(parent)
+	switch {
+	case sampled: // the caller has decided to keep the trace
+	case !t.sampler.Sample():
 		return ctx, nil
+	case err != nil:
+		tid, sid = newTraceID(), SpanID{}
 	}
 	s := &Span{
 		tracer:    t,
-		traceID:   newTraceID(),
+		traceID:   tid,
 		spanID:    newSpanID(),
+		parent:    sid,
 		name:      name,
 		start:     time.Now(),
 		localRoot: true,
+		kept:      sampled || t.headKeeps,
 	}
 	return ContextWith(ctx, s), s
 }
@@ -365,7 +368,7 @@ func (t *Tracer) finish(s *Span, data SpanData) {
 		return
 	}
 	slow := time.Duration(data.Duration * float64(time.Millisecond))
-	keep := s.remoteParent || t.sampler.Keep(slow, data.Error != "" || t.store.pendingHadError(data.TraceID))
+	keep := s.kept || t.sampler.Keep(slow, data.Error != "" || t.store.pendingHadError(data.TraceID))
 	spans := t.store.complete(data, keep)
 	if keep && t.exporter != nil && len(spans) > 0 {
 		t.exporter(spans)
@@ -387,7 +390,9 @@ var ErrTraceparent = errors.New("trace: malformed traceparent")
 const FlagSampled = 0x01
 
 // Traceparent renders the W3C-style header for s:
-// "00-<32 hex trace-id>-<16 hex span-id>-01". A nil span returns "".
+// "00-<32 hex trace-id>-<16 hex span-id>-<flags>", where flags is 01
+// (sampled) when this process has decided to keep the trace and 00 while
+// its tail filter has yet to decide. A nil span returns "".
 func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
@@ -397,7 +402,10 @@ func (s *Span) Traceparent() string {
 	hex.Encode(buf[3:35], s.traceID[:])
 	buf[35] = '-'
 	hex.Encode(buf[36:52], s.spanID[:])
-	buf[52], buf[53], buf[54] = '-', '0', '1'
+	buf[52], buf[53], buf[54] = '-', '0', '0'
+	if s.kept {
+		buf[54] = '1'
+	}
 	return string(buf[:])
 }
 

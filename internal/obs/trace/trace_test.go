@@ -215,6 +215,52 @@ func TestRemoteParentBypassesTailFilter(t *testing.T) {
 	}
 }
 
+// TestSampledFlagOnlyWhenKept: a traceparent carries the sampled flag only
+// for a trace this process has already decided to keep — a sampler that
+// keeps all it records, or a sampled caller — and every span of the trace
+// sends the same flag. A callee handed a valid parent without the flag
+// continues the trace under its own sampler: it keeps the trace ID and the
+// parent, and its tail filter decides.
+func TestSampledFlagOnlyWhenKept(t *testing.T) {
+	for _, c := range []struct {
+		sampler Sampler
+		flag    string
+	}{{Always(), "01"}, {probSampler{p: 1}, "01"}, {ErrSlow(0), "01"}, {ErrSlow(time.Hour), "00"}} {
+		tr := New(Options{Service: "up", Sampler: c.sampler})
+		ctx, root := tr.StartRoot(context.Background(), "root", "")
+		_, child := Start(ctx, "child")
+		for _, s := range []*Span{root, child} {
+			if h := s.Traceparent(); !strings.HasSuffix(h, "-"+c.flag) {
+				t.Errorf("sampler %s: traceparent %s, want flags %s", c.sampler.Spec(), h, c.flag)
+			}
+		}
+		// The decision travels: a sampled caller makes the callee keep
+		// and pass the flag on whatever its own sampler.
+		down := New(Options{Service: "down", Sampler: ErrSlow(time.Hour)})
+		_, callee := down.StartRoot(context.Background(), "handler", child.Traceparent())
+		if h := callee.Traceparent(); !strings.HasSuffix(h, "-"+c.flag) {
+			t.Errorf("sampler %s: callee's traceparent %s, want flags %s", c.sampler.Spec(), h, c.flag)
+		}
+		callee.End()
+		if _, kept := down.Store().Get(root.TraceIDString()); kept != (c.flag == "01") {
+			t.Errorf("sampler %s: fast callee kept its half: %v", c.sampler.Spec(), kept)
+		}
+		child.End()
+		root.End()
+	}
+
+	up := New(Options{Service: "up", Sampler: ErrSlow(time.Hour)})
+	_, caller := up.StartRoot(context.Background(), "caller", "")
+	down := New(Options{Service: "down", Sampler: Always()})
+	_, callee := down.StartRoot(context.Background(), "handler", caller.Traceparent())
+	callee.End()
+	d, ok := down.Store().Get(caller.TraceIDString())
+	if !ok || d.Roots[0].Span.ParentID != caller.SpanIDString() {
+		t.Fatalf("callee of an unflagged caller did not continue its trace under its own sampler: %v %+v", ok, d)
+	}
+	caller.End()
+}
+
 func TestNeverSamplerStartsNothing(t *testing.T) {
 	tr := New(Options{Service: "svc"}) // default sampler: Never
 	ctx, span := tr.StartRoot(context.Background(), "root", "")

@@ -73,7 +73,7 @@ func (s *Store) Compact(path string) error {
 		}
 		// Emit rows in primary-key order.
 		var iterErr error
-		t.scanAll(false, func(row Row) bool {
+		t.scanAll(false, func(row Tuple) bool {
 			if err := appendOp(walOp{Kind: opInsert, Table: name, Row: row}); err != nil {
 				iterErr = err
 				return false

@@ -34,17 +34,25 @@ import (
 // encodings of some leading values are exactly the rows holding them.
 // A row with a null in any of an index's columns has no posting in it.
 
-// keyItem is a B-tree key held as a string, so ordering is string order:
-// primary keys in a table's pks tree, postings in its indexes.
-type keyItem string
+// keyItem is a B-tree key, ordered as strings: a primary key in a table's
+// pks tree, a posting in its indexes. Trees hold it by pointer, so a tree
+// bulk-loaded from one array of keyItems costs no allocation per key.
+type keyItem struct{ key string }
 
-func (k keyItem) Less(than btree.Item) bool { return k < than.(keyItem) }
+func (k *keyItem) Less(than btree.Item) bool { return k.key < than.(*keyItem).key }
 
-// index is one secondary index: its Schema.Indexes name, its columns, and
-// its postings.
+// item returns key as a B-tree item.
+func item(key string) *keyItem { return &keyItem{key} }
+
+// keyOf returns the key a tree item holds.
+func keyOf(it btree.Item) string { return it.(*keyItem).key }
+
+// index is one secondary index: its Schema.Indexes name, its columns with
+// their positions in a stored row, and its postings.
 type index struct {
 	name string
 	cols []Column
+	pos  []int
 	tree *btree.Tree
 }
 
@@ -52,17 +60,18 @@ type index struct {
 func newIndex(schema *Schema, name string) *index {
 	ix := &index{name: name, tree: btree.New()}
 	for _, col := range strings.Split(name, ",") {
-		c, _ := schema.col(col)
-		ix.cols = append(ix.cols, c)
+		i := schema.Pos(col)
+		ix.cols = append(ix.cols, schema.Columns[i])
+		ix.pos = append(ix.pos, i)
 	}
 	return ix
 }
 
 // appendKey appends row's posting to dst; ok is false when the row has
 // none, because one of the index's columns is null in it.
-func (ix *index) appendKey(dst []byte, row Row, pk string) (_ []byte, ok bool) {
-	for _, c := range ix.cols {
-		v := row[c.Name]
+func (ix *index) appendKey(dst []byte, row Tuple, pk string) (_ []byte, ok bool) {
+	for _, i := range ix.pos {
+		v := row[i]
 		if v.IsNull() {
 			return dst, false
 		}
@@ -72,18 +81,18 @@ func (ix *index) appendKey(dst []byte, row Row, pk string) (_ []byte, ok bool) {
 }
 
 // insert adds row's posting, if it has one.
-func (ix *index) insert(row Row, pk string) {
+func (ix *index) insert(row Tuple, pk string) {
 	var buf [64]byte
 	if k, ok := ix.appendKey(buf[:0], row, pk); ok {
-		ix.tree.ReplaceOrInsert(keyItem(k))
+		ix.tree.ReplaceOrInsert(item(string(k)))
 	}
 }
 
 // remove deletes row's posting, if it has one.
-func (ix *index) remove(row Row, pk string) {
+func (ix *index) remove(row Tuple, pk string) {
 	var buf [64]byte
 	if k, ok := ix.appendKey(buf[:0], row, pk); ok {
-		ix.tree.Delete(keyItem(k))
+		ix.tree.Delete(item(string(k)))
 	}
 }
 
@@ -113,16 +122,14 @@ func appendKeyValue(dst []byte, v Value) []byte {
 	case KindString:
 		return append(appendEscaped(dst, v.Str), 0x00, 0x01)
 	case KindInt:
-		return binary.BigEndian.AppendUint64(dst, uint64(v.Int)^1<<63)
+		return binary.BigEndian.AppendUint64(dst, v.n^1<<63)
 	case KindFloat:
-		return binary.BigEndian.AppendUint64(dst, floatKey(v.Float))
+		return binary.BigEndian.AppendUint64(dst, floatKey(v.Float()))
 	case KindBool:
-		return append(dst, boolByte(v.Bool))
-	default: // KindTime
-		// Unix plus the offset wraps back to the seconds Time keeps, even
-		// where Unix alone overflows.
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Time.Unix()+unixToInternal)^1<<63)
-		return binary.BigEndian.AppendUint32(dst, uint32(v.Time.Nanosecond()))
+		return append(dst, byte(v.n))
+	default: // KindTime: the seconds since year 1 Value keeps
+		dst = binary.BigEndian.AppendUint64(dst, v.n^1<<63)
+		return binary.BigEndian.AppendUint32(dst, v.nsec)
 	}
 }
 
@@ -177,11 +184,11 @@ func coerce(v Value, kind Kind) (Value, bool) {
 	case v.Kind == kind: // a column's kind is never null's
 		return v, true
 	case v.Kind == KindInt && kind == KindFloat:
-		return Float(float64(v.Int)), true // the conversion Compare makes
-	case v.Kind == KindFloat && kind == KindInt && v.Float == math.Trunc(v.Float) && math.Abs(v.Float) < 1<<53:
+		return Float(float64(v.Int())), true // the conversion Compare makes
+	case v.Kind == KindFloat && kind == KindInt && v.Float() == math.Trunc(v.Float()) && math.Abs(v.Float()) < 1<<53:
 		// Below 2^53 every int64 converts to a float on the same side of
 		// v.Float as it is of the int.
-		return Int(int64(v.Float)), true
+		return Int(int64(v.Float())), true
 	}
 	return Value{}, false
 }

@@ -64,8 +64,8 @@ func FuzzIndexKey(f *testing.F) {
 		sc := Schema{Table: "t", Key: "id", Indexes: []string{"c1,c2"},
 			Columns: []Column{{Name: "id", Kind: KindString}, {Name: "c1", Kind: k1}, {Name: "c2", Kind: k2}}}
 		ix := newIndex(&sc, "c1,c2")
-		rowA, pkA := Row{"c1": va1, "c2": va2}, "\x00a"+string(a2)
-		rowB, pkB := Row{"c1": vb1, "c2": vb2}, "\x00b"+string(b2)
+		rowA, pkA := Tuple{{}, va1, va2}, "\x00a"+string(a2)
+		rowB, pkB := Tuple{{}, vb1, vb2}, "\x00b"+string(b2)
 		ka, _ := ix.appendKey(nil, rowA, pkA)
 		kb, _ := ix.appendKey(nil, rowB, pkB)
 		want := cmp.Or(sign(Compare(va1, vb1)), sign(Compare(va2, vb2)), strings.Compare(pkA, pkB))
@@ -84,12 +84,12 @@ func FuzzIndexKey(f *testing.F) {
 		}
 		for _, r := range []struct {
 			key string
-			row Row
-		}{{string(ka), rowA}, {string(kb), Row{"c1": vb1, "c2": va2}}} {
+			row Tuple
+		}{{string(ka), rowA}, {string(kb), Tuple{{}, vb1, va2}}} {
 			k, _ := ix.appendKey(nil, r.row, "\x00")
 			key := string(k)
 			in := key >= p.lo && (p.hi == "" || key < p.hi)
-			match := matchesAll(where, r.row)
+			match := matchesAll(sc.conds(where), r.row)
 			// With the second constraint left to the scan, the range is
 			// every posting under the first column's value.
 			if in != match && (p.bound == 2 || !in) {

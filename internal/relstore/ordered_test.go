@@ -32,7 +32,7 @@ func TestOrderedIndexStreamDesc(t *testing.T) {
 		t.Fatalf("rows[0] = %s", rows[0]["id"].Str)
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i]["created"].Time.After(rows[i-1]["created"].Time) {
+		if rows[i]["created"].Time().After(rows[i-1]["created"].Time()) {
 			t.Fatal("descending order violated")
 		}
 	}
@@ -64,7 +64,7 @@ func TestOrderedIndexStreamAscWithFilter(t *testing.T) {
 		}
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i]["created"].Time.Before(rows[i-1]["created"].Time) {
+		if rows[i]["created"].Time().Before(rows[i-1]["created"].Time()) {
 			t.Fatal("ascending order violated")
 		}
 	}

@@ -149,21 +149,21 @@ func rangeOf(prefix []byte, c Constraint, kind Kind) (lo, hi string, rank int, o
 
 // scanIndex visits the rows whose postings lie in p's range, in posting
 // order, or the reverse when desc.
-func (t *table) scanIndex(p plan, desc bool, visit func(Row) bool) {
+func (t *table) scanIndex(p plan, desc bool, visit func(Tuple) bool) {
 	ix := p.idx
 	emit := func(it btree.Item) bool {
-		return visit(t.rows[ix.pkOf(string(it.(keyItem)))])
+		return visit(t.rows[ix.pkOf(keyOf(it))])
 	}
 	var hi btree.Item
 	if p.hi != "" {
-		hi = keyItem(p.hi)
+		hi = item(p.hi)
 	}
 	if !desc {
-		ix.tree.AscendRange(keyItem(p.lo), hi, emit)
+		ix.tree.AscendRange(item(p.lo), hi, emit)
 		return
 	}
 	down := func(it btree.Item) bool {
-		switch k := string(it.(keyItem)); {
+		switch k := keyOf(it); {
 		case k < p.lo:
 			return false
 		case hi != nil && k >= p.hi: // the bound itself, which the seek includes
@@ -179,9 +179,9 @@ func (t *table) scanIndex(p plan, desc bool, visit func(Row) bool) {
 }
 
 // scanAll visits every row in primary-key order (descending when desc).
-func (t *table) scanAll(desc bool, visit func(Row) bool) {
+func (t *table) scanAll(desc bool, visit func(Tuple) bool) {
 	emit := func(it btree.Item) bool {
-		return visit(t.rows[string(it.(keyItem))])
+		return visit(t.rows[keyOf(it)])
 	}
 	if desc {
 		t.pks.Descend(emit)

@@ -31,11 +31,11 @@ func TestDriverScanSharesOrderByColumn(t *testing.T) {
 	if ex.Scanned > 10 {
 		t.Fatalf("streamed limit-10 scan examined %d postings", ex.Scanned)
 	}
-	if len(rows) != 10 || !rows[0]["created"].Time.Equal(cutoff) {
-		t.Fatalf("rows = %d, first created = %v", len(rows), rows[0]["created"].Time)
+	if len(rows) != 10 || !rows[0]["created"].Time().Equal(cutoff) {
+		t.Fatalf("rows = %d, first created = %v", len(rows), rows[0]["created"].Time())
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i]["created"].Time.Before(rows[i-1]["created"].Time) {
+		if rows[i]["created"].Time().Before(rows[i-1]["created"].Time()) {
 			t.Fatal("streamed rows out of ascending order")
 		}
 	}
@@ -75,8 +75,8 @@ func TestDriverScanDescStreams(t *testing.T) {
 			t.Fatalf("row %d: streamed %s vs sorted %s", i, rows[i]["id"].Str, frows[i]["id"].Str)
 		}
 	}
-	if !rows[0]["created"].Time.Equal(t0.Add(499 * time.Minute)) {
-		t.Fatalf("desc scan started at %v", rows[0]["created"].Time)
+	if !rows[0]["created"].Time().Equal(t0.Add(499 * time.Minute)) {
+		t.Fatalf("desc scan started at %v", rows[0]["created"].Time())
 	}
 }
 
@@ -168,8 +168,8 @@ func TestOffsetPlusLimitEarlyTermination(t *testing.T) {
 	if !ex.Ordered || ex.Scanned > 25 {
 		t.Fatalf("streamed desc offset+limit scanned %d, want <=25", ex.Scanned)
 	}
-	if len(rows) != 5 || !rows[0]["created"].Time.Equal(t0.Add(979*time.Minute)) {
-		t.Fatalf("page = %d rows starting %v", len(rows), rows[0]["created"].Time)
+	if len(rows) != 5 || !rows[0]["created"].Time().Equal(t0.Add(979*time.Minute)) {
+		t.Fatalf("page = %d rows starting %v", len(rows), rows[0]["created"].Time())
 	}
 }
 

@@ -122,11 +122,29 @@ type Explain struct {
 	Matched int
 }
 
+// cond is a constraint with its column resolved to a position in the
+// stored row, or -1 for a column the table lacks, which is null in every
+// row.
+type cond struct {
+	*Constraint
+	pos int
+}
+
+// conds resolves where's columns against the schema, once per query; the
+// scan then reads each cell by position.
+func (s *Schema) conds(where []Constraint) []cond {
+	cs := make([]cond, len(where))
+	for i := range where {
+		cs[i] = cond{&where[i], s.Pos(where[i].Field)}
+	}
+	return cs
+}
+
 // matches reports whether row satisfies c.
-func (c Constraint) matches(row Row) bool {
-	v, ok := row[c.Field]
-	if !ok {
-		v = Value{} // treat absent as null
+func (c cond) matches(row Tuple) bool {
+	var v Value // null where the table has no such column
+	if c.pos >= 0 {
+		v = row[c.pos]
 	}
 	switch c.Op {
 	case OpEq:
@@ -182,8 +200,9 @@ func (s *Store) SelectExplain(q Query) ([]Row, Explain, error) {
 // copying half of the store's copy-or-visit read contract.
 func (s *Store) selectCopies(ctx context.Context, q Query) ([]Row, Explain, error) {
 	out := []Row{}
-	ex, err := s.SelectFunc(ctx, q, func(r Row) bool {
-		out = append(out, r.Clone())
+	var cols []Column
+	ex, _, err := s.selectFunc(q, &cols, func(r Tuple) bool {
+		out = append(out, byName(cols, r))
 		return true
 	})
 	if err != nil {
@@ -199,20 +218,22 @@ func (s *Store) selectCopies(ctx context.Context, q Query) ([]Row, Explain, erro
 // the scan examined before it ended, so stopping early makes the counts
 // smaller. A negative Offset counts as zero and a Limit ≤ 0 as no limit.
 //
-// fn is lent the stored row itself, under the store's read lock. It must
-// not keep the row (the map) past the call, must not modify it, and must
-// not block. It must not call back into the store either: a second read
-// lock queued behind a waiting writer deadlocks. Values copied out of the
-// row, strings included, are the caller's to keep — strings are immutable.
+// fn is lent the stored row itself, under the store's read lock: its cells
+// in schema order, so a caller reads a column at the position Schema.Pos
+// gives it, resolved once. It must not keep the tuple past the call, must
+// not modify it, and must not block. It must not call back into the store
+// either: a second read lock queued behind a waiting writer deadlocks.
+// Values copied out of the row, strings included, are the caller's to keep
+// — strings are immutable.
 // Use it where rows become something else straight away; Select where the
 // caller keeps or edits rows.
 //
 // With a sampled ctx the query gets a relstore.select span annotated with
 // the table, the index that drove it, the order (streamed or sorted), the
 // rows scanned and the rows passed to fn.
-func (s *Store) SelectFunc(ctx context.Context, q Query, fn func(Row) bool) (Explain, error) {
+func (s *Store) SelectFunc(ctx context.Context, q Query, fn func(Tuple) bool) (Explain, error) {
 	_, span := trace.Start(ctx, "relstore.select")
-	ex, rows, err := s.selectFunc(q, fn)
+	ex, rows, err := s.selectFunc(q, nil, fn)
 	if span != nil {
 		span.Annotate("table", q.Table)
 		span.Annotate("index", ex.Index)
@@ -235,11 +256,12 @@ const maxKeptMatchBuf = 16 << 10
 // matchBufs recycles the buffer in which a sorted query gathers its
 // matches, so what a sorted select allocates follows the rows it returns,
 // not the rows it matched.
-var matchBufs = sync.Pool{New: func() any { return new([]Row) }}
+var matchBufs = sync.Pool{New: func() any { return new([]Tuple) }}
 
 // selectFunc plans and runs q, passing result rows to fn, and reports how
-// many it passed.
-func (s *Store) selectFunc(q Query, fn func(Row) bool) (Explain, int, error) {
+// many it passed. cols, when not nil, is set to the table's columns before
+// the first row.
+func (s *Store) selectFunc(q Query, cols *[]Column, fn func(Tuple) bool) (Explain, int, error) {
 	s.countOp("select", q.Table)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -247,7 +269,11 @@ func (s *Store) selectFunc(q Query, fn func(Row) bool) (Explain, int, error) {
 	if !ok {
 		return Explain{}, 0, fmt.Errorf("%w: %s", ErrNoTable, q.Table)
 	}
+	if cols != nil {
+		*cols = t.schema.Columns
+	}
 	var ex Explain
+	where := t.schema.conds(q.Where)
 	// Without an index, a full scan in primary-key order (either
 	// direction) streams when the query has no ORDER BY.
 	p := plan{streamed: q.OrderBy == ""}
@@ -264,14 +290,14 @@ func (s *Store) selectFunc(q Query, fn func(Row) bool) (Explain, int, error) {
 	// sort below.
 	emitted := 0
 	var (
-		matchBuf *[]Row
-		matched  []Row
-		visit    func(Row) bool
+		matchBuf *[]Tuple
+		matched  []Tuple
+		visit    func(Tuple) bool
 	)
 	if p.streamed {
-		visit = func(row Row) bool {
+		visit = func(row Tuple) bool {
 			ex.Scanned++
-			if !matchesAll(q.Where, row) {
+			if !matchesAll(where, row) {
 				return true
 			}
 			ex.Matched++
@@ -282,11 +308,11 @@ func (s *Store) selectFunc(q Query, fn func(Row) bool) (Explain, int, error) {
 			return fn(row) && (q.Limit <= 0 || emitted < q.Limit)
 		}
 	} else {
-		matchBuf = matchBufs.Get().(*[]Row)
+		matchBuf = matchBufs.Get().(*[]Tuple)
 		matched = (*matchBuf)[:0]
-		visit = func(row Row) bool {
+		visit = func(row Tuple) bool {
 			ex.Scanned++
-			if matchesAll(q.Where, row) {
+			if matchesAll(where, row) {
 				ex.Matched++
 				matched = append(matched, row)
 			}
@@ -311,13 +337,16 @@ func (s *Store) selectFunc(q Query, fn func(Row) bool) (Explain, int, error) {
 	// scan yields (value desc, pk desc) within equal values, while this
 	// stable sort preserves scan order; order among equal ORDER BY values
 	// is unspecified either way.
-	col := q.OrderBy
-	slices.SortStableFunc(matched, func(a, b Row) int {
-		if q.Desc {
-			return Compare(b[col], a[col])
-		}
-		return Compare(a[col], b[col])
-	})
+	// A column the table lacks is null in every row, so it leaves scan
+	// order as it is.
+	if col := t.schema.Pos(q.OrderBy); col >= 0 {
+		slices.SortStableFunc(matched, func(a, b Tuple) int {
+			if q.Desc {
+				return Compare(b[col], a[col])
+			}
+			return Compare(a[col], b[col])
+		})
+	}
 	page := matched[min(max(q.Offset, 0), len(matched)):]
 	if q.Limit > 0 && len(page) > q.Limit {
 		page = page[:q.Limit]
@@ -337,7 +366,7 @@ func (s *Store) selectFunc(q Query, fn func(Row) bool) (Explain, int, error) {
 }
 
 // matchesAll reports whether row satisfies every constraint.
-func matchesAll(where []Constraint, row Row) bool {
+func matchesAll(where []cond, row Tuple) bool {
 	for _, c := range where {
 		if !c.matches(row) {
 			return false

@@ -113,8 +113,8 @@ func TestSelectRangeOps(t *testing.T) {
 			t.Fatalf("%v: empty result", tc.op)
 		}
 		for _, r := range rows {
-			if !tc.want(r["mape"].Float) {
-				t.Fatalf("%v %v returned mape=%v", tc.op, tc.val, r["mape"].Float)
+			if !tc.want(r["mape"].Float()) {
+				t.Fatalf("%v %v returned mape=%v", tc.op, tc.val, r["mape"].Float())
 			}
 		}
 	}
@@ -204,7 +204,7 @@ func TestSelectConjunction(t *testing.T) {
 		t.Fatalf("conjunction index = %q", ex.Index)
 	}
 	for _, r := range rows {
-		if r["city"].Str != "sf" || r["mape"].Float >= 0.25 || r["base_version_id"].Str != "base0" {
+		if r["city"].Str != "sf" || r["mape"].Float() >= 0.25 || r["base_version_id"].Str != "base0" {
 			t.Fatalf("conjunction returned non-matching row %v", r)
 		}
 	}
@@ -231,7 +231,7 @@ func TestSelectOrderByLimitOffset(t *testing.T) {
 		t.Fatalf("rows[0] = %s, want i0047", rows[0]["id"].Str)
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i]["created"].Time.After(rows[i-1]["created"].Time) {
+		if rows[i]["created"].Time().After(rows[i-1]["created"].Time()) {
 			t.Fatal("descending order violated")
 		}
 	}

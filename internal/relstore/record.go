@@ -6,7 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
+	"strings"
 	"time"
 )
 
@@ -115,22 +115,25 @@ func appendOp(dst []byte, tables map[string]*table, op walOp) ([]byte, error) {
 		if op.Kind == opDelete {
 			return appendString(dst, op.PK), nil
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(op.Row)))
+		if len(op.Row) != len(t.schema.Columns) {
+			return dst, fmt.Errorf("relstore: table %s: row has %d cells for %d columns", op.Table, len(op.Row), len(t.schema.Columns))
+		}
 		cells := 0
-		for i, c := range t.schema.Columns {
-			v, ok := op.Row[c.Name]
-			if !ok {
+		for _, v := range op.Row {
+			if !v.IsNull() {
+				cells++
+			}
+		}
+		dst = binary.AppendUvarint(dst, uint64(cells))
+		for i, v := range op.Row {
+			if v.IsNull() {
 				continue
 			}
-			cells++
 			dst = binary.AppendUvarint(dst, uint64(i))
 			var err error
 			if dst, err = appendValue(dst, v); err != nil {
-				return dst, fmt.Errorf("relstore: table %s column %s: %w", op.Table, c.Name, err)
+				return dst, fmt.Errorf("relstore: table %s column %s: %w", op.Table, t.schema.Columns[i].Name, err)
 			}
-		}
-		if cells != len(op.Row) {
-			return dst, fmt.Errorf("relstore: table %s: row has an undeclared column", op.Table)
 		}
 		return dst, nil
 	default:
@@ -165,16 +168,16 @@ func appendValue(dst []byte, v Value) ([]byte, error) {
 	case KindString:
 		dst = appendString(dst, v.Str)
 	case KindInt:
-		dst = binary.AppendVarint(dst, v.Int)
+		dst = binary.AppendVarint(dst, int64(v.n))
 	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
+		dst = binary.LittleEndian.AppendUint64(dst, v.n)
 	case KindBool:
-		dst = append(dst, boolByte(v.Bool))
+		dst = append(dst, byte(v.n))
 	case KindTime:
 		at := len(dst)
 		dst = append(dst, 0)
 		var err error
-		if dst, err = appendTime(dst, v.Time); err != nil {
+		if dst, err = appendTime(dst, v.Time()); err != nil {
 			return dst, err
 		}
 		dst[at] = byte(len(dst) - at - 1)
@@ -220,10 +223,12 @@ func decodeRecord(tables map[string]*table, payload []byte) (op walOp, legacy bo
 	if len(payload) == 0 || payload[0] != recordMagic {
 		// Written before version 1. Compact rewrites these, so the branch
 		// (and the gob import) can go once no such log is left to upgrade.
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&op); err != nil {
+		var lop legacyOp
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&lop); err != nil {
 			return walOp{}, true, fmt.Errorf("relstore: decode legacy wal record: %w", err)
 		}
-		return op, true, nil
+		op, err := lop.op(tables)
+		return op, true, err
 	}
 	if len(payload) < 3 {
 		return walOp{}, false, errRecordTruncated
@@ -247,6 +252,69 @@ func decodeRecord(tables map[string]*table, payload []byte) (op walOp, legacy bo
 	return op, false, nil
 }
 
+// legacyOp and legacyValue are walOp and Value as gob wrote them before
+// version 1, with rows by column name: gob matches struct fields by name.
+type legacyOp struct {
+	Kind    opKind
+	Schema  *Schema
+	Table   string
+	Row     map[string]legacyValue
+	PK      string
+	Batch   []legacyOp
+	Indexes []string
+}
+
+type legacyValue struct {
+	Kind  Kind
+	Str   string
+	Int   int64
+	Float float64
+	Bool  bool
+	Time  time.Time
+}
+
+// op converts a legacy op, its rows positioned by tables' schemas. A cell
+// of an unknown kind is kept for apply to refuse, as the cell of any other
+// kind its column does not hold is.
+func (l *legacyOp) op(tables map[string]*table) (walOp, error) {
+	op := walOp{Kind: l.Kind, Schema: l.Schema, Table: l.Table, PK: l.PK, Indexes: l.Indexes}
+	if l.Row != nil {
+		t, ok := tables[l.Table]
+		if !ok {
+			return walOp{}, fmt.Errorf("%w: %s", ErrNoTable, l.Table)
+		}
+		row := make(Row, len(l.Row))
+		for name, v := range l.Row {
+			switch v.Kind {
+			case KindString:
+				row[name] = String(v.Str)
+			case KindInt:
+				row[name] = Int(v.Int)
+			case KindFloat:
+				row[name] = Float(v.Float)
+			case KindBool:
+				row[name] = Bool(v.Bool)
+			case KindTime:
+				row[name] = Time(v.Time)
+			default:
+				row[name] = Value{Kind: v.Kind}
+			}
+		}
+		var err error
+		if op.Row, err = t.schema.tuple(row); err != nil {
+			return walOp{}, err
+		}
+	}
+	for i := range l.Batch {
+		sub, err := l.Batch[i].op(tables)
+		if err != nil {
+			return walOp{}, err
+		}
+		op.Batch = append(op.Batch, sub)
+	}
+	return op, nil
+}
+
 // recordDecoder consumes a version 1 record body. Every read is bounds
 // checked and every count is checked against the bytes left to back it, so
 // a hostile payload can neither panic it nor make it allocate more than
@@ -254,6 +322,13 @@ func decodeRecord(tables map[string]*table, payload []byte) (op walOp, legacy bo
 type recordDecoder struct {
 	b      []byte
 	tables map[string]*table
+}
+
+// stringCell is a string cell row has read but not yet copied out of the
+// payload.
+type stringCell struct {
+	pos int
+	b   []byte
 }
 
 func (d *recordDecoder) batch() (walOp, error) {
@@ -376,7 +451,10 @@ func (d *recordDecoder) table() (*table, error) {
 	return t, nil
 }
 
-func (d *recordDecoder) row(sc *Schema) (Row, error) {
+// row decodes a row's cells straight into their positions in a stored
+// row. The row's strings are copied out of the payload into one string, so
+// a row costs two allocations however many columns it has.
+func (d *recordDecoder) row(sc *Schema) (Tuple, error) {
 	n, err := d.count(2) // column position, kind
 	if err != nil {
 		return nil, err
@@ -384,7 +462,9 @@ func (d *recordDecoder) row(sc *Schema) (Row, error) {
 	if n > len(sc.Columns) {
 		return nil, fmt.Errorf("relstore: table %s: wal row has %d cells for %d columns", sc.Table, n, len(sc.Columns))
 	}
-	row := make(Row, n)
+	row := make(Tuple, len(sc.Columns))
+	var buf [16]stringCell
+	strs, size := buf[:0], 0
 	next := uint64(0) // positions ascend, so no cell can repeat
 	for i := 0; i < n; i++ {
 		pos, err := d.uvarint()
@@ -395,52 +475,99 @@ func (d *recordDecoder) row(sc *Schema) (Row, error) {
 			return nil, fmt.Errorf("relstore: table %s: wal row names column %d out of order or range", sc.Table, pos)
 		}
 		next = pos + 1
-		if row[sc.Columns[pos].Name], err = d.value(); err != nil {
+		var str []byte
+		if row[pos], str, err = d.value(); err != nil {
 			return nil, err
 		}
+		if row[pos].Kind == KindString {
+			strs = append(strs, stringCell{int(pos), str})
+			size += len(str)
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, c := range strs {
+		b.Write(c.b)
+	}
+	all := b.String()
+	for _, c := range strs {
+		row[c.pos].Str, all = all[:len(c.b)], all[len(c.b):]
 	}
 	return row, nil
 }
 
-func (d *recordDecoder) value() (Value, error) {
+// value decodes one cell. A string's bytes are returned aliasing the
+// payload, for the caller to copy into the value's Str.
+func (d *recordDecoder) value() (Value, []byte, error) {
 	k, err := d.byte()
 	if err != nil {
-		return Value{}, err
+		return Value{}, nil, err
 	}
 	v := Value{Kind: Kind(k)}
+	var str []byte
 	switch v.Kind {
 	case 0:
 	case KindString:
-		v.Str, err = d.string()
+		str, err = d.bytes()
 	case KindInt:
-		var n int
-		v.Int, n = binary.Varint(d.b)
+		i, n := binary.Varint(d.b)
 		if n <= 0 {
-			return Value{}, errRecordTruncated
+			return Value{}, nil, errRecordTruncated
 		}
-		d.b = d.b[n:]
+		v.n, d.b = uint64(i), d.b[n:]
 	case KindFloat:
 		if len(d.b) < 8 {
-			return Value{}, errRecordTruncated
+			return Value{}, nil, errRecordTruncated
 		}
-		v.Float = math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-		d.b = d.b[8:]
+		v.n, d.b = binary.LittleEndian.Uint64(d.b), d.b[8:]
 	case KindBool:
-		v.Bool, err = d.bool()
+		var b bool
+		b, err = d.bool()
+		v = Bool(b)
 	case KindTime:
 		var enc []byte
 		if enc, err = d.bytes(); err == nil {
-			err = v.Time.UnmarshalBinary(enc)
-		}
-		// UnmarshalBinary has checked the length but takes any nanosecond
-		// count, and one past a second spills into Time's internal flag bits.
-		if err == nil && binary.BigEndian.Uint32(enc[9:]) >= 1e9 {
-			err = errors.New("relstore: wal time has nanoseconds out of range")
+			v, err = decodeTime(enc)
 		}
 	default:
-		return Value{}, fmt.Errorf("relstore: wal value has invalid kind %d", k)
+		return Value{}, nil, fmt.Errorf("relstore: wal value has invalid kind %d", k)
 	}
-	return v, err
+	return v, str, err
+}
+
+// decodeTime reads what Time.MarshalBinary writes, as UnmarshalBinary
+// would: a UTC offset marker gives UTC, an offset that is Local's at that
+// instant gives Local, any other an unnamed fixed zone. Unlike
+// UnmarshalBinary it refuses a nanosecond count of a second or more, which
+// would spill into time.Time's internal flag bits.
+func decodeTime(enc []byte) (Value, error) {
+	if len(enc) == 0 {
+		return Value{}, errors.New("relstore: wal time has no data")
+	}
+	version, want := enc[0], 15
+	if version == 2 {
+		want = 16
+	}
+	if (version != 1 && version != 2) || len(enc) != want {
+		return Value{}, errors.New("relstore: wal time has an unsupported version or length")
+	}
+	sec := binary.BigEndian.Uint64(enc[1:])
+	nsec := binary.BigEndian.Uint32(enc[9:])
+	if nsec >= 1e9 {
+		return Value{}, errors.New("relstore: wal time has nanoseconds out of range")
+	}
+	offset := int(int16(binary.BigEndian.Uint16(enc[13:]))) * 60
+	if version == 2 {
+		offset += int(enc[15])
+	}
+	if offset == -60 {
+		return timeValue(sec, nsec, time.UTC), nil
+	}
+	unix := int64(sec) - unixToInternal
+	if _, local := time.Unix(unix, 0).Zone(); local == offset {
+		return timeValue(sec, nsec, time.Local), nil
+	}
+	return timeValue(sec, nsec, time.FixedZone("", offset)), nil
 }
 
 func (d *recordDecoder) byte() (byte, error) {

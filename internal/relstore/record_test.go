@@ -17,15 +17,44 @@ import (
 )
 
 // gobRecord is the encoder the store used before the version 1 format: a
-// fresh gob stream per record. Tests keep it as the reference the new
-// format must agree with and as the writer of legacy logs.
+// fresh gob stream per record, of the op with its rows by column name and
+// its values as their fields were then. Tests keep it as the reference the
+// new format must agree with and as the writer of legacy logs.
 func gobRecord(t testing.TB, op walOp) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(op); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(legacyOf(op)); err != nil {
 		t.Fatalf("gob encode: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// legacyOf is op as a daemon before version 1 held it.
+func legacyOf(op walOp) legacyOp {
+	l := legacyOp{Kind: op.Kind, Schema: op.Schema, Table: op.Table, PK: op.PK, Indexes: op.Indexes}
+	if op.Row != nil {
+		l.Row = map[string]legacyValue{}
+		for name, v := range byName(testSchemas[op.Table].Columns, op.Row) {
+			l.Row[name] = legacyValue{Kind: v.Kind, Str: v.Str, Int: v.Int(), Float: v.Float(), Bool: v.Bool(), Time: v.Time()}
+		}
+	}
+	for _, sub := range op.Batch {
+		l.Batch = append(l.Batch, legacyOf(sub))
+	}
+	return l
+}
+
+// testSchemas are the tables the format tests' ops name.
+var testSchemas = map[string]Schema{"instances": modelsSchema(), "wide": wideSchema()}
+
+// tupleOf is r as the store keeps a row of the named test table.
+func tupleOf(table string, r Row) Tuple {
+	sc := testSchemas[table]
+	t, err := sc.tuple(r)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // wideSchema has a nullable column of every kind, so any cell can be null,
@@ -110,11 +139,11 @@ func randomRowOp(r *rand.Rand) walOp {
 	case 0:
 		return walOp{Kind: opDelete, Table: pick(r, []string{"wide", "instances"}), PK: pick(r, edgeStrings)}
 	case 1:
-		return walOp{Kind: opUpdate, Table: "wide", Row: randomWideRow(r)}
+		return walOp{Kind: opUpdate, Table: "wide", Row: tupleOf("wide", randomWideRow(r))}
 	case 2:
-		return walOp{Kind: opInsert, Table: "instances", Row: row("i"+pick(r, edgeStrings), "b", pick(r, edgeStrings), pick(r, edgeTimes), pick(r, edgeFloats))}
+		return walOp{Kind: opInsert, Table: "instances", Row: tupleOf("instances", row("i"+pick(r, edgeStrings), "b", pick(r, edgeStrings), pick(r, edgeTimes), pick(r, edgeFloats)))}
 	default:
-		return walOp{Kind: opInsert, Table: "wide", Row: randomWideRow(r)}
+		return walOp{Kind: opInsert, Table: "wide", Row: tupleOf("wide", randomWideRow(r))}
 	}
 }
 
@@ -155,24 +184,30 @@ func randomOp(r *rand.Rand) walOp {
 // sameValue is equality on what the log must preserve: floats by bit
 // pattern (NaN payloads, -0), times by instant, zone and offset.
 func sameValue(a, b Value) bool {
-	return a.Kind == b.Kind && a.Str == b.Str && a.Int == b.Int && a.Bool == b.Bool &&
-		math.Float64bits(a.Float) == math.Float64bits(b.Float) && reflect.DeepEqual(a.Time, b.Time)
+	return a.Kind == b.Kind && a.Str == b.Str && a.Int() == b.Int() && a.Bool() == b.Bool() &&
+		math.Float64bits(a.Float()) == math.Float64bits(b.Float()) && reflect.DeepEqual(a.Time(), b.Time())
 }
 
+// sameRow compares two rows by column name, a column one lacks being null
+// in it, as it is in the store.
 func sameRow(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
 	for k, v := range a {
-		if w, ok := b[k]; !ok || !sameValue(v, w) {
+		if !sameValue(v, b[k]) {
+			return false
+		}
+	}
+	for k, v := range b {
+		if !sameValue(a[k], v) {
 			return false
 		}
 	}
 	return true
 }
 
+func sameTuple(a, b Tuple) bool { return slices.EqualFunc(a, b, sameValue) }
+
 func sameOp(a, b walOp) bool {
-	if a.Kind != b.Kind || a.Table != b.Table || a.PK != b.PK || !sameRow(a.Row, b.Row) ||
+	if a.Kind != b.Kind || a.Table != b.Table || a.PK != b.PK || !sameTuple(a.Row, b.Row) ||
 		(a.Schema == nil) != (b.Schema == nil) || len(a.Batch) != len(b.Batch) || !slices.Equal(a.Indexes, b.Indexes) {
 		return false
 	}
@@ -195,7 +230,7 @@ func sameOp(a, b walOp) bool {
 // decoded op back into the encoder have to step around it.
 func drifts(op walOp) bool {
 	for _, v := range op.Row {
-		if _, off := v.Time.Zone(); v.Kind == KindTime && off < 0 && off%60 != 0 {
+		if _, off := v.Time().Zone(); v.Kind == KindTime && off < 0 && off%60 != 0 {
 			return true
 		}
 	}
@@ -212,7 +247,7 @@ func drifts(op walOp) bool {
 // sent holds -0, so must the gob round trip it is compared through.
 func keepNegZero(back, sent walOp) {
 	for name, v := range sent.Row {
-		if v.Kind == KindFloat && v.Float == 0 {
+		if v.Kind == KindFloat && v.Float() == 0 {
 			back.Row[name] = v
 		}
 	}
@@ -288,11 +323,11 @@ func TestAppendTimeIsMarshalBinary(t *testing.T) {
 // records in use, a record of any kind costs no allocation.
 func TestEncodeRecordAllocatesNothing(t *testing.T) {
 	s := recordStore(t)
-	full := Row{"id": String("k"), "s": String("sf"), "i": Int(-7), "f": Float(0.25), "b": Bool(true),
-		"t": Time(time.Date(2019, 6, 1, 12, 0, 0, 5, time.FixedZone("IST", 5*3600+30*60)))}
+	full := tupleOf("wide", Row{"id": String("k"), "s": String("sf"), "i": Int(-7), "f": Float(0.25), "b": Bool(true),
+		"t": Time(time.Date(2019, 6, 1, 12, 0, 0, 5, time.FixedZone("IST", 5*3600+30*60)))})
 	ops := []walOp{
 		{Kind: opInsert, Table: "wide", Row: full},
-		{Kind: opUpdate, Table: "instances", Row: row("i1", "b", "sf", t0, 0.1)},
+		{Kind: opUpdate, Table: "instances", Row: tupleOf("instances", row("i1", "b", "sf", t0, 0.1))},
 		{Kind: opDelete, Table: "wide", PK: "k"},
 		{Kind: opBatch, Batch: []walOp{{Kind: opInsert, Table: "wide", Row: full}, {Kind: opDelete, Table: "instances", PK: "i1"}}},
 	}
@@ -314,7 +349,7 @@ func TestEncodeRecordAllocatesNothing(t *testing.T) {
 // scratch buffer on the store.
 func TestEncodeRecordDropsOutsizedBuffer(t *testing.T) {
 	s := recordStore(t)
-	big := Row{"id": String("k"), "s": String(strings.Repeat("x", 2*maxKeptRecordBuf))}
+	big := tupleOf("wide", Row{"id": String("k"), "s": String(strings.Repeat("x", 2*maxKeptRecordBuf))})
 	rec, err := s.encodeRecord(walOp{Kind: opInsert, Table: "wide", Row: big})
 	if err != nil || len(rec) < 2*maxKeptRecordBuf {
 		t.Fatalf("encoded %d bytes, err %v", len(rec), err)
@@ -328,10 +363,10 @@ func TestEncodeRecordRefusals(t *testing.T) {
 	s := recordStore(t)
 	sc := wideSchema()
 	for name, op := range map[string]walOp{
-		"unknown table":       {Kind: opInsert, Table: "nope", Row: Row{"id": String("k")}},
+		"unknown table":       {Kind: opInsert, Table: "nope", Row: Tuple{String("k")}},
 		"delete, no table":    {Kind: opDelete, Table: "nope", PK: "k"},
-		"undeclared column":   {Kind: opInsert, Table: "wide", Row: Row{"id": String("k"), "ghost": Int(1)}},
-		"invalid value kind":  {Kind: opInsert, Table: "wide", Row: Row{"id": {Kind: 9}}},
+		"a cell too many":     {Kind: opInsert, Table: "wide", Row: append(tupleOf("wide", Row{"id": String("k")}), Int(1))},
+		"invalid value kind":  {Kind: opInsert, Table: "wide", Row: tupleOf("wide", Row{"id": {Kind: 9}})},
 		"unknown op":          {Kind: 42},
 		"create without body": {Kind: opCreateTable},
 		"nested batch":        {Kind: opBatch, Batch: []walOp{{Kind: opBatch}}},
@@ -340,7 +375,7 @@ func TestEncodeRecordRefusals(t *testing.T) {
 		"indexes, no table":   {Kind: opIndexes, Table: "nope"},
 		"index on a ghost":    {Kind: opIndexes, Table: "wide", Indexes: []string{"s,ghost"}},
 		"index twice":         {Kind: opIndexes, Table: "wide", Indexes: []string{"s", "s"}},
-		"unencodable zone":    {Kind: opInsert, Table: "wide", Row: Row{"id": String("k"), "t": Time(t0.In(time.FixedZone("", -60)))}},
+		"unencodable zone":    {Kind: opInsert, Table: "wide", Row: tupleOf("wide", Row{"id": String("k"), "t": Time(t0.In(time.FixedZone("", -60)))})},
 	} {
 		if _, err := appendRecord(nil, s.tables, op); err == nil {
 			t.Errorf("%s: encoded without error", name)
@@ -353,7 +388,7 @@ func TestEncodeRecordRefusals(t *testing.T) {
 // allocation sized by a count the payload cannot back.
 func TestDecodeRecordRefusals(t *testing.T) {
 	s := recordStore(t)
-	good, err := appendRecord(nil, s.tables, walOp{Kind: opInsert, Table: "wide", Row: Row{"id": String("k"), "i": Int(3)}})
+	good, err := appendRecord(nil, s.tables, walOp{Kind: opInsert, Table: "wide", Row: tupleOf("wide", Row{"id": String("k"), "i": Int(3)})})
 	if err != nil {
 		t.Fatal(err)
 	}

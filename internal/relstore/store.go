@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -79,9 +80,9 @@ func (s *Store) countOp(op, tableName string) { s.ops.With2(op, tableName).Inc()
 
 type table struct {
 	schema  Schema
-	rows    map[string]Row
-	pks     *btree.Tree // ordered primary keys (keyItem) for stable scans
-	indexes []*index    // secondary indexes, in Schema.Indexes order
+	rows    map[string]Tuple // by primary key
+	pks     *btree.Tree      // ordered primary keys (keyItem) for stable scans
+	indexes []*index         // secondary indexes, in Schema.Indexes order
 	// replaying is set while Open applies the log: mutations then keep rows
 	// only, and build makes pks and every index once, after the last record.
 	replaying bool
@@ -99,33 +100,45 @@ func (t *table) build() {
 }
 
 // buildIndexes replaces the postings of each of ixs with those of t's rows:
-// collected in one pass over the rows, then sorted and bulk-loaded, with no
-// comparison in the trees.
+// one index at a time, every posting appended to one buffer in a pass over
+// the rows, then cut out of one string, sorted and bulk-loaded, with no
+// comparison in the trees. So an index costs a few allocations whatever
+// its size; the price is that a posting removed later keeps its bytes
+// until the store is reopened or compacted.
 func (t *table) buildIndexes(ixs []*index) {
-	keys := make([][]string, len(ixs))
-	for i := range keys {
-		keys[i] = make([]string, 0, len(t.rows))
-	}
+	var (
+		arena strings.Builder
+		ends  []int
+	)
 	var buf []byte
-	for pk, row := range t.rows {
-		for i, ix := range ixs {
+	for _, ix := range ixs {
+		arena.Reset()
+		ends = ends[:0]
+		for pk, row := range t.rows {
 			var ok bool
 			if buf, ok = ix.appendKey(buf[:0], row, pk); ok {
-				keys[i] = append(keys[i], string(buf))
+				arena.Write(buf)
+				ends = append(ends, arena.Len())
 			}
 		}
-	}
-	for i, ix := range ixs {
-		ix.tree = sortedTree(keys[i])
+		all := arena.String()
+		keys := make([]string, len(ends))
+		start := 0
+		for i, end := range ends {
+			keys[i], start = all[start:end], end
+		}
+		ix.tree = sortedTree(keys)
 	}
 }
 
 // sortedTree sorts keys and bulk-loads them; they must be distinct.
 func sortedTree(keys []string) *btree.Tree {
 	slices.Sort(keys)
+	held := make([]keyItem, len(keys))
 	items := make([]btree.Item, len(keys))
 	for i, k := range keys {
-		items[i] = keyItem(k)
+		held[i].key = k
+		items[i] = &held[i]
 	}
 	return btree.FromSorted(items)
 }
@@ -235,7 +248,7 @@ type walOp struct {
 	Kind    opKind
 	Schema  *Schema // CreateTable
 	Table   string
-	Row     Row    // Insert/Update
+	Row     Tuple  // Insert/Update, in the table's column order
 	PK      string // Delete
 	Batch   []walOp
 	Indexes []string // Indexes: the table's new Schema.Indexes
@@ -377,7 +390,7 @@ func (s *Store) applyCreateTable(schema Schema) error {
 	}
 	t := &table{
 		schema:    schema,
-		rows:      make(map[string]Row),
+		rows:      make(map[string]Tuple),
 		pks:       btree.New(),
 		replaying: s.replaying,
 	}
@@ -436,22 +449,37 @@ func (s *Store) InsertCtx(ctx context.Context, tableName string, row Row) error 
 
 func (s *Store) insertCtx(ctx context.Context, tableName string, row Row) error {
 	s.countOp("insert", tableName)
-	row = row.Clone() // the caller keeps theirs; copied before the lock, not under it
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.applyInsert(tableName, row); err != nil {
+	tup, err := s.tuple(tableName, row) // before the lock, not under it
+	if err != nil {
 		return err
 	}
-	return s.logOp(ctx, walOp{Kind: opInsert, Table: tableName, Row: row})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.applyInsert(tableName, tup); err != nil {
+		return err
+	}
+	return s.logOp(ctx, walOp{Kind: opInsert, Table: tableName, Row: tup})
 }
 
-// applyInsert installs row itself, not a copy.
-func (s *Store) applyInsert(tableName string, row Row) error {
+// tuple returns row as the named table keeps it: the store's own copy,
+// which the caller's later edits to row do not reach.
+func (s *Store) tuple(tableName string, row Row) (Tuple, error) {
+	s.mu.RLock()
+	t, ok := s.tables[tableName]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	}
+	return t.schema.tuple(row) // a table's columns never change
+}
+
+// applyInsert validates row and installs it itself, not a copy.
+func (s *Store) applyInsert(tableName string, row Tuple) error {
 	t, ok := s.tables[tableName]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
-	pk, err := t.schema.checkRow(row)
+	pk, err := t.schema.checkTuple(row)
 	if err != nil {
 		return err
 	}
@@ -477,22 +505,25 @@ func (s *Store) Update(ctx context.Context, tableName string, row Row) error {
 
 func (s *Store) updateCtx(ctx context.Context, tableName string, row Row) error {
 	s.countOp("update", tableName)
-	row = row.Clone()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.applyUpdate(tableName, row); err != nil {
+	tup, err := s.tuple(tableName, row)
+	if err != nil {
 		return err
 	}
-	return s.logOp(ctx, walOp{Kind: opUpdate, Table: tableName, Row: row})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.applyUpdate(tableName, tup); err != nil {
+		return err
+	}
+	return s.logOp(ctx, walOp{Kind: opUpdate, Table: tableName, Row: tup})
 }
 
-// applyUpdate installs row itself, not a copy.
-func (s *Store) applyUpdate(tableName string, row Row) error {
+// applyUpdate validates row and installs it itself, not a copy.
+func (s *Store) applyUpdate(tableName string, row Tuple) error {
 	t, ok := s.tables[tableName]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
-	pk, err := t.schema.checkRow(row)
+	pk, err := t.schema.checkTuple(row)
 	if err != nil {
 		return err
 	}
@@ -539,19 +570,19 @@ func (s *Store) applyDelete(tableName, pk string) error {
 	t.unindex(pk, old)
 	delete(t.rows, pk)
 	if !t.replaying {
-		t.pks.Delete(keyItem(pk))
+		t.pks.Delete(item(pk))
 	}
 	return nil
 }
 
 // put installs row under pk and, outside replay, maintains pks and all
 // indexes. Caller has validated.
-func (t *table) put(pk string, row Row) {
+func (t *table) put(pk string, row Tuple) {
 	t.rows[pk] = row
 	if t.replaying {
 		return
 	}
-	t.pks.ReplaceOrInsert(keyItem(pk))
+	t.pks.ReplaceOrInsert(item(pk))
 	for _, ix := range t.indexes {
 		ix.insert(row, pk)
 	}
@@ -559,7 +590,7 @@ func (t *table) put(pk string, row Row) {
 
 // unindex removes row's postings from all indexes; during replay there are
 // none to remove.
-func (t *table) unindex(pk string, row Row) {
+func (t *table) unindex(pk string, row Tuple) {
 	if t.replaying {
 		return
 	}
@@ -602,28 +633,15 @@ func (s *Store) Batch(ctx context.Context, muts []Mutation) error {
 }
 
 func (s *Store) batchCtx(ctx context.Context, muts []Mutation) error {
-	// The ops, with the store's own copy of each row, are built before the
-	// lock is taken; an unknown kind stays a zero op and validateBatch
-	// refuses the batch before anything is applied.
-	ops := make([]walOp, len(muts))
-	for i, m := range muts {
-		switch m.Kind {
-		case MutInsert:
-			s.countOp("insert", m.Table)
-			ops[i] = walOp{Kind: opInsert, Table: m.Table, Row: m.Row.Clone()}
-		case MutUpdate:
-			s.countOp("update", m.Table)
-			ops[i] = walOp{Kind: opUpdate, Table: m.Table, Row: m.Row.Clone()}
-		case MutDelete:
-			s.countOp("delete", m.Table)
-			ops[i] = walOp{Kind: opDelete, Table: m.Table, PK: m.PK}
-		}
+	ops, err := s.batchOps(muts)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Validate every mutation against current state plus the batch's own
 	// earlier effects, without mutating, by simulating key presence.
-	if err := s.validateBatch(muts); err != nil {
+	if err := s.validateBatch(ops); err != nil {
 		return err
 	}
 	for _, op := range ops {
@@ -636,9 +654,43 @@ func (s *Store) batchCtx(ctx context.Context, muts []Mutation) error {
 	return s.logOp(ctx, walOp{Kind: opBatch, Batch: ops})
 }
 
+// batchOps counts each mutation and builds its op, with the store's own
+// copy of its row, under the read lock rather than the write lock. It
+// refuses an unknown kind and a row naming a column its table lacks; a
+// mutation of an unknown table gets an op without a row, which
+// validateBatch refuses.
+func (s *Store) batchOps(muts []Mutation) ([]walOp, error) {
+	ops := make([]walOp, len(muts))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i, m := range muts {
+		switch m.Kind {
+		case MutInsert:
+			s.countOp("insert", m.Table)
+			ops[i] = walOp{Kind: opInsert, Table: m.Table}
+		case MutUpdate:
+			s.countOp("update", m.Table)
+			ops[i] = walOp{Kind: opUpdate, Table: m.Table}
+		case MutDelete:
+			s.countOp("delete", m.Table)
+			ops[i] = walOp{Kind: opDelete, Table: m.Table, PK: m.PK}
+			continue
+		default:
+			return nil, fmt.Errorf("relstore: batch element %d has unknown kind %d", i, m.Kind)
+		}
+		if t, ok := s.tables[m.Table]; ok {
+			var err error
+			if ops[i].Row, err = t.schema.tuple(m.Row); err != nil {
+				return nil, fmt.Errorf("batch element %d: %w", i, err)
+			}
+		}
+	}
+	return ops, nil
+}
+
 // validateBatch checks all mutations, tracking the batch's own inserts and
 // deletes so later mutations see earlier ones.
-func (s *Store) validateBatch(muts []Mutation) error {
+func (s *Store) validateBatch(muts []walOp) error {
 	type key struct{ table, pk string }
 	// present overlays key existence changes made by the batch itself.
 	present := make(map[key]bool)
@@ -655,8 +707,8 @@ func (s *Store) validateBatch(muts []Mutation) error {
 			return fmt.Errorf("%w: %s (batch element %d)", ErrNoTable, m.Table, i)
 		}
 		switch m.Kind {
-		case MutInsert:
-			pk, err := t.schema.checkRow(m.Row)
+		case opInsert:
+			pk, err := t.schema.checkTuple(m.Row)
 			if err != nil {
 				return fmt.Errorf("batch element %d: %w", i, err)
 			}
@@ -664,21 +716,19 @@ func (s *Store) validateBatch(muts []Mutation) error {
 				return fmt.Errorf("%w: %s[%s] (batch element %d)", ErrDuplicate, m.Table, pk, i)
 			}
 			present[key{m.Table, pk}] = true
-		case MutUpdate:
-			pk, err := t.schema.checkRow(m.Row)
+		case opUpdate:
+			pk, err := t.schema.checkTuple(m.Row)
 			if err != nil {
 				return fmt.Errorf("batch element %d: %w", i, err)
 			}
 			if !exists(t, m.Table, pk) {
 				return fmt.Errorf("%w: %s[%s] (batch element %d)", ErrNotFound, m.Table, pk, i)
 			}
-		case MutDelete:
+		case opDelete:
 			if !exists(t, m.Table, m.PK) {
 				return fmt.Errorf("%w: %s[%s] (batch element %d)", ErrNotFound, m.Table, m.PK, i)
 			}
 			present[key{m.Table, m.PK}] = false
-		default:
-			return fmt.Errorf("relstore: batch element %d has unknown kind %d", i, m.Kind)
 		}
 	}
 	return nil
@@ -687,28 +737,46 @@ func (s *Store) validateBatch(muts []Mutation) error {
 // Get fetches a row copy by primary key, with a per-table read span when
 // the request is sampled (one nil check otherwise).
 func (s *Store) Get(ctx context.Context, tableName, pk string) (Row, error) {
+	cols, row, err := s.get(ctx, tableName, pk)
+	if err != nil {
+		return nil, err
+	}
+	return byName(cols, row), nil
+}
+
+// GetTuple is Get returning the row as the store keeps it, its cells in
+// schema order: a copy, which shares only the row's strings.
+func (s *Store) GetTuple(ctx context.Context, tableName, pk string) (Tuple, error) {
+	_, row, err := s.get(ctx, tableName, pk)
+	return slices.Clone(row), err
+}
+
+// get returns the stored row and its table's columns. A stored row is
+// never written once installed (an update installs a new one), so the
+// caller may copy it after the lock is released.
+func (s *Store) get(ctx context.Context, tableName, pk string) ([]Column, Tuple, error) {
 	_, span := trace.Start(ctx, "relstore.get")
 	if span != nil {
 		span.Annotate("table", tableName)
 	}
-	row, err := s.get(tableName, pk)
+	cols, row, err := s.lookup(tableName, pk)
 	span.EndErr(err)
-	return row, err
+	return cols, row, err
 }
 
-func (s *Store) get(tableName, pk string) (Row, error) {
+func (s *Store) lookup(tableName, pk string) ([]Column, Tuple, error) {
 	s.countOp("get", tableName)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t, ok := s.tables[tableName]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, tableName)
+		return nil, nil, fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
 	row, ok := t.rows[pk]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s[%s]", ErrNotFound, tableName, pk)
+		return nil, nil, fmt.Errorf("%w: %s[%s]", ErrNotFound, tableName, pk)
 	}
-	return row.Clone(), nil
+	return t.schema.Columns, row, nil
 }
 
 // Len returns the number of rows in a table.

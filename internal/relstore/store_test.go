@@ -61,7 +61,7 @@ func TestInsertGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["city"].Str != "sf" || got["mape"].Float != 0.12 {
+	if got["city"].Str != "sf" || got["mape"].Float() != 0.12 {
 		t.Fatalf("Get returned %#v", got)
 	}
 }
@@ -187,7 +187,7 @@ func TestUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := s.Get(context.Background(), "instances", "i1")
-	if !got["deprecated"].Bool {
+	if !got["deprecated"].Bool() {
 		t.Fatal("update did not stick")
 	}
 	if err := s.Update(context.Background(), "instances", row("absent", "b", "sf", t0, 0.1)); !errors.Is(err, ErrNotFound) {

@@ -22,9 +22,9 @@ import (
 func settle(row Row) Row {
 	for name, v := range row {
 		switch {
-		case v.Kind == KindFloat && v.Float == 0:
+		case v.Kind == KindFloat && v.Float() == 0:
 			row[name] = Float(0)
-		case drifts(walOp{Row: Row{name: v}}):
+		case drifts(walOp{Row: Tuple{v}}):
 			row[name] = Time(t0)
 		}
 	}
@@ -47,12 +47,12 @@ func lifecycleOps(n int) []walOp {
 		next++
 		row["id"] = String(key)
 		live = append(live, key)
-		return walOp{Kind: opInsert, Table: "wide", Row: row}
+		return walOp{Kind: opInsert, Table: "wide", Row: tupleOf("wide", row)}
 	}
 	update := func() walOp {
 		row := settle(randomWideRow(r))
 		row["id"] = String(pick(r, live))
-		return walOp{Kind: opUpdate, Table: "wide", Row: row}
+		return walOp{Kind: opUpdate, Table: "wide", Row: tupleOf("wide", row)}
 	}
 	remove := func() walOp {
 		i := r.Intn(len(live))
@@ -71,7 +71,7 @@ func lifecycleOps(n int) []walOp {
 			ops = append(ops, remove())
 		case k < 8:
 			ops = append(ops, walOp{Kind: opInsert, Table: "instances",
-				Row: settle(row(fmt.Sprintf("i%03d", len(ops)), "b", pick(r, edgeStrings), pick(r, edgeTimes), r.Float64()))})
+				Row: tupleOf("instances", settle(row(fmt.Sprintf("i%03d", len(ops)), "b", pick(r, edgeStrings), pick(r, edgeTimes), r.Float64())))})
 		case k < 10:
 			ops = append(ops, walOp{Kind: opBatch, Batch: []walOp{insert(), update(), remove(), insert()}})
 		default: // an index change; an unchanged list would log nothing
@@ -94,15 +94,15 @@ func play(t testing.TB, s *Store, op walOp) {
 	case opCreateTable:
 		err = s.CreateTable(*op.Schema)
 	case opInsert:
-		err = s.InsertCtx(context.Background(), op.Table, op.Row)
+		err = s.InsertCtx(context.Background(), op.Table, rowOf(op))
 	case opUpdate:
-		err = s.Update(context.Background(), op.Table, op.Row)
+		err = s.Update(context.Background(), op.Table, rowOf(op))
 	case opDelete:
 		err = s.Delete(context.Background(), op.Table, op.PK)
 	case opBatch:
 		muts := make([]Mutation, len(op.Batch))
 		for i, sub := range op.Batch {
-			muts[i] = Mutation{Kind: MutationKind(sub.Kind - opInsert + 1), Table: sub.Table, Row: sub.Row, PK: sub.PK}
+			muts[i] = Mutation{Kind: MutationKind(sub.Kind - opInsert + 1), Table: sub.Table, Row: rowOf(sub), PK: sub.PK}
 		}
 		err = s.Batch(context.Background(), muts)
 	case opIndexes: // the table declared again with other indexes
@@ -113,6 +113,14 @@ func play(t testing.TB, s *Store, op walOp) {
 	if err != nil {
 		t.Fatalf("play %+v: %v", op, err)
 	}
+}
+
+// rowOf is a row op's row by column name, as a caller passes it.
+func rowOf(op walOp) Row {
+	if op.Row == nil {
+		return nil
+	}
+	return byName(testSchemas[op.Table].Columns, op.Row)
 }
 
 // dump renders the whole store in a fixed order, every value down to float
@@ -132,9 +140,9 @@ func dump(t testing.TB, s *Store) string {
 		tb := s.tables[name]
 		fmt.Fprintf(&b, "table %s %+v\n", name, tb.schema)
 		postings := make([]int, len(tb.indexes))
-		tb.scanAll(false, func(r Row) bool {
-			for _, c := range tb.schema.Columns {
-				if v, ok := r[c.Name]; ok {
+		tb.scanAll(false, func(r Tuple) bool {
+			for i, c := range tb.schema.Columns {
+				if v := r[i]; !v.IsNull() {
 					enc, err := appendValue(nil, v)
 					if err != nil {
 						t.Fatalf("dump %s.%s: %v", name, c.Name, err)
@@ -143,10 +151,10 @@ func dump(t testing.TB, s *Store) string {
 				}
 			}
 			b.WriteByte('\n')
-			pk := r[tb.schema.Key].Str
+			pk := r[tb.schema.Pos(tb.schema.Key)].Str
 			for i, ix := range tb.indexes {
 				if k, ok := ix.appendKey(nil, r, pk); ok {
-					if !ix.tree.Has(keyItem(k)) || ix.pkOf(string(k)) != pk {
+					if !ix.tree.Has(item(string(k))) || ix.pkOf(string(k)) != pk {
 						t.Fatalf("table %s: index %s lacks row %s's posting", name, ix.name, pk)
 					}
 					postings[i]++

@@ -16,6 +16,7 @@ package relstore
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -54,29 +55,82 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed cell value. The zero Value is "null": it has
 // kind 0 and compares before every non-null value.
+//
+// A Value is 40 bytes: the kind, one 8-byte scalar, a string and a zone.
+// The scalar holds an int's or a float's bits, a bool as 0 or 1, or a
+// time's seconds since year 1; a time keeps its nanoseconds in the padding
+// after the kind and its location in the zone field. Read the scalar kinds
+// through Int, Float, Bool and Time; Str is the string of a string value.
 type Value struct {
-	Kind  Kind
-	Str   string
-	Int   int64
-	Float float64
-	Bool  bool
-	Time  time.Time
+	Kind Kind
+	nsec uint32 // KindTime: nanoseconds within the second
+	n    uint64
+	Str  string
+	loc  *time.Location // KindTime
 }
 
 // String constructs a string value.
 func String(s string) Value { return Value{Kind: KindString, Str: s} }
 
 // Int constructs an integer value.
-func Int(i int64) Value { return Value{Kind: KindInt, Int: i} }
+func Int(i int64) Value { return Value{Kind: KindInt, n: uint64(i)} }
 
 // Float constructs a float value.
-func Float(f float64) Value { return Value{Kind: KindFloat, Float: f} }
+func Float(f float64) Value { return Value{Kind: KindFloat, n: math.Float64bits(f)} }
 
 // Bool constructs a boolean value.
-func Bool(b bool) Value { return Value{Kind: KindBool, Bool: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{Kind: KindBool, n: 1}
+	}
+	return Value{Kind: KindBool}
+}
 
-// Time constructs a time value.
-func Time(t time.Time) Value { return Value{Kind: KindTime, Time: t} }
+// Time constructs a time value. It keeps the instant and the location,
+// not a monotonic clock reading.
+func Time(t time.Time) Value {
+	return timeValue(uint64(t.Unix()+unixToInternal), uint32(t.Nanosecond()), t.Location())
+}
+
+// timeValue builds a time value from seconds since year 1 (as
+// Time.MarshalBinary counts them), nanoseconds below 1e9, and a location.
+func timeValue(sec uint64, nsec uint32, loc *time.Location) Value {
+	return Value{Kind: KindTime, n: sec, nsec: nsec, loc: loc}
+}
+
+// Int returns an int value's integer, 0 for any other kind.
+func (v Value) Int() int64 {
+	if v.Kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
+
+// Float returns a float value's number, 0 for any other kind.
+func (v Value) Float() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.n)
+}
+
+// Bool returns a bool value's truth, false for any other kind.
+func (v Value) Bool() bool { return v.Kind == KindBool && v.n == 1 }
+
+// Time returns a time value's time in its location, the zero time for any
+// other kind.
+func (v Value) Time() time.Time {
+	if v.Kind != KindTime {
+		return time.Time{}
+	}
+	loc := v.loc
+	if loc == nil { // a hand-built Value{Kind: KindTime}
+		loc = time.UTC
+	}
+	// Unix seconds wrap back to the seconds since year 1 that time.Time
+	// keeps, even where they alone overflow.
+	return time.Unix(int64(v.n)-unixToInternal, int64(v.nsec)).In(loc)
+}
 
 // IsNull reports whether v is the null value.
 func (v Value) IsNull() bool { return v.Kind == 0 }
@@ -85,9 +139,9 @@ func (v Value) IsNull() bool { return v.Kind == 0 }
 func (v Value) numeric() (float64, bool) {
 	switch v.Kind {
 	case KindInt:
-		return float64(v.Int), true
+		return float64(int64(v.n)), true
 	case KindFloat:
-		return v.Float, true
+		return math.Float64frombits(v.n), true
 	default:
 		return 0, false
 	}
@@ -103,7 +157,7 @@ func (v Value) numeric() (float64, bool) {
 // PostgreSQL.
 func Compare(v, w Value) int {
 	if v.Kind == KindInt && w.Kind == KindInt {
-		return cmp.Compare(v.Int, w.Int)
+		return cmp.Compare(int64(v.n), int64(w.n))
 	}
 	if vf, ok := v.numeric(); ok {
 		if wf, ok := w.numeric(); ok {
@@ -119,18 +173,10 @@ func Compare(v, w Value) int {
 	case KindString:
 		return strings.Compare(v.Str, w.Str)
 	case KindBool:
-		switch {
-		case v.Bool == w.Bool:
-			return 0
-		case w.Bool:
-			return -1
-		default:
-			return 1
-		}
+		return cmp.Compare(v.n, w.n)
 	case KindTime:
-		// By instant, monotonic readings stripped: the log does not keep
-		// them, and index keys order by the instant alone.
-		return v.Time.Round(0).Compare(w.Time.Round(0))
+		// By instant, as index keys order them.
+		return cmp.Or(cmp.Compare(int64(v.n), int64(w.n)), cmp.Compare(v.nsec, w.nsec))
 	default:
 		return 0
 	}
@@ -169,20 +215,22 @@ func (v Value) GoString() string {
 	case KindString:
 		return strconv.Quote(v.Str)
 	case KindInt:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.Bool)
+		return strconv.FormatBool(v.Bool())
 	case KindTime:
-		return v.Time.Format(time.RFC3339Nano)
+		return v.Time().Format(time.RFC3339Nano)
 	default:
 		return "?"
 	}
 }
 
-// Row is a single table row: a map from column name to value. A row's
-// primary key lives in the schema's Key column.
+// Row is a table row by column name, the form callers build rows in and
+// Get and Select return. A column the map lacks is null, and a row a
+// store returns holds its non-null columns only. A row's primary key lives
+// in the schema's Key column.
 type Row map[string]Value
 
 // Clone returns a deep copy of the row.
@@ -193,6 +241,11 @@ func (r Row) Clone() Row {
 	}
 	return cp
 }
+
+// Tuple is a row as the store keeps it: one value per column, in schema
+// order, null where the row has none. SelectFunc lends tuples; a caller
+// reads a column at the position Schema.Pos gives it.
+type Tuple []Value
 
 // Column declares one typed column.
 type Column struct {
@@ -220,12 +273,22 @@ type Schema struct {
 
 // col returns the declared column with the given name.
 func (s *Schema) col(name string) (Column, bool) {
-	for _, c := range s.Columns {
-		if c.Name == name {
-			return c, true
-		}
+	if i := s.Pos(name); i >= 0 {
+		return s.Columns[i], true
 	}
 	return Column{}, false
+}
+
+// Pos returns the position of the named column in a stored row (a Tuple),
+// or -1 when the schema declares no such column. Resolve positions once,
+// when a query or a converter is built, not per row.
+func (s *Schema) Pos(name string) int {
+	for i, c := range s.Columns {
+		if c.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // validate checks that the schema is internally consistent.
@@ -266,32 +329,53 @@ func (s *Schema) validate() error {
 	return nil
 }
 
-// checkRow validates a row against the schema and returns its primary key.
-func (s *Schema) checkRow(r Row) (string, error) {
-	for name, v := range r {
-		c, ok := s.col(name)
-		if !ok {
-			return "", fmt.Errorf("relstore: table %s: row has undeclared column %q", s.Table, name)
+// tuple returns r as the store keeps it, sharing r's strings. It refuses a
+// row that names a column the schema lacks; checkTuple checks the rest.
+func (s *Schema) tuple(r Row) (Tuple, error) {
+	t := make(Tuple, len(s.Columns))
+	found := 0
+	for i, c := range s.Columns {
+		if v, ok := r[c.Name]; ok {
+			t[i] = v
+			found++
 		}
-		if v.IsNull() {
-			if !c.Nullable {
-				return "", fmt.Errorf("relstore: table %s: column %s is not nullable", s.Table, name)
+	}
+	if found != len(r) {
+		for name := range r {
+			if s.Pos(name) < 0 {
+				return nil, fmt.Errorf("relstore: table %s: row has undeclared column %q", s.Table, name)
 			}
-			continue
-		}
-		if v.Kind != c.Kind {
-			return "", fmt.Errorf("relstore: table %s: column %s is %s, got %s",
-				s.Table, name, c.Kind, v.Kind)
 		}
 	}
-	for _, c := range s.Columns {
-		if v, ok := r[c.Name]; (!ok || v.IsNull()) && !c.Nullable {
+	return t, nil
+}
+
+// checkTuple validates a stored row's cells against the schema and returns
+// its primary key.
+func (s *Schema) checkTuple(t Tuple) (string, error) {
+	for i, c := range s.Columns {
+		switch v := t[i]; {
+		case v.IsNull() && !c.Nullable:
 			return "", fmt.Errorf("relstore: table %s: missing non-nullable column %s", s.Table, c.Name)
+		case !v.IsNull() && v.Kind != c.Kind:
+			return "", fmt.Errorf("relstore: table %s: column %s is %s, got %s", s.Table, c.Name, c.Kind, v.Kind)
 		}
 	}
-	pk := r[s.Key]
-	if pk.Kind != KindString || pk.Str == "" {
+	pk := t[s.Pos(s.Key)]
+	if pk.Str == "" {
 		return "", fmt.Errorf("relstore: table %s: empty primary key %q", s.Table, s.Key)
 	}
 	return pk.Str, nil
+}
+
+// byName returns a stored row of a table with the given columns as a Row
+// of its non-null columns.
+func byName(cols []Column, t Tuple) Row {
+	r := make(Row, len(t))
+	for i, v := range t {
+		if !v.IsNull() {
+			r[cols[i].Name] = v
+		}
+	}
+	return r
 }

@@ -351,11 +351,19 @@ func sameAnswer(got, want []Row, q Query, all map[string]Row) error {
 // (no stop when stop ≤ 0).
 func visitAll(s *Store, q Query, stop int) ([]Row, Explain, error) {
 	var out []Row
-	ex, err := s.SelectFunc(context.Background(), q, func(r Row) bool {
-		out = append(out, r.Clone())
+	cols := columnsOf(s, q.Table)
+	ex, err := s.SelectFunc(context.Background(), q, func(r Tuple) bool {
+		out = append(out, byName(cols, r))
 		return stop <= 0 || len(out) < stop
 	})
 	return out, ex, err
+}
+
+// columnsOf returns the columns of one of s's tables.
+func columnsOf(s *Store, table string) []Column {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tables[table].schema.Columns
 }
 
 // checkQuery runs q every way the store offers, holds each answer to the
@@ -399,15 +407,16 @@ func checkQuery(t *testing.T, s *Store, oracle map[string]Row, q Query, r *rand.
 	return ex
 }
 
-// reopen closes s and opens its log again: the store replay returns, with
-// its bulk-loaded primary keys and indexes, must hold exactly what s held.
+// reopen closes s and opens its log again, with the options s was opened
+// with: the store replay returns, with its bulk-loaded primary keys and
+// indexes, must hold exactly what s held.
 func reopen(t *testing.T, s *Store) *Store {
 	t.Helper()
 	want := dump(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Open(s.path, wal.Options{})
+	back, err := Open(s.path, s.walOpts)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -420,9 +429,13 @@ func reopen(t *testing.T, s *Store) *Store {
 // TestSelectFuncModelBased drives random insert/update/delete/batch
 // sequences, a refused batch among them, over a store that is closed and
 // reopened from its log at random steps and at the end, so later steps
-// mutate and read the trees replay bulk-loaded. After every step and every
-// reopen it checks random queries against the oracle. It also checks that
-// the composite indexes drove queries, streamed in both directions.
+// mutate and read the trees replay bulk-loaded. Every other seed opens the
+// log with wal.Options.Sync, so mutations append without syncing and a
+// Commit at random steps makes them durable; and at random steps the log
+// is compacted into a snapshot of the stored rows, which later reopens
+// replay. After every step, Commit, compaction and reopen it checks
+// random queries against the oracle. It also checks that the composite
+// indexes drove queries, streamed in both directions.
 func TestSelectFuncModelBased(t *testing.T) {
 	plans := map[string]int{} // streamed queries by index and direction
 	tally := func(ex Explain, q Query) {
@@ -436,8 +449,10 @@ func TestSelectFuncModelBased(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		restarts := rand.New(rand.NewSource(-seed)) // when to reopen, and the queries after
-		s, err := Open(filepath.Join(t.TempDir(), "mb.wal"), wal.Options{})
+		restarts := rand.New(rand.NewSource(-seed))    // when to reopen, and the queries after
+		logOps := rand.New(rand.NewSource(seed + 100)) // when to commit and compact, and the queries after
+		opts := wal.Options{Sync: seed%2 == 0}
+		s, err := Open(filepath.Join(t.TempDir(), "mb.wal"), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,11 +467,41 @@ func TestSelectFuncModelBased(t *testing.T) {
 				tally(checkQuery(t, s, oracle, q, restarts), q)
 			}
 		}
+		commit := func() {
+			if err := s.Commit(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if opts.Sync && s.LogDurable() != s.LogSize() {
+				t.Fatalf("seed %d: after Commit %d of %d log bytes are durable", seed, s.LogDurable(), s.LogSize())
+			}
+		}
+		compact := func() {
+			want := dump(t, s)
+			if err := s.Compact(s.path); err != nil {
+				t.Fatal(err)
+			}
+			if got := dump(t, s); got != want {
+				t.Fatalf("seed %d: compaction changed the store:\n%s\nwant\n%s", seed, got, want)
+			}
+			if opts.Sync && s.LogDurable() != s.LogSize() {
+				t.Fatalf("seed %d: after Compact %d of %d log bytes are durable", seed, s.LogDurable(), s.LogSize())
+			}
+			for i := 0; i < 6; i++ {
+				q := randomQuery(logOps)
+				tally(checkQuery(t, s, oracle, q, logOps), q)
+			}
+		}
 		var live []string
 		next := 0
 		for step := 0; step < 120; step++ {
 			if restarts.Intn(20) == 0 {
 				restart()
+			}
+			switch logOps.Intn(12) {
+			case 0, 1, 2, 3:
+				commit()
+			case 4:
+				compact()
 			}
 			var muts []Mutation
 			nmut := 1
@@ -581,7 +626,9 @@ func TestSelectFuncConcurrentWriters(t *testing.T) {
 				var prevKey Value // the previous row's ORDER BY value, copied out
 				seen := map[string]bool{}
 				n := 0
-				_, err := s.SelectFunc(context.Background(), q, func(row Row) bool {
+				cols := columnsOf(s, q.Table)
+				_, err := s.SelectFunc(context.Background(), q, func(tup Tuple) bool {
+					row := byName(cols, tup)
 					n++
 					id := row["id"].Str
 					order := 0

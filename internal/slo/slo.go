@@ -708,8 +708,8 @@ func rowToObjective(r relstore.Row) Objective {
 		Namespace:        r["namespace"].Str,
 		ModelID:          r["model_id"].Str,
 		Kind:             Kind(r["kind"].Str),
-		Target:           r["target"].Float,
-		LatencyThreshold: r["latency_threshold"].Float,
-		Created:          r["created"].Time,
+		Target:           r["target"].Float(),
+		LatencyThreshold: r["latency_threshold"].Float(),
+		Created:          r["created"].Time(),
 	}
 }

@@ -271,7 +271,7 @@ func (m *Manager) recover() error {
 	}
 	for _, r := range useRows {
 		if st, ok := m.namespaces[r["namespace"].Str]; ok {
-			st.usage = Usage{Models: r["models"].Int, BlobBytes: r["blob_bytes"].Int}
+			st.usage = Usage{Models: r["models"].Int(), BlobBytes: r["blob_bytes"].Int()}
 		}
 	}
 	tokRows, err := m.store.Select(context.Background(), relstore.Query{Table: TokensTable})
@@ -729,11 +729,11 @@ func namespaceToRow(ns Namespace) relstore.Row {
 func rowToNamespace(r relstore.Row) Namespace {
 	return Namespace{
 		Name:         r["name"].Str,
-		MaxModels:    r["max_models"].Int,
-		MaxBlobBytes: r["max_blob_bytes"].Int,
-		RatePerSec:   r["rate_per_sec"].Float,
-		Burst:        r["burst"].Int,
-		Created:      r["created"].Time,
+		MaxModels:    r["max_models"].Int(),
+		MaxBlobBytes: r["max_blob_bytes"].Int(),
+		RatePerSec:   r["rate_per_sec"].Float(),
+		Burst:        r["burst"].Int(),
+		Created:      r["created"].Time(),
 	}
 }
 
@@ -759,8 +759,8 @@ func rowToToken(r relstore.Row) (Token, string) {
 		Name:      r["name"].Str,
 		Namespace: r["namespace"].Str,
 		Role:      role,
-		Created:   r["created"].Time,
-		Revoked:   r["revoked"].Bool,
+		Created:   r["created"].Time(),
+		Revoked:   r["revoked"].Bool(),
 	}, r["hash"].Str
 }
 
