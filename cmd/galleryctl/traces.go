@@ -55,8 +55,8 @@ func cmdTraces(c *client.Client, args []string) error {
 	if err := json.Unmarshal(data, &list); err != nil {
 		return fmt.Errorf("decode trace list: %w", err)
 	}
-	fmt.Printf("%d traces buffered (capacity %d, %d evicted, %d pending)\n",
-		list.Stats.Completed, list.Stats.Capacity, list.Stats.Evicted, list.Stats.Pending)
+	fmt.Printf("%d traces buffered (capacity %d, %d evicted, %d dropped)\n",
+		list.Stats.Completed, list.Stats.Capacity, list.Stats.Evicted, list.Stats.Dropped)
 	for _, s := range list.Traces {
 		errs := ""
 		if s.Errors > 0 {

@@ -6,12 +6,6 @@ import (
 	"time"
 )
 
-// pendingCap bounds the map of traces still being assembled. Orphans can
-// accumulate there only when spans arrive for traces whose local root was
-// dropped or never existed (late async work after an unkept trace); FIFO
-// eviction keeps that leak bounded.
-const pendingCap = 1024
-
 // Trace is one completed request: the bag of spans sharing a trace ID.
 // Spans from the remote process (ingested after the fact) and from late
 // async work (rule evaluation finishing after the response) are appended
@@ -20,21 +14,13 @@ type Trace struct {
 	spans []SpanData // guarded by the owning Store's mutex
 }
 
-// pendingTrace accumulates spans that ended before their local root did.
-type pendingTrace struct {
-	spans    []SpanData
-	hadError bool
-}
-
 // Store holds completed traces in a bounded ring buffer (oldest evicted
-// first) with a by-ID index, plus the pending set of in-flight traces.
-// One Store serves both locally-finished traces and spans ingested from
-// the peer process.
+// first) with a by-ID index. One Store serves both locally-finished traces
+// and spans ingested from the peer process. Spans still in flight live on
+// their local root span, not here.
 type Store struct {
 	mu      sync.Mutex
 	cap     int
-	pending map[string]*pendingTrace
-	order   []string // pending insertion order, for FIFO eviction
 	ring    []*Trace // completed, oldest first
 	byID    map[string]*Trace
 	evicted uint64
@@ -46,97 +32,38 @@ func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Store{
-		cap:     capacity,
-		pending: make(map[string]*pendingTrace),
-		byID:    make(map[string]*Trace),
-	}
+	return &Store{cap: capacity, byID: make(map[string]*Trace)}
 }
 
-// add records a completed non-root span. If the trace already completed
-// (late async span, or the peer's half arrived first) it joins that entry
-// directly; otherwise it waits in pending for the local root.
+// add joins a span that ended after its kept local root to that trace. A
+// trace already evicted gains nothing: the span is discarded with it.
 func (s *Store) add(data SpanData) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.byID[data.TraceID]; ok {
 		t.spans = append(t.spans, data)
-		return
-	}
-	p, ok := s.pending[data.TraceID]
-	if !ok {
-		p = &pendingTrace{}
-		s.pending[data.TraceID] = p
-		s.order = append(s.order, data.TraceID)
-		s.evictPendingLocked()
-	}
-	p.spans = append(p.spans, data)
-	if data.Error != "" {
-		p.hadError = true
 	}
 }
 
-// evictPendingLocked drops the oldest pending traces over the cap. The
-// order slice may hold IDs already promoted out of pending; those are
-// skipped (and compacted away) for free.
-func (s *Store) evictPendingLocked() {
-	for len(s.pending) > pendingCap && len(s.order) > 0 {
-		id := s.order[0]
-		s.order = s.order[1:]
-		delete(s.pending, id)
-	}
-	// Compact the order slice when lazy deletions dominate it.
-	if len(s.order) > 4*pendingCap {
-		live := s.order[:0]
-		for _, id := range s.order {
-			if _, ok := s.pending[id]; ok {
-				live = append(live, id)
-			}
-		}
-		s.order = live
-	}
+// drop counts a trace its local root recorded but did not keep.
+func (s *Store) drop() {
+	s.mu.Lock()
+	s.dropped++
+	s.mu.Unlock()
 }
 
-// pendingHadError reports whether any already-ended span of the trace
-// recorded an error — the tail sampler's "did anything below fail" input,
-// needed because a handler may swallow a child's error before the root
-// span sees it.
-func (s *Store) pendingHadError(traceID string) bool {
+// complete enters a kept trace's local spans into the ring. The caller
+// keeps spans for the exporter, so the store appends only past its end.
+func (s *Store) complete(spans []SpanData) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pending[traceID]
-	return ok && p.hadError
-}
-
-// complete closes out a trace: the local root span has ended. When keep is
-// true the assembled trace enters the ring buffer and the full local span
-// set is returned (for the exporter); when false everything recorded for
-// the trace is discarded.
-func (s *Store) complete(root SpanData, keep bool) []SpanData {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.pending[root.TraceID]
-	delete(s.pending, root.TraceID)
-	if !keep {
-		s.dropped++
-		return nil
-	}
-	var spans []SpanData
-	if p != nil {
-		spans = append(p.spans, root)
-	} else {
-		spans = []SpanData{root}
-	}
-	if t, ok := s.byID[root.TraceID]; ok {
+	if t, ok := s.byID[spans[0].TraceID]; ok {
 		// The peer's half arrived first (or a prior local root for the
 		// same trace ID); merge instead of double-storing.
 		t.spans = append(t.spans, spans...)
-	} else {
-		s.insertLocked(&Trace{spans: spans})
+		return
 	}
-	out := make([]SpanData, len(spans))
-	copy(out, spans)
-	return out
+	s.insertLocked(&Trace{spans: spans[:len(spans):len(spans)]})
 }
 
 // Ingest merges spans shipped from another process. Traces already
@@ -160,9 +87,6 @@ func (s *Store) Ingest(spans []SpanData) {
 
 // insertLocked appends a completed trace, evicting the oldest past cap.
 func (s *Store) insertLocked(t *Trace) {
-	if len(t.spans) == 0 {
-		return
-	}
 	s.ring = append(s.ring, t)
 	s.byID[t.spans[0].TraceID] = t
 	for len(s.ring) > s.cap {
@@ -176,7 +100,6 @@ func (s *Store) insertLocked(t *Trace) {
 // Stats reports buffer occupancy for the debug endpoint.
 type Stats struct {
 	Completed int    `json:"completed"`
-	Pending   int    `json:"pending"`
 	Capacity  int    `json:"capacity"`
 	Evicted   uint64 `json:"evicted"`
 	Dropped   uint64 `json:"dropped"`
@@ -188,7 +111,6 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	return Stats{
 		Completed: len(s.ring),
-		Pending:   len(s.pending),
 		Capacity:  s.cap,
 		Evicted:   s.evicted,
 		Dropped:   s.dropped,

@@ -24,12 +24,12 @@ package trace
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math/rand/v2"
 	"sync"
 	"time"
-
-	"gallery/internal/uuid"
 )
 
 // TraceID identifies one end-to-end request across processes (16 bytes,
@@ -51,17 +51,21 @@ func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 // String renders the ID as lowercase hex.
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
 
-// ids derives fresh random identifiers from the uuid generator, reusing
-// its entropy source (the paper reproduction's only randomness plumbing).
-func newTraceID() TraceID {
-	u := uuid.New()
-	return TraceID(u)
+// newTraceID and newSpanID draw from math/rand/v2's per-thread ChaCha8, so
+// starting a span takes no lock. W3C treats an all-zero ID as invalid, so
+// they draw again on zero.
+func newTraceID() (t TraceID) {
+	for t.IsZero() {
+		binary.LittleEndian.PutUint64(t[:8], rand.Uint64())
+		binary.LittleEndian.PutUint64(t[8:], rand.Uint64())
+	}
+	return t
 }
 
-func newSpanID() SpanID {
-	u := uuid.New()
-	var s SpanID
-	copy(s[:], u[0:8])
+func newSpanID() (s SpanID) {
+	for s.IsZero() {
+		binary.LittleEndian.PutUint64(s[:], rand.Uint64())
+	}
 	return s
 }
 
@@ -91,15 +95,16 @@ type SpanData struct {
 // Span is one in-flight timed operation. A nil *Span is the not-sampled
 // case: every method no-ops, so callers never branch on sampling.
 type Span struct {
-	tracer  *Tracer
+	tracer *Tracer
+	// root is the first span this process opened for the trace (a root
+	// points at itself). Its End makes the tail decision and commits the
+	// trace; the spans below it only report to it.
+	root    *Span
 	traceID TraceID
 	spanID  SpanID
 	parent  SpanID
 	name    string
 	start   time.Time
-	// localRoot marks the first span this process opened for the trace;
-	// its End is what commits the trace to the store (and exporter).
-	localRoot bool
 	// kept marks a trace this process has already decided to keep: its
 	// sampler keeps whatever it records (always, a probability hit), or the
 	// caller's traceparent carried the sampled flag. Such a trace bypasses
@@ -110,7 +115,13 @@ type Span struct {
 	mu    sync.Mutex
 	attrs []Attr
 	err   string
+	dur   time.Duration
 	ended bool
+	// Root only: the spans that ended before it, whether any of them
+	// failed, and (once ended) whether the trace went into the store.
+	done     []*Span
+	hadError bool
+	stored   bool
 }
 
 // TraceIDString returns the span's trace ID in hex, or "" on a nil span —
@@ -188,34 +199,63 @@ func (s *Span) Rename(name string) {
 	s.mu.Unlock()
 }
 
-// End completes the span and hands it to the tracer's store. Ending twice
-// is safe (second call no-ops); ending a nil span is a no-op.
+// End completes the span. A span below the local root hands itself to
+// the root; the root's End decides the trace's fate. Ending twice is safe
+// (second call no-ops); ending a nil span is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	end := time.Now()
+	if s.root == s {
+		s.tracer.finish(s, end)
+		return
+	}
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
 		return
 	}
 	s.ended = true
-	data := SpanData{
+	s.dur = end.Sub(s.start)
+	failed := s.err != ""
+	s.mu.Unlock()
+	// Lock order: a root's mu before its children's.
+	r := s.root
+	r.mu.Lock()
+	switch {
+	case !r.ended:
+		r.done = append(r.done, s)
+		r.hadError = r.hadError || failed
+	case r.stored:
+		// Late async work: join the kept trace if it is still buffered.
+		s.tracer.store.add(s.data())
+	}
+	r.mu.Unlock()
+}
+
+// data renders the ended span in its stored form.
+func (s *Span) data() SpanData {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dataLocked()
+}
+
+func (s *Span) dataLocked() SpanData {
+	d := SpanData{
 		TraceID:  s.traceID.String(),
 		SpanID:   s.spanID.String(),
 		Name:     s.name,
 		Service:  s.tracer.service,
 		Start:    s.start,
-		Duration: float64(end.Sub(s.start).Microseconds()) / 1000,
+		Duration: float64(s.dur.Microseconds()) / 1000,
 		Attrs:    s.attrs,
 		Error:    s.err,
 	}
 	if !s.parent.IsZero() {
-		data.ParentID = s.parent.String()
+		d.ParentID = s.parent.String()
 	}
-	s.mu.Unlock()
-	s.tracer.finish(s, data)
+	return d
 }
 
 // EndErr records err (if non-nil) and ends the span in one call — the
@@ -257,6 +297,7 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	child := &Span{
 		tracer:  parent.tracer,
+		root:    parent.root,
 		traceID: parent.traceID,
 		spanID:  newSpanID(),
 		parent:  parent.spanID,
@@ -342,35 +383,47 @@ func (t *Tracer) StartRoot(ctx context.Context, name, parent string) (context.Co
 		tid, sid = newTraceID(), SpanID{}
 	}
 	s := &Span{
-		tracer:    t,
-		traceID:   tid,
-		spanID:    newSpanID(),
-		parent:    sid,
-		name:      name,
-		start:     time.Now(),
-		localRoot: true,
-		kept:      sampled || t.headKeeps,
+		tracer:  t,
+		traceID: tid,
+		spanID:  newSpanID(),
+		parent:  sid,
+		name:    name,
+		start:   time.Now(),
+		kept:    sampled || t.headKeeps,
 	}
+	s.root = s
 	return ContextWith(ctx, s), s
 }
 
-// StartLocal opens a root span for process-internal work with no inbound
-// request (hot swaps, refresh sweeps), subject to the sampler.
-func (t *Tracer) StartLocal(ctx context.Context, name string) (context.Context, *Span) {
-	return t.StartRoot(ctx, name, "")
-}
-
-// finish routes a completed span into the store and, when the span closes
-// the local root, applies the tail decision and notifies the exporter.
-func (t *Tracer) finish(s *Span, data SpanData) {
-	if !s.localRoot {
-		t.store.add(data)
+// finish ends the local root: it makes the tail decision from the head
+// decision, the root's duration and error and its children's errors. A
+// dropped trace is never rendered; a kept one enters the store and goes
+// to the exporter. The root's mu is held through the store insert, so a
+// child ending just after the decision finds the trace buffered.
+func (t *Tracer) finish(r *Span, end time.Time) {
+	r.mu.Lock()
+	if r.ended {
+		r.mu.Unlock()
 		return
 	}
-	slow := time.Duration(data.Duration * float64(time.Millisecond))
-	keep := s.kept || t.sampler.Keep(slow, data.Error != "" || t.store.pendingHadError(data.TraceID))
-	spans := t.store.complete(data, keep)
-	if keep && t.exporter != nil && len(spans) > 0 {
+	r.ended = true
+	r.dur = end.Sub(r.start)
+	done := r.done
+	r.done = nil
+	if !r.kept && !t.sampler.Keep(r.dur, r.err != "" || r.hadError) {
+		r.mu.Unlock()
+		t.store.drop()
+		return
+	}
+	r.stored = true
+	spans := make([]SpanData, 0, len(done)+1)
+	for _, c := range done {
+		spans = append(spans, c.data())
+	}
+	spans = append(spans, r.dataLocked())
+	t.store.complete(spans)
+	r.mu.Unlock()
+	if t.exporter != nil {
 		t.exporter(spans)
 	}
 }

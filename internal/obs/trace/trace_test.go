@@ -173,7 +173,7 @@ func TestErrSlowTailFilter(t *testing.T) {
 	}
 
 	// Clean root, failed child (error swallowed by a fallback) → kept:
-	// the child's error feeds the tail decision via the pending buffer.
+	// the child's error reaches the tail decision through its root.
 	ctx, root := tr.StartRoot(context.Background(), "root", "")
 	_, child := Start(ctx, "child")
 	child.EndErr(errors.New("inner"))
@@ -306,8 +306,8 @@ func TestRingEvictionConcurrent(t *testing.T) {
 	if st.Evicted != workers*perWorker-capacity {
 		t.Fatalf("evicted = %d, want %d", st.Evicted, workers*perWorker-capacity)
 	}
-	if st.Pending != 0 {
-		t.Fatalf("pending = %d, want 0 after all roots ended", st.Pending)
+	if st.Dropped != 0 {
+		t.Fatalf("dropped = %d, want 0 under Always", st.Dropped)
 	}
 	// Every summarized trace must be fetchable and complete.
 	for _, s := range tr.Store().Summaries(0) {
@@ -341,5 +341,121 @@ func TestIngestMergesRemoteSpans(t *testing.T) {
 	}
 	if len(d.Summary.Services) != 2 {
 		t.Fatalf("services = %v, want both", d.Summary.Services)
+	}
+}
+
+// TestLateSpansFollowTheirRoot: a span that ends after its local root
+// shares its root's fate. A store that parks such a span by trace ID lets
+// the late failed child of a dropped root make a later fast, clean root
+// continuing the same traceparent keep a trace holding a span it never
+// opened (galleryd's async rules.evaluate spans end after their root).
+func TestLateSpansFollowTheirRoot(t *testing.T) {
+	tr := New(Options{Service: "svc", Sampler: ErrSlow(time.Hour)})
+	up := New(Options{Service: "up", Sampler: ErrSlow(time.Hour)})
+	_, caller := up.StartRoot(context.Background(), "caller", "")
+	parent := caller.Traceparent() // unflagged: the tail filter decides
+
+	ctx, r1 := tr.StartRoot(context.Background(), "r1", parent)
+	_, late := Start(ctx, "rules.evaluate")
+	r1.End()
+	late.EndErr(errors.New("late failure"))
+	_, r2 := tr.StartRoot(context.Background(), "r2", parent)
+	r2.End()
+	if d, ok := tr.Store().Get(caller.TraceIDString()); ok {
+		t.Fatalf("fast clean root kept a trace holding a dropped root's late span: %d spans", d.Summary.Spans)
+	}
+	if st := tr.Store().Stats(); st.Dropped != 2 || st.Completed != 0 {
+		t.Fatalf("stats %+v, want both roots dropped and nothing buffered", st)
+	}
+
+	// A late child of a kept root joins its stored trace.
+	ctx, kept := tr.StartRoot(context.Background(), "kept", "")
+	_, child := Start(ctx, "child")
+	kept.EndErr(errors.New("boom"))
+	child.End()
+	if d, ok := tr.Store().Get(kept.TraceIDString()); !ok || d.Summary.Spans != 2 {
+		t.Fatalf("late child of a kept root: ok=%v %+v, want 2 spans", ok, d.Summary)
+	}
+
+	// A late child of an evicted trace creates no entry.
+	small := New(Options{Service: "svc", Sampler: Always(), Capacity: 1})
+	ctx, gone := small.StartRoot(context.Background(), "gone", "")
+	_, orphan := Start(ctx, "orphan")
+	gone.End()
+	_, next := small.StartRoot(context.Background(), "next", "")
+	next.End()
+	orphan.End()
+	if _, ok := small.Store().Get(gone.TraceIDString()); ok {
+		t.Fatal("late child of an evicted trace recreated it")
+	}
+	if st := small.Store().Stats(); st.Completed != 1 || st.Evicted != 1 {
+		t.Fatalf("stats %+v, want 1 buffered and 1 evicted", st)
+	}
+}
+
+// TestChildrenEndAroundRoot ends children concurrently with their root and
+// after it (run under -race). Every kept trace must hold all its spans: a
+// child ending just after the tail decision finds the trace buffered.
+func TestChildrenEndAroundRoot(t *testing.T) {
+	const (
+		roots    = 64
+		children = 4
+	)
+	for _, sampler := range []Sampler{Always(), ErrSlow(time.Hour)} {
+		tr := New(Options{Service: "svc", Sampler: sampler, Capacity: roots})
+		var wg sync.WaitGroup
+		for i := 0; i < roots; i++ {
+			ctx, root := tr.StartRoot(context.Background(), "root", "")
+			for c := 0; c < children; c++ {
+				_, child := Start(ctx, "child")
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if c == 0 {
+						child.Fail("child failed")
+					}
+					child.End()
+				}()
+			}
+			root.End()
+		}
+		wg.Wait()
+		st := tr.Store().Stats()
+		if st.Completed+int(st.Dropped) != roots || st.Evicted != 0 {
+			t.Fatalf("%s: stats %+v, want %d roots accounted for", sampler.Spec(), st, roots)
+		}
+		if sampler.Spec() == "always" && st.Completed != roots {
+			t.Fatalf("always: %d traces buffered, want %d", st.Completed, roots)
+		}
+		for _, s := range tr.Store().Summaries(0) {
+			if s.Spans != children+1 {
+				t.Fatalf("%s: trace %s holds %d spans, want %d", sampler.Spec(), s.TraceID, s.Spans, children+1)
+			}
+		}
+	}
+}
+
+// TestDroppedTraceAllocs gates the cost of the default sampler's common
+// case: a fast, clean root with three children, recorded and then
+// dropped, renders nothing and allocates only the spans, their contexts
+// and the root's list of ended children (11; the pending set cost 39).
+func TestDroppedTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	tr := New(Options{Service: "svc", Sampler: ErrSlow(250 * time.Millisecond)})
+	got := testing.AllocsPerRun(1000, func() {
+		ctx, root := tr.StartRoot(context.Background(), "root", "")
+		for i := 0; i < 3; i++ {
+			_, c := Start(ctx, "child")
+			c.End()
+		}
+		root.End()
+	})
+	if bound := 11.0; got > bound {
+		t.Fatalf("dropped root + 3 children allocate %.1f, want at most %.1f", got, bound)
+	}
+	if st := tr.Store().Stats(); st.Completed != 0 {
+		t.Fatalf("fast clean traces were kept: %+v", st)
 	}
 }

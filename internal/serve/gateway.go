@@ -479,7 +479,7 @@ func (g *Gateway) RefreshAll() {
 // inbound request exists to ride), so hot swaps are attributable end to
 // end: the swap's Gallery calls carry the trace to galleryd.
 func (g *Gateway) refresh(e *entry) {
-	ctx, span := g.tracer.StartLocal(context.Background(), "serve.refresh")
+	ctx, span := g.tracer.StartRoot(context.Background(), "serve.refresh", "")
 	if span != nil {
 		span.Annotate("model", e.modelID)
 	}

@@ -259,7 +259,7 @@ func TestSamplerHonoredByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := h.srv.tracer.Store().Stats()
-	if st.Completed != 0 || st.Pending != 0 {
+	if st.Completed != 0 || st.Dropped != 0 {
 		t.Fatalf("default (never) sampler recorded traces: %+v", st)
 	}
 }
