@@ -200,3 +200,20 @@ func TestOneMethodPerOperation(t *testing.T) {
 		}
 	}
 }
+
+// TestNoStandardLogInInternal keeps each daemon to one logger: no
+// non-test file under internal/ imports the standard log package, whose
+// lines would reach stderr but neither the log ring at GET /v1/debug/logs
+// nor an incident bundle. Process events go through the logger
+// internal/daemon builds.
+func TestNoStandardLogInInternal(t *testing.T) {
+	for pkg, files := range internalFiles(t) {
+		for _, f := range files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"log"` {
+					t.Errorf("package %s under internal/ imports the standard log package: log through the daemon's *slog.Logger", pkg)
+				}
+			}
+		}
+	}
+}

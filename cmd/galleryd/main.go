@@ -6,12 +6,14 @@
 //
 //	galleryd -addr :8440 -data /var/lib/gallery
 //	galleryd -addr :8440 -mem            # volatile, for demos
-//	galleryd -addr :8440 -mem -access-log  # JSON access log on stderr
+//	galleryd -addr :8440 -mem -access-log  # plus a JSON access line per request on stderr
 //	galleryd -addr :8440 -auth           # multi-tenant: bearer tokens, roles, quotas
 //	galleryd -addr :8440 -auth -token-file tokens.json  # with pre-shared credentials
 //
-// With -auth and no existing tokens, a bootstrap operator token for the
-// "default" namespace is minted and its secret printed once at startup.
+// Process events (WAL replay, start-up, shutdown) are JSON lines on
+// stderr and entries in the log ring at GET /v1/debug/logs. With -auth and
+// no existing tokens, a bootstrap operator token for the "default"
+// namespace is minted and its secret printed once on stdout at startup.
 //
 // An SLO evaluator ticks every -slo-interval, judging declared burn-rate
 // objectives (POST /v1/slo, `galleryctl slo`) against the per-tenant RED
@@ -39,13 +41,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("galleryd: %v", err)
 	}
+	// The secret goes to stdout only: the process log is copied into
+	// incident bundles, which are persisted and served.
 	if id, secret := d.Bootstrap(); secret != "" {
 		fmt.Printf("galleryd: minted bootstrap operator token %s — save this secret, it is shown once:\n%s\n", id, secret)
 	}
-	models, instances, metrics := d.Counts()
-	fmt.Printf("galleryd: serving on %s (models=%d instances=%d metrics=%d, durable=%v)\n",
-		cfg.Addr, models, instances, metrics, !cfg.Mem)
-	err = daemon.Serve("galleryd", cfg.Addr, d.Handler())
+	err = daemon.Serve(d.Logger(), cfg.Addr, d.Handler())
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}

@@ -22,7 +22,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 
 	"gallery/internal/daemon"
@@ -37,8 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("galleryserve: %v", err)
 	}
-	fmt.Printf("galleryserve: serving on %s (gallery=%s refresh=%v)\n", cfg.Addr, cfg.Gallery, cfg.Refresh)
-	err = daemon.Serve("galleryserve", cfg.Addr, g.Handler())
+	err = daemon.Serve(g.Logger(), cfg.Addr, g.Handler())
 	// After the HTTP drain, so the traces the last requests kept still leave.
 	if cerr := g.Close(); err == nil {
 		err = cerr

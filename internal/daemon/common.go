@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"os"
@@ -40,16 +39,21 @@ func (c *Common) sampling() {
 	}
 }
 
-// logging builds the log ring served at GET /v1/debug/logs and the
-// access logger that feeds it from -log-level up, teeing JSON lines to
-// stderr under -access-log.
-func (c *Common) logging() (*obslog.Ring, *slog.Logger) {
-	ring := obslog.NewRing(obslog.DefaultCapacity)
-	var tee slog.Handler
+// logging builds the process's one logger: its records from -log-level
+// up enter the ring served at GET /v1/debug/logs, which incident bundles
+// copy, and go to stderr as JSON lines. Under -access-log it also builds
+// the access logger, one JSON line per request to stderr only, gated by
+// the same level; without the flag that is nil and no request builds a
+// line.
+func (c *Common) logging(process string) (ring *obslog.Ring, lg, access *slog.Logger) {
+	ring = obslog.NewRing(obslog.DefaultCapacity)
+	level := obslog.ParseLevel(c.LogLevel)
+	stderr := slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level})
+	lg = slog.New(obslog.NewHandler(ring, level, stderr)).With("service", process)
 	if c.AccessLog {
-		tee = slog.NewJSONHandler(os.Stderr, nil)
+		access = slog.New(stderr)
 	}
-	return ring, slog.New(obslog.NewHandler(ring, obslog.ParseLevel(c.LogLevel), tee))
+	return ring, lg, access
 }
 
 // check refuses a token file without -auth: its tokens would be loaded
@@ -103,8 +107,9 @@ func noErr(f func()) func() error {
 }
 
 // Serve serves h on addr until SIGINT or SIGTERM, then drains in-flight
-// requests for up to ten seconds and returns nil.
-func Serve(process, addr string, h http.Handler) error {
+// requests for up to ten seconds and returns nil. lg is the process's
+// logger (Galleryd.Logger, Galleryserve.Logger).
+func Serve(lg *slog.Logger, addr string, h http.Handler) error {
 	srv := &http.Server{
 		Addr: addr, Handler: h,
 		// No read or write timeout: a 256 MiB upload is legitimate.
@@ -121,11 +126,11 @@ func Serve(process, addr string, h http.Handler) error {
 	case err := <-errCh:
 		return err
 	case sig := <-sigCh:
-		log.Printf("%s: %v, shutting down", process, sig)
+		lg.Info("shutting down", "signal", sig.String())
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("%s: shutdown: %v", process, err)
+			lg.Error("shutdown", "err", err)
 		}
 		return nil
 	}

@@ -38,7 +38,7 @@ func (c *Common) flags(fs *flag.FlagSet, addr string) {
 	fs.BoolVar(&c.AccessLog, "access-log", false, "write a JSON access-log line per request to stderr")
 	fs.StringVar(&c.TraceSample, "trace-sample", "errslow:250ms", "trace sampler: never | always | errslow:<dur> | <probability 0..1>")
 	fs.BoolVar(&c.Pprof, "pprof", false, "expose net/http/pprof under /v1/debug/pprof/ (profiles can leak memory contents; opt-in)")
-	fs.StringVar(&c.LogLevel, "log-level", "info", "min level entering the /v1/debug/logs ring: debug|info|warn|error")
+	fs.StringVar(&c.LogLevel, "log-level", "info", "min level of the process log (the /v1/debug/logs ring and stderr): debug|info|warn|error")
 	fs.IntVar(&c.MutexProfileFraction, "mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction: sample 1/n mutex contention events (0 disables)")
 	fs.IntVar(&c.BlockProfileRate, "block-profile-rate", 0, "runtime.SetBlockProfileRate: sample blocking events >= n ns (0 disables)")
 	fs.BoolVar(&c.Auth, "auth", false, "enforce the multi-tenant control plane: bearer tokens, roles, rate limits (galleryd also charges quotas; galleryserve needs -token-file)")

@@ -23,6 +23,7 @@ import (
 	"gallery/internal/client"
 	"gallery/internal/forecast"
 	"gallery/internal/obs"
+	obslog "gallery/internal/obs/log"
 	"gallery/internal/obs/trace"
 )
 
@@ -667,4 +668,88 @@ func metricsSnapshot(t *testing.T, h http.Handler) obs.Snapshot {
 	var snap obs.Snapshot
 	must(t, json.Unmarshal(rec.Body.Bytes(), &snap))
 	return snap
+}
+
+// TestProcessEventsInLogRing: each daemon has one logger, and its ring
+// holds what an operator asks of a process rather than one line per
+// request. galleryd boots on a fresh data directory with -auth, so it
+// replays a WAL and mints a bootstrap token; the gateway presents that
+// token and preloads a model galleryd does not have. After 2,000
+// predicts and an incident, each /v1/debug/logs and each half of the
+// bundle still holds its daemon's start-up events, no request line, and
+// nowhere the bootstrap secret.
+func TestProcessEventsInLogRing(t *testing.T) {
+	gdTS, gwTS := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	gdURL, gwURL := "http://"+gdTS.Listener.Addr().String(), "http://"+gwTS.Listener.Addr().String()
+	gd, err := NewGalleryd(gallerydConfig(t, "-data", t.TempDir(), "-auth", "-incident-gateway", gwURL,
+		"-health-interval", "-1s", "-slo-interval", "-1s"))
+	must(t, err)
+	t.Cleanup(func() { gd.Close() })
+	_, secret := gd.Bootstrap()
+	if secret == "" {
+		t.Fatal("no bootstrap token minted on a fresh -auth data dir")
+	}
+	gdTS.Config.Handler = gd.Handler()
+	gdTS.Start()
+	t.Cleanup(gdTS.Close)
+
+	unknown := "00000000-0000-4000-8000-00000000dead"
+	gw, err := NewGalleryserve(galleryserveConfig(t, "-gallery", gdURL, "-token", secret, "-preload", unknown,
+		"-refresh", "-1s", "-health-flush", "-1s"))
+	must(t, err)
+	t.Cleanup(func() { gw.Close() })
+	gwTS.Config.Handler = gw.Handler()
+	gwTS.Start()
+	t.Cleanup(gwTS.Close)
+
+	gdC := client.NewWith(gdURL, client.Options{Token: secret})
+	gwC := client.NewWith(gwURL, client.Options{})
+	m, err := gdC.RegisterModel(api.RegisterModelRequest{BaseVersionID: "bv-logs", Name: "demand", Domain: "UberX"})
+	must(t, err)
+	blob, err := forecast.Encode(&forecast.Heuristic{K: 1})
+	must(t, err)
+	must(t, second(gdC.UploadInstance(api.UploadInstanceRequest{ModelID: m.ID, Name: "first", City: "sf", Blob: blob})))
+	for range 2000 {
+		must(t, second(gwC.Predict(m.ID, api.PredictRequest{History: []float64{10, 20}})))
+	}
+	inc, err := gdC.TriggerIncident(api.TriggerIncidentRequest{Reason: "logs"})
+	must(t, err)
+	detail, err := gdC.GetIncident(inc.ID)
+	must(t, err)
+	b := detail.Bundle
+	if b.Gateway == nil {
+		t.Fatalf("bundle has no gateway half (%q)", b.GatewayError)
+	}
+
+	ring := func(c *client.Client) []obslog.Entry {
+		resp, err := c.DebugLogs(client.LogsQuery{})
+		must(t, err)
+		return resp.Entries
+	}
+	check := func(where string, entries []obslog.Entry, want ...string) {
+		t.Helper()
+		have := map[string]int{}
+		for _, e := range entries {
+			have[e.Msg]++
+			text := e.Msg
+			for k, v := range e.Attrs {
+				text += " " + k + "=" + v
+			}
+			if strings.Contains(text, secret) {
+				t.Errorf("%s: entry %q carries the bootstrap secret", where, e.Msg)
+			}
+		}
+		if n := have["request"]; n > 0 {
+			t.Errorf("%s: %d of %d entries are request lines", where, n, len(entries))
+		}
+		for _, msg := range want {
+			if have[msg] == 0 {
+				t.Errorf("%s: no %q entry among %d", where, msg, len(entries))
+			}
+		}
+	}
+	check("galleryd /v1/debug/logs", ring(gdC), "replayed metadata WAL", "ready")
+	check("gateway /v1/debug/logs", ring(gwC), "preload failed", "ready")
+	check("bundle registry logs", b.Registry.Logs, "replayed metadata WAL", "ready")
+	check("bundle gateway logs", b.Gateway.Logs, "preload failed", "ready")
 }

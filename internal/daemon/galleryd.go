@@ -3,7 +3,7 @@ package daemon
 import (
 	"context"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -32,6 +32,7 @@ type Galleryd struct {
 	reg                          *core.Registry
 	slo                          *slo.Service
 	srv                          *server.Server
+	log                          *slog.Logger
 	bootstrapID, bootstrapSecret string
 	stops                        closers
 }
@@ -54,6 +55,8 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 	if err != nil {
 		return nil, err
 	}
+	logs, lg, accessLog := cfg.logging("galleryd")
+	d.log = lg
 
 	var blobs *blobstore.Store
 	if cfg.Mem {
@@ -74,29 +77,23 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 		// Why this restart took what it took, and whether -compact-mb still
 		// has old-format records to rewrite.
 		records, legacy := d.meta.Replayed()
-		log.Printf("galleryd: replayed metadata WAL: %d records (%d legacy-format), %d bytes in %.3fs",
-			records, legacy, d.meta.LogSize(), time.Since(opening).Seconds())
+		lg.Info("replayed metadata WAL", "records", records, "legacy_records", legacy,
+			"bytes", d.meta.LogSize(), "seconds", time.Since(opening).Seconds())
 		if cfg.CompactMB > 0 && d.meta.LogSize() > cfg.CompactMB<<20 {
 			before := d.meta.LogSize()
 			if err := d.meta.Compact(walPath); err != nil {
 				return nil, fmt.Errorf("compact metadata WAL: %w", err)
 			}
-			log.Printf("galleryd: compacted metadata WAL %d -> %d bytes", before, d.meta.LogSize())
+			lg.Info("compacted metadata WAL", "bytes_before", before, "bytes", d.meta.LogSize())
 		}
 		opening = time.Now()
 		if blobs, err = blobstore.NewDisk(filepath.Join(cfg.Data, "blobs"), blobstore.Options{}); err != nil {
 			return nil, fmt.Errorf("open blob store: %w", err)
 		}
 		d.stops.add(blobs.Close)
-		st, note := blobs.Stats(), ""
-		switch {
-		case st.Imported > 0:
-			note = fmt.Sprintf(" (imported %d legacy files)", st.Imported)
-		case st.Compacted:
-			note = " (compacted)"
-		}
-		log.Printf("galleryd: opened blob store: %d blobs, %d live / %d dead bytes in %.3fs%s",
-			st.Blobs, st.LiveBytes, st.DeadBytes, time.Since(opening).Seconds(), note)
+		st := blobs.Stats()
+		lg.Info("opened blob store", "blobs", st.Blobs, "live_bytes", st.LiveBytes, "dead_bytes", st.DeadBytes,
+			"seconds", time.Since(opening).Seconds(), "imported_legacy_files", st.Imported, "compacted", st.Compacted)
 	}
 	blobs.Instrument(d.obs)
 
@@ -112,7 +109,6 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 
 	// The recorder tails the log ring; the health monitor and SLO evaluator
 	// are bound to it later (they want it as a sink, it wants their state).
-	logs, accessLog := cfg.logging()
 	recorder, err := incident.Open(d.reg.DAL(), incident.Config{
 		Obs: d.obs, Tracer: tracer, Logs: logs, Audit: d.reg.Audit(),
 		Gateway: cfg.IncidentGateway, GatewayToken: cfg.IncidentGatewayToken,
@@ -196,9 +192,12 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 		if !cfg.DumpMetrics {
 			return nil
 		}
-		fmt.Fprintln(os.Stderr, "galleryd: final metrics snapshot:")
+		lg.Info("final metrics snapshot")
 		return d.obs.WriteJSON(os.Stderr)
 	})
+	models, instances, metrics := d.reg.Counts()
+	lg.Info("ready", "addr", cfg.Addr, "models", models, "instances", instances, "metrics", metrics,
+		"durable", !cfg.Mem)
 	return d, nil
 }
 
@@ -210,8 +209,8 @@ func (d *Galleryd) Handler() http.Handler { return d.srv }
 // nowhere else. Both are empty otherwise.
 func (d *Galleryd) Bootstrap() (id, secret string) { return d.bootstrapID, d.bootstrapSecret }
 
-// Counts reports the registry's model, instance and metric rows.
-func (d *Galleryd) Counts() (models, instances, metrics int) { return d.reg.Counts() }
+// Logger is the process's logger, for Serve.
+func (d *Galleryd) Logger() *slog.Logger { return d.log }
 
 // Close drains queued rule-engine triggers, dumps the metrics registry to
 // stderr under -dump-metrics, and stops every component in the reverse of

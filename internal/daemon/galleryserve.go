@@ -3,7 +3,7 @@ package daemon
 import (
 	"context"
 	"errors"
-	"log"
+	"log/slog"
 	"net/http"
 	"strings"
 
@@ -22,6 +22,7 @@ import (
 // into one metrics registry.
 type Galleryserve struct {
 	handler *serve.Handler
+	log     *slog.Logger
 	stops   closers
 }
 
@@ -41,6 +42,8 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 		return nil, errors.New("-auth requires -token-file (a gateway has no durable store to mint from)")
 	}
 	cfg.sampling()
+	ring, lg, accessLog := cfg.logging("galleryserve")
+	g.log = lg
 	cl := client.NewWith(cfg.Gallery, client.Options{Retries: gatewayRetries, Actor: "gateway:" + cfg.Name, Token: cfg.Token})
 	// Kept traces, health windows and hot-swap audit events ride one
 	// queue through the one client (same token; a slow galleryd costs
@@ -81,11 +84,10 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 		}
 		// A throwaway query that only forces the load.
 		if _, err := gw.PredictCtx(context.Background(), id, forecast.Context{History: []float64{1, 1, 1, 1}}); err != nil {
-			log.Printf("galleryserve: preload %s: %v", id, err)
+			lg.Warn("preload failed", "model", id, "err", err)
 		}
 	}
 
-	ring, accessLog := cfg.logging()
 	opts := []serve.HandlerOption{serve.WithTracer(tracer), serve.WithLogRing(ring),
 		serve.WithAccessLog(accessLog)}
 	if cfg.Pprof {
@@ -103,11 +105,15 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 		opts = append(opts, serve.WithAuthorizer(tm))
 	}
 	g.handler = serve.NewHandler(gw, opts...)
+	lg.Info("ready", "addr", cfg.Addr, "gallery", cfg.Gallery, "refresh", cfg.Refresh.String())
 	return g, nil
 }
 
 // Handler is galleryserve's HTTP API.
 func (g *Galleryserve) Handler() http.Handler { return g.handler }
+
+// Logger is the process's logger, for Serve.
+func (g *Galleryserve) Logger() *slog.Logger { return g.log }
 
 // Close stops the producers of telemetry first and the shipper last: the
 // gateway (whose refresh loop may report a last hot swap and whose health

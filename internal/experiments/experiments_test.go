@@ -519,10 +519,10 @@ func TestMultiTenant(t *testing.T) {
 		if extra := res.PredictExtraAllocs(); extra >= 0.5 {
 			t.Errorf("auth costs %.2f allocs/op on the predict path, want 0", extra)
 		}
-		if got, bound := res.OnAllocs, 59.041*1.05; got > bound {
+		if got, bound := res.OnAllocs, 43.039*1.05; got > bound {
 			t.Errorf("authed predict allocates %.3f per request, want at most %.3f", got, bound)
 		}
-		if got, bound := res.RegOnAllocs, 57.047*1.05; got > bound {
+		if got, bound := res.RegOnAllocs, 41.057*1.05; got > bound {
 			t.Errorf("authed GET /v1/models/{id} allocates %.3f per request, want at most %.3f", got, bound)
 		}
 	}

@@ -24,7 +24,8 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 type Options struct {
 	// Obs receives per-route metrics; required.
 	Obs *obs.Registry
-	// AccessLog, when set, emits one structured line per request.
+	// AccessLog, when set, emits one structured line per request; nil
+	// builds nothing per request.
 	AccessLog *slog.Logger
 	// Tracer, when set, starts a root span per request (subject to its
 	// sampler, or forced by an incoming sampled traceparent).
@@ -116,8 +117,9 @@ func StatusClass(code int) string {
 // Wrap returns next behind the observability middleware: per-route request
 // counters by status class, latency and body-size histograms (latency
 // carries slow-trace exemplars when the request is traced), root span
-// start/end, and one structured access-log line. The route label is the
-// ServeMux pattern that matched (bounded cardinality), never the raw URL.
+// start/end, and, with an AccessLog, one structured line. The route label
+// is the ServeMux pattern that matched (bounded cardinality), never the
+// raw URL.
 func Wrap(next http.Handler, o Options) http.Handler {
 	// Families resolved once; per request, children are looked up by
 	// (route, status) without building a name.

@@ -1,9 +1,11 @@
-// Package obslog is Gallery's unified structured-logging pillar: a
-// leveled, trace-correlated slog.Handler over a bounded in-memory ring.
-// Every log line a process emits — the HTTP access log, ad-hoc subsystem
-// errors — flows through one pipeline that stamps the active trace ID, so
-// log lines, audit events, and traces all join on the same key. The ring
-// is served at GET /v1/debug/logs with level/since filters.
+// Package obslog is Gallery's structured-logging pillar: a leveled,
+// trace-correlated slog.Handler over a bounded in-memory ring. Each
+// daemon builds one logger over it for its process events (start-up,
+// WAL replay, preload failures, shutdown); a record logged with a context
+// carrying a span is stamped with its trace ID, so log lines, audit events
+// and traces join on the same key. The ring is served at
+// GET /v1/debug/logs with level/since filters and copied into incident
+// bundles.
 //
 // When a level is disabled the handler's only cost is the Enabled check:
 // slog builds no record and the handler allocates nothing.
@@ -85,7 +87,7 @@ func (r *Ring) Entries(f Filter) (entries []Entry, nextSeq uint64) {
 	start := int(r.next) - r.count
 	for i := start; i < int(r.next); i++ {
 		e := r.buf[i%r.size]
-		if parseLevelName(e.Level) < f.MinLevel {
+		if ParseLevel(e.Level) < f.MinLevel {
 			continue
 		}
 		if !f.Since.IsZero() && e.Time.Before(f.Since) {
@@ -115,10 +117,6 @@ func (r *Ring) Len() int {
 // ParseLevel converts a level name ("debug", "info", "warn", "error") to
 // a slog.Level, defaulting to info for unknown names.
 func ParseLevel(s string) slog.Level {
-	return parseLevelName(s)
-}
-
-func parseLevelName(s string) slog.Level {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
 		return slog.LevelDebug
@@ -133,8 +131,7 @@ func parseLevelName(s string) slog.Level {
 
 // Handler is a slog.Handler that captures records into a Ring and
 // optionally tees them to a downstream handler (e.g. a JSON handler on
-// stderr). The trace ID is taken from the record's context — or from an
-// explicit "trace_id" attribute for call sites that pass no context.
+// stderr). The trace ID is taken from the record's context.
 type Handler struct {
 	ring   *Ring
 	level  slog.Leveler
@@ -143,20 +140,11 @@ type Handler struct {
 	prefix string // flattened group path, "a.b."
 }
 
-// NewHandler builds a Handler over ring. level nil means LevelInfo; next
-// nil disables the tee.
+// NewHandler builds a Handler over ring that keeps records from level up;
+// next nil disables the tee.
 func NewHandler(ring *Ring, level slog.Leveler, next slog.Handler) *Handler {
-	if ring == nil {
-		ring = NewRing(0)
-	}
-	if level == nil {
-		level = slog.LevelInfo
-	}
 	return &Handler{ring: ring, level: level, next: next}
 }
-
-// Ring exposes the handler's buffer for the /v1/debug/logs endpoint.
-func (h *Handler) Ring() *Ring { return h.ring }
 
 // Enabled implements slog.Handler; it allocates nothing, so disabled
 // levels cost exactly this comparison.
@@ -181,9 +169,7 @@ func (h *Handler) Handle(ctx context.Context, r slog.Record) error {
 		addAttr(&e, h.prefix, a)
 		return true
 	})
-	if e.TraceID == "" {
-		e.TraceID = trace.FromContext(ctx).TraceIDString()
-	}
+	e.TraceID = trace.FromContext(ctx).TraceIDString()
 	h.ring.append(e)
 	if h.next != nil && h.next.Enabled(ctx, r.Level) {
 		return h.next.Handle(ctx, r)
@@ -229,12 +215,7 @@ func addAttr(e *Entry, prefix string, a slog.Attr) {
 		}
 		return
 	}
-	key := prefix + a.Key
-	val := a.Value.Resolve().String()
-	if key == "trace_id" && e.TraceID == "" {
-		e.TraceID = val
-	}
-	e.Attrs[key] = val
+	e.Attrs[prefix+a.Key] = a.Value.Resolve().String()
 }
 
 func levelName(l slog.Level) string {

@@ -81,20 +81,14 @@ func TestTraceCorrelation(t *testing.T) {
 	r := NewRing(8)
 	logger := slog.New(NewHandler(r, slog.LevelDebug, nil))
 
-	// Context-carried span.
 	logger.InfoContext(ctx, "via ctx")
-	// Explicit attribute, the httpmw access-log convention.
-	logger.Info("via attr", "trace_id", "deadbeefdeadbeefdeadbeefdeadbeef")
 
 	entries, _ := r.Entries(Filter{MinLevel: slog.LevelDebug})
-	if len(entries) != 2 {
-		t.Fatalf("got %d entries, want 2", len(entries))
+	if len(entries) != 1 {
+		t.Fatalf("got %d entries, want 1", len(entries))
 	}
 	if got, want := entries[0].TraceID, span.TraceIDString(); got != want {
 		t.Errorf("ctx entry trace id = %q, want %q", got, want)
-	}
-	if entries[1].TraceID != "deadbeefdeadbeefdeadbeefdeadbeef" {
-		t.Errorf("attr entry trace id = %q, want promoted from trace_id attr", entries[1].TraceID)
 	}
 }
 

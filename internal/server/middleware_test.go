@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -10,11 +11,13 @@ import (
 	"testing"
 
 	"gallery/internal/api"
+	"gallery/internal/audit"
 	"gallery/internal/blobstore"
 	"gallery/internal/client"
 	"gallery/internal/clock"
 	"gallery/internal/core"
 	"gallery/internal/obs"
+	"gallery/internal/obs/trace"
 	"gallery/internal/relstore"
 	"gallery/internal/rules"
 	"gallery/internal/uuid"
@@ -119,6 +122,49 @@ func TestAccessLogLines(t *testing.T) {
 	}
 	if _, ok := entry["dur_ms"]; !ok {
 		t.Fatal("access log entry missing dur_ms")
+	}
+}
+
+// brokenWriter is a client that went away: every body write fails.
+type brokenWriter struct{ *httptest.ResponseRecorder }
+
+func (brokenWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset by peer") }
+
+// TestBlobWriteFailureCountedAndAudited: a blob transfer the client
+// aborts after the response is committed is recorded twice, by
+// server_blob_write_errors_total and by one blob.serve_failed audit row
+// stamped with the request's trace ID.
+func TestBlobWriteFailureCountedAndAudited(t *testing.T) {
+	h := newHarness(t)
+	m, err := h.c.RegisterModel(api.RegisterModelRequest{BaseVersionID: "bv-abort", Name: "demand", Domain: "UberX"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := h.c.UploadInstance(api.UploadInstanceRequest{ModelID: m.ID, Name: "demand", City: "sf", Blob: []byte("weights")})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	req := httptest.NewRequest(http.MethodGet, "/v1/instances/"+in.ID+"/blob", nil)
+	req.Header.Set(trace.TraceparentHeader, "00-"+traceID+"-00f067aa0ba902b7-01")
+	h.srv.ServeHTTP(brokenWriter{httptest.NewRecorder()}, req)
+
+	if n := h.srv.obs.Snapshot().Counters["server_blob_write_errors_total"]; n != 1 {
+		t.Errorf("server_blob_write_errors_total = %d, want 1", n)
+	}
+	evs, err := h.srv.reg.Audit().EntityTimeline(in.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed []audit.Event
+	for _, ev := range evs {
+		if ev.Action == audit.ActionBlobServeFailed {
+			failed = append(failed, ev)
+		}
+	}
+	if len(failed) != 1 || failed[0].TraceID != traceID {
+		t.Fatalf("blob.serve_failed rows = %+v, want one carrying trace %s", failed, traceID)
 	}
 }
 

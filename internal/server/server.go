@@ -39,8 +39,7 @@ type Options struct {
 	// Obs receives HTTP metrics; nil uses obs.Default.
 	Obs *obs.Registry
 	// AccessLog, when non-nil, receives one structured log line per
-	// request and the server's ad-hoc error logs. Build it over Logs
-	// (obslog.NewHandler) for those lines to be queryable there.
+	// request.
 	AccessLog *slog.Logger
 	// MaxBodyBytes bounds JSON request bodies (default DefaultMaxBodyBytes).
 	// Oversized bodies are rejected with 413.
@@ -55,9 +54,8 @@ type Options struct {
 	// Health, when non-nil, mounts the continuous model-health endpoints
 	// (POST /v1/health/observations, GET /v1/health/models[/{id}]).
 	Health *health.Monitor
-	// Logs, when non-nil, is the bounded in-memory ring served at
-	// GET /v1/debug/logs. Without an AccessLog, the server logs into it at
-	// info.
+	// Logs, when non-nil, is the process's log ring, served at
+	// GET /v1/debug/logs. The server writes nothing into it.
 	Logs *obslog.Ring
 	// Tenants, when non-nil, turns on the multi-tenant control plane:
 	// every request must carry a bearer token, roles and per-namespace
@@ -94,7 +92,6 @@ type Server struct {
 	routePatterns []string
 
 	obs        *obs.Registry
-	accessLog  *slog.Logger
 	logs       *obslog.Ring
 	tracer     *trace.Tracer
 	maxBody    int64
@@ -128,14 +125,11 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 		mux:       http.NewServeMux(),
 
 		obs:            opts.Obs,
+		logs:           opts.Logs,
 		tracer:         opts.Tracer,
 		maxBody:        opts.MaxBodyBytes,
 		allLatency:     opts.Obs.Histogram("http_request_seconds_all", obs.LatencyBuckets),
 		cBlobWriteErrs: opts.Obs.Counter("server_blob_write_errors_total"),
-	}
-	s.logs, s.accessLog = opts.Logs, opts.AccessLog
-	if s.accessLog == nil && s.logs != nil {
-		s.accessLog = slog.New(obslog.NewHandler(s.logs, slog.LevelInfo, nil))
 	}
 	s.routes()
 	if opts.Pprof {
@@ -155,7 +149,7 @@ func NewWith(reg *core.Registry, repo *rules.Repo, engine *rules.Engine, opts Op
 	}
 	wrapped := httpmw.Wrap(s.commitOnAck(s.mux), httpmw.Options{
 		Obs:        s.obs,
-		AccessLog:  s.accessLog,
+		AccessLog:  opts.AccessLog,
 		Tracer:     s.tracer,
 		AllLatency: s.allLatency,
 		TenantOf:   tenantOf,
@@ -641,15 +635,11 @@ func (s *Server) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(data); err != nil {
 		// The response is committed; all we can do is record that the
-		// client went away mid-transfer — in the log ring (correlated to
-		// this request's trace) and on the instance's audit timeline, so
-		// the aborted transfer is visible post-hoc next to the serving
+		// client went away mid-transfer — in a counter and on the
+		// instance's audit timeline (stamped with this request's trace),
+		// so the aborted transfer is visible post-hoc next to the serving
 		// events it may explain.
 		s.cBlobWriteErrs.Inc()
-		if s.accessLog != nil {
-			s.accessLog.ErrorContext(r.Context(), "blob write failed",
-				"instance", id.String(), "bytes", len(data), "err", err.Error())
-		}
 		_ = s.reg.Audit().Record(r.Context(), audit.Event{
 			Action:     audit.ActionBlobServeFailed,
 			EntityType: audit.EntityInstance,
