@@ -25,9 +25,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"os/signal"
+	"syscall"
 
 	"gallery/internal/daemon"
 )
@@ -46,7 +49,9 @@ func main() {
 	if id, secret := d.Bootstrap(); secret != "" {
 		fmt.Printf("galleryd: minted bootstrap operator token %s — save this secret, it is shown once:\n%s\n", id, secret)
 	}
-	err = daemon.Serve(d.Logger(), cfg.Addr, d.Handler())
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err = daemon.Serve(ctx, d, cfg.Addr)
+	stop()
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}

@@ -21,8 +21,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
+	"os/signal"
+	"syscall"
 
 	"gallery/internal/daemon"
 )
@@ -36,7 +39,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("galleryserve: %v", err)
 	}
-	err = daemon.Serve(g.Logger(), cfg.Addr, g.Handler())
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err = daemon.Serve(ctx, g, cfg.Addr)
+	stop()
 	// After the HTTP drain, so the traces the last requests kept still leave.
 	if cerr := g.Close(); err == nil {
 		err = cerr

@@ -190,6 +190,25 @@ func BenchmarkPredictRequestDecode(b *testing.B) {
 			}
 		}
 	})
+	// The same request as the Go client sends it.
+	var req PredictRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		b.Fatal(err)
+	}
+	bin, err := AppendPredictBinary(nil, &req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("binary", func(b *testing.B) {
+		b.ReportAllocs()
+		var floats []float64
+		var bools []bool
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodePredictBinary(bin, &floats, &bools); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // unmarshalBoth decodes data into a zero T with Unmarshal and with

@@ -10,10 +10,12 @@ import (
 	"unicode/utf8"
 )
 
-// The hot wire types — Instance, []Instance, AuditEventsResponse,
-// PredictRequest, PredictResponse — are encoded by hand: encoding/json
-// costs reflection and several allocations per value, and both daemons
-// and the client pay it on every registry read and every prediction. Each
+// The hot JSON wire types — Instance, []Instance, AuditEventsResponse,
+// PredictResponse — are encoded by hand: encoding/json costs reflection
+// and several allocations per value, and both daemons and the client pay
+// it on every registry read and every prediction. (A PredictRequest
+// travels as its binary body, predictbin.go; encoding/json writes the rare
+// JSON one.) Each
 // type has one append encoder, whose output is byte for byte what
 // encoding/json writes for it (field order, omitempty, HTML escaping, float
 // and RFC 3339 formatting), quick-checked in encode_test.go. A value the
@@ -58,8 +60,6 @@ func appendHot(b []byte, v any) ([]byte, bool) {
 		return appendArray(b, v, appendInstance)
 	case AuditEventsResponse:
 		return appendAuditEvents(b, &v)
-	case PredictRequest:
-		return appendPredictRequest(b, &v)
 	case PredictResponse:
 		return AppendPredictResponse(b, &v)
 	}
@@ -79,25 +79,6 @@ func AppendPredictResponse(b []byte, resp *PredictResponse) ([]byte, bool) {
 		b = append(b, `,"stale":true`...)
 	}
 	return append(b, '}'), ok
-}
-
-func appendPredictRequest(b []byte, req *PredictRequest) ([]byte, bool) {
-	b, ok := appendArray(append(b, `{"history":`...), req.History, func(b []byte, f *float64) ([]byte, bool) {
-		return appendFloat(b, *f)
-	})
-	b, tok := appendTime(append(b, `,"time":`...), req.Time)
-	if req.Event {
-		b = append(b, `,"event":true`...)
-	}
-	if req.PrevEvent {
-		b = append(b, `,"prev_event":true`...)
-	}
-	if len(req.HistoryEvents) > 0 {
-		b, _ = appendArray(append(b, `,"history_events":`...), req.HistoryEvents, func(b []byte, e *bool) ([]byte, bool) {
-			return strconv.AppendBool(b, *e), true
-		})
-	}
-	return append(b, '}'), ok && tok
 }
 
 func appendInstance(b []byte, in *Instance) ([]byte, bool) {

@@ -94,16 +94,22 @@ func (c *Client) do(method, path string, in, out any) error {
 // the process boundary.
 func (c *Client) doCtx(ctx context.Context, method, path string, in, out any) error {
 	var payload []byte
+	contentType := ""
 	if in != nil {
 		b, err := api.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("client: encode request: %w", err)
 		}
-		payload = b
+		payload, contentType = b, "application/json"
 	}
+	return c.send(ctx, method, path, contentType, payload, out)
+}
+
+// send is doCtx for an encoded body of contentType; "" sends no body.
+func (c *Client) send(ctx context.Context, method, path, contentType string, payload []byte, out any) error {
 	var backoff time.Duration
 	for attempt := 0; ; attempt++ {
-		err := c.once(ctx, method, path, in != nil, payload, out, attempt, backoff)
+		err := c.once(ctx, method, path, contentType, payload, out, attempt, backoff)
 		if err == nil {
 			return nil
 		}
@@ -127,7 +133,7 @@ func (c *Client) doCtx(ctx context.Context, method, path string, in, out any) er
 }
 
 // once issues exactly one HTTP round trip.
-func (c *Client) once(ctx context.Context, method, path string, hasBody bool, payload []byte, out any, attempt int, backoff time.Duration) (err error) {
+func (c *Client) once(ctx context.Context, method, path, contentType string, payload []byte, out any, attempt int, backoff time.Duration) (err error) {
 	_, span := trace.Start(ctx, "client.request")
 	if span != nil {
 		span.Annotate("http.method", method)
@@ -139,7 +145,7 @@ func (c *Client) once(ctx context.Context, method, path string, hasBody bool, pa
 		defer func() { span.EndErr(err) }()
 	}
 	var body io.Reader
-	if hasBody {
+	if contentType != "" {
 		body = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequest(method, c.base+path, body)
@@ -154,8 +160,8 @@ func (c *Client) once(ctx context.Context, method, path string, hasBody bool, pa
 		defer cancel()
 		req = req.WithContext(dctx)
 	}
-	if hasBody {
-		req.Header.Set("Content-Type", "application/json")
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	if c.opts.Actor != "" {
 		req.Header.Set("X-Gallery-Actor", c.opts.Actor)
@@ -328,10 +334,16 @@ func (c *Client) Predict(modelID string, req api.PredictRequest) (api.PredictRes
 	return c.PredictCtx(context.Background(), modelID, req)
 }
 
-// PredictCtx is Predict with trace propagation.
+// PredictCtx is Predict with trace propagation. The request travels as
+// its binary body (api.PredictMediaType); a history holding NaN or ±Inf
+// is refused before anything is sent.
 func (c *Client) PredictCtx(ctx context.Context, modelID string, req api.PredictRequest) (api.PredictResponse, error) {
 	var resp api.PredictResponse
-	err := c.doCtx(ctx, "POST", "/v1/predict/"+url.PathEscape(modelID), req, &resp)
+	body, err := api.AppendPredictBinary(nil, &req)
+	if err != nil {
+		return resp, fmt.Errorf("client: encode request: %w", err)
+	}
+	err = c.send(ctx, "POST", "/v1/predict/"+url.PathEscape(modelID), api.PredictMediaType, body, &resp)
 	return resp, err
 }
 
@@ -571,7 +583,7 @@ func (c *Client) ship(ctx context.Context, path string, in any) error {
 	if err != nil {
 		return fmt.Errorf("client: encode request: %w", err)
 	}
-	return c.once(ctx, "POST", path, true, payload, nil, 0, 0)
+	return c.once(ctx, "POST", path, "application/json", payload, nil, 0, 0)
 }
 
 // DebugTraces lists the newest sampled traces held in the server's ring

@@ -1,10 +1,13 @@
 package client
 
 import (
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"gallery/internal/api"
 )
@@ -78,5 +81,37 @@ func TestRequestBodiesEncoded(t *testing.T) {
 	}
 	if m.BaseVersionID != "b" {
 		t.Fatalf("decoded model = %+v", m)
+	}
+}
+
+// TestPredictSendsBinary: Predict sends the binary body under its media
+// type, and a non-finite history never leaves the process.
+func TestPredictSendsBinary(t *testing.T) {
+	var calls int
+	var gotType string
+	var got api.PredictRequest
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls++
+		gotType = r.Header.Get("Content-Type")
+		body, _ := io.ReadAll(r.Body)
+		var err error
+		if got, err = api.DecodePredictBinary(body, new([]float64), new([]bool)); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Write([]byte(`{"model_id":"m","instance_id":"i","version_id":"v","version":"1.0","value":2}`))
+	}))
+	defer ts.Close()
+	c := New(ts.URL, ts.Client())
+	req := api.PredictRequest{History: []float64{1, 3}, Time: time.Unix(1e9, 5).UTC(), PrevEvent: true}
+	resp, err := c.Predict("m", req)
+	if err != nil || resp.Value != 2 {
+		t.Fatalf("Predict = %+v, %v", resp, err)
+	}
+	if gotType != api.PredictMediaType || len(got.History) != 2 || got.History[1] != 3 || !got.Time.Equal(req.Time) || !got.PrevEvent {
+		t.Fatalf("server saw %q %+v", gotType, got)
+	}
+	if _, err := c.Predict("m", api.PredictRequest{History: []float64{1, math.NaN()}}); err == nil || calls != 1 {
+		t.Fatalf("NaN history: err %v after %d calls, want an error and no second call", err, calls)
 	}
 }

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	obslog "gallery/internal/obs/log"
@@ -106,32 +105,47 @@ func noErr(f func()) func() error {
 	return func() error { f(); return nil }
 }
 
-// Serve serves h on addr until SIGINT or SIGTERM, then drains in-flight
-// requests for up to ten seconds and returns nil. lg is the process's
-// logger (Galleryd.Logger, Galleryserve.Logger).
-func Serve(lg *slog.Logger, addr string, h http.Handler) error {
+// Daemon is what Serve runs: a Galleryd or a Galleryserve.
+type Daemon interface {
+	// Handler is the daemon's HTTP API.
+	Handler() http.Handler
+	// Logger is the process's logger.
+	Logger() *slog.Logger
+	// Ready is the ready record's attributes after the bound address.
+	Ready() []any
+}
+
+// Serve binds addr, logs d's ready record with the address it bound, and
+// serves d's API until ctx ends; it then drains in-flight requests for up
+// to ten seconds and returns nil. A bind error is returned before anything
+// is logged, so a ready record means the daemon is listening.
+func Serve(ctx context.Context, d Daemon, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
 	srv := &http.Server{
-		Addr: addr, Handler: h,
+		Handler: d.Handler(),
 		// No read or write timeout: a 256 MiB upload is legitimate.
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	lg := d.Logger()
+	lg.Info("ready", append([]any{"addr", ln.Addr().String()}, d.Ready()...)...)
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
+	go func() { errCh <- srv.Serve(ln) }()
 	select {
 	case err := <-errCh:
 		return err
-	case sig := <-sigCh:
-		lg.Info("shutting down", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	case <-ctx.Done():
+		lg.Info("shutting down")
+		// ctx is done; the drain gets its own deadline.
+		drain, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
+		if err := srv.Shutdown(drain); err != nil {
 			lg.Error("shutdown", "err", err)
 		}
+		<-errCh // http.ErrServerClosed, once Serve has returned
 		return nil
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +19,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,8 +61,9 @@ func writeTokenFile(t testing.TB, secret string) string {
 	return path
 }
 
-// pair is both daemons booted in-process on loopback listeners, each
-// pointed at the other the way an operator points the binaries.
+// pair is both daemons booted in-process and run by Serve on loopback
+// addresses, each pointed at the other the way an operator points the
+// binaries.
 type pair struct {
 	gd       *Galleryd
 	gw       *Galleryserve
@@ -67,17 +72,17 @@ type pair struct {
 
 func bootPair(t *testing.T, token string, gdArgs, gwArgs []string) *pair {
 	t.Helper()
-	gdTS, gwTS := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
-	gdURL, gwURL := "http://"+gdTS.Listener.Addr().String(), "http://"+gwTS.Listener.Addr().String()
+	// galleryd is configured with the gateway's URL before the gateway
+	// exists, so the gateway's handler is also mounted on a listener bound
+	// up front, which galleryd's incident recorder calls.
+	front := httptest.NewUnstartedServer(nil)
 	tokens := writeTokenFile(t, token)
 
 	gd, err := NewGalleryd(gallerydConfig(t, append([]string{"-token-file", tokens,
-		"-incident-gateway", gwURL, "-incident-gateway-token", token}, gdArgs...)...))
+		"-incident-gateway", "http://" + front.Listener.Addr().String(), "-incident-gateway-token", token}, gdArgs...)...))
 	must(t, err)
 	t.Cleanup(func() { gd.Close() })
-	gdTS.Config.Handler = gd.Handler()
-	gdTS.Start()
-	t.Cleanup(gdTS.Close)
+	gdURL, _ := serveOn(t, gd)
 
 	gw, err := NewGalleryserve(galleryserveConfig(t, append([]string{"-token-file", tokens,
 		"-gallery", gdURL, "-token", token}, gwArgs...)...))
@@ -85,9 +90,10 @@ func bootPair(t *testing.T, token string, gdArgs, gwArgs []string) *pair {
 	// Cleanups run last-registered first: the gateway's HTTP side, then
 	// the gateway (its shipper still reaching galleryd), then galleryd.
 	t.Cleanup(func() { gw.Close() })
-	gwTS.Config.Handler = gw.Handler()
-	gwTS.Start()
-	t.Cleanup(gwTS.Close)
+	gwURL, _ := serveOn(t, gw)
+	front.Config.Handler = gw.Handler()
+	front.Start()
+	t.Cleanup(front.Close)
 
 	return &pair{
 		gd: gd, gw: gw,
@@ -674,14 +680,17 @@ func metricsSnapshot(t *testing.T, h http.Handler) obs.Snapshot {
 // holds what an operator asks of a process rather than one line per
 // request. galleryd boots on a fresh data directory with -auth, so it
 // replays a WAL and mints a bootstrap token; the gateway presents that
-// token and preloads a model galleryd does not have. After 2,000
+// token and preloads a model galleryd does not have. Both are run by
+// Serve, which logs their ready records. After 2,000
 // predicts and an incident, each /v1/debug/logs and each half of the
 // bundle still holds its daemon's start-up events, no request line, and
 // nowhere the bootstrap secret.
 func TestProcessEventsInLogRing(t *testing.T) {
-	gdTS, gwTS := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
-	gdURL, gwURL := "http://"+gdTS.Listener.Addr().String(), "http://"+gwTS.Listener.Addr().String()
-	gd, err := NewGalleryd(gallerydConfig(t, "-data", t.TempDir(), "-auth", "-incident-gateway", gwURL,
+	// galleryd is configured with the gateway's URL before the gateway
+	// exists, so the gateway's handler is also mounted on a listener bound
+	// up front, and galleryd pulls its bundle half through that one.
+	front := httptest.NewUnstartedServer(nil)
+	gd, err := NewGalleryd(gallerydConfig(t, "-data", t.TempDir(), "-auth", "-incident-gateway", "http://"+front.Listener.Addr().String(),
 		"-health-interval", "-1s", "-slo-interval", "-1s"))
 	must(t, err)
 	t.Cleanup(func() { gd.Close() })
@@ -689,18 +698,17 @@ func TestProcessEventsInLogRing(t *testing.T) {
 	if secret == "" {
 		t.Fatal("no bootstrap token minted on a fresh -auth data dir")
 	}
-	gdTS.Config.Handler = gd.Handler()
-	gdTS.Start()
-	t.Cleanup(gdTS.Close)
+	gdURL, _ := serveOn(t, gd)
 
 	unknown := "00000000-0000-4000-8000-00000000dead"
 	gw, err := NewGalleryserve(galleryserveConfig(t, "-gallery", gdURL, "-token", secret, "-preload", unknown,
 		"-refresh", "-1s", "-health-flush", "-1s"))
 	must(t, err)
 	t.Cleanup(func() { gw.Close() })
-	gwTS.Config.Handler = gw.Handler()
-	gwTS.Start()
-	t.Cleanup(gwTS.Close)
+	gwURL, _ := serveOn(t, gw)
+	front.Config.Handler = gw.Handler()
+	front.Start()
+	t.Cleanup(front.Close)
 
 	gdC := client.NewWith(gdURL, client.Options{Token: secret})
 	gwC := client.NewWith(gwURL, client.Options{})
@@ -752,4 +760,134 @@ func TestProcessEventsInLogRing(t *testing.T) {
 	check("gateway /v1/debug/logs", ring(gwC), "preload failed", "ready")
 	check("bundle registry logs", b.Registry.Logs, "replayed metadata WAL", "ready")
 	check("bundle gateway logs", b.Gateway.Logs, "preload failed", "ready")
+}
+
+// readyTap is a Daemon whose logger also reports the address each ready
+// record names.
+type readyTap struct {
+	Daemon
+	addrs chan string
+}
+
+func (r readyTap) Logger() *slog.Logger {
+	return slog.New(tapHandler{r.Daemon.Logger().Handler(), r.addrs})
+}
+
+type tapHandler struct {
+	slog.Handler
+	addrs chan string
+}
+
+func (h tapHandler) Handle(ctx context.Context, rec slog.Record) error {
+	if rec.Message == "ready" {
+		rec.Attrs(func(a slog.Attr) bool {
+			if a.Key == "addr" {
+				h.addrs <- a.Value.String()
+			}
+			return true
+		})
+	}
+	return h.Handler.Handle(ctx, rec)
+}
+
+func (h tapHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	return tapHandler{h.Handler.WithAttrs(as), h.addrs}
+}
+
+func (h tapHandler) WithGroup(name string) slog.Handler {
+	return tapHandler{h.Handler.WithGroup(name), h.addrs}
+}
+
+// serveOn runs Serve for d on 127.0.0.1:0 and returns the URL of the
+// address its ready record names, and a stop that ends Serve and waits
+// for it to return; the test's end stops it too.
+func serveOn(t *testing.T, d Daemon) (url string, stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	tap := readyTap{d, make(chan string, 1)}
+	done := make(chan error, 1)
+	go func() { done <- Serve(ctx, tap, "127.0.0.1:0") }()
+	stop = sync.OnceFunc(func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	t.Cleanup(stop)
+	select {
+	case addr := <-tap.addrs:
+		return "http://" + addr, stop
+	case err := <-done:
+		t.Fatalf("Serve returned before its ready record: %v", err)
+		return "", nil
+	}
+}
+
+// TestServeBindFailureLogsNoReady: a daemon whose address is taken
+// returns the bind error from Serve, and neither its logger nor its log
+// ring ever says ready.
+func TestServeBindFailureLogsNoReady(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	must(t, err)
+	defer taken.Close()
+	gd, err := NewGalleryd(gallerydConfig(t, "-mem", "-health-interval", "-1s", "-slo-interval", "-1s"))
+	must(t, err)
+	defer gd.Close()
+
+	tap := readyTap{gd, make(chan string, 1)}
+	err = Serve(context.Background(), tap, taken.Addr().String())
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) || opErr.Op != "listen" {
+		t.Fatalf("Serve on a taken port = %v, want the listen error", err)
+	}
+	select {
+	case addr := <-tap.addrs:
+		t.Fatalf("ready record logged for %s", addr)
+	default:
+	}
+	rec := httptest.NewRecorder()
+	gd.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/debug/logs", nil))
+	var logs api.DebugLogsResponse
+	must(t, json.Unmarshal(rec.Body.Bytes(), &logs))
+	for _, e := range logs.Entries {
+		if e.Msg == "ready" {
+			t.Fatalf("log ring holds a ready record %v from a daemon that never listened", e.Attrs)
+		}
+	}
+}
+
+// TestShutdownStderrIsJSONLines: galleryd's stderr, the shutdown metrics
+// dump included, is one JSON object per line.
+func TestShutdownStderrIsJSONLines(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	must(t, err)
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f // the daemon's logger and its dump both take os.Stderr
+	defer func() { os.Stderr = stderr }()
+
+	gd, err := NewGalleryd(gallerydConfig(t, "-mem", "-dump-metrics", "-health-interval", "-1s", "-slo-interval", "-1s"))
+	must(t, err)
+	url, stop := serveOn(t, gd)
+	resp, err := http.Get(url + "/v1/healthz") // a request for the dump to count
+	must(t, err)
+	resp.Body.Close()
+	stop()
+	must(t, gd.Close())
+	os.Stderr = stderr
+
+	raw, err := os.ReadFile(f.Name())
+	must(t, err)
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	var sawDump bool
+	for i, line := range lines {
+		var obj map[string]any
+		if err := json.Unmarshal([]byte(line), &obj); err != nil {
+			t.Fatalf("stderr line %d of %d is not one JSON object (%v): %.120s", i+1, len(lines), err, line)
+		}
+		_, sawDump = obj["counters"]
+	}
+	if !sawDump {
+		t.Errorf("the last of %d stderr lines is not the metrics dump: %.120s", len(lines), lines[len(lines)-1])
+	}
 }

@@ -33,15 +33,16 @@ type Galleryd struct {
 	slo                          *slo.Service
 	srv                          *server.Server
 	log                          *slog.Logger
+	durable                      bool
 	bootstrapID, bootstrapSecret string
 	stops                        closers
 }
 
 // NewGalleryd builds galleryd from cfg and starts its background loops.
-// The returned value serves nothing by itself: mount Handler on a
-// listener. On error, whatever was already started is stopped again.
+// The returned value serves nothing by itself: Serve it, or mount Handler
+// on a listener. On error, whatever was already started is stopped again.
 func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
-	d := &Galleryd{obs: obs.NewRegistry()}
+	d := &Galleryd{obs: obs.NewRegistry(), durable: !cfg.Mem}
 	defer func() {
 		if err != nil {
 			d.stops.close()
@@ -195,9 +196,6 @@ func NewGalleryd(cfg GallerydConfig) (_ *Galleryd, err error) {
 		lg.Info("final metrics snapshot")
 		return d.obs.WriteJSON(os.Stderr)
 	})
-	models, instances, metrics := d.reg.Counts()
-	lg.Info("ready", "addr", cfg.Addr, "models", models, "instances", instances, "metrics", metrics,
-		"durable", !cfg.Mem)
 	return d, nil
 }
 
@@ -209,8 +207,14 @@ func (d *Galleryd) Handler() http.Handler { return d.srv }
 // nowhere else. Both are empty otherwise.
 func (d *Galleryd) Bootstrap() (id, secret string) { return d.bootstrapID, d.bootstrapSecret }
 
-// Logger is the process's logger, for Serve.
+// Logger is the process's logger.
 func (d *Galleryd) Logger() *slog.Logger { return d.log }
+
+// Ready reports what the registry holds, for Serve's ready record.
+func (d *Galleryd) Ready() []any {
+	models, instances, metrics := d.reg.Counts()
+	return []any{"models", models, "instances", instances, "metrics", metrics, "durable", d.durable}
+}
 
 // Close drains queued rule-engine triggers, dumps the metrics registry to
 // stderr under -dump-metrics, and stops every component in the reverse of

@@ -23,6 +23,7 @@ import (
 type Galleryserve struct {
 	handler *serve.Handler
 	log     *slog.Logger
+	ready   []any
 	stops   closers
 }
 
@@ -105,15 +106,19 @@ func NewGalleryserve(cfg GalleryserveConfig) (_ *Galleryserve, err error) {
 		opts = append(opts, serve.WithAuthorizer(tm))
 	}
 	g.handler = serve.NewHandler(gw, opts...)
-	lg.Info("ready", "addr", cfg.Addr, "gallery", cfg.Gallery, "refresh", cfg.Refresh.String())
+	g.ready = []any{"gallery", cfg.Gallery, "refresh", cfg.Refresh.String()}
 	return g, nil
 }
 
 // Handler is galleryserve's HTTP API.
 func (g *Galleryserve) Handler() http.Handler { return g.handler }
 
-// Logger is the process's logger, for Serve.
+// Logger is the process's logger.
 func (g *Galleryserve) Logger() *slog.Logger { return g.log }
+
+// Ready names the galleryd the gateway serves from, for Serve's ready
+// record.
+func (g *Galleryserve) Ready() []any { return g.ready }
 
 // Close stops the producers of telemetry first and the shipper last: the
 // gateway (whose refresh loop may report a last hot swap and whose health

@@ -522,6 +522,10 @@ func TestMultiTenant(t *testing.T) {
 		if got, bound := res.OnAllocs, 43.039*1.05; got > bound {
 			t.Errorf("authed predict allocates %.3f per request, want at most %.3f", got, bound)
 		}
+		// The binary body, as the Go client sends it (max of eight runs).
+		if got, bound := res.OnBinaryAllocs, 43.038*1.05; got > bound {
+			t.Errorf("authed binary predict allocates %.3f per request, want at most %.3f", got, bound)
+		}
 		if got, bound := res.RegOnAllocs, 41.057*1.05; got > bound {
 			t.Errorf("authed GET /v1/models/{id} allocates %.3f per request, want at most %.3f", got, bound)
 		}

@@ -27,7 +27,9 @@ import (
 //  1. Predict arm — galleryserve without and with -auth answers the same
 //     prediction storm (identical requests, the plain gateway simply
 //     ignores the bearer header). The claim under test: authentication
-//     adds zero heap allocations per request.
+//     adds zero heap allocations per request. The authed gateway then
+//     answers the same request as the Go client sends it, a binary
+//     api.PredictMediaType body.
 //  2. Registry arm — GET /v1/models/{id} against galleryd without and
 //     with -auth, for the metadata-path allocation cost.
 //  3. Noisy neighbor — two tenants on the authed gateway: "noisy" at
@@ -38,6 +40,8 @@ type MultiTenantResult struct {
 	PredictOps int
 
 	OffAllocs, OnAllocs float64
+	// OnBinaryAllocs is the authed arm with the binary body.
+	OnBinaryAllocs float64
 
 	RegOps                    int
 	RegOffAllocs, RegOnAllocs float64
@@ -63,8 +67,8 @@ func (r *MultiTenantResult) QuietOKRatio() float64 {
 // Format renders E22 as paper-style rows.
 func (r *MultiTenantResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "galleryserve POST /v1/predict/{model} (%d ops): auth=off allocs/op=%.1f; auth=on allocs/op=%.1f (extra %+.1f, target 0)\n",
-		r.PredictOps, r.OffAllocs, r.OnAllocs, r.PredictExtraAllocs())
+	fmt.Fprintf(&b, "galleryserve POST /v1/predict/{model} (%d ops): auth=off allocs/op=%.1f; auth=on allocs/op=%.1f (extra %+.1f, target 0); auth=on binary body allocs/op=%.1f\n",
+		r.PredictOps, r.OffAllocs, r.OnAllocs, r.PredictExtraAllocs(), r.OnBinaryAllocs)
 	fmt.Fprintf(&b, "galleryd GET /v1/models/{id} (%d ops): auth=off allocs/op=%.1f; auth=on allocs/op=%.1f\n",
 		r.RegOps, r.RegOffAllocs, r.RegOnAllocs)
 	b.WriteString("  auth=off pays for withActor's r.WithContext + context.WithValue (the anonymous actor);\n" +
@@ -194,20 +198,25 @@ func MultiTenant(n int) (*MultiTenantResult, error) {
 
 	// Every request carries the bench reader's bearer token, so the arms
 	// differ in the daemon's flags only.
-	call := func(h http.Handler, method, path string, body []byte, secret string) *httptest.ResponseRecorder {
+	// contentType is set from one shared slice, so that naming a body's
+	// type costs the measured op no allocation of the harness's own.
+	call := func(h http.Handler, method, path string, contentType []string, body []byte, secret string) *httptest.ResponseRecorder {
 		var r io.Reader
 		if body != nil {
 			r = bytes.NewReader(body)
 		}
 		req := httptest.NewRequest(method, path, r)
 		req.Header.Set("Authorization", "Bearer "+secret)
+		if contentType != nil {
+			req.Header["Content-Type"] = contentType
+		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		return rec
 	}
-	measure := func(h http.Handler, method, path string, body []byte) (float64, error) {
+	measure := func(h http.Handler, method, path string, contentType []string, body []byte) (float64, error) {
 		return allocsPerOp(n, func() error {
-			if rec := call(h, method, path, body, mtBench); rec.Code != http.StatusOK {
+			if rec := call(h, method, path, contentType, body, mtBench); rec.Code != http.StatusOK {
 				return fmt.Errorf("experiments: %s %s status %d: %s", method, path, rec.Code, rec.Body.String())
 			}
 			return nil
@@ -216,23 +225,31 @@ func MultiTenant(n int) (*MultiTenantResult, error) {
 	res := &MultiTenantResult{PredictOps: n, RegOps: n}
 
 	// --- predict arm ---
-	payload, err := json.Marshal(api.PredictRequest{History: series.Values()[len(series)-48:]})
+	preq := api.PredictRequest{History: series.Values()[len(series)-48:]}
+	payload, err := json.Marshal(preq)
+	if err != nil {
+		return nil, err
+	}
+	binary, err := api.AppendPredictBinary(nil, &preq)
 	if err != nil {
 		return nil, err
 	}
 	predictPath := "/v1/predict/" + m.ID
-	if res.OffAllocs, err = measure(gwOff.Handler(), http.MethodPost, predictPath, payload); err != nil {
+	if res.OffAllocs, err = measure(gwOff.Handler(), http.MethodPost, predictPath, nil, payload); err != nil {
 		return nil, err
 	}
-	if res.OnAllocs, err = measure(gwOn.Handler(), http.MethodPost, predictPath, payload); err != nil {
+	if res.OnAllocs, err = measure(gwOn.Handler(), http.MethodPost, predictPath, nil, payload); err != nil {
+		return nil, err
+	}
+	if res.OnBinaryAllocs, err = measure(gwOn.Handler(), http.MethodPost, predictPath, []string{api.PredictMediaType}, binary); err != nil {
 		return nil, err
 	}
 
 	// --- registry arm ---
-	if res.RegOffAllocs, err = measure(gdOff.Handler(), http.MethodGet, "/v1/models/"+m.ID, nil); err != nil {
+	if res.RegOffAllocs, err = measure(gdOff.Handler(), http.MethodGet, "/v1/models/"+m.ID, nil, nil); err != nil {
 		return nil, err
 	}
-	if res.RegOnAllocs, err = measure(gdOn.Handler(), http.MethodGet, "/v1/models/"+mOn.ID, nil); err != nil {
+	if res.RegOnAllocs, err = measure(gdOn.Handler(), http.MethodGet, "/v1/models/"+mOn.ID, nil, nil); err != nil {
 		return nil, err
 	}
 
@@ -242,7 +259,7 @@ func MultiTenant(n int) (*MultiTenantResult, error) {
 	// quiet tenant has no limit and must feel nothing.
 	flood := func(secret string, count int) (ok, limited int, retryAfter string, err error) {
 		for i := 0; i < count; i++ {
-			rec := call(gwOn.Handler(), http.MethodGet, "/v1/serving", nil, secret)
+			rec := call(gwOn.Handler(), http.MethodGet, "/v1/serving", nil, nil, secret)
 			switch rec.Code {
 			case http.StatusOK:
 				ok++

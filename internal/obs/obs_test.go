@@ -172,6 +172,9 @@ func TestRegistryJSONRendering(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 1 {
+		t.Fatalf("rendered JSON spans %d lines, want one", n)
+	}
 	var snap Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("rendered JSON does not parse: %v\n%s", err, buf.String())

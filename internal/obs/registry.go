@@ -177,9 +177,8 @@ func (r *Registry) SumCounters(prefix string) int64 {
 	return total
 }
 
-// WriteJSON renders an indented JSON snapshot to w.
+// WriteJSON writes the snapshot to w as one line of JSON, so that it sits
+// on a stream of JSON-lines log records (galleryd's stderr) as one more.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return json.NewEncoder(w).Encode(r.Snapshot())
 }

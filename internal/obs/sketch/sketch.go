@@ -207,14 +207,19 @@ func (s Snapshot) Variance() float64 {
 func (s Snapshot) Std() float64 { return math.Sqrt(s.Variance()) }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) from the bucketed
-// counts: overflow buckets resolve to Min/Max, the center bucket to 0,
-// and log buckets to their upper edge (a conservative estimate with at
-// most one bucket-width of relative error). Returns 0 with no
-// observations or a malformed snapshot.
+// counts: the overflow buckets resolve to Min and Max, the center bucket
+// to 0 and log buckets to their outer edge (a conservative estimate with
+// at most one bucket-width of relative error), every estimate clamped
+// into [Min, Max]. The estimate never falls as q rises, also for a
+// snapshot off the wire whose Min and Max disagree with its buckets.
+// Returns 0 with no observations or a malformed snapshot.
 func (s Snapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || s.Validate() != nil {
 		return 0
 	}
+	// Each bucket's edge rises with its index, and clamping keeps the
+	// order: so does the estimate.
+	clamp := func(v float64) float64 { return math.Max(s.Min, math.Min(s.Max, v)) }
 	n := s.Buckets
 	gamma := math.Pow(s.Hi/s.Lo, 1/float64(n))
 	target := q * float64(s.Count)
@@ -229,21 +234,20 @@ func (s Snapshot) Quantile(q float64) float64 {
 		}
 		switch {
 		case i == 0: // negative overflow
-			return s.Min
+			return clamp(math.Inf(-1))
 		case i <= n: // negative log bucket n-k → lower (more negative) edge
 			k := n - i
-			return -s.Lo * math.Pow(gamma, float64(k+1))
+			return clamp(-s.Lo * math.Pow(gamma, float64(k+1)))
 		case i == n+1: // center
-			return 0
+			return clamp(0)
 		case i <= 2*n+1: // positive log bucket
 			k := i - n - 2
-			v := s.Lo * math.Pow(gamma, float64(k+1))
-			return math.Min(v, s.Max)
+			return clamp(s.Lo * math.Pow(gamma, float64(k+1)))
 		default: // positive overflow
-			return s.Max
+			return clamp(math.Inf(1))
 		}
 	}
-	return s.Max
+	return clamp(math.Inf(1))
 }
 
 // sameGeometry reports whether two snapshots can be merged or compared.
@@ -264,12 +268,18 @@ func (s Snapshot) Validate() error {
 		return fmt.Errorf("sketch: %d buckets need %d counts, got %d",
 			s.Buckets, 2*s.Buckets+3, len(s.Counts))
 	}
+	for i, c := range s.Counts {
+		if c < 0 {
+			return fmt.Errorf("sketch: negative count %d in bucket %d", c, i)
+		}
+	}
 	return nil
 }
 
 // Merge folds o into s and returns the combined snapshot. Merging is
 // commutative and associative, so windows can be re-aggregated in any
-// order. It fails when the geometries differ.
+// order. It fails when the geometries differ, either snapshot is invalid,
+// or a count would overflow.
 func (s Snapshot) Merge(o Snapshot) (Snapshot, error) {
 	// A zero-value Snapshot (no geometry, no data) is the merge identity,
 	// so accumulators can start from Snapshot{} without knowing the
@@ -303,6 +313,9 @@ func (s Snapshot) Merge(o Snapshot) (Snapshot, error) {
 	if s.Count == 0 {
 		return o, nil
 	}
+	if s.Count > math.MaxInt64-o.Count {
+		return Snapshot{}, fmt.Errorf("sketch: merged count overflows (%d + %d)", s.Count, o.Count)
+	}
 	out := s
 	out.Count += o.Count
 	out.Sum += o.Sum
@@ -312,6 +325,9 @@ func (s Snapshot) Merge(o Snapshot) (Snapshot, error) {
 	out.Counts = make([]int64, len(s.Counts))
 	copy(out.Counts, s.Counts)
 	for i, c := range o.Counts {
+		if out.Counts[i] > math.MaxInt64-c {
+			return Snapshot{}, fmt.Errorf("sketch: merged bucket %d overflows", i)
+		}
 		out.Counts[i] += c
 	}
 	return out, nil

@@ -279,3 +279,51 @@ func BenchmarkObserve(b *testing.B) {
 		}
 	})
 }
+
+// FuzzSketchSnapshot decodes two arbitrary JSON documents as wire
+// snapshots, the form a gateway's health report brings them to galleryd
+// in. Nothing panics; Merge succeeds only for two valid snapshots of one
+// geometry (either may instead be the zero-geometry empty snapshot, the
+// merge identity), and then the merged snapshot is valid and counts their
+// sum; and a valid snapshot's quantiles never fall as q rises. The
+// checked-in corpus under testdata/fuzz replays in plain `go test`.
+func FuzzSketchSnapshot(f *testing.F) {
+	qs := []float64{0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
+	monotone := func(t *testing.T, which string, s Snapshot) {
+		if s.Validate() != nil {
+			return
+		}
+		prev := math.Inf(-1)
+		for _, q := range qs {
+			v := s.Quantile(q)
+			if !(v >= prev) {
+				t.Fatalf("%s %+v: Quantile(%g) = %g after %g", which, s, q, v, prev)
+			}
+			prev = v
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var x, y Snapshot
+		if json.Unmarshal(a, &x) != nil || json.Unmarshal(b, &y) != nil {
+			return
+		}
+		identity := func(s Snapshot) bool { return s.Buckets == 0 && s.Count == 0 }
+		monotone(t, "x", x)
+		monotone(t, "y", y)
+		m, err := x.Merge(y)
+		if err != nil {
+			return
+		}
+		switch {
+		case !identity(x) && x.Validate() != nil, !identity(y) && y.Validate() != nil:
+			t.Fatalf("merged an invalid snapshot: %+v and %+v", x, y)
+		case !identity(x) && !identity(y) && !x.sameGeometry(y):
+			t.Fatalf("merged two geometries: %+v and %+v", x, y)
+		case m.Validate() != nil:
+			t.Fatalf("merge of %+v and %+v is invalid: %v", x, y, m.Validate())
+		case m.Count != x.Count+y.Count:
+			t.Fatalf("merged count %d, want %d + %d", m.Count, x.Count, y.Count)
+		}
+		monotone(t, "merged", m)
+	})
+}

@@ -21,6 +21,7 @@ import (
 )
 
 // Handler is the gateway's HTTP face. Like internal/server it speaks JSON
+// (a predict body may instead be api.PredictMediaType, the Go client's)
 // and routes through the shared observability middleware (obs/httpmw), so
 // one /v1/debug/metrics scrape covers both tiers with identical metric
 // names — per-route counters, latency with slow-trace exemplars, and
@@ -164,7 +165,14 @@ func (h *Handler) servePredict(w http.ResponseWriter, r *http.Request, modelID s
 	// they go back to the pool once the response is written.
 	s := predictScratchPool.Get().(*predictScratch)
 	defer s.release()
-	req, err := s.decode(http.MaxBytesReader(w, r.Body, maxPredictBody))
+	body := http.MaxBytesReader(w, r.Body, maxPredictBody)
+	var req api.PredictRequest
+	var err error
+	if api.IsPredictMediaType(r.Header.Get("Content-Type")) {
+		req, err = s.decodeBinary(body)
+	} else {
+		req, err = s.decode(body)
+	}
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -230,16 +238,29 @@ func (s *predictScratch) release() {
 	}
 }
 
-// decode reads r to EOF and returns the request in it, exactly as
+// decode reads r to EOF and returns the JSON request in it, exactly as
 // json.NewDecoder(r).Decode would have — except that it has then seen the
 // whole body, so a read error (a body over the limit) is reported even
 // when a complete request came first.
 func (s *predictScratch) decode(r io.Reader) (api.PredictRequest, error) {
-	s.body.Reset()
-	if _, err := s.body.ReadFrom(r); err != nil {
+	if err := s.read(r); err != nil {
 		return api.PredictRequest{}, err
 	}
 	return api.DecodePredictRequest(s.body.Bytes(), &s.floats, &s.bools)
+}
+
+// decodeBinary is decode for an api.PredictMediaType body.
+func (s *predictScratch) decodeBinary(r io.Reader) (api.PredictRequest, error) {
+	if err := s.read(r); err != nil {
+		return api.PredictRequest{}, err
+	}
+	return api.DecodePredictBinary(s.body.Bytes(), &s.floats, &s.bools)
+}
+
+func (s *predictScratch) read(r io.Reader) error {
+	s.body.Reset()
+	_, err := s.body.ReadFrom(r)
+	return err
 }
 
 // writeResponse answers with resp, encoded into the scratch. A non-finite

@@ -8,6 +8,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -193,4 +197,195 @@ func FuzzDecodePredictRequest(f *testing.F) {
 			t.Fatalf("body %q: got %s, encoding/json says %s", body, gb, wb)
 		}
 	})
+}
+
+// postBinary is postPredict with a binary body, sent under contentType.
+func postBinary(h http.Handler, model, contentType string, body []byte) (int, []byte) {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest("POST", "/v1/predict/"+model, bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	h.ServeHTTP(rec, req)
+	return rec.Code, rec.Body.Bytes()
+}
+
+// TestPredictBinaryBody: the Content-Type alone picks the decoder. A
+// binary body answers as its JSON twin does, a refused one is a 400 with
+// the codec's text and the size limit is the same 413; the same bytes
+// under another type, or none, are JSON and fail as JSON.
+func TestPredictBinaryBody(t *testing.T) {
+	src := newFakeSource()
+	src.promote(t, "m1", 0, &forecast.Heuristic{K: 2})
+	h := NewHandler(newTestGateway(t, src, Options{}))
+	bin := func(req api.PredictRequest) []byte {
+		b, err := api.AppendPredictBinary(nil, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ok := bin(api.PredictRequest{History: []float64{1, 3}})
+	for _, tc := range []struct {
+		name, model, contentType string
+		body                     []byte
+		status                   int
+		want                     string // the error text, or on 200 the value
+	}{
+		{"binary", "m1", api.PredictMediaType, ok, 200, "2"},
+		{"binary with parameters", "m1", "Application/Vnd.Gallery.Predict; v=1", ok, 200, "2"},
+		{"json twin", "m1", "", []byte(`{"history":[1,3]}`), 200, "2"},
+		{"json twin typed", "m1", "application/json", []byte(`{"history":[1,3]}`), 200, "2"},
+		{"binary as json", "m1", "application/json", ok, 400, "decode request: invalid character 'G' looking for beginning of value"},
+		{"binary untyped", "m1", "", ok, 400, "decode request: invalid character 'G' looking for beginning of value"},
+		{"json as binary", "m1", api.PredictMediaType, []byte(`{"history":[1,3],"time":"2019-06-03T00:00:00Z"}`), 400, "decode request: predict body: bad magic or version"},
+		{"empty", "m1", api.PredictMediaType, nil, 400, "decode request: predict body: shorter than its header"},
+		{"trailing", "m1", api.PredictMediaType, append(bytes.Clone(ok), 0), 400, "decode request: predict body: trailing bytes"},
+		{"empty history", "m1", api.PredictMediaType, bin(api.PredictRequest{History: []float64{}}), 400, "history must not be empty"},
+		{"events", "m1", api.PredictMediaType, bin(api.PredictRequest{History: []float64{1, 3}, HistoryEvents: []bool{true, false}}), 200, "2"},
+		{"unknown model", "nope", api.PredictMediaType, ok, 502, "serve: production version of model nope: model nope not found"},
+		{"over the limit", "m1", api.PredictMediaType, append(bytes.Clone(ok), make([]byte, maxPredictBody)...), 413, "decode request: http: request body too large"},
+	} {
+		status, raw := postBinary(h, tc.model, tc.contentType, tc.body)
+		got := ""
+		if status == http.StatusOK {
+			var resp api.PredictResponse
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			got = fmt.Sprint(resp.Value)
+		} else {
+			var e api.Error
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			got = e.Error
+		}
+		if status != tc.status || got != tc.want {
+			t.Errorf("%s: %d %q, want %d %q", tc.name, status, got, tc.status, tc.want)
+		}
+	}
+}
+
+// readCorpus returns the bodies of a fuzz target's checked-in corpus.
+func readCorpus(t *testing.T, target string) map[string][]byte {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		if !ok || len(lines) != 2 || lines[0] != "go test fuzz v1" {
+			t.Fatalf("%s: not a one-[]byte corpus file", e.Name())
+		}
+		body, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		out[e.Name()] = []byte(body)
+	}
+	return out
+}
+
+// TestBinaryMatchesJSONCorpus is the differential test between the two
+// bodies: every request in FuzzDecodePredictRequest's corpus that the JSON
+// path accepts, re-encoded as binary, decodes through the same pooled
+// scratch to the same request. The JSON path accepts no non-finite
+// value, so every accepted request is encodable.
+func TestBinaryMatchesJSONCorpus(t *testing.T) {
+	s := predictScratchPool.New().(*predictScratch)
+	accepted := 0
+	for name, body := range readCorpus(t, "FuzzDecodePredictRequest") {
+		want, err := s.decode(bytes.NewReader(body))
+		if err != nil {
+			continue
+		}
+		// want borrows the scratch the binary decode is about to reuse.
+		want.History = append([]float64(nil), want.History...)
+		if want.HistoryEvents != nil {
+			want.HistoryEvents = append([]bool{}, want.HistoryEvents...)
+		}
+		accepted++
+		bin, err := api.AppendPredictBinary(nil, &want)
+		if want.HistoryEvents != nil && len(want.HistoryEvents) != len(want.History) {
+			// The gateway refuses this request after decoding it; the
+			// binary body cannot even spell it.
+			if err == nil {
+				t.Errorf("%s: %d events for %d points encoded", name, len(want.HistoryEvents), len(want.History))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: encode %+v: %v", name, want, err)
+		}
+		got, err := s.decodeBinary(bytes.NewReader(bin))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if want.History == nil {
+			want.History = []float64{} // the binary body has no null history
+		}
+		if len(got.History) != len(want.History) || got.Event != want.Event || got.PrevEvent != want.PrevEvent ||
+			(got.HistoryEvents == nil) != (want.HistoryEvents == nil) || len(got.HistoryEvents) != len(want.HistoryEvents) {
+			t.Fatalf("%s: binary %+v, json %+v", name, got, want)
+		}
+		for i := range want.History {
+			if math.Float64bits(got.History[i]) != math.Float64bits(want.History[i]) {
+				t.Fatalf("%s: history[%d] = %v, json %v", name, i, got.History[i], want.History[i])
+			}
+		}
+		for i := range want.HistoryEvents {
+			if got.HistoryEvents[i] != want.HistoryEvents[i] {
+				t.Fatalf("%s: history_events[%d] = %v, json %v", name, i, got.HistoryEvents[i], want.HistoryEvents[i])
+			}
+		}
+		_, gotOff := got.Time.Zone()
+		_, wantOff := want.Time.Zone()
+		if !got.Time.Equal(want.Time) || gotOff != wantOff {
+			t.Fatalf("%s: time %v, json %v", name, got.Time, want.Time)
+		}
+	}
+	if accepted < 50 {
+		t.Fatalf("only %d corpus bodies accepted; the corpus lost its valid requests", accepted)
+	}
+}
+
+// TestDecodePredictBinaryZeroAlloc is TestDecodePredictRequestZeroAlloc
+// for the binary body: once the scratch is warm, reading and decoding a
+// request allocates nothing.
+func TestDecodePredictBinaryZeroAlloc(t *testing.T) {
+	start := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
+	hist := forecast.Generate(forecast.CityConfig{
+		Name: "sf", Base: 100, GrowthPerWeek: 3, DailyAmp: 20, WeeklyAmp: 10, NoiseStd: 2, Seed: 7,
+	}, start, time.Hour, 672).Values()
+	for name, req := range map[string]api.PredictRequest{
+		"h672":           {History: hist, Time: start},
+		"history_events": {History: hist[:48], Time: start, Event: true, HistoryEvents: make([]bool, 48)},
+	} {
+		body, err := api.AppendPredictBinary(nil, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One scratch held across runs, as in the JSON gate.
+		s := predictScratchPool.New().(*predictScratch)
+		rd := bytes.NewReader(body)
+		var points int
+		allocs := testing.AllocsPerRun(200, func() {
+			rd.Reset(body)
+			req, err := s.decodeBinary(rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points = len(req.History)
+		})
+		if allocs != 0 || points != len(req.History) {
+			t.Errorf("%s: pooled binary decode of %d points allocates %.1f per op, want 0", name, points, allocs)
+		}
+	}
 }
