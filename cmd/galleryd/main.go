@@ -28,7 +28,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
+	"os"
 	"os/signal"
 	"syscall"
 
@@ -42,7 +43,9 @@ func main() {
 
 	d, err := daemon.NewGalleryd(cfg)
 	if err != nil {
-		log.Fatalf("galleryd: %v", err)
+		// No process logger exists yet; this one writes the same JSON lines.
+		slog.New(slog.NewJSONHandler(os.Stderr, nil)).Error("start failed", "service", "galleryd", "err", err)
+		os.Exit(1)
 	}
 	// The secret goes to stdout only: the process log is copied into
 	// incident bundles, which are persisted and served.
@@ -56,6 +59,7 @@ func main() {
 		err = cerr
 	}
 	if err != nil {
-		log.Fatalf("galleryd: %v", err)
+		d.Logger().Error("exiting", "err", err)
+		os.Exit(1)
 	}
 }

@@ -23,7 +23,8 @@ package main
 import (
 	"context"
 	"flag"
-	"log"
+	"log/slog"
+	"os"
 	"os/signal"
 	"syscall"
 
@@ -37,7 +38,9 @@ func main() {
 
 	g, err := daemon.NewGalleryserve(cfg)
 	if err != nil {
-		log.Fatalf("galleryserve: %v", err)
+		// No process logger exists yet; this one writes the same JSON lines.
+		slog.New(slog.NewJSONHandler(os.Stderr, nil)).Error("start failed", "service", "galleryserve", "err", err)
+		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	err = daemon.Serve(ctx, g, cfg.Addr)
@@ -47,6 +50,7 @@ func main() {
 		err = cerr
 	}
 	if err != nil {
-		log.Fatalf("galleryserve: %v", err)
+		g.Logger().Error("exiting", "err", err)
+		os.Exit(1)
 	}
 }

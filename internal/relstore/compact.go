@@ -18,8 +18,9 @@ import (
 // keeps the options the store was opened with: under wal.Options.Sync the
 // snapshot is fsynced before the rename, and the reopen fsyncs the
 // directory, so no later acknowledgement can rest on a rename that a power
-// loss would undo. Every record of the snapshot is in the version 1 format,
-// so compacting is also what upgrades a log that still holds gob records.
+// loss would undo. Every record of the snapshot is in the version 2 format,
+// so compacting is also what upgrades a log that still holds gob or
+// version 1 records.
 //
 // A snapshot file left behind by a compaction that died before its rename
 // is discarded, not appended to. If the swap itself fails after the live

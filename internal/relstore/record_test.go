@@ -91,9 +91,12 @@ func recordStore(t testing.TB) *Store {
 }
 
 var (
-	edgeStrings = []string{"", "a", "sf", "naïve ☃", "nul\x00inside", strings.Repeat("x", 300), "\xff\xfe not utf-8"}
-	edgeInts    = []int64{0, 1, -1, 63, 64, -64, -65, math.MaxInt64, math.MinInt64}
-	edgeFloats  = []float64{0, math.Copysign(0, -1), 1.5, math.NaN(), math.Float64frombits(0x7ff8000000000001),
+	edgeStrings = []string{"", "a", "sf", "naïve ☃", "nul\x00inside", strings.Repeat("x", 300), "\xff\xfe not utf-8",
+		// Packed as a uuid or hex cell, and the near misses that must not be.
+		testUUID, strings.ToUpper(testUUID), "{" + testUUID + "}", testUUID[:35] + "g",
+		testHex, testHex[:32], testHex[:30], testHex[:33], strings.ToUpper(testHex)}
+	edgeInts   = []int64{0, 1, -1, 63, 64, -64, -65, math.MaxInt64, math.MinInt64}
+	edgeFloats = []float64{0, math.Copysign(0, -1), 1.5, math.NaN(), math.Float64frombits(0x7ff8000000000001),
 		math.Float64frombits(0xfff0000000000123), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
 	edgeTimes = []time.Time{
 		{},
@@ -109,6 +112,11 @@ var (
 		time.Date(1890, 1, 1, 0, 0, 0, 0, time.FixedZone("LMT", -2*3600-30)), // and a negative one
 		time.Date(2019, 6, 1, 0, 0, 0, 0, time.FixedZone("zero", 0)),         // offset 0 but not UTC
 	}
+)
+
+const (
+	testUUID = "0f8fad5b-d9cb-469f-a165-70867728950e"
+	testHex  = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 )
 
 func pick[T any](r *rand.Rand, pool []T) T { return pool[r.Intn(len(pool))] }
@@ -206,8 +214,12 @@ func sameRow(a, b Row) bool {
 
 func sameTuple(a, b Tuple) bool { return slices.EqualFunc(a, b, sameValue) }
 
+func samePatch(a, b []patchCell) bool {
+	return slices.EqualFunc(a, b, func(x, y patchCell) bool { return x.pos == y.pos && sameValue(x.v, y.v) })
+}
+
 func sameOp(a, b walOp) bool {
-	if a.Kind != b.Kind || a.Table != b.Table || a.PK != b.PK || !sameTuple(a.Row, b.Row) ||
+	if a.Kind != b.Kind || a.Table != b.Table || a.PK != b.PK || !sameTuple(a.Row, b.Row) || !samePatch(a.Patch, b.Patch) ||
 		(a.Schema == nil) != (b.Schema == nil) || len(a.Batch) != len(b.Batch) || !slices.Equal(a.Indexes, b.Indexes) {
 		return false
 	}
@@ -231,6 +243,11 @@ func sameOp(a, b walOp) bool {
 func drifts(op walOp) bool {
 	for _, v := range op.Row {
 		if _, off := v.Time().Zone(); v.Kind == KindTime && off < 0 && off%60 != 0 {
+			return true
+		}
+	}
+	for _, c := range op.Patch {
+		if drifts(walOp{Row: Tuple{c.v}}) {
 			return true
 		}
 	}
@@ -325,11 +342,16 @@ func TestEncodeRecordAllocatesNothing(t *testing.T) {
 	s := recordStore(t)
 	full := tupleOf("wide", Row{"id": String("k"), "s": String("sf"), "i": Int(-7), "f": Float(0.25), "b": Bool(true),
 		"t": Time(time.Date(2019, 6, 1, 12, 0, 0, 5, time.FixedZone("IST", 5*3600+30*60)))})
+	ids := tupleOf("instances", row(testUUID, testHex, strings.ToUpper(testUUID), t0, 0.1))
+	patch := []patchCell{{1, Value{}}, {2, String(testUUID)}, {3, Time(t0)}}
 	ops := []walOp{
 		{Kind: opInsert, Table: "wide", Row: full},
 		{Kind: opUpdate, Table: "instances", Row: tupleOf("instances", row("i1", "b", "sf", t0, 0.1))},
+		{Kind: opInsert, Table: "instances", Row: ids},
+		{Kind: opPatch, Table: "instances", PK: testUUID, Patch: patch},
 		{Kind: opDelete, Table: "wide", PK: "k"},
-		{Kind: opBatch, Batch: []walOp{{Kind: opInsert, Table: "wide", Row: full}, {Kind: opDelete, Table: "instances", PK: "i1"}}},
+		{Kind: opBatch, Batch: []walOp{{Kind: opInsert, Table: "wide", Row: full}, {Kind: opPatch, Table: "instances", PK: "i1", Patch: patch},
+			{Kind: opDelete, Table: "instances", PK: "i1"}}},
 	}
 	for _, op := range ops {
 		if _, err := s.encodeRecord(op); err != nil { // warm the buffer
@@ -399,7 +421,7 @@ func TestDecodeRecordRefusals(t *testing.T) {
 	for name, p := range map[string][]byte{
 		"magic only":                {recordMagic},
 		"no op":                     hdr,
-		"future version":            {recordMagic, 2, byte(opDelete), 0, 0},
+		"future version":            {recordMagic, 3, byte(opDelete), 0, 0},
 		"unknown op":                cat(hdr, []byte{9}),
 		"trailing byte":             cat(good, []byte{0}),
 		"unknown table":             cat(hdr, []byte{byte(opInsert), 1, 'x', 0}),
@@ -442,6 +464,17 @@ func TestDecodeRecordRefusals(t *testing.T) {
 	if err := s.apply(op); err == nil {
 		t.Error("applied a CreateTable without a schema")
 	}
+	// Nor does gob write an empty row map: an insert or update without a
+	// row must be refused when applied, not indexed into.
+	for _, kind := range []opKind{opInsert, opUpdate} {
+		op, _, err := decodeRecord(s.tables, gobRecord(t, walOp{Kind: kind, Table: "wide"}))
+		if err != nil {
+			t.Fatalf("legacy op %d without a row: %v", kind, err)
+		}
+		if err := s.apply(op); err == nil {
+			t.Errorf("applied a legacy op %d without a row", kind)
+		}
+	}
 }
 
 func mustRecord(t testing.TB, s *Store, op walOp) []byte {
@@ -454,11 +487,12 @@ func mustRecord(t testing.TB, s *Store, op walOp) []byte {
 }
 
 // FuzzDecodeRecord feeds the record decoder hostile payloads. It must not
-// panic; a count it accepts is backed by payload bytes; and whatever
-// decodes as a version 1 record re-encodes, byte for byte the same on the
-// second pass, and decodes again to an equal op. A payload that decodes as
-// legacy gob may describe ops the new format refuses, but never ones it
-// encodes differently from what it reads back.
+// panic, nor must applying what it decodes; a count it accepts is backed by
+// payload bytes; and whatever decodes as a version 1 or 2 record
+// re-encodes, byte for byte the same on the second pass, and decodes again
+// to an equal op. A payload that decodes as legacy gob may describe ops
+// the new format refuses, but never ones it encodes differently from what
+// it reads back.
 func FuzzDecodeRecord(f *testing.F) {
 	s := recordStore(f)
 	r := rand.New(rand.NewSource(1))
@@ -466,12 +500,23 @@ func FuzzDecodeRecord(f *testing.F) {
 		f.Add(mustRecord(f, s, randomOp(r)))
 	}
 	f.Add(gobRecord(f, randomRowOp(r)))
+	for i := 0; i < 8; i++ {
+		f.Add(mustRecord(f, s, randomPatchOp(r)))
+	}
+	f.Add(mustRecord(f, s, walOp{Kind: opBatch, Batch: []walOp{ // a row inserted and patched in one batch
+		{Kind: opInsert, Table: "wide", Row: tupleOf("wide", Row{"id": String("k2")})},
+		{Kind: opPatch, Table: "wide", PK: "k2", Patch: []patchCell{{1, String(testUUID)}}},
+	}}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		op, legacy, err := decodeRecord(s.tables, payload)
 		if err != nil {
 			return
 		}
-		if n := len(op.Batch) + len(op.Row); n > len(payload) {
+		// Replay may refuse what decodes (a patch of a missing row, one
+		// that changes the key, a null in a non-nullable column) but must
+		// not panic on it.
+		_ = patchTarget(t).apply(op)
+		if n := len(op.Batch) + len(op.Row) + len(op.Patch); n > len(payload) {
 			t.Fatalf("%d elements decoded from %d bytes", n, len(payload))
 		}
 		rec, err := appendRecord(nil, s.tables, op)
@@ -498,14 +543,16 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // TestSeedCorpusIsLive keeps the checked-in corpus honest: its real records
-// (taken from a log these schemas wrote, one of every kind, and gob records
-// of the same ops) must still decode, or a schema edit has quietly turned
+// (taken from a log these schemas wrote, one of every kind, version 2
+// patches and packed cells, and gob records of the same ops) must still
+// decode, or a schema edit has quietly turned
 // the fuzzer's starting points into inputs that bounce off the first check.
 func TestSeedCorpusIsLive(t *testing.T) {
 	s := recordStore(t)
 	kinds := make(map[opKind]bool)
 	for _, name := range []string{"create_table_instances", "create_table_wide", "insert_all_kinds", "insert_nulls_and_absent",
 		"insert_instance", "update", "delete", "batch", "time_negative_odd_seconds", "indexes_wide",
+		"patch", "patch_missing_row", "patch_changes_key", "insert_packed_ids", "batch_insert_then_patch",
 		"legacy_gob_create_table", "legacy_gob_insert", "legacy_gob_batch"} {
 		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeRecord", name))
 		if err != nil {
@@ -524,7 +571,7 @@ func TestSeedCorpusIsLive(t *testing.T) {
 			kinds[op.Kind] = true
 		}
 	}
-	if len(kinds) != int(opIndexes) {
-		t.Errorf("corpus holds version 1 records of %d op kinds, want all %d", len(kinds), opIndexes)
+	if len(kinds) != int(opPatch) {
+		t.Errorf("corpus holds records of %d op kinds, want all %d", len(kinds), opPatch)
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gallery/internal/btree"
@@ -88,15 +90,47 @@ type table struct {
 	replaying bool
 }
 
-// build ends replay for t: it bulk-loads pks and every index from the rows.
-func (t *table) build() {
-	t.replaying = false
+// buildAll ends replay: it bulk-loads every table's pks and each of its
+// indexes from the rows, one job per tree on GOMAXPROCS workers, largest
+// table first. A job reads only its table's rows and writes only its own
+// tree.
+func buildAll(tables map[string]*table) {
+	ts := make([]*table, 0, len(tables))
+	for _, t := range tables {
+		t.replaying = false
+		ts = append(ts, t)
+	}
+	slices.SortFunc(ts, func(a, b *table) int { return len(b.rows) - len(a.rows) })
+	var jobs []func()
+	for _, t := range ts {
+		jobs = append(jobs, t.buildPKs)
+		for _, ix := range t.indexes {
+			jobs = append(jobs, func() { t.buildIndexes([]*index{ix}) })
+		}
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+				jobs[i]()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// buildPKs bulk-loads pks from the rows.
+func (t *table) buildPKs() {
 	pks := make([]string, 0, len(t.rows))
 	for pk := range t.rows {
 		pks = append(pks, pk)
 	}
 	t.pks = sortedTree(pks)
-	t.buildIndexes(t.indexes)
 }
 
 // buildIndexes replaces the postings of each of ixs with those of t's rows:
@@ -152,11 +186,12 @@ func NewMemory() *Store {
 
 // Open returns a durable store backed by a write-ahead log at path. Existing
 // state is replayed; a torn tail from a crash is truncated. Records are read
-// in the version 1 format of record.go or, where a daemon older than that
-// format wrote them, as gob; everything appended is version 1. Replay checks
+// in the version 1 or 2 format of record.go or, where a daemon older than
+// those wrote them, as gob; everything appended is version 2. Replay checks
 // every record against the rows as a live mutation would, but builds the
 // primary-key tree and the indexes of each table once, after the last
-// record, by sorting their keys and bulk-loading them.
+// record, by sorting their keys and bulk-loading them, the trees in
+// parallel.
 func Open(path string, opts wal.Options) (*Store, error) {
 	s := &Store{tables: make(map[string]*table), path: path, replaying: true}
 	s.Instrument(nil)
@@ -175,9 +210,7 @@ func Open(path string, opts wal.Options) (*Store, error) {
 		return nil, err
 	}
 	s.replaying = false
-	for _, t := range s.tables {
-		t.build()
-	}
+	buildAll(s.tables)
 	s.log, s.walOpts = l, opts
 	return s, nil
 }
@@ -248,10 +281,18 @@ type walOp struct {
 	Kind    opKind
 	Schema  *Schema // CreateTable
 	Table   string
-	Row     Tuple  // Insert/Update, in the table's column order
-	PK      string // Delete
+	Row     Tuple       // Insert/Update, in the table's column order
+	PK      string      // Delete/Patch
+	Patch   []patchCell // Patch: the cells that change, columns ascending
 	Batch   []walOp
 	Indexes []string // Indexes: the table's new Schema.Indexes
+}
+
+// patchCell is one cell of a patch: a column position and the value it
+// takes, null to clear it.
+type patchCell struct {
+	pos int
+	v   Value
 }
 
 type opKind uint8
@@ -263,6 +304,7 @@ const (
 	opDelete
 	opBatch
 	opIndexes
+	opPatch // how an update is logged; see patchOf
 )
 
 // logOp persists op if the store is durable. The WAL append gets its own
@@ -324,6 +366,8 @@ func (s *Store) apply(op walOp) error {
 		return s.applyInsert(op.Table, op.Row)
 	case opUpdate:
 		return s.applyUpdate(op.Table, op.Row)
+	case opPatch:
+		return s.applyPatch(op.Table, op.PK, op.Patch)
 	case opDelete:
 		return s.applyDelete(op.Table, op.PK)
 	case opBatch:
@@ -511,10 +555,67 @@ func (s *Store) updateCtx(ctx context.Context, tableName string, row Row) error 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	op := walOp{Kind: opUpdate, Table: tableName, Row: tup}
+	logged := s.patchOf(op)
 	if err := s.applyUpdate(tableName, tup); err != nil {
 		return err
 	}
-	return s.logOp(ctx, walOp{Kind: opUpdate, Table: tableName, Row: tup})
+	return s.logOp(ctx, logged)
+}
+
+// patchOf returns the patch that logs update op: the row's primary key and
+// the cells in which op's row differs from the stored row it replaces, so
+// it must be taken before op is applied. An update of a row that is not
+// stored comes back unchanged, for applyUpdate to refuse. Callers hold mu.
+func (s *Store) patchOf(op walOp) walOp {
+	t, ok := s.tables[op.Table]
+	if !ok {
+		return op
+	}
+	pk := op.Row[t.schema.Pos(t.schema.Key)].Str
+	old, ok := t.rows[pk]
+	if !ok {
+		return op
+	}
+	n := 0
+	for i, v := range op.Row {
+		if v != old[i] {
+			n++
+		}
+	}
+	patch := walOp{Kind: opPatch, Table: op.Table, PK: pk}
+	if n > 0 {
+		patch.Patch = make([]patchCell, 0, n)
+		for i, v := range op.Row {
+			if v != old[i] {
+				patch.Patch = append(patch.Patch, patchCell{i, v})
+			}
+		}
+	}
+	return patch
+}
+
+// applyPatch installs a copy of the stored row with the patch's cells
+// overlaid, through applyUpdate, so the result is checked as any updated
+// row is. A patch of a row that is not stored, or one that would change
+// the row's key, is refused.
+func (s *Store) applyPatch(tableName, pk string, cells []patchCell) error {
+	t, ok := s.tables[tableName]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
+	}
+	old, ok := t.rows[pk]
+	if !ok {
+		return fmt.Errorf("%w: %s[%s]", ErrNotFound, tableName, pk)
+	}
+	row := slices.Clone(old)
+	for _, c := range cells {
+		row[c.pos] = c.v
+	}
+	if k := t.schema.Pos(t.schema.Key); row[k] != old[k] {
+		return fmt.Errorf("relstore: table %s: patch of %s changes its key", tableName, pk)
+	}
+	return s.applyUpdate(tableName, row)
 }
 
 // applyUpdate validates row and installs it itself, not a copy.
@@ -644,7 +745,10 @@ func (s *Store) batchCtx(ctx context.Context, muts []Mutation) error {
 	if err := s.validateBatch(ops); err != nil {
 		return err
 	}
-	for _, op := range ops {
+	for i, op := range ops {
+		if op.Kind == opUpdate {
+			ops[i] = s.patchOf(op) // against the row the batch has so far
+		}
 		if err := s.apply(op); err != nil {
 			// validateBatch guarantees this cannot happen; if it does, state
 			// may be partially applied and the only safe move is to surface it.

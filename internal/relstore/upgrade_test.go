@@ -262,8 +262,8 @@ func TestLegacyLogUpgrades(t *testing.T) {
 	}
 }
 
-// TestCrashSweep cuts a version 1 log at every record boundary and at a
-// sample of offsets inside every record. Each cut must reopen holding
+// TestCrashSweep cuts a version 2 log, its updates logged as patches, at
+// every record boundary and at a sample of offsets inside every record. Each cut must reopen holding
 // exactly the ops wholly before it, with the torn tail gone, and accept an
 // append that is still there after another restart.
 func TestCrashSweep(t *testing.T) {
@@ -285,6 +285,9 @@ func TestCrashSweep(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if _, patches := scanLog(t, path); len(patches) == 0 {
+		t.Fatal("the swept log holds no patch")
 	}
 	log, err := os.ReadFile(path)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -316,12 +317,12 @@ func (e *Engine) trigger(t trigger) {
 // run evaluates every active action rule in scope that watches one of
 // t's identifiers against t's instance, and reports whether any fired.
 func (e *Engine) run(t trigger) (fired bool) {
-	for _, rule := range e.repo.Active() {
-		if rule.Kind != KindAction || !e.inScope(rule) {
+	for _, rule := range e.repo.active() {
+		if rule.Kind != KindAction || !e.inScope(rule.Rule) {
 			continue
 		}
 		for _, id := range t.idents {
-			if watches(rule, id) {
+			if slices.Contains(rule.watched, id) {
 				if e.runActionRule(t.ctx, rule, t.instanceID, t.extra) {
 					fired = true
 				}
@@ -330,15 +331,6 @@ func (e *Engine) run(t trigger) (fired bool) {
 		}
 	}
 	return fired
-}
-
-func watches(rule *Rule, field string) bool {
-	for _, id := range rule.WatchedIdents() {
-		if id == field {
-			return true
-		}
-	}
-	return false
 }
 
 func (e *Engine) inScope(rule *Rule) bool {
@@ -350,7 +342,7 @@ func (e *Engine) inScope(rule *Rule) bool {
 // referencing a metric the instance has not reported) mean "condition not
 // met", surfaced as a log alert rather than a crash. It reports whether
 // the condition held.
-func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.UUID, extra map[string]any) bool {
+func (e *Engine) runActionRule(ctx context.Context, rule *compiledRule, instanceID uuid.UUID, extra map[string]any) bool {
 	ctx, span := trace.Start(ctx, "rules.evaluate")
 	if span != nil {
 		span.Annotate("rule", rule.UUID)
@@ -388,9 +380,10 @@ func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.
 	}
 	metrics, _ := env.Vars["metrics"].(map[string]any)
 	ctx = audit.WithActor(ctx, "rules")
+	cp := *rule.Rule // callbacks get their own copy of the shared rule
 	ac := &ActionContext{
 		Ctx:      ctx,
-		Rule:     rule,
+		Rule:     &cp,
 		Instance: in,
 		Metrics:  toFloatMap(metrics),
 		Time:     e.clk.Now(),
@@ -425,7 +418,7 @@ func (e *Engine) runActionRule(ctx context.Context, rule *Rule, instanceID uuid.
 			fired = append(fired, ref.Action)
 		}
 	}
-	e.auditFiring(ctx, rule, in, fired, failed)
+	e.auditFiring(ctx, rule.Rule, in, fired, failed)
 	span.End()
 	return true
 }
@@ -458,12 +451,8 @@ func (e *Engine) auditFiring(ctx context.Context, rule *Rule, in *core.Instance,
 }
 
 // condition evaluates given && when against env.
-func (e *Engine) condition(rule *Rule, env *expr.Env) (bool, error) {
-	given, when, err := rule.Condition()
-	if err != nil {
-		return false, err
-	}
-	for _, n := range []expr.Node{given, when} {
+func (e *Engine) condition(rule *compiledRule, env *expr.Env) (bool, error) {
+	for _, n := range [...]expr.Node{rule.given, rule.when} {
 		if n == nil {
 			continue
 		}
@@ -489,7 +478,7 @@ func (e *Engine) condition(rule *Rule, env *expr.Env) (bool, error) {
 // query Gallery for the champion model to serve based on the user-defined
 // rules").
 func (e *Engine) SelectModel(ruleID string, filter core.InstanceFilter) (*core.Instance, error) {
-	rule, ok := e.repo.Get(ruleID)
+	rule, ok := e.repo.activeRule(ruleID)
 	if !ok {
 		return nil, fmt.Errorf("rules: no active rule %s", ruleID)
 	}
@@ -502,11 +491,6 @@ func (e *Engine) SelectModel(ruleID string, filter core.InstanceFilter) (*core.I
 	if err != nil {
 		return nil, err
 	}
-	selNode, err := expr.Parse(rule.ModelSelection)
-	if err != nil {
-		return nil, err
-	}
-
 	var best *core.Instance
 	var bestEnv map[string]any
 	for _, c := range candidates {
@@ -523,7 +507,7 @@ func (e *Engine) SelectModel(ruleID string, filter core.InstanceFilter) (*core.I
 			best, bestEnv = c, env.Vars
 			continue
 		}
-		prefer, err := expr.EvalNode(selNode, &expr.Env{Vars: map[string]any{
+		prefer, err := expr.EvalNode(rule.selection, &expr.Env{Vars: map[string]any{
 			"a": env.Vars, "b": bestEnv,
 		}})
 		if err != nil {

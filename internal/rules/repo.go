@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,8 +23,10 @@ type Repo struct {
 	mu      sync.Mutex
 	clk     clock.Clock
 	commits []Commit
-	// head is the active rule set, by rule UUID.
-	head map[string]*Rule
+	// head is the active rule set, by rule UUID; compiled is the same set
+	// sorted by UUID with its expressions parsed, rebuilt by every commit.
+	head     map[string]*Rule
+	compiled []*compiledRule
 }
 
 // Commit is one immutable repository state.
@@ -72,6 +76,14 @@ func (r *Repo) Commit(author, message string, upserts []*Rule, deletes []string)
 		cp := *rule
 		next[rule.UUID] = &cp
 	}
+	compiled := make([]*compiledRule, 0, len(next))
+	for _, rule := range sortRules(next) {
+		c, err := compile(rule)
+		if err != nil {
+			return Commit{}, err
+		}
+		compiled = append(compiled, c)
+	}
 	c := Commit{
 		Author:  author,
 		Message: message,
@@ -84,8 +96,26 @@ func (r *Repo) Commit(author, message string, upserts []*Rule, deletes []string)
 	}
 	c.Hash = hash
 	r.commits = append(r.commits, c)
-	r.head = next
+	r.head, r.compiled = next, compiled
 	return c, nil
+}
+
+// active returns the active rule set compiled, sorted by UUID. The slice
+// and its rules are shared: callers must not change them.
+func (r *Repo) active() []*compiledRule {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.compiled
+}
+
+// activeRule returns the compiled active version of one rule.
+func (r *Repo) activeRule(id string) (*compiledRule, bool) {
+	active := r.active()
+	i, ok := slices.BinarySearchFunc(active, id, func(c *compiledRule, id string) int { return strings.Compare(c.UUID, id) })
+	if !ok {
+		return nil, false
+	}
+	return active[i], true
 }
 
 func (r *Repo) lastHashLocked() string {

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"gallery/internal/expr"
 )
@@ -132,26 +133,50 @@ func (r *Rule) Condition() (given, when expr.Node, err error) {
 // WatchedIdents lists the top-level identifiers the rule's conditions
 // reference; the engine uses this to decide which update events should
 // re-evaluate the rule (paper §3.7.2: "updating any metadata or metrics
-// specific in a registered rule").
+// specific in a registered rule"). A rule whose conditions do not parse
+// watches nothing: Validate catches it.
 func (r *Rule) WatchedIdents() []string {
-	set := make(map[string]bool)
-	for _, src := range []string{r.Given, r.When} {
-		if src == "" {
+	c, err := compile(r)
+	if err != nil {
+		return nil
+	}
+	return c.watched
+}
+
+// compiledRule is an active rule with its expressions parsed once, when
+// the commit that made it active landed, so that evaluating it per event
+// parses nothing. It is shared and never changed.
+type compiledRule struct {
+	*Rule
+	given, when, selection expr.Node
+	// watched lists the top-level identifiers given and when reference.
+	watched []string
+}
+
+// compile parses r's expressions and lists the identifiers its conditions
+// watch. A rule that passed Validate compiles.
+func compile(r *Rule) (*compiledRule, error) {
+	given, when, err := r.Condition()
+	if err != nil {
+		return nil, err
+	}
+	c := &compiledRule{Rule: r, given: given, when: when}
+	if r.ModelSelection != "" {
+		if c.selection, err = expr.Parse(r.ModelSelection); err != nil {
+			return nil, err
+		}
+	}
+	for _, n := range []expr.Node{given, when} {
+		if n == nil {
 			continue
 		}
-		n, err := expr.Parse(src)
-		if err != nil {
-			continue // Validate catches this; don't watch anything
-		}
 		for _, id := range expr.Idents(n) {
-			set[id] = true
+			if !slices.Contains(c.watched, id) {
+				c.watched = append(c.watched, id)
+			}
 		}
 	}
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	return out
+	return c, nil
 }
 
 // MarshalJSON/UnmarshalJSON use the plain struct encoding; Canonical
