@@ -10,6 +10,7 @@ import (
 	"gallery/internal/blobstore"
 	"gallery/internal/clock"
 	"gallery/internal/obs"
+	"gallery/internal/obs/trace"
 	"gallery/internal/relstore"
 	"gallery/internal/uuid"
 	"gallery/internal/wal"
@@ -18,10 +19,12 @@ import (
 // TestWALBytesPerMutation gates what the write path logs: a seeded model
 // registration, upload, metrics insert and promotion through a registry
 // over a durable store must append exactly these records and payload
-// bytes. The counts are deterministic (seeded IDs, a mock clock), so any
-// change to the record format or to what a mutation logs moves them; a
-// change that grows them must say why here. Record format version 1, which
-// logged whole rows and IDs as text, took 1,482, 179 and 814 bytes.
+// bytes. Each step runs under a root span of galleryd's default sampler,
+// as a request does, so its audit events carry a trace ID. The counts are
+// deterministic (seeded IDs, a mock clock, trace IDs of fixed length), so
+// any change to the record format or to what a mutation logs moves them;
+// a change that grows them must say why here. Record format version 1,
+// which logged whole rows and IDs as text, took 1,546, 179 and 846 bytes.
 func TestWALBytesPerMutation(t *testing.T) {
 	meta, err := relstore.Open(filepath.Join(t.TempDir(), "meta.wal"), wal.Options{})
 	if err != nil {
@@ -36,38 +39,41 @@ func TestWALBytesPerMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	records, bytes := reg.Counter("relstore_wal_records_total"), reg.Counter("relstore_wal_bytes_total")
-	ctx := context.Background()
+	tracer := trace.New(trace.Options{Service: "galleryd", Sampler: trace.ErrSlow(250 * time.Millisecond)})
 	var first, second *Instance
 	for _, step := range []struct {
 		name                string
-		do                  func() error
+		do                  func(ctx context.Context) error
 		wantRecords, wantBy int64
 	}{
-		{"register", func() error {
+		{"register", func(ctx context.Context) error {
 			m, err := g.RegisterModelCtx(ctx, ModelSpec{BaseVersionID: "base_01", Project: "marketplace", Name: "demand_001", Owner: "bench", Domain: "UberX"})
 			if err == nil {
 				first, err = g.UploadInstanceCtx(ctx, InstanceSpec{ModelID: m.ID, Name: "demand_001", City: "sf", Framework: "linear_ar"}, []byte("w1"))
 			}
 			return err
 		}, 0, 0},
-		{"upload", func() error {
+		{"upload", func(ctx context.Context) error {
 			clk.Advance(time.Second)
 			second, err = g.UploadInstanceCtx(ctx, InstanceSpec{ModelID: first.ModelID, Name: "demand_001", City: "sf", Framework: "linear_ar",
 				TrainingData: "hdfs://warehouse/demand/run_000001", CodePointer: "git://forecasting/demand@9e3779b1",
 				Seed: 1, Epochs: 10, Hyperparams: `{"lags":48}`, Features: "lags[1..48],hour,dow"}, []byte("weights"))
 			return err
-		}, 3, 1020},
-		{"metrics", func() error {
+		}, 3, 1052},
+		{"metrics", func(ctx context.Context) error {
 			clk.Advance(time.Second)
 			return g.InsertMetricsCtx(ctx, second.ID, ScopeValidation, map[string]float64{"mape": 0.125})
 		}, 1, 116},
-		{"promote", func() error {
+		{"promote", func(ctx context.Context) error {
 			clk.Advance(time.Second)
 			return g.PromoteInstanceCtx(ctx, first.ID)
-		}, 2, 398},
+		}, 2, 414},
 	} {
 		r0, b0 := records.Value(), bytes.Value()
-		if err := step.do(); err != nil {
+		ctx, root := tracer.StartRoot(context.Background(), step.name, "")
+		err := step.do(ctx)
+		root.End()
+		if err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
 		if step.wantRecords == 0 { // set-up, not gated

@@ -555,8 +555,10 @@ func (s *Store) updateCtx(ctx context.Context, tableName string, row Row) error 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	op := walOp{Kind: opUpdate, Table: tableName, Row: tup}
-	logged := s.patchOf(op)
+	var logged walOp
+	if s.log != nil {
+		logged = s.patchOf(walOp{Kind: opUpdate, Table: tableName, Row: tup})
+	}
 	if err := s.applyUpdate(tableName, tup); err != nil {
 		return err
 	}
@@ -566,7 +568,8 @@ func (s *Store) updateCtx(ctx context.Context, tableName string, row Row) error 
 // patchOf returns the patch that logs update op: the row's primary key and
 // the cells in which op's row differs from the stored row it replaces, so
 // it must be taken before op is applied. An update of a row that is not
-// stored comes back unchanged, for applyUpdate to refuse. Callers hold mu.
+// stored comes back unchanged, for applyUpdate to refuse. Only a durable
+// store needs one. Callers hold mu.
 func (s *Store) patchOf(op walOp) walOp {
 	t, ok := s.tables[op.Table]
 	if !ok {
@@ -598,7 +601,9 @@ func (s *Store) patchOf(op walOp) walOp {
 // applyPatch installs a copy of the stored row with the patch's cells
 // overlaid, through applyUpdate, so the result is checked as any updated
 // row is. A patch of a row that is not stored, or one that would change
-// the row's key, is refused.
+// the row's key, is refused. The copy shares its strings with the stored
+// row and the patch, so a replayed row keeps at most one decoded string
+// per string column alive however often it is patched.
 func (s *Store) applyPatch(tableName, pk string, cells []patchCell) error {
 	t, ok := s.tables[tableName]
 	if !ok {
@@ -746,7 +751,7 @@ func (s *Store) batchCtx(ctx context.Context, muts []Mutation) error {
 		return err
 	}
 	for i, op := range ops {
-		if op.Kind == opUpdate {
+		if op.Kind == opUpdate && s.log != nil {
 			ops[i] = s.patchOf(op) // against the row the batch has so far
 		}
 		if err := s.apply(op); err != nil {

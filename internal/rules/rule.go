@@ -130,26 +130,16 @@ func (r *Rule) Condition() (given, when expr.Node, err error) {
 	return given, when, nil
 }
 
-// WatchedIdents lists the top-level identifiers the rule's conditions
-// reference; the engine uses this to decide which update events should
-// re-evaluate the rule (paper §3.7.2: "updating any metadata or metrics
-// specific in a registered rule"). A rule whose conditions do not parse
-// watches nothing: Validate catches it.
-func (r *Rule) WatchedIdents() []string {
-	c, err := compile(r)
-	if err != nil {
-		return nil
-	}
-	return c.watched
-}
-
 // compiledRule is an active rule with its expressions parsed once, when
 // the commit that made it active landed, so that evaluating it per event
 // parses nothing. It is shared and never changed.
 type compiledRule struct {
 	*Rule
 	given, when, selection expr.Node
-	// watched lists the top-level identifiers given and when reference.
+	// watched lists the top-level identifiers given and when reference:
+	// the engine re-evaluates the rule on an update event naming one (paper
+	// §3.7.2: "updating any metadata or metrics specific in a registered
+	// rule").
 	watched []string
 }
 

@@ -153,11 +153,14 @@ func TestParseRuleJSON(t *testing.T) {
 }
 
 func TestWatchedIdents(t *testing.T) {
-	r := listing2()
-	ids := r.WatchedIdents()
+	c, err := compile(listing2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := c.watched
 	want := map[string]bool{"model_domain": true, "model_name": true, "metrics": true}
 	if len(ids) != len(want) {
-		t.Fatalf("WatchedIdents = %v", ids)
+		t.Fatalf("watched = %v", ids)
 	}
 	for _, id := range ids {
 		if !want[id] {
