@@ -20,7 +20,10 @@ import (
 //
 // Each family is one exposition family with a single HELP/TYPE pair, as
 // the spec requires. Family names and label keys are sanitized to the
-// legal charsets; label values are escaped per the spec.
+// legal charsets; label values are escaped per the spec. A histogram's
+// own label key le, which its buckets use, is written _le, and a family
+// whose name is one a histogram writes its samples under (h_bucket, h_sum
+// or h_count beside histogram h) is left out: the histogram owns it.
 
 // WriteProm renders every registered metric in Prometheus text exposition
 // format 0.0.4.
@@ -40,6 +43,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		keys := make([]string, len(labels))
 		for i, l := range labels {
 			keys[i] = promSanitizeLabel(l)
+			if keys[i] == "le" && f.kind() == "histogram" {
+				keys[i] = "_le"
+			}
 		}
 		pf := promFamily{name: name, base: promSanitizeName(name), kind: f.kind(), help: r.help[name]}
 		f.each(func(k vecKey, m any) {
@@ -55,10 +61,19 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		return a.base < b.base || a.base == b.base && a.name < b.name
 	})
 
+	histSamples := map[string]bool{} // the sample names histograms write
+	for _, f := range fams {
+		if f.kind == "histogram" {
+			histSamples[f.base+"_bucket"], histSamples[f.base+"_sum"], histSamples[f.base+"_count"] = true, true, true
+		}
+	}
 	var b strings.Builder
 	for i, f := range fams {
 		if i > 0 && f.base == fams[i-1].base {
 			continue // two names that sanitize alike: the first in name order wins
+		}
+		if histSamples[f.base] {
+			continue
 		}
 		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 		b.Reset()

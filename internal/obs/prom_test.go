@@ -176,3 +176,37 @@ func TestPromHelpText(t *testing.T) {
 		t.Errorf("HELP emitted for a family with no series\n%s", out)
 	}
 }
+
+// FuzzPromRoundTrip: whatever names, label keys, label values, HELP text
+// and sample values the registry is given, WriteProm renders a payload
+// ValidateExposition accepts. One registry holds a counter, a gauge and a
+// histogram family, each with two children over the same two label keys.
+// Names that collide as registered (one name, two kinds) are skipped: the
+// registry refuses them by panicking, which is its own test's business.
+func FuzzPromRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, counter, gauge, hist, k1, k2, v1, v2, help string, n int64, g, obs float64) {
+		if counter == gauge || counter == hist || gauge == hist {
+			t.Skip("one name, two kinds")
+		}
+		r := NewRegistry()
+		cv := r.CounterVec(counter, []string{k1, k2}, 0)
+		cv.With2(v1, v2).Add(n)
+		cv.With2(v2, v1).Inc()
+		gv := r.GaugeVec(gauge, []string{k1, k2}, 0)
+		gv.With2(v1, v2).Set(g)
+		gv.With2(v2, v1).Add(obs)
+		hv := r.HistogramVec(hist, []string{k1, k2}, []float64{-1, 0, 0.5, 10}, 0)
+		hv.With2(v1, v2).Observe(obs)
+		hv.With2(v1, v2).Observe(g)
+		hv.With2(v2, v1).Observe(float64(n))
+		r.Help(counter, help)
+		r.Help(hist, help+"\n"+v1)
+		var buf bytes.Buffer
+		if err := r.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateExposition(buf.Bytes()); err != nil {
+			t.Fatalf("WriteProm wrote an invalid exposition: %v\n%s", err, buf.String())
+		}
+	})
+}

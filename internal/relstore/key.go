@@ -34,19 +34,6 @@ import (
 // encodings of some leading values are exactly the rows holding them.
 // A row with a null in any of an index's columns has no posting in it.
 
-// keyItem is a B-tree key, ordered as strings: a primary key in a table's
-// pks tree, a posting in its indexes. Trees hold it by pointer, so a tree
-// bulk-loaded from one array of keyItems costs no allocation per key.
-type keyItem struct{ key string }
-
-func (k *keyItem) Less(than btree.Item) bool { return k.key < than.(*keyItem).key }
-
-// item returns key as a B-tree item.
-func item(key string) *keyItem { return &keyItem{key} }
-
-// keyOf returns the key a tree item holds.
-func keyOf(it btree.Item) string { return it.(*keyItem).key }
-
 // index is one secondary index: its Schema.Indexes name, its columns with
 // their positions in a stored row, and its postings.
 type index struct {
@@ -84,7 +71,7 @@ func (ix *index) appendKey(dst []byte, row Tuple, pk string) (_ []byte, ok bool)
 func (ix *index) insert(row Tuple, pk string) {
 	var buf [64]byte
 	if k, ok := ix.appendKey(buf[:0], row, pk); ok {
-		ix.tree.ReplaceOrInsert(item(string(k)))
+		ix.tree.Insert(string(k))
 	}
 }
 
@@ -92,7 +79,7 @@ func (ix *index) insert(row Tuple, pk string) {
 func (ix *index) remove(row Tuple, pk string) {
 	var buf [64]byte
 	if k, ok := ix.appendKey(buf[:0], row, pk); ok {
-		ix.tree.Delete(item(string(k)))
+		ix.tree.Delete(string(k))
 	}
 }
 

@@ -1,7 +1,5 @@
 package relstore
 
-import "gallery/internal/btree"
-
 // plan is how a query reads its table: the postings of one index between
 // two keys, or, with idx nil, every row in primary-key order.
 type plan struct {
@@ -150,42 +148,20 @@ func rangeOf(prefix []byte, c Constraint, kind Kind) (lo, hi string, rank int, o
 // scanIndex visits the rows whose postings lie in p's range, in posting
 // order, or the reverse when desc.
 func (t *table) scanIndex(p plan, desc bool, visit func(Tuple) bool) {
-	ix := p.idx
-	emit := func(it btree.Item) bool {
-		return visit(t.rows[ix.pkOf(keyOf(it))])
-	}
-	var hi btree.Item
-	if p.hi != "" {
-		hi = item(p.hi)
-	}
-	if !desc {
-		ix.tree.AscendRange(item(p.lo), hi, emit)
-		return
-	}
-	down := func(it btree.Item) bool {
-		switch k := keyOf(it); {
-		case k < p.lo:
-			return false
-		case hi != nil && k >= p.hi: // the bound itself, which the seek includes
-			return true
-		}
-		return emit(it)
-	}
-	if hi == nil {
-		ix.tree.Descend(down)
+	emit := func(key string) bool { return visit(t.rows[p.idx.pkOf(key)]) }
+	if desc {
+		p.idx.tree.DescendRange(p.lo, p.hi, emit)
 	} else {
-		ix.tree.DescendLessOrEqual(hi, down)
+		p.idx.tree.AscendRange(p.lo, p.hi, emit)
 	}
 }
 
 // scanAll visits every row in primary-key order (descending when desc).
 func (t *table) scanAll(desc bool, visit func(Tuple) bool) {
-	emit := func(it btree.Item) bool {
-		return visit(t.rows[keyOf(it)])
-	}
+	emit := func(pk string) bool { return visit(t.rows[pk]) }
 	if desc {
-		t.pks.Descend(emit)
+		t.pks.DescendRange("", "", emit)
 	} else {
-		t.pks.Ascend(emit)
+		t.pks.AscendRange("", "", emit)
 	}
 }

@@ -83,7 +83,7 @@ func (s *Store) countOp(op, tableName string) { s.ops.With2(op, tableName).Inc()
 type table struct {
 	schema  Schema
 	rows    map[string]Tuple // by primary key
-	pks     *btree.Tree      // ordered primary keys (keyItem) for stable scans
+	pks     *btree.Tree      // ordered primary keys for stable scans
 	indexes []*index         // secondary indexes, in Schema.Indexes order
 	// replaying is set while Open applies the log: mutations then keep rows
 	// only, and build makes pks and every index once, after the last record.
@@ -168,13 +168,7 @@ func (t *table) buildIndexes(ixs []*index) {
 // sortedTree sorts keys and bulk-loads them; they must be distinct.
 func sortedTree(keys []string) *btree.Tree {
 	slices.Sort(keys)
-	held := make([]keyItem, len(keys))
-	items := make([]btree.Item, len(keys))
-	for i, k := range keys {
-		held[i].key = k
-		items[i] = &held[i]
-	}
-	return btree.FromSorted(items)
+	return btree.FromSorted(keys)
 }
 
 // NewMemory returns a volatile in-memory store.
@@ -676,7 +670,7 @@ func (s *Store) applyDelete(tableName, pk string) error {
 	t.unindex(pk, old)
 	delete(t.rows, pk)
 	if !t.replaying {
-		t.pks.Delete(item(pk))
+		t.pks.Delete(pk)
 	}
 	return nil
 }
@@ -688,7 +682,7 @@ func (t *table) put(pk string, row Tuple) {
 	if t.replaying {
 		return
 	}
-	t.pks.ReplaceOrInsert(item(pk))
+	t.pks.Insert(pk)
 	for _, ix := range t.indexes {
 		ix.insert(row, pk)
 	}
