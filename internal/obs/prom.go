@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,10 +21,12 @@ import (
 //
 // Each family is one exposition family with a single HELP/TYPE pair, as
 // the spec requires. Family names and label keys are sanitized to the
-// legal charsets; label values are escaped per the spec. A histogram's
-// own label key le, which its buckets use, is written _le, and a family
-// whose name is one a histogram writes its samples under (h_bucket, h_sum
-// or h_count beside histogram h) is left out: the histogram owns it.
+// legal charsets, and a label key that sanitizes like an earlier one of
+// its family gets underscores appended until it is distinct; label values
+// are escaped per the spec. A histogram's own label key le, which its
+// buckets use, is written _le, and a family whose name is one a histogram
+// writes its samples under (h_bucket, h_sum or h_count beside histogram
+// h) is left out: the histogram owns it.
 
 // WriteProm renders every registered metric in Prometheus text exposition
 // format 0.0.4.
@@ -45,6 +48,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			keys[i] = promSanitizeLabel(l)
 			if keys[i] == "le" && f.kind() == "histogram" {
 				keys[i] = "_le"
+			}
+			for slices.Contains(keys[:i], keys[i]) {
+				keys[i] += "_"
 			}
 		}
 		pf := promFamily{name: name, base: promSanitizeName(name), kind: f.kind(), help: r.help[name]}
@@ -432,6 +438,7 @@ func promLabelsEnd(s string) int {
 // promCheckLabels validates a {k="v",...} block.
 func promCheckLabels(block string) error {
 	body := block[1 : len(block)-1]
+	var keys []string
 	for len(body) > 0 {
 		eq := strings.IndexByte(body, '=')
 		if eq <= 0 {
@@ -441,6 +448,10 @@ func promCheckLabels(block string) error {
 		if !promValidLabelKey(key) {
 			return fmt.Errorf("bad label key %q", key)
 		}
+		if slices.Contains(keys, key) {
+			return fmt.Errorf("duplicate label key %q", key)
+		}
+		keys = append(keys, key)
 		if eq+1 >= len(body) || body[eq+1] != '"' {
 			return fmt.Errorf("label value not quoted")
 		}

@@ -114,6 +114,7 @@ func TestValidateExpositionRejectsBadPayloads(t *testing.T) {
 		"unquoted label":     "# HELP x x\n# TYPE x counter\nx{k=v} 1\n",
 		"bad label key":      "# HELP x x\n# TYPE x counter\nx{0k=\"v\"} 1\n",
 		"unterminated block": "# HELP x x\n# TYPE x counter\nx{k=\"v\" 1\n",
+		"duplicate label":    "# HELP x x\n# TYPE x counter\nx{k=\"v\",k=\"w\"} 1\n",
 		"non-cumulative buckets": "# HELP h h\n# TYPE h histogram\n" +
 			"h_bucket{le=\"0.1\"} 5\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_count 5\nh_sum 1\n",
 		"unsorted le": "# HELP h h\n# TYPE h histogram\n" +
