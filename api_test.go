@@ -41,11 +41,7 @@ var pinnedTwins = map[string]bool{
 
 // backgroundAllowed names the functions that take a context and still
 // start from context.Background, keyed "pkg.Receiver.func" or "pkg.func".
-var backgroundAllowed = map[string]string{
-	"audit.Log.pruneLocked": "the retention read runs inside every Record; " +
-		"a span for it would add one to every mutating request's trace, " +
-		"and the insert's span already marks it",
-}
+var backgroundAllowed = map[string]string{}
 
 // internalFiles parses every non-test Go file under internal/, keyed by
 // the package's directory name.

@@ -8,7 +8,9 @@
 // The table rides the same relational store (and therefore the same WAL)
 // as the rest of the metadata, so the trail survives crashes and restarts
 // with no machinery of its own: replay rebuilds it, and the sequence
-// counter resumes past the highest recovered event. Retention is per
+// counter resumes past the highest recovered event. Log.Batch writes a
+// mutation's rows and its events as one relstore.Batch; Log.Record is
+// Batch with no rows. Retention is per
 // entity — the newest Keep events for each entity id survive pruning, so
 // a churning model cannot starve the history of a quiet one.
 package audit
@@ -16,6 +18,7 @@ package audit
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -123,7 +126,7 @@ type Options struct {
 const DefaultKeep = 256
 
 // Log is the append-only audit trail over one metadata store. It is safe
-// for concurrent use; Record calls are serialized so one entity's
+// for concurrent use; Batch calls are serialized so one entity's
 // timeline order is exactly the order callers observed.
 type Log struct {
 	store *relstore.Store
@@ -179,45 +182,85 @@ func Open(store *relstore.Store, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// Record appends one event. Zero fields are stamped: ID and Seq are
-// assigned, Time defaults to the clock, Actor falls back to the context
-// actor (see WithActor) and then "system", and TraceID is taken from the
-// context's active span when unset. Recording also prunes the entity's
-// history down to the retention bound.
+// Record appends one event on its own: Batch with no mutations.
 func (l *Log) Record(ctx context.Context, ev Event) error {
-	if ev.Action == "" || ev.EntityID == "" {
-		l.cErrs.Inc()
-		return fmt.Errorf("audit: event needs an action and an entity id (got action=%q entity=%q)", ev.Action, ev.EntityID)
+	return l.Batch(ctx, nil, ev)
+}
+
+// Batch applies muts and appends evs in one relstore.Batch, so a mutation
+// and the events that describe it land together or not at all. Zero event
+// fields are stamped: ID and Seq are assigned, Time defaults to the clock,
+// Actor falls back to the context actor (see WithActor) and then
+// "system", and TraceID is taken from the context's active span when
+// unset. The events take consecutive seqs in argument order. The same
+// batch deletes each touched entity's oldest events beyond the retention
+// bound, evs' own among them should evs alone exceed it. A failed batch
+// records nothing and consumes no seq.
+func (l *Log) Batch(ctx context.Context, muts []relstore.Mutation, evs ...Event) error {
+	for i := range evs {
+		ev := &evs[i]
+		if ev.Action == "" || ev.EntityID == "" {
+			l.cErrs.Inc()
+			return fmt.Errorf("audit: event needs an action and an entity id (got action=%q entity=%q)", ev.Action, ev.EntityID)
+		}
+		if ev.Time.IsZero() {
+			ev.Time = l.clk.Now()
+		}
+		if ev.Actor == "" {
+			ev.Actor = ActorFrom(ctx)
+		}
+		if ev.Actor == "" {
+			ev.Actor = "system"
+		}
+		if ev.TraceID == "" {
+			ev.TraceID = trace.FromContext(ctx).TraceIDString()
+		}
+		ev.ID = l.gen.New().String()
 	}
-	if ev.Time.IsZero() {
-		ev.Time = l.clk.Now()
-	}
-	if ev.Actor == "" {
-		ev.Actor = ActorFrom(ctx)
-	}
-	if ev.Actor == "" {
-		ev.Actor = "system"
-	}
-	if ev.TraceID == "" {
-		ev.TraceID = trace.FromContext(ctx).TraceIDString()
-	}
-	ev.ID = l.gen.New().String()
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.seq++
-	ev.Seq = l.seq
-	if err := l.store.InsertCtx(ctx, Table, eventToRow(ev)); err != nil {
-		l.seq-- // the sequence number was never durably used
+	for i := range evs {
+		evs[i].Seq = l.seq + int64(i) + 1
+		muts = append(muts, relstore.Mutation{Kind: relstore.MutInsert, Table: Table, Row: eventToRow(evs[i])})
+	}
+	pruned := 0
+	for i, ev := range evs {
+		if l.keep <= 0 || slices.ContainsFunc(evs[:i], func(e Event) bool { return e.EntityID == ev.EntityID }) {
+			continue // the entity's first event in evs covered it
+		}
+		var ids []string
+		_, err := l.store.SelectFunc(ctx, relstore.Query{
+			Table:   Table,
+			Where:   []relstore.Constraint{{Field: "entity_id", Op: relstore.OpEq, Value: relstore.String(ev.EntityID)}},
+			OrderBy: "seq",
+		}, func(r relstore.Tuple) bool {
+			ids = append(ids, r[col.id].Str)
+			return true
+		})
+		if err != nil {
+			l.cErrs.Inc()
+			return err
+		}
+		for _, e := range evs[i:] {
+			if e.EntityID == ev.EntityID {
+				ids = append(ids, e.ID)
+			}
+		}
+		for _, id := range ids[:max(len(ids)-l.keep, 0)] {
+			muts = append(muts, relstore.Mutation{Kind: relstore.MutDelete, Table: Table, PK: id})
+			pruned++
+		}
+	}
+	if err := l.store.Batch(ctx, muts); err != nil {
 		l.cErrs.Inc()
 		return err
 	}
-	l.cEvents.With(ev.Action).Inc()
-	if l.keep > 0 {
-		if n, err := l.pruneLocked(ctx, ev.EntityID, l.keep); err == nil && n > 0 {
-			l.cPruned.Add(int64(n))
-		}
+	l.seq += int64(len(evs))
+	for _, ev := range evs {
+		l.cEvents.With(ev.Action).Inc()
 	}
+	l.cPruned.Add(int64(pruned))
 	return nil
 }
 
@@ -300,46 +343,6 @@ func (l *Log) EntityTimeline(entityID string, limit int) ([]Event, error) {
 		out = out[len(out)-limit:]
 	}
 	return out, nil
-}
-
-// Prune drops an entity's oldest events beyond keep and reports how many
-// were deleted.
-func (l *Log) Prune(ctx context.Context, entityID string, keep int) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pruneLocked(ctx, entityID, keep)
-}
-
-func (l *Log) pruneLocked(ctx context.Context, entityID string, keep int) (int, error) {
-	if keep <= 0 {
-		return 0, nil
-	}
-	// No span for this read: it runs inside every Record, so in every
-	// mutating request's trace, and the insert's span already marks it.
-	var ids []string
-	_, err := l.store.SelectFunc(context.Background(), relstore.Query{
-		Table:   Table,
-		Where:   []relstore.Constraint{{Field: "entity_id", Op: relstore.OpEq, Value: relstore.String(entityID)}},
-		OrderBy: "seq",
-	}, func(r relstore.Tuple) bool {
-		ids = append(ids, r[col.id].Str)
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	excess := len(ids) - keep
-	if excess <= 0 {
-		return 0, nil
-	}
-	muts := make([]relstore.Mutation, 0, excess)
-	for _, id := range ids[:excess] {
-		muts = append(muts, relstore.Mutation{Kind: relstore.MutDelete, Table: Table, PK: id})
-	}
-	if err := l.store.Batch(ctx, muts); err != nil {
-		return 0, err
-	}
-	return excess, nil
 }
 
 // Len reports the total number of retained events.

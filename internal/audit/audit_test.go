@@ -277,3 +277,68 @@ func TestEventsTimeWindowAndWhere(t *testing.T) {
 		t.Fatalf("raw constraint query got %+v, want single a1 event", evs)
 	}
 }
+
+// A Batch lands its mutations and events together or not at all, and a
+// failed one consumes no seq.
+func TestBatchAtomicWithMutations(t *testing.T) {
+	store := relstore.NewMemory()
+	if err := store.CreateTable(relstore.Schema{Table: "things", Columns: []relstore.Column{{Name: "id", Kind: relstore.KindString}}, Key: "id"}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(store, Options{Clock: clock.NewMock(epoch), UUIDs: uuid.NewSeeded(5), Keep: -1, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	insert := []relstore.Mutation{{Kind: relstore.MutInsert, Table: "things", Row: relstore.Row{"id": relstore.String("a")}}}
+	if err := l.Batch(ctx, insert, Event{Action: ActionModelRegister, EntityID: "a"}, Event{Action: ActionPromote, EntityID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Batch(ctx, insert, Event{Action: ActionModelRegister, EntityID: "a"}); err == nil {
+		t.Fatal("a batch inserting a duplicate row succeeded")
+	}
+	if err := l.Record(ctx, Event{Action: ActionModelDeprecate, EntityID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := l.Events(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range evs {
+		got = append(got, fmt.Sprintf("%d:%s", ev.Seq, ev.Action))
+	}
+	if want := fmt.Sprint([]string{"1:" + ActionModelRegister, "2:" + ActionPromote, "3:" + ActionModelDeprecate}); fmt.Sprint(got) != want {
+		t.Fatalf("trail %v, want %v", got, want)
+	}
+	if n, _ := store.Len("things"); n != 1 {
+		t.Fatalf("things holds %d rows, want 1", n)
+	}
+}
+
+// Retention counts a batch's own events: when they alone exceed the
+// bound, only the newest of them are kept.
+func TestBatchRetentionCountsItsOwnEvents(t *testing.T) {
+	l := testLog(t, 2)
+	ctx := context.Background()
+	if err := l.Record(ctx, Event{Action: ActionModelRegister, EntityID: "e"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Batch(ctx, nil,
+		Event{Action: ActionPromote, EntityID: "e", Detail: "1"},
+		Event{Action: ActionPromote, EntityID: "other"},
+		Event{Action: ActionPromote, EntityID: "e", Detail: "2"},
+		Event{Action: ActionPromote, EntityID: "e", Detail: "3"}); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := l.Events(Query{EntityID: "e"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 2 || evs[0].Detail != "2" || evs[1].Detail != "3" || evs[0].Seq != 4 || evs[1].Seq != 5 {
+		t.Fatalf("entity e kept %+v, want its events 2 and 3 at seqs 4 and 5", evs)
+	}
+	if l.Len() != 3 {
+		t.Fatalf("trail holds %d events, want 3", l.Len())
+	}
+}

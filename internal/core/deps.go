@@ -30,7 +30,8 @@ func (g *Registry) AddDependency(ctx context.Context, from, to uuid.UUID) error 
 	if from == to {
 		return fmt.Errorf("%w: model cannot depend on itself", ErrBadSpec)
 	}
-	if _, err := g.getModelLocked(ctx, from); err != nil {
+	m, err := g.getModelLocked(ctx, from)
+	if err != nil {
 		return err
 	}
 	if _, err := g.getModelLocked(ctx, to); err != nil {
@@ -46,22 +47,19 @@ func (g *Registry) AddDependency(ctx context.Context, from, to uuid.UUID) error 
 		return fmt.Errorf("%w: %s already depends on %s", ErrCycle, to, from)
 	}
 	d := &Dependency{From: from, To: to, Created: g.now()}
-	muts := []relstore.Mutation{
-		{Kind: relstore.MutInsert, Table: TableDeps, Row: depToRow(d)},
-	}
-	bumps, err := g.versionBumpsLocked(ctx, from, CauseDepAdded, uuid.Nil, to)
+	ids := idText{}
+	bumps, _, _, err := g.versionBumpsLocked(ctx, m, ids, CauseDepAdded, uuid.Nil, to)
 	if err != nil {
 		return err
 	}
-	muts = append(muts, bumps...)
-	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
+	muts := append([]relstore.Mutation{{Kind: relstore.MutInsert, Table: TableDeps, Row: depToRow(d)}}, bumps...)
+	if err := g.audit.Batch(ctx, muts, audit.Event{
+		Action: audit.ActionDepAdd, EntityType: audit.EntityModel,
+		EntityID: ids.of(from), ModelID: ids.of(from),
+		After: "depends on " + ids.of(to),
+	}); err != nil {
 		return fmt.Errorf("core: add dependency %s -> %s: %w", from, to, err)
 	}
-	g.audited(ctx, audit.Event{
-		Action: audit.ActionDepAdd, EntityType: audit.EntityModel,
-		EntityID: from.String(), ModelID: from.String(),
-		After: "depends on " + to.String(),
-	})
 	return nil
 }
 
@@ -70,23 +68,21 @@ func (g *Registry) AddDependency(ctx context.Context, from, to uuid.UUID) error 
 func (g *Registry) RemoveDependency(ctx context.Context, from, to uuid.UUID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	muts := []relstore.Mutation{
-		{Kind: relstore.MutDelete, Table: TableDeps, PK: depKey(from, to)},
-	}
-	bumps, err := g.versionBumpsLocked(ctx, from, CauseDepRemoved, uuid.Nil, to)
+	m, err := g.getModelLocked(ctx, from)
 	if err != nil {
 		return err
 	}
-	muts = append(muts, bumps...)
-	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
+	ids := idText{}
+	bumps, _, _, err := g.versionBumpsLocked(ctx, m, ids, CauseDepRemoved, uuid.Nil, to)
+	if err != nil {
 		return err
 	}
-	g.audited(ctx, audit.Event{
+	muts := append([]relstore.Mutation{{Kind: relstore.MutDelete, Table: TableDeps, PK: depKey(from, to)}}, bumps...)
+	return g.audit.Batch(ctx, muts, audit.Event{
 		Action: audit.ActionDepRemove, EntityType: audit.EntityModel,
-		EntityID: from.String(), ModelID: from.String(),
-		Before: "depends on " + to.String(),
+		EntityID: ids.of(from), ModelID: ids.of(from),
+		Before: "depends on " + ids.of(to),
 	})
-	return nil
 }
 
 // Upstreams returns the models that id directly depends on.
@@ -169,44 +165,43 @@ func (g *Registry) closure(ctx context.Context, start uuid.UUID, step func(conte
 	return seen, nil
 }
 
-// versionBumpsLocked builds the mutations for one model change: a new
-// version record for the changed model (promoted to production — its
-// owner made the change deliberately) plus non-production dep_update
-// records for every transitive downstream.
-func (g *Registry) versionBumpsLocked(ctx context.Context, changed uuid.UUID, cause VersionCause, instanceID, triggeredBy uuid.UUID) ([]relstore.Mutation, error) {
-	var muts []relstore.Mutation
-	own, err := g.bumpOneLocked(ctx, changed, cause, instanceID, triggeredBy, true)
+// versionBumpsLocked builds the mutations for one change to model m, as
+// the caller read it: a new version record for m, promoted to production
+// (its owner made the change deliberately), plus non-production
+// dep_update records for every transitive downstream. It returns m's new
+// version and the one it demoted (nil when m had none).
+func (g *Registry) versionBumpsLocked(ctx context.Context, m *Model, ids idText, cause VersionCause, instanceID, triggeredBy uuid.UUID) (muts []relstore.Mutation, prod, demoted *VersionRecord, err error) {
+	muts, prod, demoted, err = g.bumpOneLocked(ctx, m, ids, cause, instanceID, triggeredBy, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	muts = append(muts, own...)
-
-	down, err := g.transitiveDownstreamsLocked(ctx, changed)
+	down, err := g.transitiveDownstreamsLocked(ctx, m.ID)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	for _, d := range sortedIDs(down) {
-		dm, err := g.bumpOneLocked(ctx, d, CauseDepUpdate, uuid.Nil, changed, false)
+		dm, err := g.getModelLocked(ctx, d)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		muts = append(muts, dm...)
+		more, _, _, err := g.bumpOneLocked(ctx, dm, ids, CauseDepUpdate, uuid.Nil, m.ID, false)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		muts = append(muts, more...)
 	}
-	return muts, nil
+	return muts, prod, demoted, nil
 }
 
-// bumpOneLocked creates the next version record for one model, reading
-// the denormalized minor counter off the model row so the bump is O(1) in
-// the model's history length. When production is true it also demotes the
-// current production record and repoints the model at the new one.
-func (g *Registry) bumpOneLocked(ctx context.Context, id uuid.UUID, cause VersionCause, instanceID, triggeredBy uuid.UUID, production bool) ([]relstore.Mutation, error) {
-	m, err := g.getModelLocked(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	v := &VersionRecord{
+// bumpOneLocked creates the next version record v for model m, reading the
+// denormalized minor counter off the model row so the bump is O(1) in the
+// model's history length, and updates m to match. When production is true
+// it also demotes m's current production record, returned as demoted, and
+// repoints m at v.
+func (g *Registry) bumpOneLocked(ctx context.Context, m *Model, ids idText, cause VersionCause, instanceID, triggeredBy uuid.UUID, production bool) (muts []relstore.Mutation, v, demoted *VersionRecord, err error) {
+	v = &VersionRecord{
 		ID:          g.gen.New(),
-		ModelID:     id,
+		ModelID:     m.ID,
 		Major:       m.Major,
 		Minor:       m.Minor + 1,
 		Cause:       cause,
@@ -215,24 +210,41 @@ func (g *Registry) bumpOneLocked(ctx context.Context, id uuid.UUID, cause Versio
 		Created:     g.now(),
 		Production:  production,
 	}
-	var muts []relstore.Mutation
 	if production {
-		if !m.ProductionVersion.IsNil() {
-			cur, err := g.versionByIDLocked(ctx, m.ProductionVersion)
-			if err != nil {
-				return nil, err
-			}
-			cur.Production = false
-			muts = append(muts, relstore.Mutation{Kind: relstore.MutUpdate, Table: TableVersions, Row: versionToRow(cur)})
+		if muts, demoted, err = g.demoteLocked(ctx, m, ids); err != nil {
+			return nil, nil, nil, err
 		}
 		m.ProductionVersion = v.ID
 	}
 	m.Minor = v.Minor
 	muts = append(muts,
-		relstore.Mutation{Kind: relstore.MutInsert, Table: TableVersions, Row: versionToRow(v)},
-		relstore.Mutation{Kind: relstore.MutUpdate, Table: TableModels, Row: modelToRow(m)},
+		relstore.Mutation{Kind: relstore.MutInsert, Table: TableVersions, Row: versionToRow(v, ids)},
+		relstore.Mutation{Kind: relstore.MutUpdate, Table: TableModels, Row: modelToRow(m, ids)},
 	)
-	return muts, nil
+	return muts, v, demoted, nil
+}
+
+// demoteLocked returns the update that clears the production flag of m's
+// production version, and that version; neither when m has none.
+func (g *Registry) demoteLocked(ctx context.Context, m *Model, ids idText) ([]relstore.Mutation, *VersionRecord, error) {
+	if m.ProductionVersion.IsNil() {
+		return nil, nil, nil
+	}
+	cur, err := g.versionByIDLocked(ctx, m.ProductionVersion)
+	if err != nil {
+		return nil, nil, err
+	}
+	cur.Production = false
+	return []relstore.Mutation{{Kind: relstore.MutUpdate, Table: TableVersions, Row: versionToRow(cur, ids)}}, cur, nil
+}
+
+// versionText is how an audit event names a version record: "v1.2 (id)",
+// or "none".
+func versionText(v *VersionRecord) string {
+	if v == nil {
+		return "none"
+	}
+	return fmt.Sprintf("v%d.%d (%s)", v.Major, v.Minor, v.ID)
 }
 
 // versionByIDLocked fetches one version record by primary key.
@@ -366,11 +378,7 @@ func (g *Registry) PromoteInstanceCtx(ctx context.Context, instanceID uuid.UUID)
 }
 
 func (g *Registry) promoteLocked(ctx context.Context, versionID uuid.UUID) error {
-	row, err := g.dal.Meta().GetTuple(ctx, TableVersions, versionID.String())
-	if err != nil {
-		return fmt.Errorf("%w: version %s", ErrNotFound, versionID)
-	}
-	v, err := rowToVersion(row)
+	v, err := g.versionByIDLocked(ctx, versionID)
 	if err != nil {
 		return err
 	}
@@ -381,40 +389,29 @@ func (g *Registry) promoteLocked(ctx context.Context, versionID uuid.UUID) error
 	if err != nil {
 		return err
 	}
-	var muts []relstore.Mutation
-	before := "none"
-	if !m.ProductionVersion.IsNil() {
-		cur, err := g.versionByIDLocked(ctx, m.ProductionVersion)
-		if err != nil {
-			return err
-		}
-		cur.Production = false
-		before = fmt.Sprintf("v%d.%d (%s)", cur.Major, cur.Minor, cur.ID)
-		muts = append(muts, relstore.Mutation{Kind: relstore.MutUpdate, Table: TableVersions, Row: versionToRow(cur)})
+	ids := idText{}
+	muts, demoted, err := g.demoteLocked(ctx, m, ids)
+	if err != nil {
+		return err
 	}
 	v.Production = true
 	m.ProductionVersion = v.ID
 	muts = append(muts,
-		relstore.Mutation{Kind: relstore.MutUpdate, Table: TableVersions, Row: versionToRow(v)},
-		relstore.Mutation{Kind: relstore.MutUpdate, Table: TableModels, Row: modelToRow(m)},
+		relstore.Mutation{Kind: relstore.MutUpdate, Table: TableVersions, Row: versionToRow(v, ids)},
+		relstore.Mutation{Kind: relstore.MutUpdate, Table: TableModels, Row: modelToRow(m, ids)},
 	)
-	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
-		return err
-	}
 	// The event lands on the realized instance when the version has one
 	// (so an instance timeline shows its promotions) and joins the model
 	// timeline through model_id either way.
-	entityType, entityID := audit.EntityModel, v.ModelID.String()
+	entityType, entityID := audit.EntityModel, ids.of(v.ModelID)
 	if !v.InstanceID.IsNil() {
-		entityType, entityID = audit.EntityInstance, v.InstanceID.String()
+		entityType, entityID = audit.EntityInstance, ids.of(v.InstanceID)
 	}
-	g.audited(ctx, audit.Event{
+	return g.audit.Batch(ctx, muts, audit.Event{
 		Action: audit.ActionPromote, EntityType: entityType,
-		EntityID: entityID, ModelID: v.ModelID.String(),
-		Before: before,
-		After:  fmt.Sprintf("v%d.%d (%s)", v.Major, v.Minor, v.ID),
+		EntityID: entityID, ModelID: ids.of(v.ModelID),
+		Before: versionText(demoted), After: versionText(v),
 	})
-	return nil
 }
 
 func sortedIDs(set map[uuid.UUID]bool) []uuid.UUID {

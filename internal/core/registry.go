@@ -109,15 +109,6 @@ func (g *Registry) Commit(ctx context.Context) error { return g.dal.Meta().Commi
 // (rule engine, health monitor, HTTP server) record their events here.
 func (g *Registry) Audit() *audit.Log { return g.audit }
 
-// audited best-effort records a lifecycle event; storage failures are
-// already counted by the audit log and must not fail the mutation that
-// succeeded.
-func (g *Registry) audited(ctx context.Context, ev audit.Event) {
-	if g.audit != nil {
-		_ = g.audit.Record(ctx, ev)
-	}
-}
-
 func (g *Registry) now() time.Time { return g.clk.Now() }
 
 // --- models ---
@@ -163,9 +154,10 @@ func (g *Registry) RegisterModelCtx(ctx context.Context, spec ModelSpec) (*Model
 		Production: true,
 	}
 	m.ProductionVersion = v.ID
+	ids := idText{}
 	muts := []relstore.Mutation{
-		{Kind: relstore.MutInsert, Table: TableModels, Row: modelToRow(m)},
-		{Kind: relstore.MutInsert, Table: TableVersions, Row: versionToRow(v)},
+		{Kind: relstore.MutInsert, Table: TableModels, Row: modelToRow(m, ids)},
+		{Kind: relstore.MutInsert, Table: TableVersions, Row: versionToRow(v, ids)},
 	}
 	for _, up := range spec.Upstreams {
 		if _, err := g.getModelLocked(ctx, up); err != nil {
@@ -174,15 +166,14 @@ func (g *Registry) RegisterModelCtx(ctx context.Context, spec ModelSpec) (*Model
 		d := &Dependency{From: m.ID, To: up, Created: g.now()}
 		muts = append(muts, relstore.Mutation{Kind: relstore.MutInsert, Table: TableDeps, Row: depToRow(d)})
 	}
-	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
-		return nil, err
-	}
-	g.audited(ctx, audit.Event{
+	if err := g.audit.Batch(ctx, muts, audit.Event{
 		Action: audit.ActionModelRegister, EntityType: audit.EntityModel,
-		EntityID: m.ID.String(), ModelID: m.ID.String(),
+		EntityID: ids.of(m.ID), ModelID: ids.of(m.ID),
 		After:  fmt.Sprintf("v%d.0", major),
 		Detail: fmt.Sprintf("project=%s name=%s base=%s", m.Project, m.Name, m.BaseVersionID),
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -257,25 +248,25 @@ func (g *Registry) EvolveModel(ctx context.Context, prevID uuid.UUID, descriptio
 	if err != nil {
 		return nil, err
 	}
+	ids := idText{}
 	muts := []relstore.Mutation{
-		{Kind: relstore.MutInsert, Table: TableModels, Row: modelToRow(next)},
-		{Kind: relstore.MutUpdate, Table: TableModels, Row: modelToRow(prev)},
-		{Kind: relstore.MutInsert, Table: TableVersions, Row: versionToRow(v)},
+		{Kind: relstore.MutInsert, Table: TableModels, Row: modelToRow(next, ids)},
+		{Kind: relstore.MutUpdate, Table: TableModels, Row: modelToRow(prev, ids)},
+		{Kind: relstore.MutInsert, Table: TableVersions, Row: versionToRow(v, ids)},
 	}
 	for _, up := range ups {
 		d := &Dependency{From: next.ID, To: up, Created: g.now()}
 		muts = append(muts, relstore.Mutation{Kind: relstore.MutInsert, Table: TableDeps, Row: depToRow(d)})
 	}
-	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
-		return nil, err
-	}
-	g.audited(ctx, audit.Event{
+	if err := g.audit.Batch(ctx, muts, audit.Event{
 		Action: audit.ActionModelEvolve, EntityType: audit.EntityModel,
-		EntityID: next.ID.String(), ModelID: next.ID.String(),
-		Before: fmt.Sprintf("v%d (%s)", prev.Major, prev.ID),
+		EntityID: ids.of(next.ID), ModelID: ids.of(next.ID),
+		Before: fmt.Sprintf("v%d (%s)", prev.Major, ids.of(prev.ID)),
 		After:  fmt.Sprintf("v%d.0", next.Major),
 		Detail: description,
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return next, nil
 }
 
@@ -333,28 +324,30 @@ func (g *Registry) DeprecateModelReport(ctx context.Context, id uuid.UUID) (reti
 	if err != nil {
 		return false, err
 	}
-	wasDeprecated := m.Deprecated
+	if m.Deprecated {
+		return false, nil
+	}
 	m.Deprecated = true
-	if err := g.dal.Meta().Update(ctx, TableModels, modelToRow(m)); err != nil {
+	ids := idText{}
+	muts := []relstore.Mutation{{Kind: relstore.MutUpdate, Table: TableModels, Row: modelToRow(m, ids)}}
+	if err := g.audit.Batch(ctx, muts, audit.Event{
+		Action: audit.ActionModelDeprecate, EntityType: audit.EntityModel,
+		EntityID: ids.of(id), ModelID: ids.of(id),
+		Before: "active", After: "deprecated",
+	}); err != nil {
 		return false, err
 	}
-	if !wasDeprecated {
-		g.audited(ctx, audit.Event{
-			Action: audit.ActionModelDeprecate, EntityType: audit.EntityModel,
-			EntityID: id.String(), ModelID: id.String(),
-			Before: "active", After: "deprecated",
-		})
-	}
-	return !wasDeprecated, nil
+	return true, nil
 }
 
 // --- instances ---
 
 // UploadInstance saves a trained model instance: the blob is written to
-// blob storage first, then the instance row, its version record, and all
-// dependency-propagated version bumps land in one atomic metadata batch
-// (paper §3.5 write ordering; §3.4.2 propagation). The returned instance
-// carries its assigned UUID and blob location.
+// blob storage first, then the instance row, its version record, all
+// dependency-propagated version bumps and the upload's audit events land
+// in one atomic metadata batch (paper §3.5 write ordering; §3.4.2
+// propagation). The returned instance carries its assigned UUID and blob
+// location.
 func (g *Registry) UploadInstance(spec InstanceSpec, blob []byte) (*Instance, error) {
 	return g.UploadInstanceCtx(context.Background(), spec, blob)
 }
@@ -397,67 +390,56 @@ func (g *Registry) uploadInstanceCtx(ctx context.Context, spec InstanceSpec, blo
 		Created:       g.now(),
 	}
 
+	ids := idText{}
+	iid, mid := ids.of(in.ID), ids.of(m.ID)
+
 	// Blob first: if this fails nothing is recorded. The location is
 	// pinned across the blob-write/metadata-insert window so a concurrent
 	// orphan collection cannot reap the not-yet-referenced blob (the DAL
 	// pin protocol; see internal/dal).
-	pinLoc := g.dal.Blobs().Location(in.ID.String())
+	pinLoc := g.dal.Blobs().Location(iid)
 	g.dal.Pin(pinLoc)
 	defer g.dal.Unpin(pinLoc)
-	loc, err := g.dal.PutBlobCtx(ctx, in.ID.String(), blob)
+	loc, err := g.dal.PutBlobCtx(ctx, iid, blob)
 	if err != nil {
-		return nil, fmt.Errorf("core: blob write for instance %s: %w", in.ID, err)
+		return nil, fmt.Errorf("core: blob write for instance %s: %w", iid, err)
 	}
 	in.BlobLocation = loc
 
-	muts := []relstore.Mutation{
-		{Kind: relstore.MutInsert, Table: TableInstances, Row: instanceToRow(in)},
-	}
 	// The owning model gets a retrained version, promoted to production
 	// (the owner trained it deliberately); downstreams get non-production
 	// dep_update versions.
-	beforeProd := "none"
-	if !m.ProductionVersion.IsNil() {
-		if cur, err := g.versionByIDLocked(ctx, m.ProductionVersion); err == nil {
-			beforeProd = fmt.Sprintf("v%d.%d (%s)", cur.Major, cur.Minor, cur.ID)
-		}
-	}
-	bumps, err := g.versionBumpsLocked(ctx, m.ID, CauseRetrained, in.ID, uuid.Nil)
+	bumps, prod, demoted, err := g.versionBumpsLocked(ctx, m, ids, CauseRetrained, in.ID, uuid.Nil)
 	if err != nil {
 		return nil, err
 	}
-	muts = append(muts, bumps...)
-	if err := g.dal.Meta().Batch(ctx, muts); err != nil {
+	muts := append([]relstore.Mutation{{Kind: relstore.MutInsert, Table: TableInstances, Row: instanceToRow(in, ids)}}, bumps...)
+	err = g.audit.Batch(ctx, muts, audit.Event{
+		Action: audit.ActionInstanceUpload, EntityType: audit.EntityInstance,
+		EntityID: iid, ModelID: mid,
+		After:  fmt.Sprintf("blob=%s bytes=%d", loc, len(blob)),
+		Detail: fmt.Sprintf("name=%s city=%s framework=%s", in.Name, in.City, in.Framework),
+	}, audit.Event{
+		// The upload implicitly flips the production pointer (the owner's
+		// retrained version is born promoted); recording that transition
+		// too lets a timeline reader see every pointer change, implicit
+		// or explicit.
+		Action: audit.ActionPromote, EntityType: audit.EntityInstance,
+		EntityID: iid, ModelID: mid,
+		Before: versionText(demoted), After: versionText(prod),
+		Detail: "auto-promoted on upload",
+	})
+	if err != nil {
 		// The blob is now an orphan; the DAL garbage collector reclaims
 		// it. Audit the half-written state so the blob-first write that
 		// never got its metadata is visible post-hoc.
-		g.audited(ctx, audit.Event{
-			Action: audit.ActionUploadFailed, EntityType: audit.EntityInstance,
-			EntityID: in.ID.String(), ModelID: m.ID.String(),
-			Before: "blob written", After: "metadata write failed",
-			Detail: fmt.Sprintf("blob orphaned at %s (%d bytes): %v", loc, len(blob), err),
-		})
-		return nil, fmt.Errorf("core: metadata write for instance %s (blob orphaned): %w", in.ID, err)
-	}
-	g.audited(ctx, audit.Event{
-		Action: audit.ActionInstanceUpload, EntityType: audit.EntityInstance,
-		EntityID: in.ID.String(), ModelID: m.ID.String(),
-		After:  fmt.Sprintf("blob=%s bytes=%d", loc, len(blob)),
-		Detail: fmt.Sprintf("name=%s city=%s framework=%s", in.Name, in.City, in.Framework),
-	})
-	// The upload implicitly flipped the production pointer (the owner's
-	// retrained version is born promoted); record that transition too so
-	// a timeline reader sees every pointer change, implicit or explicit.
-	if m2, err := g.getModelLocked(ctx, m.ID); err == nil && !m2.ProductionVersion.IsNil() {
-		if v2, err := g.versionByIDLocked(ctx, m2.ProductionVersion); err == nil {
-			g.audited(ctx, audit.Event{
-				Action: audit.ActionPromote, EntityType: audit.EntityInstance,
-				EntityID: in.ID.String(), ModelID: m.ID.String(),
-				Before: beforeProd,
-				After:  fmt.Sprintf("v%d.%d (%s)", v2.Major, v2.Minor, v2.ID),
-				Detail: "auto-promoted on upload",
-			})
-		}
+		return nil, errors.Join(fmt.Errorf("core: metadata write for instance %s (blob orphaned): %w", iid, err),
+			g.audit.Record(ctx, audit.Event{
+				Action: audit.ActionUploadFailed, EntityType: audit.EntityInstance,
+				EntityID: iid, ModelID: mid,
+				Before: "blob written", After: "metadata write failed",
+				Detail: fmt.Sprintf("blob orphaned at %s (%d bytes): %v", loc, len(blob), err),
+			}))
 	}
 	return in, nil
 }
@@ -510,19 +492,15 @@ func (g *Registry) DeprecateInstance(ctx context.Context, id uuid.UUID) error {
 	if err != nil {
 		return err
 	}
-	wasDeprecated := row["deprecated"].Bool()
+	if row["deprecated"].Bool() {
+		return nil
+	}
 	row["deprecated"] = relstore.Bool(true)
-	if err := g.dal.Meta().Update(ctx, TableInstances, row); err != nil {
-		return err
-	}
-	if !wasDeprecated {
-		g.audited(ctx, audit.Event{
-			Action: audit.ActionInstanceDeprecate, EntityType: audit.EntityInstance,
-			EntityID: id.String(), ModelID: row["model_id"].Str,
-			Before: "active", After: "deprecated",
-		})
-	}
-	return nil
+	return g.audit.Batch(ctx, []relstore.Mutation{{Kind: relstore.MutUpdate, Table: TableInstances, Row: row}}, audit.Event{
+		Action: audit.ActionInstanceDeprecate, EntityType: audit.EntityInstance,
+		EntityID: row["id"].Str, ModelID: row["model_id"].Str,
+		Before: "active", After: "deprecated",
+	})
 }
 
 // Lineage returns every instance trained under a base version id, sorted

@@ -222,9 +222,9 @@ func col(table, name string) int {
 	panic(fmt.Sprintf("core: table %s declares no column %s", table, name))
 }
 
-func modelToRow(m *Model) relstore.Row {
+func modelToRow(m *Model, ids idText) relstore.Row {
 	return relstore.Row{
-		"id":                 relstore.String(m.ID.String()),
+		"id":                 relstore.String(ids.of(m.ID)),
 		"base_version_id":    relstore.String(m.BaseVersionID),
 		"project":            relstore.String(m.Project),
 		"name":               relstore.String(m.Name),
@@ -234,9 +234,9 @@ func modelToRow(m *Model) relstore.Row {
 		"description":        relstore.String(m.Description),
 		"major":              relstore.Int(int64(m.Major)),
 		"minor":              relstore.Int(int64(m.Minor)),
-		"production_version": relstore.String(uuidOrEmpty(m.ProductionVersion)),
-		"prev_model":         relstore.String(uuidOrEmpty(m.PrevModel)),
-		"next_model":         relstore.String(uuidOrEmpty(m.NextModel)),
+		"production_version": relstore.String(ids.of(m.ProductionVersion)),
+		"prev_model":         relstore.String(ids.of(m.PrevModel)),
+		"next_model":         relstore.String(ids.of(m.NextModel)),
 		"created":            relstore.Time(m.Created),
 		"deprecated":         relstore.Bool(m.Deprecated),
 	}
@@ -267,10 +267,10 @@ func rowToModel(r relstore.Tuple) (*Model, error) {
 	return m, nil
 }
 
-func instanceToRow(in *Instance) relstore.Row {
+func instanceToRow(in *Instance, ids idText) relstore.Row {
 	return relstore.Row{
-		"id":              relstore.String(in.ID.String()),
-		"model_id":        relstore.String(in.ModelID.String()),
+		"id":              relstore.String(ids.of(in.ID)),
+		"model_id":        relstore.String(ids.of(in.ModelID)),
 		"base_version_id": relstore.String(in.BaseVersionID),
 		"project":         relstore.String(in.Project),
 		"name":            relstore.String(in.Name),
@@ -349,15 +349,15 @@ func rowToMetric(r relstore.Tuple) (*Metric, error) {
 	}, nil
 }
 
-func versionToRow(v *VersionRecord) relstore.Row {
+func versionToRow(v *VersionRecord, ids idText) relstore.Row {
 	return relstore.Row{
-		"id":           relstore.String(v.ID.String()),
-		"model_id":     relstore.String(v.ModelID.String()),
+		"id":           relstore.String(ids.of(v.ID)),
+		"model_id":     relstore.String(ids.of(v.ModelID)),
 		"major":        relstore.Int(int64(v.Major)),
 		"minor":        relstore.Int(int64(v.Minor)),
 		"cause":        relstore.String(string(v.Cause)),
-		"instance_id":  relstore.String(uuidOrEmpty(v.InstanceID)),
-		"triggered_by": relstore.String(uuidOrEmpty(v.TriggeredBy)),
+		"instance_id":  relstore.String(ids.of(v.InstanceID)),
+		"triggered_by": relstore.String(ids.of(v.TriggeredBy)),
 		"created":      relstore.Time(v.Created),
 		"production":   relstore.Bool(v.Production),
 	}
@@ -395,6 +395,21 @@ func depToRow(d *Dependency) relstore.Row {
 }
 
 func depKey(from, to uuid.UUID) string { return from.String() + "|" + to.String() }
+
+// idText formats each ID one mutation names once, so the rows and audit
+// events the mutation writes share one string per ID instead of holding a
+// copy each.
+type idText map[uuid.UUID]string
+
+// of returns u formatted, or "" for the nil UUID.
+func (t idText) of(u uuid.UUID) string {
+	s, ok := t[u]
+	if !ok {
+		s = uuidOrEmpty(u)
+		t[u] = s
+	}
+	return s
+}
 
 func uuidOrEmpty(u uuid.UUID) string {
 	if u.IsNil() {

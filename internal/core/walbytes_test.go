@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gallery/internal/audit"
 	"gallery/internal/blobstore"
 	"gallery/internal/clock"
 	"gallery/internal/obs"
@@ -16,15 +17,20 @@ import (
 	"gallery/internal/wal"
 )
 
-// TestWALBytesPerMutation gates what the write path logs: a seeded model
-// registration, upload, metrics insert and promotion through a registry
-// over a durable store must append exactly these records and payload
-// bytes. Each step runs under a root span of galleryd's default sampler,
-// as a request does, so its audit events carry a trace ID. The counts are
-// deterministic (seeded IDs, a mock clock, trace IDs of fixed length), so
-// any change to the record format or to what a mutation logs moves them;
-// a change that grows them must say why here. Record format version 1,
-// which logged whole rows and IDs as text, took 1,546, 179 and 846 bytes.
+// TestWALBytesPerMutation gates what the write path logs and reads: a
+// seeded model registration, upload, metrics insert and promotion through
+// a registry over a durable store must append exactly these records and
+// payload bytes, and make exactly these reads of models, versions and
+// audit_events (relstore_ops_total). Each step runs under a root span of
+// galleryd's default sampler, as a request does, so its audit events carry
+// a trace ID. The counts are deterministic (seeded IDs, a mock clock,
+// trace IDs of fixed length), so any change to the record format or to
+// what a mutation logs or reads moves them; a change that grows them must
+// say why here. Record format version 1, which logged whole rows and IDs
+// as text, took 1,546, 179 and 846 bytes. While audit events were written
+// after the mutation's batch, each in its own record, an upload appended 3
+// records of 1,052 bytes and a promotion 2 of 414, and an upload read its
+// model 3 times, versions 3 times and audit_events twice.
 func TestWALBytesPerMutation(t *testing.T) {
 	meta, err := relstore.Open(filepath.Join(t.TempDir(), "meta.wal"), wal.Options{})
 	if err != nil {
@@ -39,12 +45,18 @@ func TestWALBytesPerMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	records, bytes := reg.Counter("relstore_wal_records_total"), reg.Counter("relstore_wal_bytes_total")
+	ops := reg.CounterVec("relstore_ops_total", []string{"op", "table"}, 0)
+	type cost struct{ records, bytes, modelGets, versionGets, auditSelects int64 }
+	spent := func() cost {
+		return cost{records.Value(), bytes.Value(), ops.With2("get", TableModels).Value(),
+			ops.With2("get", TableVersions).Value(), ops.With2("select", audit.Table).Value()}
+	}
 	tracer := trace.New(trace.Options{Service: "galleryd", Sampler: trace.ErrSlow(250 * time.Millisecond)})
 	var first, second *Instance
 	for _, step := range []struct {
-		name                string
-		do                  func(ctx context.Context) error
-		wantRecords, wantBy int64
+		name string
+		do   func(ctx context.Context) error
+		want cost
 	}{
 		{"register", func(ctx context.Context) error {
 			m, err := g.RegisterModelCtx(ctx, ModelSpec{BaseVersionID: "base_01", Project: "marketplace", Name: "demand_001", Owner: "bench", Domain: "UberX"})
@@ -52,35 +64,38 @@ func TestWALBytesPerMutation(t *testing.T) {
 				first, err = g.UploadInstanceCtx(ctx, InstanceSpec{ModelID: m.ID, Name: "demand_001", City: "sf", Framework: "linear_ar"}, []byte("w1"))
 			}
 			return err
-		}, 0, 0},
+		}, cost{}},
 		{"upload", func(ctx context.Context) error {
 			clk.Advance(time.Second)
 			second, err = g.UploadInstanceCtx(ctx, InstanceSpec{ModelID: first.ModelID, Name: "demand_001", City: "sf", Framework: "linear_ar",
 				TrainingData: "hdfs://warehouse/demand/run_000001", CodePointer: "git://forecasting/demand@9e3779b1",
 				Seed: 1, Epochs: 10, Hyperparams: `{"lags":48}`, Features: "lags[1..48],hour,dow"}, []byte("weights"))
 			return err
-		}, 3, 1052},
+		}, cost{records: 1, bytes: 1048, modelGets: 1, versionGets: 1, auditSelects: 1}},
 		{"metrics", func(ctx context.Context) error {
 			clk.Advance(time.Second)
 			return g.InsertMetricsCtx(ctx, second.ID, ScopeValidation, map[string]float64{"mape": 0.125})
-		}, 1, 116},
+		}, cost{records: 1, bytes: 116}},
 		{"promote", func(ctx context.Context) error {
 			clk.Advance(time.Second)
 			return g.PromoteInstanceCtx(ctx, first.ID)
-		}, 2, 414},
+		}, cost{records: 1, bytes: 412, modelGets: 1, versionGets: 2, auditSelects: 1}},
 	} {
-		r0, b0 := records.Value(), bytes.Value()
+		before := spent()
 		ctx, root := tracer.StartRoot(context.Background(), step.name, "")
 		err := step.do(ctx)
 		root.End()
 		if err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
-		if step.wantRecords == 0 { // set-up, not gated
+		if step.want == (cost{}) { // set-up, not gated
 			continue
 		}
-		if r, b := records.Value()-r0, bytes.Value()-b0; r != step.wantRecords || b != step.wantBy {
-			t.Errorf("%s appended %d records of %d payload bytes, want %d of %d", step.name, r, b, step.wantRecords, step.wantBy)
+		after := spent()
+		got := cost{after.records - before.records, after.bytes - before.bytes, after.modelGets - before.modelGets,
+			after.versionGets - before.versionGets, after.auditSelects - before.auditSelects}
+		if got != step.want {
+			t.Errorf("%s cost %+v, want %+v", step.name, got, step.want)
 		}
 	}
 }

@@ -213,7 +213,7 @@ func TestScaleShape(t *testing.T) {
 	// tuples, their index postings, two audit events and the blob. Like the
 	// allocation gates it is checked without -race only, whose runtime
 	// allocates differently.
-	if got, bound := rs[0].HeapPerInstance, 5552*1.05; !raceEnabled && got > bound {
+	if got, bound := rs[0].HeapPerInstance, 5261*1.05; !raceEnabled && got > bound {
 		t.Errorf("tier %d holds %.0f heap bytes per instance, want at most %.0f", rs[0].Instances, got, bound)
 	}
 }

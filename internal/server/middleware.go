@@ -23,11 +23,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // committed before the first header or body byte of the response leaves,
 // so under -fsync no client ever holds an acknowledgement for a write a
 // power loss can take back. Handlers and the layers below them never wait
-// for the disk themselves; a request's records — typically four for an
-// upload — share this one fsync, and concurrent requests share each
-// other's. It sits inside httpmw.Wrap, so the wait shows as a
-// relstore.wal_commit span under the request root and a failed commit is
-// counted as the 500 it becomes.
+// for the disk themselves; a request's records — one for an upload, two
+// under -auth with the tenant usage row — share this one fsync, and
+// concurrent requests share each other's. It sits inside httpmw.Wrap, so
+// the wait shows as a relstore.wal_commit span under the request root and
+// a failed commit is counted as the 500 it becomes.
 func (s *Server) commitOnAck(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet || r.Method == http.MethodHead {
